@@ -2,10 +2,17 @@
 
 The coalgebra side works on chains m ⊗ c₀ ⊗ … ⊗ cₙ with the coefficient
 leg first; the equivariant space Cⁿ_H(C, M) is the quotient of the ambient
-tensor space by the ⊗_H relations, realized for finite instances by exact
-linear algebra.  The algebra side builds the chain-level operators on
-M ⊗ A^⊗(n+1); cochains are dual vectors on the H-coinvariant quotient and
-cochain operators are transposes of the induced chain matrices.
+tensor space by the ⊗_H relations, built only by :class:`RelativeTensorSpace`.
+The algebra side builds the chain-level operators on M ⊗ A^⊗(n+1); cochains
+are dual vectors on the H-coinvariant quotient and cochain operators are
+transposes of the induced chain matrices.
+
+Every finite instance goes through one layer, :class:`FiniteComplex`: a
+basis and a quotient per degree, and one pipeline that takes an ambient
+operator to its matrix, checks that it descends to the quotients and
+induces it there.  The relative module C_H(C, M), the algebra-side cochains
+C_H(A, M) and the Kaygun quotient ℂ𝕄 (in :mod:`hopfcyc.kaygun`) are all
+assembled by :meth:`FiniteComplex.assemble`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through a truncated cyclic bicomplex;
@@ -15,7 +22,6 @@ agreement of the two is part of the test surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Optional
 
@@ -176,7 +182,6 @@ class RelativeTensorSpace:
                 rows.append(
                     [u - v for u, v in zip(self.basis.vec(left), self.basis.vec(right))]
                 )
-        self.relations = rows
         self.quot = Quotient(rows, self.basis.dim)
 
     @property
@@ -205,23 +210,17 @@ class CocyclicInstance:
 
     def b(self, n: int) -> Matrix:
         """Hochschild coboundary C^n -> C^(n+1) (alternating coface sum)."""
-        out = zeros(self.dims[n + 1], self.dims[n])
-        sign = F1
-        for i in range(n + 2):
-            m = self.coface[(n + 1, i)]
-            for r in range(len(out)):
-                row, mrow = out[r], m[r]
-                for cidx in range(len(row)):
-                    if mrow[cidx]:
-                        row[cidx] += sign * mrow[cidx]
-            sign = -sign
-        return out
+        return self._coface_sum(n, n + 2)
 
     def b_prime(self, n: int) -> Matrix:
         """Coboundary without the last coface."""
+        return self._coface_sum(n, n + 1)
+
+    def _coface_sum(self, n: int, count: int) -> Matrix:
+        """Alternating sum of the cofaces ∂_0 … ∂_(count-1) from C^n."""
         out = zeros(self.dims[n + 1], self.dims[n])
         sign = F1
-        for i in range(n + 1):
+        for i in range(count):
             m = self.coface[(n + 1, i)]
             for r in range(len(out)):
                 row, mrow = out[r], m[r]
@@ -246,22 +245,62 @@ class CocyclicInstance:
             out = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(out, acc)]
         return out
 
-    def to_json(self) -> dict:
-        def sparse(m):
-            trips = []
-            for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    if x:
-                        trips.append([i, j, f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)])
-            return trips
 
-        return {
-            "dims": list(self.dims),
-            "coface": {f"{n},{i}": sparse(m) for (n, i), m in sorted(self.coface.items())},
-            "codegeneracy": {f"{n},{i}": sparse(m) for (n, i), m in sorted(self.codeg.items())},
-            "tau": {str(n): sparse(m) for n, m in sorted(self.tau.items())},
-            "verified": self.verified,
+class FiniteComplex:
+    """A finite-dimensional quotient space in each degree 0..top: the
+    ambient chain basis ``bases[n]`` modulo the relations of ``quots[n]``.
+
+    :meth:`induce` is the one route from an ambient chain operator to a
+    matrix on the quotients; operators that do not descend are recorded in
+    ``welldef_failures`` by label.
+    """
+
+    def __init__(self, bases, quots):
+        self.bases = list(bases)
+        self.quots = list(quots)
+        self.dims = [q.dim for q in self.quots]
+        self.welldef_failures = []
+
+    def induce(self, op: Callable[[TensorElt], TensorElt], src: int, tgt: int, label: str) -> Matrix:
+        """The matrix of ``op`` (degree ``src`` chains to degree ``tgt``)
+        induced on the quotients."""
+        amb = op_matrix(op, self.bases[src], self.bases[tgt])
+        if not self.quots[src].preserves_relations(amb, self.quots[tgt]):
+            self.welldef_failures.append(label)
+        return self.quots[src].induced_matrix(amb, self.quots[tgt])
+
+    def assemble(self, coface, codeg, tau, chains=False) -> CocyclicInstance:
+        """Induce every operator of a cocyclic object through the top degree.
+
+        ``coface(n, i, x)`` maps degree n-1 to n, ``codeg(n, i, x)`` maps
+        degree n+1 to n and ``tau(n, x)`` maps degree n to itself.  With
+        ``chains`` the three are chain-level operators running the other
+        way (faces, degeneracies and T) and the instance holds the
+        transposes of their induced matrices.  Operators that fail to
+        descend are labelled in ``welldef_failures`` by their own names.
+        """
+        top = len(self.bases) - 1
+        fc, fd, ft = ("face", "degeneracy", "t") if chains else ("coface", "codegeneracy", "tau")
+
+        def induce(op, src, tgt, label):
+            if chains:
+                return transpose(self.induce(op, tgt, src, label))
+            return self.induce(op, src, tgt, label)
+
+        cofaces = {
+            (n, i): induce(lambda x, n=n, i=i: coface(n, i, x), n - 1, n, f"{fc}({n},{i})")
+            for n in range(1, top + 1)
+            for i in range(n + 1)
         }
+        codegs = {
+            (n, i): induce(lambda x, n=n, i=i: codeg(n, i, x), n + 1, n, f"{fd}({n},{i})")
+            for n in range(top)
+            for i in range(n + 1)
+        }
+        taus = {n: induce(lambda x, n=n: tau(n, x), n, n, f"{ft}({n})") for n in range(top + 1)}
+        return CocyclicInstance(
+            list(self.dims), cofaces, codegs, taus, welldef_failures=list(self.welldef_failures)
+        )
 
 
 def build_coalgebra_instance(mc: ModuleComodule, c_mod: HModuleCoalgebra, top: int) -> CocyclicInstance:
@@ -270,30 +309,8 @@ def build_coalgebra_instance(mc: ModuleComodule, c_mod: HModuleCoalgebra, top: i
     descend to the quotients."""
     ops = CoalgebraOps(mc, c_mod)
     spaces = [RelativeTensorSpace(mc, c_mod, n) for n in range(top + 1)]
-    dims = [sp.dim for sp in spaces]
-    coface, codeg, tau = {}, {}, {}
-    failures = []
-
-    def induce(op, ns, nt, label):
-        amb = op_matrix(op, spaces[ns].basis, spaces[nt].basis)
-        if not spaces[ns].quot.preserves_relations(amb, spaces[nt].quot):
-            failures.append(label)
-        return spaces[ns].quot.induced_matrix(amb, spaces[nt].quot)
-
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            coface[(n, i)] = induce(
-                lambda x, n=n, i=i: ops.coface(n, i, x), n - 1, n, f"coface({n},{i})"
-            )
-    for n in range(top):
-        for i in range(n + 1):
-            codeg[(n, i)] = induce(
-                lambda x, n=n, i=i: ops.codegeneracy(n, i, x), n + 1, n, f"codegeneracy({n},{i})"
-            )
-    for n in range(top + 1):
-        tau[n] = induce(lambda x, n=n: ops.tau(n, x), n, n, f"tau({n})")
-
-    return CocyclicInstance(dims, coface, codeg, tau, welldef_failures=failures)
+    fc = FiniteComplex([sp.basis for sp in spaces], [sp.quot for sp in spaces])
+    return fc.assemble(ops.coface, ops.codegeneracy, ops.tau)
 
 
 def check_cocyclic(inst: CocyclicInstance, upto: Optional[int] = None) -> dict:
@@ -566,8 +583,24 @@ class AlgebraChainOps:
                 out = term if out is None else out + term
         return out
 
+    def quotient(self, n: int):
+        """The degree-n chain basis and its quotient by span{xh − ε(h)x}
+        under the diagonal action, h over the nonempty normal words of
+        degree and index at most 2."""
+        h = self.mc.hopf
+        basis = TensorBasis((self.mc.space,) + (self.a_mod.alg,) * (n + 1))
+        hs = [h.from_word(w) for w in h.normal_words(2, 2) if w != EMPTY_WORD]
+        rows = []
+        for j in range(basis.dim):
+            x = basis.elt(j)
+            for a in hs:
+                acted = basis.vec(self.diagonal_action(n, x, a))
+                base = basis.vec(x.scale(h.counit(a)))
+                rows.append([u - v for u, v in zip(acted, base)])
+        return basis, Quotient(rows, basis.dim)
 
-class AlgebraCochainInstance:
+
+class AlgebraCochainInstance(FiniteComplex):
     """The cocyclic object on cochains C^n_H(A, M) of a finite instance.
 
     Chain quotients divide by span{xh − ε(h)x}; cochain operators are
@@ -579,64 +612,14 @@ class AlgebraCochainInstance:
         self.a_mod = a_mod
         self.top = top
         self.ops = AlgebraChainOps(mc, a_mod)
-        h = mc.hopf
-        self.bases = [
-            TensorBasis((mc.space,) + (a_mod.alg,) * (n + 1)) for n in range(top + 1)
-        ]
-        self.quots = []
-        hws = [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]
-        for n in range(top + 1):
-            rows = []
-            for j in range(self.bases[n].dim):
-                x = self.bases[n].elt(j)
-                for hw in hws:
-                    a = h.from_word(hw)
-                    acted = self.ops.diagonal_action(n, x, a)
-                    base = x.scale(h.counit(a))
-                    rows.append(
-                        [
-                            u - v
-                            for u, v in zip(
-                                self.bases[n].vec(acted), self.bases[n].vec(base)
-                            )
-                        ]
-                    )
-            self.quots.append(Quotient(rows, self.bases[n].dim))
-        self.dims = [q.dim for q in self.quots]
-        self.welldef_failures = []
-        # chain matrices on quotients
-        self.chain_face = {}
-        self.chain_degeneracy = {}
-        self.chain_t = {}
-        for n in range(1, top + 1):
-            for i in range(n + 1):
-                self.chain_face[(n, i)] = self._induce(
-                    lambda x, n=n, i=i: self.ops.face(n, i, x), n, n - 1, f"face({n},{i})"
-                )
-        for n in range(top):
-            for i in range(n + 1):
-                self.chain_degeneracy[(n, i)] = self._induce(
-                    lambda x, n=n, i=i: self.ops.degeneracy(n, i, x),
-                    n,
-                    n + 1,
-                    f"degeneracy({n},{i})",
-                )
-        for n in range(top + 1):
-            self.chain_t[n] = self._induce(
-                lambda x, n=n: self.ops.t(n, x), n, n, f"t({n})"
-            )
-
-    def _induce(self, op, ns, nt, label):
-        amb = op_matrix(op, self.bases[ns], self.bases[nt])
-        if not self.quots[ns].preserves_relations(amb, self.quots[nt]):
-            self.welldef_failures.append(label)
-        return self.quots[ns].induced_matrix(amb, self.quots[nt])
+        bases, quots = zip(*(self.ops.quotient(n) for n in range(top + 1)))
+        super().__init__(bases, quots)
+        self._cocyclic = self.assemble(self.ops.face, self.ops.degeneracy, self.ops.t, chains=True)
 
     def cocyclic_instance(self) -> CocyclicInstance:
-        """Transpose everything into a coface-style cocyclic instance."""
-        coface = {(n, i): transpose(m) for (n, i), m in self.chain_face.items()}
-        codeg = {(n, i): transpose(m) for (n, i), m in self.chain_degeneracy.items()}
-        tau = {n: transpose(m) for n, m in self.chain_t.items()}
-        return CocyclicInstance(
-            list(self.dims), coface, codeg, tau, welldef_failures=list(self.welldef_failures)
-        )
+        """The cochain operators as a coface-style cocyclic instance.
+
+        Every call returns the same instance, built once in ``__init__``;
+        verifying it with :func:`check_cocyclic` marks it for all callers.
+        """
+        return self._cocyclic

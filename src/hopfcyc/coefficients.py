@@ -3,9 +3,10 @@
 A :class:`ModuleComodule` is a right module, left comodule over a Hopf
 presentation.  The checkers verify the stable anti-Yetter-Drinfeld
 condition and its relaxations relative to a module coalgebra C or a module
-algebra A, modular-pair-in-involution identities, action shapes
-(cocommutative or commutative), coideal quotients, and the tensor product
-of an anti-Yetter-Drinfeld with a Yetter-Drinfeld module.
+algebra A, modular-pair-in-involution identities, the coideal quotient of
+the bicrossed product, and the tensor product of an anti-Yetter-Drinfeld
+with a Yetter-Drinfeld module.  Stability relative to a finite C or A is
+decided in the quotients built by :mod:`hopfcyc.cocyclic`.
 
 Every failing check reports the exact (normalized) difference tensor, so
 results can be compared term-by-term against expected values.
@@ -14,13 +15,13 @@ results can be compared term-by-term against expected values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional
+from itertools import product as iproduct
+from typing import Callable
 
-from .core import AlgElt, EMPTY_WORD, Generator, ONE, TensorElt, tensor
+from .core import AlgElt, EMPTY_WORD, Generator, TensorElt, tensor
 from .errors import PreconditionError, StructureError
 from .hopf import Character, GroupLike, HopfPresentation
-from .linalg import F0, Quotient, in_rowspace
+from .linalg import F0
 from .rewrite import Presentation
 
 
@@ -74,24 +75,6 @@ class ModuleComodule:
         checks.append({"name": "comodule axioms", "ok": not fails, "witnesses": fails[:3]})
 
         return {"ok": all(c["ok"] for c in checks), "checks": checks}
-
-
-def mc_sigma_delta(
-    hopf: HopfPresentation, delta: Character, sigma: GroupLike, name: str = "sigma_delta"
-) -> ModuleComodule:
-    """The one-dimensional carrier with action through the character and
-    coaction by the group-like element."""
-    if delta(sigma.elt) != 1:
-        raise PreconditionError("not a modular pair: the character is not 1 on the group-like")
-    space = scalar_space(name)
-
-    def act(m, h):
-        return m.scale(delta(h))
-
-    def coact(m):
-        return tensor([sigma.elt.scale(ONE)]).outer(tensor([m]))
-
-    return ModuleComodule(name, hopf, space, act, coact)
 
 
 def mc_trivial(hopf: HopfPresentation, name: str = "trivial") -> ModuleComodule:
@@ -361,49 +344,6 @@ def check_sayd(mc: ModuleComodule, degree: int = 2, index_bound: int = 2) -> dic
     }
 
 
-def _relation_rows(mc: ModuleComodule, coalg, act, n: int, degree: int = 2, index_bound: int = 2):
-    """Rows spanning the relation subspace of M ⊗_H C^⊗(n+1): for each
-    basis m, basis chain c̃ and generator h, the vector of
-    mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ in ambient coordinates."""
-    from itertools import product as iproduct
-
-    h = mc.hopf
-    mbasis = mc.space.basis_words()
-    cbasis = coalg.basis_words()
-    chains = list(iproduct(cbasis, repeat=n + 1))
-    index = {
-        (mw,) + chain: i
-        for i, (mw, chain) in enumerate(iproduct(mbasis, chains))
-    }
-    dim = len(index)
-
-    def vectorize(te: TensorElt):
-        v = [F0] * dim
-        for wt, c in te.terms.items():
-            v[index[wt]] += c
-        return v
-
-    rows = []
-    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound) if w != EMPTY_WORD]
-    for mw in mbasis:
-        m = mc.space.from_word(mw)
-        for chain in chains:
-            for a in hs:
-                left = tensor([mc.act(m, a)]).outer(
-                    tensor([coalg.from_word(cw) for cw in chain])
-                )
-                dn = h.sweedler(a, n + 1)
-                right = left.scale(0)
-                for legs, ch in dn.terms.items():
-                    factors = [m] + [
-                        act(h.from_word(legs[i]), coalg.from_word(chain[i]))
-                        for i in range(n + 1)
-                    ]
-                    right = right + tensor(factors).scale(ch)
-                rows.append([x - y for x, y in zip(vectorize(left), vectorize(right))])
-    return rows, index, vectorize, chains
-
-
 def check_ch_sayd(
     mc: ModuleComodule,
     c_mod: HModuleCoalgebra,
@@ -416,9 +356,14 @@ def check_ch_sayd(
     The compatibility half tests (mh)⟨-1⟩ c ⊗ (mh)⟨0⟩ against
     S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾ c ⊗ m⟨0⟩ h⁽²⁾ on samples.  Stability tests
     m⟨0⟩ ⊗ m⟨-1⟩ c̃ − m ⊗ c̃; a zero difference passes outright, and
-    otherwise membership in the ⊗_H relation subspace is decided exactly
-    (finite carriers only).
+    otherwise membership in the ⊗_H relation subspace of
+    :class:`~hopfcyc.cocyclic.RelativeTensorSpace` is decided exactly
+    (finite carriers only).  That subspace is the one the cohomology
+    divides by (h up to degree and index 2); ``degree`` and
+    ``index_bound`` select the samples only.
     """
+    from .cocyclic import RelativeTensorSpace
+
     h, c = mc.hopf, c_mod.coalg
     ms = mc.basis()
     hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
@@ -453,8 +398,6 @@ def check_ch_sayd(
     st_fails = []
     finite = mc.space.finite_basis is not None and c.finite_basis is not None
     for n in range(max_chain + 1):
-        from itertools import product as iproduct
-
         chain_sets = iproduct(cs, repeat=n + 1) if len(cs) ** (n + 1) <= 64 else []
         rel = None
         for chain in chain_sets:
@@ -476,12 +419,8 @@ def check_ch_sayd(
                     st_fails.append({"n": n, "m": str(m), "difference": str(diff)})
                     continue
                 if rel is None:
-                    rows, index, vectorize, _ = _relation_rows(
-                        mc, c, c_mod.act, n, degree, index_bound
-                    )
-                    rel = (rows, vectorize)
-                rows, vectorize = rel
-                if not in_rowspace(rows, vectorize(diff)):
+                    rel = RelativeTensorSpace(mc, c_mod, n)
+                if not rel.contains(diff):
                     st_fails.append({"n": n, "m": str(m), "difference": str(diff)})
 
     return {
@@ -489,35 +428,6 @@ def check_ch_sayd(
         "ayd": {"ok": not ayd_fails, "witnesses": ayd_fails[:3]},
         "stability": {"ok": not st_fails, "witnesses": st_fails[:3]},
     }
-
-
-def check_ch_yd(
-    mc: ModuleComodule, c_mod: HModuleCoalgebra, degree: int = 2, index_bound: int = 2
-) -> dict:
-    """Yetter-Drinfeld condition relative to C:
-    (mh)⟨-1⟩ c ⊗ (mh)⟨0⟩ = S⁻¹(h⁽³⁾) m⟨-1⟩ h⁽¹⁾ c ⊗ m⟨0⟩ h⁽²⁾."""
-    h, c = mc.hopf, c_mod.coalg
-    ms = mc.basis()
-    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
-    cs = [c.from_word(w) for w in c.normal_words(degree, index_bound)]
-    fails = []
-    for m in ms:
-        cm = mc.coact(m)
-        for a in hs:
-            cma = mc.coact(mc.act(m, a))
-            d3 = h.sweedler(a, 3)
-            for cc in cs:
-                lhs = cma.leg_apply(1, lambda x: c_mod.act(x, cc))
-                rhs = tensor([c.zero()]).outer(tensor([mc.space.zero()]))
-                for (h1, h2, h3), ch in d3.terms.items():
-                    for (w, m0), cmc in cm.terms.items():
-                        g = h.inv_antipode(h.from_word(h3)) * h.from_word(w) * h.from_word(h1)
-                        rhs = rhs + tensor(
-                            [c_mod.act(g, cc), mc.act(mc.space.from_word(m0), h.from_word(h2))]
-                        ).scale(ch * cmc)
-                if lhs != rhs:
-                    fails.append({"m": str(m), "h": str(a), "c": str(cc)})
-    return {"ok": not fails, "witnesses": fails[:3]}
 
 
 def check_ah_sayd(
@@ -528,8 +438,13 @@ def check_ah_sayd(
     Condition i): S⁻¹((mh)⟨-1⟩) a ⊗ (mh)⟨0⟩ =
     S⁻¹(m⟨-1⟩ h⁽¹⁾) h⁽³⁾ a ⊗ m⟨0⟩ h⁽²⁾.  Condition ii) (stability against
     H-linear functionals): m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩) ã − m ⊗ ã must lie in
-    span{vh − ε(h)v}; a zero difference passes outright.
+    span{vh − ε(h)v} for the diagonal action that defines the cochain
+    quotient of :class:`~hopfcyc.cocyclic.AlgebraCochainInstance`; a zero
+    difference passes outright.  That quotient uses h up to degree and
+    index 2; ``degree`` and ``index_bound`` select the samples only.
     """
+    from .cocyclic import AlgebraChainOps
+
     h, alg = mc.hopf, a_mod.alg
     ms = mc.basis()
     hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
@@ -563,6 +478,7 @@ def check_ah_sayd(
 
     st_fails = []
     finite = mc.space.finite_basis is not None and alg.finite_basis is not None
+    quot = None
     for m in ms:
         cm = mc.coact(m)
         for x in xs:
@@ -577,29 +493,9 @@ def check_ah_sayd(
             if not finite:
                 st_fails.append({"m": str(m), "a": str(x), "difference": str(diff)})
                 continue
-            from itertools import product as iproduct
-
-            ambient = [
-                (mw, aw)
-                for mw, aw in iproduct(mc.space.basis_words(), alg.basis_words())
-            ]
-            index = {wt: i for i, wt in enumerate(ambient)}
-
-            def vectorize(te):
-                v = [F0] * len(ambient)
-                for wt, c in te.terms.items():
-                    v[index[wt]] += c
-                return v
-
-            rows = []
-            for mw, aw in ambient:
-                mm, aa = mc.space.from_word(mw), alg.from_word(aw)
-                for g in hs:
-                    acted = tensor([mc.act(mm, g)]).outer(tensor([aa])) - tensor(
-                        [mm, aa]
-                    ).scale(h.counit(g))
-                    rows.append(vectorize(acted))
-            if not in_rowspace(rows, vectorize(diff)):
+            if quot is None:
+                basis, quot = AlgebraChainOps(mc, a_mod).quotient(0)
+            if not quot.contains_in_relations(basis.vec(diff)):
                 st_fails.append({"m": str(m), "a": str(x), "difference": str(diff)})
 
     return {
@@ -607,41 +503,6 @@ def check_ah_sayd(
         "ayd": {"ok": not ayd_fails, "witnesses": ayd_fails[:3]},
         "stability": {"ok": not st_fails, "witnesses": st_fails[:3]},
     }
-
-
-def check_action_shape(carrier, kind: str, degree: int = 2, index_bound: int = 2) -> dict:
-    """Raw shape of an H-action on a carrier V.
-
-    cocommutative: h⁽¹⁾v₁ ⊗ h⁽²⁾v₂ = h⁽²⁾v₁ ⊗ h⁽¹⁾v₂;
-    commutative: h(g v) = g(h v).
-    """
-    h = carrier.hopf
-    space = carrier.coalg if isinstance(carrier, HModuleCoalgebra) else carrier.alg
-    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
-    vs = [space.from_word(w) for w in space.normal_words(degree, index_bound)]
-    fails = []
-    if kind == "cocommutative":
-        for a in hs:
-            d = h.coproduct(a)
-            for v1 in vs:
-                for v2 in vs:
-                    lhs = tensor([space.zero(), space.zero()])
-                    rhs = tensor([space.zero(), space.zero()])
-                    for (h1, h2), c in d.terms.items():
-                        e1, e2 = h.from_word(h1), h.from_word(h2)
-                        lhs = lhs + tensor([carrier.act(e1, v1), carrier.act(e2, v2)]).scale(c)
-                        rhs = rhs + tensor([carrier.act(e2, v1), carrier.act(e1, v2)]).scale(c)
-                    if lhs != rhs:
-                        fails.append({"h": str(a), "v1": str(v1), "v2": str(v2)})
-    elif kind == "commutative":
-        for a in hs:
-            for b in hs:
-                for v in vs:
-                    if carrier.act(a, carrier.act(b, v)) != carrier.act(b, carrier.act(a, v)):
-                        fails.append({"h": str(a), "g": str(b), "v": str(v)})
-    else:
-        raise StructureError(f"unknown action shape {kind!r}")
-    return {"ok": not fails, "witnesses": fails[:3]}
 
 
 # -- coideal quotients ---------------------------------------------------------
@@ -758,82 +619,6 @@ def group_set_module_coalgebra(gs) -> HModuleCoalgebra:
     return HModuleCoalgebra(h, c, act)
 
 
-def build_coideal_quotient_finite(
-    c_mod: HModuleCoalgebra, delta: Character, sigma: GroupLike
-) -> dict:
-    """Finite-dimensional coideal quotient: I = span{S_δ²(h)c − σhσ⁻¹c},
-    verified to satisfy Δ(I) ⊆ I⊗C + C⊗I, ε(I) = 0 and H·I ⊆ I; returns the
-    quotient data."""
-    from itertools import product as iproduct
-
-    h, c = c_mod.hopf, c_mod.coalg
-    cbasis = c.basis_words()
-    index = {w: i for i, w in enumerate(cbasis)}
-    dim = len(cbasis)
-
-    def vec(e: AlgElt):
-        v = [F0] * dim
-        for w, co in e.terms.items():
-            v[index[w]] += co
-        return v
-
-    gens = []
-    for hw in h.basis_words():
-        a = h.from_word(hw)
-        twisted = s_delta(h, delta, s_delta(h, delta, a))
-        conj = sigma.conjugate(a)
-        for cw in cbasis:
-            cc = c.from_word(cw)
-            gens.append(vec(c_mod.act(twisted, cc) - c_mod.act(conj, cc)))
-    quot = Quotient(gens, dim)
-    ideal = quot.rel_rref
-
-    def from_vec(v):
-        return c.elt({cbasis[i]: x for i, x in enumerate(v) if x})
-
-    checks = []
-    # Δ(I) ⊆ I⊗C + C⊗I
-    pair_index = {(w1, w2): i for i, (w1, w2) in enumerate(iproduct(cbasis, cbasis))}
-    span_rows = []
-    for iv in ideal:
-        for cw in cbasis:
-            row1 = [F0] * len(pair_index)
-            row2 = [F0] * len(pair_index)
-            for i, x in enumerate(iv):
-                if x:
-                    row1[pair_index[(cbasis[i], cw)]] += x
-                    row2[pair_index[(cw, cbasis[i])]] += x
-            span_rows.append(row1)
-            span_rows.append(row2)
-    fails = []
-    for iv in ideal:
-        d = c.coproduct(from_vec(iv))
-        row = [F0] * len(pair_index)
-        for (w1, w2), co in d.terms.items():
-            row[pair_index[(w1, w2)]] += co
-        if not in_rowspace(span_rows, row):
-            fails.append(str(from_vec(iv)))
-    checks.append({"name": "coideal coproduct condition", "ok": not fails, "witnesses": fails[:3]})
-
-    fails = [str(from_vec(iv)) for iv in ideal if c.counit(from_vec(iv)) != 0]
-    checks.append({"name": "counit vanishes on the coideal", "ok": not fails, "witnesses": fails[:3]})
-
-    fails = []
-    for iv in ideal:
-        for hw in h.basis_words():
-            img = c_mod.act(h.from_word(hw), from_vec(iv))
-            if not quot.contains_in_relations(vec(img)):
-                fails.append(f"h={h.from_word(hw)}, i={from_vec(iv)}")
-    checks.append({"name": "coideal is an H-submodule", "ok": not fails, "witnesses": fails[:3]})
-
-    return {
-        "ok": all(ch["ok"] for ch in checks),
-        "checks": checks,
-        "quotient_dim": quot.dim,
-        "quotient": quot,
-    }
-
-
 # -- the two counterexample evaluations ---------------------------------------
 
 
@@ -895,8 +680,6 @@ def counterexample_algebra(bc) -> dict:
 def tensor_ayd_yd(m: ModuleComodule, n: ModuleComodule, name: str = "m_tensor_n") -> ModuleComodule:
     """M ⊗ N with (m⊗n)h = mh⁽²⁾ ⊗ nh⁽¹⁾ and coaction
     m⊗n ↦ m⟨-1⟩ n⟨-1⟩ ⊗ m⟨0⟩ ⊗ n⟨0⟩; finite carriers only."""
-    from itertools import product as iproduct
-
     if m.hopf.name != n.hopf.name:
         raise StructureError("carriers over different Hopf presentations")
     if m.space.finite_basis is None or n.space.finite_basis is None:

@@ -272,8 +272,9 @@ class CupData:
     def __post_init__(self):
         self.a_inst = AlgebraCochainInstance(self.ci.mc, self.ci.a_mod, self.top + 1)
         self.c_ops = CoalgebraOps(self.ci.mc, self.ci.c_mod)
+        # through top + 1: the coboundary out of the top degree lands there
         self.c_spaces = [
-            RelativeTensorSpace(self.ci.mc, self.ci.c_mod, n) for n in range(self.top + 1)
+            RelativeTensorSpace(self.ci.mc, self.ci.c_mod, n) for n in range(self.top + 2)
         ]
         alg = self.ci.a_mod.alg
         self.a_chain_bases = [
@@ -312,21 +313,10 @@ class CupData:
 
     # C-side cocycles in the relative quotient.
     def c_side_cocycles(self, q: int, cyclic: bool = True):
-        sp = self.c_spaces[q]
+        sp, tgt = self.c_spaces[q], self.c_spaces[q + 1]
         quot = sp.quot
         rows = []
-        amb_b = op_matrix(
-            lambda x: self._c_amb_b(q, x),
-            sp.basis,
-            RelativeTensorSpace(self.ci.mc, self.ci.c_mod, q + 1).basis
-            if q + 1 > self.top
-            else self.c_spaces[q + 1].basis,
-        )
-        tgt = (
-            RelativeTensorSpace(self.ci.mc, self.ci.c_mod, q + 1)
-            if q + 1 > self.top
-            else self.c_spaces[q + 1]
-        )
+        amb_b = op_matrix(lambda x: self._c_amb_b(q, x), sp.basis, tgt.basis)
         bq = quot.induced_matrix(amb_b, tgt.quot)
         rows.extend(bq)
         if cyclic:

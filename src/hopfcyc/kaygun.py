@@ -14,20 +14,11 @@ from dataclasses import dataclass
 from .core import EMPTY_WORD, TensorElt, tensor
 from .coefficients import HModuleCoalgebra, ModuleComodule
 from .errors import StructureError, UnsolvableError
-from .linalg import (
-    F0,
-    F1,
-    Quotient,
-    identity,
-    is_zero_matrix,
-    mat_mul,
-    mat_sub,
-    rank,
-    rref,
-)
+from .linalg import Quotient, identity, mat_mul, mat_sub, rref
 from .cocyclic import (
     CoalgebraOps,
     CocyclicInstance,
+    FiniteComplex,
     RelativeTensorSpace,
     TensorBasis,
     check_cocyclic,
@@ -77,6 +68,7 @@ class KaygunBridge:
         self.group_words = list(h.normal_words(1, 1))
         self._tau = {}
         self._l = {}
+        self._w = {}
 
     def tau_matrix(self, n: int):
         if n not in self._tau:
@@ -106,8 +98,11 @@ class KaygunBridge:
         return mat_sub(mat_mul(lg, taui), mat_mul(taui, lg))
 
     def w_rows(self, n: int):
-        """Spanning rows of Wⁿ: commutator images of the ambient basis,
-        saturated under τ until the rank stabilizes."""
+        """Spanning rows of Wⁿ (in reduced echelon form): commutator images
+        of the ambient basis, saturated under τ until the rank stabilizes.
+        Computed once per degree."""
+        if n in self._w:
+            return self._w[n]
         rows = []
         for gw in self.group_words:
             if gw == EMPTY_WORD:
@@ -117,15 +112,16 @@ class KaygunBridge:
                 for j in range(self.bases[n].dim):
                     rows.append([comm[r][j] for r in range(self.bases[n].dim)])
         tau = self.tau_matrix(n)
+        span = rref(rows)[0] if rows else []
         for _ in range(SATURATION_BOUND):
-            r0 = rank(rows)
-            span = rref(rows)[0] if rows else []
             new = list(span)
             for v in span:
                 new.append([sum(tau[r][c] * v[c] for c in range(len(v)) if v[c]) for r in range(len(v))])
-            if rank(new) == r0:
+            grown = rref(new)[0] if new else []
+            if len(grown) == len(span):
+                self._w[n] = span
                 return span
-            rows = new
+            span = grown
         raise UnsolvableError(f"W saturation did not stabilize at degree {n}")
 
     def l_coinvariance_rows(self, n: int):
@@ -264,39 +260,15 @@ def check_iso(bridge: KaygunBridge) -> dict:
         "witnesses": fails[:5],
         "cm_dims": [q.dim for q in cms],
         "relative_dims": [r.dim for r in rels],
-        "w_ranks": [rank(bridge.w_rows(n)) for n in range(top + 1)],
+        "w_ranks": [len(bridge.w_rows(n)) for n in range(top + 1)],
     }
 
 
 def kaygun_cocyclic_instance(bridge: KaygunBridge) -> CocyclicInstance:
     """The cocyclic instance carried by the quotients ℂ𝕄ⁿ."""
     cms = [bridge.cm_quotient(n) for n in range(bridge.top + 1)]
-    dims = [q.dim for q in cms]
-    coface, codeg, tau = {}, {}, {}
-    failures = []
-
-    def induce(op, ns, nt, label):
-        amb = op_matrix(op, bridge.bases[ns], bridge.bases[nt])
-        if not cms[ns].preserves_relations(amb, cms[nt]):
-            failures.append(label)
-        return cms[ns].induced_matrix(amb, cms[nt])
-
-    for n in range(1, bridge.top + 1):
-        for i in range(n + 1):
-            coface[(n, i)] = induce(
-                lambda x, n=n, i=i: bridge.ops.coface(n, i, x), n - 1, n, f"coface({n},{i})"
-            )
-    for n in range(bridge.top):
-        for i in range(n + 1):
-            codeg[(n, i)] = induce(
-                lambda x, n=n, i=i: bridge.ops.codegeneracy(n, i, x),
-                n + 1,
-                n,
-                f"codegeneracy({n},{i})",
-            )
-    for n in range(bridge.top + 1):
-        tau[n] = induce(lambda x, n=n: bridge.ops.tau(n, x), n, n, f"tau({n})")
-    return CocyclicInstance(dims, coface, codeg, tau, welldef_failures=failures)
+    fc = FiniteComplex(bridge.bases, cms)
+    return fc.assemble(bridge.ops.coface, bridge.ops.codegeneracy, bridge.ops.tau)
 
 
 def kaygun_cohomology(bridge: KaygunBridge, upto: int) -> dict:

@@ -1,7 +1,8 @@
 """Small exact linear algebra over the rationals.
 
-Dense row-echelon based routines; every matrix in this tool is desk-sized
-(dimensions in the tens), so simplicity and exactness beat sparsity.
+Dense row-echelon based routines.  Most matrices in this tool have
+dimensions in the tens, but not all: the ⊗_H relation matrix of the regular
+S3 instance in degree 1 is 1080×216 with under 1% nonzero entries.
 Matrices are lists of rows of `Fraction`.
 """
 
@@ -112,15 +113,6 @@ def nullspace(m: Matrix, ncols: Optional[int] = None) -> Matrix:
             v[pc] = -rows[r][fc]
         basis.append(v)
     return basis
-
-
-def in_rowspace(rows: Matrix, v: Sequence[Fraction]) -> bool:
-    """Is v in the row span of ``rows``?"""
-    if all(x == 0 for x in v):
-        return True
-    if not rows:
-        return False
-    return rank(rows) == rank(rows + [list(v)])
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:

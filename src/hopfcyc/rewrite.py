@@ -465,10 +465,3 @@ class Presentation:
 
     def __repr__(self):
         return f"<presentation {self.name}>"
-
-
-def alg_eq(a: AlgElt, b: AlgElt) -> bool:
-    """Equality of normal forms (elements are stored normalized)."""
-    if a.pres.name != b.pres.name:
-        raise StructureError("alg_eq across different presentations")
-    return (a - b).is_zero

@@ -56,7 +56,17 @@ def test_json_flag_writes_identical_report(capsys, tmp_path):
 
 
 def test_fast_check_commands(capsys):
-    for cmd in ["check-matched-pair", "quotient-coideal", "check-sayd", "ch-sayd", "ah-sayd"]:
+    for cmd in [
+        "check-matched-pair",
+        "quotient-coideal",
+        "check-sayd",
+        "ch-sayd",
+        "ah-sayd",
+        "check-mpi",
+        "check-cocyclic",
+        "kaygun",
+        "cup",
+    ]:
         code, out = run_cli(capsys, [cmd])
         assert code == 0
         assert json.loads(out)["result"]["ok"], cmd

@@ -3,6 +3,7 @@ and the two compatibility counterexamples."""
 
 import pytest
 
+from hopfcyc import cocyclic
 from hopfcyc.coefficients import (
     build_coideal_quotient_bicrossed,
     check_ah_sayd,
@@ -20,6 +21,7 @@ from hopfcyc.coefficients import (
     mc_trivial,
     tensor_ayd_yd,
 )
+from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.hopf import Character, GroupLike
 from hopfcyc.instances import build_group_algebra, cyclic_group, modular_character
 
@@ -122,3 +124,58 @@ def test_regular_carrier_fails_relative_sayd(bicrossed):
     assert not ch["ok"]
     ah = check_ah_sayd(mc, bicrossed_module_algebra_f(bicrossed), degree=1, index_bound=1)
     assert not ah["ok"]
+
+
+def test_algebra_stability_in_cochain_quotient(s3):
+    # the stability differences are nonzero here; they must lie in the
+    # degree-0 relation span of the cochain quotient (diagonal action)
+    carriers = []
+    for g in (cyclic_group(2), cyclic_group(3)):
+        ci = build_group_cup_instance(g, graded=True)
+        carriers.append((ci.mc, ci.a_mod))
+    ci = build_group_cup_instance(s3)
+    conj = mc_conjugation_group(ci.c_mod.hopf, build_group_algebra(s3, name="kS3_c"), s3)
+    carriers.append((conj, ci.a_mod))
+    for mc, a_mod in carriers:
+        report = check_ah_sayd(mc, a_mod)
+        assert report["stability"]["ok"], report
+        assert report["ok"]
+
+
+def test_coalgebra_stability_finite_branch(swap_cmod, monkeypatch):
+    # nonzero stability differences on the swap instance are decided by
+    # membership in the relative tensor quotient, at every chain length
+    seen = []
+    contains = cocyclic.RelativeTensorSpace.contains
+
+    def spy(self, te):
+        seen.append(self.n)
+        return contains(self, te)
+
+    monkeypatch.setattr(cocyclic.RelativeTensorSpace, "contains", spy)
+    g = cyclic_group(2)
+    h = swap_cmod.hopf
+    for mc in (
+        mc_graded_group(h, build_group_algebra(g, name="kG_g")),
+        mc_conjugation_group(h, build_group_algebra(g, name="kG_c"), g),
+    ):
+        seen.clear()
+        report = check_ch_sayd(mc, swap_cmod)
+        assert report["ok"], report
+        assert sorted(set(seen)) == [0, 1, 2]
+
+
+def test_module_carriers_validate(swap_cmod, bicrossed):
+    carriers = [
+        swap_cmod,
+        bicrossed_module_coalgebra_u(bicrossed),
+        bicrossed_module_algebra_f(bicrossed),
+    ]
+    for graded in (False, True):
+        ci = build_group_cup_instance(graded=graded)
+        assert ci.mc.validate()["ok"]
+        carriers += [ci.c_mod, ci.a_mod]
+    for carrier in carriers:
+        report = carrier.validate()
+        assert report["ok"], report
+        assert len(report["checks"]) == 2

@@ -84,4 +84,5 @@ def test_s3_graded_negative(s3):
     mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kS3_g"))
     bridge = KaygunBridge(mc, cmod, top=1)
     assert bridge.w_rows(1)
+    assert bridge.w_rows(1) is bridge.w_rows(1)  # built once per degree
     assert not check_w_in_ker_pi(bridge, upto=1)["ok"]
