@@ -2,7 +2,9 @@
 
 Every command emits a deterministic JSON report on stdout (sorted keys,
 canonical tensor serialization, no timing inside the payload); wall-clock
-time goes to stderr.  Error classes map to distinct exit codes.
+time goes to stderr.  Error classes map to distinct exit codes; any other
+exception ends the run as an :class:`~hopfcyc.errors.InternalError`, with a
+one-line message and no traceback.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import dsl
@@ -34,7 +38,7 @@ from .coefficients import (
 )
 from .cocyclic import build_coalgebra_instance, check_cocyclic, cyclic_cohomology
 from .cup import check_cup_suite
-from .errors import HopfcycError, PreconditionError
+from .errors import HopfcycError, InternalError, PreconditionError
 from .hopf import Character, GroupLike
 from .instances import (
     GroupSetData,
@@ -88,8 +92,7 @@ def cmd_verify_hopf(args):
     degree = args.degree if args.degree is not None else 2
     report = {}
     if args.file:
-        text = open(args.file, encoding="utf-8").read()
-        ast = dsl.parse(text)
+        ast = dsl.parse(args.file_text)
         roundtrip = dsl.parse(dsl.print_file(ast)) == ast
         for hast in ast.hopfs:
             h = dsl.build_hopf(hast)
@@ -300,6 +303,9 @@ def cmd_reproduce_paper(args):
     }
 
 
+# Commands that read ``--file``; every other command rejects it.
+FILE_COMMANDS = {"verify-hopf"}
+
 COMMANDS = {
     "verify-hopf": cmd_verify_hopf,
     "check-matched-pair": cmd_check_matched_pair,
@@ -330,7 +336,18 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     if args.file:
-        digest = hashlib.sha256(open(args.file, "rb").read()).hexdigest()
+        if args.command not in FILE_COMMANDS:
+            raise PreconditionError(f"{args.command} does not read --file")
+        try:
+            with open(args.file, "rb") as fh:
+                data = fh.read()
+        except OSError as e:
+            raise PreconditionError(f"cannot read --file {args.file}: {e.strerror}") from None
+        try:
+            args.file_text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise PreconditionError(f"--file {args.file} is not UTF-8 text: {e.reason}") from None
+        digest = hashlib.sha256(data).hexdigest()
     else:
         digest = hashlib.sha256(f"builtin:{args.command}".encode()).hexdigest()
     result = COMMANDS[args.command](args)
@@ -357,6 +374,16 @@ def main() -> None:
     except HopfcycError as e:
         print(f"error: {e}", file=sys.stderr)
         sys.exit(e.exit_code)
+    except Exception as e:
+        # a bug, not a verdict: one line naming the exception and where it
+        # was raised, so the case can be found without a traceback
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        detail = " ".join(str(e).split())
+        err = InternalError(
+            f"{type(e).__name__}: {detail} (at {os.path.basename(where.filename)}:{where.lineno})"
+        )
+        print(f"internal error: {err}", file=sys.stderr)
+        sys.exit(err.exit_code)
 
 
 if __name__ == "__main__":

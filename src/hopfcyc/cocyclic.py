@@ -38,6 +38,7 @@ from .linalg import (
     is_zero_matrix,
     mat_mul,
     mat_sub,
+    mat_vec,
     nullspace,
     rank,
     transpose,
@@ -415,11 +416,7 @@ def cyclic_cohomology(inst: CocyclicInstance, upto: int) -> dict:
     ranks = []
     for n in range(upto + 1):
         bmat = inst.b(n)
-        imgs = [  # b applied to each kernel basis vector
-            [sum(bmat[r][c] * v[c] for c in range(len(v)) if v[c]) for r in range(len(bmat))]
-            for v in kernels[n]
-        ]
-        ranks.append(rank(imgs))
+        ranks.append(rank([mat_vec(bmat, v) for v in kernels[n]]))  # b on each kernel vector
     for n in range(upto + 1):
         ker = len(kernels[n]) - ranks[n]
         im = ranks[n - 1] if n > 0 else 0

@@ -54,3 +54,10 @@ class UnsolvableError(HopfcycError):
     configured degree bound."""
 
     exit_code = 9
+
+
+class InternalError(HopfcycError):
+    """An unexpected exception inside the tool: a bug, reported by the CLI
+    in one line instead of a traceback."""
+
+    exit_code = 10

@@ -117,13 +117,8 @@ class HopfPresentation(Presentation):
             target_word = (g,)
             if target_word not in pos:
                 continue
-            a = [[Fraction(0)] * len(cands) for _ in support]
-            for j, e in enumerate(images):
-                for w, c in e.terms.items():
-                    a[pos[w]][j] = c
-            b = [Fraction(0)] * len(support)
-            b[pos[target_word]] = Fraction(1)
-            x = solve(a, b)
+            cols = [{pos[w]: c for w, c in e.terms.items() if c} for e in images]
+            x = solve(cols, {pos[target_word]: Fraction(1)})
             if x is not None:
                 return self.elt({w: c for w, c in zip(cands, x) if c})
         raise UnsolvableError(

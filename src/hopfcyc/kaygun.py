@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import EMPTY_WORD, TensorElt, tensor
 from .coefficients import HModuleCoalgebra, ModuleComodule
 from .errors import StructureError, UnsolvableError
-from .linalg import Quotient, identity, mat_mul, mat_sub, rref
+from .linalg import Quotient, columns, combine, dense, echelon, identity, mat_mul, mat_sub, transpose
 from .cocyclic import (
     CoalgebraOps,
     CocyclicInstance,
@@ -67,8 +67,11 @@ class KaygunBridge:
         h = self.mc.hopf
         self.group_words = list(h.normal_words(1, 1))
         self._tau = {}
+        self._tau_pow = {}
         self._l = {}
         self._w = {}
+        self._cm = {}
+        self._rel = {}
 
     def tau_matrix(self, n: int):
         if n not in self._tau:
@@ -76,6 +79,17 @@ class KaygunBridge:
                 lambda x: self.ops.tau(n, x), self.bases[n], self.bases[n]
             )
         return self._tau[n]
+
+    def tau_power(self, n: int, i: int):
+        """τⁱ as an ambient matrix, built once per degree and exponent."""
+        key = (n, i)
+        if key not in self._tau_pow:
+            self._tau_pow[key] = (
+                identity(self.bases[n].dim)
+                if i == 0
+                else mat_mul(self.tau_matrix(n), self.tau_power(n, i - 1))
+            )
+        return self._tau_pow[key]
 
     def l_matrix(self, n: int, gw):
         key = (n, gw)
@@ -90,10 +104,7 @@ class KaygunBridge:
 
     def commutator_matrix(self, n: int, gw, i: int):
         """[L_g, τⁱ] as an ambient matrix."""
-        taui = identity(self.bases[n].dim)
-        tau = self.tau_matrix(n)
-        for _ in range(i):
-            taui = mat_mul(tau, taui)
+        taui = self.tau_power(n, i)
         lg = self.l_matrix(n, gw)
         return mat_sub(mat_mul(lg, taui), mat_mul(taui, lg))
 
@@ -103,24 +114,20 @@ class KaygunBridge:
         Computed once per degree."""
         if n in self._w:
             return self._w[n]
+        dim = self.bases[n].dim
         rows = []
         for gw in self.group_words:
             if gw == EMPTY_WORD:
                 continue
             for i in range(1, n + 2):
-                comm = self.commutator_matrix(n, gw, i)
-                for j in range(self.bases[n].dim):
-                    rows.append([comm[r][j] for r in range(self.bases[n].dim)])
-        tau = self.tau_matrix(n)
-        span = rref(rows)[0] if rows else []
+                rows.extend(columns(self.commutator_matrix(n, gw, i), range(dim)).values())
+        tau = columns(self.tau_matrix(n), range(dim))
+        span = echelon(rows)[0]
         for _ in range(SATURATION_BOUND):
-            new = list(span)
-            for v in span:
-                new.append([sum(tau[r][c] * v[c] for c in range(len(v)) if v[c]) for r in range(len(v))])
-            grown = rref(new)[0] if new else []
+            grown = echelon(span + [combine(tau, v) for v in span])[0]
             if len(grown) == len(span):
-                self._w[n] = span
-                return span
+                self._w[n] = [dense(v, dim) for v in span]
+                return self._w[n]
             span = grown
         raise UnsolvableError(f"W saturation did not stabilize at degree {n}")
 
@@ -133,16 +140,25 @@ class KaygunBridge:
             if gw == EMPTY_WORD:
                 continue
             eps = h.counit(h.from_word(gw))
-            lg = self.l_matrix(n, gw)
-            for j in range(self.bases[n].dim):
-                row = [lg[r][j] for r in range(self.bases[n].dim)]
+            for j, row in enumerate(transpose(self.l_matrix(n, gw))):
                 row[j] -= eps
                 rows.append(row)
         return rows
 
     def cm_quotient(self, n: int) -> Quotient:
-        """ℂ𝕄ⁿ = Cⁿ / (Wⁿ + span{L_g x − ε(g)x})."""
-        return Quotient(self.w_rows(n) + self.l_coinvariance_rows(n), self.bases[n].dim)
+        """ℂ𝕄ⁿ = Cⁿ / (Wⁿ + span{L_g x − ε(g)x}), built once per degree."""
+        if n not in self._cm:
+            self._cm[n] = Quotient(
+                self.w_rows(n) + self.l_coinvariance_rows(n), self.bases[n].dim
+            )
+        return self._cm[n]
+
+    def relative_space(self, n: int) -> RelativeTensorSpace:
+        """The relative quotient Cⁿ_H of the same instance, built once per
+        degree."""
+        if n not in self._rel:
+            self._rel[n] = RelativeTensorSpace(self.mc, self.c_mod, n)
+        return self._rel[n]
 
 
 def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
@@ -159,9 +175,7 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
             for i in range(1, n + 2):
                 comm_i = bridge.commutator_matrix(n, gw, i)
                 comm_i1 = bridge.commutator_matrix(n, gw, i + 1)
-                taui = identity(bridge.bases[n].dim)
-                for _ in range(i):
-                    taui = mat_mul(tau, taui)
+                taui = bridge.tau_power(n, i)
                 lhs = mat_mul(tau, comm_i)
                 bracket = mat_sub(mat_mul(tau, lg), mat_mul(lg, tau))
                 rhs = [
@@ -207,7 +221,7 @@ def check_w_in_ker_pi(bridge: KaygunBridge, upto: int = 2) -> dict:
     relative tensor quotient, so the canonical projection kills W."""
     fails = []
     for n in range(min(upto, bridge.top) + 1):
-        rel = RelativeTensorSpace(bridge.mc, bridge.c_mod, n)
+        rel = bridge.relative_space(n)
         for k, row in enumerate(bridge.w_rows(n)):
             if not rel.quot.contains_in_relations(row):
                 fails.append(f"W generator {k} at degree {n}")
@@ -220,7 +234,7 @@ def check_iso(bridge: KaygunBridge) -> dict:
     they are mutually inverse and commute with τ and the cofaces."""
     top = bridge.top
     cms = [bridge.cm_quotient(n) for n in range(top + 1)]
-    rels = [RelativeTensorSpace(bridge.mc, bridge.c_mod, n) for n in range(top + 1)]
+    rels = [bridge.relative_space(n) for n in range(top + 1)]
     fails = []
     ident_amb = [identity(bridge.bases[n].dim) for n in range(top + 1)]
     pi = []

@@ -1,17 +1,28 @@
 """Small exact linear algebra over the rationals.
 
-Dense row-echelon based routines.  Most matrices in this tool have
-dimensions in the tens, but not all: the ⊗_H relation matrix of the regular
-S3 instance in degree 1 is 1080×216 with under 1% nonzero entries.
-Matrices are lists of rows of `Fraction`.
+Matrices are lists of equal-length rows of `Fraction`.  Elimination runs on
+sparse rows, ``dict[column] -> Fraction`` holding only the nonzero entries:
+the matrices of this tool are mostly zero (the ⊗_H relation matrix of the
+regular S3 instance in degree 1 is 1080×216 with under 1% nonzero entries,
+the inverse-antipode ansatz of the bicrossed product 1618×166 with 1.8%).
+
+:func:`echelon` is the one elimination kernel; :func:`rref`, :func:`rank`,
+:func:`nullspace`, :func:`solve` and :class:`Quotient` all run on it.  It
+sweeps the columns in order and takes as pivot the first remaining row with
+a nonzero entry in the column, as a dense Gauss–Jordan sweep does.  Every
+exact elimination ends in the same reduced row echelon form, since the RREF
+of a matrix is unique (its nonzero rows are the one basis of the row space
+in reduced echelon shape), so results do not depend on the row format and
+reports stay byte-identical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 Matrix = List[List[Fraction]]
+SparseRow = Dict[int, Fraction]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -28,31 +39,76 @@ def identity(n: int) -> Matrix:
     return m
 
 
+def sparse(row: Sequence[Fraction]) -> SparseRow:
+    """The nonzero entries of a dense row."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(row: SparseRow, ncols: int) -> List[Fraction]:
+    out = [F0] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def columns(m: Matrix, which: Iterable[int]) -> Dict[int, SparseRow]:
+    """The columns ``which`` of a dense matrix, each as a sparse
+    ``row -> entry`` dict."""
+    cols: Dict[int, SparseRow] = {c: {} for c in which}
+    for r, row in enumerate(m):
+        for c in [c for c, x in enumerate(row) if x]:
+            col = cols.get(c)
+            if col is not None:
+                col[r] = row[c]
+    return cols
+
+
+def add_multiple(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
+    """acc += f·row in place, dropping the entries that cancel."""
+    for j, y in row.items():
+        x = acc.get(j)
+        if x is None:
+            acc[j] = f * y
+        else:
+            x += f * y
+            if x:
+                acc[j] = x
+            else:
+                del acc[j]
+
+
+def combine(cols: Dict[int, SparseRow], v: SparseRow) -> SparseRow:
+    """Σ v[c]·cols[c]: a matrix held by its sparse columns times a sparse
+    vector."""
+    out: SparseRow = {}
+    for c, x in v.items():
+        add_multiple(out, x, cols[c])
+    return out
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a:
         return []
-    nk = len(b)
     nc = len(b[0]) if b else 0
-    out = zeros(len(a), nc)
-    for i, row in enumerate(a):
-        for k in range(nk):
-            c = row[k]
-            if c == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(nc):
-                if brow[j]:
-                    orow[j] += c * brow[j]
+    b_nonzero = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
+    out = []
+    for row in a:
+        orow = [F0] * nc
+        for k, c in enumerate(row):
+            if c:
+                for j, y in b_nonzero[k]:
+                    orow[j] += c * y
+        out.append(orow)
     return out
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), F0) for row in a]
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nonzero), F0) for row in a]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -65,33 +121,41 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in a)
 
 
-def rref(m: Matrix) -> tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rref rows without zero rows, pivot columns)."""
-    m = [list(row) for row in m]
+def echelon(rows: Iterable[SparseRow]) -> tuple[List[SparseRow], List[int]]:
+    """Reduced row echelon form of sparse rows: (nonzero rows, pivot
+    columns), row k having its leading 1 in column ``pivots[k]``.
+
+    Columns are swept in increasing order; the pivot of a column is the
+    first remaining row with a nonzero entry there, and it is cleared from
+    every other row.  The input rows are not modified.
+    """
+    m = [dict(r) for r in rows if r]
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
     pivots: List[int] = []
     r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
+    for c in sorted({c for row in m for c in row}):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if c in m[i]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = F1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r] = {j: x * inv for j, x in m[r].items()}
+        for i, row in enumerate(m):
+            f = row.get(c)
+            if f is not None and i != r:
+                add_multiple(row, -f, prow)
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return m[:r], pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, List[int]]:
+    """Reduced row echelon form; returns (rref rows without zero rows, pivot columns)."""
+    ncols = len(m[0]) if m else 0
+    rows, pivots = echelon(sparse(row) for row in m)
+    return [dense(row, ncols) for row in rows], pivots
 
 
 def rank(m: Matrix) -> int:
@@ -115,21 +179,29 @@ def nullspace(m: Matrix, ncols: Optional[int] = None) -> Matrix:
     return basis
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One solution x of a·x = b, or None if inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    rows, pivots = rref(aug)
-    x = [F0] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
+def solve(cols: Sequence[SparseRow], b: SparseRow) -> Optional[List[Fraction]]:
+    """One solution x of A·x = b, or None if inconsistent.
+
+    A is given by its columns and b as one more column, each a sparse
+    ``row -> entry`` dict; free variables are set to 0.
+    """
+    n = len(cols)
+    aug: Dict[int, SparseRow] = {}
+    for j, col in enumerate(cols):
+        for r, x in col.items():
+            aug.setdefault(r, {})[j] = x
+    for r, x in b.items():
+        aug.setdefault(r, {})[n] = x
+    rows, pivots = echelon(aug[r] for r in sorted(aug))
+    x = [F0] * n
+    for row, pc in zip(rows, pivots):
+        if pc == n:
             return None  # pivot in the augmented column
-        x[pc] = rows[r][-1]
+        x[pc] = row.get(n, F0)
     # check (free variables set to 0)
-    for i in range(nrows):
-        if sum(a[i][j] * x[j] for j in range(ncols)) != b[i]:
-            return None
+    image = combine(dict(enumerate(cols)), sparse(x))
+    if image != {r: v for r, v in b.items() if v}:
+        return None
     return x
 
 
@@ -138,27 +210,32 @@ class Quotient:
 
     Provides the projection onto quotient coordinates (the non-pivot
     coordinates after full reduction) and the section embedding quotient
-    basis vectors back as ambient representatives.
+    basis vectors back as ambient representatives.  The reduced relations
+    are held sparse, by pivot column; ``rel_rref`` has them as dense rows.
     """
 
     def __init__(self, relations: Matrix, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        if relations:
-            self.rel_rref, self.pivots = rref(relations)
-        else:
-            self.rel_rref, self.pivots = [], []
-        self.free = [c for c in range(ambient_dim) if c not in self.pivots]
+        self.rel_rref, self.pivots = rref(relations)
+        self._row_of = {pc: sparse(row) for pc, row in zip(self.pivots, self.rel_rref)}
+        self.free = [c for c in range(ambient_dim) if c not in self._row_of]
+        self._free_pos = {c: k for k, c in enumerate(self.free)}
         self.dim = len(self.free)
+
+    def _reduce(self, v: SparseRow) -> SparseRow:
+        """Subtract from v, in place, its part in the relation span; what is
+        left sits at free coordinates only.  Each reduced relation is zero at
+        every other pivot, so one pass over v's pivot entries suffices."""
+        for pc in [pc for pc in v if pc in self._row_of]:
+            add_multiple(v, -v[pc], self._row_of[pc])
+        return v
 
     def project(self, v: Sequence[Fraction]) -> List[Fraction]:
         """Coordinates of v + relations in the quotient basis."""
-        v = list(v)
-        for r, pc in enumerate(self.pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                row = self.rel_rref[r]
-                v = [x - f * y for x, y in zip(v, row)]
-        return [v[c] for c in self.free]
+        out = [F0] * self.dim
+        for c, x in self._reduce(sparse(v)).items():
+            out[self._free_pos[c]] = x
+        return out
 
     def include(self, q: Sequence[Fraction]) -> List[Fraction]:
         """Ambient representative of a quotient vector (section of project)."""
@@ -168,27 +245,27 @@ class Quotient:
         return v
 
     def contains_in_relations(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.project(v))
+        return not self._reduce(sparse(v))
 
     def induced_matrix(self, ambient_op: Matrix, target: "Quotient") -> Matrix:
         """Matrix of the induced map on quotients, columns = images of the
-        quotient basis.  Caller is responsible for well-definedness."""
-        cols = []
-        for i in range(self.dim):
-            e = [F0] * self.dim
-            e[i] = F1
-            amb = self.include(e)
-            img = mat_vec(ambient_op, amb)
-            cols.append(target.project(img))
-        # columns -> row-major matrix
-        return [[cols[j][i] for j in range(self.dim)] for i in range(target.dim)]
+        quotient basis.  Caller is responsible for well-definedness.
+
+        The image of quotient basis vector k is the column of the ambient
+        operator at free coordinate k, projected to the target."""
+        cols = columns(ambient_op, self.free)
+        out = zeros(target.dim, self.dim)
+        for k, c in enumerate(self.free):
+            for t, x in target._reduce(cols[c]).items():
+                out[target._free_pos[t]][k] = x
+        return out
 
     def preserves_relations(self, ambient_op: Matrix, target: "Quotient") -> bool:
         """Does the ambient operator map the relation subspace into the
         target relation subspace (i.e. descend to the quotients)?"""
-        for row in self.rel_rref:
-            img = mat_vec(ambient_op, row)
-            if not target.contains_in_relations(img):
+        cols = columns(ambient_op, {c for row in self._row_of.values() for c in row})
+        for pc in self.pivots:
+            if target._reduce(combine(cols, self._row_of[pc])):
                 return False
         return True
 

@@ -114,6 +114,53 @@ def test_exit_codes_via_subprocess(tmp_path):
     assert "line 1" in proc.stderr
 
 
+def run_main(argv, *patch):
+    """Run ``hopfcyc.cli.main`` in a fresh interpreter; ``patch`` lines run
+    after the import, with the module bound to ``cli``."""
+    code = "\n".join(
+        ["import sys", f"sys.argv = {['hopfcyc', *argv]!r}", "from hopfcyc import cli", *patch, "cli.main()"]
+    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+def test_file_rejected_where_unread(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text("not a presentation")
+    proc = run_main(["check-sayd", "--file", str(readme)])
+    assert proc.returncode == 8
+    assert proc.stderr == "error: check-sayd does not read --file\n"
+    assert proc.stdout == ""
+
+
+def test_unreadable_file_is_a_precondition_error(tmp_path):
+    missing = tmp_path / "missing.hopf"
+    proc = run_main(["verify-hopf", "--file", str(missing)])
+    assert proc.returncode == 8
+    assert proc.stderr == f"error: cannot read --file {missing}: No such file or directory\n"
+
+    binary = tmp_path / "binary.hopf"
+    binary.write_bytes(b"\xff\xfe\x00")
+    proc = run_main(["verify-hopf", "--file", str(binary)])
+    assert proc.returncode == 8
+    assert proc.stderr.count("\n") == 1 and "not UTF-8" in proc.stderr
+
+
+def test_unexpected_exception_is_an_internal_error():
+    from hopfcyc.errors import InternalError
+
+    proc = run_main(
+        ["check-matched-pair"],
+        "def boom(args):",
+        "    raise ValueError('two\\nlines')",
+        "cli.COMMANDS['check-matched-pair'] = boom",
+    )
+    assert proc.returncode == InternalError.exit_code == 10
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("internal error: ValueError: two lines (at <string>:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.run(["frobnicate"])

@@ -1,0 +1,35 @@
+"""Reports of the fast commands, byte for byte against checked-in copies.
+
+``tests/golden/<command>.json`` is the stdout of ``hopfcyc <command>`` at
+default arguments.  A change that alters a report on purpose regenerates
+the file with ``PYTHONPATH=src python -m hopfcyc.cli <command> >
+tests/golden/<command>.json`` and says why; any other difference is a
+regression.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hopfcyc import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = [
+    "check-matched-pair",
+    "ch-sayd",
+    "ah-sayd",
+    "quotient-coideal",
+    "reproduce-paper",
+    "check-sayd",
+    "cohomology",
+    "check-cocyclic",
+    "kaygun",
+    "cup",
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_matches_golden(capsys, command):
+    assert cli.run([command]) == 0
+    expected = (GOLDEN / f"{command}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

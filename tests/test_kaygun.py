@@ -49,6 +49,32 @@ def test_cohomology_matches_relative_route(swap_bridge):
     assert report["hc"]["agree"]
 
 
+def test_quotients_built_once_per_degree(swap_cmod, monkeypatch):
+    import hopfcyc.kaygun as kaygun
+
+    built = {"relative": [], "cm": 0}
+    relative, quotient = kaygun.RelativeTensorSpace, kaygun.Quotient
+
+    def counting_relative(mc, c_mod, n):
+        built["relative"].append(n)
+        return relative(mc, c_mod, n)
+
+    def counting_quotient(rows, dim):
+        built["cm"] += 1
+        return quotient(rows, dim)
+
+    monkeypatch.setattr(kaygun, "RelativeTensorSpace", counting_relative)
+    monkeypatch.setattr(kaygun, "Quotient", counting_quotient)
+    bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=3)
+    assert check_w_in_ker_pi(bridge, upto=2)["ok"]
+    assert check_iso(bridge)["ok"]
+    assert kaygun_cohomology(bridge, upto=2)["ok"]
+    assert sorted(built["relative"]) == [0, 1, 2, 3]
+    assert built["cm"] == 4
+    assert bridge.relative_space(1) is bridge.relative_space(1)
+    assert bridge.cm_quotient(1) is bridge.cm_quotient(1)
+
+
 def test_graded_coefficients(swap_cmod):
     mc = mc_graded_group(
         swap_cmod.hopf, build_group_algebra(cyclic_group(2), name="kG_g")
