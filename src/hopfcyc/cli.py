@@ -37,6 +37,7 @@ from .coefficients import (
     mc_trivial,
 )
 from .cocyclic import build_coalgebra_instance, check_cocyclic, cyclic_cohomology
+from .core import Generator
 from .cup import check_cup_suite
 from .errors import HopfcycError, InternalError, PreconditionError
 from .hopf import Character, GroupLike
@@ -63,6 +64,8 @@ def jsonable(x):
         return str(x)
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, Generator):  # a tuple, but reported as "d[2]"
+        return str(x)
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, (bool, int, float, str)) or x is None:

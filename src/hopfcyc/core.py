@@ -9,9 +9,8 @@ rules of the presentation they are tagged with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import StructureError
 
@@ -21,9 +20,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A named, optionally indexed letter (``X``, ``Y``, ``d[3]``)."""
+class Generator(NamedTuple):
+    """A named, optionally indexed letter (``X``, ``Y``, ``d[3]``).
+
+    A tuple underneath, so hashing and equality run in C: looking up a word
+    of length L in a dict costs no Python frame per letter.
+    """
 
     name: str
     index: int | None = None

@@ -3,10 +3,23 @@
 A :class:`Presentation` owns an alphabet (with optional indexed families
 like ``d[k]``), a generator precedence, and a :class:`RuleSet`.  Rules
 rewrite a word into a linear combination of strictly smaller words under the
-degree-then-lexicographic termination order, and ``normalize`` applies them
-leftmost-innermost to a unique fixed point.  Index-parametric rule schemas
+degree-then-lexicographic termination order.  Index-parametric rule schemas
 (``X d[k] -> d[k] X + d[k+1]``) instantiate lazily, so the infinite
 δ-alphabet needs no a-priori bound.
+
+Normalization is the linear map fixed by one redex choice per word: the
+leftmost position holding a redex, and there the first matching rule in list
+order.  A word without a redex is its own normal form; any other word
+normalizes to the normal form of its one-step rewrite.  ``normalize_terms``
+evaluates that map with a worklist instead of recursion: pending words sit
+in a heap and are popped largest first in the termination order, so every
+word that can still feed a coefficient into a pending word has already been
+rewritten, and each distinct word is rewritten once, with its merged
+coefficient.  Every word keeps its one redex choice whenever it is popped,
+and the map is applied linearly, so the result does not depend on the pop
+order (which only decides how often a word is visited): it is the map a
+recursive, per-word evaluation computes, also for rule sets that are not
+confluent.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import AlgElt, Coeff, EMPTY_WORD, Generator, ONE, Word, _merge_term
@@ -70,9 +84,13 @@ class LetterPat:
 
 
 class Rule:
-    """Interface: ``lhs_len`` and ``match(segment) -> replacement or None``."""
+    """Interface: ``lhs_len`` and ``match(segment) -> replacement or None``.
+
+    ``first`` names the letter every match starts with, or is None when the
+    rule may match at any letter."""
 
     lhs_len: int
+    first: Optional[str] = None
 
     def match(self, segment: Word) -> Optional[dict]:
         raise NotImplementedError
@@ -88,6 +106,7 @@ class ConcreteRule(Rule):
             raise StructureError("rule left-hand sides must have length >= 2")
         self.lhs = lhs
         self.lhs_len = len(lhs)
+        self.first = lhs[0].name
         self.rhs = {w: Fraction(c) for w, c in rhs.items() if c != 0}
 
     def match(self, segment: Word):
@@ -122,8 +141,10 @@ class SchemaRule(Rule):
                 raise StructureError("lhs index variables must be plain (no offsets)")
         self.lhs = tuple(lhs)
         self.lhs_len = len(lhs)
+        self.first = self.lhs[0].name
         self.rhs = tuple((c, tuple(ws)) for c, ws in rhs)
         self.guard = guard
+        self._matches: dict = {}
 
     def _bind(self, segment: Word) -> Optional[dict]:
         binding: dict = {}
@@ -167,10 +188,16 @@ class SchemaRule(Rule):
         return out
 
     def match(self, segment: Word):
+        # one segment recurs across the words of a normalization, so the
+        # replacement is kept per segment (shared; callers only read it)
+        try:
+            return self._matches[segment]
+        except KeyError:
+            pass
         binding = self._bind(segment)
-        if binding is None:
-            return None
-        return self._instantiate(binding)
+        repl = None if binding is None else self._instantiate(binding)
+        self._matches[segment] = repl
+        return repl
 
     def _vars(self):
         vs = []
@@ -230,13 +257,36 @@ class FunctionRule(Rule):
 # -- rule sets ----------------------------------------------------------------
 
 
+class _HeapKeys(dict):
+    """Generator -> its ``order_key`` component, negated, filled on demand."""
+
+    def __init__(self, rank: dict):
+        super().__init__()
+        self.rank = rank
+
+    def __missing__(self, g: Generator):
+        key = self[g] = (-self.rank.get(g.name, len(self.rank)), -(g.index or 0))
+        return key
+
+
 class RuleSet:
     def __init__(self, rules: Sequence[Rule], precedence: Sequence[str]):
         self.rules = list(rules)
         self.precedence = tuple(precedence)
         self._rank = {name: i for i, name in enumerate(self.precedence)}
-        self._nf_cache: dict = {}
+        # candidate rules by first letter, in list order; rules without a
+        # fixed first letter are candidates at every position
+        self._anywhere = [r for r in self.rules if r.first is None]
+        self._by_first = {
+            r.first: [q for q in self.rules if q.first in (r.first, None)]
+            for r in self.rules
+            if r.first is not None
+        }
+        self._back = max((r.lhs_len for r in self.rules), default=1) - 1
+        self._heap_keys = _HeapKeys(self._rank)
+        self._nf_cache: dict = {}  # whole input words of normalize_terms
         self._steps = 0
+        self._depth = 0
         self._limit = step_limit()
 
     # termination order: degree, then lexicographic on (precedence, index)
@@ -265,11 +315,15 @@ class RuleSet:
 
     # -- normalization --------------------------------------------------------
 
-    def _find(self, word: Word):
-        for pos in range(len(word)):
-            for rule in self.rules:
+    def _find(self, word: Word, start: int = 0):
+        """The leftmost redex at or after ``start``, as ``(pos, lhs_len,
+        rhs)`` with the first matching rule in list order, or None."""
+        n = len(word)
+        by_first, anywhere = self._by_first, self._anywhere
+        for pos in range(start, n):
+            for rule in by_first.get(word[pos].name, anywhere):
                 L = rule.lhs_len
-                if pos + L > len(word):
+                if pos + L > n:
                     continue
                 repl = rule.match(word[pos : pos + L])
                 if repl is not None:
@@ -277,37 +331,80 @@ class RuleSet:
         return None
 
     def _nf_word(self, word: Word) -> dict:
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        hit = self._find(word)
-        if hit is None:
-            result = {word: ONE}
-        else:
-            pos, L, repl = hit
+        """Normal form of one word by the largest-first worklist.
+
+        ``pending`` maps a word to ``[coeff, resume]``: positions before
+        ``resume`` hold no redex.  A rewrite at ``pos`` leaves the prefix
+        before it unchanged, so a redex of the result starts at
+        ``pos - (max_lhs - 1)`` or later.  Heap entries lead with
+        ``order_key`` negated, per letter, so the smallest entry is the
+        largest word; a result's key is spliced from its parent's."""
+        cache = self._nf_cache
+        letter_key = self._heap_keys.__getitem__
+        back = self._back
+        pending = {word: [ONE, 0]}
+        heap = [(-len(word), tuple(map(letter_key, word)), 0, word)]
+        seq = 1
+        out: dict = {}
+        while heap:
+            _, wkey, _, w = heappop(heap)
+            c, start = pending.pop(w)
+            if c == 0:
+                continue
+            hit = cache.get(w)
+            if hit is not None:
+                for nw, nc in hit.items():
+                    _merge_term(out, nw, c * nc)
+                continue
+            found = self._find(w, start)
+            if found is None:
+                _merge_term(out, w, c)
+                continue
+            pos, L, repl = found
             self._steps += 1
             if self._steps > self._limit:
                 raise RewriteLimitError(
                     f"rewrite step guard ({self._limit}) exceeded; the rule set is"
                     " suspected non-terminating (or raise HOPFCYC_STEP_LIMIT)"
                 )
-            result: dict = {}
-            for w, c in repl.items():
-                for nw, nc in self._nf_word(word[:pos] + w + word[pos + L :]).items():
-                    _merge_term(result, nw, c * nc)
-        self._nf_cache[word] = result
-        return result
+            head, tail = w[:pos], w[pos + L :]
+            khead, ktail = wkey[:pos], wkey[pos + L :]
+            resume = pos - back if pos > back else 0
+            for r, rc in repl.items():
+                child = head + r + tail
+                entry = pending.get(child)
+                if entry is None:
+                    pending[child] = [c * rc, resume]
+                    ckey = khead + tuple(map(letter_key, r)) + ktail
+                    heappush(heap, (-len(child), ckey, seq, child))
+                    seq += 1
+                else:
+                    entry[0] += c * rc
+                    if resume < entry[1]:
+                        entry[1] = resume
+        return out
 
     def normalize_terms(self, terms: dict) -> dict:
-        self._steps = 0
-        self._limit = step_limit()
-        out: dict = {}
-        for w, c in terms.items():
-            if c == 0:
-                continue
-            for nw, nc in self._nf_word(w).items():
-                _merge_term(out, nw, c * nc)
-        return out
+        """Normal form of a linear combination.  The step guard counts every
+        rewrite of the outermost call, nested calls on this rule set
+        included."""
+        if self._depth == 0:
+            self._steps = 0
+            self._limit = step_limit()
+        self._depth += 1
+        try:
+            out: dict = {}
+            for w, c in terms.items():
+                if c == 0:
+                    continue
+                nf = self._nf_cache.get(w)
+                if nf is None:
+                    nf = self._nf_cache[w] = self._nf_word(w)
+                for nw, nc in nf.items():
+                    _merge_term(out, nw, c * nc)
+            return out
+        finally:
+            self._depth -= 1
 
 
 @dataclass
@@ -450,7 +547,7 @@ class Presentation:
         for _ in range(max_degree):
             frontier = [w + (g,) for w in frontier for g in letters]
             words.extend(frontier)
-        normal = [w for w in words if self.normalize_terms({w: ONE}) == {w: ONE}]
+        normal = [w for w in words if self.ruleset._find(w) is None]
         normal.sort(key=self.ruleset.order_key)
         self._word_cache[key] = normal
         return list(normal)

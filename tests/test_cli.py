@@ -1,12 +1,14 @@
 """The command-line interface: report shape, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from hopfcyc import cli
+from hopfcyc.core import Generator
 from hopfcyc.errors import ParseError
 
 
@@ -114,13 +116,19 @@ def test_exit_codes_via_subprocess(tmp_path):
     assert "line 1" in proc.stderr
 
 
-def run_main(argv, *patch):
+def run_main(argv, *patch, env=None):
     """Run ``hopfcyc.cli.main`` in a fresh interpreter; ``patch`` lines run
-    after the import, with the module bound to ``cli``."""
+    after the import, with the module bound to ``cli``; ``env`` adds
+    environment variables."""
     code = "\n".join(
         ["import sys", f"sys.argv = {['hopfcyc', *argv]!r}", "from hopfcyc import cli", *patch, "cli.main()"]
     )
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **(env or {})},
+    )
 
 
 def test_file_rejected_where_unread(tmp_path):
@@ -143,6 +151,22 @@ def test_unreadable_file_is_a_precondition_error(tmp_path):
     proc = run_main(["verify-hopf", "--file", str(binary)])
     assert proc.returncode == 8
     assert proc.stderr.count("\n") == 1 and "not UTF-8" in proc.stderr
+
+
+def test_step_limit_exit_code():
+    from hopfcyc.errors import RewriteLimitError
+
+    proc = run_main(["verify-hopf"], env={"HOPFCYC_STEP_LIMIT": "3"})
+    assert proc.returncode == RewriteLimitError.exit_code == 6
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: rewrite step guard (3) exceeded")
+    assert proc.stdout == ""
+
+
+def test_jsonable_renders_generators():
+    # Generator is a tuple underneath; reports still show the letter
+    assert cli.jsonable(Generator("d", 2)) == "d[2]"
+    assert cli.jsonable([(Generator("X"), Generator("d", 1))]) == [["X", "d[1]"]]
 
 
 def test_unexpected_exception_is_an_internal_error():

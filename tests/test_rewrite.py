@@ -1,13 +1,20 @@
 """Rewriting: normal forms, termination order, confluence diagnostics."""
 
 import random
+import sys
+from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcyc.core import Generator
 from hopfcyc.errors import RewriteLimitError, TerminationOrderError
+from hopfcyc.instances import build_function_algebra, build_group_algebra, build_h1cop
 from hopfcyc.rewrite import (
     ConcreteRule,
+    FunctionRule,
     IndexExpr,
     LetterPat,
     Presentation,
@@ -98,3 +105,176 @@ def test_finite_basis_presentation(swap_cmod):
     assert sorted(map(str, h.basis_elts())) == ["1", "g"]
     g = h.gen("g")
     assert g * g == h.unit()
+
+
+# -- the recursive engine as oracle -------------------------------------------
+
+
+def recursive_nf(rs: RuleSet, word, cache=None) -> dict:
+    """Reference normal form, the recursive definition evaluated directly:
+    rewrite the leftmost redex (first rule in list order there), recurse on
+    every resulting word, cache per word.  Its depth grows with the rewrite
+    path, so it serves short words only."""
+    cache = {} if cache is None else cache
+    if word in cache:
+        return cache[word]
+    hit = None
+    for pos in range(len(word)):
+        for rule in rs.rules:
+            L = rule.lhs_len
+            if pos + L <= len(word):
+                repl = rule.match(word[pos : pos + L])
+                if repl is not None:
+                    hit = pos, L, repl
+                    break
+        if hit is not None:
+            break
+    if hit is None:
+        result = {word: Fraction(1)}
+    else:
+        pos, L, repl = hit
+        result = {}
+        for w, c in repl.items():
+            for nw, nc in recursive_nf(rs, word[:pos] + w + word[pos + L :], cache).items():
+                total = result.get(nw, 0) + c * nc
+                if total:
+                    result[nw] = total
+                else:
+                    result.pop(nw, None)
+    cache[word] = result
+    return result
+
+
+def test_worklist_matches_recursive_oracle(h1cop, matched_pair, bicrossed, s3):
+    presentations = {  # name -> (presentation, longest word drawn)
+        "h1cop": (h1cop, 6),
+        "U": (matched_pair.u, 6),
+        "F": (matched_pair.f, 6),
+        "bicrossed": (bicrossed.hopf, 4),
+        "kS3": (build_group_algebra(s3, name="kS3"), 6),
+        "FunX": (build_function_algebra(["p", "q", "r"]), 6),
+    }
+    rng = random.Random(20240611)
+    for name, (pres, max_len) in presentations.items():
+        letters = pres.letters(3)
+        oracle_cache: dict = {}
+        for _ in range(40):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+            got = pres.normalize_terms({w: 1})
+            assert got == recursive_nf(pres.ruleset, w, oracle_cache), (name, w)
+
+
+def test_worklist_matches_oracle_without_confluence():
+    # overlapping rules, one lhs twice, a length-3 lhs and a rule without a
+    # fixed first letter: the normal form depends on the redex choice
+    a, b, c = Generator("a"), Generator("b"), Generator("c")
+
+    def c_any(seg):  # listed before ``c b -> b a``, which it shadows
+        return {(a,): Fraction(2), (b,): Fraction(-1)} if seg[0] == c else None
+
+    rules = [
+        ConcreteRule((b, a), {(a, b): 1}),
+        ConcreteRule((b, a), {(c,): 1}),
+        ConcreteRule((a, b), {(c,): 3, (a,): 1}),
+        ConcreteRule((c, a, b), {(b, c): -1, (): 1}),
+        FunctionRule(2, c_any),
+        ConcreteRule((c, b), {(b, a): 1}),
+    ]
+    pres = Presentation("nc", {"a": False, "b": False, "c": False}, ("a", "b", "c"),
+                        rules, check_rules=False)
+    assert not validate_ruleset(pres.ruleset).ok
+    rng = random.Random(77)
+    oracle_cache: dict = {}
+    for _ in range(200):
+        w = tuple(rng.choice((a, b, c)) for _ in range(rng.randint(0, 9)))
+        assert pres.normalize_terms({w: 1}) == recursive_nf(pres.ruleset, w, oracle_cache), w
+
+
+@st.composite
+def h1cop_words(draw):
+    letters = [X, Y] + [d(k) for k in (1, 2, 3)]
+    return tuple(draw(st.lists(st.sampled_from(letters), max_size=7)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(h1cop_words())
+def test_normal_form_idempotent_property(h1cop, w):
+    nf = h1cop.normalize_terms({w: 1})
+    assert nf == recursive_nf(h1cop.ruleset, w)
+    for word in nf:
+        assert h1cop.ruleset._find(word) is None
+        assert h1cop.normalize_terms({word: 1}) == {word: 1}
+
+
+def test_x_power_d1_closed_form():
+    n = 120
+    got = build_h1cop().from_word((X,) * n + (d(1),))
+    expected = {(d(1 + j),) + (X,) * (n - j): comb(n, j) for j in range(n + 1)}
+    assert got.terms == expected
+
+
+# -- robustness ---------------------------------------------------------------
+
+A, B = Generator("a"), Generator("b")
+
+
+def test_long_word_needs_no_recursion():
+    # one rewrite per letter: 2000 frames deep if evaluated recursively
+    pres = Presentation("ab", {"a": False, "b": False}, ("a", "b"),
+                        [ConcreteRule((B, A), {(A, B): 1})])
+    n = 2000
+    assert n > sys.getrecursionlimit()
+    assert pres.normalize_terms({(B,) + (A,) * n: 1}) == {(A,) * n + (B,): 1}
+
+
+def test_cyclic_rules_hit_the_step_guard(monkeypatch):
+    monkeypatch.setenv("HOPFCYC_STEP_LIMIT", "1000")
+    pres = Presentation(
+        "cyc",
+        {"a": False, "b": False},
+        ("a", "b"),
+        [ConcreteRule((B, A), {(A, B): 1}), ConcreteRule((A, B), {(B, A): 1})],
+        check_rules=False,
+    )
+    with pytest.raises(RewriteLimitError):
+        pres.normalize_terms({(B, A): 1})
+
+
+def test_step_count_spans_the_whole_call(monkeypatch):
+    sort = ConcreteRule((B, A), {(A, B): 1})
+    # b a a takes two rewrites; three such words take six
+    terms = {(B, A, A): 1, (A, B, A, A): 1, (A, A, B, A, A): 1}
+    monkeypatch.setenv("HOPFCYC_STEP_LIMIT", "6")
+    assert len(RuleSet([sort], ("a", "b")).normalize_terms(terms)) == 3
+    monkeypatch.setenv("HOPFCYC_STEP_LIMIT", "5")
+    with pytest.raises(RewriteLimitError):
+        RuleSet([sort], ("a", "b")).normalize_terms(terms)
+
+    # a normalization nested in a rule on the same rule set
+    # adds to the outer call's count instead of restarting it: 1 step for
+    # b a, then 2 nested and 1 outer for c a
+    C = Generator("c")
+    rs = None
+
+    def nested(seg):
+        if seg != (C, A):
+            return None
+        rs.normalize_terms({(B, A, A): 1})
+        return {(A, C): Fraction(1)}
+
+    monkeypatch.setenv("HOPFCYC_STEP_LIMIT", "3")
+    rs = RuleSet([sort, FunctionRule(2, nested)], ("a", "b", "c"))
+    with pytest.raises(RewriteLimitError):
+        rs.normalize_terms({(B, A): 1, (C, A): 1})
+    monkeypatch.setenv("HOPFCYC_STEP_LIMIT", "4")
+    rs = RuleSet([sort, FunctionRule(2, nested)], ("a", "b", "c"))
+    assert rs.normalize_terms({(B, A): 1, (C, A): 1}) == {(A, B): 1, (A, C): 1}
+
+
+def test_normal_words_use_redex_test(h1cop):
+    h = build_h1cop()
+    cached = dict(h.ruleset._nf_cache)
+    words = h.normal_words(3, 2)
+    assert h.ruleset._nf_cache == cached  # no normalization ran
+    assert words == h1cop.normal_words(3, 2)
+    assert all(h.normalize_terms({w: 1}) == {w: 1} for w in words)
