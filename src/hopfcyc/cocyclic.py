@@ -14,6 +14,18 @@ induces it there.  The relative module C_H(C, M), the algebra-side cochains
 C_H(A, M) and the Kaygun quotient ℂ𝕄 (in :mod:`hopfcyc.kaygun`) are all
 assembled by :meth:`FiniteComplex.assemble`.
 
+Chain operators and relation rows are evaluated on basis tensors from leg
+maps: the coproduct, coaction and actions of the carriers, each evaluated
+once per word by a :class:`LegMap` and kept by the operator object.  This
+is sound because presentations are immutable once built (their rules are
+fixed, which is also why ``Presentation.from_word`` is memoized) and the
+maps are linear.  :func:`op_matrix` returns an operator as sparse columns
+(:data:`~hopfcyc.linalg.Columns`: column j is a ``dict[row] -> Fraction``
+without zero entries), which :class:`FiniteComplex` and the Kaygun bridge
+pass to the quotient maps and compose without a dense copy.  Relation rows
+are built as sparse dicts and enter the quotient as dense rows, through
+:func:`~hopfcyc.linalg.rref`.
+
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through a truncated cyclic bicomplex;
 agreement of the two is part of the test surface.
@@ -23,17 +35,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
-from .core import AlgElt, EMPTY_WORD, TensorElt, tensor
+from .core import EMPTY_WORD, ONE, TensorElt, _merge_term, word_str
 from .coefficients import HModuleAlgebra, HModuleCoalgebra, ModuleComodule
 from .errors import PreconditionError, StructureError
 from .linalg import (
-    F0,
     F1,
+    Columns,
     Matrix,
     Quotient,
+    SparseRow,
     cohomology_dims,
+    dense,
     identity,
     is_zero_matrix,
     mat_mul,
@@ -47,47 +61,114 @@ from .linalg import (
 
 
 class TensorBasis:
-    """Deterministic basis of a tensor product of finite carriers."""
+    """Deterministic basis of a tensor product of finite carriers.
+
+    Basis tensors are the tuples of carrier basis words; every such word
+    must be its own normal form (checked once, here), so the tuple is the
+    basis tensor itself and :meth:`elt` needs no normalization.
+    """
 
     def __init__(self, prs):
         self.prs = tuple(prs)
+        for p in {id(p): p for p in self.prs}.values():
+            for w in p.basis_words():
+                if p.normalize_terms({w: ONE}) != {w: ONE}:
+                    raise StructureError(
+                        f"basis word {word_str(w)} of {p.name!r} is not in normal form"
+                    )
         bases = [p.basis_words() for p in self.prs]
         self.tuples = list(iproduct(*bases))
         self.index = {wt: i for i, wt in enumerate(self.tuples)}
         self.dim = len(self.tuples)
 
-    def vec(self, te: TensorElt):
-        v = [F0] * self.dim
-        for wt, c in te.terms.items():
+    def coords(self, terms: Mapping) -> SparseRow:
+        """Sparse coordinates of a combination of basis tuples, such as the
+        ``terms`` of a :class:`TensorElt`."""
+        out = {}
+        for wt, c in terms.items():
             i = self.index.get(wt)
             if i is None:
                 raise StructureError(f"tensor term {wt} outside the finite basis")
-            v[i] += c
-        return v
+            out[i] = c
+        return out
+
+    def vec(self, te: TensorElt):
+        return dense(self.coords(te.terms), self.dim)
 
     def elt(self, i: int) -> TensorElt:
-        wt = self.tuples[i]
-        return tensor([p.from_word(w) for p, w in zip(self.prs, wt)])
+        return TensorElt(self.prs, {self.tuples[i]: ONE}, _normalized=True)
 
 
-def op_matrix(op: Callable[[TensorElt], TensorElt], src: TensorBasis, tgt: TensorBasis) -> Matrix:
-    """Matrix (tgt.dim x src.dim) of a linear chain operator."""
-    cols = [tgt.vec(op(src.elt(j))) for j in range(src.dim)]
-    return [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)]
+def op_matrix(op: Callable[[TensorElt], TensorElt], src: TensorBasis, tgt: TensorBasis) -> Columns:
+    """A linear chain operator as sparse columns (:data:`~hopfcyc.linalg.Columns`):
+    column j holds the ``tgt`` coordinates of the image of basis tensor j
+    of ``src``."""
+    return [tgt.coords(op(src.elt(j)).terms) for j in range(src.dim)]
 
 
-# -- coalgebra-side symbolic operators ----------------------------------------
+# -- leg maps -------------------------------------------------------------------
+
+
+class LegMap(dict):
+    """A structure map of one carrier evaluated once per argument.
+
+    ``leg_map[key]`` calls ``f(key)`` on the first lookup and keeps the
+    result: a ``word -> coeff`` dict (keyed by word pairs for a coaction or
+    coproduct), or a scalar for a counit.  Keys are normal words, or tuples of them, of immutable
+    presentations, and the maps are linear, so a chain operator evaluated
+    from leg maps equals the one evaluated through symbolic tensors.
+    """
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        val = self[key] = self.f(key)
+        return val
+
+
+def add_tensor(out: dict, coeff, factors) -> None:
+    """out += coeff · f₁ ⊗ … ⊗ f_k, each factor a ``word -> coeff`` dict."""
+    for combo in iproduct(*[f.items() for f in factors]):
+        c = coeff
+        for _, x in combo:
+            c *= x
+        _merge_term(out, tuple(w for w, _ in combo), c)
+
+
+def coefficient_legs(mc: ModuleComodule):
+    """The leg maps of the coefficients: ``coact[m]`` = m⟨-1⟩ ⊗ m⟨0⟩ and
+    ``act[m, h]`` = m·h, on words."""
+    h, space = mc.hopf, mc.space
+    coact = LegMap(lambda m: mc.coact(space.from_word(m)).terms)
+    act = LegMap(lambda k: mc.act(space.from_word(k[0]), h.from_word(k[1])).terms)
+    return coact, act
+
+
+# -- coalgebra-side operators -----------------------------------------------------
 
 
 @dataclass
 class CoalgebraOps:
     """The (para)cocyclic operators on chains m ⊗ c₀ ⊗ … ⊗ cₙ.
 
-    Legs are 1-based on the TensorElt: leg 1 is M, leg i+2 is c_i.
+    Legs are 1-based on the TensorElt: leg 1 is M, leg i+2 is c_i.  Each
+    operator runs term by term on the leg maps below, so the coproduct,
+    coaction and actions are evaluated once per basis word.
     """
 
     mc: ModuleComodule
     c_mod: HModuleCoalgebra
+
+    def __post_init__(self):
+        h, c = self.mc.hopf, self.c_mod.coalg
+        self.coact, self.m_act = coefficient_legs(self.mc)
+        self.c_act = LegMap(lambda k: self.c_mod.act(h.from_word(k[0]), c.from_word(k[1])).terms)
+        self.c_cop = LegMap(lambda w: c.coproduct(c.from_word(w)).terms)
+        self.c_eps = LegMap(lambda w: c.counit(c.from_word(w)))
 
     def _nlegs(self, x: TensorElt, n: int):
         if x.legs != n + 2:
@@ -96,63 +177,55 @@ class CoalgebraOps:
     def coface(self, n: int, i: int, x: TensorElt) -> TensorElt:
         """∂_i: degree n-1 chains to degree n chains, 0 <= i <= n."""
         self._nlegs(x, n - 1)
-        c = self.c_mod.coalg
+        out = {}
         if i < n:
-            return x.leg_apply(i + 2, c.coproduct)
-        # last coface: m⟨0⟩ ⊗ c₀⁽²⁾ ⊗ c₁ ⊗ … ⊗ m⟨-1⟩ c₀⁽¹⁾
-        h = self.mc.hopf
-        out = None
-        for wt, cf in x.terms.items():
-            m = self.mc.space.from_word(wt[0])
-            cm = self.mc.coact(m)
-            dc = c.coproduct(c.from_word(wt[1]))
-            mids = [c.from_word(w) for w in wt[2:]]
-            for (w, m0), cc in cm.terms.items():
-                for (c1, c2), cd in dc.terms.items():
-                    factors = (
-                        [self.mc.space.from_word(m0), c.from_word(c2)]
-                        + mids
-                        + [self.c_mod.act(h.from_word(w), c.from_word(c1))]
-                    )
-                    term = tensor(factors).scale(cf * cc * cd)
-                    out = term if out is None else out + term
-        if out is None:
-            prs = (self.mc.space,) + (c,) * (n + 1)
-            return TensorElt(prs, {}, _normalized=True)
-        return out
+            for wt, cf in x.terms.items():
+                head, tail = wt[: i + 1], wt[i + 2 :]
+                for pair, cd in self.c_cop[wt[i + 1]].items():
+                    _merge_term(out, head + pair + tail, cf * cd)
+        else:
+            # last coface: m⟨0⟩ ⊗ c₀⁽²⁾ ⊗ c₁ ⊗ … ⊗ m⟨-1⟩ c₀⁽¹⁾
+            for wt, cf in x.terms.items():
+                mids = wt[2:]
+                for (w, m0), cc in self.coact[wt[0]].items():
+                    for (c1, c2), cd in self.c_cop[wt[1]].items():
+                        k = cf * cc * cd
+                        for a, ca in self.c_act[w, c1].items():
+                            _merge_term(out, (m0, c2) + mids + (a,), k * ca)
+        prs = (self.mc.space,) + (self.c_mod.coalg,) * (n + 1)
+        return TensorElt(prs, out, _normalized=True)
 
     def codegeneracy(self, n: int, i: int, x: TensorElt) -> TensorElt:
         """σ_i: degree n+1 chains to degree n chains, 0 <= i <= n; applies
         the counit at position i+1, matching the coface insertion index."""
         self._nlegs(x, n + 1)
-        return x.leg_scalar(i + 3, self.c_mod.coalg.counit)
+        out = {}
+        for wt, cf in x.terms.items():
+            e = self.c_eps[wt[i + 2]]
+            if e:
+                _merge_term(out, wt[: i + 2] + wt[i + 3 :], cf * e)
+        return TensorElt(x.prs[: i + 2] + x.prs[i + 3 :], out, _normalized=True)
 
     def tau(self, n: int, x: TensorElt) -> TensorElt:
         """τ_n: m ⊗ c̃ to m⟨0⟩ ⊗ c₁ ⊗ … ⊗ cₙ ⊗ m⟨-1⟩ c₀."""
         self._nlegs(x, n)
-        h = self.mc.hopf
-        c = self.c_mod.coalg
-        out = None
+        out = {}
         for wt, cf in x.terms.items():
-            m = self.mc.space.from_word(wt[0])
-            cm = self.mc.coact(m)
-            mids = [c.from_word(w) for w in wt[2:]]
-            for (w, m0), cc in cm.terms.items():
-                factors = (
-                    [self.mc.space.from_word(m0)]
-                    + mids
-                    + [self.c_mod.act(h.from_word(w), c.from_word(wt[1]))]
-                )
-                term = tensor(factors).scale(cf * cc)
-                out = term if out is None else out + term
-        if out is None:
-            return x
-        return out
+            mids = wt[2:]
+            for (w, m0), cc in self.coact[wt[0]].items():
+                k = cf * cc
+                for a, ca in self.c_act[w, wt[1]].items():
+                    _merge_term(out, (m0,) + mids + (a,), k * ca)
+        return TensorElt(x.prs, out, _normalized=True)
 
 
 class RelativeTensorSpace:
     """M ⊗_H C^⊗(n+1) for a finite instance: the quotient of the ambient
-    basis by the relations mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ."""
+    basis by the relations mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ.
+
+    One relation per basis tensor and h, built as a sparse row from the
+    leg maps of :class:`CoalgebraOps`, with Δ⁽ⁿ⁺¹⁾h computed once per h;
+    the rows enter the :class:`~hopfcyc.linalg.Quotient` dense."""
 
     def __init__(self, mc: ModuleComodule, c_mod: HModuleCoalgebra, n: int):
         if mc.space.finite_basis is None or c_mod.coalg.finite_basis is None:
@@ -161,28 +234,23 @@ class RelativeTensorSpace:
         self.c_mod = c_mod
         self.n = n
         h = mc.hopf
-        c = c_mod.coalg
-        self.basis = TensorBasis((mc.space,) + (c,) * (n + 1))
+        ops = CoalgebraOps(mc, c_mod)
+        self.basis = TensorBasis((mc.space,) + (c_mod.coalg,) * (n + 1))
+        sweeps = [
+            (hw, h.sweedler(h.from_word(hw), n + 1).terms)
+            for hw in h.normal_words(2, 2)
+            if hw != EMPTY_WORD
+        ]
         rows = []
-        hws = [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]
-        for j in range(self.basis.dim):
-            x = self.basis.elt(j)
-            for hw in hws:
-                a = h.from_word(hw)
-                left = x.leg_apply(1, lambda m: mc.act(m, a))
-                dn = h.sweedler(a, n + 1)
-                right = left.scale(0)
-                for wt, cf in x.terms.items():
-                    m = mc.space.from_word(wt[0])
-                    for legs, ch in dn.terms.items():
-                        fs = [m] + [
-                            c_mod.act(h.from_word(legs[i]), c.from_word(wt[i + 1]))
-                            for i in range(n + 1)
-                        ]
-                        right = right + tensor(fs).scale(cf * ch)
-                rows.append(
-                    [u - v for u, v in zip(self.basis.vec(left), self.basis.vec(right))]
-                )
+        for wt in self.basis.tuples:
+            m, cs = wt[0], wt[1:]
+            for hw, dn in sweeps:
+                rel = {}
+                for mh, ca in ops.m_act[m, hw].items():
+                    _merge_term(rel, (mh,) + cs, ca)
+                for legs, ch in dn.items():
+                    add_tensor(rel, -ch, [{m: ONE}] + [ops.c_act[g, c] for g, c in zip(legs, cs)])
+                rows.append(dense(self.basis.coords(rel), self.basis.dim))
         self.quot = Quotient(rows, self.basis.dim)
 
     @property
@@ -324,7 +392,8 @@ def check_cocyclic(inst: CocyclicInstance, upto: Optional[int] = None) -> dict:
 
     def eq(a, b, label):
         if a != b:
-            fails.append(label)
+            nonzero = sum(x != y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+            fails.append(f"{label}: {nonzero} nonzero")
 
     if inst.welldef_failures:
         fails.extend(f"not well-defined: {w}" for w in inst.welldef_failures)
@@ -490,95 +559,85 @@ def cyclic_cohomology(inst: CocyclicInstance, upto: int) -> dict:
 @dataclass
 class AlgebraChainOps:
     """Chain-level operators on M ⊗ A^⊗(n+1); cochain operators arise as
-    transposes of the induced quotient matrices."""
+    transposes of the induced quotient matrices.  Like
+    :class:`CoalgebraOps`, each operator runs on leg maps evaluated once
+    per basis word."""
 
     mc: ModuleComodule
     a_mod: HModuleAlgebra
+
+    def __post_init__(self):
+        h, alg = self.mc.hopf, self.a_mod.alg
+        self.coact, self.m_act = coefficient_legs(self.mc)
+        self.mul = LegMap(lambda k: (alg.from_word(k[0]) * alg.from_word(k[1])).terms)
+        # (h, a) -> S⁻¹(h)a and S(h)a
+        self.inv_act = LegMap(
+            lambda k: self.a_mod.act(h.inv_antipode(h.from_word(k[0])), alg.from_word(k[1])).terms
+        )
+        self.s_act = LegMap(
+            lambda k: self.a_mod.act(h.antipode(h.from_word(k[0])), alg.from_word(k[1])).terms
+        )
+
+    def _chain(self, n: int, out: dict) -> TensorElt:
+        return TensorElt((self.mc.space,) + (self.a_mod.alg,) * (n + 1), out, _normalized=True)
 
     def face(self, n: int, i: int, x: TensorElt) -> TensorElt:
         """D_i: degree n chains to degree n-1 chains, 0 <= i <= n."""
         if x.legs != n + 2:
             raise StructureError("chain leg mismatch")
-        alg = self.a_mod.alg
-        h = self.mc.hopf
+        out = {}
         if i < n:
             # merge A legs i and i+1
-            out = None
             for wt, cf in x.terms.items():
-                factors = [self.mc.space.from_word(wt[0])]
-                factors += [alg.from_word(w) for w in wt[1 : i + 1]]
-                factors.append(alg.from_word(wt[i + 1]) * alg.from_word(wt[i + 2]))
-                factors += [alg.from_word(w) for w in wt[i + 3 :]]
-                term = tensor(factors).scale(cf)
-                out = term if out is None else out + term
-            return out if out is not None else x.leg_scalar(2, lambda e: F0)
-        # last face: m⟨0⟩ ⊗ (S⁻¹(m⟨-1⟩)aₙ)a₀ ⊗ a₁ ⊗ … ⊗ a_{n-1}
-        out = None
-        for wt, cf in x.terms.items():
-            m = self.mc.space.from_word(wt[0])
-            cm = self.mc.coact(m)
-            an = alg.from_word(wt[-1])
-            a0 = alg.from_word(wt[1])
-            mids = [alg.from_word(w) for w in wt[2:-1]]
-            for (w, m0), cc in cm.terms.items():
-                twisted = self.a_mod.act(h.inv_antipode(h.from_word(w)), an)
-                factors = [self.mc.space.from_word(m0), twisted * a0] + mids
-                term = tensor(factors).scale(cf * cc)
-                out = term if out is None else out + term
-        return out
+                head, tail = wt[: i + 1], wt[i + 3 :]
+                for p, pc in self.mul[wt[i + 1], wt[i + 2]].items():
+                    _merge_term(out, head + (p,) + tail, cf * pc)
+        else:
+            # last face: m⟨0⟩ ⊗ (S⁻¹(m⟨-1⟩)aₙ)a₀ ⊗ a₁ ⊗ … ⊗ a_{n-1}
+            for wt, cf in x.terms.items():
+                mids = wt[2:-1]
+                for (w, m0), cc in self.coact[wt[0]].items():
+                    for t, tc in self.inv_act[w, wt[-1]].items():
+                        k = cf * cc * tc
+                        for p, pc in self.mul[t, wt[1]].items():
+                            _merge_term(out, (m0, p) + mids, k * pc)
+        return self._chain(n - 1, out)
 
     def degeneracy(self, n: int, i: int, x: TensorElt) -> TensorElt:
         """S_i: insert the unit after A position i, degree n to n+1."""
         if x.legs != n + 2:
             raise StructureError("chain leg mismatch")
-        alg = self.a_mod.alg
-        out = None
+        unit = self.a_mod.alg.unit().terms
+        out = {}
         for wt, cf in x.terms.items():
-            factors = [self.mc.space.from_word(wt[0])]
-            factors += [alg.from_word(w) for w in wt[1 : i + 2]]
-            factors.append(alg.unit())
-            factors += [alg.from_word(w) for w in wt[i + 2 :]]
-            term = tensor(factors).scale(cf)
-            out = term if out is None else out + term
-        return out
+            head, tail = wt[: i + 2], wt[i + 2 :]
+            for u, uc in unit.items():
+                _merge_term(out, head + (u,) + tail, cf * uc)
+        return self._chain(n + 1, out)
 
     def t(self, n: int, x: TensorElt) -> TensorElt:
         """T_n: m ⊗ ã to m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩)aₙ ⊗ a₀ ⊗ … ⊗ a_{n-1}."""
         if x.legs != n + 2:
             raise StructureError("chain leg mismatch")
-        alg = self.a_mod.alg
-        h = self.mc.hopf
-        out = None
+        out = {}
         for wt, cf in x.terms.items():
-            m = self.mc.space.from_word(wt[0])
-            cm = self.mc.coact(m)
-            an = alg.from_word(wt[-1])
-            rest = [alg.from_word(w) for w in wt[1:-1]]
-            for (w, m0), cc in cm.terms.items():
-                twisted = self.a_mod.act(h.inv_antipode(h.from_word(w)), an)
-                term = tensor([self.mc.space.from_word(m0), twisted] + rest).scale(cf * cc)
-                out = term if out is None else out + term
-        return out
+            rest = wt[1:-1]
+            for (w, m0), cc in self.coact[wt[0]].items():
+                k = cf * cc
+                for t, tc in self.inv_act[w, wt[-1]].items():
+                    _merge_term(out, (m0, t) + rest, k * tc)
+        return self._chain(n, out)
 
-    def diagonal_action(self, n: int, x: TensorElt, a: AlgElt) -> TensorElt:
-        """(m ⊗ ã)h = mh⁽¹⁾ ⊗ S(h⁽ⁿ⁺²⁾)a₀ ⊗ … ⊗ S(h⁽²⁾)aₙ."""
-        alg = self.a_mod.alg
-        h = self.mc.hopf
-        d = h.sweedler(a, n + 2)
-        out = None
+    def diagonal_action(self, n: int, x: TensorElt, d: TensorElt) -> TensorElt:
+        """(m ⊗ ã)h = mh⁽¹⁾ ⊗ S(h⁽ⁿ⁺²⁾)a₀ ⊗ … ⊗ S(h⁽²⁾)aₙ, for ``d`` the
+        Sweedler tensor Δ⁽ⁿ⁺²⁾h (computed once per h by the caller)."""
+        out = {}
         for wt, cf in x.terms.items():
-            m = self.mc.space.from_word(wt[0])
             for legs, ch in d.terms.items():
-                factors = [self.mc.act(m, h.from_word(legs[0]))]
-                for i in range(n + 1):
-                    factors.append(
-                        self.a_mod.act(
-                            h.antipode(h.from_word(legs[n + 1 - i])), alg.from_word(wt[i + 1])
-                        )
-                    )
-                term = tensor(factors).scale(cf * ch)
-                out = term if out is None else out + term
-        return out
+                factors = [self.m_act[wt[0], legs[0]]]
+                factors += [self.s_act[legs[n + 1 - i], wt[i + 1]] for i in range(n + 1)]
+                add_tensor(out, cf * ch, factors)
+        return self._chain(n, out)
 
     def quotient(self, n: int):
         """The degree-n chain basis and its quotient by span{xh − ε(h)x}
@@ -587,13 +646,15 @@ class AlgebraChainOps:
         h = self.mc.hopf
         basis = TensorBasis((self.mc.space,) + (self.a_mod.alg,) * (n + 1))
         hs = [h.from_word(w) for w in h.normal_words(2, 2) if w != EMPTY_WORD]
+        sweeps = [(h.sweedler(a, n + 2), h.counit(a)) for a in hs]
         rows = []
-        for j in range(basis.dim):
+        for j, wt in enumerate(basis.tuples):
             x = basis.elt(j)
-            for a in hs:
-                acted = basis.vec(self.diagonal_action(n, x, a))
-                base = basis.vec(x.scale(h.counit(a)))
-                rows.append([u - v for u, v in zip(acted, base)])
+            for d, eps in sweeps:
+                rel = dict(self.diagonal_action(n, x, d).terms)
+                if eps:
+                    _merge_term(rel, wt, -eps)
+                rows.append(dense(basis.coords(rel), basis.dim))
         return basis, Quotient(rows, basis.dim)
 
 

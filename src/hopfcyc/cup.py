@@ -32,7 +32,7 @@ from .instances import (
     build_set_coalgebra,
     cyclic_group,
 )
-from .linalg import F0, F1, nullspace, rank
+from .linalg import F0, F1, dense, nullspace
 from .cocyclic import (
     AlgebraCochainInstance,
     CoalgebraOps,
@@ -291,13 +291,12 @@ class CupData:
         bchain = op_matrix(
             lambda x: self._a_chain_b(p + 1, x), inst.bases[p + 1], basis
         )
-        for j in range(inst.bases[p + 1].dim):
-            rows.append([bchain[r][j] for r in range(basis.dim)])
+        rows.extend(dense(col, basis.dim) for col in bchain)
         if cyclic:
             tmat = op_matrix(lambda x: self.a_inst.ops.t(p, x), basis, basis)
             sign = F1 if p % 2 == 0 else -F1
-            for j in range(basis.dim):
-                row = [sign * tmat[r][j] for r in range(basis.dim)]
+            for j, col in enumerate(tmat):
+                row = dense({r: sign * x for r, x in col.items()}, basis.dim)
                 row[j] -= F1
                 rows.append(row)
         return nullspace(rows, basis.dim)
@@ -351,10 +350,7 @@ class CupData:
             face = op_matrix(
                 lambda x, k=k: inst.ops.face(k, k, x), inst.bases[k], inst.bases[k - 1]
             )
-            row = [
-                sum(row[r] * face[r][j] for r in range(len(row)) if row[r])
-                for j in range(inst.bases[k].dim)
-            ]
+            row = [sum(row[r] * x for r, x in col.items() if row[r]) for col in face]
         # climb z with zeroth cofaces
         sp_n = self.c_spaces[n]
         z = self.c_spaces[q].basis
@@ -380,8 +376,8 @@ class CupData:
                     factors.append(
                         self.ci.c_on_a(c.from_word(wt[i + 1]), alg.from_word(awt[i]))
                     )
-                vec = phi_basis.vec(tensor(factors))
-                total += kz * sum(row[r] * vec[r] for r in range(len(vec)) if vec[r])
+                vec = phi_basis.coords(tensor(factors).terms)
+                total += kz * sum(row[r] * x for r, x in vec.items())
             out[j] = total
         return out
 

@@ -11,16 +11,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EMPTY_WORD, TensorElt, tensor
+from .core import EMPTY_WORD, TensorElt
 from .coefficients import HModuleCoalgebra, ModuleComodule
 from .errors import StructureError, UnsolvableError
-from .linalg import Quotient, columns, combine, dense, echelon, identity, mat_mul, mat_sub, transpose
+from .linalg import (
+    F1,
+    Quotient,
+    add_columns,
+    combine,
+    compose,
+    dense,
+    echelon,
+    identity,
+    identity_columns,
+    mat_mul,
+)
 from .cocyclic import (
     CoalgebraOps,
     CocyclicInstance,
     FiniteComplex,
+    LegMap,
     RelativeTensorSpace,
     TensorBasis,
+    add_tensor,
     check_cocyclic,
     cyclic_cohomology,
     op_matrix,
@@ -29,30 +42,12 @@ from .cocyclic import (
 SATURATION_BOUND = 50
 
 
-def l_action(mc: ModuleComodule, c_mod: HModuleCoalgebra, g, n: int, x: TensorElt) -> TensorElt:
-    """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ."""
-    if x.legs != n + 2:
-        raise StructureError(f"chain of degree {n} needs {n + 2} legs, got {x.legs}")
-    h = mc.hopf
-    c = c_mod.coalg
-    d = h.sweedler(g, n + 2)
-    out = x.scale(0)
-    for wt, cf in x.terms.items():
-        m = mc.space.from_word(wt[0])
-        for legs, ch in d.terms.items():
-            factors = [mc.act(m, h.antipode(h.from_word(legs[0])))]
-            for i in range(n + 1):
-                factors.append(
-                    c_mod.act(h.from_word(legs[i + 1]), c.from_word(wt[i + 1]))
-                )
-            out = out + tensor(factors).scale(cf * ch)
-    return out
-
-
 @dataclass
 class KaygunBridge:
     """Ambient matrices of the L-action and the cocyclic operators on a
-    finite instance, degree by degree."""
+    finite instance, degree by degree, as sparse columns
+    (:data:`~hopfcyc.linalg.Columns`); τ, its powers and L_g are built once
+    per degree, and commutators are composed on the columns."""
 
     mc: ModuleComodule
     c_mod: HModuleCoalgebra
@@ -65,13 +60,32 @@ class KaygunBridge:
             for n in range(self.top + 1)
         ]
         h = self.mc.hopf
+        space = self.mc.space
         self.group_words = list(h.normal_words(1, 1))
+        # (m, g) -> m·S(g), the coefficient leg of L_g
+        self._m_antipode = LegMap(
+            lambda k: self.mc.act(space.from_word(k[0]), h.antipode(h.from_word(k[1]))).terms
+        )
         self._tau = {}
         self._tau_pow = {}
         self._l = {}
         self._w = {}
         self._cm = {}
         self._rel = {}
+
+    def l_action(self, d: TensorElt, x: TensorElt) -> TensorElt:
+        """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ on degree-n chains,
+        for ``d`` the Sweedler tensor Δ⁽ⁿ⁺²⁾g."""
+        if x.legs != d.legs:
+            raise StructureError(f"L-action with {d.legs} legs on a chain with {x.legs} legs")
+        c_act = self.ops.c_act
+        out = {}
+        for wt, cf in x.terms.items():
+            for legs, ch in d.terms.items():
+                factors = [self._m_antipode[wt[0], legs[0]]]
+                factors += [c_act[g, c] for g, c in zip(legs[1:], wt[1:])]
+                add_tensor(out, cf * ch, factors)
+        return TensorElt(x.prs, out, _normalized=True)
 
     def tau_matrix(self, n: int):
         if n not in self._tau:
@@ -85,28 +99,25 @@ class KaygunBridge:
         key = (n, i)
         if key not in self._tau_pow:
             self._tau_pow[key] = (
-                identity(self.bases[n].dim)
+                identity_columns(self.bases[n].dim)
                 if i == 0
-                else mat_mul(self.tau_matrix(n), self.tau_power(n, i - 1))
+                else compose(self.tau_matrix(n), self.tau_power(n, i - 1))
             )
         return self._tau_pow[key]
 
     def l_matrix(self, n: int, gw):
         key = (n, gw)
         if key not in self._l:
-            g = self.mc.hopf.from_word(gw)
-            self._l[key] = op_matrix(
-                lambda x: l_action(self.mc, self.c_mod, g, n, x),
-                self.bases[n],
-                self.bases[n],
-            )
+            h = self.mc.hopf
+            d = h.sweedler(h.from_word(gw), n + 2)
+            self._l[key] = op_matrix(lambda x: self.l_action(d, x), self.bases[n], self.bases[n])
         return self._l[key]
 
     def commutator_matrix(self, n: int, gw, i: int):
         """[L_g, τⁱ] as an ambient matrix."""
         taui = self.tau_power(n, i)
         lg = self.l_matrix(n, gw)
-        return mat_sub(mat_mul(lg, taui), mat_mul(taui, lg))
+        return add_columns(compose(lg, taui), compose(taui, lg), -F1)
 
     def w_rows(self, n: int):
         """Spanning rows of Wⁿ (in reduced echelon form): commutator images
@@ -120,8 +131,8 @@ class KaygunBridge:
             if gw == EMPTY_WORD:
                 continue
             for i in range(1, n + 2):
-                rows.extend(columns(self.commutator_matrix(n, gw, i), range(dim)).values())
-        tau = columns(self.tau_matrix(n), range(dim))
+                rows.extend(self.commutator_matrix(n, gw, i))
+        tau = self.tau_matrix(n)
         span = echelon(rows)[0]
         for _ in range(SATURATION_BOUND):
             grown = echelon(span + [combine(tau, v) for v in span])[0]
@@ -135,12 +146,14 @@ class KaygunBridge:
         """Rows L_g(x) − ε(g)x over the ambient basis, for the scalar
         tensor over H with its trivial action."""
         h = self.mc.hopf
+        dim = self.bases[n].dim
         rows = []
         for gw in self.group_words:
             if gw == EMPTY_WORD:
                 continue
             eps = h.counit(h.from_word(gw))
-            for j, row in enumerate(transpose(self.l_matrix(n, gw))):
+            for j, col in enumerate(self.l_matrix(n, gw)):
+                row = dense(col, dim)
                 row[j] -= eps
                 rows.append(row)
         return rows
@@ -176,12 +189,9 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                 comm_i = bridge.commutator_matrix(n, gw, i)
                 comm_i1 = bridge.commutator_matrix(n, gw, i + 1)
                 taui = bridge.tau_power(n, i)
-                lhs = mat_mul(tau, comm_i)
-                bracket = mat_sub(mat_mul(tau, lg), mat_mul(lg, tau))
-                rhs = [
-                    [a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(mat_mul(bracket, taui), comm_i1)
-                ]
+                lhs = compose(tau, comm_i)
+                bracket = add_columns(compose(tau, lg), compose(lg, tau), -F1)
+                rhs = add_columns(compose(bracket, taui), comm_i1)
                 if lhs != rhs:
                     fails.append(f"tau commutator expansion (n={n}, g={gw}, i={i})")
             if n < bridge.top:
@@ -192,7 +202,7 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                         bridge.bases[n + 1],
                     )
                     lg_up = bridge.l_matrix(n + 1, gw)
-                    if mat_mul(coface, lg) != mat_mul(lg_up, coface):
+                    if compose(coface, lg) != compose(lg_up, coface):
                         fails.append(f"coface commutes with L (n={n}, g={gw}, m={m})")
             if n >= 1:
                 for j in range(1, n):
@@ -209,7 +219,7 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                     for i in range(1, n + 1):
                         comm_hi = bridge.commutator_matrix(n, gw, i)
                         comm_lo = bridge.commutator_matrix(n - 1, gw, i)
-                        if mat_mul(sig, comm_hi) != mat_mul(comm_lo, sigp):
+                        if compose(sig, comm_hi) != compose(comm_lo, sigp):
                             fails.append(
                                 f"codegeneracy commutator shift (n={n}, g={gw}, i={i}, j={j})"
                             )
@@ -236,7 +246,7 @@ def check_iso(bridge: KaygunBridge) -> dict:
     cms = [bridge.cm_quotient(n) for n in range(top + 1)]
     rels = [bridge.relative_space(n) for n in range(top + 1)]
     fails = []
-    ident_amb = [identity(bridge.bases[n].dim) for n in range(top + 1)]
+    ident_amb = [identity_columns(bridge.bases[n].dim) for n in range(top + 1)]
     pi = []
     pi_prime = []
     for n in range(top + 1):
@@ -252,7 +262,7 @@ def check_iso(bridge: KaygunBridge) -> dict:
             fails.append(f"Pi and Pi' not mutually inverse at degree {n}")
 
     for n in range(top + 1):
-        tau_amb = op_matrix(lambda x, n=n: bridge.ops.tau(n, x), bridge.bases[n], bridge.bases[n])
+        tau_amb = bridge.tau_matrix(n)
         tau_cm = cms[n].induced_matrix(tau_amb, cms[n])
         tau_rel = rels[n].quot.induced_matrix(tau_amb, rels[n].quot)
         if mat_mul(pi[n], tau_cm) != mat_mul(tau_rel, pi[n]):

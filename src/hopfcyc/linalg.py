@@ -14,6 +14,15 @@ exact elimination ends in the same reduced row echelon form, since the RREF
 of a matrix is unique (its nonzero rows are the one basis of the row space
 in reduced echelon shape), so results do not depend on the row format and
 reports stay byte-identical.
+
+Chain operators travel by their columns: :data:`Columns` is a matrix held
+as a list whose entry j is column j, a sparse ``row -> entry`` dict without
+zero entries, so two operators are equal exactly when their lists are.
+:func:`hopfcyc.cocyclic.op_matrix` builds operators in this format,
+:func:`compose` and :func:`add_columns` combine them, and
+:meth:`Quotient.induced_matrix` and :meth:`Quotient.preserves_relations`
+take them as they are.  Relation matrices enter :class:`Quotient` as dense
+rows, through :func:`rref`.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 Matrix = List[List[Fraction]]
 SparseRow = Dict[int, Fraction]
+Columns = List[SparseRow]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -51,16 +61,8 @@ def dense(row: SparseRow, ncols: int) -> List[Fraction]:
     return out
 
 
-def columns(m: Matrix, which: Iterable[int]) -> Dict[int, SparseRow]:
-    """The columns ``which`` of a dense matrix, each as a sparse
-    ``row -> entry`` dict."""
-    cols: Dict[int, SparseRow] = {c: {} for c in which}
-    for r, row in enumerate(m):
-        for c in [c for c, x in enumerate(row) if x]:
-            col = cols.get(c)
-            if col is not None:
-                col[r] = row[c]
-    return cols
+def identity_columns(n: int) -> Columns:
+    return [{j: F1} for j in range(n)]
 
 
 def add_multiple(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
@@ -77,12 +79,27 @@ def add_multiple(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
                 del acc[j]
 
 
-def combine(cols: Dict[int, SparseRow], v: SparseRow) -> SparseRow:
+def combine(cols: Columns, v: SparseRow) -> SparseRow:
     """Σ v[c]·cols[c]: a matrix held by its sparse columns times a sparse
     vector."""
     out: SparseRow = {}
     for c, x in v.items():
         add_multiple(out, x, cols[c])
+    return out
+
+
+def compose(a: Columns, b: Columns) -> Columns:
+    """a∘b on sparse columns: column j is a applied to column j of b."""
+    return [combine(a, col) for col in b]
+
+
+def add_columns(a: Columns, b: Columns, f: Fraction = F1) -> Columns:
+    """a + f·b on sparse columns."""
+    out = []
+    for x, y in zip(a, b):
+        s = dict(x)
+        add_multiple(s, f, y)
+        out.append(s)
     return out
 
 
@@ -199,7 +216,7 @@ def solve(cols: Sequence[SparseRow], b: SparseRow) -> Optional[List[Fraction]]:
             return None  # pivot in the augmented column
         x[pc] = row.get(n, F0)
     # check (free variables set to 0)
-    image = combine(dict(enumerate(cols)), sparse(x))
+    image = combine(cols, sparse(x))
     if image != {r: v for r, v in b.items() if v}:
         return None
     return x
@@ -247,25 +264,23 @@ class Quotient:
     def contains_in_relations(self, v: Sequence[Fraction]) -> bool:
         return not self._reduce(sparse(v))
 
-    def induced_matrix(self, ambient_op: Matrix, target: "Quotient") -> Matrix:
+    def induced_matrix(self, ambient_op: Columns, target: "Quotient") -> Matrix:
         """Matrix of the induced map on quotients, columns = images of the
         quotient basis.  Caller is responsible for well-definedness.
 
         The image of quotient basis vector k is the column of the ambient
         operator at free coordinate k, projected to the target."""
-        cols = columns(ambient_op, self.free)
         out = zeros(target.dim, self.dim)
         for k, c in enumerate(self.free):
-            for t, x in target._reduce(cols[c]).items():
+            for t, x in target._reduce(dict(ambient_op[c])).items():
                 out[target._free_pos[t]][k] = x
         return out
 
-    def preserves_relations(self, ambient_op: Matrix, target: "Quotient") -> bool:
+    def preserves_relations(self, ambient_op: Columns, target: "Quotient") -> bool:
         """Does the ambient operator map the relation subspace into the
         target relation subspace (i.e. descend to the quotients)?"""
-        cols = columns(ambient_op, {c for row in self._row_of.values() for c in row})
         for pc in self.pivots:
-            if target._reduce(combine(cols, self._row_of[pc])):
+            if target._reduce(combine(ambient_op, self._row_of[pc])):
                 return False
         return True
 

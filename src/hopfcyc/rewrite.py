@@ -287,7 +287,7 @@ class RuleSet:
         self._nf_cache: dict = {}  # whole input words of normalize_terms
         self._steps = 0
         self._depth = 0
-        self._limit = step_limit()
+        self._limit = None  # read from the environment on the first rewrite
 
     # termination order: degree, then lexicographic on (precedence, index)
     def order_key(self, w: Word):
@@ -387,10 +387,11 @@ class RuleSet:
     def normalize_terms(self, terms: dict) -> dict:
         """Normal form of a linear combination.  The step guard counts every
         rewrite of the outermost call, nested calls on this rule set
-        included."""
+        included.  Its limit is read from the environment once per outermost
+        call, and only if some word is missing from the cache."""
         if self._depth == 0:
             self._steps = 0
-            self._limit = step_limit()
+            self._limit = None
         self._depth += 1
         try:
             out: dict = {}
@@ -399,6 +400,8 @@ class RuleSet:
                     continue
                 nf = self._nf_cache.get(w)
                 if nf is None:
+                    if self._limit is None:
+                        self._limit = step_limit()
                     nf = self._nf_cache[w] = self._nf_word(w)
                 for nw, nc in nf.items():
                     _merge_term(out, nw, c * nc)
@@ -488,6 +491,7 @@ class Presentation:
         self.finite_basis = list(finite_basis) if finite_basis is not None else None
         self.unit_terms = unit_terms
         self._word_cache: dict = {}
+        self._elt_cache: dict = {}  # word -> from_word(word)
 
     # -- element constructors -------------------------------------------------
 
@@ -519,7 +523,14 @@ class Presentation:
         return AlgElt(self, terms)
 
     def from_word(self, word: Word) -> AlgElt:
-        return AlgElt(self, {word: ONE})
+        """The element a word spells, normalized.  Memoized per word: the
+        rules are fixed once the presentation is built and elements are
+        immutable, so every call with the same word may return one shared
+        element."""
+        e = self._elt_cache.get(word)
+        if e is None:
+            e = self._elt_cache[word] = AlgElt(self, {word: ONE})
+        return e
 
     # -- bases ----------------------------------------------------------------
 

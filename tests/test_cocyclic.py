@@ -1,5 +1,7 @@
 """Cocyclic structure on finite instances and the two cohomology routes."""
 
+import re
+
 import pytest
 
 from hopfcyc.cocyclic import (
@@ -12,7 +14,8 @@ from hopfcyc.coefficients import mc_graded_group, mc_trivial
 from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.errors import PreconditionError
 from hopfcyc.instances import build_group_algebra, cyclic_group
-from hopfcyc.linalg import identity, mat_mul
+from hopfcyc.kaygun import KaygunBridge, kaygun_cocyclic_instance
+from hopfcyc.linalg import identity, mat_mul, mat_sub
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +111,53 @@ def test_algebra_side_instance():
     report = cyclic_cohomology(inst, 3)
     assert report["agree"]
     assert report["lambda_complex"] == [1, 0, 1, 0]
+
+
+# -- d∘d = 0 on every built instance ------------------------------------------------
+
+
+def _is_zero(m):
+    return all(x == 0 for row in m for x in row)
+
+
+def assert_differentials_square_to_zero(inst):
+    for n in range(inst.top - 1):
+        assert _is_zero(mat_mul(inst.b(n + 1), inst.b(n))), f"b∘b at degree {n}"
+        assert _is_zero(mat_mul(inst.b_prime(n + 1), inst.b_prime(n))), f"b'∘b' at degree {n}"
+
+
+def test_cohomology_instances_square_to_zero(point, swap_trivial, swap_graded):
+    # the instances of the cohomology command, at its default depth
+    for inst in (point, swap_trivial, swap_graded):
+        assert_differentials_square_to_zero(inst)
+
+
+def test_kaygun_instance_squares_to_zero(swap_cmod):
+    # the ℂ𝕄 instance of the kaygun command, at its default depth
+    bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=4)
+    assert_differentials_square_to_zero(kaygun_cocyclic_instance(bridge))
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_cup_instances_square_to_zero(graded):
+    # the algebra-side cochains of the cup command (top + 1 = 3)
+    ci = build_group_cup_instance(graded=graded)
+    assert_differentials_square_to_zero(AlgebraCochainInstance(ci.mc, ci.a_mod, 3).cocyclic_instance())
+
+
+# -- witnesses ----------------------------------------------------------------------
+
+
+def test_failure_witness_counts_the_residual(swap_cmod):
+    inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 3)
+    assert check_cocyclic(inst) == {"ok": True, "witnesses": []}
+    tau = [list(row) for row in inst.tau[1]]
+    tau[0][0] += 1
+    inst.tau[1] = tau
+    residual = mat_sub(mat_mul(tau, tau), identity(inst.dims[1]))
+    nonzero = sum(1 for row in residual for x in row if x)
+    assert nonzero > 0
+    report = check_cocyclic(inst)
+    assert not report["ok"]
+    assert f"tau^(n+1) at n=1: {nonzero} nonzero" in report["witnesses"]
+    assert all(re.search(r": [1-9]\d* nonzero$", w) for w in report["witnesses"])

@@ -1,10 +1,11 @@
 """Reports of the fast commands, byte for byte against checked-in copies.
 
 ``tests/golden/<command>.json`` is the stdout of ``hopfcyc <command>`` at
-default arguments.  A change that alters a report on purpose regenerates
-the file with ``PYTHONPATH=src python -m hopfcyc.cli <command> >
-tests/golden/<command>.json`` and says why; any other difference is a
-regression.
+default arguments; ``<command>-upto<N>.json`` that of ``hopfcyc <command>
+--upto N``, for the deeper degrees.  A change that alters a report on
+purpose regenerates the file with ``PYTHONPATH=src python -m hopfcyc.cli
+<command> [--upto N] > tests/golden/<name>.json`` and says why; any other
+difference is a regression.
 """
 
 from pathlib import Path
@@ -32,4 +33,11 @@ COMMANDS = [
 def test_report_matches_golden(capsys, command):
     assert cli.run([command]) == 0
     expected = (GOLDEN / f"{command}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command,upto", [("cohomology", 4), ("kaygun", 3)])
+def test_deep_report_matches_golden(capsys, command, upto):
+    assert cli.run([command, "--upto", str(upto)]) == 0
+    expected = (GOLDEN / f"{command}-upto{upto}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

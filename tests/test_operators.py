@@ -1,0 +1,406 @@
+"""Chain operators from leg maps against the symbolic route they replaced.
+
+``symbolic_op_matrix`` is the dense per-column evaluation: each basis
+tensor is rebuilt through ``from_word``/``tensor`` and pushed through the
+operator by symbolic ``TensorElt`` arithmetic.  The ``symbolic_*``
+operators below evaluate the same formulas that way, element by element,
+with no memoized leg map.  Both routes are exact, so every matrix must agree
+entry for entry.
+"""
+
+import pytest
+
+from hopfcyc import linalg
+from hopfcyc.cocyclic import (
+    AlgebraChainOps,
+    CoalgebraOps,
+    RelativeTensorSpace,
+    TensorBasis,
+    op_matrix,
+)
+from hopfcyc.coefficients import (
+    group_set_module_coalgebra,
+    mc_conjugation_group,
+    mc_graded_group,
+    mc_trivial,
+)
+from hopfcyc.core import EMPTY_WORD, AlgElt, Generator, TensorElt, tensor
+from hopfcyc.cup import build_group_cup_instance
+from hopfcyc.errors import StructureError
+from hopfcyc.instances import (
+    GroupSetData,
+    build_group_algebra,
+    build_h1cop,
+    cyclic_group,
+)
+from hopfcyc.kaygun import KaygunBridge
+from hopfcyc.linalg import dense, identity, mat_mul, mat_sub, transpose
+from hopfcyc.rewrite import ConcreteRule, Presentation
+
+
+# -- the symbolic route ----------------------------------------------------------
+
+
+def symbolic_elt(basis, i):
+    wt = basis.tuples[i]
+    return tensor([p.from_word(w) for p, w in zip(basis.prs, wt)])
+
+
+def symbolic_op_matrix(op, src, tgt):
+    """Dense matrix (tgt.dim x src.dim), one ``op(elt(j))`` per column."""
+    cols = [tgt.vec(op(symbolic_elt(src, j))) for j in range(src.dim)]
+    return [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)]
+
+
+def as_dense(cols, nrows):
+    return transpose([dense(col, nrows) for col in cols]) if cols else []
+
+
+def _sum(terms, prs):
+    out = TensorElt(prs, {}, _normalized=True)
+    for t in terms:
+        out = out + t
+    return out
+
+
+def symbolic_coface(mc, c_mod, n, i, x):
+    c = c_mod.coalg
+    if i < n:
+        return x.leg_apply(i + 2, c.coproduct)
+    h = mc.hopf
+    terms = []
+    for wt, cf in x.terms.items():
+        cm = mc.coact(mc.space.from_word(wt[0]))
+        dc = c.coproduct(c.from_word(wt[1]))
+        mids = [c.from_word(w) for w in wt[2:]]
+        for (w, m0), cc in cm.terms.items():
+            for (c1, c2), cd in dc.terms.items():
+                factors = (
+                    [mc.space.from_word(m0), c.from_word(c2)]
+                    + mids
+                    + [c_mod.act(h.from_word(w), c.from_word(c1))]
+                )
+                terms.append(tensor(factors).scale(cf * cc * cd))
+    return _sum(terms, (mc.space,) + (c,) * (n + 1))
+
+
+def symbolic_codegeneracy(mc, c_mod, n, i, x):
+    return x.leg_scalar(i + 3, c_mod.coalg.counit)
+
+
+def symbolic_tau(mc, c_mod, n, x):
+    h = mc.hopf
+    c = c_mod.coalg
+    terms = []
+    for wt, cf in x.terms.items():
+        cm = mc.coact(mc.space.from_word(wt[0]))
+        mids = [c.from_word(w) for w in wt[2:]]
+        for (w, m0), cc in cm.terms.items():
+            factors = (
+                [mc.space.from_word(m0)]
+                + mids
+                + [c_mod.act(h.from_word(w), c.from_word(wt[1]))]
+            )
+            terms.append(tensor(factors).scale(cf * cc))
+    return _sum(terms, x.prs)
+
+
+def symbolic_face(mc, a_mod, n, i, x):
+    alg = a_mod.alg
+    h = mc.hopf
+    terms = []
+    for wt, cf in x.terms.items():
+        if i < n:
+            factors = [mc.space.from_word(wt[0])]
+            factors += [alg.from_word(w) for w in wt[1 : i + 1]]
+            factors.append(alg.from_word(wt[i + 1]) * alg.from_word(wt[i + 2]))
+            factors += [alg.from_word(w) for w in wt[i + 3 :]]
+            terms.append(tensor(factors).scale(cf))
+            continue
+        cm = mc.coact(mc.space.from_word(wt[0]))
+        an, a0 = alg.from_word(wt[-1]), alg.from_word(wt[1])
+        mids = [alg.from_word(w) for w in wt[2:-1]]
+        for (w, m0), cc in cm.terms.items():
+            twisted = a_mod.act(h.inv_antipode(h.from_word(w)), an)
+            terms.append(tensor([mc.space.from_word(m0), twisted * a0] + mids).scale(cf * cc))
+    return _sum(terms, (mc.space,) + (alg,) * n)
+
+
+def symbolic_degeneracy(mc, a_mod, n, i, x):
+    alg = a_mod.alg
+    terms = []
+    for wt, cf in x.terms.items():
+        factors = [mc.space.from_word(wt[0])]
+        factors += [alg.from_word(w) for w in wt[1 : i + 2]]
+        factors.append(alg.unit())
+        factors += [alg.from_word(w) for w in wt[i + 2 :]]
+        terms.append(tensor(factors).scale(cf))
+    return _sum(terms, (mc.space,) + (alg,) * (n + 2))
+
+
+def symbolic_t(mc, a_mod, n, x):
+    alg = a_mod.alg
+    h = mc.hopf
+    terms = []
+    for wt, cf in x.terms.items():
+        cm = mc.coact(mc.space.from_word(wt[0]))
+        an = alg.from_word(wt[-1])
+        rest = [alg.from_word(w) for w in wt[1:-1]]
+        for (w, m0), cc in cm.terms.items():
+            twisted = a_mod.act(h.inv_antipode(h.from_word(w)), an)
+            terms.append(tensor([mc.space.from_word(m0), twisted] + rest).scale(cf * cc))
+    return _sum(terms, x.prs)
+
+
+def symbolic_l_action(mc, c_mod, g, n, x):
+    """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ, with the Sweedler
+    tensor recomputed on every call."""
+    h = mc.hopf
+    c = c_mod.coalg
+    d = h.sweedler(g, n + 2)
+    terms = []
+    for wt, cf in x.terms.items():
+        m = mc.space.from_word(wt[0])
+        for legs, ch in d.terms.items():
+            factors = [mc.act(m, h.antipode(h.from_word(legs[0])))]
+            for i in range(n + 1):
+                factors.append(c_mod.act(h.from_word(legs[i + 1]), c.from_word(wt[i + 1])))
+            terms.append(tensor(factors).scale(cf * ch))
+    return _sum(terms, x.prs)
+
+
+def symbolic_relative_rows(mc, c_mod, n):
+    """mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ per basis tensor and h, dense."""
+    h = mc.hopf
+    c = c_mod.coalg
+    basis = TensorBasis((mc.space,) + (c,) * (n + 1))
+    rows = []
+    for j in range(basis.dim):
+        x = symbolic_elt(basis, j)
+        for hw in [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]:
+            a = h.from_word(hw)
+            left = x.leg_apply(1, lambda m: mc.act(m, a))
+            dn = h.sweedler(a, n + 1)
+            terms = []
+            for wt, cf in x.terms.items():
+                m = mc.space.from_word(wt[0])
+                for legs, ch in dn.terms.items():
+                    fs = [m] + [
+                        c_mod.act(h.from_word(legs[i]), c.from_word(wt[i + 1])) for i in range(n + 1)
+                    ]
+                    terms.append(tensor(fs).scale(cf * ch))
+            right = _sum(terms, x.prs)
+            rows.append([u - v for u, v in zip(basis.vec(left), basis.vec(right))])
+    return rows
+
+
+def symbolic_diagonal_rows(mc, a_mod, n):
+    """(m ⊗ ã)h − ε(h)(m ⊗ ã) per basis tensor and h, dense."""
+    h = mc.hopf
+    alg = a_mod.alg
+    basis = TensorBasis((mc.space,) + (alg,) * (n + 1))
+    rows = []
+    for j in range(basis.dim):
+        x = symbolic_elt(basis, j)
+        for a in [h.from_word(w) for w in h.normal_words(2, 2) if w != EMPTY_WORD]:
+            d = h.sweedler(a, n + 2)
+            terms = []
+            for wt, cf in x.terms.items():
+                m = mc.space.from_word(wt[0])
+                for legs, ch in d.terms.items():
+                    fs = [mc.act(m, h.from_word(legs[0]))]
+                    fs += [
+                        a_mod.act(h.antipode(h.from_word(legs[n + 1 - i])), alg.from_word(wt[i + 1]))
+                        for i in range(n + 1)
+                    ]
+                    terms.append(tensor(fs).scale(cf * ch))
+            acted = basis.vec(_sum(terms, x.prs))
+            base = basis.vec(x.scale(h.counit(a)))
+            rows.append([u - v for u, v in zip(acted, base)])
+    return rows
+
+
+def recorded_relations(monkeypatch, build):
+    """The relation matrix ``build`` hands to ``rref``."""
+    seen = []
+    real = linalg.rref
+
+    def recording(m):
+        seen.append([list(row) for row in m])
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    build()
+    monkeypatch.undo()
+    (rows,) = seen
+    return rows
+
+
+# -- the instances ---------------------------------------------------------------
+
+
+def regular_s3(s3, coefficients):
+    gs = GroupSetData(
+        s3, list(s3.elements), {(a, x): s3.mult[(a, x)] for a in s3.elements for x in s3.elements}
+    )
+    cmod = group_set_module_coalgebra(gs)
+    if coefficients == "graded":
+        return mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kS3_g")), cmod
+    return mc_conjugation_group(cmod.hopf, build_group_algebra(s3, name="kS3_c"), s3), cmod
+
+
+@pytest.fixture(scope="module")
+def coalgebra_instances(point_cmod, swap_cmod, s3):
+    graded = mc_graded_group(swap_cmod.hopf, build_group_algebra(cyclic_group(2), name="kG_g"))
+    return {
+        "point": (mc_trivial(point_cmod.hopf), point_cmod, 3),
+        "swap_trivial": (mc_trivial(swap_cmod.hopf), swap_cmod, 3),
+        "swap_graded": (graded, swap_cmod, 3),
+        "s3_graded": (*regular_s3(s3, "graded"), 1),
+        "s3_conjugation": (*regular_s3(s3, "conjugation"), 1),
+    }
+
+
+def chain_bases(mc, module_carrier, top):
+    return [TensorBasis((mc.space,) + (module_carrier,) * (n + 1)) for n in range(top + 1)]
+
+
+def assert_same(op, oracle, src, tgt):
+    assert as_dense(op_matrix(op, src, tgt), tgt.dim) == symbolic_op_matrix(oracle, src, tgt)
+
+
+# -- the oracle comparisons ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["point", "swap_trivial", "swap_graded", "s3_graded", "s3_conjugation"])
+def test_coalgebra_operators_match_symbolic_route(coalgebra_instances, name):
+    mc, c_mod, top = coalgebra_instances[name]
+    ops = CoalgebraOps(mc, c_mod)
+    bases = chain_bases(mc, c_mod.coalg, top)
+    for n in range(1, top + 1):
+        for i in range(n + 1):
+            assert_same(
+                lambda x: ops.coface(n, i, x),
+                lambda x: symbolic_coface(mc, c_mod, n, i, x),
+                bases[n - 1],
+                bases[n],
+            )
+    for n in range(top):
+        for i in range(n + 1):
+            assert_same(
+                lambda x: ops.codegeneracy(n, i, x),
+                lambda x: symbolic_codegeneracy(mc, c_mod, n, i, x),
+                bases[n + 1],
+                bases[n],
+            )
+    for n in range(top + 1):
+        assert_same(lambda x: ops.tau(n, x), lambda x: symbolic_tau(mc, c_mod, n, x), bases[n], bases[n])
+
+
+def test_algebra_side_operators_match_symbolic_route():
+    ci = build_group_cup_instance(graded=True)
+    mc, a_mod, top = ci.mc, ci.a_mod, 3
+    ops = AlgebraChainOps(mc, a_mod)
+    bases = chain_bases(mc, a_mod.alg, top)
+    for n in range(1, top + 1):
+        for i in range(n + 1):
+            assert_same(
+                lambda x: ops.face(n, i, x),
+                lambda x: symbolic_face(mc, a_mod, n, i, x),
+                bases[n],
+                bases[n - 1],
+            )
+    for n in range(top):
+        for i in range(n + 1):
+            assert_same(
+                lambda x: ops.degeneracy(n, i, x),
+                lambda x: symbolic_degeneracy(mc, a_mod, n, i, x),
+                bases[n],
+                bases[n + 1],
+            )
+    for n in range(top + 1):
+        assert_same(lambda x: ops.t(n, x), lambda x: symbolic_t(mc, a_mod, n, x), bases[n], bases[n])
+
+
+@pytest.mark.parametrize(
+    "name,top", [("swap_trivial", 3), ("swap_graded", 2), ("s3_graded", 1), ("s3_conjugation", 1)]
+)
+def test_kaygun_matrices_match_symbolic_route(coalgebra_instances, name, top):
+    mc, c_mod, _ = coalgebra_instances[name]
+    bridge = KaygunBridge(mc, c_mod, top=top)
+    h = mc.hopf
+    for n in range(top + 1):
+        basis = bridge.bases[n]
+        tau = symbolic_op_matrix(lambda x: symbolic_tau(mc, c_mod, n, x), basis, basis)
+        assert as_dense(bridge.tau_matrix(n), basis.dim) == tau
+        for gw in bridge.group_words:
+            g = h.from_word(gw)
+            lg = symbolic_op_matrix(lambda x: symbolic_l_action(mc, c_mod, g, n, x), basis, basis)
+            assert as_dense(bridge.l_matrix(n, gw), basis.dim) == lg
+            taui = identity(basis.dim)
+            for i in range(1, n + 2):
+                taui = mat_mul(tau, taui)
+                comm = mat_sub(mat_mul(lg, taui), mat_mul(taui, lg))
+                assert as_dense(bridge.commutator_matrix(n, gw, i), basis.dim) == comm
+
+
+def test_basis_elements_are_the_symbolic_tensors(coalgebra_instances):
+    mc, c_mod, _ = coalgebra_instances["swap_graded"]
+    basis = TensorBasis((mc.space,) + (c_mod.coalg,) * 3)
+    for j in range(basis.dim):
+        assert basis.elt(j) == symbolic_elt(basis, j)
+
+
+def test_basis_word_outside_normal_form_is_refused():
+    a, b = Generator("a"), Generator("b")
+    pres = Presentation(
+        "ab", {"a": False, "b": False}, ("a", "b"), [ConcreteRule((b, a), {(a, b): 1})],
+        finite_basis=[(a, b), (b, a)],
+    )
+    with pytest.raises(StructureError, match="not in normal form"):
+        TensorBasis((pres, pres))
+
+
+# -- the from_word memo ------------------------------------------------------------
+
+
+def _words(pres, length, index_bound=2):
+    letters = pres.letters(index_bound)
+    words = [()]
+    frontier = [()]
+    for _ in range(length):
+        frontier = [w + (g,) for w in frontier for g in letters]
+        words += frontier
+    return words
+
+
+@pytest.mark.parametrize("which", ["h1cop", "bicrossed", "kS3"])
+def test_from_word_memo_matches_fresh_elements(which, bicrossed, s3):
+    pres = {
+        "h1cop": build_h1cop,
+        "bicrossed": lambda: bicrossed.hopf,
+        "kS3": lambda: build_group_algebra(s3, name="kS3"),
+    }[which]()
+    words = _words(pres, 3 if which == "h1cop" else 2)
+    assert any(pres.normalize_terms({w: 1}) != {w: 1} for w in words)  # some rewrite
+    for w in words:
+        memo = pres.from_word(w)
+        assert memo == AlgElt(pres, {w: 1})
+        assert pres.from_word(w) is memo
+
+
+@pytest.mark.parametrize("name,top", [("point", 2), ("swap_trivial", 2), ("swap_graded", 2), ("s3_graded", 0)])
+def test_relative_relations_match_symbolic_route(monkeypatch, coalgebra_instances, name, top):
+    mc, c_mod, _ = coalgebra_instances[name]
+    for n in range(top + 1):
+        rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(mc, c_mod, n))
+        assert rows == symbolic_relative_rows(mc, c_mod, n)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_diagonal_relations_match_symbolic_route(monkeypatch, graded):
+    ci = build_group_cup_instance(graded=graded)
+    ops = AlgebraChainOps(ci.mc, ci.a_mod)
+    for n in range(3):
+        rows = recorded_relations(monkeypatch, lambda: ops.quotient(n))
+        assert rows == symbolic_diagonal_rows(ci.mc, ci.a_mod, n)

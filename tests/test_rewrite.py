@@ -278,3 +278,24 @@ def test_normal_words_use_redex_test(h1cop):
     assert h.ruleset._nf_cache == cached  # no normalization ran
     assert words == h1cop.normal_words(3, 2)
     assert all(h.normalize_terms({w: 1}) == {w: 1} for w in words)
+
+
+def test_step_limit_is_read_only_for_uncached_words(monkeypatch):
+    from hopfcyc import rewrite
+
+    reads = []
+    real = rewrite.step_limit
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(rewrite, "step_limit", counting)
+    rs = RuleSet([ConcreteRule((B, A), {(A, B): 1})], ("a", "b"))
+    assert rs.normalize_terms({(B, A): 1, (B, A, A): 1}) == {(A, B): 1, (A, A, B): 1}
+    assert len(reads) == 1  # once per outermost call with a miss
+    for _ in range(3):
+        rs.normalize_terms({(B, A): 2, (B, A, A): 1})
+    assert len(reads) == 1  # every word cached: the environment is not read
+    rs.normalize_terms({(B, B, A): 1})
+    assert len(reads) == 2
