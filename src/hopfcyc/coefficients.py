@@ -21,7 +21,6 @@ from typing import Callable
 from .core import AlgElt, EMPTY_WORD, Generator, TensorElt, tensor
 from .errors import PreconditionError, StructureError
 from .hopf import Character, GroupLike, HopfPresentation
-from .linalg import F0
 from .rewrite import Presentation
 
 
@@ -552,7 +551,7 @@ def build_coideal_quotient_bicrossed(bc, delta: Character, degree: int = 3, inde
     quotient_coalgebra = bicrossed_module_coalgebra_u(bc)
     if delta is None:
         delta = Character(
-            h, {nm: ((lambda k: F0) if fam else F0) for nm, fam in h.generators.items()}
+            h, {nm: ((lambda k: 0) if fam else 0) for nm, fam in h.generators.items()}
         )
     mpi = check_mpi(
         h,
@@ -701,7 +700,7 @@ def tensor_ayd_yd(m: ModuleComodule, n: ModuleComodule, name: str = "m_tensor_n"
         for wm, cm in em.terms.items():
             for wn, cn in en.terms.items():
                 w = (Generator(f"p{pos[(wm, wn)]}"),)
-                terms[w] = terms.get(w, F0) + cm * cn
+                terms[w] = terms.get(w, 0) + cm * cn
         return space.elt(terms)
 
     def act(e: AlgElt, a: AlgElt) -> AlgElt:

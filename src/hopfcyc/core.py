@@ -1,7 +1,13 @@
 """Exact scalars, noncommutative words, linear combinations and tensors.
 
-Coefficients are `fractions.Fraction` throughout: every identity checked by
-this tool is exact, so there is no floating-point mode.  Elements
+Coefficients are exact rationals in one canonical form: an ``int`` when
+the value is integral and a ``fractions.Fraction`` (denominator not 1)
+otherwise; :func:`exact` makes that form and every coefficient is made by
+it or by :func:`_merge_term`.  The presented algebras of this tool have
+integer structure constants, so nearly all arithmetic stays on ``int``;
+an ``int`` and a ``Fraction`` of equal value compare and hash alike, and
+``coeff_str`` renders both the same.  Every identity checked by this tool
+is exact, so there is no floating-point mode.  Elements
 (:class:`AlgElt`) and tensors (:class:`TensorElt`) are immutable after
 construction and always stored in normal form with respect to the rewrite
 rules of the presentation they are tagged with.
@@ -14,10 +20,10 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import StructureError
 
-Coeff = Fraction
+Coeff = int | Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class Generator(NamedTuple):
@@ -53,12 +59,28 @@ def word_key(w: Word):
     return (len(w), tuple(gen_key(g) for g in w))
 
 
+def exact(c) -> Coeff:
+    """``c`` as a coefficient: ``int`` when integral, else ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _merge_term(terms: dict, w, c: Coeff):
-    nc = terms.get(w, ZERO) + c
-    if nc == 0:
+    """terms[w] += c, dropping a zero sum; ``c`` is int or Fraction."""
+    nc = terms.get(w, 0) + c
+    if not nc:
         terms.pop(w, None)
-    else:
+    elif type(nc) is int or nc.denominator != 1:
         terms[w] = nc
+    else:
+        terms[w] = nc.numerator
+
+
+def _scaled(terms: Mapping, c: Coeff) -> dict:
+    """Every coefficient times the nonzero ``c``, each in canonical form."""
+    return {k: exact(c * v) for k, v in terms.items()}
 
 
 def coeff_str(c: Coeff) -> str:
@@ -109,8 +131,8 @@ class AlgElt:
             return
         clean = {}
         for w, c in terms.items():
-            c = Fraction(c)
-            if c != 0:
+            c = exact(c)
+            if c:
                 _merge_term(clean, w, c)
         self.pres = pres
         self.terms = pres.normalize_terms(clean)
@@ -143,10 +165,10 @@ class AlgElt:
         return AlgElt(self.pres, {w: -c for w, c in self.terms.items()}, _normalized=True)
 
     def scale(self, c) -> "AlgElt":
-        c = Fraction(c)
-        if c == 0:
+        c = exact(c)
+        if not c:
             return AlgElt(self.pres, {}, _normalized=True)
-        return AlgElt(self.pres, {w: c * v for w, v in self.terms.items()}, _normalized=True)
+        return AlgElt(self.pres, _scaled(self.terms, c), _normalized=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -213,8 +235,8 @@ class TensorElt:
             return
         out = {}
         for wt, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
+            c = exact(c)
+            if not c:
                 continue
             if len(wt) != self.legs:
                 raise StructureError(f"term has {len(wt)} legs, expected {self.legs}")
@@ -255,10 +277,10 @@ class TensorElt:
         return TensorElt(self.prs, {wt: -c for wt, c in self.terms.items()}, _normalized=True)
 
     def scale(self, c) -> "TensorElt":
-        c = Fraction(c)
-        if c == 0:
+        c = exact(c)
+        if not c:
             return TensorElt(self.prs, {}, _normalized=True)
-        return TensorElt(self.prs, {wt: c * v for wt, v in self.terms.items()}, _normalized=True)
+        return TensorElt(self.prs, _scaled(self.terms, c), _normalized=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .core import Generator, ONE, Word, tensor
+from .core import Generator, Word, tensor
 from .errors import ParseError, SemanticError, TerminationOrderError
 from .hopf import HopfPresentation
 from .rewrite import ConcreteRule, IndexExpr, LetterPat, RuleSet, SchemaRule
@@ -263,7 +263,7 @@ class Parser:
     def parse_coeff_and_word(self, family_names) -> tuple:
         """One summand: an optional coefficient followed by letters, or a
         bare coefficient (scalar term), or a bare '1' (empty word)."""
-        coeff: object = ONE
+        coeff: object = Fraction(1)
         consumed = False
         t = self.peek()
         if t.kind == "int":
@@ -275,7 +275,7 @@ class Parser:
             ):
                 # bare 1 is the empty word
                 self.next()
-                return (ONE, ())
+                return (Fraction(1), ())
             self.next()
             num = int(t.text)
             if self.at_symbol("/"):
@@ -310,7 +310,7 @@ class Parser:
         while True:
             coeff, pats = self.parse_coeff_and_word(family_names)
             if negate:
-                coeff = -coeff if isinstance(coeff, Fraction) else ("-" + coeff)
+                coeff = "-" + coeff if isinstance(coeff, str) else -coeff
             terms.append((coeff, pats))
             if self.at_symbol("+"):
                 self.next()
@@ -360,7 +360,7 @@ class Parser:
             negate = True
         while True:
             coeff, left = self.parse_coeff_and_word(family_names)
-            if not isinstance(coeff, Fraction):
+            if isinstance(coeff, str):
                 self.fail("coproduct coefficients must be rational")
             self.expect("symbol", "(x)")
             _, right = self.parse_coeff_and_word(family_names)
@@ -403,7 +403,7 @@ class Parser:
         self.expect("symbol", ";")
         out = []
         for coeff, pats in terms:
-            if not isinstance(coeff, Fraction):
+            if isinstance(coeff, str):
                 self.fail("antipode coefficients must be rational")
             out.append((coeff, _pats_to_word(pats)))
         return (g, tuple(out))
@@ -436,16 +436,11 @@ def parse(text: str) -> FileAST:
 # -- printing -----------------------------------------------------------------
 
 
-def _coeff_prefix(c, first: bool) -> str:
+def _coeff_parts(c) -> tuple:
+    """(negative, magnitude text); the text is empty for a magnitude of 1."""
     if isinstance(c, str):
-        body = c.lstrip("-")
-        sign = "-" if c.startswith("-") else "+"
-        lead = ("-" if sign == "-" else "") if first else f" {sign} "
-        return f"{lead}{body} "
-    sign = "-" if c < 0 else "+"
-    mag = abs(c)
-    lead = ("-" if sign == "-" else "") if first else f" {sign} "
-    return lead if mag == 1 else f"{lead}{mag} "
+        return c.startswith("-"), c.lstrip("-")
+    return c < 0, "" if abs(c) == 1 else str(abs(c))
 
 
 def _word_text(word) -> str:
@@ -466,12 +461,15 @@ def _pat_text(pats) -> str:
 def _poly_text(terms, word_fmt) -> str:
     out = []
     for i, term in enumerate(terms):
-        c = term[0]
+        neg, mag = _coeff_parts(term[0])
         body = word_fmt(term)
-        prefix = _coeff_prefix(c, first=(i == 0))
-        if not prefix.endswith(" ") and prefix not in ("", "-"):
-            prefix += " "
-        out.append(f"{prefix}{body}")
+        if mag and body == "1":
+            body = ""  # a scalar term is its coefficient alone: "- 2", not "- 2 1"
+        text = " ".join(p for p in (mag, body) if p)
+        if i == 0:
+            out.append(f"-{text}" if neg else text)
+        else:
+            out.append(f" - {text}" if neg else f" + {text}")
     return "".join(out)
 
 
@@ -544,7 +542,7 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
             rhs = {}
             for c, pats in r.rhs:
                 w = _pats_to_word(pats)
-                rhs[w] = rhs.get(w, Fraction(0)) + c
+                rhs[w] = rhs.get(w, 0) + c
             rules.append(ConcreteRule(_pats_to_word(r.lhs), rhs))
         else:
             rhs = []
@@ -587,7 +585,7 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
 
         def cou_hook(hp, g):
             anchor_for(g)
-            return Fraction(0)
+            return 0
 
         return cop_hook, cou_hook, ant_hook, inv_hook
 
@@ -637,7 +635,7 @@ def hopf_equivalent(a: HopfPresentation, b: HopfPresentation, degree: int = 2, i
         frontier = [w + (g,) for w in frontier for g in letters]
         words.extend(frontier)
     for w in words:
-        if a.normalize_terms({w: ONE}) != b.normalize_terms({w: ONE}):
+        if a.normalize_terms({w: 1}) != b.normalize_terms({w: 1}):
             return False
     for g in letters:
         if a.gen_coproduct(g).terms != b.gen_coproduct(g).terms:

@@ -5,14 +5,19 @@ tables for the coproduct, counit and antipode, extended multiplicatively
 (anti-multiplicatively for the antipode) to all of the algebra.  Indexed
 generator families may supply per-family hooks that derive table entries on
 demand, e.g. from commutator recursions, so the tables stay finite.
+
+The tables are filled before the first structure map is evaluated (the
+builders in :mod:`hopfcyc.instances` and :func:`hopfcyc.dsl.build_hopf`
+write them right after construction) and never change afterwards; hook
+values are derived once and kept.  That is what lets the coproduct of a
+word be memoized per presentation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import AlgElt, Coeff, EMPTY_WORD, Generator, ONE, TensorElt, Word, tensor
+from .core import AlgElt, Coeff, EMPTY_WORD, Generator, ONE, TensorElt, Word, exact, tensor
 from .errors import StructureError, UnsolvableError
 from .linalg import solve
 from .rewrite import Presentation, Rule
@@ -57,7 +62,7 @@ class HopfPresentation(Presentation):
             check_rules=check_rules,
         )
         self._cop = dict(coproducts)
-        self._cou = {g: Fraction(c) for g, c in counits.items()}
+        self._cou = {g: exact(c) for g, c in counits.items()}
         self._ant = dict(antipodes)
         self._inv = dict(inv_antipodes) if inv_antipodes else {}
         self._cop_hook = coproduct_hook
@@ -65,6 +70,7 @@ class HopfPresentation(Presentation):
         self._ant_hook = antipode_hook
         self._inv_hook = inv_antipode_hook
         self._ansatz_bound = ansatz_index_bound
+        self._cop_word_cache: dict = {}  # word -> coproduct_word(word)
 
     # -- generator tables -----------------------------------------------------
 
@@ -82,7 +88,7 @@ class HopfPresentation(Presentation):
         if val is None:
             if self._cou_hook is None:
                 raise StructureError(f"no counit for generator {g} in {self.name!r}")
-            val = Fraction(self._cou_hook(self, g))
+            val = exact(self._cou_hook(self, g))
             self._cou[g] = val
         return val
 
@@ -118,7 +124,7 @@ class HopfPresentation(Presentation):
             if target_word not in pos:
                 continue
             cols = [{pos[w]: c for w, c in e.terms.items() if c} for e in images]
-            x = solve(cols, {pos[target_word]: Fraction(1)})
+            x = solve(cols, {pos[target_word]: 1})
             if x is not None:
                 return self.elt({w: c for w, c in zip(cands, x) if c})
         raise UnsolvableError(
@@ -132,10 +138,17 @@ class HopfPresentation(Presentation):
 
     def coproduct_word(self, word: Word) -> TensorElt:
         """Δ of a (possibly non-normal) word, as the product of letter
-        coproducts; used both for extension and well-definedness checks."""
-        out = self.one_tensor()
-        for g in word:
-            out = out.leg_mul(self.gen_coproduct(g))
+        coproducts; used both for extension and well-definedness checks.
+
+        Memoized per word: the generator tables are fixed before the first
+        structure map runs and tensors are immutable, so every call with
+        the same word may return one shared tensor."""
+        out = self._cop_word_cache.get(word)
+        if out is None:
+            out = self.one_tensor()
+            for g in word:
+                out = out.leg_mul(self.gen_coproduct(g))
+            self._cop_word_cache[word] = out
         return out
 
     def coproduct(self, e: AlgElt) -> TensorElt:
@@ -153,7 +166,7 @@ class HopfPresentation(Presentation):
         return out
 
     def counit(self, e: AlgElt) -> Coeff:
-        return sum((c * self.counit_word(w) for w, c in e.terms.items()), Fraction(0))
+        return exact(sum(c * self.counit_word(w) for w, c in e.terms.items()))
 
     def antipode_word(self, word: Word) -> AlgElt:
         out = self.unit()
@@ -273,12 +286,10 @@ class Character:
 
     def on_gen(self, g: Generator) -> Coeff:
         v = self.values[g.name]
-        if callable(v):
-            return Fraction(v(g.index))
-        return Fraction(v)
+        return exact(v(g.index) if callable(v) else v)
 
     def __call__(self, e: AlgElt) -> Coeff:
-        total = Fraction(0)
+        total = 0
         for w, c in e.terms.items():
             prod = c
             for g in w:
@@ -286,7 +297,7 @@ class Character:
                 if prod == 0:
                     break
             total += prod
-        return total
+        return exact(total)
 
     def check(self, index_bound: int = 3) -> bool:
         """Multiplicativity across the rewrite rules: the character takes

@@ -11,13 +11,11 @@ finite G-set, used by the cyclic-cohomology and cup-product machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import AlgElt, EMPTY_WORD, Generator, ONE, TensorElt, Word, tensor
+from .core import AlgElt, EMPTY_WORD, Generator, ONE, TensorElt, Word, exact, tensor
 from .errors import StructureError
 from .hopf import Character, GroupLike, HopfPresentation
-from .linalg import F0
 from .rewrite import (
     ConcreteRule,
     FunctionRule,
@@ -97,7 +95,7 @@ def build_h1cop() -> HopfPresentation:
         counits={},
         antipodes={},
         coproduct_hook=lambda hp, g: _delta_coproduct_hook(hp, g),
-        counit_hook=lambda hp, g: F0,
+        counit_hook=lambda hp, g: 0,
         antipode_hook=lambda hp, g: _delta_antipode_hook(hp, g),
         inv_antipode_hook=lambda hp, g: _delta_inv_antipode_hook(hp, g),
     )
@@ -106,7 +104,7 @@ def build_h1cop() -> HopfPresentation:
     h._cop[Generator("X")] = tensor([X, one]) + tensor([one, X]) + tensor([Y, d1])
     h._cop[Generator("Y")] = tensor([Y, one]) + tensor([one, Y])
     h._cop[Generator("d", 1)] = tensor([d1, one]) + tensor([one, d1])
-    h._cou.update({Generator("X"): F0, Generator("Y"): F0, Generator("d", 1): F0})
+    h._cou.update({Generator("X"): 0, Generator("Y"): 0, Generator("d", 1): 0})
     h._ant[Generator("X")] = -X + Y * d1
     h._ant[Generator("Y")] = -Y
     h._ant[Generator("d", 1)] = -d1
@@ -118,7 +116,7 @@ def build_h1cop() -> HopfPresentation:
 
 def modular_character(h: HopfPresentation) -> Character:
     """The modular pair character: 1 on Y, 0 on X and the d-family."""
-    return Character(h, {"Y": ONE, "X": F0, "d": lambda k: F0})
+    return Character(h, {"Y": ONE, "X": 0, "d": lambda k: 0})
 
 
 def build_u() -> HopfPresentation:
@@ -130,7 +128,7 @@ def build_u() -> HopfPresentation:
         ("Y", "X"),
         [SchemaRule([X, Y], [(1, (Y, X)), (-1, (X,))])],
         coproducts={},
-        counits={Generator("X"): F0, Generator("Y"): F0},
+        counits={Generator("X"): 0, Generator("Y"): 0},
         antipodes={},
     )
     x, y, one = u.gen("X"), u.gen("Y"), u.unit()
@@ -170,7 +168,7 @@ def build_f(internal: Optional[HopfPresentation] = None) -> HopfPresentation:
         counits={},
         antipodes={},
         coproduct_hook=cop_hook,
-        counit_hook=lambda fp, g: F0,
+        counit_hook=lambda fp, g: 0,
         antipode_hook=ant_hook,
         # F is commutative, and the antipode squares to the identity on the
         # d-family, so the antipode is its own inverse.
@@ -408,7 +406,7 @@ class Bicrossed:
         for w, c in e.terms.items():
             fw, uw = self.split_word(w)
             if fw == EMPTY_WORD:
-                out[uw] = out.get(uw, F0) + c
+                out[uw] = out.get(uw, 0) + c
         return self.mp.u.elt(out)
 
     def project_f(self, e: AlgElt) -> AlgElt:
@@ -417,7 +415,7 @@ class Bicrossed:
         for w, c in e.terms.items():
             fw, uw = self.split_word(w)
             if uw == EMPTY_WORD:
-                out[fw] = out.get(fw, F0) + c
+                out[fw] = out.get(fw, 0) + c
         return self.mp.f.elt(out)
 
 
@@ -432,18 +430,28 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
         raise StructureError("factor alphabets overlap")
     precedence = tuple(f.ruleset.precedence) + tuple(u.ruleset.precedence)
 
+    # the rule has no fixed first letter, so it is tried at every position
+    # of every word; a segment's replacement is computed once (shared,
+    # callers only read it)
+    straightened: dict = {}
+
     def straighten(seg: Word):
+        try:
+            return straightened[seg]
+        except KeyError:
+            pass
         ug, fg = seg
         if ug.name not in u.generators or fg.name not in f.generators:
-            return None
-        d = u.gen_coproduct(ug)
-        out: dict = {}
-        for (a, b), c in d.terms.items():
-            fa = mp.act_word(a, (fg,))
-            for fw, cf in fa.terms.items():
-                w = fw + b
-                out[w] = out.get(w, F0) + c * cf
-        return {w: c for w, c in out.items() if c}
+            out = None
+        else:
+            acc: dict = {}
+            for (a, b), c in u.gen_coproduct(ug).terms.items():
+                for fw, cf in mp.act_word(a, (fg,)).terms.items():
+                    w = fw + b
+                    acc[w] = acc.get(w, 0) + c * cf
+            out = {w: exact(c) for w, c in acc.items() if c}
+        straightened[seg] = out
+        return out
 
     samples = []
     for ug in u.letters(1):

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import AlgElt, Coeff, EMPTY_WORD, Generator, ONE, Word, _merge_term
+from .core import AlgElt, EMPTY_WORD, Generator, ONE, Word, _merge_term, exact
 from .errors import RewriteLimitError, StructureError, TerminationOrderError
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -107,7 +106,7 @@ class ConcreteRule(Rule):
         self.lhs = lhs
         self.lhs_len = len(lhs)
         self.first = lhs[0].name
-        self.rhs = {w: Fraction(c) for w, c in rhs.items() if c != 0}
+        self.rhs = {w: exact(c) for w, c in rhs.items() if c != 0}
 
     def match(self, segment: Word):
         return self.rhs if segment == self.lhs else None
@@ -179,7 +178,7 @@ class SchemaRule(Rule):
     def _instantiate(self, binding: dict) -> dict:
         out: dict = {}
         for c, pats in self.rhs:
-            coeff = Fraction(binding[c]) if isinstance(c, str) else Fraction(c)
+            coeff = binding[c] if isinstance(c, str) else exact(c)
             word = tuple(
                 Generator(p.name, p.index.value(binding) if p.index is not None else None)
                 for p in pats

@@ -1,6 +1,7 @@
 """The presentation-file format: parsing, printing, building, diagnostics."""
 
 import importlib.resources
+from fractions import Fraction
 
 import pytest
 
@@ -111,3 +112,25 @@ def test_fractional_coefficients():
 def test_tokenizer_rejects_garbage():
     with pytest.raises(ParseError):
         dsl.parse("hopf t { generators X; @ }")
+
+
+def test_negated_coefficients_parse_and_round_trip():
+    text = """hopf t {
+      generators d[] < Y < X;
+      rule X d[k] -> d[k] X - k d[k+1];
+      rule X Y -> Y X - 1;
+      antipode Y -> -Y - 2;
+    }"""
+    ast = dsl.parse(text)
+    (hast,) = ast.hopfs
+    schema, concrete = hast.rules
+    assert schema.rhs[1][0] == "-k"
+    # a negated bare 1 is the empty word with coefficient -1
+    assert concrete.rhs[1] == (Fraction(-1), ())
+    (_, antipode), = hast.antipodes
+    assert antipode[1] == (Fraction(-2), ())
+    coeffs = [c for r in hast.rules for c, _ in r.rhs] + [c for c, _ in antipode]
+    assert all(isinstance(c, (str, Fraction)) for c in coeffs)
+    assert dsl.parse(dsl.print_file(ast)) == ast
+    # a scalar term prints as its coefficient alone
+    assert "antipode Y -> -Y - 2;" in dsl.print_file(ast)

@@ -2,7 +2,8 @@
 
 ``tests/golden/<command>.json`` is the stdout of ``hopfcyc <command>`` at
 default arguments; ``<command>-upto<N>.json`` that of ``hopfcyc <command>
---upto N``, for the deeper degrees.  A change that alters a report on
+--upto N``, for the deeper degrees; ``verify-hopf-h1cop.json`` that of
+``hopfcyc verify-hopf --file src/hopfcyc/data/h1cop.hopf``.  A change that alters a report on
 purpose regenerates the file with ``PYTHONPATH=src python -m hopfcyc.cli
 <command> [--upto N] > tests/golden/<name>.json`` and says why; any other
 difference is a regression.
@@ -16,6 +17,8 @@ from hopfcyc import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = [
+    "verify-hopf",
+    "check-mpi",
     "check-matched-pair",
     "ch-sayd",
     "ah-sayd",
@@ -40,4 +43,11 @@ def test_report_matches_golden(capsys, command):
 def test_deep_report_matches_golden(capsys, command, upto):
     assert cli.run([command, "--upto", str(upto)]) == 0
     expected = (GOLDEN / f"{command}-upto{upto}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_file_report_matches_golden(capsys):
+    data = Path(cli.__file__).parent / "data" / "h1cop.hopf"
+    assert cli.run(["verify-hopf", "--file", str(data)]) == 0
+    expected = (GOLDEN / "verify-hopf-h1cop.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

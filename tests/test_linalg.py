@@ -157,6 +157,55 @@ def test_rref_matches_dense_oracle(m):
     assert all(isinstance(x, Fraction) for row in rows for x in row)
 
 
+# mixed rows, as the relation and operator rows built from integer-first
+# coefficients arrive: int entries, and Fraction ones only when not integral
+mixed_entries = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.builds(F, st.integers(-9, 9).filter(bool), st.integers(2, 6)).filter(
+        lambda x: x.denominator != 1
+    ),
+)
+
+
+@st.composite
+def mixed_rows(draw, max_rows=10, max_cols=10):
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), mixed_entries, max_size=ncols),
+            max_size=max_rows,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        s = dict(rows[i])
+        linalg.add_multiple(s, draw(mixed_entries), rows[j])
+        rows.append(s)
+    return ncols, rows
+
+
+@SETTINGS
+@given(mixed_rows())
+def test_echelon_invariants_on_mixed_rows(data):
+    ncols, rows = data
+    out, pivots = linalg.echelon(rows)
+    # pivots increase, each pivot entry is 1, leads its row and is cleared
+    # from every other row
+    assert pivots == sorted(set(pivots))
+    for k, (row, pc) in enumerate(zip(out, pivots)):
+        assert row[pc] == 1 and min(row) == pc
+        assert all(pc not in other for i, other in enumerate(out) if i != k)
+    assert all(isinstance(x, Fraction) and x for row in out for x in row.values())
+    # idempotent
+    assert linalg.echelon(out) == (out, pivots)
+    # the row space is kept: the input rows lie in the span of the result,
+    # and both spans have the same dimension
+    assert linalg.echelon(rows + out) == (out, pivots)
+    assert len(out) == rank_mod_prime([[F(x) for x in linalg.dense(r, ncols)] for r in rows])
+    # the same result as on the rows cast to Fraction
+    assert linalg.echelon([{j: F(x) for j, x in r.items()} for r in rows]) == (out, pivots)
+
+
 @SETTINGS
 @given(matrices())
 def test_rank_matches_rank_mod_prime(m):

@@ -29,6 +29,7 @@ from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.errors import StructureError
 from hopfcyc.instances import (
     GroupSetData,
+    build_bicrossed,
     build_group_algebra,
     build_h1cop,
     cyclic_group,
@@ -387,6 +388,23 @@ def test_from_word_memo_matches_fresh_elements(which, bicrossed, s3):
         memo = pres.from_word(w)
         assert memo == AlgElt(pres, {w: 1})
         assert pres.from_word(w) is memo
+
+
+@pytest.mark.parametrize("which", ["h1cop", "bicrossed", "kS3"])
+def test_coproduct_word_memo_matches_letter_fold(which, bicrossed, s3):
+    pres = {
+        "h1cop": build_h1cop,
+        "bicrossed": lambda: build_bicrossed(bicrossed.mp).hopf,
+        "kS3": lambda: build_group_algebra(s3, name="kS3"),
+    }[which]()
+    words = pres.normal_words(3 if which == "h1cop" else 2, 2)
+    for w in words:
+        fold = pres.one_tensor()
+        for g in w:
+            fold = fold.leg_mul(pres.gen_coproduct(g))
+        memo = pres.coproduct_word(w)
+        assert memo == fold
+        assert pres.coproduct_word(w) is memo
 
 
 @pytest.mark.parametrize("name,top", [("point", 2), ("swap_trivial", 2), ("swap_graded", 2), ("s3_graded", 0)])
