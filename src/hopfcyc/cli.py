@@ -115,8 +115,8 @@ def cmd_verify_hopf(args):
             "bicrossed": build_bicrossed(mp).hopf,
         }
         for name, h in targets.items():
-            # the inverse-antipode check stays at small index bound: the
-            # linear-ansatz solve for high delta indices dominates otherwise
+            # index bound 2 is part of what the inverse-antipode check
+            # reports; it stays fixed so the reports stay byte-identical
             report[name] = {
                 "axioms": h.verify_hopf_axioms(degree=degree),
                 "inverse_antipode": h.verify_inv_antipode(

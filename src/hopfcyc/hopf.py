@@ -29,7 +29,10 @@ class HopfPresentation(Presentation):
     Tables are keyed by :class:`Generator`; ``coproduct_hook(hopf, gen)``
     and friends supply missing entries for indexed families.  The inverse
     antipode falls back to a linear-ansatz solve when neither a table entry
-    nor a hook is available.
+    nor a hook is available.  Of the built-in presentations only the U
+    letters X and Y of the bicrossed product F ▷◁ U reach it (its hook
+    takes F letters from F); a DSL presentation reaches it only when it has
+    no ``extend`` line and lacks an ``inverse`` line for a generator.
     """
 
     def __init__(

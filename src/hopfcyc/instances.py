@@ -490,6 +490,13 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
             out = out + (retag(su, hp) * retag(sf, hp)).scale(c)
         return out
 
+    def inv_hook(hp, g):
+        # F ▷◁ 1 is a Hopf subalgebra (the hooks above retag F's coproduct
+        # and antipode), so S⁻¹ restricts to F's; U letters take the ansatz
+        if g.name in f.generators:
+            return retag(f.gen_inv_antipode(g), hp)
+        return hp._solve_inv_antipode(g)
+
     hopf = HopfPresentation(
         name,
         generators,
@@ -501,6 +508,7 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
         coproduct_hook=cop_hook,
         counit_hook=cou_hook,
         antipode_hook=ant_hook,
+        inv_antipode_hook=inv_hook,
     )
     return Bicrossed(hopf, mp)
 

@@ -4,7 +4,8 @@ Matrices are lists of equal-length rows of `Fraction`.  Elimination runs on
 sparse rows, ``dict[column] -> Fraction`` holding only the nonzero entries:
 the matrices of this tool are mostly zero (the ⊗_H relation matrix of the
 regular S3 instance in degree 1 is 1080×216 with under 1% nonzero entries,
-the inverse-antipode ansatz of the bicrossed product 1618×166 with 1.8%).
+the inverse-antipode ansatz for the U letters of the bicrossed product 88×28
+with 6%).
 
 :func:`echelon` is the one elimination kernel; :func:`rref`, :func:`rank`,
 :func:`nullspace`, :func:`solve` and :class:`Quotient` all run on it.  It

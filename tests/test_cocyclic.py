@@ -1,8 +1,11 @@
 """Cocyclic structure on finite instances and the two cohomology routes."""
 
+import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcyc.cocyclic import (
     AlgebraCochainInstance,
@@ -10,10 +13,16 @@ from hopfcyc.cocyclic import (
     check_cocyclic,
     cyclic_cohomology,
 )
-from hopfcyc.coefficients import mc_graded_group, mc_trivial
+from hopfcyc.coefficients import (
+    check_sayd,
+    group_set_module_coalgebra,
+    mc_conjugation_group,
+    mc_graded_group,
+    mc_trivial,
+)
 from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.errors import PreconditionError
-from hopfcyc.instances import build_group_algebra, cyclic_group
+from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
 from hopfcyc.kaygun import KaygunBridge, kaygun_cocyclic_instance
 from hopfcyc.linalg import identity, mat_mul, mat_sub
 
@@ -143,6 +152,76 @@ def test_cup_instances_square_to_zero(graded):
     # the algebra-side cochains of the cup command (top + 1 = 3)
     ci = build_group_cup_instance(graded=graded)
     assert_differentials_square_to_zero(AlgebraCochainInstance(ci.mc, ci.a_mod, 3).cocyclic_instance())
+
+
+# -- d∘d = 0 on random finite G-sets ------------------------------------------------
+
+
+def subgroups(g):
+    """Every subgroup of a small group, by closure of subsets holding 1."""
+    others = [a for a in g.elements if a != g.identity]
+    subsets = (
+        {g.identity, *extra} for r in range(len(others) + 1) for extra in itertools.combinations(others, r)
+    )
+    return [tuple(sorted(h)) for h in subsets if all(g.mult[(a, b)] in h for a in h for b in h)]
+
+
+def coset_space_union(g, subs):
+    """The disjoint union of the left coset spaces G/H, H in ``subs``."""
+    points, action = [], {}
+    for i, h in enumerate(subs):
+        cosets = list(dict.fromkeys(frozenset(g.mult[(a, x)] for x in h) for a in g.elements))
+        label = {c: f"o{i}c{j}" for j, c in enumerate(cosets)}
+        points.extend(label.values())
+        for a in g.elements:
+            for c in cosets:
+                action[(a, label[c])] = label[frozenset(g.mult[(a, x)] for x in c)]
+    return GroupSetData(g, points, action)
+
+
+# an example's cost follows the ambient degree-2 cochain space, dim M · |X|³:
+# 512 is about half a second, twice that several seconds
+MAX_AMBIENT = 512
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_gsets_square_to_zero(s3, data):
+    g = data.draw(st.sampled_from([cyclic_group(2), cyclic_group(3), s3]), label="group")
+    graded = data.draw(st.booleans(), label="graded")
+    subs = subgroups(g)
+
+    def fits(hs):
+        points = sum(len(g.elements) // len(h) for h in hs)
+        return (len(g.elements) if graded else 1) * points**3 <= MAX_AMBIENT
+
+    orbits = [data.draw(st.sampled_from([h for h in subs if fits([h])]), label="H1")]
+    second = [h for h in subs if fits(orbits + [h])]
+    if second and data.draw(st.booleans(), label="two orbits"):
+        orbits.append(data.draw(st.sampled_from(second), label="H2"))
+    cmod = group_set_module_coalgebra(coset_space_union(g, orbits))
+    if not graded:
+        mc = mc_trivial(cmod.hopf)
+    elif g is s3:
+        # the graded carrier with the trivial action is anti-Yetter–Drinfeld
+        # only over an abelian group; S3 needs the conjugation action
+        mc = mc_conjugation_group(cmod.hopf, build_group_algebra(g, name="kG_c"), g)
+    else:
+        mc = mc_graded_group(cmod.hopf, build_group_algebra(g, name="kG_g"))
+    inst = build_coalgebra_instance(mc, cmod, 2)
+    assert inst.welldef_failures == []
+    assert_differentials_square_to_zero(inst)
+
+
+def test_graded_trivial_action_over_s3_does_not_descend(s3):
+    # why the property above gives S3 the conjugation action: with the
+    # trivial one the last coface leaves ⊗_H, and b∘b is no longer zero
+    cmod = group_set_module_coalgebra(coset_space_union(s3, [["e", "p021"]]))
+    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kG_g"))
+    assert not check_sayd(mc)["ayd"]["ok"]
+    inst = build_coalgebra_instance(mc, cmod, 2)
+    assert "coface(1,1)" in inst.welldef_failures
+    assert not _is_zero(mat_mul(inst.b(1), inst.b(0)))
 
 
 # -- witnesses ----------------------------------------------------------------------

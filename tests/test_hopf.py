@@ -7,7 +7,7 @@ import pytest
 
 from hopfcyc.core import Generator, tensor
 from hopfcyc.errors import UnsolvableError
-from hopfcyc.instances import build_h1cop, modular_character
+from hopfcyc.instances import build_h1cop, modular_character, retag
 
 
 def test_axioms_degree_three(h1cop):
@@ -108,3 +108,40 @@ def test_unsolvable_inverse_antipode_raises():
     h._ansatz_bound = 2
     with pytest.raises(UnsolvableError):
         h._solve_inv_antipode(Generator("d", 8))
+
+
+# -- the inverse antipode of F ▷◁ U -------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_bicrossed_inv_antipode_on_deltas(bicrossed, k):
+    # F ▷◁ 1 is a Hopf subalgebra, so S⁻¹(d[k]) is F's value read in F ▷◁ U;
+    # past k = 4 the ansatz's degree bound no longer reaches it (d[1]^5 in
+    # S⁻¹(d[5]))
+    h, g = bicrossed.hopf, Generator("d", k)
+    value = h.gen_inv_antipode(g)
+    assert h.antipode(value) == h.gen("d", k)
+    assert value == retag(bicrossed.mp.f.gen_inv_antipode(g), h)
+    if k <= 4:
+        # the linear ansatz is the independent second route
+        assert value == h._solve_inv_antipode(g)
+
+
+def test_bicrossed_inv_antipode_on_u_letters(bicrossed):
+    h = bicrossed.hopf
+    x, y, d1 = h.gen("X"), h.gen("Y"), h.gen("d", 1)
+    assert h.gen_inv_antipode(Generator("X")) == -x + d1 * y
+    assert h.gen_inv_antipode(Generator("Y")) == -y
+
+
+@pytest.mark.parametrize("xs, k", [(1, 2), (2, 2), (3, 1), (4, 1)])
+def test_bicrossed_deep_roundtrip(bicrossed, xs, k):
+    # X^xs d[k]: each X moved past the δ-family raises an index, so X^4 d[1]
+    # holds d[5], beyond the ansatz's degree bound
+    h = bicrossed.hopf
+    e = h.from_word((Generator("X"),) * xs + (Generator("d", k),))
+    assert h.antipode(h.inv_antipode(e)) == e
+    assert h.inv_antipode(h.antipode(e)) == e
+    delta = h.coproduct(e)
+    assert delta.leg_scalar(1, h.counit) == tensor([e])
+    assert delta.leg_scalar(2, h.counit) == tensor([e])
