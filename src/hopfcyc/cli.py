@@ -2,7 +2,11 @@
 
 Every command emits a deterministic JSON report on stdout (sorted keys,
 canonical tensor serialization, no timing inside the payload); wall-clock
-time goes to stderr.  Error classes map to distinct exit codes; any other
+time goes to stderr.  The report's ``input_sha256`` names the run's inputs:
+it is the sha256 of the JSON list ``[command, degree, upto, file_sha256]``,
+with the flags as given (null when absent) and the sha256 of the
+``--file`` bytes (null without a file).  A negative ``--degree`` or
+``--upto`` is refused.  Error classes map to distinct exit codes; any other
 exception ends the run as an :class:`~hopfcyc.errors.InternalError`, with a
 one-line message and no traceback.
 """
@@ -338,6 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
+    for flag in ("degree", "upto"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise PreconditionError(f"--{flag} must be non-negative, got {value}")
+    file_sha256 = None
     if args.file:
         if args.command not in FILE_COMMANDS:
             raise PreconditionError(f"{args.command} does not read --file")
@@ -350,9 +359,9 @@ def run(argv=None) -> int:
             args.file_text = data.decode("utf-8")
         except UnicodeDecodeError as e:
             raise PreconditionError(f"--file {args.file} is not UTF-8 text: {e.reason}") from None
-        digest = hashlib.sha256(data).hexdigest()
-    else:
-        digest = hashlib.sha256(f"builtin:{args.command}".encode()).hexdigest()
+        file_sha256 = hashlib.sha256(data).hexdigest()
+    inputs = json.dumps([args.command, args.degree, args.upto, file_sha256])
+    digest = hashlib.sha256(inputs.encode()).hexdigest()
     result = COMMANDS[args.command](args)
     report = {
         "command": args.command,

@@ -20,11 +20,14 @@ once per word by a :class:`LegMap` and kept by the operator object.  This
 is sound because presentations are immutable once built (their rules are
 fixed, which is also why ``Presentation.from_word`` is memoized) and the
 maps are linear.  :func:`op_matrix` returns an operator as sparse columns
-(:data:`~hopfcyc.linalg.Columns`: column j is a ``dict[row] -> Fraction``
-without zero entries), which :class:`FiniteComplex` and the Kaygun bridge
-pass to the quotient maps and compose without a dense copy.  Relation rows
-are built as sparse dicts and enter the quotient as dense rows, through
-:func:`~hopfcyc.linalg.rref`.
+(:data:`~hopfcyc.linalg.Columns`: column j is a ``dict[row] -> entry``
+without zero entries), and relation rows are built as sparse rows that
+enter :class:`~hopfcyc.linalg.Quotient` as they are.  Every matrix from
+there on, the induced operators of a :class:`CocyclicInstance`, the
+identities of :func:`check_cocyclic` and the differentials of
+:func:`cyclic_cohomology`, stays in that one format: products are
+:func:`~hopfcyc.linalg.mat_mul`, equations are list equality, and ranks
+and kernels come from :func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through a truncated cyclic bicomplex;
@@ -41,22 +44,18 @@ from .core import EMPTY_WORD, ONE, TensorElt, _merge_term, word_str
 from .coefficients import HModuleAlgebra, HModuleCoalgebra, ModuleComodule
 from .errors import PreconditionError, StructureError
 from .linalg import (
-    F1,
     Columns,
-    Matrix,
     Quotient,
     SparseRow,
+    add_columns,
+    add_multiple,
     cohomology_dims,
-    dense,
-    identity,
-    is_zero_matrix,
+    identity_columns,
     mat_mul,
-    mat_sub,
     mat_vec,
     nullspace,
     rank,
     transpose,
-    zeros,
 )
 
 
@@ -91,9 +90,6 @@ class TensorBasis:
                 raise StructureError(f"tensor term {wt} outside the finite basis")
             out[i] = c
         return out
-
-    def vec(self, te: TensorElt):
-        return dense(self.coords(te.terms), self.dim)
 
     def elt(self, i: int) -> TensorElt:
         return TensorElt(self.prs, {self.tuples[i]: ONE}, _normalized=True)
@@ -224,8 +220,7 @@ class RelativeTensorSpace:
     basis by the relations mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ.
 
     One relation per basis tensor and h, built as a sparse row from the
-    leg maps of :class:`CoalgebraOps`, with Δ⁽ⁿ⁺¹⁾h computed once per h;
-    the rows enter the :class:`~hopfcyc.linalg.Quotient` dense."""
+    leg maps of :class:`CoalgebraOps`, with Δ⁽ⁿ⁺¹⁾h computed once per h."""
 
     def __init__(self, mc: ModuleComodule, c_mod: HModuleCoalgebra, n: int):
         if mc.space.finite_basis is None or c_mod.coalg.finite_basis is None:
@@ -250,7 +245,7 @@ class RelativeTensorSpace:
                     _merge_term(rel, (mh,) + cs, ca)
                 for legs, ch in dn.items():
                     add_tensor(rel, -ch, [{m: ONE}] + [ops.c_act[g, c] for g, c in zip(legs, cs)])
-                rows.append(dense(self.basis.coords(rel), self.basis.dim))
+                rows.append(self.basis.coords(rel))
         self.quot = Quotient(rows, self.basis.dim)
 
     @property
@@ -258,18 +253,19 @@ class RelativeTensorSpace:
         return self.quot.dim
 
     def contains(self, te: TensorElt) -> bool:
-        return self.quot.contains_in_relations(self.basis.vec(te))
+        return self.quot.contains_in_relations(self.basis.coords(te.terms))
 
 
 @dataclass
 class CocyclicInstance:
-    """Exact matrices of a cocyclic object on quotient spaces in degrees
-    0..N: cofaces ∂_i: n-1 -> n, codegeneracies σ_i: n+1 -> n, and τ_n."""
+    """Exact matrices (:data:`~hopfcyc.linalg.Columns`) of a cocyclic object
+    on quotient spaces in degrees 0..N: cofaces ∂_i: n-1 -> n,
+    codegeneracies σ_i: n+1 -> n, and τ_n."""
 
     dims: list
-    coface: dict  # (n, i) -> Matrix, maps degree n-1 to n, 1 <= n <= N, 0 <= i <= n
-    codeg: dict  # (n, i) -> Matrix, maps degree n+1 to n, 0 <= n <= N-1, 0 <= i <= n
-    tau: dict  # n -> Matrix
+    coface: dict  # (n, i) -> Columns, maps degree n-1 to n, 1 <= n <= N, 0 <= i <= n
+    codeg: dict  # (n, i) -> Columns, maps degree n+1 to n, 0 <= n <= N-1, 0 <= i <= n
+    tau: dict  # n -> Columns
     welldef_failures: list = field(default_factory=list)
     verified: bool = False
 
@@ -277,41 +273,34 @@ class CocyclicInstance:
     def top(self):
         return len(self.dims) - 1
 
-    def b(self, n: int) -> Matrix:
+    def b(self, n: int) -> Columns:
         """Hochschild coboundary C^n -> C^(n+1) (alternating coface sum)."""
         return self._coface_sum(n, n + 2)
 
-    def b_prime(self, n: int) -> Matrix:
+    def b_prime(self, n: int) -> Columns:
         """Coboundary without the last coface."""
         return self._coface_sum(n, n + 1)
 
-    def _coface_sum(self, n: int, count: int) -> Matrix:
+    def _coface_sum(self, n: int, count: int) -> Columns:
         """Alternating sum of the cofaces ∂_0 … ∂_(count-1) from C^n."""
-        out = zeros(self.dims[n + 1], self.dims[n])
-        sign = F1
+        out = [{} for _ in range(self.dims[n])]
         for i in range(count):
-            m = self.coface[(n + 1, i)]
-            for r in range(len(out)):
-                row, mrow = out[r], m[r]
-                for cidx in range(len(row)):
-                    if mrow[cidx]:
-                        row[cidx] += sign * mrow[cidx]
-            sign = -sign
+            for acc, col in zip(out, self.coface[(n + 1, i)]):
+                add_multiple(acc, (-1) ** i, col)
         return out
 
-    def lam(self, n: int) -> Matrix:
+    def lam(self, n: int) -> Columns:
         """The signed cyclic operator λ_n = (-1)^n τ_n."""
-        s = F1 if n % 2 == 0 else -F1
-        return [[s * x for x in row] for row in self.tau[n]]
+        s = (-1) ** n
+        return [{r: s * x for r, x in col.items()} for col in self.tau[n]]
 
-    def norm(self, n: int) -> Matrix:
+    def norm(self, n: int) -> Columns:
         """N = 1 + λ + … + λⁿ."""
         lam = self.lam(n)
-        acc = identity(self.dims[n])
-        out = identity(self.dims[n])
+        acc = out = identity_columns(self.dims[n])
         for _ in range(n):
             acc = mat_mul(lam, acc)
-            out = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(out, acc)]
+            out = add_columns(out, acc)
         return out
 
 
@@ -330,7 +319,7 @@ class FiniteComplex:
         self.dims = [q.dim for q in self.quots]
         self.welldef_failures = []
 
-    def induce(self, op: Callable[[TensorElt], TensorElt], src: int, tgt: int, label: str) -> Matrix:
+    def induce(self, op: Callable[[TensorElt], TensorElt], src: int, tgt: int, label: str) -> Columns:
         """The matrix of ``op`` (degree ``src`` chains to degree ``tgt``)
         induced on the quotients."""
         amb = op_matrix(op, self.bases[src], self.bases[tgt])
@@ -353,7 +342,7 @@ class FiniteComplex:
 
         def induce(op, src, tgt, label):
             if chains:
-                return transpose(self.induce(op, tgt, src, label))
+                return transpose(self.induce(op, tgt, src, label), self.dims[src])
             return self.induce(op, src, tgt, label)
 
         cofaces = {
@@ -385,14 +374,16 @@ def build_coalgebra_instance(mc: ModuleComodule, c_mod: HModuleCoalgebra, top: i
 def check_cocyclic(inst: CocyclicInstance, upto: Optional[int] = None) -> dict:
     """Verify the cosimplicial, mixed and cyclic identities as exact matrix
     equations, including τⁿ⁺¹ = id and the last-coface factorization
-    ∂_n = τ_n ∘ ∂₀.  Marks the instance verified on success."""
+    ∂_n = τ_n ∘ ∂₀.  A failed identity is reported with the number of
+    nonzero entries of its residual.  Marks the instance verified on
+    success."""
     top = inst.top
     upto = top if upto is None else min(upto, top)
     fails = []
 
     def eq(a, b, label):
         if a != b:
-            nonzero = sum(x != y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+            nonzero = sum(map(len, add_columns(a, b, -1)))
             fails.append(f"{label}: {nonzero} nonzero")
 
     if inst.welldef_failures:
@@ -416,7 +407,7 @@ def check_cocyclic(inst: CocyclicInstance, upto: Optional[int] = None) -> dict:
                     f"codegeneracy identity ({n},{i},{j})",
                 )
     for n in range(1, upto):
-        ident = identity(inst.dims[n])
+        ident = identity_columns(inst.dims[n])
         for j in range(n):
             for i in range(n + 2):
                 lhs = mat_mul(inst.codeg[(n, j)], inst.coface[(n + 1, i)])
@@ -428,10 +419,10 @@ def check_cocyclic(inst: CocyclicInstance, upto: Optional[int] = None) -> dict:
                     eq(lhs, mat_mul(inst.coface[(n, i - 1)], inst.codeg[(n - 1, j)]), f"mixed ({n},{i},{j})")
 
     for n in range(upto + 1):
-        power = identity(inst.dims[n])
+        power = ident = identity_columns(inst.dims[n])
         for _ in range(n + 1):
             power = mat_mul(inst.tau[n], power)
-        eq(power, identity(inst.dims[n]), f"tau^(n+1) at n={n}")
+        eq(power, ident, f"tau^(n+1) at n={n}")
     for n in range(1, upto + 1):
         eq(
             inst.coface[(n, n)],
@@ -477,19 +468,16 @@ def cyclic_cohomology(inst: CocyclicInstance, upto: int) -> dict:
         raise PreconditionError("instance too shallow for the requested degree")
 
     # route one: the lambda-subcomplex
-    kernels = []
-    for n in range(upto + 2):
-        diff = mat_sub(identity(inst.dims[n]), inst.lam(n))
-        kernels.append(nullspace(diff, inst.dims[n]))
-    lam_dims = []
+    kernel_dims = []
     ranks = []
     for n in range(upto + 1):
+        d = inst.dims[n]
+        fixed = add_columns(identity_columns(d), inst.lam(n), -1)  # 1 − λ
+        kernel = nullspace(transpose(fixed, d), d)
         bmat = inst.b(n)
-        ranks.append(rank([mat_vec(bmat, v) for v in kernels[n]]))  # b on each kernel vector
-    for n in range(upto + 1):
-        ker = len(kernels[n]) - ranks[n]
-        im = ranks[n - 1] if n > 0 else 0
-        lam_dims.append(ker - im)
+        kernel_dims.append(len(kernel))
+        ranks.append(rank([mat_vec(bmat, v) for v in kernel]))  # b on each kernel vector
+    lam_dims = [kernel_dims[n] - ranks[n] - (ranks[n - 1] if n > 0 else 0) for n in range(upto + 1)]
 
     # route two: truncated cyclic bicomplex
     cols = upto + 3  # columns p = 0..upto+2
@@ -503,46 +491,40 @@ def cyclic_cohomology(inst: CocyclicInstance, upto: int) -> dict:
         return sum(cell_dim(p, q) for p, q in tot_cells(n))
 
     def tot_diff(n):
-        src = tot_cells(n)
-        tgt = tot_cells(n + 1)
         tgt_off = {}
         off = 0
-        for cell in tgt:
+        for cell in tot_cells(n + 1):
             tgt_off[cell] = off
             off += cell_dim(*cell)
-        mat = zeros(tot_dim(n + 1), tot_dim(n))
-        off = 0
-        for p, q in src:
-            d = cell_dim(p, q)
+        out = []
+        for p, q in tot_cells(n):
+            # (row offset, sign, block) of each arrow out of the cell
+            blocks = []
             # vertical: b on even columns, b' on odd columns; the squares
             # commute, so the Koszul sign sits on the horizontal arrows
             if (p, q + 1) in tgt_off and q + 1 <= inst.top:
                 block = inst.b(q) if p % 2 == 0 else inst.b_prime(q)
-                r0 = tgt_off[(p, q + 1)]
-                for i in range(len(block)):
-                    for j in range(d):
-                        if block[i][j]:
-                            mat[r0 + i][off + j] += block[i][j]
+                blocks.append((tgt_off[(p, q + 1)], 1, block))
             # horizontal: 1-lambda from even columns, N from odd columns
             if (p + 1, q) in tgt_off:
                 block = (
-                    mat_sub(identity(inst.dims[q]), inst.lam(q))
+                    add_columns(identity_columns(inst.dims[q]), inst.lam(q), -1)
                     if p % 2 == 0
                     else inst.norm(q)
                 )
-                sign = -F1 if q % 2 == 1 else F1
-                r0 = tgt_off[(p + 1, q)]
-                for i in range(inst.dims[q]):
-                    for j in range(d):
-                        if block[i][j]:
-                            mat[r0 + i][off + j] += sign * block[i][j]
-            off += d
-        return mat
+                blocks.append((tgt_off[(p + 1, q)], (-1) ** q, block))
+            for j in range(cell_dim(p, q)):
+                col = {}
+                for r0, sign, block in blocks:
+                    for i, x in block[j].items():
+                        col[r0 + i] = sign * x
+                out.append(col)
+        return out
 
     diffs = [tot_diff(n) for n in range(upto + 1)]
     dims = [tot_dim(n) for n in range(upto + 2)]
     for n in range(upto):
-        if not is_zero_matrix(mat_mul(diffs[n + 1], diffs[n])):
+        if any(mat_mul(diffs[n + 1], diffs[n])):
             raise StructureError(f"bicomplex total differential fails d*d = 0 at degree {n}")
     bic_dims = cohomology_dims(diffs, dims, upto)
 
@@ -654,7 +636,7 @@ class AlgebraChainOps:
                 rel = dict(self.diagonal_action(n, x, d).terms)
                 if eps:
                     _merge_term(rel, wt, -eps)
-                rows.append(dense(basis.coords(rel), basis.dim))
+                rows.append(basis.coords(rel))
         return basis, Quotient(rows, basis.dim)
 
 

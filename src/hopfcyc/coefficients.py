@@ -494,7 +494,7 @@ def check_ah_sayd(
                 continue
             if quot is None:
                 basis, quot = AlgebraChainOps(mc, a_mod).quotient(0)
-            if not quot.contains_in_relations(basis.vec(diff)):
+            if not quot.contains_in_relations(basis.coords(diff.terms)):
                 st_fails.append({"m": str(m), "a": str(x), "difference": str(diff)})
 
     return {

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, List, Optional
 
-from .core import AlgElt, TensorElt, tensor
+from .core import AlgElt, TensorElt, _merge_term, tensor
 from .coefficients import (
     HModuleAlgebra,
     HModuleCoalgebra,
@@ -32,7 +32,7 @@ from .instances import (
     build_set_coalgebra,
     cyclic_group,
 )
-from .linalg import F0, F1, dense, nullspace
+from .linalg import F0, F1, add_columns, identity_columns, mat_vec, nullspace, transpose
 from .cocyclic import (
     AlgebraCochainInstance,
     CoalgebraOps,
@@ -219,24 +219,23 @@ def convolution_basis(ci: CupInstance) -> List[ConvolutionElt]:
             moved = ci.c_mod.act(hh, c.from_word(cw))  # combination of C basis
             for k, aw in enumerate(ab):
                 # condition: f(h c_j) - h . f(c_j) = 0, coefficient of a-basis k
-                row = [F0] * ncols
+                row = {}
                 for jj, cw2 in enumerate(cb):
                     mcoef = moved.coeff(cw2)
                     if mcoef:
-                        row[jj * len(ab) + k] += mcoef
-                acted = {}
+                        _merge_term(row, jj * len(ab) + k, mcoef)
                 for kk, aw2 in enumerate(ab):
                     img = ci.a_mod.act(hh, alg.from_word(aw2))
                     if img.coeff(aw):
-                        row[j * len(ab) + kk] -= img.coeff(aw)
-                if any(row):
+                        _merge_term(row, j * len(ab) + kk, -img.coeff(aw))
+                if row:
                     rows.append(row)
     basis = []
     for v in nullspace(rows, ncols):
         images = []
         for j in range(len(cb)):
             images.append(
-                alg.elt({ab[k]: v[j * len(ab) + k] for k in range(len(ab)) if v[j * len(ab) + k]})
+                alg.elt({ab[k]: v[j * len(ab) + k] for k in range(len(ab)) if j * len(ab) + k in v})
             )
         basis.append(ConvolutionElt(ci, images))
     return basis
@@ -281,24 +280,23 @@ class CupData:
             TensorBasis((alg,) * (n + 1)) for n in range(self.top + 2)
         ]
 
-    # A-side equivariant cocycles, as functionals on the ambient chain
-    # basis that vanish on the H-relations; cyclic adds the λ-invariance
-    # constraint on top of b-closedness.
+    # A-side equivariant cocycles, as sparse functionals on the ambient
+    # chain basis that vanish on the H-relations; cyclic adds the
+    # λ-invariance constraint on top of b-closedness.  φ∘b = 0 and φ∘λ = φ
+    # ask that φ vanish on each column of b and of λ − 1.
     def a_side_cocycles(self, p: int, cyclic: bool = True):
         inst = self.a_inst
-        rows = list(inst.quots[p].rel_rref)
+        rows = list(inst.quots[p].rows)
         basis = inst.bases[p]
         bchain = op_matrix(
             lambda x: self._a_chain_b(p + 1, x), inst.bases[p + 1], basis
         )
-        rows.extend(dense(col, basis.dim) for col in bchain)
+        rows.extend(bchain)
         if cyclic:
             tmat = op_matrix(lambda x: self.a_inst.ops.t(p, x), basis, basis)
-            sign = F1 if p % 2 == 0 else -F1
-            for j, col in enumerate(tmat):
-                row = dense({r: sign * x for r, x in col.items()}, basis.dim)
-                row[j] -= F1
-                rows.append(row)
+            sign = (-1) ** p
+            lam = [{r: sign * x for r, x in col.items()} for col in tmat]
+            rows.extend(add_columns(lam, identity_columns(basis.dim), -1))
         return nullspace(rows, basis.dim)
 
     def _a_chain_b(self, n: int, x: TensorElt) -> TensorElt:
@@ -314,19 +312,14 @@ class CupData:
     def c_side_cocycles(self, q: int, cyclic: bool = True):
         sp, tgt = self.c_spaces[q], self.c_spaces[q + 1]
         quot = sp.quot
-        rows = []
         amb_b = op_matrix(lambda x: self._c_amb_b(q, x), sp.basis, tgt.basis)
-        bq = quot.induced_matrix(amb_b, tgt.quot)
-        rows.extend(bq)
+        rows = transpose(quot.induced_matrix(amb_b, tgt.quot), tgt.quot.dim)
         if cyclic:
             amb_tau = op_matrix(lambda x: self.c_ops.tau(q, x), sp.basis, sp.basis)
+            sign = (-1) ** q
             tq = quot.induced_matrix(amb_tau, quot)
-            sign = F1 if q % 2 == 0 else -F1
-            lam = [[sign * x for x in row] for row in tq]
-            for i in range(quot.dim):
-                row = list(lam[i])
-                row[i] -= F1
-                rows.append(row)
+            lam = [{r: sign * x for r, x in col.items()} for col in tq]
+            rows.extend(transpose(add_columns(lam, identity_columns(quot.dim), -1), quot.dim))
         kers = nullspace(rows, quot.dim)
         return [quot.include(v) for v in kers]
 
@@ -340,25 +333,26 @@ class CupData:
         return out
 
     def cup(self, phi_row, p: int, z_amb, q: int):
-        """AW lift and pairing: returns the cup cochain as a functional
-        (row vector) on the ordinary chain basis of A^(p+q+1)."""
+        """AW lift and pairing of the sparse cocycles ``phi_row`` and
+        ``z_amb`` (as :meth:`a_side_cocycles` and :meth:`c_side_cocycles`
+        return them): returns the cup cochain as a functional, one value
+        per basis tensor of the ordinary chains on A^(p+q+1)."""
         n = p + q
         inst = self.a_inst
         # climb phi with last cofaces (precompose with last chain faces)
-        row = list(phi_row)
+        row = phi_row
         for k in range(p + 1, n + 1):
             face = op_matrix(
                 lambda x, k=k: inst.ops.face(k, k, x), inst.bases[k], inst.bases[k - 1]
             )
-            row = [sum(row[r] * x for r, x in col.items() if row[r]) for col in face]
+            row = mat_vec(transpose(face, inst.bases[k - 1].dim), row)
         # climb z with zeroth cofaces
         sp_n = self.c_spaces[n]
         z = self.c_spaces[q].basis
         z_elt = None
-        for j, k in enumerate(z_amb):
-            if k:
-                term = z.elt(j).scale(k)
-                z_elt = term if z_elt is None else z_elt + term
+        for j, k in z_amb.items():
+            term = z.elt(j).scale(k)
+            z_elt = term if z_elt is None else z_elt + term
         if z_elt is None:
             return [F0] * self.a_chain_bases[n].dim
         for k in range(q + 1, n + 1):
@@ -377,7 +371,7 @@ class CupData:
                         self.ci.c_on_a(c.from_word(wt[i + 1]), alg.from_word(awt[i]))
                     )
                 vec = phi_basis.coords(tensor(factors).terms)
-                total += kz * sum(row[r] * x for r, x in vec.items())
+                total += kz * sum(row[r] * x for r, x in vec.items() if r in row)
             out[j] = total
         return out
 

@@ -129,7 +129,7 @@ class HopfPresentation(Presentation):
             cols = [{pos[w]: c for w, c in e.terms.items() if c} for e in images]
             x = solve(cols, {pos[target_word]: 1})
             if x is not None:
-                return self.elt({w: c for w, c in zip(cands, x) if c})
+                return self.elt({cands[j]: c for j, c in x.items()})
         raise UnsolvableError(
             f"no inverse-antipode value for {g} found within the ansatz degree bound"
         )

@@ -18,13 +18,10 @@ from .linalg import (
     F1,
     Quotient,
     add_columns,
-    combine,
-    compose,
-    dense,
-    echelon,
-    identity,
     identity_columns,
     mat_mul,
+    mat_vec,
+    rref,
 )
 from .cocyclic import (
     CoalgebraOps,
@@ -101,7 +98,7 @@ class KaygunBridge:
             self._tau_pow[key] = (
                 identity_columns(self.bases[n].dim)
                 if i == 0
-                else compose(self.tau_matrix(n), self.tau_power(n, i - 1))
+                else mat_mul(self.tau_matrix(n), self.tau_power(n, i - 1))
             )
         return self._tau_pow[key]
 
@@ -117,15 +114,14 @@ class KaygunBridge:
         """[L_g, τⁱ] as an ambient matrix."""
         taui = self.tau_power(n, i)
         lg = self.l_matrix(n, gw)
-        return add_columns(compose(lg, taui), compose(taui, lg), -F1)
+        return add_columns(mat_mul(lg, taui), mat_mul(taui, lg), -F1)
 
     def w_rows(self, n: int):
-        """Spanning rows of Wⁿ (in reduced echelon form): commutator images
-        of the ambient basis, saturated under τ until the rank stabilizes.
-        Computed once per degree."""
+        """Spanning rows of Wⁿ, sparse and in reduced echelon form:
+        commutator images of the ambient basis, saturated under τ until the
+        rank stabilizes.  Computed once per degree."""
         if n in self._w:
             return self._w[n]
-        dim = self.bases[n].dim
         rows = []
         for gw in self.group_words:
             if gw == EMPTY_WORD:
@@ -133,12 +129,12 @@ class KaygunBridge:
             for i in range(1, n + 2):
                 rows.extend(self.commutator_matrix(n, gw, i))
         tau = self.tau_matrix(n)
-        span = echelon(rows)[0]
+        span = rref(rows)[0]
         for _ in range(SATURATION_BOUND):
-            grown = echelon(span + [combine(tau, v) for v in span])[0]
+            grown = rref(span + [mat_vec(tau, v) for v in span])[0]
             if len(grown) == len(span):
-                self._w[n] = [dense(v, dim) for v in span]
-                return self._w[n]
+                self._w[n] = span
+                return span
             span = grown
         raise UnsolvableError(f"W saturation did not stabilize at degree {n}")
 
@@ -146,16 +142,13 @@ class KaygunBridge:
         """Rows L_g(x) − ε(g)x over the ambient basis, for the scalar
         tensor over H with its trivial action."""
         h = self.mc.hopf
-        dim = self.bases[n].dim
+        ident = identity_columns(self.bases[n].dim)
         rows = []
         for gw in self.group_words:
             if gw == EMPTY_WORD:
                 continue
             eps = h.counit(h.from_word(gw))
-            for j, col in enumerate(self.l_matrix(n, gw)):
-                row = dense(col, dim)
-                row[j] -= eps
-                rows.append(row)
+            rows.extend(add_columns(self.l_matrix(n, gw), ident, -eps))
         return rows
 
     def cm_quotient(self, n: int) -> Quotient:
@@ -189,9 +182,9 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                 comm_i = bridge.commutator_matrix(n, gw, i)
                 comm_i1 = bridge.commutator_matrix(n, gw, i + 1)
                 taui = bridge.tau_power(n, i)
-                lhs = compose(tau, comm_i)
-                bracket = add_columns(compose(tau, lg), compose(lg, tau), -F1)
-                rhs = add_columns(compose(bracket, taui), comm_i1)
+                lhs = mat_mul(tau, comm_i)
+                bracket = add_columns(mat_mul(tau, lg), mat_mul(lg, tau), -F1)
+                rhs = add_columns(mat_mul(bracket, taui), comm_i1)
                 if lhs != rhs:
                     fails.append(f"tau commutator expansion (n={n}, g={gw}, i={i})")
             if n < bridge.top:
@@ -202,7 +195,7 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                         bridge.bases[n + 1],
                     )
                     lg_up = bridge.l_matrix(n + 1, gw)
-                    if compose(coface, lg) != compose(lg_up, coface):
+                    if mat_mul(coface, lg) != mat_mul(lg_up, coface):
                         fails.append(f"coface commutes with L (n={n}, g={gw}, m={m})")
             if n >= 1:
                 for j in range(1, n):
@@ -219,7 +212,7 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                     for i in range(1, n + 1):
                         comm_hi = bridge.commutator_matrix(n, gw, i)
                         comm_lo = bridge.commutator_matrix(n - 1, gw, i)
-                        if compose(sig, comm_hi) != compose(comm_lo, sigp):
+                        if mat_mul(sig, comm_hi) != mat_mul(comm_lo, sigp):
                             fails.append(
                                 f"codegeneracy commutator shift (n={n}, g={gw}, i={i}, j={j})"
                             )
@@ -258,7 +251,8 @@ def check_iso(bridge: KaygunBridge) -> dict:
         q = rels[n].quot.induced_matrix(ident_amb[n], cms[n])
         pi.append(p)
         pi_prime.append(q)
-        if mat_mul(p, q) != identity(rels[n].dim) or mat_mul(q, p) != identity(cms[n].dim):
+        ident_rel, ident_cm = identity_columns(rels[n].dim), identity_columns(cms[n].dim)
+        if mat_mul(p, q) != ident_rel or mat_mul(q, p) != ident_cm:
             fails.append(f"Pi and Pi' not mutually inverse at degree {n}")
 
     for n in range(top + 1):

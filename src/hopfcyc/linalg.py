@@ -1,37 +1,38 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over the rationals, on sparse data only.
 
-Matrices are lists of equal-length rows of `Fraction`.  Elimination runs on
-sparse rows, ``dict[column] -> Fraction`` holding only the nonzero entries:
-the matrices of this tool are mostly zero (the ⊗_H relation matrix of the
-regular S3 instance in degree 1 is 1080×216 with under 1% nonzero entries,
-the inverse-antipode ansatz for the U letters of the bicrossed product 88×28
-with 6%).
+A vector is a :data:`SparseRow`, ``dict[index] -> entry`` holding only the
+nonzero entries (``int`` or ``Fraction``).  A matrix is :data:`Columns`: a
+list whose entry j is column j as a sparse ``row -> entry`` dict.  A list
+of sparse rows is the same data read the other way, and :func:`transpose`
+turns one into the other.  No zero entry is ever stored, so two matrices of
+one shape are equal exactly when their lists are, and the nonzeros of a
+difference are the entries where two matrices differ.  The matrices of this
+tool are mostly zero: the ⊗_H relation matrix of the regular S3 instance in
+degree 1 is 1080×216 with under 1% nonzero entries, the inverse-antipode
+ansatz for the U letters of the bicrossed product 88×28 with 6%.
 
-:func:`echelon` is the one elimination kernel; :func:`rref`, :func:`rank`,
-:func:`nullspace`, :func:`solve` and :class:`Quotient` all run on it.  It
-sweeps the columns in order and takes as pivot the first remaining row with
-a nonzero entry in the column, as a dense Gauss–Jordan sweep does.  Every
-exact elimination ends in the same reduced row echelon form, since the RREF
+:func:`mat_vec` and :func:`mat_mul` are the one product, and :func:`rref`
+is the one elimination; :func:`rank`, :func:`nullspace`, :func:`solve` and
+:class:`Quotient` all run on it.  :func:`rref` sweeps the columns in order
+and takes as pivot the first remaining row with a nonzero entry in the
+column, as a dense Gauss–Jordan sweep does.  The reduced row echelon form
 of a matrix is unique (its nonzero rows are the one basis of the row space
 in reduced echelon shape), so results do not depend on the row format and
 reports stay byte-identical.
 
-Chain operators travel by their columns: :data:`Columns` is a matrix held
-as a list whose entry j is column j, a sparse ``row -> entry`` dict without
-zero entries, so two operators are equal exactly when their lists are.
-:func:`hopfcyc.cocyclic.op_matrix` builds operators in this format,
-:func:`compose` and :func:`add_columns` combine them, and
-:meth:`Quotient.induced_matrix` and :meth:`Quotient.preserves_relations`
-take them as they are.  Relation matrices enter :class:`Quotient` as dense
-rows, through :func:`rref`.
+Chain operators are built as :data:`Columns` by
+:func:`hopfcyc.cocyclic.op_matrix`; relation rows are built as sparse rows
+and enter :class:`Quotient` as they are.  The quotient maps
+(:meth:`Quotient.induced_matrix`, :meth:`Quotient.preserves_relations`)
+take and return :data:`Columns`, so operators stay sparse from the ambient
+space to the ranks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-Matrix = List[List[Fraction]]
 SparseRow = Dict[int, Fraction]
 Columns = List[SparseRow]
 
@@ -39,35 +40,13 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[F0] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = F1
-    return m
-
-
-def sparse(row: Sequence[Fraction]) -> SparseRow:
-    """The nonzero entries of a dense row."""
-    return {j: x for j, x in enumerate(row) if x}
-
-
-def dense(row: SparseRow, ncols: int) -> List[Fraction]:
-    out = [F0] * ncols
-    for j, x in row.items():
-        out[j] = x
-    return out
-
-
 def identity_columns(n: int) -> Columns:
     return [{j: F1} for j in range(n)]
 
 
 def add_multiple(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
-    """acc += f·row in place, dropping the entries that cancel."""
+    """acc += f·row in place, for a nonzero f, dropping the entries that
+    cancel."""
     for j, y in row.items():
         x = acc.get(j)
         if x is None:
@@ -80,22 +59,23 @@ def add_multiple(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
                 del acc[j]
 
 
-def combine(cols: Columns, v: SparseRow) -> SparseRow:
-    """Σ v[c]·cols[c]: a matrix held by its sparse columns times a sparse
-    vector."""
+def mat_vec(a: Columns, v: SparseRow) -> SparseRow:
+    """Σ v[c]·a[c]: a matrix held by its columns times a sparse vector."""
     out: SparseRow = {}
     for c, x in v.items():
-        add_multiple(out, x, cols[c])
+        add_multiple(out, x, a[c])
     return out
 
 
-def compose(a: Columns, b: Columns) -> Columns:
-    """a∘b on sparse columns: column j is a applied to column j of b."""
-    return [combine(a, col) for col in b]
+def mat_mul(a: Columns, b: Columns) -> Columns:
+    """a∘b: column j is a applied to column j of b."""
+    return [mat_vec(a, col) for col in b]
 
 
 def add_columns(a: Columns, b: Columns, f: Fraction = F1) -> Columns:
-    """a + f·b on sparse columns."""
+    """a + f·b."""
+    if not f:
+        return [dict(x) for x in a]
     out = []
     for x, y in zip(a, b):
         s = dict(x)
@@ -104,42 +84,18 @@ def add_columns(a: Columns, b: Columns, f: Fraction = F1) -> Columns:
     return out
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return []
-    nc = len(b[0]) if b else 0
-    b_nonzero = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
-    out = []
-    for row in a:
-        orow = [F0] * nc
-        for k, c in enumerate(row):
-            if c:
-                for j, y in b_nonzero[k]:
-                    orow[j] += c * y
-        out.append(orow)
+def transpose(a: Columns, nrows: int) -> Columns:
+    """The transpose of a matrix with ``nrows`` rows: entry r of the result
+    is row r of ``a`` as a sparse dict (equally, the columns of ``a`` read
+    as rows)."""
+    out: Columns = [{} for _ in range(nrows)]
+    for j, col in enumerate(a):
+        for r, x in col.items():
+            out[r][j] = x
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> List[Fraction]:
-    nonzero = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((row[j] * x for j, x in nonzero), F0) for row in a]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
-def echelon(rows: Iterable[SparseRow]) -> tuple[List[SparseRow], List[int]]:
+def rref(rows: List[SparseRow]) -> tuple[List[SparseRow], List[int]]:
     """Reduced row echelon form of sparse rows: (nonzero rows, pivot
     columns), row k having its leading 1 in column ``pivots[k]``.
 
@@ -169,73 +125,66 @@ def echelon(rows: Iterable[SparseRow]) -> tuple[List[SparseRow], List[int]]:
     return m[:r], pivots
 
 
-def rref(m: Matrix) -> tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rref rows without zero rows, pivot columns)."""
-    ncols = len(m[0]) if m else 0
-    rows, pivots = echelon(sparse(row) for row in m)
-    return [dense(row, ncols) for row in rows], pivots
+def rank(rows: List[SparseRow]) -> int:
+    """Rank of the matrix with these rows (or these columns: the rank is
+    the same)."""
+    return len(rref(rows)[0])
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[0]) if m else 0
-
-
-def nullspace(m: Matrix, ncols: Optional[int] = None) -> Matrix:
-    """Basis of the right kernel of ``m`` (rows are kernel vectors)."""
-    if not m:
-        return identity(ncols) if ncols else []
-    ncols = len(m[0])
-    rows, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(rows: List[SparseRow], ncols: int) -> List[SparseRow]:
+    """Basis of the right kernel of the matrix with these rows and
+    ``ncols`` columns: one vector per free column fc, with 1 at fc and
+    −R[k][fc] at the pivot of row k of the reduced form R."""
+    reduced, pivots = rref(rows)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [F0] * ncols
-        v[fc] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: F1}
+        for row, pc in zip(reduced, pivots):
+            x = row.get(fc)
+            if x:
+                v[pc] = -x
         basis.append(v)
     return basis
 
 
-def solve(cols: Sequence[SparseRow], b: SparseRow) -> Optional[List[Fraction]]:
+def solve(cols: Columns, b: SparseRow) -> Optional[SparseRow]:
     """One solution x of A·x = b, or None if inconsistent.
 
-    A is given by its columns and b as one more column, each a sparse
-    ``row -> entry`` dict; free variables are set to 0.
+    A is given by its columns; free variables are set to 0.
     """
     n = len(cols)
-    aug: Dict[int, SparseRow] = {}
-    for j, col in enumerate(cols):
-        for r, x in col.items():
-            aug.setdefault(r, {})[j] = x
-    for r, x in b.items():
-        aug.setdefault(r, {})[n] = x
-    rows, pivots = echelon(aug[r] for r in sorted(aug))
-    x = [F0] * n
+    aug = cols + [b]
+    nrows = 1 + max((r for col in aug for r in col), default=-1)
+    rows, pivots = rref(transpose(aug, nrows))
+    x: SparseRow = {}
     for row, pc in zip(rows, pivots):
         if pc == n:
             return None  # pivot in the augmented column
-        x[pc] = row.get(n, F0)
+        if n in row:
+            x[pc] = row[n]
     # check (free variables set to 0)
-    image = combine(cols, sparse(x))
-    if image != {r: v for r, v in b.items() if v}:
+    if mat_vec(cols, x) != b:
         return None
     return x
 
 
 class Quotient:
-    """Quotient of ℚ^n by the row span of a relation matrix.
+    """Quotient of ℚ^n by the span of sparse relation rows.
 
-    Provides the projection onto quotient coordinates (the non-pivot
-    coordinates after full reduction) and the section embedding quotient
-    basis vectors back as ambient representatives.  The reduced relations
-    are held sparse, by pivot column; ``rel_rref`` has them as dense rows.
+    Quotient coordinates are the free (non-pivot) coordinates of the
+    reduced relations; ``project`` reduces an ambient vector to them and
+    ``include`` embeds them back as ambient representatives.  ``rows``
+    holds the reduced relations, row k with its leading 1 at
+    ``pivots[k]``.
     """
 
-    def __init__(self, relations: Matrix, ambient_dim: int):
+    def __init__(self, relations: List[SparseRow], ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rel_rref, self.pivots = rref(relations)
-        self._row_of = {pc: sparse(row) for pc, row in zip(self.pivots, self.rel_rref)}
+        self.rows, self.pivots = rref(relations)
+        self._row_of = dict(zip(self.pivots, self.rows))
         self.free = [c for c in range(ambient_dim) if c not in self._row_of]
         self._free_pos = {c: k for k, c in enumerate(self.free)}
         self.dim = len(self.free)
@@ -248,55 +197,39 @@ class Quotient:
             add_multiple(v, -v[pc], self._row_of[pc])
         return v
 
-    def project(self, v: Sequence[Fraction]) -> List[Fraction]:
+    def project(self, v: SparseRow) -> SparseRow:
         """Coordinates of v + relations in the quotient basis."""
-        out = [F0] * self.dim
-        for c, x in self._reduce(sparse(v)).items():
-            out[self._free_pos[c]] = x
-        return out
+        pos = self._free_pos
+        return {pos[c]: x for c, x in self._reduce(dict(v)).items()}
 
-    def include(self, q: Sequence[Fraction]) -> List[Fraction]:
+    def include(self, q: SparseRow) -> SparseRow:
         """Ambient representative of a quotient vector (section of project)."""
-        v = [F0] * self.ambient_dim
-        for c, x in zip(self.free, q):
-            v[c] = x
-        return v
+        return {self.free[k]: x for k, x in q.items()}
 
-    def contains_in_relations(self, v: Sequence[Fraction]) -> bool:
-        return not self._reduce(sparse(v))
+    def contains_in_relations(self, v: SparseRow) -> bool:
+        return not self._reduce(dict(v))
 
-    def induced_matrix(self, ambient_op: Columns, target: "Quotient") -> Matrix:
-        """Matrix of the induced map on quotients, columns = images of the
-        quotient basis.  Caller is responsible for well-definedness.
-
-        The image of quotient basis vector k is the column of the ambient
-        operator at free coordinate k, projected to the target."""
-        out = zeros(target.dim, self.dim)
-        for k, c in enumerate(self.free):
-            for t, x in target._reduce(dict(ambient_op[c])).items():
-                out[target._free_pos[t]][k] = x
-        return out
+    def induced_matrix(self, ambient_op: Columns, target: "Quotient") -> Columns:
+        """The induced map on quotients: column k is the column of the
+        ambient operator at free coordinate k, projected to the target.
+        Caller is responsible for well-definedness."""
+        return [target.project(ambient_op[c]) for c in self.free]
 
     def preserves_relations(self, ambient_op: Columns, target: "Quotient") -> bool:
         """Does the ambient operator map the relation subspace into the
         target relation subspace (i.e. descend to the quotients)?"""
-        for pc in self.pivots:
-            if target._reduce(combine(ambient_op, self._row_of[pc])):
+        for row in self.rows:
+            if target._reduce(mat_vec(ambient_op, row)):
                 return False
         return True
 
 
-def cohomology_dims(diffs: List[Matrix], dims: List[int], upto: int) -> List[int]:
+def cohomology_dims(diffs: List[Columns], dims: List[int], upto: int) -> List[int]:
     """Cohomology dimensions of a cochain complex.
 
     ``dims[n]`` is the dimension of the degree-n space, ``diffs[n]`` the
-    matrix of d: degree n -> degree n+1 (shape dims[n+1] x dims[n]).
-    Returns [dim H^0, ..., dim H^upto]; requires data through degree upto+1.
+    matrix of d: degree n -> degree n+1 (dims[n] columns).  Returns
+    [dim H^0, ..., dim H^upto]; requires data through degree upto+1.
     """
-    out = []
-    for n in range(upto + 1):
-        dn = diffs[n]
-        ker = dims[n] - (rank(dn) if dims[n] else 0)
-        im = rank(diffs[n - 1]) if n > 0 else 0
-        out.append(ker - im)
-    return out
+    ranks = [rank(d) for d in diffs[: upto + 1]]
+    return [dims[n] - ranks[n] - (ranks[n - 1] if n > 0 else 0) for n in range(upto + 1)]

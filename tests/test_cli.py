@@ -153,6 +153,50 @@ def test_unreadable_file_is_a_precondition_error(tmp_path):
     assert proc.stderr.count("\n") == 1 and "not UTF-8" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-cocyclic", "--upto", "-1"],
+        ["cohomology", "--upto", "-1"],
+        ["kaygun", "--upto", "-1"],
+        ["cup", "--upto", "-1"],
+        ["verify-hopf", "--degree", "-1"],
+    ],
+)
+def test_negative_bound_is_a_precondition_error(argv):
+    proc = run_main(argv)
+    assert proc.returncode == 8
+    assert proc.stderr == f"error: {argv[1]} must be non-negative, got -1\n"
+    assert proc.stdout == ""
+
+
+def test_zero_bound_stays_valid(capsys):
+    code, out = run_cli(capsys, ["cohomology", "--upto", "0"])
+    assert code == 0
+    assert json.loads(out)["result"]["point"]["lambda_complex"] == [1]
+
+
+def test_input_hash_names_every_argument(capsys, tmp_path):
+    def digest(argv):
+        _, out = run_cli(capsys, argv)
+        return json.loads(out)["input_sha256"]
+
+    runs = [["check-sayd"], ["cohomology"], ["cohomology", "--upto", "2"], ["cohomology", "--degree", "2"]]
+    digests = [digest(argv) for argv in runs]
+    assert len(set(digests)) == len(runs)
+    assert digest(["cohomology", "--upto", "2"]) == digests[2]
+
+    import importlib.resources
+
+    shipped = (importlib.resources.files("hopfcyc") / "data" / "h1cop.hopf").read_bytes()
+    copy, edited = tmp_path / "copy.hopf", tmp_path / "edited.hopf"
+    copy.write_bytes(shipped)
+    edited.write_bytes(shipped + b"\n")
+    assert digest(["verify-hopf", "--degree", "1", "--file", str(copy)]) != digest(
+        ["verify-hopf", "--degree", "1", "--file", str(edited)]
+    )
+
+
 def test_step_limit_exit_code():
     from hopfcyc.errors import RewriteLimitError
 

@@ -24,7 +24,9 @@ from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.errors import PreconditionError
 from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
 from hopfcyc.kaygun import KaygunBridge, kaygun_cocyclic_instance
-from hopfcyc.linalg import identity, mat_mul, mat_sub
+
+import dense_oracle
+from dense_oracle import as_dense, dense_instance, identity, is_zero_matrix, mat_mul, mat_sub
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +69,16 @@ def test_no_welldefinedness_failures(swap_trivial, swap_graded, point):
 
 
 def test_cyclicity_matrix(swap_trivial):
+    inst = dense_instance(swap_trivial)
     for n in range(4):
-        power = identity(swap_trivial.dims[n])
+        power = identity(inst.dims[n])
         for _ in range(n + 1):
-            power = mat_mul(swap_trivial.tau[n], power)
-        assert power == identity(swap_trivial.dims[n])
+            power = mat_mul(inst.tau[n], power)
+        assert power == identity(inst.dims[n])
 
 
 def test_simplicial_interchange(swap_trivial):
-    inst = swap_trivial
+    inst = dense_instance(swap_trivial)
     # codegeneracies are sections of the neighbouring cofaces
     for n in range(3):
         for j in range(n + 1):
@@ -86,7 +89,7 @@ def test_simplicial_interchange(swap_trivial):
 
 
 def test_last_coface_is_tau_after_first(swap_graded):
-    inst = swap_graded
+    inst = dense_instance(swap_graded)
     for n in range(1, 4):
         assert inst.coface[(n, n)] == mat_mul(inst.tau[n], inst.coface[(n, 0)])
 
@@ -125,14 +128,11 @@ def test_algebra_side_instance():
 # -- d∘d = 0 on every built instance ------------------------------------------------
 
 
-def _is_zero(m):
-    return all(x == 0 for row in m for x in row)
-
-
 def assert_differentials_square_to_zero(inst):
+    inst = dense_instance(inst)
     for n in range(inst.top - 1):
-        assert _is_zero(mat_mul(inst.b(n + 1), inst.b(n))), f"b∘b at degree {n}"
-        assert _is_zero(mat_mul(inst.b_prime(n + 1), inst.b_prime(n))), f"b'∘b' at degree {n}"
+        assert is_zero_matrix(mat_mul(inst.b(n + 1), inst.b(n))), f"b∘b at degree {n}"
+        assert is_zero_matrix(mat_mul(inst.b_prime(n + 1), inst.b_prime(n))), f"b'∘b' at degree {n}"
 
 
 def test_cohomology_instances_square_to_zero(point, swap_trivial, swap_graded):
@@ -221,18 +221,29 @@ def test_graded_trivial_action_over_s3_does_not_descend(s3):
     assert not check_sayd(mc)["ayd"]["ok"]
     inst = build_coalgebra_instance(mc, cmod, 2)
     assert "coface(1,1)" in inst.welldef_failures
-    assert not _is_zero(mat_mul(inst.b(1), inst.b(0)))
+    dense = dense_instance(inst)
+    assert not is_zero_matrix(mat_mul(dense.b(1), dense.b(0)))
 
 
 # -- witnesses ----------------------------------------------------------------------
 
 
+def perturbed_tau(cols):
+    """τ with 1 added to its (0, 0) entry: no longer of finite order."""
+    cols = [dict(col) for col in cols]
+    x = cols[0].get(0, 0) + 1
+    if x:
+        cols[0][0] = x
+    else:
+        del cols[0][0]
+    return cols
+
+
 def test_failure_witness_counts_the_residual(swap_cmod):
     inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 3)
     assert check_cocyclic(inst) == {"ok": True, "witnesses": []}
-    tau = [list(row) for row in inst.tau[1]]
-    tau[0][0] += 1
-    inst.tau[1] = tau
+    inst.tau[1] = perturbed_tau(inst.tau[1])
+    tau = as_dense(inst.tau[1], inst.dims[1])
     residual = mat_sub(mat_mul(tau, tau), identity(inst.dims[1]))
     nonzero = sum(1 for row in residual for x in row if x)
     assert nonzero > 0
@@ -240,3 +251,44 @@ def test_failure_witness_counts_the_residual(swap_cmod):
     assert not report["ok"]
     assert f"tau^(n+1) at n=1: {nonzero} nonzero" in report["witnesses"]
     assert all(re.search(r": [1-9]\d* nonzero$", w) for w in report["witnesses"])
+
+
+# -- the sparse checks against the dense oracle ---------------------------------------
+
+
+def assert_checks_match_dense_oracle(inst, upto=None, hc_upto=None):
+    dense = dense_instance(inst)
+    assert check_cocyclic(inst, upto) == dense_oracle.check_cocyclic(dense, upto)
+    assert inst.verified == dense.verified
+    if hc_upto is not None:
+        assert cyclic_cohomology(inst, hc_upto) == dense_oracle.cyclic_cohomology(dense, hc_upto)
+
+
+def test_cohomology_instances_match_dense_oracle(point, swap_trivial, swap_graded):
+    # the instances of the cohomology command (top 5, checked in full,
+    # cohomology through degree 3) and of check-cocyclic (upto 3)
+    for inst in (point, swap_trivial, swap_graded):
+        assert_checks_match_dense_oracle(inst, upto=3)
+        assert_checks_match_dense_oracle(inst, hc_upto=3)
+
+
+def test_kaygun_and_algebra_instances_match_dense_oracle(swap_cmod):
+    bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=4)
+    assert_checks_match_dense_oracle(kaygun_cocyclic_instance(bridge), hc_upto=2)
+    for graded in (False, True):
+        ci = build_group_cup_instance(graded=graded)
+        inst = AlgebraCochainInstance(ci.mc, ci.a_mod, 4).cocyclic_instance()
+        assert_checks_match_dense_oracle(inst, hc_upto=2)
+
+
+def test_failing_instances_match_dense_oracle(swap_cmod, s3):
+    # an operator that does not descend, and a perturbed τ
+    cmod = group_set_module_coalgebra(coset_space_union(s3, [["e", "p021"]]))
+    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kG_g"))
+    inst = build_coalgebra_instance(mc, cmod, 2)
+    assert_checks_match_dense_oracle(inst)
+    assert not inst.verified
+    inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 3)
+    inst.tau[1] = perturbed_tau(inst.tau[1])
+    assert_checks_match_dense_oracle(inst)
+    assert not inst.verified

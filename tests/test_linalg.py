@@ -1,9 +1,9 @@
 """The sparse elimination kernel against a second, dense route.
 
-``dense_rref``, ``dense_solve`` and ``dense_project`` are the dense
-list-of-rows routines the sparse kernel replaced, kept here as oracles.  The
-reduced row echelon form is unique, so the two routes must agree exactly,
-rows and pivots, on every input.
+``dense_rref`` (in ``dense_oracle``), ``dense_solve`` and ``dense_project``
+are the dense list-of-rows routines the sparse kernel replaced, kept as
+oracles.  The reduced row echelon form is unique, so the two routes must
+agree exactly, rows and pivots, on every input.
 """
 
 import math
@@ -25,6 +25,9 @@ from hopfcyc.coefficients import (
 from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
 from hopfcyc.linalg import F0, F1, Quotient, mat_vec, nullspace, rank, rref, solve
 
+import dense_oracle
+from dense_oracle import dense, dense_rref, sparse
+
 F = Fraction
 # 2^521 − 1 is prime and larger than the Hadamard bound of every minor of
 # the integer matrices below, so a rank mod it is the rank over ℚ.
@@ -37,37 +40,16 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 
 def sparse_columns(m):
-    """A dense matrix as the sparse columns the quotient maps take."""
-    return [linalg.sparse(col) for col in zip(*m)]
+    """A dense matrix as sparse columns."""
+    return [sparse(col) for col in zip(*m)]
 
 
-def dense_rref(m):
-    """Dense Gauss–Jordan: first row with a nonzero entry is the pivot."""
-    m = [list(row) for row in m]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = F1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+def sparse_rows(m):
+    return [sparse(row) for row in m]
+
+
+def densify(rows, ncols):
+    return [dense(row, ncols) for row in rows]
 
 
 def dense_solve(a, b):
@@ -87,22 +69,20 @@ def dense_solve(a, b):
 
 def dense_project(q, v):
     v = list(v)
-    for r, pc in enumerate(q.pivots):
+    for row, pc in zip(q.rows, q.pivots):
         if v[pc] != 0:
             f = v[pc]
-            v = [x - f * y for x, y in zip(v, q.rel_rref[r])]
+            v = [x - f * y for x, y in zip(v, dense(row, q.ambient_dim))]
     return [v[c] for c in q.free]
 
 
 def unit_vector_induced(src, op, tgt):
-    """The induced matrix through images of unit vectors under ``mat_vec``,
-    projected by the dense route."""
-    cols = []
-    for i in range(src.dim):
-        e = [F0] * src.dim
-        e[i] = F1
-        cols.append(dense_project(tgt, mat_vec(op, src.include(e))))
-    return [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)]
+    """The induced matrix, as dense columns, through images of unit vectors
+    under the dense ``mat_vec``, projected by the dense route."""
+    return [
+        dense_project(tgt, dense_oracle.mat_vec(op, dense(src.include({i: F1}), src.ambient_dim)))
+        for i in range(src.dim)
+    ]
 
 
 def rank_mod_prime(m):
@@ -152,9 +132,9 @@ def matrices(draw, max_rows=12, max_cols=12, min_cols=1):
 @SETTINGS
 @given(matrices())
 def test_rref_matches_dense_oracle(m):
-    rows, pivots = rref(m)
-    assert (rows, pivots) == dense_rref(m)
-    assert all(isinstance(x, Fraction) for row in rows for x in row)
+    rows, pivots = rref(sparse_rows(m))
+    assert (densify(rows, len(m[0]) if m else 0), pivots) == dense_rref(m)
+    assert all(isinstance(x, Fraction) and x for row in rows for x in row.values())
 
 
 # mixed rows, as the relation and operator rows built from integer-first
@@ -188,7 +168,7 @@ def mixed_rows(draw, max_rows=10, max_cols=10):
 @given(mixed_rows())
 def test_echelon_invariants_on_mixed_rows(data):
     ncols, rows = data
-    out, pivots = linalg.echelon(rows)
+    out, pivots = rref(rows)
     # pivots increase, each pivot entry is 1, leads its row and is cleared
     # from every other row
     assert pivots == sorted(set(pivots))
@@ -197,29 +177,34 @@ def test_echelon_invariants_on_mixed_rows(data):
         assert all(pc not in other for i, other in enumerate(out) if i != k)
     assert all(isinstance(x, Fraction) and x for row in out for x in row.values())
     # idempotent
-    assert linalg.echelon(out) == (out, pivots)
+    assert rref(out) == (out, pivots)
     # the row space is kept: the input rows lie in the span of the result,
     # and both spans have the same dimension
-    assert linalg.echelon(rows + out) == (out, pivots)
-    assert len(out) == rank_mod_prime([[F(x) for x in linalg.dense(r, ncols)] for r in rows])
+    assert rref(rows + out) == (out, pivots)
+    assert len(out) == rank_mod_prime([[F(x) for x in dense(r, ncols)] for r in rows])
     # the same result as on the rows cast to Fraction
-    assert linalg.echelon([{j: F(x) for j, x in r.items()} for r in rows]) == (out, pivots)
+    assert rref([{j: F(x) for j, x in r.items()} for r in rows]) == (out, pivots)
 
 
 @SETTINGS
 @given(matrices())
 def test_rank_matches_rank_mod_prime(m):
-    assert rank(m) == rank_mod_prime(m)
+    # by rows or by columns: the rank is the same
+    assert rank(sparse_rows(m)) == rank_mod_prime(m)
+    assert rank(sparse_columns(m)) == rank_mod_prime(m)
 
 
 @SETTINGS
 @given(matrices(min_cols=0))
 def test_nullspace_is_the_kernel(m):
     ncols = len(m[0]) if m else 4
-    basis = nullspace(m, ncols)
-    assert len(basis) == ncols - rank(m)
+    basis = nullspace(sparse_rows(m), ncols)
+    assert len(basis) == ncols - rank(sparse_rows(m))
+    cols = sparse_columns(m) if m else [{}] * ncols
     for v in basis:
-        assert all(x == 0 for x in mat_vec(m, v))
+        assert mat_vec(cols, v) == {}
+    # one vector per free column, with −R[r][fc] at the pivots
+    assert densify(basis, ncols) == dense_oracle.nullspace(m, ncols)
 
 
 @SETTINGS
@@ -228,45 +213,46 @@ def test_solve_matches_dense_oracle(a, rnd):
     nrows = len(a)
     ncols = len(a[0])
     x0 = [F(rnd.randint(-3, 3)) for _ in range(ncols)]
-    consistent = mat_vec(a, x0)
+    consistent = dense_oracle.mat_vec(a, x0)
     perturbed = list(consistent)
     perturbed[rnd.randrange(nrows)] += 1
-    cols = [{i: a[i][j] for i in range(nrows) if a[i][j]} for j in range(ncols)]
+    cols = sparse_columns(a)
     for b in (consistent, perturbed):
-        x = solve(cols, linalg.sparse(b))
-        assert x == dense_solve(a, b)
+        x = solve(cols, sparse(b))
+        assert (None if x is None else dense(x, ncols)) == dense_solve(a, b)
         if x is not None:
-            assert mat_vec(a, x) == b
-    assert solve(cols, linalg.sparse(consistent)) is not None
+            assert mat_vec(cols, x) == sparse(b)
+    assert solve(cols, sparse(consistent)) is not None
 
 
 @SETTINGS
 @given(matrices(), st.randoms(use_true_random=False))
 def test_quotient_maps_match_dense_routes(rel, rnd):
     n = len(rel[0]) if rel else 5
-    src = Quotient(rel, n)
+    src = Quotient(sparse_rows(rel), n)
     # a target whose relations contain the source's, and an unrelated one
     extra = [[F(rnd.randint(-2, 2)) if rnd.random() < 0.3 else F0 for _ in range(n)]]
-    bigger = Quotient(rel + extra, n)
-    other = Quotient([[F(rnd.randint(-2, 2)) for _ in range(n)]], n)
+    bigger = Quotient(sparse_rows(rel + extra), n)
+    other = Quotient(sparse_rows([[F(rnd.randint(-2, 2)) for _ in range(n)]]), n)
 
-    q = [F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(src.dim)]
+    q = sparse([F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(src.dim)])
     assert src.project(src.include(q)) == q
 
     v = [F(rnd.randint(-3, 3)) if rnd.random() < 0.5 else F0 for _ in range(n)]
-    assert src.project(v) == dense_project(src, v)
-    assert src.contains_in_relations(v) == all(x == 0 for x in dense_project(src, v))
-    for row in src.rel_rref:
+    assert dense(src.project(sparse(v)), src.dim) == dense_project(src, v)
+    assert src.contains_in_relations(sparse(v)) == all(x == 0 for x in dense_project(src, v))
+    for row in src.rows:
         assert src.contains_in_relations(row)
 
-    ident = linalg.identity(n)
+    ident = dense_oracle.identity(n)
     op = [[F(rnd.randint(-2, 2)) if rnd.random() < 0.25 else F0 for _ in range(n)] for _ in range(n)]
     for amb in (ident, op):
         cols = sparse_columns(amb)
         for tgt in (src, bigger, other):
-            assert src.induced_matrix(cols, tgt) == unit_vector_induced(src, amb, tgt)
+            induced = src.induced_matrix(cols, tgt)
+            assert densify(induced, tgt.dim) == unit_vector_induced(src, amb, tgt)
             assert src.preserves_relations(cols, tgt) == all(
-                tgt.contains_in_relations(mat_vec(amb, row)) for row in src.rel_rref
+                tgt.contains_in_relations(mat_vec(cols, row)) for row in src.rows
             )
     assert src.preserves_relations(sparse_columns(ident), bigger)
 
@@ -279,20 +265,23 @@ def test_seeded_sparse_matrices_match_dense_oracle():
             [F(rnd.randint(-5, 5), rnd.randint(1, 4)) if rnd.random() < 0.05 else F0 for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        assert rref(m) == dense_rref(m)
-        assert rank(m) == rank_mod_prime(m)
+        rows, pivots = rref(sparse_rows(m))
+        assert (densify(rows, ncols), pivots) == dense_rref(m)
+        assert rank(sparse_rows(m)) == rank_mod_prime(m)
 
 
 # -- the relation matrices of the finite instances ------------------------------
 
 
 def relation_matrices(monkeypatch, build):
-    """Every matrix ``build`` eliminates through ``rref``."""
+    """Every matrix ``build`` eliminates through ``rref``, as (sparse rows,
+    number of columns up to the last nonzero one)."""
     seen = []
     real = linalg.rref
 
     def recording(m):
-        seen.append([list(row) for row in m])
+        rows = [dict(row) for row in m]
+        seen.append((rows, 1 + max((c for row in rows for c in row), default=-1)))
         return real(m)
 
     monkeypatch.setattr(linalg, "rref", recording)
@@ -303,8 +292,9 @@ def relation_matrices(monkeypatch, build):
 
 def assert_kernel_matches_oracle(mats):
     assert mats
-    for m in mats:
-        assert rref(m) == dense_rref(m)
+    for rows, ncols in mats:
+        out, pivots = rref(rows)
+        assert (densify(out, ncols), pivots) == dense_rref(densify(rows, ncols))
 
 
 def test_point_and_swap_relation_matrices(monkeypatch, point_cmod, swap_cmod):
@@ -334,5 +324,5 @@ def test_regular_s3_relation_matrices(monkeypatch, s3, coefficients):
             RelativeTensorSpace(mc, cmod, n)
 
     mats = relation_matrices(monkeypatch, build)
-    assert max(len(m) * len(m[0]) for m in mats) == 1080 * 216
+    assert max(len(rows) * ncols for rows, ncols in mats) == 1080 * 216
     assert_kernel_matches_oracle(mats)

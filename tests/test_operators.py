@@ -35,8 +35,9 @@ from hopfcyc.instances import (
     cyclic_group,
 )
 from hopfcyc.kaygun import KaygunBridge
-from hopfcyc.linalg import dense, identity, mat_mul, mat_sub, transpose
 from hopfcyc.rewrite import ConcreteRule, Presentation
+
+from dense_oracle import as_dense, dense, identity, mat_mul, mat_sub, sparse
 
 
 # -- the symbolic route ----------------------------------------------------------
@@ -49,12 +50,13 @@ def symbolic_elt(basis, i):
 
 def symbolic_op_matrix(op, src, tgt):
     """Dense matrix (tgt.dim x src.dim), one ``op(elt(j))`` per column."""
-    cols = [tgt.vec(op(symbolic_elt(src, j))) for j in range(src.dim)]
+    cols = [vec(tgt, op(symbolic_elt(src, j))) for j in range(src.dim)]
     return [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)]
 
 
-def as_dense(cols, nrows):
-    return transpose([dense(col, nrows) for col in cols]) if cols else []
+def vec(basis, te):
+    """The dense coordinates of a tensor in a finite basis."""
+    return dense(basis.coords(te.terms), basis.dim)
 
 
 def _sum(terms, prs):
@@ -191,7 +193,7 @@ def symbolic_relative_rows(mc, c_mod, n):
                     ]
                     terms.append(tensor(fs).scale(cf * ch))
             right = _sum(terms, x.prs)
-            rows.append([u - v for u, v in zip(basis.vec(left), basis.vec(right))])
+            rows.append([u - v for u, v in zip(vec(basis, left), vec(basis, right))])
     return rows
 
 
@@ -215,19 +217,19 @@ def symbolic_diagonal_rows(mc, a_mod, n):
                         for i in range(n + 1)
                     ]
                     terms.append(tensor(fs).scale(cf * ch))
-            acted = basis.vec(_sum(terms, x.prs))
-            base = basis.vec(x.scale(h.counit(a)))
+            acted = vec(basis, _sum(terms, x.prs))
+            base = vec(basis, x.scale(h.counit(a)))
             rows.append([u - v for u, v in zip(acted, base)])
     return rows
 
 
 def recorded_relations(monkeypatch, build):
-    """The relation matrix ``build`` hands to ``rref``."""
+    """The sparse relation rows ``build`` hands to ``rref``."""
     seen = []
     real = linalg.rref
 
     def recording(m):
-        seen.append([list(row) for row in m])
+        seen.append([dict(row) for row in m])
         return real(m)
 
     monkeypatch.setattr(linalg, "rref", recording)
@@ -412,7 +414,7 @@ def test_relative_relations_match_symbolic_route(monkeypatch, coalgebra_instance
     mc, c_mod, _ = coalgebra_instances[name]
     for n in range(top + 1):
         rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(mc, c_mod, n))
-        assert rows == symbolic_relative_rows(mc, c_mod, n)
+        assert rows == [sparse(row) for row in symbolic_relative_rows(mc, c_mod, n)]
 
 
 @pytest.mark.parametrize("graded", [False, True])
@@ -421,4 +423,4 @@ def test_diagonal_relations_match_symbolic_route(monkeypatch, graded):
     ops = AlgebraChainOps(ci.mc, ci.a_mod)
     for n in range(3):
         rows = recorded_relations(monkeypatch, lambda: ops.quotient(n))
-        assert rows == symbolic_diagonal_rows(ci.mc, ci.a_mod, n)
+        assert rows == [sparse(row) for row in symbolic_diagonal_rows(ci.mc, ci.a_mod, n)]
