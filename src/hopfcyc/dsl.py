@@ -14,6 +14,10 @@ generators, and optional commutator extensions for indexed families:
       extend d by commutator X;
     }
 
+``inverse`` lines are optional: a generator without one gets its inverse
+antipode derived from its coproduct (see
+:meth:`~hopfcyc.hopf.HopfPresentation.gen_inv_antipode`).
+
 Parsing produces a small AST that prints back to canonical text
 (parse of print is the identity on the AST) and builds into a
 HopfPresentation.
@@ -558,7 +562,7 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
 
     def make_hooks():
         if not extends:
-            return None, None, None, None
+            return None, None, None
 
         def anchor_for(g):
             if g.name not in extends:
@@ -577,19 +581,13 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
             sp = hp.gen_antipode(Generator(g.name, g.index - 1))
             return sp * sa - sa * sp
 
-        def inv_hook(hp, g):
-            a = anchor_for(g)
-            sa = hp.gen_inv_antipode(a)
-            sp = hp.gen_inv_antipode(Generator(g.name, g.index - 1))
-            return sp * sa - sa * sp
-
         def cou_hook(hp, g):
             anchor_for(g)
             return 0
 
-        return cop_hook, cou_hook, ant_hook, inv_hook
+        return cop_hook, cou_hook, ant_hook
 
-    cop_hook, cou_hook, ant_hook, inv_hook = make_hooks()
+    cop_hook, cou_hook, ant_hook = make_hooks()
 
     h = HopfPresentation(
         ast.name,
@@ -602,7 +600,6 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
         coproduct_hook=cop_hook,
         counit_hook=cou_hook,
         antipode_hook=ant_hook,
-        inv_antipode_hook=inv_hook,
     )
     for g, terms in ast.coproducts:
         val = h.one_tensor().scale(0)

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 from .core import AlgElt, Coeff, EMPTY_WORD, Generator, ONE, TensorElt, Word, exact, tensor
 from .errors import StructureError, UnsolvableError
-from .linalg import solve
 from .rewrite import Presentation, Rule
 
 
@@ -28,11 +27,9 @@ class HopfPresentation(Presentation):
 
     Tables are keyed by :class:`Generator`; ``coproduct_hook(hopf, gen)``
     and friends supply missing entries for indexed families.  The inverse
-    antipode falls back to a linear-ansatz solve when neither a table entry
-    nor a hook is available.  Of the built-in presentations only the U
-    letters X and Y of the bicrossed product F ▷◁ U reach it (its hook
-    takes F letters from F); a DSL presentation reaches it only when it has
-    no ``extend`` line and lacks an ``inverse`` line for a generator.
+    antipode has no table or hook of its own: on every generator it is
+    derived from Δ, ε and S (:meth:`gen_inv_antipode`), unless a DSL
+    ``inverse`` line gave the value.
     """
 
     def __init__(
@@ -45,15 +42,12 @@ class HopfPresentation(Presentation):
         coproducts: dict,
         counits: dict,
         antipodes: dict,
-        inv_antipodes: Optional[dict] = None,
         coproduct_hook: Optional[Callable] = None,
         counit_hook: Optional[Callable] = None,
         antipode_hook: Optional[Callable] = None,
-        inv_antipode_hook: Optional[Callable] = None,
         finite_basis=None,
         unit_terms=None,
         check_rules: bool = True,
-        ansatz_index_bound: int = 6,
     ):
         super().__init__(
             name,
@@ -67,12 +61,11 @@ class HopfPresentation(Presentation):
         self._cop = dict(coproducts)
         self._cou = {g: exact(c) for g, c in counits.items()}
         self._ant = dict(antipodes)
-        self._inv = dict(inv_antipodes) if inv_antipodes else {}
+        self._inv: dict = {}  # generator -> S⁻¹, derived on demand
+        self._inv_pending: set = set()  # generators whose S⁻¹ is being derived
         self._cop_hook = coproduct_hook
         self._cou_hook = counit_hook
         self._ant_hook = antipode_hook
-        self._inv_hook = inv_antipode_hook
-        self._ansatz_bound = ansatz_index_bound
         self._cop_word_cache: dict = {}  # word -> coproduct_word(word)
 
     # -- generator tables -----------------------------------------------------
@@ -105,34 +98,44 @@ class HopfPresentation(Presentation):
         return val
 
     def gen_inv_antipode(self, g: Generator) -> AlgElt:
-        val = self._inv.get(g)
-        if val is None:
-            if self._inv_hook is not None:
-                val = self._inv_hook(self, g)
-            else:
-                val = self._solve_inv_antipode(g)
-            self._inv[g] = val
-        return val
+        """S⁻¹ on a generator, derived from its coproduct and memoized.
 
-    def _solve_inv_antipode(self, g: Generator) -> AlgElt:
-        """Ansatz: S⁻¹(g) = Σ x_w w over normal words of bounded degree,
-        determined by S(Σ x_w w) = g as an exact linear system."""
-        idx = (g.index or 1) + 1
-        for deg in range(2, 5):
-            cands = self.normal_words(deg, min(idx + deg, self._ansatz_bound))
-            images = [self.antipode(self.from_word(w)) for w in cands]
-            support = sorted({w for e in images for w in e.terms}, key=self.ruleset.order_key)
-            pos = {w: i for i, w in enumerate(support)}
-            target_word = (g,)
-            if target_word not in pos:
-                continue
-            cols = [{pos[w]: c for w, c in e.terms.items() if c} for e in images]
-            x = solve(cols, {pos[target_word]: 1})
-            if x is not None:
-                return self.elt({cands[j]: c for j, c in x.items()})
-        raise UnsolvableError(
-            f"no inverse-antipode value for {g} found within the ansatz degree bound"
-        )
+        S⁻¹ is the antipode of the co-opposite coalgebra, so Σ c·S⁻¹(b)·a
+        = ε(g)·1 over the terms c·a⊗b of Δ(g).  Take the term u⊗g whose
+        right leg is the letter g, with coefficient 1 and u group-like
+        (Δu = u⊗u, so u is invertible with inverse S(u)); then
+
+            S⁻¹(g) = (ε(g)·1 − Σ_{other terms} c·S⁻¹(b)·a)·S(u)
+
+        where S⁻¹(b) recurses on the letters of b.  Raises
+        :class:`UnsolvableError` when Δ(g) has no such term or the
+        recursion needs S⁻¹(g) again.
+        """
+        val = self._inv.get(g)
+        if val is not None:
+            return val
+        if g in self._inv_pending:
+            raise UnsolvableError(
+                f"no inverse antipode for {g}: deriving it needs S⁻¹({g}) again"
+            )
+        terms = self.gen_coproduct(g).terms
+        for (u, b), c in terms.items():
+            if b == (g,) and c == 1 and self.coproduct_word(u) == tensor([self.from_word(u)] * 2):
+                break
+        else:
+            raise UnsolvableError(
+                f"no inverse antipode for {g}: Δ({g}) has no term u⊗{g} with u group-like"
+            )
+        self._inv_pending.add(g)
+        try:
+            acc = self.unit().scale(self.gen_counit(g))
+            for (a, b), c in terms.items():
+                if (a, b) != (u, (g,)):
+                    acc = acc - (self.inv_antipode(self.from_word(b)) * self.from_word(a)).scale(c)
+        finally:
+            self._inv_pending.discard(g)
+        val = self._inv[g] = acc * self.antipode_word(u)
+        return val
 
     # -- structure maps on elements -------------------------------------------
 
@@ -265,14 +268,26 @@ class HopfPresentation(Presentation):
         return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
     def verify_inv_antipode(self, degree: int = 2, index_bound: int = 3) -> dict:
-        """Check S⁻¹∘S = S∘S⁻¹ = id on normal words of bounded degree."""
+        """Check S⁻¹∘S = S∘S⁻¹ = id on normal words of bounded degree.
+
+        A witness names the failing identity, the word and the nonzero
+        count of the residual; a word whose S⁻¹ cannot be derived fails
+        with the reason instead of aborting the check."""
         fails = []
         for w in self.normal_words(degree, index_bound):
             e = self.from_word(w)
-            if self.inv_antipode(self.antipode(e)) != e or self.antipode(
-                self.inv_antipode(e)
-            ) != e:
-                fails.append(str(e))
+            try:
+                images = (
+                    ("S⁻¹∘S", self.inv_antipode(self.antipode(e))),
+                    ("S∘S⁻¹", self.antipode(self.inv_antipode(e))),
+                )
+            except UnsolvableError as err:
+                fails.append(f"{e}: {err}")
+                continue
+            for name, image in images:
+                residual = image - e
+                if not residual.is_zero:
+                    fails.append(f"{name}: {e}: {len(residual.terms)} nonzero")
         return {"ok": not fails, "witnesses": fails[:3]}
 
 

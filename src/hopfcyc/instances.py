@@ -73,12 +73,6 @@ def _delta_antipode_hook(h: HopfPresentation, g: Generator) -> AlgElt:
     return sprev * sx - sx * sprev
 
 
-def _delta_inv_antipode_hook(h: HopfPresentation, g: Generator) -> AlgElt:
-    sx = h.gen_inv_antipode(Generator("X"))
-    sprev = h.gen_inv_antipode(Generator("d", g.index - 1))
-    return sprev * sx - sx * sprev
-
-
 def build_h1cop() -> HopfPresentation:
     """The rank-one Hopf algebra with the co-opposite coproduct.
 
@@ -97,7 +91,6 @@ def build_h1cop() -> HopfPresentation:
         coproduct_hook=lambda hp, g: _delta_coproduct_hook(hp, g),
         counit_hook=lambda hp, g: 0,
         antipode_hook=lambda hp, g: _delta_antipode_hook(hp, g),
-        inv_antipode_hook=lambda hp, g: _delta_inv_antipode_hook(hp, g),
     )
     X, Y, d1 = h.gen("X"), h.gen("Y"), h.gen("d", 1)
     one = h.unit()
@@ -108,9 +101,6 @@ def build_h1cop() -> HopfPresentation:
     h._ant[Generator("X")] = -X + Y * d1
     h._ant[Generator("Y")] = -Y
     h._ant[Generator("d", 1)] = -d1
-    h._inv[Generator("X")] = -X + d1 * Y
-    h._inv[Generator("Y")] = -Y
-    h._inv[Generator("d", 1)] = -d1
     return h
 
 
@@ -136,8 +126,6 @@ def build_u() -> HopfPresentation:
     u._cop[Generator("Y")] = tensor([y, one]) + tensor([one, y])
     u._ant[Generator("X")] = -x
     u._ant[Generator("Y")] = -y
-    u._inv[Generator("X")] = -x
-    u._inv[Generator("Y")] = -y
     return u
 
 
@@ -170,9 +158,6 @@ def build_f(internal: Optional[HopfPresentation] = None) -> HopfPresentation:
         coproduct_hook=cop_hook,
         counit_hook=lambda fp, g: 0,
         antipode_hook=ant_hook,
-        # F is commutative, and the antipode squares to the identity on the
-        # d-family, so the antipode is its own inverse.
-        inv_antipode_hook=ant_hook,
     )
     return f
 
@@ -490,13 +475,6 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
             out = out + (retag(su, hp) * retag(sf, hp)).scale(c)
         return out
 
-    def inv_hook(hp, g):
-        # F ▷◁ 1 is a Hopf subalgebra (the hooks above retag F's coproduct
-        # and antipode), so S⁻¹ restricts to F's; U letters take the ansatz
-        if g.name in f.generators:
-            return retag(f.gen_inv_antipode(g), hp)
-        return hp._solve_inv_antipode(g)
-
     hopf = HopfPresentation(
         name,
         generators,
@@ -508,7 +486,6 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
         coproduct_hook=cop_hook,
         counit_hook=cou_hook,
         antipode_hook=ant_hook,
-        inv_antipode_hook=inv_hook,
     )
     return Bicrossed(hopf, mp)
 
@@ -583,7 +560,6 @@ def build_group_algebra(g: GroupData, name: str = "kG") -> HopfPresentation:
         h._cop[Generator(a)] = tensor([e, e])
         inv = g.inverse(a)
         h._ant[Generator(a)] = h.unit() if inv == g.identity else h.gen(inv)
-        h._inv[Generator(a)] = h._ant[Generator(a)]
     return h
 
 

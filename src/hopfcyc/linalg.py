@@ -8,8 +8,7 @@ turns one into the other.  No zero entry is ever stored, so two matrices of
 one shape are equal exactly when their lists are, and the nonzeros of a
 difference are the entries where two matrices differ.  The matrices of this
 tool are mostly zero: the ⊗_H relation matrix of the regular S3 instance in
-degree 1 is 1080×216 with under 1% nonzero entries, the inverse-antipode
-ansatz for the U letters of the bicrossed product 88×28 with 6%.
+degree 1 is 1080×216 with under 1% nonzero entries.
 
 :func:`mat_vec` and :func:`mat_mul` are the one product, and :func:`rref`
 is the one elimination; :func:`rank`, :func:`nullspace`, :func:`solve` and

@@ -1,14 +1,19 @@
 """The presentation-file format: parsing, printing, building, diagnostics."""
 
 import importlib.resources
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hopfcyc import dsl
+from hopfcyc import cli, dsl
 from hopfcyc.core import Generator
 from hopfcyc.errors import ParseError, SemanticError, TerminationOrderError
 from hopfcyc.instances import build_h1cop
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def shipped_text() -> str:
@@ -35,6 +40,26 @@ def test_shipped_file_builds_h1cop():
         g = Generator("d", k)
         assert built.gen_antipode(g) == ref.gen_antipode(g)
         assert built.gen_coproduct(g).terms == ref.gen_coproduct(g).terms
+
+
+def test_inverse_lines_are_optional(capsys, tmp_path):
+    # with an extend line but no inverse lines, S⁻¹ of every generator is
+    # derived from its coproduct
+    text = "".join(
+        line for line in shipped_text().splitlines(keepends=True)
+        if not line.lstrip().startswith("inverse")
+    )
+    ast = dsl.parse(text)
+    assert not ast.hopfs[0].inverses
+    assert dsl.hopf_equivalent(dsl.build_hopf(ast.hopfs[0]), build_h1cop())
+    path = tmp_path / "h1cop.hopf"
+    path.write_text(text, encoding="utf-8")
+    assert cli.run(["verify-hopf", "--file", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    golden = json.loads((GOLDEN / "verify-hopf-h1cop.json").read_text(encoding="utf-8"))
+    report.pop("input_sha256")
+    golden.pop("input_sha256")
+    assert report == golden
 
 
 def test_built_presentation_passes_axioms():

@@ -1,13 +1,25 @@
 """Hopf structure maps: axiom suites, antipode tables, characters."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfcyc import cli, dsl
+from hopfcyc.coefficients import inv_antipode_via_twist
 from hopfcyc.core import Generator, tensor
-from hopfcyc.errors import UnsolvableError
-from hopfcyc.instances import build_h1cop, modular_character, retag
+from hopfcyc.errors import PreconditionError, UnsolvableError
+from hopfcyc.instances import (
+    build_group_algebra,
+    build_h1cop,
+    cyclic_group,
+    modular_character,
+    retag,
+)
+from hopfcyc.linalg import solve
 
 
 def test_axioms_degree_three(h1cop):
@@ -103,18 +115,193 @@ def test_modular_character(h1cop):
     assert delta(h1cop.unit()) == 1
 
 
+# -- the inverse antipode against independent routes --------------------------
+
+# Sweedler's 4-dimensional Hopf algebra: x is (g, 1)-primitive, so S⁻¹(x)
+# comes from the term g⊗x of Δ(x) with g group-like
+SWEEDLER = """
+hopf sweedler {
+  generators x < g;
+  rule g g -> 1;
+  rule x x -> 0;
+  rule g x -> - x g;
+  coproduct g -> g(x)g;
+  coproduct x -> x(x)1 + g(x)x;
+  counit g -> 1;
+  counit x -> 0;
+  antipode g -> g;
+  antipode x -> x g;
+}
+"""
+
+# malformed on purpose: S⁻¹(a) needs S⁻¹(b) and S⁻¹(b) needs S⁻¹(a)
+CYCLE = """
+hopf cycle {
+  generators b < a;
+  coproduct a -> a(x)1 + 1(x)a + 1(x)b;
+  coproduct b -> b(x)1 + 1(x)b + 1(x)a;
+  counit a -> 0;
+  counit b -> 0;
+  antipode a -> -a;
+  antipode b -> -b;
+}
+"""
+
+# malformed on purpose: the only term with right leg a has a left leg that
+# is not group-like
+NOPIVOT = """
+hopf nopivot {
+  generators a;
+  coproduct a -> a(x)1 + a(x)a;
+  counit a -> 0;
+  antipode a -> -a;
+}
+"""
+
+
+def from_text(text):
+    return dsl.build_hopf(dsl.parse(text).hopfs[0])
+
+
+def ansatz_inv_antipode(h, g, index_bound=6):
+    """S⁻¹(g) as the solution x of S(Σ x_w w) = g over the normal words w of
+    degree 2, 3, then 4 (indices bounded by index_bound): a linear system
+    that shares no code with the derivation from Δ."""
+    idx = (g.index or 1) + 1
+    for deg in range(2, 5):
+        cands = h.normal_words(deg, min(idx + deg, index_bound))
+        images = [h.antipode(h.from_word(w)) for w in cands]
+        support = sorted({w for e in images for w in e.terms}, key=h.ruleset.order_key)
+        pos = {w: i for i, w in enumerate(support)}
+        if (g,) not in pos:
+            continue
+        cols = [{pos[w]: c for w, c in e.terms.items()} for e in images]
+        x = solve(cols, {pos[(g,)]: 1})
+        if x is not None:
+            return h.elt({cands[j]: c for j, c in x.items()})
+    raise UnsolvableError(f"no inverse-antipode value for {g} within the ansatz degree bound")
+
+
+@pytest.fixture(scope="module")
+def ansatz():
+    """ansatz_inv_antipode, memoized per (presentation, generator): S⁻¹(d[4])
+    costs about 2 s and two tests ask for it in F ▷◁ U."""
+    cache = {}
+
+    def oracle(h, g):
+        if (h, g) not in cache:
+            cache[h, g] = ansatz_inv_antipode(h, g)
+        return cache[h, g]
+
+    return oracle
+
+
+@pytest.fixture(scope="module")
+def presentations(h1cop, matched_pair, bicrossed, s3):
+    return {
+        "h1cop": h1cop,
+        "u": matched_pair.u,
+        "f": matched_pair.f,
+        "bicrossed": bicrossed.hopf,
+        "kZ3": build_group_algebra(cyclic_group(3)),
+        "kS3": build_group_algebra(s3),
+        "sweedler": from_text(SWEEDLER),
+    }
+
+
+@pytest.mark.parametrize("name", ["h1cop", "u", "f", "bicrossed", "kZ3", "kS3", "sweedler"])
+def test_derived_inv_antipode_matches_ansatz(presentations, ansatz, name):
+    h = presentations[name]
+    for g in h.letters(4):
+        assert h.gen_inv_antipode(g) == ansatz(h, g), g
+
+
+def test_sweedler_inv_antipode(presentations):
+    h = presentations["sweedler"]
+    x, g = h.gen("x"), h.gen("g")
+    assert h.gen_inv_antipode(Generator("x")) == -(x * g)
+    assert h.gen_inv_antipode(Generator("g")) == g
+    assert h.verify_inv_antipode(degree=2, index_bound=2) == {"ok": True, "witnesses": []}
+
+
+@pytest.mark.parametrize("name", ["h1cop", "bicrossed"])
+def test_inv_antipode_commutator_recursion(presentations, name):
+    # S⁻¹ reverses products, so [X, d[k]] = d[k+1] gives the recursion the
+    # per-family hooks used to compute
+    h = presentations[name]
+    sx = h.gen_inv_antipode(Generator("X"))
+    for k in range(1, 8):
+        sk = h.gen_inv_antipode(Generator("d", k))
+        assert h.gen_inv_antipode(Generator("d", k + 1)) == sk * sx - sx * sk, k
+
+
 def test_unsolvable_inverse_antipode_raises():
+    # the ansatz stops at its degree bound ...
     h = build_h1cop()
-    h._ansatz_bound = 2
     with pytest.raises(UnsolvableError):
-        h._solve_inv_antipode(Generator("d", 8))
+        ansatz_inv_antipode(h, Generator("d", 8), index_bound=2)
+    # ... and the derivation raises where Δ gives it nothing to solve with
+    for text, g in ((CYCLE, "a"), (NOPIVOT, "a")):
+        with pytest.raises(UnsolvableError, match=f"no inverse antipode for {g}"):
+            from_text(text).gen_inv_antipode(Generator(g))
+
+
+UNDERIVABLE = {
+    "cycle": (CYCLE, "b: no inverse antipode for b: deriving it needs S⁻¹(b) again"),
+    "nopivot": (
+        NOPIVOT,
+        "a: no inverse antipode for a: Δ(a) has no term u⊗a with u group-like",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDERIVABLE))
+def test_underivable_inverse_antipode_fails_the_check(capsys, tmp_path, name):
+    # a full report with every check, and the usual failed-checks exit code
+    text, witness = UNDERIVABLE[name]
+    path = tmp_path / f"{name}.hopf"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PreconditionError) as err:
+        cli.run(["verify-hopf", "--file", str(path)])
+    assert err.value.exit_code == 8
+    result = json.loads(capsys.readouterr().out)["result"][name]
+    failed = [c["name"] for c in result["axioms"]["checks"] if not c["ok"]]
+    assert failed == ["coassociativity", "counit", "antipode"]
+    assert not result["inverse_antipode"]["ok"]
+    assert result["inverse_antipode"]["witnesses"][0] == witness
+
+
+def test_wrong_antipode_fails_the_inverse_check():
+    # S⁻¹ is derived from Δ alone, so a wrong S shows in S∘S⁻¹ and S⁻¹∘S
+    h = from_text(SWEEDLER.replace("antipode x -> x g;", "antipode x -> - x g;"))
+    assert not h.verify_hopf_axioms()["ok"]
+    report = h.verify_inv_antipode(degree=2, index_bound=2)
+    assert report == {
+        "ok": False,
+        "witnesses": ["S⁻¹∘S: x: 1 nonzero", "S∘S⁻¹: x: 1 nonzero", "S⁻¹∘S: x g: 1 nonzero"],
+    }
+
+
+@pytest.mark.parametrize("name", ["h1cop", "bicrossed"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_inv_antipode_inverts_antipode_property(presentations, name, data):
+    h = presentations[name]
+    w = tuple(data.draw(st.lists(st.sampled_from(h.letters(5)), max_size=3)))
+    e = h.from_word(w)
+    assert h.antipode(h.inv_antipode(e)) == e
+    assert h.inv_antipode(h.antipode(e)) == e
+    if name == "h1cop":
+        # (δ, 1) is a modular pair in involution: the twisted formula is a
+        # second route
+        assert inv_antipode_via_twist(h, modular_character(h), e) == h.inv_antipode(e)
 
 
 # -- the inverse antipode of F ▷◁ U -------------------------------------------
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_bicrossed_inv_antipode_on_deltas(bicrossed, k):
+def test_bicrossed_inv_antipode_on_deltas(bicrossed, ansatz, k):
     # F ▷◁ 1 is a Hopf subalgebra, so S⁻¹(d[k]) is F's value read in F ▷◁ U;
     # past k = 4 the ansatz's degree bound no longer reaches it (d[1]^5 in
     # S⁻¹(d[5]))
@@ -123,8 +310,7 @@ def test_bicrossed_inv_antipode_on_deltas(bicrossed, k):
     assert h.antipode(value) == h.gen("d", k)
     assert value == retag(bicrossed.mp.f.gen_inv_antipode(g), h)
     if k <= 4:
-        # the linear ansatz is the independent second route
-        assert value == h._solve_inv_antipode(g)
+        assert value == ansatz(h, g)
 
 
 def test_bicrossed_inv_antipode_on_u_letters(bicrossed):
