@@ -117,13 +117,7 @@ def mc_conjugation_group(
                 out = out + from_label(space, conj).scale(mc * hc)
         return out
 
-    def coact(m):
-        out = tensor([hopf.zero(), space.zero()])
-        for w, c in m.terms.items():
-            out = out + tensor([hopf.from_word(w), space.from_word(w)]).scale(c)
-        return out
-
-    return ModuleComodule(name, hopf, space, act, coact)
+    return ModuleComodule(name, hopf, space, act, mc_graded_group(hopf, space).coact)
 
 
 def mc_graded_group(hopf: HopfPresentation, space: Presentation, name: str = "graded") -> ModuleComodule:
@@ -132,7 +126,7 @@ def mc_graded_group(hopf: HopfPresentation, space: Presentation, name: str = "gr
     the same letters as the group algebra ``hopf``."""
 
     def coact(m):
-        out = tensor([hopf.zero()]).outer(tensor([space.zero()]))
+        out = tensor([hopf.zero(), space.zero()])
         for w, c in m.terms.items():
             out = out + tensor([hopf.from_word(w), space.from_word(w)]).scale(c)
         return out

@@ -14,9 +14,13 @@ generators, and optional commutator extensions for indexed families:
       extend d by commutator X;
     }
 
-``inverse`` lines are optional: a generator without one gets its inverse
-antipode derived from its coproduct (see
-:meth:`~hopfcyc.hopf.HopfPresentation.gen_inv_antipode`).
+``antipode`` and ``inverse`` lines are optional table entries: a generator
+without one gets S and S⁻¹ derived from its coproduct (see
+:meth:`~hopfcyc.hopf.HopfPresentation.gen_antipode`).  Only a group-like
+generator (``coproduct g -> g(x)g;``) needs its ``antipode`` line, since
+S(g) = g⁻¹ is not fixed by Δ alone.  An ``extend`` line derives Δ and ε of
+an indexed family from the commutator with its anchor, starting from the
+family's ``coproduct`` line for index 1.
 
 Parsing produces a small AST that prints back to canonical text
 (parse of print is the identity on the AST) and builds into a
@@ -559,10 +563,15 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
             rules.append(SchemaRule(list(r.lhs), rhs, guard=r.guard))
 
     extends = dict(ast.extends)
+    for fam in extends:
+        if not generators[fam]:
+            raise SemanticError(f"extend {fam}: {fam!r} is not an indexed family")
+        if not any(g.name == fam and g.index == 1 for g, _ in ast.coproducts):
+            raise SemanticError(f"extend {fam}: no coproduct line for {fam}[1] to start from")
 
     def make_hooks():
         if not extends:
-            return None, None, None
+            return None, None
 
         def anchor_for(g):
             if g.name not in extends:
@@ -575,19 +584,13 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
             dp = hp.gen_coproduct(Generator(g.name, g.index - 1))
             return da.leg_mul(dp) - dp.leg_mul(da)
 
-        def ant_hook(hp, g):
-            a = anchor_for(g)
-            sa = hp.gen_antipode(a)
-            sp = hp.gen_antipode(Generator(g.name, g.index - 1))
-            return sp * sa - sa * sp
-
         def cou_hook(hp, g):
             anchor_for(g)
             return 0
 
-        return cop_hook, cou_hook, ant_hook
+        return cop_hook, cou_hook
 
-    cop_hook, cou_hook, ant_hook = make_hooks()
+    cop_hook, cou_hook = make_hooks()
 
     h = HopfPresentation(
         ast.name,
@@ -596,10 +599,8 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
         rules,
         coproducts={},
         counits={g: v for g, v in ast.counits},
-        antipodes={},
         coproduct_hook=cop_hook,
         counit_hook=cou_hook,
-        antipode_hook=ant_hook,
     )
     for g, terms in ast.coproducts:
         val = h.one_tensor().scale(0)

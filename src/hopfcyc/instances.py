@@ -66,13 +66,6 @@ def _delta_coproduct_hook(h: HopfPresentation, g: Generator) -> TensorElt:
     return dx.leg_mul(dprev) - dprev.leg_mul(dx)
 
 
-def _delta_antipode_hook(h: HopfPresentation, g: Generator) -> AlgElt:
-    """S(d[k+1]) = S(d[k])S(X) - S(X)S(d[k]) (antipodes reverse products)."""
-    sx = h.gen_antipode(Generator("X"))
-    sprev = h.gen_antipode(Generator("d", g.index - 1))
-    return sprev * sx - sx * sprev
-
-
 def build_h1cop() -> HopfPresentation:
     """The rank-one Hopf algebra with the co-opposite coproduct.
 
@@ -87,10 +80,8 @@ def build_h1cop() -> HopfPresentation:
         _h1cop_rules(),
         coproducts={},
         counits={},
-        antipodes={},
         coproduct_hook=lambda hp, g: _delta_coproduct_hook(hp, g),
         counit_hook=lambda hp, g: 0,
-        antipode_hook=lambda hp, g: _delta_antipode_hook(hp, g),
     )
     X, Y, d1 = h.gen("X"), h.gen("Y"), h.gen("d", 1)
     one = h.unit()
@@ -98,9 +89,6 @@ def build_h1cop() -> HopfPresentation:
     h._cop[Generator("Y")] = tensor([Y, one]) + tensor([one, Y])
     h._cop[Generator("d", 1)] = tensor([d1, one]) + tensor([one, d1])
     h._cou.update({Generator("X"): 0, Generator("Y"): 0, Generator("d", 1): 0})
-    h._ant[Generator("X")] = -X + Y * d1
-    h._ant[Generator("Y")] = -Y
-    h._ant[Generator("d", 1)] = -d1
     return h
 
 
@@ -119,21 +107,19 @@ def build_u() -> HopfPresentation:
         [SchemaRule([X, Y], [(1, (Y, X)), (-1, (X,))])],
         coproducts={},
         counits={Generator("X"): 0, Generator("Y"): 0},
-        antipodes={},
     )
     x, y, one = u.gen("X"), u.gen("Y"), u.unit()
     u._cop[Generator("X")] = tensor([x, one]) + tensor([one, x])
     u._cop[Generator("Y")] = tensor([y, one]) + tensor([one, y])
-    u._ant[Generator("X")] = -x
-    u._ant[Generator("Y")] = -y
     return u
 
 
 def build_f(internal: Optional[HopfPresentation] = None) -> HopfPresentation:
     """The commutative factor F on the d-family.
 
-    Its coproduct and antipode on d[k] are the internal ones (computed in
-    the full algebra, where pure-δ words stay pure-δ) reinterpreted over F.
+    Its coproduct on d[k] is the internal one (computed in the full
+    algebra, where pure-δ words stay pure-δ) reinterpreted over F; its
+    antipode is derived from that coproduct.
     """
     internal = internal or build_h1cop()
     k = IndexExpr.parse("k")
@@ -144,9 +130,6 @@ def build_f(internal: Optional[HopfPresentation] = None) -> HopfPresentation:
         inner = internal.gen_coproduct(Generator("d", g.index))
         return retag_tensor(inner, (fp, fp))
 
-    def ant_hook(fp, g):
-        return retag(internal.gen_antipode(Generator("d", g.index)), fp)
-
     f = HopfPresentation(
         "f",
         {"d": True},
@@ -154,10 +137,8 @@ def build_f(internal: Optional[HopfPresentation] = None) -> HopfPresentation:
         [SchemaRule([dk, di], [(1, (di, dk))], guard=("k", ">", "i"))],
         coproducts={},
         counits={},
-        antipodes={},
         coproduct_hook=cop_hook,
         counit_hook=lambda fp, g: 0,
-        antipode_hook=ant_hook,
     )
     return f
 
@@ -406,8 +387,8 @@ class Bicrossed:
 
 def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed") -> Bicrossed:
     """Assemble F ▷◁ U: F and U rules plus the straightening rule
-    u·f -> Σ (u⁽¹⁾ ▹ f)·u⁽²⁾, with the Hopf tables induced from the
-    matched-pair formulas."""
+    u·f -> Σ (u⁽¹⁾ ▹ f)·u⁽²⁾, with Δ and ε induced from the matched-pair
+    formulas (S and S⁻¹ are derived from Δ)."""
     mp = mp or build_matched_pair()
     u, f = mp.u, mp.f
     generators = {**f.generators, **u.generators}
@@ -463,18 +444,6 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
     def cou_hook(hp, g):
         return f.gen_counit(g) if g.name in f.generators else u.gen_counit(g)
 
-    def ant_hook(hp, g):
-        if g.name in f.generators:
-            return retag(f.gen_antipode(g), hp)
-        # S(1 ▷◁ u) = (1 ▷◁ S_U(u⟨0⟩)) (S_F(u⟨1⟩) ▷◁ 1)
-        nu = mp.coact_word((g,))
-        out = hp.zero()
-        for (u0, u1), c in nu.terms.items():
-            su = u.antipode(u.from_word(u0))
-            sf = f.antipode(f.from_word(u1))
-            out = out + (retag(su, hp) * retag(sf, hp)).scale(c)
-        return out
-
     hopf = HopfPresentation(
         name,
         generators,
@@ -482,10 +451,8 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
         rules,
         coproducts={},
         counits={},
-        antipodes={},
         coproduct_hook=cop_hook,
         counit_hook=cou_hook,
-        antipode_hook=ant_hook,
     )
     return Bicrossed(hopf, mp)
 
@@ -552,7 +519,6 @@ def build_group_algebra(g: GroupData, name: str = "kG") -> HopfPresentation:
         rules,
         coproducts={},
         counits={Generator(a): ONE for a in nonid},
-        antipodes={},
         finite_basis=basis,
     )
     for a in nonid:
@@ -574,7 +540,6 @@ def build_set_coalgebra(points: Sequence[str], name: str = "CX") -> HopfPresenta
         [],
         coproducts={},
         counits={Generator(x): ONE for x in points},
-        antipodes={},
         finite_basis=[(Generator(x),) for x in points],
     )
     for x in points:

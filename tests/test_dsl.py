@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,15 +43,15 @@ def test_shipped_file_builds_h1cop():
         assert built.gen_coproduct(g).terms == ref.gen_coproduct(g).terms
 
 
-def test_inverse_lines_are_optional(capsys, tmp_path):
-    # with an extend line but no inverse lines, S⁻¹ of every generator is
-    # derived from its coproduct
+def assert_optional(capsys, tmp_path, dropped):
+    """The shipped file without its lines starting with ``dropped`` builds
+    a presentation equivalent to h1cop, and ``verify-hopf`` reports on it
+    as on the shipped file, apart from the input hash."""
     text = "".join(
         line for line in shipped_text().splitlines(keepends=True)
-        if not line.lstrip().startswith("inverse")
+        if not line.lstrip().startswith(dropped)
     )
     ast = dsl.parse(text)
-    assert not ast.hopfs[0].inverses
     assert dsl.hopf_equivalent(dsl.build_hopf(ast.hopfs[0]), build_h1cop())
     path = tmp_path / "h1cop.hopf"
     path.write_text(text, encoding="utf-8")
@@ -60,6 +61,19 @@ def test_inverse_lines_are_optional(capsys, tmp_path):
     report.pop("input_sha256")
     golden.pop("input_sha256")
     assert report == golden
+    return ast.hopfs[0]
+
+
+def test_inverse_lines_are_optional(capsys, tmp_path):
+    # with an extend line but no inverse lines, S⁻¹ of every generator is
+    # derived from its coproduct
+    assert not assert_optional(capsys, tmp_path, ("inverse",)).inverses
+
+
+@pytest.mark.parametrize("dropped", [("antipode",), ("antipode", "inverse")])
+def test_antipode_lines_are_optional(capsys, tmp_path, dropped):
+    # no generator of h1cop is group-like, so S is derived from Δ as S⁻¹ is
+    assert not assert_optional(capsys, tmp_path, dropped).antipodes
 
 
 def test_built_presentation_passes_axioms():
@@ -159,3 +173,41 @@ def test_negated_coefficients_parse_and_round_trip():
     assert dsl.parse(dsl.print_file(ast)) == ast
     # a scalar term prints as its coefficient alone
     assert "antipode Y -> -Y - 2;" in dsl.print_file(ast)
+
+
+EXTEND_MISUSE = {
+    # the family has no coproduct line to start the commutator recursion
+    "unanchored": (
+        "d[] < X",
+        "coproduct X -> X(x)1 + 1(x)X; counit X -> 0; antipode X -> -X;",
+        "extend d by commutator X;",
+        "extend d: no coproduct line for d[1] to start from",
+    ),
+    # the recursion would reach d[1] from below, where nothing starts it
+    "late": (
+        "d[] < X",
+        "coproduct X -> X(x)1 + 1(x)X; counit X -> 0; antipode X -> -X;"
+        " coproduct d[2] -> d[2](x)1 + 1(x)d[2];",
+        "extend d by commutator X;",
+        "extend d: no coproduct line for d[1] to start from",
+    ),
+    # Y has no indices to recurse on
+    "unindexed": (
+        "Y < X",
+        "coproduct X -> X(x)1 + 1(x)X; counit X -> 0; counit Y -> 0;"
+        " antipode X -> -X; antipode Y -> -Y;",
+        "extend Y by commutator X;",
+        "extend Y: 'Y' is not an indexed family",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTEND_MISUSE))
+def test_extend_misuse_is_a_semantic_error(capsys, tmp_path, name):
+    gens, cops, extend, message = EXTEND_MISUSE[name]
+    path = tmp_path / f"{name}.hopf"
+    path.write_text(f"hopf {name} {{ generators {gens}; {cops} {extend} }}\n", encoding="utf-8")
+    with pytest.raises(SemanticError, match=re.escape(message)) as err:
+        cli.run(["verify-hopf", "--file", str(path)])
+    assert err.value.exit_code == 4
+    assert capsys.readouterr().out == ""

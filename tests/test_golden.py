@@ -2,11 +2,12 @@
 
 ``tests/golden/<command>.json`` is the stdout of ``hopfcyc <command>`` at
 default arguments; ``<command>-upto<N>.json`` that of ``hopfcyc <command>
---upto N``, for the deeper degrees; ``verify-hopf-h1cop.json`` that of
+--upto N``, for the deeper degrees; ``<command>-degree<N>.json`` that of
+``hopfcyc <command> --degree N``; ``verify-hopf-h1cop.json`` that of
 ``hopfcyc verify-hopf --file src/hopfcyc/data/h1cop.hopf``.  A change that alters a report on
 purpose regenerates the file with ``PYTHONPATH=src python -m hopfcyc.cli
-<command> [--upto N] > tests/golden/<name>.json`` and says why; any other
-difference is a regression.
+<command> [--upto N | --degree N] > tests/golden/<name>.json`` and says why;
+any other difference is a regression.
 """
 
 from pathlib import Path
@@ -43,6 +44,12 @@ def test_report_matches_golden(capsys, command):
 def test_deep_report_matches_golden(capsys, command, upto):
     assert cli.run([command, "--upto", str(upto)]) == 0
     expected = (GOLDEN / f"{command}-upto{upto}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_degree_report_matches_golden(capsys):
+    assert cli.run(["verify-hopf", "--degree", "3"]) == 0
+    expected = (GOLDEN / "verify-hopf-degree3.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

@@ -115,6 +115,121 @@ def test_modular_character(h1cop):
     assert delta(h1cop.unit()) == 1
 
 
+# -- the antipode against the formulas it replaced ----------------------------
+
+
+@pytest.fixture(scope="module")
+def hook_antipode(h1cop, bicrossed):
+    """S on a generator of h1cop, U, F or F ▷◁ U by the formulas that the
+    derivation from Δ replaced: the h1cop and U tables, the commutator
+    recursion on the δ-family, F's reading of h1cop's values and the
+    matched-pair formula S(1 ▷◁ u) = S_U(u⟨0⟩)·S_F(u⟨1⟩).  Shares no code
+    with the derivation; memoized per (presentation, generator)."""
+    mp = bicrossed.mp
+    cache = {}
+
+    def on_word(h, w):
+        out = h.unit()
+        for g in w:
+            out = s(h, g) * out
+        return out
+
+    def s(h, g):
+        if (h, g) in cache:
+            return cache[h, g]
+        if h.name == "u" or (h.name == "h1cop" and g.index is None):
+            val = {"X": -h.gen("X"), "Y": -h.gen("Y")}[g.name]
+            if h.name == "h1cop" and g.name == "X":
+                val = val + h.gen("Y") * h.gen("d", 1)
+        elif h.name == "h1cop":
+            if g.index == 1:
+                val = -h.gen("d", 1)
+            else:
+                # S reverses products, so [X, d[k]] = d[k+1] gives
+                # S(d[k+1]) = S(d[k])S(X) - S(X)S(d[k])
+                sx, sk = s(h, Generator("X")), s(h, Generator("d", g.index - 1))
+                val = sk * sx - sx * sk
+        elif h.name == "f":
+            val = retag(s(h1cop, g), h)
+        elif g.name == "d":
+            val = retag(s(mp.f, g), h)
+        else:
+            val = h.zero()
+            for (u0, u1), c in mp.coact_word((g,)).terms.items():
+                val = val + (retag(on_word(mp.u, u0), h) * retag(on_word(mp.f, u1), h)).scale(c)
+        cache[h, g] = val
+        return val
+
+    return s
+
+
+@pytest.mark.parametrize("name", ["h1cop", "u", "f", "bicrossed"])
+def test_derived_antipode_matches_removed_formulas(presentations, hook_antipode, name):
+    # U: S(X) = -X, S(Y) = -Y; F: h1cop's S(d[k]) read in F; F ▷◁ U: F's
+    # S(d[k]) and the matched-pair formula on X and Y
+    h = presentations[name]
+    letters = h.letters(7)
+    assert max(g.index or 0 for g in letters) == (7 if name != "u" else 0)
+    for g in letters:
+        assert h.gen_antipode(g) == hook_antipode(h, g), g
+
+
+@pytest.mark.parametrize("name", ["h1cop", "bicrossed"])
+def test_antipode_commutator_recursion(presentations, name):
+    # the recursion h1cop's hook used, also in F ▷◁ U, where the F letters
+    # took F's values instead
+    h = presentations[name]
+    sx = h.gen_antipode(Generator("X"))
+    for k in range(1, 8):
+        sk = h.gen_antipode(Generator("d", k))
+        assert h.gen_antipode(Generator("d", k + 1)) == sk * sx - sx * sk, k
+
+
+# a group-like generator whose S(g) = g⁻¹ no coproduct fixes: without an
+# antipode line, S cannot be derived
+GROUPLIKE = """
+hopf grouplike {
+  generators g;
+  rule g g -> 1;
+  coproduct g -> g(x)g;
+  counit g -> 1;
+}
+"""
+
+
+def test_underivable_antipode_fails_the_checks(capsys, tmp_path):
+    # a full report with every check, and the usual failed-checks exit code
+    path = tmp_path / "grouplike.hopf"
+    path.write_text(GROUPLIKE, encoding="utf-8")
+    with pytest.raises(PreconditionError) as err:
+        cli.run(["verify-hopf", "--file", str(path)])
+    assert err.value.exit_code == 8
+    result = json.loads(capsys.readouterr().out)["result"]["grouplike"]
+    checks = {c["name"]: c for c in result["axioms"]["checks"]}
+    assert [n for n, c in checks.items() if not c["ok"]] == [
+        "antipode",
+        "antipode respects relations",
+    ]
+    reason = "no antipode for g: deriving it needs S(g) again"
+    assert checks["antipode"]["witnesses"] == [f"g: {reason}"]
+    assert checks["antipode respects relations"]["witnesses"] == [f"g g: {reason}"]
+    assert not result["inverse_antipode"]["ok"]
+    assert result["inverse_antipode"]["witnesses"][0] == f"g: {reason}"
+    # with the antipode line the same file is a Hopf algebra (k[Z/2])
+    h = from_text(GROUPLIKE.replace("counit g -> 1;", "counit g -> 1;\n  antipode g -> g;"))
+    assert h.verify_hopf_axioms()["ok"]
+    assert h.verify_inv_antipode(degree=2, index_bound=2)["ok"]
+
+
+def test_underivable_antipode_raises():
+    with pytest.raises(UnsolvableError, match="no antipode for g: deriving it needs S"):
+        from_text(GROUPLIKE).gen_antipode(Generator("g"))
+    # S(a) needs the term a⊗u of Δ(a) with u group-like
+    text = NOPIVOT.replace("a(x)1 + a(x)a", "1(x)a + a(x)a").replace("antipode a -> -a;\n", "")
+    with pytest.raises(UnsolvableError, match="Δ\\(a\\) has no term a⊗u with u group-like"):
+        from_text(text).gen_antipode(Generator("a"))
+
+
 # -- the inverse antipode against independent routes --------------------------
 
 # Sweedler's 4-dimensional Hopf algebra: x is (g, 1)-primitive, so S⁻¹(x)
@@ -222,6 +337,18 @@ def test_sweedler_inv_antipode(presentations):
     assert h.gen_inv_antipode(Generator("x")) == -(x * g)
     assert h.gen_inv_antipode(Generator("g")) == g
     assert h.verify_inv_antipode(degree=2, index_bound=2) == {"ok": True, "witnesses": []}
+
+
+def test_sweedler_antipode_derived():
+    # without its antipode line S(x) comes from the term x⊗u of Δ(x): u = 1
+    # here, and u = g in the convention Δx = x⊗g + 1⊗x, where S(x) = -x·S(g)
+    text = SWEEDLER.replace("  antipode x -> x g;\n", "")
+    flipped = text.replace("x(x)1 + g(x)x", "x(x)g + 1(x)x")
+    for src, sign in ((text, 1), (flipped, -1)):
+        h = from_text(src)
+        assert h.gen_antipode(Generator("x")) == (h.gen("x") * h.gen("g")).scale(sign)
+        assert h.verify_hopf_axioms()["ok"]
+        assert h.verify_inv_antipode(degree=2, index_bound=2)["ok"]
 
 
 @pytest.mark.parametrize("name", ["h1cop", "bicrossed"])
