@@ -2,7 +2,7 @@
 
 A presentation file declares generator families with their precedence,
 rewrite rules (concrete or index-parametric), the structure-map tables on
-generators, and optional commutator extensions for indexed families:
+generators, and optional commutator checks for indexed families:
 
     hopf h1cop {
       generators d[] < Y < X;
@@ -18,9 +18,11 @@ generators, and optional commutator extensions for indexed families:
 without one gets S and S⁻¹ derived from its coproduct (see
 :meth:`~hopfcyc.hopf.HopfPresentation.gen_antipode`).  Only a group-like
 generator (``coproduct g -> g(x)g;``) needs its ``antipode`` line, since
-S(g) = g⁻¹ is not fixed by Δ alone.  An ``extend`` line derives Δ and ε of
-an indexed family from the commutator with its anchor, starting from the
-family's ``coproduct`` line for index 1.
+S(g) = g⁻¹ is not fixed by Δ alone.  An indexed family needs ``coproduct``
+and ``counit`` lines only for index 1: Δ and ε of fam[k+1] follow from the
+rule that raises its index (here ``X d[k] -> d[k] X + d[k+1]``).  An
+``extend fam by commutator A`` line is an optional check that fam[1] has a
+``coproduct`` line and that this rule commutes fam[k] with A.
 
 Parsing produces a small AST that prints back to canonical text
 (parse of print is the identity on the AST) and builds into a
@@ -496,16 +498,10 @@ def print_hopf(ast: HopfAST) -> str:
         lines.append(f"  coproduct {_word_text((g,))} -> {body};")
     for g, val in ast.counits:
         lines.append(f"  counit {_word_text((g,))} -> {val};")
-    for g, terms in ast.antipodes:
-        lines.append(
-            f"  antipode {_word_text((g,))} -> "
-            f"{_poly_text(terms, lambda t: _word_text(t[1]))};"
-        )
-    for g, terms in ast.inverses:
-        lines.append(
-            f"  inverse {_word_text((g,))} -> "
-            f"{_poly_text(terms, lambda t: _word_text(t[1]))};"
-        )
+    for keyword, table in (("antipode", ast.antipodes), ("inverse", ast.inverses)):
+        for g, terms in table:
+            body = _poly_text(terms, lambda t: _word_text(t[1]))
+            lines.append(f"  {keyword} {_word_text((g,))} -> {body};")
     for fam, anchor in ast.extends:
         lines.append(f"  extend {fam} by commutator {_word_text((anchor,))};")
     lines.append("}")
@@ -519,17 +515,13 @@ def print_file(ast: FileAST) -> str:
 # -- building -----------------------------------------------------------------
 
 
-def _is_concrete(rule: RuleAST) -> bool:
-    for p in rule.lhs:
-        if p.index is not None and p.index.literal is None:
-            return False
-    for c, pats in rule.rhs:
-        if isinstance(c, str):
-            return False
-        for p in pats:
-            if p.index is not None and p.index.literal is None:
-                return False
-    return rule.guard is None
+def _rule_vars(rule: RuleAST) -> tuple:
+    """(variables the left side binds, variables used elsewhere: in a right
+    side index, as a coefficient or in the guard)."""
+    bound = {p.index.var for p in rule.lhs if p.index is not None}
+    used = {p.index.var for _, pats in rule.rhs for p in pats if p.index is not None}
+    used |= {c.lstrip("-") for c, _ in rule.rhs if isinstance(c, str)}
+    return bound - {None}, (used | set(rule.guard[::2] if rule.guard else ())) - {None}
 
 
 def build_hopf(ast: HopfAST) -> HopfPresentation:
@@ -538,7 +530,8 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
     order = RuleSet([], precedence)
     rules = []
     for r in ast.rules:
-        if _is_concrete(r):
+        bound, used = _rule_vars(r)
+        if not bound | used:
             lhs_word = _pats_to_word(r.lhs)
             for _, pats in r.rhs:
                 w = _pats_to_word(pats)
@@ -553,6 +546,11 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
                 rhs[w] = rhs.get(w, 0) + c
             rules.append(ConcreteRule(_pats_to_word(r.lhs), rhs))
         else:
+            if used - bound:
+                raise SemanticError(
+                    f"rule {_pat_text(r.lhs)} -> ...: variable"
+                    f" {min(used - bound)!r} is not bound by its left side"
+                )
             rhs = []
             for c, pats in r.rhs:
                 if isinstance(c, str) and c.startswith("-"):
@@ -562,36 +560,6 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
                 rhs.append((c, tuple(pats)))
             rules.append(SchemaRule(list(r.lhs), rhs, guard=r.guard))
 
-    extends = dict(ast.extends)
-    for fam in extends:
-        if not generators[fam]:
-            raise SemanticError(f"extend {fam}: {fam!r} is not an indexed family")
-        if not any(g.name == fam and g.index == 1 for g, _ in ast.coproducts):
-            raise SemanticError(f"extend {fam}: no coproduct line for {fam}[1] to start from")
-
-    def make_hooks():
-        if not extends:
-            return None, None
-
-        def anchor_for(g):
-            if g.name not in extends:
-                raise SemanticError(f"no table entry or extension for {g}")
-            return extends[g.name]
-
-        def cop_hook(hp, g):
-            a = anchor_for(g)
-            da = hp.gen_coproduct(a)
-            dp = hp.gen_coproduct(Generator(g.name, g.index - 1))
-            return da.leg_mul(dp) - dp.leg_mul(da)
-
-        def cou_hook(hp, g):
-            anchor_for(g)
-            return 0
-
-        return cop_hook, cou_hook
-
-    cop_hook, cou_hook = make_hooks()
-
     h = HopfPresentation(
         ast.name,
         generators,
@@ -599,18 +567,24 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
         rules,
         coproducts={},
         counits={g: v for g, v in ast.counits},
-        coproduct_hook=cop_hook,
-        counit_hook=cou_hook,
     )
     for g, terms in ast.coproducts:
         val = h.one_tensor().scale(0)
         for c, left, right in terms:
             val = val + tensor([h.from_word(left), h.from_word(right)]).scale(c)
         h._cop[g] = val
-    for g, terms in ast.antipodes:
-        h._ant[g] = h.elt({w: c for c, w in terms})
-    for g, terms in ast.inverses:
-        h._inv[g] = h.elt({w: c for c, w in terms})
+    for table, entries in ((h._ant, ast.antipodes), (h._inv, ast.inverses)):
+        table.update((g, h.elt({w: c for c, w in terms})) for g, terms in entries)
+    for fam, anchor in ast.extends:
+        if not generators[fam]:
+            raise SemanticError(f"extend {fam}: {fam!r} is not an indexed family")
+        if Generator(fam, 1) not in h._cop:
+            raise SemanticError(f"extend {fam}: no coproduct line for {fam}[1] to start from")
+        found = h.ruleset.ladder(Generator(fam, 2))
+        if found is None or [a for a in found[0] if a != Generator(fam, 1)] != [anchor]:
+            raise SemanticError(
+                f"extend {fam}: no rule raises the index of {fam} by a commutator with {anchor}"
+            )
     return h
 
 

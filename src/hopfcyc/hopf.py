@@ -2,12 +2,13 @@
 
 A :class:`HopfPresentation` extends :class:`Presentation` with generator
 tables for the coproduct and counit, extended multiplicatively to all of the
-algebra.  Indexed generator families may supply per-family hooks that derive
-Δ and ε entries on demand, e.g. from commutator recursions, so the tables
-stay finite.  The antipode S and its inverse are derived from Δ and ε on
-every generator (:meth:`HopfPresentation.gen_antipode`) and extended
-anti-multiplicatively; only a group-like generator, whose S is not fixed by
-Δ alone, needs an antipode table entry.
+algebra.  An indexed family needs table entries only at index 1: Δ and ε
+of fam[k+1] follow from the rule that raises its index, as in
+``X d[k] -> d[k] X + d[k+1]``; F and F ▷◁ U take theirs from hooks, which
+are their construction.  S and S⁻¹ are derived from Δ and ε on every
+generator (:meth:`HopfPresentation.gen_antipode`) and extended
+anti-multiplicatively; only a group-like generator, whose S is not fixed
+by Δ alone, needs an antipode table entry.
 
 The tables are filled before the first structure map is evaluated (the
 builders in :mod:`hopfcyc.instances` and :func:`hopfcyc.dsl.build_hopf`
@@ -28,12 +29,10 @@ from .rewrite import Presentation, Rule
 class HopfPresentation(Presentation):
     """A presented algebra with Hopf structure maps.
 
-    Tables are keyed by :class:`Generator`; ``coproduct_hook(hopf, gen)``
-    and ``counit_hook`` supply missing Δ and ε entries for indexed
-    families.  S and S⁻¹ have no hooks: on a generator without a table
-    entry (a group-like generator's S, or a DSL ``antipode`` or ``inverse``
-    line) they are derived from Δ and ε (:meth:`gen_antipode`,
-    :meth:`gen_inv_antipode`).
+    Tables are keyed by :class:`Generator`.  A generator without an entry
+    gets Δ and ε from ``coproduct_hook(hopf, gen)`` and ``counit_hook`` (F
+    and F ▷◁ U), or else from its family's ladder rule (:meth:`_ladder`);
+    S and S⁻¹ from Δ and ε (:meth:`gen_antipode`, :meth:`gen_inv_antipode`).
     """
 
     def __init__(
@@ -74,20 +73,25 @@ class HopfPresentation(Presentation):
     def gen_coproduct(self, g: Generator) -> TensorElt:
         val = self._cop.get(g)
         if val is None:
-            if self._cop_hook is None:
-                raise StructureError(f"no coproduct for generator {g} in {self.name!r}")
-            val = self._cop_hook(self, g)
-            self._cop[g] = val
+            hook = self._cop_hook
+            val = self._cop[g] = hook(self, g) if hook else self.coproduct(self._ladder(g, "coproduct"))
         return val
 
     def gen_counit(self, g: Generator) -> Coeff:
         val = self._cou.get(g)
         if val is None:
-            if self._cou_hook is None:
-                raise StructureError(f"no counit for generator {g} in {self.name!r}")
-            val = exact(self._cou_hook(self, g))
-            self._cou[g] = val
+            hook = self._cou_hook
+            val = self._cou[g] = exact(hook(self, g) if hook else self.counit(self._ladder(g, "counit")))
         return val
+
+    def _ladder(self, g: Generator, what: str) -> AlgElt:
+        """g = c⁻¹·(lhs − rest) by the rule that raises its index, in words
+        of lower index kept as written (:meth:`RuleSet.ladder`): Δ and ε are
+        algebra maps and read an element word by word."""
+        found = self.ruleset.ladder(g)
+        if found is None:
+            raise StructureError(f"no {what} for generator {g} in {self.name!r}")
+        return AlgElt(self, found[1], _normalized=True)
 
     def gen_antipode(self, g: Generator) -> AlgElt:
         """S on a generator: its table entry, or derived from Δ(g) and
@@ -268,17 +272,18 @@ class HopfPresentation(Presentation):
         cop_fails, cou_fails, ant_fails = [], [], []
         for rule in self.ruleset.rules:
             for lhs, rhs in rule.sample_instances(index_bound):
-                rhs_elt = self.elt(rhs)
+                # a witness names the instance by its left side: the normal
+                # form would hide the letter, e.g. g g -> 1
+                rhs_elt, name = self.elt(rhs), word_str(lhs)
                 if self.coproduct_word(lhs) != self.coproduct(rhs_elt):
-                    cop_fails.append(self.from_word(lhs))
+                    cop_fails.append(name)
                 if self.counit_word(lhs) != self.counit(rhs_elt):
-                    cou_fails.append(self.from_word(lhs))
+                    cou_fails.append(name)
                 try:
                     if self.antipode_word(lhs) != self.antipode(rhs_elt):
-                        ant_fails.append(self.from_word(lhs))
+                        ant_fails.append(name)
                 except UnsolvableError as err:
-                    # the normal form would hide the letter, e.g. g g -> 1
-                    ant_fails.append(f"{word_str(lhs)}: {err}")
+                    ant_fails.append(f"{name}: {err}")
         run("coproduct respects relations", cop_fails)
         run("counit respects relations", cou_fails)
         run("antipode respects relations", ant_fails)

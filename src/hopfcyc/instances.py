@@ -58,20 +58,13 @@ def _h1cop_rules():
     ]
 
 
-def _delta_coproduct_hook(h: HopfPresentation, g: Generator) -> TensorElt:
-    """Δ(d[k+1]) = Δ(X)Δ(d[k]) - Δ(d[k])Δ(X), forced by the commutator
-    relation; anchors at the table entry for d[1]."""
-    dx = h.gen_coproduct(Generator("X"))
-    dprev = h.gen_coproduct(Generator("d", g.index - 1))
-    return dx.leg_mul(dprev) - dprev.leg_mul(dx)
-
-
 def build_h1cop() -> HopfPresentation:
     """The rank-one Hopf algebra with the co-opposite coproduct.
 
     Relations: [Y,X] = X, [Y,d[k]] = k d[k], [X,d[k]] = d[k+1], the d's
-    commute.  X and Y are primitive up to the Y⊗d[1] correction on X;
-    higher δ-tables are derived from the d[1] anchors on demand.
+    commute.  X and Y are primitive up to the Y⊗d[1] correction on X.  The
+    tables stop at d[1]: Δ and ε of d[k+1] are derived from the rule
+    X d[k] -> d[k] X + d[k+1] on demand.
     """
     h = HopfPresentation(
         "h1cop",
@@ -79,16 +72,13 @@ def build_h1cop() -> HopfPresentation:
         ("d", "Y", "X"),
         _h1cop_rules(),
         coproducts={},
-        counits={},
-        coproduct_hook=lambda hp, g: _delta_coproduct_hook(hp, g),
-        counit_hook=lambda hp, g: 0,
+        counits={Generator("X"): 0, Generator("Y"): 0, Generator("d", 1): 0},
     )
     X, Y, d1 = h.gen("X"), h.gen("Y"), h.gen("d", 1)
     one = h.unit()
     h._cop[Generator("X")] = tensor([X, one]) + tensor([one, X]) + tensor([Y, d1])
     h._cop[Generator("Y")] = tensor([Y, one]) + tensor([one, Y])
     h._cop[Generator("d", 1)] = tensor([d1, one]) + tensor([one, d1])
-    h._cou.update({Generator("X"): 0, Generator("Y"): 0, Generator("d", 1): 0})
     return h
 
 

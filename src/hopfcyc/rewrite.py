@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import AlgElt, EMPTY_WORD, Generator, ONE, Word, _merge_term, exact
+from .core import AlgElt, EMPTY_WORD, Generator, ONE, Word, _merge_term, _scaled, exact
 from .errors import RewriteLimitError, StructureError, TerminationOrderError
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -222,6 +223,27 @@ class SchemaRule(Rule):
 
         yield from rec(0, {})
 
+    def ladder(self, g: Generator) -> Optional[tuple]:
+        """``(lhs, terms)`` when this rule raises g's family to g = fam[k+1]:
+        its right side holds the one-letter word fam[k+1] with a constant
+        c ≠ 0, and every other letter of the family has index ≤ k.  ``terms``
+        is g = c⁻¹·(lhs − rest) at k = index − 1, in the rule's words as
+        written.  Binds k directly; None if the rule is no such ladder."""
+        for c, pats in self.rhs:
+            p = pats[0].index if len(pats) == 1 and pats[0].name == g.name else None
+            ok = not isinstance(c, str) and p is not None and p.offset == 1 and g.index > 1
+            if not ok or self._vars() != [p.var] or self.guard:  # a guard on k alone never holds
+                continue
+            binding = {p.var: g.index - 1}
+            lhs = tuple(Generator(q.name, q.index and q.index.value(binding)) for q in self.lhs)
+            terms = {lhs: ONE}
+            for w, cw in self._instantiate(binding).items():
+                _merge_term(terms, w, -cw)
+            c = -terms.pop((g,), 0)
+            if c and all(a.index < g.index for w in terms for a in w if a.name == g.name):
+                return lhs, _scaled(terms, Fraction(1) / c)
+        return None
+
     def __str__(self):
         def side(pats):
             return " ".join(str(p) for p in pats)
@@ -287,6 +309,11 @@ class RuleSet:
         self._steps = 0
         self._depth = 0
         self._limit = None  # read from the environment on the first rewrite
+
+    def ladder(self, g: Generator) -> Optional[tuple]:
+        """The first schema rule's :meth:`SchemaRule.ladder` for g, or None."""
+        rules = (r.ladder(g) for r in self.rules if isinstance(r, SchemaRule))
+        return next(filter(None, rules), None)
 
     # termination order: degree, then lexicographic on (precedence, index)
     def order_key(self, w: Word):

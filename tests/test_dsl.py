@@ -35,7 +35,7 @@ def test_shipped_file_builds_h1cop():
     ast = dsl.parse(shipped_text())
     built = dsl.build_hopf(ast.hopfs[0])
     assert dsl.hopf_equivalent(built, build_h1cop())
-    # the commutator extension reproduces derived entries
+    # the ladder rule reproduces derived entries
     ref = build_h1cop()
     for k in (2, 3):
         g = Generator("d", k)
@@ -68,6 +68,11 @@ def test_inverse_lines_are_optional(capsys, tmp_path):
     # with an extend line but no inverse lines, S⁻¹ of every generator is
     # derived from its coproduct
     assert not assert_optional(capsys, tmp_path, ("inverse",)).inverses
+
+
+def test_extend_lines_are_optional(capsys, tmp_path):
+    # Δ and ε of d[k+1] come from the rule X d[k] -> d[k] X + d[k+1]
+    assert not assert_optional(capsys, tmp_path, ("extend",)).extends
 
 
 @pytest.mark.parametrize("dropped", [("antipode",), ("antipode", "inverse")])
@@ -199,6 +204,23 @@ EXTEND_MISUSE = {
         "extend Y by commutator X;",
         "extend Y: 'Y' is not an indexed family",
     ),
+    # no relation raises the index of d, so no commutator is forced
+    "unladdered": (
+        "d[] < X",
+        "coproduct X -> X(x)1 + 1(x)X; coproduct d[1] -> d[1](x)1 + 1(x)d[1];"
+        " counit X -> 0; counit d[1] -> 0;",
+        "extend d by commutator X;",
+        "extend d: no rule raises the index of d by a commutator with X",
+    ),
+    # the rule that raises the index of d commutes it with X, not with d[1]
+    "misanchored": (
+        "d[] < X",
+        "rule X d[k] -> d[k] X + d[k+1];"
+        " coproduct X -> X(x)1 + 1(x)X; coproduct d[1] -> d[1](x)1 + 1(x)d[1];"
+        " counit X -> 0; counit d[1] -> 0;",
+        "extend d by commutator d[1];",
+        "extend d: no rule raises the index of d by a commutator with d[1]",
+    ),
 }
 
 
@@ -207,6 +229,26 @@ def test_extend_misuse_is_a_semantic_error(capsys, tmp_path, name):
     gens, cops, extend, message = EXTEND_MISUSE[name]
     path = tmp_path / f"{name}.hopf"
     path.write_text(f"hopf {name} {{ generators {gens}; {cops} {extend} }}\n", encoding="utf-8")
+    with pytest.raises(SemanticError, match=re.escape(message)) as err:
+        cli.run(["verify-hopf", "--file", str(path)])
+    assert err.value.exit_code == 4
+    assert capsys.readouterr().out == ""
+
+
+# a rule variable that its left side does not bind, as index, guard or
+# coefficient
+UNBOUND = {
+    "index": "rule X d[k] -> d[j] X;",
+    "guard": "rule X d[k] -> d[k] X when k > j;",
+    "coefficient": "rule X d[k] -> j d[k] X;",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUND))
+def test_unbound_rule_variable_is_a_semantic_error(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.hopf"
+    path.write_text(f"hopf t {{ generators d[] < X; {UNBOUND[name]} }}\n", encoding="utf-8")
+    message = "rule X d[k] -> ...: variable 'j' is not bound by its left side"
     with pytest.raises(SemanticError, match=re.escape(message)) as err:
         cli.run(["verify-hopf", "--file", str(path)])
     assert err.value.exit_code == 4

@@ -1,5 +1,6 @@
 """Hopf structure maps: axiom suites, antipode tables, characters."""
 
+import importlib.resources
 import json
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hopfcyc.instances import (
     cyclic_group,
     modular_character,
     retag,
+    retag_tensor,
 )
 from hopfcyc.linalg import solve
 
@@ -185,6 +187,66 @@ def test_antipode_commutator_recursion(presentations, name):
         assert h.gen_antipode(Generator("d", k + 1)) == sk * sx - sx * sk, k
 
 
+# -- Δ and ε against the recursion they replaced --------------------------------
+
+
+@pytest.fixture(scope="module")
+def commutator_coproduct(h1cop):
+    """Δ on a letter of h1cop, F or F ▷◁ U by the commutator recursion that
+    the derivation from the ladder rule X d[k] -> d[k] X + d[k+1] replaced:
+    the tables on X, Y and d[1], then Δ(d[k+1]) = Δ(X)Δ(d[k]) − Δ(d[k])Δ(X);
+    F reads h1cop's values.  Shares no code with the derivation; memoized
+    per (presentation, generator)."""
+    cache = {}
+
+    def cop(h, g):
+        if (h, g) in cache:
+            return cache[h, g]
+        if "X" not in h.generators:
+            val = retag_tensor(cop(h1cop, g), (h, h))
+        elif (g.index or 1) == 1:
+            e, one = h.gen(g.name, g.index), h.unit()
+            val = tensor([e, one]) + tensor([one, e])
+            if g.name == "X":
+                val = val + tensor([h.gen("Y"), h.gen("d", 1)])
+        else:
+            dx, dk = cop(h, Generator("X")), cop(h, Generator("d", g.index - 1))
+            val = dx.leg_mul(dk) - dk.leg_mul(dx)
+        cache[h, g] = val
+        return val
+
+    return cop
+
+
+@pytest.mark.parametrize(
+    "name", ["h1cop", "f", "bicrossed", "h1cop.hopf", "h1cop.hopf without extend"]
+)
+def test_derived_coproduct_matches_commutator_recursion(presentations, commutator_coproduct, name):
+    # ε(d[k+1]) = 0, as ε vanishes on every letter of the tables
+    h = presentations[name]
+    letters = h.letters(7)
+    assert max(g.index or 0 for g in letters) == 7
+    for g in letters:
+        assert h.gen_coproduct(g) == commutator_coproduct(h, g), g
+        assert h.gen_counit(g) == 0, g
+
+
+def test_relations_witness_names_the_rule(capsys, tmp_path):
+    # g g -> 1 with g primitive: Δ and ε do not respect the relation, and
+    # the witness is its left side, not its normal form 1
+    path = tmp_path / "primitive.hopf"
+    path.write_text(
+        GROUPLIKE.replace("g(x)g", "g(x)1 + 1(x)g").replace("counit g -> 1", "counit g -> 0"),
+        encoding="utf-8",
+    )
+    with pytest.raises(PreconditionError):
+        cli.run(["verify-hopf", "--file", str(path)])
+    result = json.loads(capsys.readouterr().out)["result"]["grouplike"]
+    checks = {c["name"]: c for c in result["axioms"]["checks"]}
+    for name in ("coproduct respects relations", "counit respects relations"):
+        assert checks[name] == {"name": name, "ok": False, "witnesses": ["g g"]}
+
+
 # a group-like generator whose S(g) = g⁻¹ no coproduct fixes: without an
 # antipode line, S cannot be derived
 GROUPLIKE = """
@@ -274,6 +336,9 @@ hopf nopivot {
 """
 
 
+H1COP_FILE = (importlib.resources.files("hopfcyc") / "data" / "h1cop.hopf").read_text(encoding="utf-8")
+
+
 def from_text(text):
     return dsl.build_hopf(dsl.parse(text).hopfs[0])
 
@@ -321,6 +386,8 @@ def presentations(h1cop, matched_pair, bicrossed, s3):
         "kZ3": build_group_algebra(cyclic_group(3)),
         "kS3": build_group_algebra(s3),
         "sweedler": from_text(SWEEDLER),
+        "h1cop.hopf": from_text(H1COP_FILE),
+        "h1cop.hopf without extend": from_text(H1COP_FILE.replace("  extend d by commutator X;\n", "")),
     }
 
 
