@@ -8,11 +8,16 @@ are dual vectors on the H-coinvariant quotient and cochain operators are
 transposes of the induced chain matrices.
 
 Every finite instance goes through one layer, :class:`FiniteComplex`: a
-basis and a quotient per degree, and one pipeline that takes an ambient
-operator to its matrix, checks that it descends to the quotients and
-induces it there.  The relative module C_H(C, M), the algebra-side cochains
-C_H(A, M) and the Kaygun quotient ℂ𝕄 (in :mod:`hopfcyc.kaygun`) are all
-assembled by :meth:`FiniteComplex.assemble`.
+quotient per degree over the bases of an :class:`OperatorTable`, and one
+pipeline (:meth:`FiniteComplex.induce`) that takes an ambient operator
+matrix from the table, checks that it descends to the quotients and
+induces it there.  The table builds each ambient matrix once, on first
+use, and quotient families over the same bases share it:
+:func:`build_coalgebra_instance` and :class:`AlgebraCochainInstance` build
+one table each; :class:`~hopfcyc.kaygun.KaygunBridge` owns one that serves
+its commutator identities, ℂ𝕄 and the relative quotient C_H; and
+:class:`~hopfcyc.cup.CupData` reads the chain faces and T of its
+algebra-side table and assembles C_H over a table of its own.
 
 Chain operators and relation rows are evaluated on basis tensors from leg
 maps: the coproduct, coaction and actions of the carriers, each evaluated
@@ -100,6 +105,15 @@ def op_matrix(op: Callable[[TensorElt], TensorElt], src: TensorBasis, tgt: Tenso
     column j holds the ``tgt`` coordinates of the image of basis tensor j
     of ``src``."""
     return [tgt.coords(op(src.elt(j)).terms) for j in range(src.dim)]
+
+
+def alternating_sum(mats) -> Columns:
+    """Σ (-1)^i mats[i], for matrices of one shape."""
+    out = [{} for _ in mats[0]]
+    for i, m in enumerate(mats):
+        for acc, col in zip(out, m):
+            add_multiple(acc, (-1) ** i, col)
+    return out
 
 
 # -- leg maps -------------------------------------------------------------------
@@ -283,11 +297,7 @@ class CocyclicInstance:
 
     def _coface_sum(self, n: int, count: int) -> Columns:
         """Alternating sum of the cofaces ∂_0 … ∂_(count-1) from C^n."""
-        out = [{} for _ in range(self.dims[n])]
-        for i in range(count):
-            for acc, col in zip(out, self.coface[(n + 1, i)]):
-                add_multiple(acc, (-1) ** i, col)
-        return out
+        return alternating_sum([self.coface[(n + 1, i)] for i in range(count)])
 
     def lam(self, n: int) -> Columns:
         """The signed cyclic operator λ_n = (-1)^n τ_n."""
@@ -304,58 +314,85 @@ class CocyclicInstance:
         return out
 
 
-class FiniteComplex:
-    """A finite-dimensional quotient space in each degree 0..top: the
-    ambient chain basis ``bases[n]`` modulo the relations of ``quots[n]``.
+class OperatorTable(dict):
+    """The ambient matrices of the operators of one (co)simplicial object,
+    built by :func:`op_matrix` on first use and kept.
 
-    :meth:`induce` is the one route from an ambient chain operator to a
-    matrix on the quotients; operators that do not descend are recorded in
-    ``welldef_failures`` by label.
+    ``table[name, n, i]`` is the i-th (co)face or (co)degeneracy of degree
+    n and ``table[name, n]`` the cyclic operator, ``name`` being the method
+    of ``ops`` that evaluates it: a :class:`CoalgebraOps` (cofaces,
+    codegeneracies and τ), or with ``chains`` an :class:`AlgebraChainOps`
+    (faces, degeneracies and T, which run the other way).  ``bases[n]`` is
+    the ambient basis in degree n.
     """
 
-    def __init__(self, bases, quots):
+    # (source, target) degree of each operator, relative to its n
+    SHIFTS = {
+        "coface": (-1, 0), "codegeneracy": (1, 0), "tau": (0, 0),
+        "face": (0, -1), "degeneracy": (0, 1), "t": (0, 0),
+    }
+
+    def __init__(self, ops, bases, chains=False):
+        super().__init__()
+        self.ops = ops
         self.bases = list(bases)
+        self.chains = chains
+
+    def degrees(self, key) -> tuple:
+        s, t = self.SHIFTS[key[0]]
+        return key[1] + s, key[1] + t
+
+    def __missing__(self, key):
+        name, n, *i = key
+        src, tgt = self.degrees(key)
+        op = getattr(self.ops, name)
+        val = self[key] = op_matrix(lambda x: op(n, *i, x), self.bases[src], self.bases[tgt])
+        return val
+
+
+class FiniteComplex:
+    """A finite-dimensional quotient space in each degree 0..top: the
+    ambient chain basis ``table.bases[n]`` modulo the relations of
+    ``quots[n]``.
+
+    :meth:`induce` is the one route from an ambient operator of the
+    :class:`OperatorTable` to a matrix on the quotients; operators that do
+    not descend are recorded in ``welldef_failures`` by label.  Quotient
+    families over the same bases share one table.
+    """
+
+    def __init__(self, table: OperatorTable, quots):
+        self.table = table
+        self.bases = table.bases
         self.quots = list(quots)
         self.dims = [q.dim for q in self.quots]
         self.welldef_failures = []
 
-    def induce(self, op: Callable[[TensorElt], TensorElt], src: int, tgt: int, label: str) -> Columns:
-        """The matrix of ``op`` (degree ``src`` chains to degree ``tgt``)
-        induced on the quotients."""
-        amb = op_matrix(op, self.bases[src], self.bases[tgt])
+    def induce(self, *key) -> Columns:
+        """The matrix of ``table[key]`` induced on the quotients, labelled
+        ``coface(n,i)`` or ``tau(n)`` if it does not descend."""
+        src, tgt = self.table.degrees(key)
+        amb = self.table[key]
         if not self.quots[src].preserves_relations(amb, self.quots[tgt]):
-            self.welldef_failures.append(label)
+            self.welldef_failures.append(f"{key[0]}({','.join(map(str, key[1:]))})")
         return self.quots[src].induced_matrix(amb, self.quots[tgt])
 
-    def assemble(self, coface, codeg, tau, chains=False) -> CocyclicInstance:
-        """Induce every operator of a cocyclic object through the top degree.
-
-        ``coface(n, i, x)`` maps degree n-1 to n, ``codeg(n, i, x)`` maps
-        degree n+1 to n and ``tau(n, x)`` maps degree n to itself.  With
-        ``chains`` the three are chain-level operators running the other
-        way (faces, degeneracies and T) and the instance holds the
-        transposes of their induced matrices.  Operators that fail to
-        descend are labelled in ``welldef_failures`` by their own names.
-        """
-        top = len(self.bases) - 1
+    def assemble(self) -> CocyclicInstance:
+        """Induce every operator of the cocyclic object through the top
+        degree.  For a table of chain operators the instance holds the
+        transposes of their induced matrices, so its cofaces raise the
+        degree; failures keep the chain operators' names."""
+        top = len(self.quots) - 1
+        chains = self.table.chains
         fc, fd, ft = ("face", "degeneracy", "t") if chains else ("coface", "codegeneracy", "tau")
 
-        def induce(op, src, tgt, label):
-            if chains:
-                return transpose(self.induce(op, tgt, src, label), self.dims[src])
-            return self.induce(op, src, tgt, label)
+        def induce(*key):
+            m = self.induce(*key)
+            return transpose(m, self.dims[self.table.degrees(key)[1]]) if chains else m
 
-        cofaces = {
-            (n, i): induce(lambda x, n=n, i=i: coface(n, i, x), n - 1, n, f"{fc}({n},{i})")
-            for n in range(1, top + 1)
-            for i in range(n + 1)
-        }
-        codegs = {
-            (n, i): induce(lambda x, n=n, i=i: codeg(n, i, x), n + 1, n, f"{fd}({n},{i})")
-            for n in range(top)
-            for i in range(n + 1)
-        }
-        taus = {n: induce(lambda x, n=n: tau(n, x), n, n, f"{ft}({n})") for n in range(top + 1)}
+        cofaces = {(n, i): induce(fc, n, i) for n in range(1, top + 1) for i in range(n + 1)}
+        codegs = {(n, i): induce(fd, n, i) for n in range(top) for i in range(n + 1)}
+        taus = {n: induce(ft, n) for n in range(top + 1)}
         return CocyclicInstance(
             list(self.dims), cofaces, codegs, taus, welldef_failures=list(self.welldef_failures)
         )
@@ -365,10 +402,9 @@ def build_coalgebra_instance(mc: ModuleComodule, c_mod: HModuleCoalgebra, top: i
     """Assemble the quotient-space matrices of the coalgebra-side cocyclic
     object through degree ``top``, recording any operator that fails to
     descend to the quotients."""
-    ops = CoalgebraOps(mc, c_mod)
     spaces = [RelativeTensorSpace(mc, c_mod, n) for n in range(top + 1)]
-    fc = FiniteComplex([sp.basis for sp in spaces], [sp.quot for sp in spaces])
-    return fc.assemble(ops.coface, ops.codegeneracy, ops.tau)
+    table = OperatorTable(CoalgebraOps(mc, c_mod), [sp.basis for sp in spaces])
+    return FiniteComplex(table, [sp.quot for sp in spaces]).assemble()
 
 
 def check_cocyclic(inst: CocyclicInstance, upto: Optional[int] = None) -> dict:
@@ -653,8 +689,8 @@ class AlgebraCochainInstance(FiniteComplex):
         self.top = top
         self.ops = AlgebraChainOps(mc, a_mod)
         bases, quots = zip(*(self.ops.quotient(n) for n in range(top + 1)))
-        super().__init__(bases, quots)
-        self._cocyclic = self.assemble(self.ops.face, self.ops.degeneracy, self.ops.t, chains=True)
+        super().__init__(OperatorTable(self.ops, bases, chains=True), quots)
+        self._cocyclic = self.assemble()
 
     def cocyclic_instance(self) -> CocyclicInstance:
         """The cochain operators as a coface-style cocyclic instance.

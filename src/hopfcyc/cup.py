@@ -36,9 +36,11 @@ from .linalg import F0, F1, add_columns, identity_columns, mat_vec, nullspace, t
 from .cocyclic import (
     AlgebraCochainInstance,
     CoalgebraOps,
+    FiniteComplex,
+    OperatorTable,
     RelativeTensorSpace,
     TensorBasis,
-    op_matrix,
+    alternating_sum,
 )
 
 
@@ -262,7 +264,7 @@ def psi(ci: CupInstance, phi: Callable[[TensorElt], Fraction], chain: TensorElt,
 @dataclass
 class CupData:
     """Everything needed to cup at bidegrees with p + q <= top: the A-side
-    cochain instance, the C-side ambient operators, and ordinary chain
+    cochain instance, the C-side relative instance, and ordinary chain
     bases on A."""
 
     ci: CupInstance
@@ -275,6 +277,8 @@ class CupData:
         self.c_spaces = [
             RelativeTensorSpace(self.ci.mc, self.ci.c_mod, n) for n in range(self.top + 2)
         ]
+        table = OperatorTable(self.c_ops, [sp.basis for sp in self.c_spaces])
+        self.c_inst = FiniteComplex(table, [sp.quot for sp in self.c_spaces]).assemble()
         alg = self.ci.a_mod.alg
         self.a_chain_bases = [
             TensorBasis((alg,) * (n + 1)) for n in range(self.top + 2)
@@ -285,52 +289,23 @@ class CupData:
     # λ-invariance constraint on top of b-closedness.  φ∘b = 0 and φ∘λ = φ
     # ask that φ vanish on each column of b and of λ − 1.
     def a_side_cocycles(self, p: int, cyclic: bool = True):
-        inst = self.a_inst
+        inst, dim = self.a_inst, self.a_inst.bases[p].dim
         rows = list(inst.quots[p].rows)
-        basis = inst.bases[p]
-        bchain = op_matrix(
-            lambda x: self._a_chain_b(p + 1, x), inst.bases[p + 1], basis
-        )
-        rows.extend(bchain)
+        rows.extend(alternating_sum([inst.table["face", p + 1, i] for i in range(p + 2)]))
         if cyclic:
-            tmat = op_matrix(lambda x: self.a_inst.ops.t(p, x), basis, basis)
             sign = (-1) ** p
-            lam = [{r: sign * x for r, x in col.items()} for col in tmat]
-            rows.extend(add_columns(lam, identity_columns(basis.dim), -1))
-        return nullspace(rows, basis.dim)
-
-    def _a_chain_b(self, n: int, x: TensorElt) -> TensorElt:
-        out = None
-        sign = F1
-        for i in range(n + 1):
-            term = self.a_inst.ops.face(n, i, x).scale(sign)
-            out = term if out is None else out + term
-            sign = -sign
-        return out
+            lam = [{r: sign * x for r, x in col.items()} for col in inst.table["t", p]]
+            rows.extend(add_columns(lam, identity_columns(dim), -1))
+        return nullspace(rows, dim)
 
     # C-side cocycles in the relative quotient.
     def c_side_cocycles(self, q: int, cyclic: bool = True):
-        sp, tgt = self.c_spaces[q], self.c_spaces[q + 1]
-        quot = sp.quot
-        amb_b = op_matrix(lambda x: self._c_amb_b(q, x), sp.basis, tgt.basis)
-        rows = transpose(quot.induced_matrix(amb_b, tgt.quot), tgt.quot.dim)
+        inst, quot = self.c_inst, self.c_spaces[q].quot
+        rows = transpose(inst.b(q), inst.dims[q + 1])
         if cyclic:
-            amb_tau = op_matrix(lambda x: self.c_ops.tau(q, x), sp.basis, sp.basis)
-            sign = (-1) ** q
-            tq = quot.induced_matrix(amb_tau, quot)
-            lam = [{r: sign * x for r, x in col.items()} for col in tq]
-            rows.extend(transpose(add_columns(lam, identity_columns(quot.dim), -1), quot.dim))
+            rows.extend(transpose(add_columns(inst.lam(q), identity_columns(quot.dim), -1), quot.dim))
         kers = nullspace(rows, quot.dim)
         return [quot.include(v) for v in kers]
-
-    def _c_amb_b(self, q: int, x: TensorElt) -> TensorElt:
-        out = None
-        sign = F1
-        for i in range(q + 2):
-            term = self.c_ops.coface(q + 1, i, x).scale(sign)
-            out = term if out is None else out + term
-            sign = -sign
-        return out
 
     def cup(self, phi_row, p: int, z_amb, q: int):
         """AW lift and pairing of the sparse cocycles ``phi_row`` and
@@ -342,10 +317,7 @@ class CupData:
         # climb phi with last cofaces (precompose with last chain faces)
         row = phi_row
         for k in range(p + 1, n + 1):
-            face = op_matrix(
-                lambda x, k=k: inst.ops.face(k, k, x), inst.bases[k], inst.bases[k - 1]
-            )
-            row = mat_vec(transpose(face, inst.bases[k - 1].dim), row)
+            row = mat_vec(transpose(inst.table["face", k, k], inst.bases[k - 1].dim), row)
         # climb z with zeroth cofaces
         sp_n = self.c_spaces[n]
         z = self.c_spaces[q].basis
@@ -442,7 +414,8 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
     checks.append({"name": "chi algebra map", "ok": not fails, "witnesses": fails[:3]})
 
     data = CupData(ci, top)
-    fails = []
+    descent = data.a_inst.welldef_failures + data.c_inst.welldef_failures
+    fails = [f"not well-defined: {w}" for w in descent]
     used = {}
     for p in range(top + 1):
         for q in range(top + 1 - p):

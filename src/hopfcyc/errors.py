@@ -50,8 +50,9 @@ class PreconditionError(HopfcycError):
 
 
 class UnsolvableError(HopfcycError):
-    """A derived quantity cannot be obtained from the given data: an inverse
-    antipode whose coproduct offers no term to solve with, or a saturation
+    """A derived quantity cannot be obtained from the given data: an
+    antipode whose coproduct offers no term to solve with, a coproduct or
+    counit of an indexed generator that no rule raises to, or a saturation
     that does not stabilize within its degree bound."""
 
     exit_code = 9

@@ -87,10 +87,11 @@ class HopfPresentation(Presentation):
     def _ladder(self, g: Generator, what: str) -> AlgElt:
         """g = c⁻¹·(lhs − rest) by the rule that raises its index, in words
         of lower index kept as written (:meth:`RuleSet.ladder`): Δ and ε are
-        algebra maps and read an element word by word."""
+        algebra maps and read an element word by word.  Raises
+        :class:`UnsolvableError` when no rule raises the index of g."""
         found = self.ruleset.ladder(g)
         if found is None:
-            raise StructureError(f"no {what} for generator {g} in {self.name!r}")
+            raise UnsolvableError(f"no {what} for generator {g} in {self.name!r}")
         return AlgElt(self, found[1], _normalized=True)
 
     def gen_antipode(self, g: Generator) -> AlgElt:
@@ -223,70 +224,58 @@ class HopfPresentation(Presentation):
         """Check the Hopf axioms exactly on all normal words of bounded
         degree, and well-definedness of Δ, ε, S on rewrite-rule instances.
         Returns a report dict with per-check witnesses for any failure; a
-        word whose S cannot be derived fails the S checks with the reason."""
+        word or rule instance whose Δ, ε or S cannot be derived fails the
+        checks that need it, with the reason."""
         checks = []
         words = [w for w in self.normal_words(degree, index_bound) if w != EMPTY_WORD]
+        elts = [(e, e) for e in map(self.from_word, words)]
+        # a witness names a rule instance by its left side: the normal form
+        # would hide the letter, e.g. g g -> 1
+        pairs = [
+            (word_str(lhs), (lhs, self.elt(rhs)))
+            for rule in self.ruleset.rules
+            for lhs, rhs in rule.sample_instances(index_bound)
+        ]
 
-        def run(name, fails):
+        def run(name, cases, holds):
+            """Each case is a (witness, argument) pair; it fails when
+            ``holds(argument)`` is false or needs a structure map that
+            cannot be derived, which the witness then names."""
+            fails = []
+            for witness, arg in cases:
+                try:
+                    if not holds(arg):
+                        fails.append(witness)
+                except UnsolvableError as err:
+                    fails.append(f"{witness}: {err}")
             checks.append(
                 {"name": name, "ok": not fails, "witnesses": [str(w) for w in fails[:3]]}
             )
 
-        fails = []
-        for w in words:
+        def coassociative(w):
             d = self.coproduct_word(w)
-            lhs = d.leg_apply(1, self.coproduct)
-            rhs = d.leg_apply(2, self.coproduct)
-            if lhs != rhs:
-                fails.append(self.from_word(w))
-        run("coassociativity", fails)
+            return d.leg_apply(1, self.coproduct) == d.leg_apply(2, self.coproduct)
 
-        fails = []
-        for w in words:
-            e = self.from_word(w)
+        def counital(e):
             d = self.coproduct(e)
-            left = d.leg_scalar(1, self.counit)
-            right = d.leg_scalar(2, self.counit)
-            if left != tensor([e]) or right != tensor([e]):
-                fails.append(e)
-        run("counit", fails)
+            return d.leg_scalar(1, self.counit) == tensor([e]) == d.leg_scalar(2, self.counit)
 
-        fails = []
-        for w in words:
-            e = self.from_word(w)
-            d = self.coproduct(e)
-            left = self.zero()
-            right = self.zero()
-            try:
-                for (w1, w2), c in d.terms.items():
-                    left = left + (self.antipode(self.from_word(w1)) * self.from_word(w2)).scale(c)
-                    right = right + (self.from_word(w1) * self.antipode(self.from_word(w2))).scale(c)
-            except UnsolvableError as err:
-                fails.append(f"{e}: {err}")
-                continue
-            eps = self.unit().scale(self.counit(e))
-            if left != eps or right != eps:
-                fails.append(e)
-        run("antipode", fails)
+        def antipodal(e):
+            left = right = self.zero()
+            for (w1, w2), c in self.coproduct(e).terms.items():
+                left = left + (self.antipode(self.from_word(w1)) * self.from_word(w2)).scale(c)
+                right = right + (self.from_word(w1) * self.antipode(self.from_word(w2))).scale(c)
+            return left == self.unit().scale(self.counit(e)) == right
 
-        cop_fails, cou_fails, ant_fails = [], [], []
-        for rule in self.ruleset.rules:
-            for lhs, rhs in rule.sample_instances(index_bound):
-                # a witness names the instance by its left side: the normal
-                # form would hide the letter, e.g. g g -> 1
-                rhs_elt, name = self.elt(rhs), word_str(lhs)
-                if self.coproduct_word(lhs) != self.coproduct(rhs_elt):
-                    cop_fails.append(name)
-                if self.counit_word(lhs) != self.counit(rhs_elt):
-                    cou_fails.append(name)
-                try:
-                    if self.antipode_word(lhs) != self.antipode(rhs_elt):
-                        ant_fails.append(name)
-                except UnsolvableError as err:
-                    ant_fails.append(f"{name}: {err}")
-        run("coproduct respects relations", cop_fails)
-        run("counit respects relations", cou_fails)
-        run("antipode respects relations", ant_fails)
+        run("coassociativity", [(self.from_word(w), w) for w in words], coassociative)
+        run("counit", elts, counital)
+        run("antipode", elts, antipodal)
+        for name, on_word, on_elt in (
+            ("coproduct", self.coproduct_word, self.coproduct),
+            ("counit", self.counit_word, self.counit),
+            ("antipode", self.antipode_word, self.antipode),
+        ):
+            run(f"{name} respects relations", pairs, lambda p: on_word(p[0]) == on_elt(p[1]))
 
         return {"ok": all(c["ok"] for c in checks), "checks": checks}
 

@@ -5,6 +5,13 @@ H acts on ambient chains by L_g; the subspace Wⁿ spanned by commutators
 result.  On finite instances the quotient ℂ𝕄ⁿ is built explicitly, shown
 to embed in the relative chain space through mutually inverse maps Π and
 Π', and its cyclic cohomology is compared against the direct computation.
+
+A bridge owns one :class:`~hopfcyc.cocyclic.OperatorTable` of ambient
+operator matrices; the commutator identities, ℂ𝕄 and the relative
+quotient Cⁿ_H all read it, and every operator on ℂ𝕄 or Cⁿ_H is induced
+by :meth:`~hopfcyc.cocyclic.FiniteComplex.induce`, which checks descent.
+Π and Π′ are the only maps induced outside it: they are induced by the
+ambient identity and checked for descent here.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .cocyclic import (
     CocyclicInstance,
     FiniteComplex,
     LegMap,
+    OperatorTable,
     RelativeTensorSpace,
     TensorBasis,
     add_tensor,
@@ -43,8 +51,10 @@ SATURATION_BOUND = 50
 class KaygunBridge:
     """Ambient matrices of the L-action and the cocyclic operators on a
     finite instance, degree by degree, as sparse columns
-    (:data:`~hopfcyc.linalg.Columns`); τ, its powers and L_g are built once
-    per degree, and commutators are composed on the columns."""
+    (:data:`~hopfcyc.linalg.Columns`); the cocyclic operators come from one
+    :class:`~hopfcyc.cocyclic.OperatorTable`, τ's powers and L_g are built
+    once per degree, and commutators are composed on the columns.  Nothing
+    is built before it is asked for."""
 
     mc: ModuleComodule
     c_mod: HModuleCoalgebra
@@ -56,6 +66,7 @@ class KaygunBridge:
             TensorBasis((self.mc.space,) + (self.c_mod.coalg,) * (n + 1))
             for n in range(self.top + 1)
         ]
+        self.table = OperatorTable(self.ops, self.bases)
         h = self.mc.hopf
         space = self.mc.space
         self.group_words = list(h.normal_words(1, 1))
@@ -63,12 +74,12 @@ class KaygunBridge:
         self._m_antipode = LegMap(
             lambda k: self.mc.act(space.from_word(k[0]), h.antipode(h.from_word(k[1]))).terms
         )
-        self._tau = {}
         self._tau_pow = {}
         self._l = {}
         self._w = {}
         self._cm = {}
         self._rel = {}
+        self._cm_inst = None
 
     def l_action(self, d: TensorElt, x: TensorElt) -> TensorElt:
         """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ on degree-n chains,
@@ -84,13 +95,6 @@ class KaygunBridge:
                 add_tensor(out, cf * ch, factors)
         return TensorElt(x.prs, out, _normalized=True)
 
-    def tau_matrix(self, n: int):
-        if n not in self._tau:
-            self._tau[n] = op_matrix(
-                lambda x: self.ops.tau(n, x), self.bases[n], self.bases[n]
-            )
-        return self._tau[n]
-
     def tau_power(self, n: int, i: int):
         """τⁱ as an ambient matrix, built once per degree and exponent."""
         key = (n, i)
@@ -98,7 +102,7 @@ class KaygunBridge:
             self._tau_pow[key] = (
                 identity_columns(self.bases[n].dim)
                 if i == 0
-                else mat_mul(self.tau_matrix(n), self.tau_power(n, i - 1))
+                else mat_mul(self.table["tau", n], self.tau_power(n, i - 1))
             )
         return self._tau_pow[key]
 
@@ -128,7 +132,7 @@ class KaygunBridge:
                 continue
             for i in range(1, n + 2):
                 rows.extend(self.commutator_matrix(n, gw, i))
-        tau = self.tau_matrix(n)
+        tau = self.table["tau", n]
         span = rref(rows)[0]
         for _ in range(SATURATION_BOUND):
             grown = rref(span + [mat_vec(tau, v) for v in span])[0]
@@ -171,9 +175,10 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
     """The stability identities of W as exact ambient matrix equations:
     the τ-commutator expansion, σ_j[L_g,τⁱ] = [L_g,τⁱ]σ_{j−1}, and
     ∂_m L_g = L_g ∂_m."""
+    table = bridge.table
     fails = []
     for n in range(min(upto, bridge.top) + 1):
-        tau = bridge.tau_matrix(n)
+        tau = table["tau", n]
         for gw in bridge.group_words:
             if gw == EMPTY_WORD:
                 continue
@@ -189,33 +194,19 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                     fails.append(f"tau commutator expansion (n={n}, g={gw}, i={i})")
             if n < bridge.top:
                 for m in range(n + 1):
-                    coface = op_matrix(
-                        lambda x, n=n, m=m: bridge.ops.coface(n + 1, m, x),
-                        bridge.bases[n],
-                        bridge.bases[n + 1],
-                    )
+                    coface = table["coface", n + 1, m]
                     lg_up = bridge.l_matrix(n + 1, gw)
                     if mat_mul(coface, lg) != mat_mul(lg_up, coface):
                         fails.append(f"coface commutes with L (n={n}, g={gw}, m={m})")
-            if n >= 1:
-                for j in range(1, n):
-                    sig = op_matrix(
-                        lambda x, n=n, j=j: bridge.ops.codegeneracy(n - 1, j, x),
-                        bridge.bases[n],
-                        bridge.bases[n - 1],
-                    )
-                    sigp = op_matrix(
-                        lambda x, n=n, j=j: bridge.ops.codegeneracy(n - 1, j - 1, x),
-                        bridge.bases[n],
-                        bridge.bases[n - 1],
-                    )
-                    for i in range(1, n + 1):
-                        comm_hi = bridge.commutator_matrix(n, gw, i)
-                        comm_lo = bridge.commutator_matrix(n - 1, gw, i)
-                        if mat_mul(sig, comm_hi) != mat_mul(comm_lo, sigp):
-                            fails.append(
-                                f"codegeneracy commutator shift (n={n}, g={gw}, i={i}, j={j})"
-                            )
+            for j in range(1, n):
+                sig, sigp = table["codegeneracy", n - 1, j], table["codegeneracy", n - 1, j - 1]
+                for i in range(1, n + 1):
+                    comm_hi = bridge.commutator_matrix(n, gw, i)
+                    comm_lo = bridge.commutator_matrix(n - 1, gw, i)
+                    if mat_mul(sig, comm_hi) != mat_mul(comm_lo, sigp):
+                        fails.append(
+                            f"codegeneracy commutator shift (n={n}, g={gw}, i={i}, j={j})"
+                        )
     return {"ok": not fails, "witnesses": fails[:5]}
 
 
@@ -234,44 +225,40 @@ def check_w_in_ker_pi(bridge: KaygunBridge, upto: int = 2) -> dict:
 def check_iso(bridge: KaygunBridge) -> dict:
     """Builds ℂ𝕄ⁿ and the relative quotient Cⁿ_H side by side, realizes Π
     and Π' as matrices induced by the ambient identity, and certifies that
-    they are mutually inverse and commute with τ and the cofaces."""
+    they are mutually inverse and commute with τ and the cofaces.  The
+    operators on both sides are induced from the bridge's table, and those
+    that do not descend are named among the witnesses."""
     top = bridge.top
+    cm = kaygun_cocyclic_instance(bridge)
     cms = [bridge.cm_quotient(n) for n in range(top + 1)]
     rels = [bridge.relative_space(n) for n in range(top + 1)]
+    # only τ and the cofaces are induced on Cⁿ_H
+    ch = FiniteComplex(bridge.table, [r.quot for r in rels])
     fails = []
-    ident_amb = [identity_columns(bridge.bases[n].dim) for n in range(top + 1)]
     pi = []
-    pi_prime = []
     for n in range(top + 1):
-        if not cms[n].preserves_relations(ident_amb[n], rels[n].quot):
+        ident_amb = identity_columns(bridge.bases[n].dim)
+        if not cms[n].preserves_relations(ident_amb, rels[n].quot):
             fails.append(f"Pi not well-defined at degree {n}")
-        if not rels[n].quot.preserves_relations(ident_amb[n], cms[n]):
+        if not rels[n].quot.preserves_relations(ident_amb, cms[n]):
             fails.append(f"Pi' not well-defined at degree {n}")
-        p = cms[n].induced_matrix(ident_amb[n], rels[n].quot)
-        q = rels[n].quot.induced_matrix(ident_amb[n], cms[n])
+        p = cms[n].induced_matrix(ident_amb, rels[n].quot)
+        q = rels[n].quot.induced_matrix(ident_amb, cms[n])
         pi.append(p)
-        pi_prime.append(q)
         ident_rel, ident_cm = identity_columns(rels[n].dim), identity_columns(cms[n].dim)
         if mat_mul(p, q) != ident_rel or mat_mul(q, p) != ident_cm:
             fails.append(f"Pi and Pi' not mutually inverse at degree {n}")
 
+    tau_rel = [ch.induce("tau", n) for n in range(top + 1)]
+    d_rel = {(n, i): ch.induce("coface", n, i) for n in range(1, top + 1) for i in range(n + 1)}
+    fails.extend(f"not well-defined on CM: {w}" for w in cm.welldef_failures)
+    fails.extend(f"not well-defined on C_H: {w}" for w in ch.welldef_failures)
     for n in range(top + 1):
-        tau_amb = bridge.tau_matrix(n)
-        tau_cm = cms[n].induced_matrix(tau_amb, cms[n])
-        tau_rel = rels[n].quot.induced_matrix(tau_amb, rels[n].quot)
-        if mat_mul(pi[n], tau_cm) != mat_mul(tau_rel, pi[n]):
+        if mat_mul(pi[n], cm.tau[n]) != mat_mul(tau_rel[n], pi[n]):
             fails.append(f"Pi does not intertwine tau at degree {n}")
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            amb = op_matrix(
-                lambda x, n=n, i=i: bridge.ops.coface(n, i, x),
-                bridge.bases[n - 1],
-                bridge.bases[n],
-            )
-            d_cm = cms[n - 1].induced_matrix(amb, cms[n])
-            d_rel = rels[n - 1].quot.induced_matrix(amb, rels[n].quot)
-            if mat_mul(pi[n], d_cm) != mat_mul(d_rel, pi[n - 1]):
-                fails.append(f"Pi does not intertwine coface ({n},{i})")
+    for (n, i), d in d_rel.items():
+        if mat_mul(pi[n], cm.coface[(n, i)]) != mat_mul(d, pi[n - 1]):
+            fails.append(f"Pi does not intertwine coface ({n},{i})")
 
     return {
         "ok": not fails,
@@ -283,10 +270,12 @@ def check_iso(bridge: KaygunBridge) -> dict:
 
 
 def kaygun_cocyclic_instance(bridge: KaygunBridge) -> CocyclicInstance:
-    """The cocyclic instance carried by the quotients ℂ𝕄ⁿ."""
-    cms = [bridge.cm_quotient(n) for n in range(bridge.top + 1)]
-    fc = FiniteComplex(bridge.bases, cms)
-    return fc.assemble(bridge.ops.coface, bridge.ops.codegeneracy, bridge.ops.tau)
+    """The cocyclic instance carried by the quotients ℂ𝕄ⁿ, assembled once
+    per bridge."""
+    if bridge._cm_inst is None:
+        cms = [bridge.cm_quotient(n) for n in range(bridge.top + 1)]
+        bridge._cm_inst = FiniteComplex(bridge.table, cms).assemble()
+    return bridge._cm_inst
 
 
 def kaygun_cohomology(bridge: KaygunBridge, upto: int) -> dict:

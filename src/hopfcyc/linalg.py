@@ -24,7 +24,9 @@ Chain operators are built as :data:`Columns` by
 and enter :class:`Quotient` as they are.  The quotient maps
 (:meth:`Quotient.induced_matrix`, :meth:`Quotient.preserves_relations`)
 take and return :data:`Columns`, so operators stay sparse from the ambient
-space to the ranks.
+space to the ranks.  Their caller is
+:meth:`hopfcyc.cocyclic.FiniteComplex.induce`, which checks that an
+operator descends before it induces it.
 """
 
 from __future__ import annotations
@@ -211,7 +213,8 @@ class Quotient:
     def induced_matrix(self, ambient_op: Columns, target: "Quotient") -> Columns:
         """The induced map on quotients: column k is the column of the
         ambient operator at free coordinate k, projected to the target.
-        Caller is responsible for well-definedness."""
+        The caller checks well-definedness (:meth:`preserves_relations`),
+        as :meth:`hopfcyc.cocyclic.FiniteComplex.induce` does."""
         return [target.project(ambient_op[c]) for c in self.free]
 
     def preserves_relations(self, ambient_op: Columns, target: "Quotient") -> bool:

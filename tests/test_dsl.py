@@ -10,7 +10,7 @@ import pytest
 
 from hopfcyc import cli, dsl
 from hopfcyc.core import Generator
-from hopfcyc.errors import ParseError, SemanticError, TerminationOrderError
+from hopfcyc.errors import ParseError, PreconditionError, SemanticError, TerminationOrderError
 from hopfcyc.instances import build_h1cop
 
 
@@ -233,6 +233,27 @@ def test_extend_misuse_is_a_semantic_error(capsys, tmp_path, name):
         cli.run(["verify-hopf", "--file", str(path)])
     assert err.value.exit_code == 4
     assert capsys.readouterr().out == ""
+
+
+def test_family_without_ladder_rule_fails_with_witnesses(capsys, tmp_path):
+    # d[1] has table entries but no rule raises its index, so Δ and ε of
+    # d[2] cannot be derived: the checks that need them fail and name d[2],
+    # and the report still prints
+    path = tmp_path / "t.hopf"
+    path.write_text(
+        "hopf t { generators d[] < X; coproduct X -> X(x)1 + 1(x)X;"
+        " coproduct d[1] -> d[1](x)1 + 1(x)d[1]; counit X -> 0; counit d[1] -> 0; }\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(PreconditionError, match="verify-hopf: checks failed") as err:
+        cli.run(["verify-hopf", "--file", str(path)])
+    assert err.value.exit_code == 8
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in report["result"]["t"]["axioms"]["checks"]}
+    missing = "d[2]: no coproduct for generator d[2] in 't'"
+    for name in ("coassociativity", "counit", "antipode"):
+        assert not checks[name]["ok"]
+        assert missing in checks[name]["witnesses"]
 
 
 # a rule variable that its left side does not bind, as index, guard or

@@ -40,7 +40,10 @@ def test_report_matches_golden(capsys, command):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("command,upto", [("cohomology", 4), ("cohomology", 5), ("kaygun", 3)])
+@pytest.mark.parametrize(
+    "command,upto",
+    [("cohomology", 4), ("cohomology", 5), ("kaygun", 3), ("kaygun", 4), ("cup", 3)],
+)
 def test_deep_report_matches_golden(capsys, command, upto):
     assert cli.run([command, "--upto", str(upto)]) == 0
     expected = (GOLDEN / f"{command}-upto{upto}.json").read_text(encoding="utf-8")

@@ -1,8 +1,13 @@
 """The bridge between the relative cocyclic module and the quotient complex
 of the ambient one."""
 
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
+from hopfcyc import cli, cocyclic
+from hopfcyc import kaygun as kaygun_module
 from hopfcyc.coefficients import (
     group_set_module_coalgebra,
     mc_conjugation_group,
@@ -112,3 +117,38 @@ def test_s3_graded_negative(s3):
     assert bridge.w_rows(1)
     assert bridge.w_rows(1) is bridge.w_rows(1)  # built once per degree
     assert not check_w_in_ker_pi(bridge, upto=1)["ok"]
+
+
+def test_s3_graded_iso_names_non_descending_operators(s3):
+    # τ and the last coface do not descend to the relative quotient C¹_H;
+    # check_iso says so instead of comparing ill-defined matrices
+    cmod = s3_regular_cmod(s3)
+    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kS3_g"))
+    report = check_iso(KaygunBridge(mc, cmod, top=1))
+    assert not report["ok"]
+    assert "not well-defined on C_H: tau(1)" in report["witnesses"]
+    assert "not well-defined on C_H: coface(1,1)" in report["witnesses"]
+
+
+def test_each_operator_matrix_is_built_once(monkeypatch, swap_cmod):
+    calls = {"table": 0, "L": 0}
+    op_matrix = cocyclic.op_matrix
+
+    def spy(kind):
+        def counting(op, src, tgt):
+            calls[kind] += 1
+            return op_matrix(op, src, tgt)
+
+        return counting
+
+    monkeypatch.setattr(cocyclic, "op_matrix", spy("table"))
+    monkeypatch.setattr(kaygun_module, "op_matrix", spy("L"))
+    # a bridge builds nothing until it is asked
+    KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=4)
+    assert calls == {"table": 0, "L": 0}
+    with redirect_stdout(io.StringIO()):
+        assert cli.run(["kaygun"]) == 0
+    # top 4: 14 cofaces, 10 codegeneracies and 5 τ, shared by the
+    # commutator identities, ℂ𝕄 and C_H; L_g of the one non-unit group
+    # element in degrees 0..4
+    assert calls == {"table": 29, "L": 5}

@@ -335,7 +335,7 @@ def test_kaygun_matrices_match_symbolic_route(coalgebra_instances, name, top):
     for n in range(top + 1):
         basis = bridge.bases[n]
         tau = symbolic_op_matrix(lambda x: symbolic_tau(mc, c_mod, n, x), basis, basis)
-        assert as_dense(bridge.tau_matrix(n), basis.dim) == tau
+        assert as_dense(bridge.table["tau", n], basis.dim) == tau
         for gw in bridge.group_words:
             g = h.from_word(gw)
             lg = symbolic_op_matrix(lambda x: symbolic_l_action(mc, c_mod, g, n, x), basis, basis)
