@@ -17,7 +17,10 @@ use, and quotient families over the same bases share it:
 one table each; :class:`~hopfcyc.kaygun.KaygunBridge` owns one that serves
 its commutator identities, ℂ𝕄 and the relative quotient C_H; and
 :class:`~hopfcyc.cup.CupData` reads the chain faces and T of its
-algebra-side table and assembles C_H over a table of its own.
+algebra-side table, induces on C_H only the cofaces and τ its cocycles
+read, over a table of its own whose ambient cofaces also lift the
+C-side cocycles, and takes the ordinary chains on A from a chain table
+with trivial coefficients.
 
 Chain operators and relation rows are evaluated on basis tensors from leg
 maps: the coproduct, coaction and actions of the carriers, each evaluated

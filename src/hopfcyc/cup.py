@@ -6,14 +6,22 @@ algebra map χ: A -> B, and the pairing Ψ evaluates an equivariant A-side
 cochain against convolution values on a C-side chain.  The cup product
 lifts a bidegree (p, q) pair to the diagonal with the Alexander-Whitney
 map: the A-side cochain climbs with last cofaces, the C-side chain with
-zeroth cofaces, then Ψ and χ land the result in ordinary cochains on A.
+zeroth cofaces, then :func:`psi` on χ of each A-basis word lands the
+result in ordinary cochains on A.
+
+Every matrix of :class:`CupData` comes from an
+:class:`~hopfcyc.cocyclic.OperatorTable`: the A-side cochain instance's
+own, one over the relative C-side quotients (whose cofaces and τ are
+induced through :meth:`~hopfcyc.cocyclic.FiniteComplex.induce`, and
+whose ambient zeroth cofaces lift the C-side cocycles), and the chains of
+A with trivial coefficients (:func:`ordinary_chains`), whose faces give
+the coboundary that the "cup closed" check applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Callable, List, Optional
 
 from .core import AlgElt, TensorElt, _merge_term, tensor
@@ -21,6 +29,8 @@ from .coefficients import (
     HModuleAlgebra,
     HModuleCoalgebra,
     ModuleComodule,
+    group_set_module_coalgebra,
+    mc_graded_group,
     mc_trivial,
 )
 from .errors import PreconditionError, StructureError
@@ -29,13 +39,14 @@ from .instances import (
     GroupSetData,
     build_function_algebra,
     build_group_algebra,
-    build_set_coalgebra,
     cyclic_group,
 )
-from .linalg import F0, F1, add_columns, identity_columns, mat_vec, nullspace, transpose
+from .linalg import add_columns, identity_columns, mat_vec, nullspace, transpose
 from .cocyclic import (
     AlgebraCochainInstance,
+    AlgebraChainOps,
     CoalgebraOps,
+    CocyclicInstance,
     FiniteComplex,
     OperatorTable,
     RelativeTensorSpace,
@@ -67,8 +78,6 @@ def build_group_cup_instance(
     gs = GroupSetData(
         group, list(group.elements), {(a, x): group.mult[(a, x)] for a in group.elements for x in group.elements}
     )
-    from .coefficients import group_set_module_coalgebra
-
     c_mod = group_set_module_coalgebra(gs)
     h = c_mod.hopf
     alg = build_function_algebra(group.elements, name="FunG")
@@ -99,8 +108,6 @@ def build_group_cup_instance(
         return out
 
     if graded:
-        from .coefficients import mc_graded_group
-
         mc = mc_graded_group(h, build_group_algebra(group, name="kG_coeff"))
     else:
         mc = mc_trivial(h)
@@ -261,28 +268,52 @@ def psi(ci: CupInstance, phi: Callable[[TensorElt], Fraction], chain: TensorElt,
 # -- the cup product at small bidegrees ---------------------------------------
 
 
+def ordinary_chains(ci: CupInstance, top: int) -> OperatorTable:
+    """The chains of A with trivial coefficients in degrees 0..top, as an
+    operator table: the ordinary chains the cup product lands on.  The
+    alternating sum of the faces is the Hochschild boundary, and T sends
+    a₀⊗…⊗aₙ to aₙ⊗a₀⊗…⊗aₙ₋₁."""
+    trivial = mc_trivial(ci.mc.hopf)
+    alg = ci.a_mod.alg
+    bases = [TensorBasis((trivial.space,) + (alg,) * (n + 1)) for n in range(top + 1)]
+    return OperatorTable(AlgebraChainOps(trivial, ci.a_mod), bases, chains=True)
+
+
+def ordinary_coboundary(chains: OperatorTable, n: int, f) -> list:
+    """f∘b for a cochain ``f`` of degree n on ``chains`` (one value per
+    basis tensor), b the alternating sum of the faces out of degree n + 1."""
+    b = alternating_sum([chains["face", n + 1, i] for i in range(n + 2)])
+    return [sum(f[r] * x for r, x in col.items()) for col in b]
+
+
 @dataclass
 class CupData:
-    """Everything needed to cup at bidegrees with p + q <= top: the A-side
-    cochain instance, the C-side relative instance, and ordinary chain
-    bases on A."""
+    """Everything needed to cup at bidegrees with p + q <= top, every
+    matrix read from an :class:`~hopfcyc.cocyclic.OperatorTable`: the
+    A-side cochain instance; on the C side the cofaces through top + 1 and
+    τ through top, each induced once on the relative quotients (no
+    codegeneracy is built), with the ambient table kept for the lift; the
+    ordinary chains on A; and χ of each A-basis word for the pairing."""
 
     ci: CupInstance
     top: int
 
     def __post_init__(self):
-        self.a_inst = AlgebraCochainInstance(self.ci.mc, self.ci.a_mod, self.top + 1)
-        self.c_ops = CoalgebraOps(self.ci.mc, self.ci.c_mod)
+        ci, top = self.ci, self.top
+        self.a_inst = AlgebraCochainInstance(ci.mc, ci.a_mod, top + 1)
         # through top + 1: the coboundary out of the top degree lands there
-        self.c_spaces = [
-            RelativeTensorSpace(self.ci.mc, self.ci.c_mod, n) for n in range(self.top + 2)
-        ]
-        table = OperatorTable(self.c_ops, [sp.basis for sp in self.c_spaces])
-        self.c_inst = FiniteComplex(table, [sp.quot for sp in self.c_spaces]).assemble()
-        alg = self.ci.a_mod.alg
-        self.a_chain_bases = [
-            TensorBasis((alg,) * (n + 1)) for n in range(self.top + 2)
-        ]
+        self.c_spaces = [RelativeTensorSpace(ci.mc, ci.c_mod, n) for n in range(top + 2)]
+        self.c_table = OperatorTable(CoalgebraOps(ci.mc, ci.c_mod), [sp.basis for sp in self.c_spaces])
+        c_h = FiniteComplex(self.c_table, [sp.quot for sp in self.c_spaces])
+        cofaces = {(n, i): c_h.induce("coface", n, i) for n in range(1, top + 2) for i in range(n + 1)}
+        taus = {n: c_h.induce("tau", n) for n in range(top + 1)}
+        # a cocyclic instance without codegeneracies: b and λ are all it serves
+        self.c_side = CocyclicInstance(
+            c_h.dims, cofaces, {}, taus, welldef_failures=c_h.welldef_failures
+        )
+        self.ordinary = ordinary_chains(ci, top + 1)
+        alg = ci.a_mod.alg
+        self.chis = {w: chi(ci, alg.from_word(w)) for w in alg.basis_words()}
 
     # A-side equivariant cocycles, as sparse functionals on the ambient
     # chain basis that vanish on the H-relations; cyclic adds the
@@ -300,7 +331,7 @@ class CupData:
 
     # C-side cocycles in the relative quotient.
     def c_side_cocycles(self, q: int, cyclic: bool = True):
-        inst, quot = self.c_inst, self.c_spaces[q].quot
+        inst, quot = self.c_side, self.c_spaces[q].quot
         rows = transpose(inst.b(q), inst.dims[q + 1])
         if cyclic:
             rows.extend(transpose(add_columns(inst.lam(q), identity_columns(quot.dim), -1), quot.dim))
@@ -310,81 +341,40 @@ class CupData:
     def cup(self, phi_row, p: int, z_amb, q: int):
         """AW lift and pairing of the sparse cocycles ``phi_row`` and
         ``z_amb`` (as :meth:`a_side_cocycles` and :meth:`c_side_cocycles`
-        return them): returns the cup cochain as a functional, one value
-        per basis tensor of the ordinary chains on A^(p+q+1)."""
+        return them): φ climbs with the transposed last faces of the A-side
+        table and z with the zeroth cofaces of the C-side table, and
+        :func:`psi` pairs them on χ of each basis tensor of the ordinary
+        chains on A^(p+q+1).  Returns the cup cochain as a functional, one
+        value per such basis tensor."""
         n = p + q
         inst = self.a_inst
-        # climb phi with last cofaces (precompose with last chain faces)
         row = phi_row
         for k in range(p + 1, n + 1):
             row = mat_vec(transpose(inst.table["face", k, k], inst.bases[k - 1].dim), row)
-        # climb z with zeroth cofaces
-        sp_n = self.c_spaces[n]
-        z = self.c_spaces[q].basis
-        z_elt = None
-        for j, k in z_amb.items():
-            term = z.elt(j).scale(k)
-            z_elt = term if z_elt is None else z_elt + term
-        if z_elt is None:
-            return [F0] * self.a_chain_bases[n].dim
+        z = z_amb
         for k in range(q + 1, n + 1):
-            z_elt = self.c_ops.coface(k, 0, z_elt)
-        # pair: result(a_0..a_n) = phi'(m (x) c_0 a_0 (x) ... (x) c_n a_n)
-        alg = self.ci.a_mod.alg
-        c = self.ci.c_mod.coalg
-        out = [F0] * self.a_chain_bases[n].dim
+            z = mat_vec(self.c_table["coface", k, 0], z)
+        basis = self.c_spaces[n].basis
+        chain = TensorElt(basis.prs, {basis.tuples[j]: x for j, x in z.items()}, _normalized=True)
         phi_basis = inst.bases[n]
-        for j, awt in enumerate(self.a_chain_bases[n].tuples):
-            total = Fraction(0)
-            for wt, kz in z_elt.terms.items():
-                factors = [self.ci.mc.space.from_word(wt[0])]
-                for i in range(n + 1):
-                    factors.append(
-                        self.ci.c_on_a(c.from_word(wt[i + 1]), alg.from_word(awt[i]))
-                    )
-                vec = phi_basis.coords(tensor(factors).terms)
-                total += kz * sum(row[r] * x for r, x in vec.items() if r in row)
-            out[j] = total
-        return out
 
-    def ordinary_b_dual(self, n: int, row):
-        """The Hochschild coboundary on ordinary cochains of A."""
-        alg = self.ci.a_mod.alg
-        src = self.a_chain_bases[n]
-        tgt = self.a_chain_bases[n + 1]
-        out = [F0] * tgt.dim
-        for j, awt in enumerate(tgt.tuples):
-            total = Fraction(0)
-            sign = F1
-            for i in range(n + 1):
-                merged = alg.from_word(awt[i]) * alg.from_word(awt[i + 1])
-                rest = list(awt[:i]) + [None] + list(awt[i + 2 :])
-                for mw, mk in merged.terms.items():
-                    wt = tuple(mw if r is None else r for r in rest)
-                    total += sign * mk * row[src.index[wt]]
-                sign = -sign
-            wrap = alg.from_word(awt[n + 1]) * alg.from_word(awt[0])
-            for mw, mk in wrap.terms.items():
-                wt = (mw,) + awt[1 : n + 1]
-                total += sign * mk * row[src.index[wt]]
-            out[j] = total
-        return out
+        def phi(te):
+            return sum(row[r] * x for r, x in phi_basis.coords(te.terms).items() if r in row)
 
-    def ordinary_t_dual(self, n: int, row):
-        """(t f)(a₀…aₙ) = f(aₙ, a₀, …, a_{n-1}) on ordinary cochains."""
-        src = self.a_chain_bases[n]
-        out = [F0] * src.dim
-        for j, awt in enumerate(src.tuples):
-            rotated = (awt[n],) + awt[:n]
-            out[src.index[rotated]] = row[j]
-        return out
+        # the first leg of an ordinary chain is the trivial coefficient
+        return [
+            psi(self.ci, phi, chain, [self.chis[w] for w in awt[1:]])
+            for awt in self.ordinary.bases[n].tuples
+        ]
 
 
 def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: bool = True) -> dict:
     """The full cup battery on a group instance: convolution algebra
     axioms, χ as a unital algebra map, and b(cup) = 0 at all bidegrees
     with p + q <= top for cocycle inputs.  Graded coefficients keep the
-    degree-one cocycle spaces nonzero."""
+    degree-one cocycle spaces nonzero.  A failure names its inputs: the
+    convolution basis indices, or the bidegree, the indices of the
+    cocycle pair and the nonzero count of b(cup)."""
     ci = build_group_cup_instance(group, graded=graded)
     checks = []
 
@@ -394,13 +384,13 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
     basis = convolution_basis(ci)
     unit = unit_convolution(ci)
     fails = []
-    for f in basis:
+    for i, f in enumerate(basis):
         if convolve(f, unit) != f or convolve(unit, f) != f:
-            fails.append("unit")
-        for g in basis:
-            for k in basis:
-                if convolve(convolve(f, g), k) != convolve(f, convolve(g, k)):
-                    fails.append("associativity")
+            fails.append(f"unit: basis {i}")
+        for j, g in enumerate(basis):
+            for k, h in enumerate(basis):
+                if convolve(convolve(f, g), h) != convolve(f, convolve(g, h)):
+                    fails.append(f"associativity: basis ({i},{j},{k})")
     checks.append({"name": "convolution algebra", "ok": not fails, "witnesses": fails[:3]})
 
     alg = ci.a_mod.alg
@@ -414,7 +404,7 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
     checks.append({"name": "chi algebra map", "ok": not fails, "witnesses": fails[:3]})
 
     data = CupData(ci, top)
-    descent = data.a_inst.welldef_failures + data.c_inst.welldef_failures
+    descent = data.a_inst.welldef_failures + data.c_side.welldef_failures
     fails = [f"not well-defined: {w}" for w in descent]
     used = {}
     for p in range(top + 1):
@@ -435,11 +425,12 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
             if not phis or not zs:
                 fails.append(f"no cocycles at bidegree ({p},{q})")
                 continue
-            for phi in phis:
-                for z in zs:
-                    res = data.cup(phi, p, z, q)
-                    if any(data.ordinary_b_dual(p + q, res)):
-                        fails.append(f"cup not closed at ({p},{q})")
+            for i, phi in enumerate(phis):
+                for j, z in enumerate(zs):
+                    residual = ordinary_coboundary(data.ordinary, p + q, data.cup(phi, p, z, q))
+                    nonzero = sum(1 for x in residual if x)
+                    if nonzero:
+                        fails.append(f"cup not closed at ({p},{q}): phi {i}, z {j}: {nonzero} nonzero")
     checks.append(
         {"name": "cup closed", "ok": not fails, "witnesses": fails[:5], "inputs": used}
     )

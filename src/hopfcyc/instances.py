@@ -11,11 +11,11 @@ finite G-set, used by the cyclic-cohomology and cup-product machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import AlgElt, EMPTY_WORD, Generator, ONE, TensorElt, Word, exact, tensor
 from .errors import StructureError
-from .hopf import Character, GroupLike, HopfPresentation
+from .hopf import Character, HopfPresentation
 from .rewrite import (
     ConcreteRule,
     FunctionRule,

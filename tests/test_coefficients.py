@@ -1,8 +1,6 @@
 """Coefficient carriers: SAYD checks, modular pairs, the coideal quotient,
 and the two compatibility counterexamples."""
 
-import pytest
-
 from hopfcyc import cocyclic
 from hopfcyc.coefficients import (
     build_coideal_quotient_bicrossed,

@@ -1,13 +1,16 @@
 """Convolution algebra, the pairing Ψ, and the cup product."""
 
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+import hopfcyc.cup as cup_module
 from hopfcyc.cocyclic import CoalgebraOps, TensorBasis
 from hopfcyc.core import tensor
 from hopfcyc.cup import (
+    ConvolutionElt,
     CupData,
     build_group_cup_instance,
     check_compatible_action,
@@ -15,9 +18,13 @@ from hopfcyc.cup import (
     chi,
     convolution_basis,
     convolve,
+    ordinary_chains,
+    ordinary_coboundary,
     psi,
     unit_convolution,
 )
+from hopfcyc.instances import cyclic_group
+from hopfcyc.linalg import F0, F1
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +35,43 @@ def trivial_ci():
 @pytest.fixture(scope="module")
 def graded_data():
     return CupData(build_group_cup_instance(graded=True), 2)
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["Z2", "Z3"])
+def ordinary(request):
+    """A cyclic-group instance and its ordinary chains through degree 4."""
+    ci = build_group_cup_instance(cyclic_group(request.param), graded=False)
+    return ci, ordinary_chains(ci, 4)
+
+
+def hochschild_coboundary(alg, n: int, row):
+    """The Hochschild coboundary on ordinary cochains of A, written out on
+    basis words: (bf)(a₀…aₙ₊₁) = Σᵢ (-1)ⁱ f(…, aᵢaᵢ₊₁, …) + (-1)ⁿ⁺¹
+    f(aₙ₊₁a₀, a₁, …, aₙ).  The oracle for the faces of the ordinary table."""
+    src = TensorBasis((alg,) * (n + 1))
+    tgt = TensorBasis((alg,) * (n + 2))
+    out = [F0] * tgt.dim
+    for j, awt in enumerate(tgt.tuples):
+        total = Fraction(0)
+        sign = F1
+        for i in range(n + 1):
+            merged = alg.from_word(awt[i]) * alg.from_word(awt[i + 1])
+            rest = list(awt[:i]) + [None] + list(awt[i + 2 :])
+            for mw, mk in merged.terms.items():
+                wt = tuple(mw if r is None else r for r in rest)
+                total += sign * mk * row[src.index[wt]]
+            sign = -sign
+        wrap = alg.from_word(awt[n + 1]) * alg.from_word(awt[0])
+        for mw, mk in wrap.terms.items():
+            wt = (mw,) + awt[1 : n + 1]
+            total += sign * mk * row[src.index[wt]]
+        out[j] = total
+    return out
+
+
+def precompose(f, mat):
+    """f∘mat for a dense cochain f and a matrix held by its columns."""
+    return [sum(f[r] * x for r, x in col.items()) for col in mat]
 
 
 def test_compatible_action(trivial_ci):
@@ -127,12 +171,114 @@ def test_cup_output_closed_and_cyclic(graded_data):
     phi = graded_data.a_side_cocycles(1)[0]
     z = graded_data.c_side_cocycles(1)[0]
     res = graded_data.cup(phi, 1, z, 1)
-    assert not any(graded_data.ordinary_b_dual(2, res))
-    # at bidegree (0,1) the output is strictly rotation invariant
-    phi0 = graded_data.a_side_cocycles(0)[0]
-    z1 = graded_data.c_side_cocycles(1)[0]
-    res01 = graded_data.cup(phi0, 0, z1, 1)
-    assert graded_data.ordinary_t_dual(1, res01) == list(res01)
+    assert not any(ordinary_coboundary(graded_data.ordinary, 2, res))
+    # at these bidegrees the output is strictly λ-invariant: f∘T = (-1)ⁿ f
+    # for T the rotation of the ordinary chains
+    for p, q in [(0, 1), (0, 2), (2, 0)]:
+        phi = graded_data.a_side_cocycles(p)[0]
+        z = graded_data.c_side_cocycles(q)[0]
+        res = graded_data.cup(phi, p, z, q)
+        n = p + q
+        assert precompose(res, graded_data.ordinary["t", n]) == [(-1) ** n * x for x in res]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_ordinary_b_matches_oracle(ordinary, n):
+    ci, chains = ordinary
+    rng = random.Random(n)
+    dim = chains.bases[n].dim
+    for _ in range(3):
+        row = [Fraction(rng.randint(-5, 5)) for _ in range(dim)]
+        assert ordinary_coboundary(chains, n, row) == hochschild_coboundary(ci.a_mod.alg, n, row)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ordinary_t_rotates_forward(ordinary, n):
+    # T(a₀⊗…⊗aₙ) = aₙ⊗a₀⊗…⊗aₙ₋₁; the first leg is the trivial coefficient
+    _, chains = ordinary
+    basis = chains.bases[n]
+    for j, wt in enumerate(basis.tuples):
+        rotated = (wt[0], wt[-1]) + wt[1:-1]
+        assert chains["t", n][j] == {basis.index[rotated]: 1}
+
+
+def test_cup_reads_only_tables(monkeypatch):
+    # once CupData is built, the cocycles and the cup take every matrix
+    # from its tables; no codegeneracy is built at all
+    calls = []
+    for name in ("coface", "codegeneracy"):
+        def spy(self, *args, _real=getattr(CoalgebraOps, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(CoalgebraOps, name, spy)
+    data = CupData(build_group_cup_instance(graded=True), 2)
+    assert "coface" in calls and "codegeneracy" not in calls
+    calls.clear()
+    for p in range(3):
+        for q in range(3 - p):
+            data.cup(data.a_side_cocycles(p)[0], p, data.c_side_cocycles(q)[0], q)
+    assert calls == []
+
+
+def test_s3_graded_cup_names_non_descending_operators(monkeypatch, s3):
+    # the cup reads only the operators that are induced; τ at degree
+    # top + 1 is not among them
+    built = []
+
+    class Recorded(CupData):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(cup_module, "CupData", Recorded)
+    report = check_cup_suite(s3, top=1, graded=True)
+    (data,) = built
+    a_side = ["face(1,1)", "face(2,2)", "t(1)", "t(2)"]
+    c_side = ["coface(1,1)", "coface(2,2)", "tau(1)"]
+    assert data.a_inst.welldef_failures == a_side
+    assert data.c_side.welldef_failures == c_side
+    check = report["checks"][-1]
+    assert not report["ok"] and not check["ok"]
+    assert check["witnesses"] == [f"not well-defined: {w}" for w in a_side + c_side][:5]
+
+
+def test_convolution_failure_names_basis_indices(monkeypatch):
+    real = cup_module.convolve
+
+    def skewed(f, g):  # f∗g + f: neither unital nor associative
+        images = [x + y for x, y in zip(real(f, g).images, f.images)]
+        return ConvolutionElt(f.ci, images, check=False)
+
+    monkeypatch.setattr(cup_module, "convolve", skewed)
+    report = check_cup_suite(top=0)
+    check = next(c for c in report["checks"] if c["name"] == "convolution algebra")
+    assert not check["ok"]
+    # (f∗g)∗h − f∗(g∗h) = f∗h here, and basis maps 0 and 1 convolve to 0
+    assert check["witnesses"] == [
+        "unit: basis 0",
+        "associativity: basis (0,0,0)",
+        "associativity: basis (0,1,0)",
+    ]
+
+
+def test_unclosed_cup_names_the_cocycle_pair(monkeypatch):
+    def spike(self, phi_row, p, z_amb, q):  # the indicator of basis tensor 0
+        return [F1] + [F0] * (self.ordinary.bases[p + q].dim - 1)
+
+    monkeypatch.setattr(CupData, "cup", spike)
+    report = check_cup_suite(top=1)
+    check = report["checks"][-1]
+    # A is commutative, so every 0-cochain is closed; the 1-cochain is not
+    alg = build_group_cup_instance().a_mod.alg
+    residual = hochschild_coboundary(alg, 1, [F1] + [F0] * 3)
+    nonzero = sum(1 for x in residual if x)
+    assert nonzero
+    assert not check["ok"]
+    assert check["witnesses"] == [
+        f"cup not closed at (0,1): phi 0, z 0: {nonzero} nonzero",
+        f"cup not closed at (1,0): phi 0, z 0: {nonzero} nonzero",
+    ]
 
 
 def test_cup_with_zero_is_zero(graded_data):

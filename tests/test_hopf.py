@@ -3,7 +3,6 @@
 import importlib.resources
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
