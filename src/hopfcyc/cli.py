@@ -82,14 +82,15 @@ def _point_instance():
 
 
 def _swap_instances(top: int):
+    """The trivial and the graded instance on the swap G-set, by name; each
+    is built when the caller asks for it, after it is done with the one
+    before."""
     gs = swap_instance()
     c_mod = group_set_module_coalgebra(gs)
     h = c_mod.hopf
-    out = {}
-    out["trivial"] = build_coalgebra_instance(mc_trivial(h), c_mod, top)
+    yield "trivial", build_coalgebra_instance(mc_trivial(h), c_mod, top)
     graded_space = build_group_algebra(gs.group, name="kG_coeff")
-    out["graded"] = build_coalgebra_instance(mc_graded_group(h, graded_space), c_mod, top)
-    return out
+    yield "graded", build_coalgebra_instance(mc_graded_group(h, graded_space), c_mod, top)
 
 
 # -- commands ------------------------------------------------------------------
@@ -208,9 +209,8 @@ def cmd_quotient_coideal(args):
 
 def cmd_check_cocyclic(args):
     upto = args.upto if args.upto is not None else 3
-    insts = _swap_instances(upto + 1)
     report = {}
-    for name, inst in insts.items():
+    for name, inst in _swap_instances(upto + 1):
         report[name] = check_cocyclic(inst, upto=upto)
     report["ok"] = all(v["ok"] for v in report.values())
     return report
@@ -226,7 +226,7 @@ def cmd_cohomology(args):
     check_cocyclic(inst)
     report["point"] = cyclic_cohomology(inst, upto)
 
-    for name, sw in _swap_instances(upto + 2).items():
+    for name, sw in _swap_instances(upto + 2):
         check_cocyclic(sw)
         report[f"swap_{name}"] = cyclic_cohomology(sw, upto)
 

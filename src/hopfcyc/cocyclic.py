@@ -7,20 +7,16 @@ The algebra side builds the chain-level operators on M ⊗ A^⊗(n+1); cochains
 are dual vectors on the H-coinvariant quotient and cochain operators are
 transposes of the induced chain matrices.
 
-Every finite instance goes through one layer, :class:`FiniteComplex`: a
-quotient per degree over the bases of an :class:`OperatorTable`, and one
-pipeline (:meth:`FiniteComplex.induce`) that takes an ambient operator
-matrix from the table, checks that it descends to the quotients and
-induces it there.  The table builds each ambient matrix once, on first
-use, and quotient families over the same bases share it:
-:func:`build_coalgebra_instance` and :class:`AlgebraCochainInstance` build
-one table each; :class:`~hopfcyc.kaygun.KaygunBridge` owns one that serves
-its commutator identities, ℂ𝕄 and the relative quotient C_H; and
-:class:`~hopfcyc.cup.CupData` reads the chain faces and T of its
-algebra-side table, induces on C_H only the cofaces and τ its cocycles
-read, over a table of its own whose ambient cofaces also lift the
-C-side cocycles, and takes the ordinary chains on A from a chain table
-with trivial coefficients.
+Every finite instance is one :class:`FiniteComplex`: a quotient per
+degree over the bases of an :class:`OperatorTable`, whose operators are
+induced on first read by one pipeline (:meth:`FiniteComplex.induce`)
+that takes the ambient matrix from the table, checks that it descends to
+the quotients and induces it there.  The table builds each ambient matrix
+once, on first use, and complexes over the same bases share it.  So a
+consumer checks for descent exactly what it reads: every operator through
+the top for :func:`check_cocyclic`; τ and the cofaces on ℂ𝕄 and C_H for
+:func:`~hopfcyc.kaygun.check_iso`; the cofaces through top + 1 and τ
+through top of both sides of :class:`~hopfcyc.cup.CupData`.
 
 Chain operators and relation rows are evaluated on basis tensors from leg
 maps: the coproduct, coaction and actions of the carriers, each evaluated
@@ -31,7 +27,7 @@ maps are linear.  :func:`op_matrix` returns an operator as sparse columns
 (:data:`~hopfcyc.linalg.Columns`: column j is a ``dict[row] -> entry``
 without zero entries), and relation rows are built as sparse rows that
 enter :class:`~hopfcyc.linalg.Quotient` as they are.  Every matrix from
-there on, the induced operators of a :class:`CocyclicInstance`, the
+there on, the induced operators of a :class:`FiniteComplex`, the
 identities of :func:`check_cocyclic` and the differentials of
 :func:`cyclic_cohomology`, stays in that one format: products are
 :func:`~hopfcyc.linalg.mat_mul`, equations are list equality, and ranks
@@ -44,7 +40,7 @@ agreement of the two is part of the test surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Mapping, Optional
 
@@ -119,11 +115,18 @@ def alternating_sum(mats) -> Columns:
     return out
 
 
+def mismatch(a: Columns, b: Columns, label: str) -> list:
+    """``["<label>: <k> nonzero"]`` if a and b, of one shape, differ in k
+    entries, else ``[]``: the witness of a failed matrix identity."""
+    return [f"{label}: {sum(map(len, add_columns(a, b, -1)))} nonzero"] if a != b else []
+
+
 # -- leg maps -------------------------------------------------------------------
 
 
 class LegMap(dict):
-    """A structure map of one carrier evaluated once per argument.
+    """A map evaluated once per argument, such as a structure map of one
+    carrier, or the induced operators of a :class:`FiniteComplex`.
 
     ``leg_map[key]`` calls ``f(key)`` on the first lookup and keeps the
     result: a ``word -> coeff`` dict (keyed by word pairs for a coaction or
@@ -273,50 +276,6 @@ class RelativeTensorSpace:
         return self.quot.contains_in_relations(self.basis.coords(te.terms))
 
 
-@dataclass
-class CocyclicInstance:
-    """Exact matrices (:data:`~hopfcyc.linalg.Columns`) of a cocyclic object
-    on quotient spaces in degrees 0..N: cofaces ∂_i: n-1 -> n,
-    codegeneracies σ_i: n+1 -> n, and τ_n."""
-
-    dims: list
-    coface: dict  # (n, i) -> Columns, maps degree n-1 to n, 1 <= n <= N, 0 <= i <= n
-    codeg: dict  # (n, i) -> Columns, maps degree n+1 to n, 0 <= n <= N-1, 0 <= i <= n
-    tau: dict  # n -> Columns
-    welldef_failures: list = field(default_factory=list)
-    verified: bool = False
-
-    @property
-    def top(self):
-        return len(self.dims) - 1
-
-    def b(self, n: int) -> Columns:
-        """Hochschild coboundary C^n -> C^(n+1) (alternating coface sum)."""
-        return self._coface_sum(n, n + 2)
-
-    def b_prime(self, n: int) -> Columns:
-        """Coboundary without the last coface."""
-        return self._coface_sum(n, n + 1)
-
-    def _coface_sum(self, n: int, count: int) -> Columns:
-        """Alternating sum of the cofaces ∂_0 … ∂_(count-1) from C^n."""
-        return alternating_sum([self.coface[(n + 1, i)] for i in range(count)])
-
-    def lam(self, n: int) -> Columns:
-        """The signed cyclic operator λ_n = (-1)^n τ_n."""
-        s = (-1) ** n
-        return [{r: s * x for r, x in col.items()} for col in self.tau[n]]
-
-    def norm(self, n: int) -> Columns:
-        """N = 1 + λ + … + λⁿ."""
-        lam = self.lam(n)
-        acc = out = identity_columns(self.dims[n])
-        for _ in range(n):
-            acc = mat_mul(lam, acc)
-            out = add_columns(out, acc)
-        return out
-
-
 class OperatorTable(dict):
     """The ambient matrices of the operators of one (co)simplicial object,
     built by :func:`op_matrix` on first use and kept.
@@ -354,76 +313,112 @@ class OperatorTable(dict):
 
 
 class FiniteComplex:
-    """A finite-dimensional quotient space in each degree 0..top: the
+    """The cocyclic object of a finite instance: in each degree 0..top the
     ambient chain basis ``table.bases[n]`` modulo the relations of
     ``quots[n]``.
 
-    :meth:`induce` is the one route from an ambient operator of the
-    :class:`OperatorTable` to a matrix on the quotients; operators that do
-    not descend are recorded in ``welldef_failures`` by label.  Quotient
-    families over the same bases share one table.
+    ``coface[n, i]`` (∂_i: n-1 -> n), ``codeg[n, i]`` (σ_i: n+1 -> n) and
+    ``tau[n]`` call :meth:`induce` on first read and keep the result; over
+    a table of chain operators they hold the transposes of the induced
+    faces, degeneracies and T, so cofaces raise the degree either way.
     """
+
+    NAMES = {False: ("coface", "codegeneracy", "tau"), True: ("face", "degeneracy", "t")}
 
     def __init__(self, table: OperatorTable, quots):
         self.table = table
         self.bases = table.bases
+        self.chains = table.chains
         self.quots = list(quots)
         self.dims = [q.dim for q in self.quots]
-        self.welldef_failures = []
+        self.top = len(self.quots) - 1
+        self.verified = False
+        self._failures = {}
+        fc, fd, ft = self.names = self.NAMES[self.chains]
+        self.coface = LegMap(lambda k: self.induce(fc, *k))
+        self.codeg = LegMap(lambda k: self.induce(fd, *k))
+        self.tau = LegMap(lambda n: self.induce(ft, n))
 
     def induce(self, *key) -> Columns:
-        """The matrix of ``table[key]`` induced on the quotients, labelled
-        ``coface(n,i)`` or ``tau(n)`` if it does not descend."""
+        """The matrix of ``table[key]`` induced on the quotients (its
+        transpose over a chain table), recorded by its label, such as
+        ``coface(n,i)`` or ``t(n)``, if it does not descend."""
         src, tgt = self.table.degrees(key)
         amb = self.table[key]
         if not self.quots[src].preserves_relations(amb, self.quots[tgt]):
-            self.welldef_failures.append(f"{key[0]}({','.join(map(str, key[1:]))})")
-        return self.quots[src].induced_matrix(amb, self.quots[tgt])
+            label = f"{key[0]}({','.join(map(str, key[1:]))})"
+            self._failures[(self.names.index(key[0]),) + key[1:]] = label
+        m = self.quots[src].induced_matrix(amb, self.quots[tgt])
+        return transpose(m, self.dims[tgt]) if self.chains else m
 
-    def assemble(self) -> CocyclicInstance:
-        """Induce every operator of the cocyclic object through the top
-        degree.  For a table of chain operators the instance holds the
-        transposes of their induced matrices, so its cofaces raise the
-        degree; failures keep the chain operators' names."""
-        top = len(self.quots) - 1
-        chains = self.table.chains
-        fc, fd, ft = ("face", "degeneracy", "t") if chains else ("coface", "codegeneracy", "tau")
+    @property
+    def welldef_failures(self) -> list:
+        """The operators read so far that do not descend, in an order that
+        does not depend on the reads: cofaces (faces), codegeneracies
+        (degeneracies), τ (T), each by degree and index."""
+        return [self._failures[k] for k in sorted(self._failures)]
 
-        def induce(*key):
-            m = self.induce(*key)
-            return transpose(m, self.dims[self.table.degrees(key)[1]]) if chains else m
+    def induce_all(self) -> None:
+        """Induce every operator through the top degree, so that
+        ``welldef_failures`` is complete, and let go of the table."""
+        for n in range(self.top + 1):
+            self.tau[n]
+            for i in range(n + 1):
+                if n:
+                    self.coface[n, i]
+                if n < self.top:
+                    self.codeg[n, i]
+        self.table = None
 
-        cofaces = {(n, i): induce(fc, n, i) for n in range(1, top + 1) for i in range(n + 1)}
-        codegs = {(n, i): induce(fd, n, i) for n in range(top) for i in range(n + 1)}
-        taus = {n: induce(ft, n) for n in range(top + 1)}
-        return CocyclicInstance(
-            list(self.dims), cofaces, codegs, taus, welldef_failures=list(self.welldef_failures)
-        )
+    def b(self, n: int) -> Columns:
+        """Hochschild coboundary C^n -> C^(n+1) (alternating coface sum)."""
+        return self._coface_sum(n, n + 2)
+
+    def b_prime(self, n: int) -> Columns:
+        """Coboundary without the last coface."""
+        return self._coface_sum(n, n + 1)
+
+    def _coface_sum(self, n: int, count: int) -> Columns:
+        """Alternating sum of the cofaces ∂_0 … ∂_(count-1) from C^n."""
+        return alternating_sum([self.coface[n + 1, i] for i in range(count)])
+
+    def lam(self, n: int) -> Columns:
+        """The signed cyclic operator λ_n = (-1)^n τ_n."""
+        s = (-1) ** n
+        return [{r: s * x for r, x in col.items()} for col in self.tau[n]]
+
+    def norm(self, n: int) -> Columns:
+        """N = 1 + λ + … + λⁿ."""
+        lam = self.lam(n)
+        acc = out = identity_columns(self.dims[n])
+        for _ in range(n):
+            acc = mat_mul(lam, acc)
+            out = add_columns(out, acc)
+        return out
 
 
-def build_coalgebra_instance(mc: ModuleComodule, c_mod: HModuleCoalgebra, top: int) -> CocyclicInstance:
-    """Assemble the quotient-space matrices of the coalgebra-side cocyclic
-    object through degree ``top``, recording any operator that fails to
-    descend to the quotients."""
+def build_coalgebra_instance(mc: ModuleComodule, c_mod: HModuleCoalgebra, top: int) -> FiniteComplex:
+    """The coalgebra-side cocyclic object on the relative quotients
+    Cⁿ_H(C, M) through degree ``top``."""
     spaces = [RelativeTensorSpace(mc, c_mod, n) for n in range(top + 1)]
     table = OperatorTable(CoalgebraOps(mc, c_mod), [sp.basis for sp in spaces])
-    return FiniteComplex(table, [sp.quot for sp in spaces]).assemble()
+    return FiniteComplex(table, [sp.quot for sp in spaces])
 
 
-def check_cocyclic(inst: CocyclicInstance, upto: Optional[int] = None) -> dict:
+def check_cocyclic(inst: FiniteComplex, upto: Optional[int] = None) -> dict:
     """Verify the cosimplicial, mixed and cyclic identities as exact matrix
-    equations, including τⁿ⁺¹ = id and the last-coface factorization
-    ∂_n = τ_n ∘ ∂₀.  A failed identity is reported with the number of
-    nonzero entries of its residual.  Marks the instance verified on
-    success."""
+    equations through degree ``upto``, including τⁿ⁺¹ = id and the
+    last-coface factorization ∂_n = τ_n ∘ ∂₀.  Every operator through the
+    top degree is checked for descent, whatever ``upto``.  A failed
+    identity is reported with the number of nonzero entries of its
+    residual.  Marks the instance verified on success."""
+    inst.induce_all()
     top = inst.top
     upto = top if upto is None else min(upto, top)
     fails = []
 
     def eq(a, b, label):
-        if a != b:
-            nonzero = sum(map(len, add_columns(a, b, -1)))
-            fails.append(f"{label}: {nonzero} nonzero")
+        fails.extend(mismatch(a, b, label))
 
     if inst.welldef_failures:
         fails.extend(f"not well-defined: {w}" for w in inst.welldef_failures)
@@ -492,7 +487,7 @@ def check_cocyclic(inst: CocyclicInstance, upto: Optional[int] = None) -> dict:
     return {"ok": ok, "witnesses": fails[:5]}
 
 
-def cyclic_cohomology(inst: CocyclicInstance, upto: int) -> dict:
+def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
     """Cyclic cohomology dimensions by two independent routes.
 
     Route one restricts the coboundary b to the signed τ-invariant
@@ -689,16 +684,6 @@ class AlgebraCochainInstance(FiniteComplex):
     def __init__(self, mc: ModuleComodule, a_mod: HModuleAlgebra, top: int):
         self.mc = mc
         self.a_mod = a_mod
-        self.top = top
         self.ops = AlgebraChainOps(mc, a_mod)
         bases, quots = zip(*(self.ops.quotient(n) for n in range(top + 1)))
         super().__init__(OperatorTable(self.ops, bases, chains=True), quots)
-        self._cocyclic = self.assemble()
-
-    def cocyclic_instance(self) -> CocyclicInstance:
-        """The cochain operators as a coface-style cocyclic instance.
-
-        Every call returns the same instance, built once in ``__init__``;
-        verifying it with :func:`check_cocyclic` marks it for all callers.
-        """
-        return self._cocyclic

@@ -10,12 +10,12 @@ zeroth cofaces, then :func:`psi` on χ of each A-basis word lands the
 result in ordinary cochains on A.
 
 Every matrix of :class:`CupData` comes from an
-:class:`~hopfcyc.cocyclic.OperatorTable`: the A-side cochain instance's
-own, one over the relative C-side quotients (whose cofaces and τ are
-induced through :meth:`~hopfcyc.cocyclic.FiniteComplex.induce`, and
-whose ambient zeroth cofaces lift the C-side cocycles), and the chains of
-A with trivial coefficients (:func:`ordinary_chains`), whose faces give
-the coboundary that the "cup closed" check applies.
+:class:`~hopfcyc.cocyclic.OperatorTable`: that of the A-side cochain
+complex, that of the relative C-side complex C_H (whose cofaces and τ are
+induced on first read by :class:`~hopfcyc.cocyclic.FiniteComplex`, and
+whose ambient zeroth cofaces lift the C-side cocycles), and that of the
+chains of A with trivial coefficients (:func:`ordinary_chains`), whose
+faces give the coboundary that the "cup closed" check applies.
 """
 
 from __future__ import annotations
@@ -45,13 +45,10 @@ from .linalg import add_columns, identity_columns, mat_vec, nullspace, transpose
 from .cocyclic import (
     AlgebraCochainInstance,
     AlgebraChainOps,
-    CoalgebraOps,
-    CocyclicInstance,
-    FiniteComplex,
     OperatorTable,
-    RelativeTensorSpace,
     TensorBasis,
     alternating_sum,
+    build_coalgebra_instance,
 )
 
 
@@ -59,13 +56,17 @@ from .cocyclic import (
 class CupInstance:
     """A finite group instance of the compatible (C, A) pair: C is the set
     coalgebra on the group with left translation, A the function algebra
-    with right-translation action, and c·a evaluated pointwise."""
+    with right-translation action, and c·a evaluated pointwise.
+    ``c_pos[w]`` is the position of the word w in the C basis."""
 
     group: GroupData
     mc: ModuleComodule
     c_mod: HModuleCoalgebra
     a_mod: HModuleAlgebra
     c_on_a: Callable[[AlgElt, AlgElt], AlgElt]
+
+    def __post_init__(self):
+        self.c_pos = {w: i for i, w in enumerate(self.c_mod.coalg.basis_words())}
 
 
 def build_group_cup_instance(
@@ -157,12 +158,14 @@ class ConvolutionElt:
             raise StructureError("map is not H-linear")
 
     def __call__(self, x: AlgElt) -> AlgElt:
-        c = self.ci.c_mod.coalg
-        pos = {w: i for i, w in enumerate(c.basis_words())}
         out = self.ci.a_mod.alg.zero()
         for w, k in x.terms.items():
-            out = out + self.images[pos[w]].scale(k)
+            out = out + self.image(w).scale(k)
         return out
+
+    def image(self, w) -> AlgElt:
+        """The image of the C-basis word ``w``."""
+        return self.images[self.ci.c_pos[w]]
 
     def is_h_linear(self) -> bool:
         h = self.ci.c_mod.hopf
@@ -170,8 +173,8 @@ class ConvolutionElt:
         for w in h.basis_words():
             hh = h.from_word(w)
             for cw in c.basis_words():
-                cc = c.from_word(cw)
-                if self(self.ci.c_mod.act(hh, cc)) != self.ci.a_mod.act(hh, self(cc)):
+                moved = self(self.ci.c_mod.act(hh, c.from_word(cw)))
+                if moved != self.ci.a_mod.act(hh, self.image(cw)):
                     return False
         return True
 
@@ -200,7 +203,7 @@ def convolve(f: ConvolutionElt, g: ConvolutionElt) -> ConvolutionElt:
         d = c.coproduct(c.from_word(w))
         val = ci.a_mod.alg.zero()
         for (c1, c2), k in d.terms.items():
-            val = val + (f(c.from_word(c1)) * g(c.from_word(c2))).scale(k)
+            val = val + (f.image(c1) * g.image(c2)).scale(k)
         images.append(val)
     return ConvolutionElt(ci, images, check=False)
 
@@ -255,12 +258,11 @@ def psi(ci: CupInstance, phi: Callable[[TensorElt], Fraction], chain: TensorElt,
     n = chain.legs - 2
     if len(fs) != n + 1:
         raise PreconditionError("one convolution element per C leg required")
-    c = ci.c_mod.coalg
     out = Fraction(0)
     for wt, k in chain.terms.items():
         factors = [ci.mc.space.from_word(wt[0])]
         for i in range(n + 1):
-            factors.append(fs[i](c.from_word(wt[i + 1])))
+            factors.append(fs[i].image(wt[i + 1]))
         out += k * phi(tensor(factors))
     return out
 
@@ -288,12 +290,14 @@ def ordinary_coboundary(chains: OperatorTable, n: int, f) -> list:
 
 @dataclass
 class CupData:
-    """Everything needed to cup at bidegrees with p + q <= top, every
-    matrix read from an :class:`~hopfcyc.cocyclic.OperatorTable`: the
-    A-side cochain instance; on the C side the cofaces through top + 1 and
-    τ through top, each induced once on the relative quotients (no
-    codegeneracy is built), with the ambient table kept for the lift; the
-    ordinary chains on A; and χ of each A-basis word for the pairing."""
+    """Everything needed to cup at bidegrees with p + q <= top: the A-side
+    cochain complex, whose ambient faces and T lift and constrain φ; the
+    relative complex C_H, whose cofaces and τ cut out the C-side cocycles
+    and whose ambient zeroth cofaces lift them, both through top + 1, where
+    the coboundary out of the top degree lands; the ordinary chains on A;
+    and χ of each A-basis word.  Construction checks the descent of what
+    the cup reads on each side, the cofaces (faces) through top + 1 and τ
+    (T) through top; no (co)degeneracy is built."""
 
     ci: CupInstance
     top: int
@@ -301,16 +305,12 @@ class CupData:
     def __post_init__(self):
         ci, top = self.ci, self.top
         self.a_inst = AlgebraCochainInstance(ci.mc, ci.a_mod, top + 1)
-        # through top + 1: the coboundary out of the top degree lands there
-        self.c_spaces = [RelativeTensorSpace(ci.mc, ci.c_mod, n) for n in range(top + 2)]
-        self.c_table = OperatorTable(CoalgebraOps(ci.mc, ci.c_mod), [sp.basis for sp in self.c_spaces])
-        c_h = FiniteComplex(self.c_table, [sp.quot for sp in self.c_spaces])
-        cofaces = {(n, i): c_h.induce("coface", n, i) for n in range(1, top + 2) for i in range(n + 1)}
-        taus = {n: c_h.induce("tau", n) for n in range(top + 1)}
-        # a cocyclic instance without codegeneracies: b and λ are all it serves
-        self.c_side = CocyclicInstance(
-            c_h.dims, cofaces, {}, taus, welldef_failures=c_h.welldef_failures
-        )
+        self.c_side = build_coalgebra_instance(ci.mc, ci.c_mod, top + 1)
+        for side in (self.a_inst, self.c_side):
+            for n in range(top + 1):
+                side.tau[n]
+                for i in range(n + 2):
+                    side.coface[n + 1, i]
         self.ordinary = ordinary_chains(ci, top + 1)
         alg = ci.a_mod.alg
         self.chis = {w: chi(ci, alg.from_word(w)) for w in alg.basis_words()}
@@ -331,7 +331,7 @@ class CupData:
 
     # C-side cocycles in the relative quotient.
     def c_side_cocycles(self, q: int, cyclic: bool = True):
-        inst, quot = self.c_side, self.c_spaces[q].quot
+        inst, quot = self.c_side, self.c_side.quots[q]
         rows = transpose(inst.b(q), inst.dims[q + 1])
         if cyclic:
             rows.extend(transpose(add_columns(inst.lam(q), identity_columns(quot.dim), -1), quot.dim))
@@ -353,8 +353,8 @@ class CupData:
             row = mat_vec(transpose(inst.table["face", k, k], inst.bases[k - 1].dim), row)
         z = z_amb
         for k in range(q + 1, n + 1):
-            z = mat_vec(self.c_table["coface", k, 0], z)
-        basis = self.c_spaces[n].basis
+            z = mat_vec(self.c_side.table["coface", k, 0], z)
+        basis = self.c_side.bases[n]
         chain = TensorElt(basis.prs, {basis.tuples[j]: x for j, x in z.items()}, _normalized=True)
         phi_basis = inst.bases[n]
 
@@ -374,7 +374,8 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
     with p + q <= top for cocycle inputs.  Graded coefficients keep the
     degree-one cocycle spaces nonzero.  A failure names its inputs: the
     convolution basis indices, or the bidegree, the indices of the
-    cocycle pair and the nonzero count of b(cup)."""
+    cocycle pair and the nonzero count of b(cup); one witness names every
+    operator the cup reads that does not descend."""
     ci = build_group_cup_instance(group, graded=graded)
     checks = []
 
@@ -405,7 +406,8 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
 
     data = CupData(ci, top)
     descent = data.a_inst.welldef_failures + data.c_side.welldef_failures
-    fails = [f"not well-defined: {w}" for w in descent]
+    # one witness, so that the cap below never hides a failing operator
+    fails = [f"not well-defined: {', '.join(descent)}"] if descent else []
     used = {}
     for p in range(top + 1):
         for q in range(top + 1 - p):

@@ -7,18 +7,18 @@ to embed in the relative chain space through mutually inverse maps Π and
 Π', and its cyclic cohomology is compared against the direct computation.
 
 A bridge owns one :class:`~hopfcyc.cocyclic.OperatorTable` of ambient
-operator matrices; the commutator identities, ℂ𝕄 and the relative
-quotient Cⁿ_H all read it, and every operator on ℂ𝕄 or Cⁿ_H is induced
-by :meth:`~hopfcyc.cocyclic.FiniteComplex.induce`, which checks descent.
-Π and Π′ are the only maps induced outside it: they are induced by the
-ambient identity and checked for descent here.
+operator matrices; the commutator identities and the complexes on ℂ𝕄 and
+on the relative quotient Cⁿ_H all read it, and every operator on ℂ𝕄 or
+Cⁿ_H is induced by :meth:`~hopfcyc.cocyclic.FiniteComplex.induce`, which
+checks descent.  Π and Π′ are the only maps induced outside it: they are
+induced by the ambient identity and checked for descent here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EMPTY_WORD, TensorElt
+from .core import EMPTY_WORD, TensorElt, word_str
 from .coefficients import HModuleCoalgebra, ModuleComodule
 from .errors import StructureError, UnsolvableError
 from .linalg import (
@@ -32,7 +32,6 @@ from .linalg import (
 )
 from .cocyclic import (
     CoalgebraOps,
-    CocyclicInstance,
     FiniteComplex,
     LegMap,
     OperatorTable,
@@ -41,6 +40,7 @@ from .cocyclic import (
     add_tensor,
     check_cocyclic,
     cyclic_cohomology,
+    mismatch,
     op_matrix,
 )
 
@@ -174,7 +174,8 @@ class KaygunBridge:
 def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
     """The stability identities of W as exact ambient matrix equations:
     the τ-commutator expansion, σ_j[L_g,τⁱ] = [L_g,τⁱ]σ_{j−1}, and
-    ∂_m L_g = L_g ∂_m."""
+    ∂_m L_g = L_g ∂_m.  A witness names the group element and the nonzero
+    count of the residual."""
     table = bridge.table
     fails = []
     for n in range(min(upto, bridge.top) + 1):
@@ -182,6 +183,7 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
         for gw in bridge.group_words:
             if gw == EMPTY_WORD:
                 continue
+            g = word_str(gw)
             lg = bridge.l_matrix(n, gw)
             for i in range(1, n + 2):
                 comm_i = bridge.commutator_matrix(n, gw, i)
@@ -190,23 +192,20 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                 lhs = mat_mul(tau, comm_i)
                 bracket = add_columns(mat_mul(tau, lg), mat_mul(lg, tau), -F1)
                 rhs = add_columns(mat_mul(bracket, taui), comm_i1)
-                if lhs != rhs:
-                    fails.append(f"tau commutator expansion (n={n}, g={gw}, i={i})")
+                fails += mismatch(lhs, rhs, f"tau commutator expansion (n={n}, g={g}, i={i})")
             if n < bridge.top:
                 for m in range(n + 1):
                     coface = table["coface", n + 1, m]
                     lg_up = bridge.l_matrix(n + 1, gw)
-                    if mat_mul(coface, lg) != mat_mul(lg_up, coface):
-                        fails.append(f"coface commutes with L (n={n}, g={gw}, m={m})")
+                    label = f"coface commutes with L (n={n}, g={g}, m={m})"
+                    fails += mismatch(mat_mul(coface, lg), mat_mul(lg_up, coface), label)
             for j in range(1, n):
                 sig, sigp = table["codegeneracy", n - 1, j], table["codegeneracy", n - 1, j - 1]
                 for i in range(1, n + 1):
                     comm_hi = bridge.commutator_matrix(n, gw, i)
                     comm_lo = bridge.commutator_matrix(n - 1, gw, i)
-                    if mat_mul(sig, comm_hi) != mat_mul(comm_lo, sigp):
-                        fails.append(
-                            f"codegeneracy commutator shift (n={n}, g={gw}, i={i}, j={j})"
-                        )
+                    label = f"codegeneracy commutator shift (n={n}, g={g}, i={i}, j={j})"
+                    fails += mismatch(mat_mul(sig, comm_hi), mat_mul(comm_lo, sigp), label)
     return {"ok": not fails, "witnesses": fails[:5]}
 
 
@@ -225,41 +224,43 @@ def check_w_in_ker_pi(bridge: KaygunBridge, upto: int = 2) -> dict:
 def check_iso(bridge: KaygunBridge) -> dict:
     """Builds ℂ𝕄ⁿ and the relative quotient Cⁿ_H side by side, realizes Π
     and Π' as matrices induced by the ambient identity, and certifies that
-    they are mutually inverse and commute with τ and the cofaces.  The
-    operators on both sides are induced from the bridge's table, and those
-    that do not descend are named among the witnesses."""
+    they are mutually inverse and commute with τ and the cofaces, the only
+    operators read on either side; those that do not descend are named
+    among the witnesses.  A failed check counts the nonzero entries of its
+    residual: for a Π/Π′ that does not descend, those of the source
+    relations projected to the target."""
     top = bridge.top
     cm = kaygun_cocyclic_instance(bridge)
-    cms = [bridge.cm_quotient(n) for n in range(top + 1)]
-    rels = [bridge.relative_space(n) for n in range(top + 1)]
-    # only τ and the cofaces are induced on Cⁿ_H
-    ch = FiniteComplex(bridge.table, [r.quot for r in rels])
+    cms = cm.quots
+    rels = [bridge.relative_space(n).quot for n in range(top + 1)]
+    ch = FiniteComplex(bridge.table, rels)
     fails = []
     pi = []
     for n in range(top + 1):
-        ident_amb = identity_columns(bridge.bases[n].dim)
-        if not cms[n].preserves_relations(ident_amb, rels[n].quot):
-            fails.append(f"Pi not well-defined at degree {n}")
-        if not rels[n].quot.preserves_relations(ident_amb, cms[n]):
-            fails.append(f"Pi' not well-defined at degree {n}")
-        p = cms[n].induced_matrix(ident_amb, rels[n].quot)
-        q = rels[n].quot.induced_matrix(ident_amb, cms[n])
+        ident = identity_columns(bridge.bases[n].dim)
+        for name, src, tgt in (("Pi", cms[n], rels[n]), ("Pi'", rels[n], cms[n])):
+            if not src.preserves_relations(ident, tgt):
+                nonzero = sum(len(tgt.project(row)) for row in src.rows)
+                fails.append(f"{name} not well-defined at degree {n}: {nonzero} nonzero")
+        p = cms[n].induced_matrix(ident, rels[n])
+        q = rels[n].induced_matrix(ident, cms[n])
         pi.append(p)
-        ident_rel, ident_cm = identity_columns(rels[n].dim), identity_columns(cms[n].dim)
-        if mat_mul(p, q) != ident_rel or mat_mul(q, p) != ident_cm:
-            fails.append(f"Pi and Pi' not mutually inverse at degree {n}")
+        # Π∘Π′ and Π′∘Π side by side, against the two identities
+        both = identity_columns(rels[n].dim) + identity_columns(cms[n].dim)
+        label = f"Pi and Pi' not mutually inverse at degree {n}"
+        fails += mismatch(mat_mul(p, q) + mat_mul(q, p), both, label)
 
-    tau_rel = [ch.induce("tau", n) for n in range(top + 1)]
-    d_rel = {(n, i): ch.induce("coface", n, i) for n in range(1, top + 1) for i in range(n + 1)}
-    fails.extend(f"not well-defined on CM: {w}" for w in cm.welldef_failures)
-    fails.extend(f"not well-defined on C_H: {w}" for w in ch.welldef_failures)
+    crossed = []
     for n in range(top + 1):
-        if mat_mul(pi[n], cm.tau[n]) != mat_mul(tau_rel[n], pi[n]):
-            fails.append(f"Pi does not intertwine tau at degree {n}")
-    for (n, i), d in d_rel.items():
-        if mat_mul(pi[n], cm.coface[(n, i)]) != mat_mul(d, pi[n - 1]):
-            fails.append(f"Pi does not intertwine coface ({n},{i})")
-
+        lhs, rhs = mat_mul(pi[n], cm.tau[n]), mat_mul(ch.tau[n], pi[n])
+        crossed += mismatch(lhs, rhs, f"Pi does not intertwine tau at degree {n}")
+    for n in range(1, top + 1):
+        for i in range(n + 1):
+            lhs, rhs = mat_mul(pi[n], cm.coface[n, i]), mat_mul(ch.coface[n, i], pi[n - 1])
+            crossed += mismatch(lhs, rhs, f"Pi does not intertwine coface ({n},{i})")
+    fails += [f"not well-defined on CM: {w}" for w in cm.welldef_failures]
+    fails += [f"not well-defined on C_H: {w}" for w in ch.welldef_failures]
+    fails += crossed
     return {
         "ok": not fails,
         "witnesses": fails[:5],
@@ -269,12 +270,12 @@ def check_iso(bridge: KaygunBridge) -> dict:
     }
 
 
-def kaygun_cocyclic_instance(bridge: KaygunBridge) -> CocyclicInstance:
-    """The cocyclic instance carried by the quotients ℂ𝕄ⁿ, assembled once
-    per bridge."""
+def kaygun_cocyclic_instance(bridge: KaygunBridge) -> FiniteComplex:
+    """The cocyclic object carried by the quotients ℂ𝕄ⁿ, built once per
+    bridge; its operators are induced on first read."""
     if bridge._cm_inst is None:
         cms = [bridge.cm_quotient(n) for n in range(bridge.top + 1)]
-        bridge._cm_inst = FiniteComplex(bridge.table, cms).assemble()
+        bridge._cm_inst = FiniteComplex(bridge.table, cms)
     return bridge._cm_inst
 
 

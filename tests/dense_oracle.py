@@ -192,16 +192,15 @@ class DenseInstance:
 
 
 def dense_instance(inst):
-    """A dense copy of a :class:`hopfcyc.cocyclic.CocyclicInstance`; every
-    operator lands in degree n, so it has ``dims[n]`` rows."""
-    dims = list(inst.dims)
-    return DenseInstance(
-        dims,
-        {(n, i): as_dense(m, dims[n]) for (n, i), m in inst.coface.items()},
-        {(n, i): as_dense(m, dims[n]) for (n, i), m in inst.codeg.items()},
-        {n: as_dense(m, dims[n]) for n, m in inst.tau.items()},
-        welldef_failures=list(inst.welldef_failures),
-    )
+    """A dense copy of a :class:`hopfcyc.cocyclic.FiniteComplex`, read
+    degree by degree, so every operator through the top is induced and
+    ``welldef_failures`` is complete; every operator lands in degree n, so
+    it has ``dims[n]`` rows."""
+    dims, top = list(inst.dims), inst.top
+    coface = {(n, i): as_dense(inst.coface[n, i], dims[n]) for n in range(1, top + 1) for i in range(n + 1)}
+    codeg = {(n, i): as_dense(inst.codeg[n, i], dims[n]) for n in range(top) for i in range(n + 1)}
+    tau = {n: as_dense(inst.tau[n], dims[n]) for n in range(top + 1)}
+    return DenseInstance(dims, coface, codeg, tau, welldef_failures=list(inst.welldef_failures))
 
 
 def check_cocyclic(inst, upto=None):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcyc import cocyclic
 from hopfcyc.cocyclic import (
     AlgebraCochainInstance,
     build_coalgebra_instance,
@@ -116,10 +117,9 @@ def test_unverified_instance_refused(swap_cmod):
 
 def test_algebra_side_instance():
     ci = build_group_cup_instance(graded=False)
-    ai = AlgebraCochainInstance(ci.mc, ci.a_mod, 5)
-    assert ai.welldef_failures == []
-    inst = ai.cocyclic_instance()
+    inst = AlgebraCochainInstance(ci.mc, ci.a_mod, 5)
     assert check_cocyclic(inst)["ok"]
+    assert inst.welldef_failures == []
     report = cyclic_cohomology(inst, 3)
     assert report["agree"]
     assert report["lambda_complex"] == [1, 0, 1, 0]
@@ -151,7 +151,7 @@ def test_kaygun_instance_squares_to_zero(swap_cmod):
 def test_cup_instances_square_to_zero(graded):
     # the algebra-side cochains of the cup command (top + 1 = 3)
     ci = build_group_cup_instance(graded=graded)
-    assert_differentials_square_to_zero(AlgebraCochainInstance(ci.mc, ci.a_mod, 3).cocyclic_instance())
+    assert_differentials_square_to_zero(AlgebraCochainInstance(ci.mc, ci.a_mod, 3))
 
 
 # -- d∘d = 0 on random finite G-sets ------------------------------------------------
@@ -209,8 +209,8 @@ def test_random_gsets_square_to_zero(s3, data):
     else:
         mc = mc_graded_group(cmod.hopf, build_group_algebra(g, name="kG_g"))
     inst = build_coalgebra_instance(mc, cmod, 2)
-    assert inst.welldef_failures == []
     assert_differentials_square_to_zero(inst)
+    assert inst.welldef_failures == []
 
 
 def test_graded_trivial_action_over_s3_does_not_descend(s3):
@@ -220,9 +220,57 @@ def test_graded_trivial_action_over_s3_does_not_descend(s3):
     mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kG_g"))
     assert not check_sayd(mc)["ayd"]["ok"]
     inst = build_coalgebra_instance(mc, cmod, 2)
-    assert "coface(1,1)" in inst.welldef_failures
     dense = dense_instance(inst)
+    assert "coface(1,1)" in inst.welldef_failures
     assert not is_zero_matrix(mat_mul(dense.b(1), dense.b(0)))
+
+
+@pytest.fixture
+def s3_graded_coset(s3):
+    """The instance above: its last cofaces and τ do not descend."""
+    cmod = group_set_module_coalgebra(coset_space_union(s3, [["e", "p021"]]))
+    return mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kG_g")), cmod
+
+
+def test_descent_is_checked_through_top_whatever_upto(s3_graded_coset):
+    inst = build_coalgebra_instance(*s3_graded_coset, 3)
+    # upto=1 reads nothing above degree 1 for its identities, yet the
+    # report names the last coface into degree 3
+    report = check_cocyclic(inst, upto=1)
+    assert "not well-defined: coface(3,3)" in report["witnesses"]
+    assert not report["ok"] and not inst.verified
+
+
+def test_failure_order_does_not_depend_on_read_order(s3_graded_coset):
+    first, second = (build_coalgebra_instance(*s3_graded_coset, 2) for _ in range(2))
+    first.tau[1], first.coface[1, 1]
+    second.coface[1, 1], second.tau[1]
+    assert first.welldef_failures == second.welldef_failures == ["coface(1,1)", "tau(1)"]
+    # all of them, read degree by degree or τ first: cofaces, then τ
+    dense_instance(first)
+    second.induce_all()
+    expected = ["coface(1,1)", "coface(2,2)", "tau(1)", "tau(2)"]
+    assert first.welldef_failures == second.welldef_failures == expected
+
+
+def test_operators_are_built_on_first_read(monkeypatch, swap_cmod):
+    built = []
+    op_matrix = cocyclic.op_matrix
+
+    def spy(op, src, tgt):
+        built.append(op)
+        return op_matrix(op, src, tgt)
+
+    monkeypatch.setattr(cocyclic, "op_matrix", spy)
+    inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 3)
+    assert built == []
+    tau = inst.tau[2]
+    assert len(built) == 1 and inst.tau[2] is tau
+    # check_cocyclic reads all 9 cofaces, 6 codegeneracies and 4 τ once,
+    # then the complex lets go of its table
+    assert check_cocyclic(inst)["ok"]
+    assert len(built) == 19
+    assert inst.table is None
 
 
 # -- witnesses ----------------------------------------------------------------------
@@ -277,7 +325,7 @@ def test_kaygun_and_algebra_instances_match_dense_oracle(swap_cmod):
     assert_checks_match_dense_oracle(kaygun_cocyclic_instance(bridge), hc_upto=2)
     for graded in (False, True):
         ci = build_group_cup_instance(graded=graded)
-        inst = AlgebraCochainInstance(ci.mc, ci.a_mod, 4).cocyclic_instance()
+        inst = AlgebraCochainInstance(ci.mc, ci.a_mod, 4)
         assert_checks_match_dense_oracle(inst, hc_upto=2)
 
 

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 import hopfcyc.cup as cup_module
-from hopfcyc.cocyclic import CoalgebraOps, TensorBasis
+from hopfcyc.cocyclic import AlgebraChainOps, CoalgebraOps, TensorBasis
 from hopfcyc.core import tensor
 from hopfcyc.cup import (
     ConvolutionElt,
@@ -221,9 +221,25 @@ def test_cup_reads_only_tables(monkeypatch):
     assert calls == []
 
 
+def test_cup_builds_no_degeneracy(monkeypatch):
+    # neither side's (co)degeneracies are read by the cup, so none is built
+    calls = []
+    for cls, name in ((CoalgebraOps, "codegeneracy"), (AlgebraChainOps, "degeneracy")):
+        def spy(self, *args, _real=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(cls, name, spy)
+    for top in (1, 3):
+        data = CupData(build_group_cup_instance(graded=True), top)
+        assert data.a_inst.welldef_failures == data.c_side.welldef_failures == []
+    assert calls == []
+
+
 def test_s3_graded_cup_names_non_descending_operators(monkeypatch, s3):
-    # the cup reads only the operators that are induced; τ at degree
-    # top + 1 is not among them
+    # the cup checks only the operators it reads: faces (cofaces on C_H)
+    # through top + 1 and T (τ) through top; the report names all of them
+    # in one witness
     built = []
 
     class Recorded(CupData):
@@ -234,13 +250,17 @@ def test_s3_graded_cup_names_non_descending_operators(monkeypatch, s3):
     monkeypatch.setattr(cup_module, "CupData", Recorded)
     report = check_cup_suite(s3, top=1, graded=True)
     (data,) = built
-    a_side = ["face(1,1)", "face(2,2)", "t(1)", "t(2)"]
+    a_side = ["face(1,1)", "face(2,2)", "t(1)"]
     c_side = ["coface(1,1)", "coface(2,2)", "tau(1)"]
     assert data.a_inst.welldef_failures == a_side
     assert data.c_side.welldef_failures == c_side
     check = report["checks"][-1]
     assert not report["ok"] and not check["ok"]
-    assert check["witnesses"] == [f"not well-defined: {w}" for w in a_side + c_side][:5]
+    # the cap of five no longer hides the bidegree that has no cocycles
+    assert check["witnesses"] == [
+        "not well-defined: " + ", ".join(a_side + c_side),
+        "no cocycles at bidegree (1,0)",
+    ]
 
 
 def test_convolution_failure_names_basis_indices(monkeypatch):

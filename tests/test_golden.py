@@ -42,7 +42,15 @@ def test_report_matches_golden(capsys, command):
 
 @pytest.mark.parametrize(
     "command,upto",
-    [("cohomology", 4), ("cohomology", 5), ("kaygun", 3), ("kaygun", 4), ("cup", 3)],
+    [
+        ("cohomology", 4),
+        ("cohomology", 5),
+        ("check-cocyclic", 4),
+        ("kaygun", 3),
+        ("kaygun", 4),
+        ("cup", 3),
+        ("cup", 4),
+    ],
 )
 def test_deep_report_matches_golden(capsys, command, upto):
     assert cli.run([command, "--upto", str(upto)]) == 0

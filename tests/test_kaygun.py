@@ -2,6 +2,7 @@
 of the ambient one."""
 
 import io
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -14,14 +15,20 @@ from hopfcyc.coefficients import (
     mc_graded_group,
     mc_trivial,
 )
+from hopfcyc.core import word_str
 from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
 from hopfcyc.kaygun import (
     KaygunBridge,
     check_iso,
     check_w_in_ker_pi,
     commutator_identities,
+    kaygun_cocyclic_instance,
     kaygun_cohomology,
 )
+from hopfcyc.linalg import Quotient, identity_columns
+
+from dense_oracle import as_dense, identity, mat_sub
+from dense_oracle import mat_mul as dense_mul
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +159,53 @@ def test_each_operator_matrix_is_built_once(monkeypatch, swap_cmod):
     # commutator identities, ℂ𝕄 and C_H; L_g of the one non-unit group
     # element in degrees 0..4
     assert calls == {"table": 29, "L": 5}
+
+
+def test_commutator_witness_names_the_element_and_the_residual(monkeypatch, swap_cmod):
+    # L_g doubled in degree 1 only: the cofaces out of degree 0 and into
+    # degree 2 no longer commute with L
+    real = KaygunBridge.l_matrix
+
+    def doubled(self, n, gw):
+        m = real(self, n, gw)
+        return [{r: 2 * x for r, x in col.items()} for col in m] if n == 1 else m
+
+    monkeypatch.setattr(KaygunBridge, "l_matrix", doubled)
+    bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=3)
+    report = commutator_identities(bridge, upto=2)
+    (gw,) = [w for w in bridge.group_words if w]
+    coface = bridge.table["coface", 1, 0]
+    residual = mat_sub(
+        dense_mul(as_dense(coface, 4), as_dense(bridge.l_matrix(0, gw), 2)),
+        dense_mul(as_dense(bridge.l_matrix(1, gw), 4), as_dense(coface, 4)),
+    )
+    nonzero = sum(1 for row in residual for x in row if x)
+    assert not report["ok"]
+    assert report["witnesses"][0] == f"coface commutes with L (n=0, g={word_str(gw)}, m=0): {nonzero} nonzero"
+    assert all(re.fullmatch(r".*\(n=\d, g=g, m=\d\): [1-9]\d* nonzero", w) for w in report["witnesses"])
+
+
+def test_iso_witnesses_count_the_residual(monkeypatch, swap_cmod):
+    # ℂ𝕄¹ squeezed by one more relation, x₂ = 0: its reduced relations
+    # x₁ and x₂ both survive in C¹_H (relations x₀ = x₃, x₁ = x₂), so Π
+    # does not descend, by 2 entries, and Π∘Π′ misses the identity of C¹_H
+    real = KaygunBridge.cm_quotient
+
+    def squeezed(self, n):
+        q = real(self, n)
+        return Quotient(q.rows + [{q.free[0]: 1}], q.ambient_dim) if n == 1 else q
+
+    monkeypatch.setattr(KaygunBridge, "cm_quotient", squeezed)
+    bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=2)
+    report = check_iso(bridge)
+    cm, rel = kaygun_cocyclic_instance(bridge).quots[1], bridge.relative_space(1).quot
+    p, q = cm.induced_matrix(identity_columns(4), rel), rel.induced_matrix(identity_columns(4), cm)
+    p, q = as_dense(p, rel.dim), as_dense(q, cm.dim)
+    assert dense_mul(q, p) == identity(cm.dim)
+    nonzero = sum(1 for row in mat_sub(dense_mul(p, q), identity(rel.dim)) for x in row if x)
+    assert nonzero
+    assert not report["ok"]
+    assert report["witnesses"][:2] == [
+        "Pi not well-defined at degree 1: 2 nonzero",
+        f"Pi and Pi' not mutually inverse at degree 1: {nonzero} nonzero",
+    ]
