@@ -121,6 +121,13 @@ def mismatch(a: Columns, b: Columns, label: str) -> list:
     return [f"{label}: {sum(map(len, add_columns(a, b, -1)))} nonzero"] if a != b else []
 
 
+def descent_witness(labels: list, where: str = "") -> list:
+    """``["not well-defined<where>: <label>, …"]`` naming every operator in
+    ``labels`` in one witness, so that no cap on witnesses hides one, or
+    ``[]`` if there are none."""
+    return [f"not well-defined{where}: {', '.join(labels)}"] if labels else []
+
+
 # -- leg maps -------------------------------------------------------------------
 
 
@@ -409,19 +416,17 @@ def check_cocyclic(inst: FiniteComplex, upto: Optional[int] = None) -> dict:
     """Verify the cosimplicial, mixed and cyclic identities as exact matrix
     equations through degree ``upto``, including τⁿ⁺¹ = id and the
     last-coface factorization ∂_n = τ_n ∘ ∂₀.  Every operator through the
-    top degree is checked for descent, whatever ``upto``.  A failed
-    identity is reported with the number of nonzero entries of its
-    residual.  Marks the instance verified on success."""
+    top degree is checked for descent, whatever ``upto``, and those that
+    do not descend are named in one witness.  A failed identity is
+    reported with the number of nonzero entries of its residual.  Marks
+    the instance verified on success."""
     inst.induce_all()
     top = inst.top
     upto = top if upto is None else min(upto, top)
-    fails = []
+    fails = descent_witness(inst.welldef_failures)
 
     def eq(a, b, label):
         fails.extend(mismatch(a, b, label))
-
-    if inst.welldef_failures:
-        fails.extend(f"not well-defined: {w}" for w in inst.welldef_failures)
 
     for n in range(1, upto):
         # cofaces from degree n-1 to n+1

@@ -5,8 +5,14 @@ presentation.  The checkers verify the stable anti-Yetter-Drinfeld
 condition and its relaxations relative to a module coalgebra C or a module
 algebra A, modular-pair-in-involution identities, the coideal quotient of
 the bicrossed product, and the tensor product of an anti-Yetter-Drinfeld
-with a Yetter-Drinfeld module.  Stability relative to a finite C or A is
-decided in the quotients built by :mod:`hopfcyc.cocyclic`.
+with a Yetter-Drinfeld module.
+
+The two sides of the anti-Yetter-Drinfeld condition are written once, in
+:func:`ayd_sides`.  A relative condition is the plain one with its H leg
+pushed into the carrier by the carrier's ``push``: x ↦ x ▹ c for a module
+coalgebra, x ↦ S⁻¹(x) ▹ a for a module algebra.  So SAYD coefficients
+satisfy every relative condition, not conversely.  Stability relative to a
+finite C or A is decided in the quotients built by :mod:`hopfcyc.cocyclic`.
 
 Every failing check reports the exact (normalized) difference tensor, so
 results can be compared term-by-term against expected values.
@@ -148,6 +154,10 @@ class HModuleCoalgebra:
     coalg: HopfPresentation
     act: Callable[[AlgElt, AlgElt], AlgElt]  # (h, c) -> h ▹ c
 
+    def push(self, c: AlgElt) -> Callable[[AlgElt], AlgElt]:
+        """x ↦ x ▹ c: the leg map that carries an H leg into C."""
+        return lambda x: self.act(x, c)
+
     def validate(self, degree: int = 2, index_bound: int = 2) -> dict:
         h, c = self.hopf, self.coalg
         hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
@@ -195,6 +205,10 @@ class HModuleAlgebra:
     hopf: HopfPresentation
     alg: Presentation
     act: Callable[[AlgElt, AlgElt], AlgElt]  # (h, a) -> h ▹ a
+
+    def push(self, a: AlgElt) -> Callable[[AlgElt], AlgElt]:
+        """x ↦ S⁻¹(x) ▹ a: the leg map that carries an H leg into A."""
+        return lambda x: self.act(self.hopf.inv_antipode(x), a)
 
     def validate(self, degree: int = 2, index_bound: int = 2) -> dict:
         h, alg = self.hopf, self.alg
@@ -303,38 +317,77 @@ def check_mpi(
 # -- SAYD checks ---------------------------------------------------------------
 
 
-def check_sayd(mc: ModuleComodule, degree: int = 2, index_bound: int = 2) -> dict:
-    """Plain stable anti-Yetter-Drinfeld check: the compatibility
-    ∇(mh) = S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾ ⊗ m⟨0⟩ h⁽²⁾ and stability m⟨0⟩ m⟨-1⟩ = m."""
-    h = mc.hopf
-    ms = mc.basis()
-    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
-    ayd_fails, st_fails = [], []
-    for m in ms:
-        cm = mc.coact(m)
-        for a in hs:
-            lhs = mc.coact(mc.act(m, a))
-            d3 = h.sweedler(a, 3)
-            rhs = tensor([h.zero()]).outer(tensor([mc.space.zero()]))
-            for (h1, h2, h3), ch in d3.terms.items():
-                for (w, m0), cmc in cm.terms.items():
-                    leg1 = h.antipode(h.from_word(h3)) * h.from_word(w) * h.from_word(h1)
-                    leg2 = mc.act(mc.space.from_word(m0), h.from_word(h2))
-                    rhs = rhs + tensor([leg1, leg2]).scale(ch * cmc)
-            if lhs != rhs:
-                ayd_fails.append(
-                    {"m": str(m), "h": str(a), "difference": str(lhs - rhs)}
-                )
-        stab = mc.space.zero()
-        for (w, m0), c in cm.terms.items():
-            stab = stab + mc.act(mc.space.from_word(m0), h.from_word(w)).scale(c)
-        if stab != m:
-            st_fails.append({"m": str(m), "difference": str(stab - m)})
+def ayd_sides(mc: ModuleComodule, m: AlgElt, h: AlgElt) -> tuple:
+    """The two sides of the anti-Yetter-Drinfeld condition at (m, h), in
+    H ⊗ M: the coaction side (mh)⟨-1⟩ ⊗ (mh)⟨0⟩ and the twisted side
+    Σ S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾ ⊗ m⟨0⟩ h⁽²⁾."""
+    hp = mc.hopf
+    twisted = tensor([hp.zero(), mc.space.zero()])
+    cm = mc.coact(m)
+    for (h1, h2, h3), ch in hp.sweedler(h, 3).terms.items():
+        for (w, m0), cmc in cm.terms.items():
+            leg1 = hp.antipode(hp.from_word(h3)) * hp.from_word(w) * hp.from_word(h1)
+            leg2 = mc.act(mc.space.from_word(m0), hp.from_word(h2))
+            twisted = twisted + tensor([leg1, leg2]).scale(ch * cmc)
+    return mc.coact(mc.act(m, h)), twisted
+
+
+def _sayd_report(ayd_fails: list, st_fails: list) -> dict:
+    """The report of an SAYD checker: its compatibility and stability
+    halves, at most three witnesses each."""
     return {
         "ok": not ayd_fails and not st_fails,
         "ayd": {"ok": not ayd_fails, "witnesses": ayd_fails[:3]},
         "stability": {"ok": not st_fails, "witnesses": st_fails[:3]},
     }
+
+
+def _relative_ayd_failures(mc: ModuleComodule, carrier, key: str, xs: list, hs: list) -> list:
+    """The anti-Yetter-Drinfeld condition pushed into a carrier: for each
+    (m, h) the difference of :func:`ayd_sides` is carried by
+    ``carrier.push(x)`` at every sample x and must vanish.  A witness names
+    the sample under ``key`` and shows the pushed coaction side."""
+    fails = []
+    for m in mc.basis():
+        for a in hs:
+            lhs, rhs = ayd_sides(mc, m, a)
+            diff = lhs - rhs
+            if diff.is_zero:
+                continue
+            for x in xs:
+                push = carrier.push(x)
+                pushed = diff.leg_apply(1, push)
+                if not pushed.is_zero:
+                    fails.append(
+                        {
+                            "m": str(m),
+                            "h": str(a),
+                            key: str(x),
+                            "lhs": str(lhs.leg_apply(1, push)),
+                            "difference": str(pushed),
+                        }
+                    )
+    return fails
+
+
+def check_sayd(mc: ModuleComodule, degree: int = 2, index_bound: int = 2) -> dict:
+    """Plain stable anti-Yetter-Drinfeld check: the two sides of
+    :func:`ayd_sides` agree, and stability m⟨0⟩ m⟨-1⟩ = m."""
+    h = mc.hopf
+    ms = mc.basis()
+    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
+    ayd_fails, st_fails = [], []
+    for m in ms:
+        for a in hs:
+            lhs, rhs = ayd_sides(mc, m, a)
+            if lhs != rhs:
+                ayd_fails.append({"m": str(m), "h": str(a), "difference": str(lhs - rhs)})
+        stab = mc.space.zero()
+        for (w, m0), c in mc.coact(m).terms.items():
+            stab = stab + mc.act(mc.space.from_word(m0), h.from_word(w)).scale(c)
+        if stab != m:
+            st_fails.append({"m": str(m), "difference": str(stab - m)})
+    return _sayd_report(ayd_fails, st_fails)
 
 
 def check_ch_sayd(
@@ -346,7 +399,8 @@ def check_ch_sayd(
 ) -> dict:
     """SAYD relative to a module coalgebra C.
 
-    The compatibility half tests (mh)⟨-1⟩ c ⊗ (mh)⟨0⟩ against
+    The compatibility half is the plain anti-Yetter-Drinfeld condition
+    with its H leg pushed into C by x ↦ x ▹ c: (mh)⟨-1⟩ c ⊗ (mh)⟨0⟩ =
     S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾ c ⊗ m⟨0⟩ h⁽²⁾ on samples.  Stability tests
     m⟨0⟩ ⊗ m⟨-1⟩ c̃ − m ⊗ c̃; a zero difference passes outright, and
     otherwise membership in the ⊗_H relation subspace of
@@ -361,32 +415,7 @@ def check_ch_sayd(
     ms = mc.basis()
     hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
     cs = [c.from_word(w) for w in c.normal_words(degree, index_bound)]
-
-    ayd_fails = []
-    for m in ms:
-        cm = mc.coact(m)
-        for a in hs:
-            cma = mc.coact(mc.act(m, a))
-            d3 = h.sweedler(a, 3)
-            for cc in cs:
-                lhs = cma.leg_apply(1, lambda x: c_mod.act(x, cc))
-                rhs = tensor([c.zero()]).outer(tensor([mc.space.zero()]))
-                for (h1, h2, h3), ch in d3.terms.items():
-                    for (w, m0), cmc in cm.terms.items():
-                        g = h.antipode(h.from_word(h3)) * h.from_word(w) * h.from_word(h1)
-                        rhs = rhs + tensor(
-                            [c_mod.act(g, cc), mc.act(mc.space.from_word(m0), h.from_word(h2))]
-                        ).scale(ch * cmc)
-                if lhs != rhs:
-                    ayd_fails.append(
-                        {
-                            "m": str(m),
-                            "h": str(a),
-                            "c": str(cc),
-                            "lhs": str(lhs),
-                            "difference": str(lhs - rhs),
-                        }
-                    )
+    ayd_fails = _relative_ayd_failures(mc, c_mod, "c", cs, hs)
 
     st_fails = []
     finite = mc.space.finite_basis is not None and c.finite_basis is not None
@@ -416,11 +445,7 @@ def check_ch_sayd(
                 if not rel.contains(diff):
                     st_fails.append({"n": n, "m": str(m), "difference": str(diff)})
 
-    return {
-        "ok": not ayd_fails and not st_fails,
-        "ayd": {"ok": not ayd_fails, "witnesses": ayd_fails[:3]},
-        "stability": {"ok": not st_fails, "witnesses": st_fails[:3]},
-    }
+    return _sayd_report(ayd_fails, st_fails)
 
 
 def check_ah_sayd(
@@ -428,9 +453,11 @@ def check_ah_sayd(
 ) -> dict:
     """SAYD relative to a module algebra A.
 
-    Condition i): S⁻¹((mh)⟨-1⟩) a ⊗ (mh)⟨0⟩ =
-    S⁻¹(m⟨-1⟩ h⁽¹⁾) h⁽³⁾ a ⊗ m⟨0⟩ h⁽²⁾.  Condition ii) (stability against
-    H-linear functionals): m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩) ã − m ⊗ ã must lie in
+    Condition i) is the plain anti-Yetter-Drinfeld condition with its H leg
+    pushed into A by x ↦ S⁻¹(x) ▹ a: S⁻¹((mh)⟨-1⟩) a ⊗ (mh)⟨0⟩ =
+    S⁻¹(m⟨-1⟩ h⁽¹⁾) h⁽³⁾ a ⊗ m⟨0⟩ h⁽²⁾, since S⁻¹(S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾) =
+    S⁻¹(m⟨-1⟩ h⁽¹⁾) h⁽³⁾.  Condition ii) (stability against H-linear
+    functionals): m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩) ã − m ⊗ ã must lie in
     span{vh − ε(h)v} for the diagonal action that defines the cochain
     quotient of :class:`~hopfcyc.cocyclic.AlgebraCochainInstance`; a zero
     difference passes outright.  That quotient uses h up to degree and
@@ -442,32 +469,7 @@ def check_ah_sayd(
     ms = mc.basis()
     hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
     xs = [alg.from_word(w) for w in alg.normal_words(degree, index_bound)]
-
-    ayd_fails = []
-    for m in ms:
-        cm = mc.coact(m)
-        for a in hs:
-            cma = mc.coact(mc.act(m, a))
-            d3 = h.sweedler(a, 3)
-            for x in xs:
-                lhs = cma.leg_apply(1, lambda e: a_mod.act(h.inv_antipode(e), x))
-                rhs = tensor([alg.zero()]).outer(tensor([mc.space.zero()]))
-                for (h1, h2, h3), ch in d3.terms.items():
-                    for (w, m0), cmc in cm.terms.items():
-                        g = h.inv_antipode(h.from_word(w) * h.from_word(h1)) * h.from_word(h3)
-                        rhs = rhs + tensor(
-                            [a_mod.act(g, x), mc.act(mc.space.from_word(m0), h.from_word(h2))]
-                        ).scale(ch * cmc)
-                if lhs != rhs:
-                    ayd_fails.append(
-                        {
-                            "m": str(m),
-                            "h": str(a),
-                            "a": str(x),
-                            "lhs": str(lhs),
-                            "difference": str(lhs - rhs),
-                        }
-                    )
+    ayd_fails = _relative_ayd_failures(mc, a_mod, "a", xs, hs)
 
     st_fails = []
     finite = mc.space.finite_basis is not None and alg.finite_basis is not None
@@ -491,11 +493,7 @@ def check_ah_sayd(
             if not quot.contains_in_relations(basis.coords(diff.terms)):
                 st_fails.append({"m": str(m), "a": str(x), "difference": str(diff)})
 
-    return {
-        "ok": not ayd_fails and not st_fails,
-        "ayd": {"ok": not ayd_fails, "witnesses": ayd_fails[:3]},
-        "stability": {"ok": not st_fails, "witnesses": st_fails[:3]},
-    }
+    return _sayd_report(ayd_fails, st_fails)
 
 
 # -- coideal quotients ---------------------------------------------------------
@@ -615,56 +613,40 @@ def group_set_module_coalgebra(gs) -> HModuleCoalgebra:
 # -- the two counterexample evaluations ---------------------------------------
 
 
-def counterexample_coalgebra(bc) -> dict:
-    """M = H (multiplication action, trivial coaction) is not SAYD relative
-    to C = U: at h = d[1] X, c = X, m = 1 the compatibility left side picks
-    up an extra Y X ⊗ d[1]² term."""
+def _counterexample(bc, carrier, key: str, x: AlgElt) -> dict:
+    """Both sides of :func:`ayd_sides` for M = H (multiplication action,
+    trivial coaction) at m = 1, h = d[1] X, pushed into ``carrier`` at the
+    sample x: ``lhs`` is the pushed twisted side, ``rhs`` the pushed
+    coaction side."""
     h = bc.hopf
-    cu = bicrossed_module_coalgebra_u(bc)
     h_elt = h.gen("d", 1) * h.gen("X")
-    c_elt = bc.mp.u.gen("X")
     m_elt = h.unit()
-    d3 = h.sweedler(h_elt, 3)
-    lhs = tensor([bc.mp.u.zero()]).outer(tensor([h.zero()]))
-    for (h1, h2, h3), c in d3.terms.items():
-        g = h.antipode(h.from_word(h3)) * h.from_word(h1)
-        lhs = lhs + tensor([cu.act(g, c_elt), m_elt * h.from_word(h2)]).scale(c)
-    rhs = tensor([c_elt, m_elt * h_elt])
+    coaction_side, twisted = ayd_sides(mc_regular(h), m_elt, h_elt)
+    lhs = twisted.leg_apply(1, carrier.push(x))
+    rhs = coaction_side.leg_apply(1, carrier.push(x))
     return {
         "h": str(h_elt),
-        "c": str(c_elt),
+        key: str(x),
         "m": str(m_elt),
         "lhs": str(lhs),
         "rhs": str(rhs),
         "difference": str(lhs - rhs),
         "nonzero": not (lhs - rhs).is_zero,
     }
+
+
+def counterexample_coalgebra(bc) -> dict:
+    """M = H (multiplication action, trivial coaction) is not SAYD relative
+    to C = U: at h = d[1] X, c = X, m = 1 the compatibility left side
+    S(h⁽³⁾) h⁽¹⁾ ▹ c ⊗ h⁽²⁾ picks up an extra Y X ⊗ d[1]² term."""
+    return _counterexample(bc, bicrossed_module_coalgebra_u(bc), "c", bc.mp.u.gen("X"))
 
 
 def counterexample_algebra(bc) -> dict:
     """M = H (multiplication action, trivial coaction) is not SAYD relative
-    to A = F: at h = d[1] X, m = 1, a = d[1] the left side of condition i)
-    picks up an extra −d[1] ⊗ d[1]² term."""
-    h = bc.hopf
-    fa = bicrossed_module_algebra_f(bc)
-    h_elt = h.gen("d", 1) * h.gen("X")
-    a_elt = bc.mp.f.gen("d", 1)
-    m_elt = h.unit()
-    d3 = h.sweedler(h_elt, 3)
-    lhs = tensor([bc.mp.f.zero()]).outer(tensor([h.zero()]))
-    for (h1, h2, h3), c in d3.terms.items():
-        g = h.inv_antipode(h.from_word(h1)) * h.from_word(h3)
-        lhs = lhs + tensor([fa.act(g, a_elt), m_elt * h.from_word(h2)]).scale(c)
-    rhs = tensor([a_elt, m_elt * h_elt])
-    return {
-        "h": str(h_elt),
-        "a": str(a_elt),
-        "m": str(m_elt),
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "difference": str(lhs - rhs),
-        "nonzero": not (lhs - rhs).is_zero,
-    }
+    to A = F: at h = d[1] X, m = 1, a = d[1] the left side of condition i),
+    S⁻¹(h⁽¹⁾) h⁽³⁾ ▹ a ⊗ h⁽²⁾, picks up an extra −d[1] ⊗ d[1]² term."""
+    return _counterexample(bc, bicrossed_module_algebra_f(bc), "a", bc.mp.f.gen("d", 1))
 
 
 # -- tensor of anti-Yetter-Drinfeld and Yetter-Drinfeld carriers ---------------

@@ -49,6 +49,7 @@ from .cocyclic import (
     TensorBasis,
     alternating_sum,
     build_coalgebra_instance,
+    descent_witness,
 )
 
 
@@ -405,9 +406,7 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
     checks.append({"name": "chi algebra map", "ok": not fails, "witnesses": fails[:3]})
 
     data = CupData(ci, top)
-    descent = data.a_inst.welldef_failures + data.c_side.welldef_failures
-    # one witness, so that the cap below never hides a failing operator
-    fails = [f"not well-defined: {', '.join(descent)}"] if descent else []
+    fails = descent_witness(data.a_inst.welldef_failures + data.c_side.welldef_failures)
     used = {}
     for p in range(top + 1):
         for q in range(top + 1 - p):

@@ -40,6 +40,7 @@ from .cocyclic import (
     add_tensor,
     check_cocyclic,
     cyclic_cohomology,
+    descent_witness,
     mismatch,
     op_matrix,
 )
@@ -226,7 +227,7 @@ def check_iso(bridge: KaygunBridge) -> dict:
     and Π' as matrices induced by the ambient identity, and certifies that
     they are mutually inverse and commute with τ and the cofaces, the only
     operators read on either side; those that do not descend are named
-    among the witnesses.  A failed check counts the nonzero entries of its
+    in one witness per side.  A failed check counts the nonzero entries of its
     residual: for a Π/Π′ that does not descend, those of the source
     relations projected to the target."""
     top = bridge.top
@@ -258,8 +259,8 @@ def check_iso(bridge: KaygunBridge) -> dict:
         for i in range(n + 1):
             lhs, rhs = mat_mul(pi[n], cm.coface[n, i]), mat_mul(ch.coface[n, i], pi[n - 1])
             crossed += mismatch(lhs, rhs, f"Pi does not intertwine coface ({n},{i})")
-    fails += [f"not well-defined on CM: {w}" for w in cm.welldef_failures]
-    fails += [f"not well-defined on C_H: {w}" for w in ch.welldef_failures]
+    fails += descent_witness(cm.welldef_failures, " on CM")
+    fails += descent_witness(ch.welldef_failures, " on C_H")
     fails += crossed
     return {
         "ok": not fails,

@@ -214,7 +214,7 @@ def check_cocyclic(inst, upto=None):
             fails.append(f"{label}: {nonzero} nonzero")
 
     if inst.welldef_failures:
-        fails.extend(f"not well-defined: {w}" for w in inst.welldef_failures)
+        fails.append(f"not well-defined: {', '.join(inst.welldef_failures)}")
 
     for n in range(1, upto):
         for i in range(n + 1):

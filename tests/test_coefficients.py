@@ -3,6 +3,7 @@ and the two compatibility counterexamples."""
 
 from hopfcyc import cocyclic
 from hopfcyc.coefficients import (
+    ayd_sides,
     build_coideal_quotient_bicrossed,
     check_ah_sayd,
     check_ch_sayd,
@@ -19,6 +20,7 @@ from hopfcyc.coefficients import (
     mc_trivial,
     tensor_ayd_yd,
 )
+from hopfcyc.core import tensor
 from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.hopf import Character, GroupLike
 from hopfcyc.instances import build_group_algebra, cyclic_group, modular_character
@@ -177,3 +179,111 @@ def test_module_carriers_validate(swap_cmod, bicrossed):
         report = carrier.validate()
         assert report["ok"], report
         assert len(report["checks"]) == 2
+
+
+def test_trivial_coefficients_are_relative_sayd_but_not_sayd(bicrossed):
+    # the three categories differ: the trivial pair over F ▷◁ U satisfies
+    # both relative conditions (m·h = 0 for h in the augmentation ideal, so
+    # both pushed sides vanish) but not the plain one
+    mc = mc_trivial(bicrossed.hopf)
+    ch = check_ch_sayd(mc, bicrossed_module_coalgebra_u(bicrossed), degree=1, index_bound=1)
+    ah = check_ah_sayd(mc, bicrossed_module_algebra_f(bicrossed), degree=1, index_bound=1)
+    assert ch["ok"] and ah["ok"], (ch, ah)
+    plain = check_sayd(mc, degree=1, index_bound=1)
+    assert not plain["ok"]
+    assert plain["ayd"]["witnesses"][0] == {"m": "1", "h": "X", "difference": "-d[1]⊗1"}
+
+
+def oracle_difference(mc, space, m, h, left, right):
+    """Σ left((mh)⟨-1⟩) ⊗ (mh)⟨0⟩ − Σ right(h⁽¹⁾, m⟨-1⟩, h⁽³⁾) ⊗ m⟨0⟩ h⁽²⁾
+    in ``space`` ⊗ M, written out term by term."""
+    hp = mc.hopf
+    out = tensor([space.zero(), mc.space.zero()])
+    for (w, m0), c in mc.coact(mc.act(m, h)).terms.items():
+        out = out + tensor([left(hp.from_word(w)), mc.space.from_word(m0)]).scale(c)
+    cm = mc.coact(m)
+    for (h1, h2, h3), ch in hp.sweedler(h, 3).terms.items():
+        for (w, m0), c in cm.terms.items():
+            g = right(hp.from_word(h1), hp.from_word(w), hp.from_word(h3))
+            m1 = mc.act(mc.space.from_word(m0), hp.from_word(h2))
+            out = out - tensor([g, m1]).scale(ch * c)
+    return out
+
+
+def c_side_oracle(mc, c_mod, m, h, c):
+    """(mh)⟨-1⟩ ▹ c ⊗ (mh)⟨0⟩ − Σ S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾ ▹ c ⊗ m⟨0⟩ h⁽²⁾."""
+    hp = mc.hopf
+    return oracle_difference(
+        mc,
+        c_mod.coalg,
+        m,
+        h,
+        lambda g: c_mod.act(g, c),
+        lambda h1, w, h3: c_mod.act(hp.antipode(h3) * w * h1, c),
+    )
+
+
+def a_side_oracle(mc, a_mod, m, h, a):
+    """S⁻¹((mh)⟨-1⟩) ▹ a ⊗ (mh)⟨0⟩ − Σ S⁻¹(m⟨-1⟩ h⁽¹⁾) h⁽³⁾ ▹ a ⊗ m⟨0⟩ h⁽²⁾."""
+    hp = mc.hopf
+    return oracle_difference(
+        mc,
+        a_mod.alg,
+        m,
+        h,
+        lambda g: a_mod.act(hp.inv_antipode(g), a),
+        lambda h1, w, h3: a_mod.act(hp.inv_antipode(w * h1) * h3, a),
+    )
+
+
+def relative_cases(bicrossed, swap_cmod, s3):
+    """(coefficients, carrier, oracle, sample space, degree, index bound):
+    the ch-sayd and ah-sayd inputs, the trivial pair over F ▷◁ U, and the
+    graded and conjugation carriers over the swap G-set, Z3 and S3."""
+    cu = bicrossed_module_coalgebra_u(bicrossed)
+    fa = bicrossed_module_algebra_f(bicrossed)
+    cases = []
+    for mc in (mc_regular(bicrossed.hopf), mc_trivial(bicrossed.hopf)):
+        cases.append((mc, cu, c_side_oracle, cu.coalg, 1, 1))
+        cases.append((mc, fa, a_side_oracle, fa.alg, 1, 1))
+    g = cyclic_group(2)
+    for mc in (
+        mc_graded_group(swap_cmod.hopf, build_group_algebra(g, name="kG_g")),
+        mc_conjugation_group(swap_cmod.hopf, build_group_algebra(g, name="kG_c"), g),
+    ):
+        cases.append((mc, swap_cmod, c_side_oracle, swap_cmod.coalg, 2, 2))
+    for g in (cyclic_group(2), cyclic_group(3), s3):
+        ci = build_group_cup_instance(g, graded=True)
+        conj = mc_conjugation_group(ci.c_mod.hopf, build_group_algebra(g, name="kG_c"), g)
+        for mc in (ci.mc, conj):
+            cases.append((mc, ci.c_mod, c_side_oracle, ci.c_mod.coalg, 2, 2))
+            cases.append((mc, ci.a_mod, a_side_oracle, ci.a_mod.alg, 2, 2))
+    return cases
+
+
+def test_pushed_ayd_difference_matches_written_out_sides(bicrossed, swap_cmod, s3):
+    # the relative conditions push the difference of the plain sides into
+    # the carrier; the right sides the checkers once wrote out per carrier
+    # must give the same difference on every sample
+    for mc, carrier, oracle, space, degree, bound in relative_cases(bicrossed, swap_cmod, s3):
+        hp = mc.hopf
+        hs = [hp.from_word(w) for w in hp.normal_words(degree, bound)]
+        xs = [space.from_word(w) for w in space.normal_words(degree, bound)]
+        for m in mc.basis():
+            for h in hs:
+                lhs, rhs = ayd_sides(mc, m, h)
+                for x in xs:
+                    pushed = (lhs - rhs).leg_apply(1, carrier.push(x))
+                    assert pushed.terms == oracle(mc, carrier, m, h, x).terms, (mc.name, m, h, x)
+
+
+def test_sayd_implies_relative_ayd(bicrossed, swap_cmod, s3):
+    checks = {c_side_oracle: check_ch_sayd, a_side_oracle: check_ah_sayd}
+    seen = 0
+    for mc, carrier, oracle, _, degree, bound in relative_cases(bicrossed, swap_cmod, s3):
+        if not check_sayd(mc, degree=degree, index_bound=bound)["ayd"]["ok"]:
+            continue
+        seen += 1
+        report = checks[oracle](mc, carrier, degree=degree, index_bound=bound)
+        assert report["ayd"]["ok"], (mc.name, report)
+    assert seen

@@ -133,8 +133,8 @@ def test_s3_graded_iso_names_non_descending_operators(s3):
     mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kS3_g"))
     report = check_iso(KaygunBridge(mc, cmod, top=1))
     assert not report["ok"]
-    assert "not well-defined on C_H: tau(1)" in report["witnesses"]
-    assert "not well-defined on C_H: coface(1,1)" in report["witnesses"]
+    assert "not well-defined on C_H: coface(1,1), tau(1)" in report["witnesses"]
+    assert not any(w.startswith("not well-defined on CM") for w in report["witnesses"])
 
 
 def test_each_operator_matrix_is_built_once(monkeypatch, swap_cmod):

@@ -1,11 +1,13 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+import re
 from pathlib import Path
 
 import hopfcyc
 
 SRC = Path(hopfcyc.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +39,52 @@ def test_no_unused_top_level_imports():
         if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def definitions(source: str) -> list:
+    """(line, name) of each top-level function and class of a module, and
+    of each method of a top-level class that is not a dunder."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    found.append((item.lineno, item.name))
+    return found
+
+
+def unreached_definitions(sources: dict, defining) -> list:
+    """(file, line, name) of each definition in the files ``defining`` whose
+    name appears as a word on no line of ``sources`` (file -> text) other
+    than the line that defines it."""
+    lines_of = {}
+    for fname, text in sources.items():
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for word in set(re.findall(r"\w+", line)):
+                lines_of.setdefault(word, set()).add((fname, lineno))
+    return sorted(
+        (fname, lineno, name)
+        for fname in defining
+        for lineno, name in definitions(sources[fname])
+        if not lines_of.get(name, set()) - {(fname, lineno)}
+    )
+
+
+def test_unreached_definitions_are_found():
+    sources = {
+        "a.py": "def used():\n    pass\n\n\nclass K:\n    def orphan(self):\n        pass\n\n    def __eq__(self, o):\n        pass\n",
+        "b.py": "from a import used\n\nK = 1\n",
+    }
+    assert unreached_definitions(sources, ["a.py"]) == [("a.py", 6, "orphan")]
+
+
+def test_every_definition_in_src_is_reached():
+    # a word scan, not a call graph: a name that only another definition
+    # or a comment mentions still counts as reached
+    src = {f"src/{p.name}": p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    tests = {f"tests/{p.name}": p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
+    assert unreached_definitions({**src, **tests}, src) == []
