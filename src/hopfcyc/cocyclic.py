@@ -30,8 +30,10 @@ enter :class:`~hopfcyc.linalg.Quotient` as they are.  Every matrix from
 there on, the induced operators of a :class:`FiniteComplex`, the
 identities of :func:`check_cocyclic` and the differentials of
 :func:`cyclic_cohomology`, stays in that one format: products are
-:func:`~hopfcyc.linalg.mat_mul`, equations are list equality, and ranks
-and kernels come from :func:`~hopfcyc.linalg.rref`.
+:func:`~hopfcyc.linalg.mat_mul`, equations are list equality, ranks and
+kernels come from :func:`~hopfcyc.linalg.rref`, and the reduced relations
+of a quotient from :func:`~hopfcyc.linalg.orbit_rref` when every relation
+row has at most two entries (as on every instance built here).
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through a truncated cyclic bicomplex;

@@ -215,6 +215,13 @@ class AlgElt:
 LegValue = Union[AlgElt, "TensorElt"]
 
 
+def _as_legs(val: LegValue) -> tuple:
+    """(presentations, terms) of a leg map's value, read as a tensor."""
+    if isinstance(val, AlgElt):
+        return (val.pres,), {(w,): c for w, c in val.terms.items()}
+    return val.prs, val.terms
+
+
 class TensorElt:
     """A linear combination of tensors of words with a fixed leg count.
 
@@ -338,23 +345,15 @@ class TensorElt:
             raise StructureError(f"leg {leg} out of range 1..{self.legs}")
         i = leg - 1
         out_terms: dict = {}
-        out_prs = None
+        mid_prs = None
         for wt, c in self.terms.items():
-            val = f(AlgElt(self.prs[i], {wt[i]: ONE}, _normalized=True))
-            if isinstance(val, AlgElt):
-                mid_prs = (val.pres,)
-                mid_terms = {(w,): cc for w, cc in val.terms.items()}
-            else:
-                mid_prs = val.prs
-                mid_terms = val.terms
-            if out_prs is None:
-                out_prs = self.prs[:i] + mid_prs + self.prs[i + 1 :]
+            mid_prs, mid_terms = _as_legs(f(AlgElt(self.prs[i], {wt[i]: ONE}, _normalized=True)))
             for mw, mc in mid_terms.items():
                 _merge_term(out_terms, wt[:i] + mw + wt[i + 1 :], c * mc)
-        if out_prs is None:
-            # zero tensor: leg structure unknown without a sample; keep as-is
-            out_prs = self.prs
-        return TensorElt(out_prs, out_terms, _normalized=True)
+        if mid_prs is None:
+            # zero tensor: f on the zero of the leg names the output legs
+            mid_prs = _as_legs(f(AlgElt(self.prs[i], {}, _normalized=True)))[0]
+        return TensorElt(self.prs[:i] + mid_prs + self.prs[i + 1 :], out_terms, _normalized=True)
 
     def leg_scalar(self, leg: int, f: Callable[[AlgElt], Coeff]) -> "TensorElt":
         """Apply a scalar-valued linear map to one leg (1-based) and drop it."""

@@ -28,6 +28,7 @@ from .linalg import (
     identity_columns,
     mat_mul,
     mat_vec,
+    orbit_rref,
     rref,
 )
 from .cocyclic import (
@@ -124,7 +125,11 @@ class KaygunBridge:
     def w_rows(self, n: int):
         """Spanning rows of Wⁿ, sparse and in reduced echelon form:
         commutator images of the ambient basis, saturated under τ until the
-        rank stabilizes.  Computed once per degree."""
+        rank stabilizes.  Computed once per degree.  L_g and τ have at most
+        one nonzero per column on every instance built here, so the commutator
+        rows and the τ-images of a reduced span have at most two entries
+        and each elimination takes :func:`~hopfcyc.linalg.orbit_rref`;
+        :func:`~hopfcyc.linalg.rref` is the fallback for other rows."""
         if n in self._w:
             return self._w[n]
         rows = []
@@ -134,9 +139,10 @@ class KaygunBridge:
             for i in range(1, n + 2):
                 rows.extend(self.commutator_matrix(n, gw, i))
         tau = self.table["tau", n]
-        span = rref(rows)[0]
+        span = (orbit_rref(rows) or rref(rows))[0]
         for _ in range(SATURATION_BOUND):
-            grown = rref(span + [mat_vec(tau, v) for v in span])[0]
+            grown = span + [mat_vec(tau, v) for v in span]
+            grown = (orbit_rref(grown) or rref(grown))[0]
             if len(grown) == len(span):
                 self._w[n] = span
                 return span

@@ -11,13 +11,19 @@ tool are mostly zero: the ⊗_H relation matrix of the regular S3 instance in
 degree 1 is 1080×216 with under 1% nonzero entries.
 
 :func:`mat_vec` and :func:`mat_mul` are the one product, and :func:`rref`
-is the one elimination; :func:`rank`, :func:`nullspace`, :func:`solve` and
-:class:`Quotient` all run on it.  :func:`rref` sweeps the columns in order
-and takes as pivot the first remaining row with a nonzero entry in the
-column, as a dense Gauss–Jordan sweep does.  The reduced row echelon form
-of a matrix is unique (its nonzero rows are the one basis of the row space
-in reduced echelon shape), so results do not depend on the row format and
-reports stay byte-identical.
+is the general elimination; :func:`rank`, :func:`nullspace` and
+:func:`solve` run on it.  :func:`rref` sweeps the columns in order and
+takes as pivot the first remaining row with a nonzero entry in the column,
+as a dense Gauss–Jordan sweep does.  Relation rows of at most two entries,
+as every ⊗_H, coinvariant and W row of the finite instances is, say that
+one basis vector is a multiple of another; :func:`orbit_rref` reads their
+reduced form off a weighted union-find of those classes (Tarjan 1975), in
+``int`` entries where they are integral, and returns None on any other row
+set.  :class:`Quotient` takes that route first and falls back on
+:func:`rref`.  The reduced row echelon form of a matrix is unique (its
+nonzero rows are the one basis of the row space in reduced echelon shape),
+so results do not depend on the route or the row format and reports stay
+byte-identical.
 
 Chain operators are built as :data:`Columns` by
 :func:`hopfcyc.cocyclic.op_matrix`; relation rows are built as sparse rows
@@ -126,6 +132,79 @@ def rref(rows: List[SparseRow]) -> tuple[List[SparseRow], List[int]]:
     return m[:r], pivots
 
 
+def _ratio(x, y):
+    """x / y, an ``int`` when integral."""
+    if type(x) is int and type(y) is int and not x % y:
+        return x // y
+    q = Fraction(x) / y
+    return q.numerator if q.denominator == 1 else q
+
+
+def orbit_rref(rows: List[SparseRow]) -> Optional[tuple[List[SparseRow], List[int]]]:
+    """:func:`rref` of rows with at most two nonzero entries each, read off
+    a weighted union-find; None if some row has more, for the caller to
+    fall back on :func:`rref`.
+
+    A row c_a·e_a + c_b·e_b says e_a ≡ (−c_b/c_a)·e_b.  Each class is kept
+    as a tree rooted at its largest column r, every column a carrying the
+    weight w with e_a ≡ w·e_r.  In a class whose weights agree around every
+    cycle, r is the one free column and row a is e_a − w·e_r; a class with
+    an inconsistent cycle or a one-entry row spans all of its columns, so
+    each of them is a pivot and row a is e_a.  Entries are ``int`` wherever
+    they are integral.
+    """
+    if any(len(row) > 2 for row in rows):
+        return None
+    parent: Dict[int, int] = {}
+    weight: Dict[int, Fraction] = {}
+    dead = set()  # roots of classes that span all of their columns
+
+    def find(a):
+        """(root, w) with e_a ≡ w·e_root, compressing the path to a."""
+        if a not in parent:
+            parent[a], weight[a] = a, 1
+            return a, 1
+        path = []
+        while parent[a] != a:
+            path.append(a)
+            a = parent[a]
+        for x in reversed(path):
+            p = parent[x]
+            if p != a:
+                weight[x] *= weight[p]
+                parent[x] = a
+        return a, (weight[path[0]] if path else 1)
+
+    for row in rows:
+        if len(row) == 1:
+            (a,) = row
+            dead.add(find(a)[0])
+        elif row:
+            (a, ca), (b, cb) = row.items()
+            k = _ratio(-cb, ca)  # e_a ≡ k·e_b
+            ra, wa = find(a)
+            rb, wb = find(b)
+            if ra == rb:
+                if wa != k * wb:
+                    dead.add(ra)
+                continue
+            if ra > rb:
+                ra, wa, rb, wb, k = rb, wb, ra, wa, _ratio(1, k)
+            # wa·e_ra ≡ k·wb·e_rb, and ra < rb becomes a child of rb
+            parent[ra], weight[ra] = rb, _ratio(k * wb, wa)
+            if ra in dead:
+                dead.add(rb)
+
+    out: List[SparseRow] = []
+    pivots: List[int] = []
+    for a in sorted(parent):
+        r, w = find(a)
+        if r in dead or a != r:
+            out.append({a: 1} if r in dead else {a: 1, r: _ratio(-w, 1)})
+            pivots.append(a)
+    return out, pivots
+
+
 def rank(rows: List[SparseRow]) -> int:
     """Rank of the matrix with these rows (or these columns: the rank is
     the same)."""
@@ -179,12 +258,15 @@ class Quotient:
     reduced relations; ``project`` reduces an ambient vector to them and
     ``include`` embeds them back as ambient representatives.  ``rows``
     holds the reduced relations, row k with its leading 1 at
-    ``pivots[k]``.
+    ``pivots[k]``: from :func:`orbit_rref` when every relation has at most
+    two entries (then each reduced row is e_a or e_a − w·e_r, in ``int``
+    entries where integral, and projecting stays in ``int`` arithmetic),
+    from :func:`rref` otherwise.
     """
 
     def __init__(self, relations: List[SparseRow], ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rows, self.pivots = rref(relations)
+        self.rows, self.pivots = orbit_rref(relations) or rref(relations)
         self._row_of = dict(zip(self.pivots, self.rows))
         self.free = [c for c in range(ambient_dim) if c not in self._row_of]
         self._free_pos = {c: k for k, c in enumerate(self.free)}

@@ -72,6 +72,16 @@ def test_tensor_leg_apply_and_scalar(h1cop):
     assert t.leg_scalar(1, h1cop.counit).is_zero
 
 
+def test_zero_tensor_takes_the_legs_of_a_growing_leg_map(h1cop):
+    x, y = h1cop.gen("X"), h1cop.gen("Y")
+    grown = tensor([x, y]).leg_apply(1, h1cop.coproduct)
+    assert grown.legs == 3
+    pushed = tensor([x, y]).scale(0).leg_apply(1, h1cop.coproduct)
+    assert pushed.legs == 3
+    assert pushed == grown.scale(0)
+    assert pushed + grown == grown
+
+
 def test_tensor_leg_mul_is_componentwise(h1cop):
     x, y, d1 = h1cop.gen("X"), h1cop.gen("Y"), h1cop.gen("d", 1)
     a = tensor([x, y])

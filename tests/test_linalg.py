@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcyc import linalg
+from hopfcyc import cli, kaygun, linalg
 from hopfcyc.cocyclic import RelativeTensorSpace, build_coalgebra_instance
 from hopfcyc.coefficients import (
     group_set_module_coalgebra,
@@ -23,7 +23,7 @@ from hopfcyc.coefficients import (
     mc_trivial,
 )
 from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
-from hopfcyc.linalg import F0, F1, Quotient, mat_vec, nullspace, rank, rref, solve
+from hopfcyc.linalg import F0, F1, Quotient, mat_vec, nullspace, orbit_rref, rank, rref, solve
 
 import dense_oracle
 from dense_oracle import dense, dense_rref, sparse
@@ -270,21 +270,119 @@ def test_seeded_sparse_matrices_match_dense_oracle():
         assert rank(sparse_rows(m)) == rank_mod_prime(m)
 
 
+# -- rows of at most two entries: the orbit route ------------------------------
+
+weights = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-4, 4).filter(bool),
+    st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 5)),
+)
+
+
+@st.composite
+def orbit_rows(draw, max_cols=8, max_rows=12):
+    """Zero-, one- and two-entry rows over a few columns.  A two-entry row
+    is either free or consistent with one weight p per column (c_a·p_a +
+    c_b·p_b = 0), so classes come both with and without inconsistent
+    cycles; some rows are repeated."""
+    ncols = draw(st.integers(2, max_cols))
+    p = draw(st.lists(weights, min_size=ncols, max_size=ncols))
+    pair = st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2, unique=True)
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["zero", "one", "free", "consistent", "consistent"]))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "one":
+            rows.append({draw(st.integers(0, ncols - 1)): draw(weights)})
+        else:
+            a, b = draw(pair)
+            if kind == "free":
+                rows.append({a: draw(weights), b: draw(weights)})
+            else:
+                c = draw(weights)
+                rows.append({a: c * p[b], b: -c * p[a]})
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        rows.append(dict(rows[draw(st.integers(0, len(rows) - 1))]))
+    return ncols, rows
+
+
+@SETTINGS
+@given(orbit_rows())
+def test_orbit_rref_matches_rref_and_dense_oracle(data):
+    ncols, rows = data
+    out, pivots = orbit_rref(rows)
+    assert (out, pivots) == rref(rows)
+    assert (densify(out, ncols), pivots) == dense_rref(densify(rows, ncols))
+    assert all(type(x) is int or x.denominator != 1 for row in out for x in row.values())
+    assert orbit_rref(out) == (out, pivots)
+
+
+def test_three_entry_row_falls_back_to_rref():
+    # not monomial, as the relation rows of Sweedler's H4 acting on itself are
+    rows = [{0: 1, 2: -1}, {1: 1, 3: 1, 4: -1}, {2: 1, 5: -1}, {3: 2, 5: F(1, 2)}]
+    n = 6
+    assert orbit_rref(rows) is None
+    q = Quotient(rows, n)
+    expected = dense_rref(densify(rows, n))
+    assert (densify(q.rows, n), q.pivots) == expected
+    assert rref(rows) == (q.rows, q.pivots)
+    for v in dense_oracle.identity(n) + [[F(j - 2, j + 1) for j in range(n)]]:
+        assert dense(q.project(sparse(v)), q.dim) == dense_project(q, v)
+
+
+@pytest.mark.parametrize("command", ["cohomology", "kaygun", "cup"])
+def test_quotients_and_w_spans_do_not_call_rref(monkeypatch, capsys, command):
+    """Every ⊗_H, coinvariant and W relation row of the default reports has
+    at most two entries, so none of their eliminations reaches ``rref``."""
+    inside, built, slow = [], [], []
+    real_rref = linalg.rref
+
+    def spy(rows):
+        if inside:
+            slow.append(inside[-1])
+        return real_rref(rows)
+
+    def entering(name, real):
+        def wrapped(*args):
+            inside.append(name)
+            built.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(kaygun, "rref", spy)
+    monkeypatch.setattr(Quotient, "__init__", entering("Quotient", Quotient.__init__))
+    monkeypatch.setattr(
+        kaygun.KaygunBridge, "w_rows", entering("w_rows", kaygun.KaygunBridge.w_rows)
+    )
+    assert cli.run([command]) == 0
+    capsys.readouterr()
+    assert "Quotient" in built
+    assert ("w_rows" in built) == (command == "kaygun")
+    assert slow == []
+
+
 # -- the relation matrices of the finite instances ------------------------------
 
 
 def relation_matrices(monkeypatch, build):
-    """Every matrix ``build`` eliminates through ``rref``, as (sparse rows,
-    number of columns up to the last nonzero one)."""
+    """Every relation matrix ``build`` hands to :class:`Quotient`, as (sparse
+    rows, ambient dimension, number of columns up to the last nonzero one)."""
     seen = []
-    real = linalg.rref
+    real = Quotient.__init__
 
-    def recording(m):
-        rows = [dict(row) for row in m]
-        seen.append((rows, 1 + max((c for row in rows for c in row), default=-1)))
-        return real(m)
+    def recording(self, relations, ambient_dim):
+        rows = [dict(row) for row in relations]
+        ncols = 1 + max((c for row in rows for c in row), default=-1)
+        seen.append((rows, ambient_dim, ncols))
+        real(self, relations, ambient_dim)
 
-    monkeypatch.setattr(linalg, "rref", recording)
+    monkeypatch.setattr(Quotient, "__init__", recording)
     build()
     monkeypatch.undo()
     return seen
@@ -292,9 +390,12 @@ def relation_matrices(monkeypatch, build):
 
 def assert_kernel_matches_oracle(mats):
     assert mats
-    for rows, ncols in mats:
+    for rows, dim, ncols in mats:
+        expected = dense_rref(densify(rows, ncols))
+        q = Quotient(rows, dim)
+        assert (densify(q.rows, ncols), q.pivots) == expected
         out, pivots = rref(rows)
-        assert (densify(out, ncols), pivots) == dense_rref(densify(rows, ncols))
+        assert (densify(out, ncols), pivots) == expected
 
 
 def test_point_and_swap_relation_matrices(monkeypatch, point_cmod, swap_cmod):
@@ -324,5 +425,5 @@ def test_regular_s3_relation_matrices(monkeypatch, s3, coefficients):
             RelativeTensorSpace(mc, cmod, n)
 
     mats = relation_matrices(monkeypatch, build)
-    assert max(len(rows) * ncols for rows, ncols in mats) == 1080 * 216
+    assert max(len(rows) * ncols for rows, _, ncols in mats) == 1080 * 216
     assert_kernel_matches_oracle(mats)

@@ -10,7 +10,6 @@ entry for entry.
 
 import pytest
 
-from hopfcyc import linalg
 from hopfcyc.cocyclic import (
     AlgebraChainOps,
     CoalgebraOps,
@@ -35,6 +34,7 @@ from hopfcyc.instances import (
     cyclic_group,
 )
 from hopfcyc.kaygun import KaygunBridge
+from hopfcyc.linalg import Quotient
 from hopfcyc.rewrite import ConcreteRule, Presentation
 
 from dense_oracle import as_dense, dense, identity, mat_mul, mat_sub, sparse
@@ -224,15 +224,15 @@ def symbolic_diagonal_rows(mc, a_mod, n):
 
 
 def recorded_relations(monkeypatch, build):
-    """The sparse relation rows ``build`` hands to ``rref``."""
+    """The sparse relation rows ``build`` hands to :class:`Quotient`."""
     seen = []
-    real = linalg.rref
+    real = Quotient.__init__
 
-    def recording(m):
-        seen.append([dict(row) for row in m])
-        return real(m)
+    def recording(self, relations, ambient_dim):
+        seen.append([dict(row) for row in relations])
+        real(self, relations, ambient_dim)
 
-    monkeypatch.setattr(linalg, "rref", recording)
+    monkeypatch.setattr(Quotient, "__init__", recording)
     build()
     monkeypatch.undo()
     (rows,) = seen
