@@ -321,7 +321,7 @@ class TensorElt:
             for wt2, c2 in other.terms.items():
                 partial = {(): c1 * c2}
                 for leg in range(self.legs):
-                    nf = self.prs[leg].normalize_terms({wt1[leg] + wt2[leg]: ONE})
+                    nf = self.prs[leg].ruleset.nf(wt1[leg] + wt2[leg])
                     nxt = {}
                     for pref, pc in partial.items():
                         for nw, nc in nf.items():

@@ -13,15 +13,29 @@ by Δ alone, needs an antipode table entry.
 The tables are filled before the first structure map is evaluated (the
 builders in :mod:`hopfcyc.instances` and :func:`hopfcyc.dsl.build_hopf`
 write them right after construction) and never change afterwards; hook and
-derived values are computed once and kept.  That is what lets the coproduct
-of a word be memoized per presentation.
+derived values are computed once and kept.  That is what lets Δ, S and S⁻¹
+of a word be memoized per presentation, on every prefix of the word
+(:meth:`HopfPresentation._by_prefix`): each is a fixed product of letter
+values, and elements and tensors are immutable.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .core import AlgElt, Coeff, EMPTY_WORD, Generator, ONE, TensorElt, Word, exact, tensor, word_str
+from .core import (
+    AlgElt,
+    Coeff,
+    EMPTY_WORD,
+    Generator,
+    ONE,
+    TensorElt,
+    Word,
+    _merge_term,
+    exact,
+    tensor,
+    word_str,
+)
 from .errors import StructureError, UnsolvableError
 from .rewrite import Presentation, Rule
 
@@ -67,6 +81,8 @@ class HopfPresentation(Presentation):
         self._cop_hook = coproduct_hook
         self._cou_hook = counit_hook
         self._cop_word_cache: dict = {}  # word -> coproduct_word(word)
+        self._ant_word_cache: dict = {}  # word -> antipode_word(word)
+        self._inv_word_cache: dict = {}  # word -> inv_antipode_word(word)
 
     # -- generator tables -----------------------------------------------------
 
@@ -156,26 +172,53 @@ class HopfPresentation(Presentation):
     def one_tensor(self, legs: int = 2) -> TensorElt:
         return tensor([self.unit()] * legs)
 
+    @staticmethod
+    def _by_prefix(cache: dict, word: Word, empty: Callable, extend: Callable):
+        """A map on words memoized on every prefix: its value on w[:k+1] is
+        ``extend(value on w[:k], w[k])``, starting from ``empty()`` on the
+        empty word, so a word costs one ``extend`` per letter past its
+        longest known prefix.  A letter whose value cannot be derived raises
+        before its prefix is stored, so a failure is never cached."""
+        out = cache.get(word)
+        if out is None:
+            if EMPTY_WORD not in cache:
+                cache[EMPTY_WORD] = empty()
+            k = len(word)
+            while word[:k] not in cache:
+                k -= 1
+            out = cache[word[:k]]
+            for i in range(k, len(word)):
+                out = cache[word[: i + 1]] = extend(out, word[i])
+        return out
+
     def coproduct_word(self, word: Word) -> TensorElt:
         """Δ of a (possibly non-normal) word, as the product of letter
-        coproducts; used both for extension and well-definedness checks.
+        coproducts, Δ(w) = Δ(w[:-1])·Δ(w[-1]); used both for extension and
+        well-definedness checks.
 
-        Memoized per word: the generator tables are fixed before the first
-        structure map runs and tensors are immutable, so every call with
-        the same word may return one shared tensor."""
-        out = self._cop_word_cache.get(word)
-        if out is None:
-            out = self.one_tensor()
-            for g in word:
-                out = out.leg_mul(self.gen_coproduct(g))
-            self._cop_word_cache[word] = out
+        Memoized per word and prefix (:meth:`_by_prefix`): the generator
+        tables are fixed before the first structure map runs and tensors
+        are immutable, so every call with the same word may return one
+        shared tensor."""
+        return self._by_prefix(
+            self._cop_word_cache,
+            word,
+            self.one_tensor,
+            lambda out, g: out.leg_mul(self.gen_coproduct(g)),
+        )
+
+    @staticmethod
+    def _linear(on_word: Callable, e: AlgElt) -> dict:
+        """Terms of Σ c·on_word(w) over the terms c·w of e, summed into one
+        dict: the linear extension of a word map."""
+        out: dict = {}
+        for w, c in e.terms.items():
+            for v, x in on_word(w).terms.items():
+                _merge_term(out, v, c * x)
         return out
 
     def coproduct(self, e: AlgElt) -> TensorElt:
-        out = self.one_tensor().scale(0)
-        for w, c in e.terms.items():
-            out = out + self.coproduct_word(w).scale(c)
-        return out
+        return TensorElt((self, self), self._linear(self.coproduct_word, e), _normalized=True)
 
     def counit_word(self, word: Word) -> Coeff:
         out = ONE
@@ -189,25 +232,32 @@ class HopfPresentation(Presentation):
         return exact(sum(c * self.counit_word(w) for w, c in e.terms.items()))
 
     def antipode_word(self, word: Word) -> AlgElt:
-        out = self.unit()
-        for g in word:
-            out = self.gen_antipode(g) * out
-        return out
+        """S of a (possibly non-normal) word, anti-multiplicatively,
+        S(w) = S(w[-1])·S(w[:-1]).  Memoized per word and prefix like
+        :meth:`coproduct_word`, and sound for the same reason: the letter
+        values are fixed once derived and elements are immutable."""
+        return self._by_prefix(
+            self._ant_word_cache,
+            word,
+            self.unit,
+            lambda out, g: self.gen_antipode(g) * out,
+        )
+
+    def inv_antipode_word(self, word: Word) -> AlgElt:
+        """S⁻¹ of a word, S⁻¹(w) = S⁻¹(w[-1])·S⁻¹(w[:-1]); memoized like
+        :meth:`antipode_word`."""
+        return self._by_prefix(
+            self._inv_word_cache,
+            word,
+            self.unit,
+            lambda out, g: self.gen_inv_antipode(g) * out,
+        )
 
     def antipode(self, e: AlgElt) -> AlgElt:
-        out = self.zero()
-        for w, c in e.terms.items():
-            out = out + self.antipode_word(w).scale(c)
-        return out
+        return AlgElt(self, self._linear(self.antipode_word, e), _normalized=True)
 
     def inv_antipode(self, e: AlgElt) -> AlgElt:
-        out = self.zero()
-        for w, c in e.terms.items():
-            part = self.unit()
-            for g in w:
-                part = self.gen_inv_antipode(g) * part
-            out = out + part.scale(c)
-        return out
+        return AlgElt(self, self._linear(self.inv_antipode_word, e), _normalized=True)
 
     def sweedler(self, e: AlgElt, legs: int) -> TensorElt:
         """Iterated coproduct with the given number of legs (legs >= 1)."""
@@ -261,11 +311,14 @@ class HopfPresentation(Presentation):
             return d.leg_scalar(1, self.counit) == tensor([e]) == d.leg_scalar(2, self.counit)
 
         def antipodal(e):
-            left = right = self.zero()
+            left: dict = {}
+            right: dict = {}
             for (w1, w2), c in self.coproduct(e).terms.items():
-                left = left + (self.antipode(self.from_word(w1)) * self.from_word(w2)).scale(c)
-                right = right + (self.from_word(w1) * self.antipode(self.from_word(w2))).scale(c)
-            return left == self.unit().scale(self.counit(e)) == right
+                a, b = self.from_word(w1), self.from_word(w2)
+                for acc, prod in ((left, self.antipode(a) * b), (right, a * self.antipode(b))):
+                    for w, x in prod.terms.items():
+                        _merge_term(acc, w, c * x)
+            return left == self.unit().scale(self.counit(e)).terms == right
 
         run("coassociativity", [(self.from_word(w), w) for w in words], coassociative)
         run("counit", elts, counital)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import AlgElt, EMPTY_WORD, Generator, ONE, TensorElt, Word, exact, tensor
+from .core import AlgElt, EMPTY_WORD, Generator, ONE, TensorElt, Word, _merge_term, exact, tensor
 from .errors import StructureError
 from .hopf import Character, HopfPresentation
 from .rewrite import (
@@ -253,6 +253,12 @@ def check_matched_pair(mp: MatchedPairData, degree: int = 2, index_bound: int = 
     def run(name, fails):
         checks.append({"name": name, "ok": not fails, "witnesses": fails[:3]})
 
+    def add(acc, left, right, c):
+        """acc += c·(left ⊗ right), in place."""
+        for w1, c1 in left.terms.items():
+            for w2, c2 in right.terms.items():
+                _merge_term(acc, (w1, w2), c * c1 * c2)
+
     fails = []
     for uw in uwords:
         for fw in fwords:
@@ -268,15 +274,15 @@ def check_matched_pair(mp: MatchedPairData, degree: int = 2, index_bound: int = 
         for fw in fwords:
             lhs = f.coproduct(mp.act_word(uw, fw))
             df = f.gen_coproduct(fw[0]) if len(fw) == 1 else f.coproduct(f.from_word(fw))
-            rhs = tensor([f.zero(), f.zero()])
+            rhs: dict = {}
             for (u1, u2), cu in du.terms.items():
                 n1 = mp.coact_word(u1)
                 for (u10, u11), cn in n1.terms.items():
                     for (f1, f2), cf in df.terms.items():
                         left = mp.act_word(u10, f1)
                         right = f.from_word(u11) * mp.act_word(u2, f2)
-                        rhs = rhs + tensor([left, right]).scale(cu * cn * cf)
-            if lhs != rhs:
+                        add(rhs, left, right, cu * cn * cf)
+            if lhs.terms != rhs:
                 fails.append(f"u={u.from_word(uw)}, f={f.from_word(fw)}")
     run("coproduct compatibility", fails)
 
@@ -291,15 +297,15 @@ def check_matched_pair(mp: MatchedPairData, degree: int = 2, index_bound: int = 
             lhs = mp.coact(u.from_word(uw) * u.from_word(vw))
             du = u.sweedler(u.from_word(uw), 2)
             nv = mp.coact_word(vw)
-            rhs = tensor([u.zero(), f.zero()])
+            rhs: dict = {}
             for (u1, u2), cu in du.terms.items():
                 n1 = mp.coact_word(u1)
                 for (u10, u11), cn in n1.terms.items():
                     for (v0, v1), cv in nv.terms.items():
                         uleg = u.from_word(u10) * u.from_word(v0)
                         fleg = f.from_word(u11) * mp.act_word(u2, v1)
-                        rhs = rhs + tensor([uleg, fleg]).scale(cu * cn * cv)
-            if lhs != rhs:
+                        add(rhs, uleg, fleg, cu * cn * cv)
+            if lhs.terms != rhs:
                 fails.append(f"u={u.from_word(uw)}, v={u.from_word(vw)}")
     run("coaction multiplicativity", fails)
 
@@ -307,19 +313,15 @@ def check_matched_pair(mp: MatchedPairData, degree: int = 2, index_bound: int = 
     for uw in uwords:
         du = u.sweedler(u.from_word(uw), 2)
         for fw in fwords:
-            lhs = tensor([u.zero(), f.zero()])
-            rhs = tensor([u.zero(), f.zero()])
+            lhs: dict = {}
+            rhs: dict = {}
             for (u1, u2), cu in du.terms.items():
                 n2 = mp.coact_word(u2)
                 for (u20, u21), cn in n2.terms.items():
-                    lhs = lhs + tensor(
-                        [u.from_word(u20), mp.act_word(u1, fw) * f.from_word(u21)]
-                    ).scale(cu * cn)
+                    add(lhs, u.from_word(u20), mp.act_word(u1, fw) * f.from_word(u21), cu * cn)
                 n1 = mp.coact_word(u1)
                 for (u10, u11), cn in n1.terms.items():
-                    rhs = rhs + tensor(
-                        [u.from_word(u10), f.from_word(u11) * mp.act_word(u2, fw)]
-                    ).scale(cu * cn)
+                    add(rhs, u.from_word(u10), f.from_word(u11) * mp.act_word(u2, fw), cu * cn)
             if lhs != rhs:
                 fails.append(f"u={u.from_word(uw)}, f={f.from_word(fw)}")
     run("action/coaction exchange", fails)

@@ -22,7 +22,6 @@ from .core import EMPTY_WORD, TensorElt, word_str
 from .coefficients import HModuleCoalgebra, ModuleComodule
 from .errors import StructureError, UnsolvableError
 from .linalg import (
-    F1,
     Quotient,
     add_columns,
     identity_columns,
@@ -120,7 +119,7 @@ class KaygunBridge:
         """[L_g, τⁱ] as an ambient matrix."""
         taui = self.tau_power(n, i)
         lg = self.l_matrix(n, gw)
-        return add_columns(mat_mul(lg, taui), mat_mul(taui, lg), -F1)
+        return add_columns(mat_mul(lg, taui), mat_mul(taui, lg), -1)
 
     def w_rows(self, n: int):
         """Spanning rows of Wⁿ, sparse and in reduced echelon form:
@@ -197,7 +196,7 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                 comm_i1 = bridge.commutator_matrix(n, gw, i + 1)
                 taui = bridge.tau_power(n, i)
                 lhs = mat_mul(tau, comm_i)
-                bracket = add_columns(mat_mul(tau, lg), mat_mul(lg, tau), -F1)
+                bracket = add_columns(mat_mul(tau, lg), mat_mul(lg, tau), -1)
                 rhs = add_columns(mat_mul(bracket, taui), comm_i1)
                 fails += mismatch(lhs, rhs, f"tau commutator expansion (n={n}, g={g}, i={i})")
             if n < bridge.top:

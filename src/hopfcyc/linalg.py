@@ -23,7 +23,10 @@ set.  :class:`Quotient` takes that route first and falls back on
 :func:`rref`.  The reduced row echelon form of a matrix is unique (its
 nonzero rows are the one basis of the row space in reduced echelon shape),
 so results do not depend on the route or the row format and reports stay
-byte-identical.
+byte-identical.  Identity columns and the default factor of
+:func:`add_columns` are the ``int`` 1, so τ powers, commutators and W rows
+of an integral instance stay in ``int`` arithmetic; :func:`rref` still
+returns ``Fraction`` entries.
 
 Chain operators are built as :data:`Columns` by
 :func:`hopfcyc.cocyclic.op_matrix`; relation rows are built as sparse rows
@@ -48,7 +51,7 @@ F1 = Fraction(1)
 
 
 def identity_columns(n: int) -> Columns:
-    return [{j: F1} for j in range(n)]
+    return [{j: 1} for j in range(n)]
 
 
 def add_multiple(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
@@ -79,7 +82,7 @@ def mat_mul(a: Columns, b: Columns) -> Columns:
     return [mat_vec(a, col) for col in b]
 
 
-def add_columns(a: Columns, b: Columns, f: Fraction = F1) -> Columns:
+def add_columns(a: Columns, b: Columns, f: Fraction = 1) -> Columns:
     """a + f·b."""
     if not f:
         return [dict(x) for x in a]

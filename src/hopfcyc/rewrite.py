@@ -410,6 +410,13 @@ class RuleSet:
                         entry[1] = resume
         return out
 
+    def nf(self, word: Word) -> dict:
+        """Normal form of one word: the cached dict itself on a hit, which
+        the caller must not change, else ``normalize_terms({word: 1})``,
+        under its step guard."""
+        hit = self._nf_cache.get(word)
+        return hit if hit is not None else self.normalize_terms({word: ONE})
+
     def normalize_terms(self, terms: dict) -> dict:
         """Normal form of a linear combination.  The step guard counts every
         rewrite of the outermost call, nested calls on this rule set

@@ -15,6 +15,7 @@ from hopfcyc.cocyclic import (
     cyclic_cohomology,
 )
 from hopfcyc.coefficients import (
+    check_ch_sayd,
     check_sayd,
     group_set_module_coalgebra,
     mc_conjugation_group,
@@ -223,6 +224,24 @@ def test_graded_trivial_action_over_s3_does_not_descend(s3):
     dense = dense_instance(inst)
     assert "coface(1,1)" in inst.welldef_failures
     assert not is_zero_matrix(mat_mul(dense.b(1), dense.b(0)))
+
+
+def test_graded_coefficients_over_s3_mod_a3_are_relative_sayd(s3):
+    # the paper's middle category: graded coefficients are not SAYD over
+    # kS3, but they are relative SAYD for the coalgebra S3/A3, and that is
+    # what makes the relative module cocyclic (compare the instance above,
+    # which is not relative SAYD and does not descend)
+    cmod = group_set_module_coalgebra(coset_space_union(s3, [["e", "p120", "p201"]]))
+    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kG_g"))
+    assert not check_sayd(mc)["ok"]
+    assert check_ch_sayd(mc, cmod)["ok"]
+    inst = build_coalgebra_instance(mc, cmod, 4)
+    assert check_cocyclic(inst, upto=4) == {"ok": True, "witnesses": []}
+    assert cyclic_cohomology(inst, 3) == {
+        "lambda_complex": [3, 0, 3, 0],
+        "bicomplex": [3, 0, 3, 0],
+        "agree": True,
+    }
 
 
 @pytest.fixture

@@ -58,9 +58,10 @@ def test_deep_report_matches_golden(capsys, command, upto):
     assert capsys.readouterr().out == expected
 
 
-def test_degree_report_matches_golden(capsys):
-    assert cli.run(["verify-hopf", "--degree", "3"]) == 0
-    expected = (GOLDEN / "verify-hopf-degree3.json").read_text(encoding="utf-8")
+@pytest.mark.parametrize("degree", [3, 4])
+def test_degree_report_matches_golden(capsys, degree):
+    assert cli.run(["verify-hopf", "--degree", str(degree)]) == 0
+    expected = (GOLDEN / f"verify-hopf-degree{degree}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

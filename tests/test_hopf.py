@@ -13,6 +13,7 @@ from hopfcyc.coefficients import inv_antipode_via_twist
 from hopfcyc.core import Generator, tensor
 from hopfcyc.errors import PreconditionError, UnsolvableError
 from hopfcyc.instances import (
+    build_bicrossed,
     build_group_algebra,
     build_h1cop,
     cyclic_group,
@@ -524,3 +525,77 @@ def test_bicrossed_deep_roundtrip(bicrossed, xs, k):
     delta = h.coproduct(e)
     assert delta.leg_scalar(1, h.counit) == tensor([e])
     assert delta.leg_scalar(2, h.counit) == tensor([e])
+
+
+# -- Δ, S and S⁻¹ of a word against the letter-by-letter products -------------
+
+
+def letter_by_letter(h, w):
+    """Δ, S and S⁻¹ of a word by the loops that the word memos replaced:
+    Δ multiplies letter values left to right, S and S⁻¹ right to left, and
+    nothing is kept between words."""
+    cop, s, s_inv = h.one_tensor(), h.unit(), h.unit()
+    for g in w:
+        cop = cop.leg_mul(h.gen_coproduct(g))
+        s = h.gen_antipode(g) * s
+        s_inv = h.gen_inv_antipode(g) * s_inv
+    return cop, s, s_inv
+
+
+def words(letters, max_size):
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(tuple)
+
+
+X, Y, D1, D2 = Generator("X"), Generator("Y"), Generator("d", 1), Generator("d", 2)
+
+# F ▷◁ U takes X only in short words: its S⁻¹ grows fast with each X
+MEMO_CASES = {
+    "h1cop": (build_h1cop, words([X, Y, D1, D2, Generator("d", 3)], 3)),
+    "bicrossed": (
+        lambda: build_bicrossed().hopf,
+        st.one_of(words([Y, D1, D2], 3), words([X, Y, D1, D2], 2)),
+    ),
+    "sweedler": (lambda: from_text(SWEEDLER), words([Generator("x"), Generator("g")], 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_word_memos_match_letter_by_letter_products(presentations, name, data):
+    # one shared instance, whose memos fill across examples and tests,
+    # against the plain products on a fresh one; in Sweedler's algebra
+    # S ≠ S⁻¹ and S² ≠ id, so a swapped or reversed product shows
+    build, drawn = MEMO_CASES[name]
+    h = presentations[name]
+    w = data.draw(drawn)
+    got = (h.coproduct_word(w), h.antipode_word(w), h.inv_antipode_word(w))
+    assert got == letter_by_letter(build(), w), w
+    for cache in (h._cop_word_cache, h._ant_word_cache, h._inv_word_cache):
+        assert all(w[:k] in cache for k in range(1, len(w) + 1))
+    e = h.from_word(w)
+    assert h.inv_antipode(h.antipode(e)) == e
+
+
+def test_sweedler_antipode_is_not_involutive(presentations):
+    # the memo oracle above relies on S, S⁻¹ and S² telling words apart
+    h = presentations["sweedler"]
+    x = h.gen("x")
+    assert h.antipode(x) != h.inv_antipode(x)
+    assert h.antipode(h.antipode(x)) != x
+
+
+def test_failed_derivation_is_not_cached():
+    # S⁻¹(a) in CYCLE needs S⁻¹(b), which needs S⁻¹(a): every call derives
+    # again and fails with the same reason, and only the empty word keeps a
+    # value
+    h = from_text(CYCLE)
+    a = Generator("a")
+    reasons = []
+    for call in (h.gen_inv_antipode, h.gen_inv_antipode, lambda g: h.inv_antipode_word((g, g))):
+        with pytest.raises(UnsolvableError) as err:
+            call(a)
+        reasons.append(str(err.value))
+    assert reasons == [reasons[0]] * 3
+    assert reasons[0] == "no inverse antipode for a: deriving it needs S⁻¹(a) again"
+    assert set(h._inv_word_cache) <= {()}

@@ -126,6 +126,26 @@ def test_s3_graded_negative(s3):
     assert not check_w_in_ker_pi(bridge, upto=1)["ok"]
 
 
+def test_s3_graded_bridge_entries_stay_int(s3):
+    # identity and commutator entries are int, so τ powers, commutators and
+    # the W rows stay in int arithmetic on an integral instance
+    cmod = s3_regular_cmod(s3)
+    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kS3_g"))
+    bridge = KaygunBridge(mc, cmod, top=1)
+    mats = [bridge.tau_power(n, i) for n in (0, 1) for i in range(n + 3)]
+    mats += [
+        bridge.commutator_matrix(n, gw, i)
+        for n in (0, 1)
+        for gw in bridge.group_words
+        for i in range(1, n + 3)
+    ]
+    rows = bridge.w_rows(1)
+    assert rows
+    entries = [x for m in mats + [rows] for col in m for x in col.values()]
+    assert entries
+    assert {type(x) for x in entries} == {int}
+
+
 def test_s3_graded_iso_names_non_descending_operators(s3):
     # τ and the last coface do not descend to the relative quotient C¹_H;
     # check_iso says so instead of comparing ill-defined matrices

@@ -271,6 +271,24 @@ def test_step_count_spans_the_whole_call(monkeypatch):
     assert rs.normalize_terms({(B, A): 1, (C, A): 1}) == {(A, B): 1, (A, C): 1}
 
 
+@pytest.mark.parametrize(
+    "w", [(X, d(1)), (X, X, d(1)), (d(2), X, Y), (Y, d(3), X, d(1)), (d(1), d(2)), ()]
+)
+def test_nf_matches_normalize_terms(w):
+    # a miss normalizes and stores the word; a hit returns the stored dict
+    rs = build_h1cop().ruleset
+    expected = build_h1cop().normalize_terms({w: 1})
+    assert rs.nf(w) == expected
+    assert rs.nf(w) is rs._nf_cache[w]
+    assert rs.nf(w) == expected
+
+
+def test_nf_miss_keeps_the_step_guard(monkeypatch):
+    monkeypatch.setenv("HOPFCYC_STEP_LIMIT", "3")
+    with pytest.raises(RewriteLimitError):
+        build_h1cop().ruleset.nf((X, X, X, d(1), d(1)))
+
+
 def test_normal_words_use_redex_test(h1cop):
     h = build_h1cop()
     cached = dict(h.ruleset._nf_cache)
