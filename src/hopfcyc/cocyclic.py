@@ -18,12 +18,17 @@ the top for :func:`check_cocyclic`; τ and the cofaces on ℂ𝕄 and C_H for
 :func:`~hopfcyc.kaygun.check_iso`; the cofaces through top + 1 and τ
 through top of both sides of :class:`~hopfcyc.cup.CupData`.
 
-Chain operators and relation rows are evaluated on basis tensors from leg
+Chain operators and relation rows are evaluated on basis tuples from leg
 maps: the coproduct, coaction and actions of the carriers, each evaluated
-once per word by a :class:`LegMap` and kept by the operator object.  This
-is sound because presentations are immutable once built (their rules are
-fixed, which is also why ``Presentation.from_word`` is memoized) and the
-maps are linear.  :func:`op_matrix` returns an operator as sparse columns
+once per word by a :class:`LegMap` and kept by the operator object.  A
+basis tuple holds one carrier word per leg, 0-based: the coefficient word
+at position 0 and cᵢ (or aᵢ) at position i+1.  An operator takes one tuple
+and returns its image as a ``{word tuple: coeff}`` dict, with no
+:class:`~hopfcyc.core.TensorElt` in between; :meth:`TensorBasis.coords`
+refuses any image outside the target basis.  This is sound because
+presentations are immutable once built (their rules are fixed, which is
+also why ``Presentation.from_word`` is memoized) and the maps are linear.
+:func:`op_matrix` returns an operator as sparse columns
 (:data:`~hopfcyc.linalg.Columns`: column j is a ``dict[row] -> entry``
 without zero entries), and relation rows are built as sparse rows that
 enter :class:`~hopfcyc.linalg.Quotient` as they are.  Every matrix from
@@ -43,6 +48,7 @@ agreement of the two is part of the test surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
 from typing import Callable, Mapping, Optional
 
@@ -88,7 +94,7 @@ class TensorBasis:
 
     def coords(self, terms: Mapping) -> SparseRow:
         """Sparse coordinates of a combination of basis tuples, such as the
-        ``terms`` of a :class:`TensorElt`."""
+        image of a chain operator or the ``terms`` of a :class:`TensorElt`."""
         out = {}
         for wt, c in terms.items():
             i = self.index.get(wt)
@@ -101,11 +107,11 @@ class TensorBasis:
         return TensorElt(self.prs, {self.tuples[i]: ONE}, _normalized=True)
 
 
-def op_matrix(op: Callable[[TensorElt], TensorElt], src: TensorBasis, tgt: TensorBasis) -> Columns:
+def op_matrix(op: Callable[[tuple], Mapping], src: TensorBasis, tgt: TensorBasis) -> Columns:
     """A linear chain operator as sparse columns (:data:`~hopfcyc.linalg.Columns`):
-    column j holds the ``tgt`` coordinates of the image of basis tensor j
-    of ``src``."""
-    return [tgt.coords(op(src.elt(j)).terms) for j in range(src.dim)]
+    column j holds the ``tgt`` coordinates of ``op(src.tuples[j])``, the
+    image of basis tuple j as a ``{word tuple: coeff}`` dict."""
+    return [tgt.coords(op(wt)) for wt in src.tuples]
 
 
 def alternating_sum(mats) -> Columns:
@@ -180,9 +186,10 @@ def coefficient_legs(mc: ModuleComodule):
 class CoalgebraOps:
     """The (para)cocyclic operators on chains m ⊗ c₀ ⊗ … ⊗ cₙ.
 
-    Legs are 1-based on the TensorElt: leg 1 is M, leg i+2 is c_i.  Each
-    operator runs term by term on the leg maps below, so the coproduct,
-    coaction and actions are evaluated once per basis word.
+    Each operator takes one basis tuple (m, c₀, …, cₙ), with M at position
+    0 and cᵢ at position i+1, and returns its image as a ``{word tuple:
+    coeff}`` dict read from the leg maps below, so the coproduct, coaction
+    and actions are evaluated once per basis word.
     """
 
     mc: ModuleComodule
@@ -195,53 +202,35 @@ class CoalgebraOps:
         self.c_cop = LegMap(lambda w: c.coproduct(c.from_word(w)).terms)
         self.c_eps = LegMap(lambda w: c.counit(c.from_word(w)))
 
-    def _nlegs(self, x: TensorElt, n: int):
-        if x.legs != n + 2:
-            raise StructureError(f"chain of degree {n} needs {n + 2} legs, got {x.legs}")
-
-    def coface(self, n: int, i: int, x: TensorElt) -> TensorElt:
+    def coface(self, n: int, i: int, wt: tuple) -> dict:
         """∂_i: degree n-1 chains to degree n chains, 0 <= i <= n."""
-        self._nlegs(x, n - 1)
-        out = {}
         if i < n:
-            for wt, cf in x.terms.items():
-                head, tail = wt[: i + 1], wt[i + 2 :]
-                for pair, cd in self.c_cop[wt[i + 1]].items():
-                    _merge_term(out, head + pair + tail, cf * cd)
-        else:
-            # last coface: m⟨0⟩ ⊗ c₀⁽²⁾ ⊗ c₁ ⊗ … ⊗ m⟨-1⟩ c₀⁽¹⁾
-            for wt, cf in x.terms.items():
-                mids = wt[2:]
-                for (w, m0), cc in self.coact[wt[0]].items():
-                    for (c1, c2), cd in self.c_cop[wt[1]].items():
-                        k = cf * cc * cd
-                        for a, ca in self.c_act[w, c1].items():
-                            _merge_term(out, (m0, c2) + mids + (a,), k * ca)
-        prs = (self.mc.space,) + (self.c_mod.coalg,) * (n + 1)
-        return TensorElt(prs, out, _normalized=True)
+            head, tail = wt[: i + 1], wt[i + 2 :]
+            return {head + pair + tail: cd for pair, cd in self.c_cop[wt[i + 1]].items()}
+        # last coface: m⟨0⟩ ⊗ c₀⁽²⁾ ⊗ c₁ ⊗ … ⊗ m⟨-1⟩ c₀⁽¹⁾
+        out = {}
+        mids = wt[2:]
+        for (w, m0), cc in self.coact[wt[0]].items():
+            for (c1, c2), cd in self.c_cop[wt[1]].items():
+                k = cc * cd
+                for a, ca in self.c_act[w, c1].items():
+                    _merge_term(out, (m0, c2) + mids + (a,), k * ca)
+        return out
 
-    def codegeneracy(self, n: int, i: int, x: TensorElt) -> TensorElt:
+    def codegeneracy(self, n: int, i: int, wt: tuple) -> dict:
         """σ_i: degree n+1 chains to degree n chains, 0 <= i <= n; applies
         the counit at position i+1, matching the coface insertion index."""
-        self._nlegs(x, n + 1)
-        out = {}
-        for wt, cf in x.terms.items():
-            e = self.c_eps[wt[i + 2]]
-            if e:
-                _merge_term(out, wt[: i + 2] + wt[i + 3 :], cf * e)
-        return TensorElt(x.prs[: i + 2] + x.prs[i + 3 :], out, _normalized=True)
+        e = self.c_eps[wt[i + 2]]
+        return {wt[: i + 2] + wt[i + 3 :]: e} if e else {}
 
-    def tau(self, n: int, x: TensorElt) -> TensorElt:
+    def tau(self, n: int, wt: tuple) -> dict:
         """τ_n: m ⊗ c̃ to m⟨0⟩ ⊗ c₁ ⊗ … ⊗ cₙ ⊗ m⟨-1⟩ c₀."""
-        self._nlegs(x, n)
         out = {}
-        for wt, cf in x.terms.items():
-            mids = wt[2:]
-            for (w, m0), cc in self.coact[wt[0]].items():
-                k = cf * cc
-                for a, ca in self.c_act[w, wt[1]].items():
-                    _merge_term(out, (m0,) + mids + (a,), k * ca)
-        return TensorElt(x.prs, out, _normalized=True)
+        mids = wt[2:]
+        for (w, m0), cc in self.coact[wt[0]].items():
+            for a, ca in self.c_act[w, wt[1]].items():
+                _merge_term(out, (m0,) + mids + (a,), cc * ca)
+        return out
 
 
 class RelativeTensorSpace:
@@ -314,10 +303,9 @@ class OperatorTable(dict):
         return key[1] + s, key[1] + t
 
     def __missing__(self, key):
-        name, n, *i = key
         src, tgt = self.degrees(key)
-        op = getattr(self.ops, name)
-        val = self[key] = op_matrix(lambda x: op(n, *i, x), self.bases[src], self.bases[tgt])
+        op = partial(getattr(self.ops, key[0]), *key[1:])
+        val = self[key] = op_matrix(op, self.bases[src], self.bases[tgt])
         return val
 
 
@@ -583,8 +571,10 @@ def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
 class AlgebraChainOps:
     """Chain-level operators on M ⊗ A^⊗(n+1); cochain operators arise as
     transposes of the induced quotient matrices.  Like
-    :class:`CoalgebraOps`, each operator runs on leg maps evaluated once
-    per basis word."""
+    :class:`CoalgebraOps`, each operator takes one basis tuple (m, a₀, …,
+    aₙ), with M at position 0 and aᵢ at position i+1, and returns its image
+    as a ``{word tuple: coeff}`` dict read from leg maps evaluated once per
+    basis word."""
 
     mc: ModuleComodule
     a_mod: HModuleAlgebra
@@ -601,66 +591,45 @@ class AlgebraChainOps:
             lambda k: self.a_mod.act(h.antipode(h.from_word(k[0])), alg.from_word(k[1])).terms
         )
 
-    def _chain(self, n: int, out: dict) -> TensorElt:
-        return TensorElt((self.mc.space,) + (self.a_mod.alg,) * (n + 1), out, _normalized=True)
-
-    def face(self, n: int, i: int, x: TensorElt) -> TensorElt:
+    def face(self, n: int, i: int, wt: tuple) -> dict:
         """D_i: degree n chains to degree n-1 chains, 0 <= i <= n."""
-        if x.legs != n + 2:
-            raise StructureError("chain leg mismatch")
-        out = {}
         if i < n:
             # merge A legs i and i+1
-            for wt, cf in x.terms.items():
-                head, tail = wt[: i + 1], wt[i + 3 :]
-                for p, pc in self.mul[wt[i + 1], wt[i + 2]].items():
-                    _merge_term(out, head + (p,) + tail, cf * pc)
-        else:
-            # last face: m⟨0⟩ ⊗ (S⁻¹(m⟨-1⟩)aₙ)a₀ ⊗ a₁ ⊗ … ⊗ a_{n-1}
-            for wt, cf in x.terms.items():
-                mids = wt[2:-1]
-                for (w, m0), cc in self.coact[wt[0]].items():
-                    for t, tc in self.inv_act[w, wt[-1]].items():
-                        k = cf * cc * tc
-                        for p, pc in self.mul[t, wt[1]].items():
-                            _merge_term(out, (m0, p) + mids, k * pc)
-        return self._chain(n - 1, out)
+            head, tail = wt[: i + 1], wt[i + 3 :]
+            return {head + (p,) + tail: pc for p, pc in self.mul[wt[i + 1], wt[i + 2]].items()}
+        # last face: m⟨0⟩ ⊗ (S⁻¹(m⟨-1⟩)aₙ)a₀ ⊗ a₁ ⊗ … ⊗ a_{n-1}
+        out = {}
+        mids = wt[2:-1]
+        for (w, m0), cc in self.coact[wt[0]].items():
+            for t, tc in self.inv_act[w, wt[-1]].items():
+                k = cc * tc
+                for p, pc in self.mul[t, wt[1]].items():
+                    _merge_term(out, (m0, p) + mids, k * pc)
+        return out
 
-    def degeneracy(self, n: int, i: int, x: TensorElt) -> TensorElt:
+    def degeneracy(self, n: int, i: int, wt: tuple) -> dict:
         """S_i: insert the unit after A position i, degree n to n+1."""
-        if x.legs != n + 2:
-            raise StructureError("chain leg mismatch")
-        unit = self.a_mod.alg.unit().terms
-        out = {}
-        for wt, cf in x.terms.items():
-            head, tail = wt[: i + 2], wt[i + 2 :]
-            for u, uc in unit.items():
-                _merge_term(out, head + (u,) + tail, cf * uc)
-        return self._chain(n + 1, out)
+        head, tail = wt[: i + 2], wt[i + 2 :]
+        return {head + (u,) + tail: uc for u, uc in self.a_mod.alg.unit().terms.items()}
 
-    def t(self, n: int, x: TensorElt) -> TensorElt:
+    def t(self, n: int, wt: tuple) -> dict:
         """T_n: m ⊗ ã to m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩)aₙ ⊗ a₀ ⊗ … ⊗ a_{n-1}."""
-        if x.legs != n + 2:
-            raise StructureError("chain leg mismatch")
         out = {}
-        for wt, cf in x.terms.items():
-            rest = wt[1:-1]
-            for (w, m0), cc in self.coact[wt[0]].items():
-                k = cf * cc
-                for t, tc in self.inv_act[w, wt[-1]].items():
-                    _merge_term(out, (m0, t) + rest, k * tc)
-        return self._chain(n, out)
+        rest = wt[1:-1]
+        for (w, m0), cc in self.coact[wt[0]].items():
+            for t, tc in self.inv_act[w, wt[-1]].items():
+                _merge_term(out, (m0, t) + rest, cc * tc)
+        return out
 
-    def diagonal_action(self, n: int, x: TensorElt, d: TensorElt) -> TensorElt:
+    def diagonal_action(self, n: int, wt: tuple, d: TensorElt) -> dict:
         """(m ⊗ ã)h = mh⁽¹⁾ ⊗ S(h⁽ⁿ⁺²⁾)a₀ ⊗ … ⊗ S(h⁽²⁾)aₙ, for ``d`` the
         Sweedler tensor Δ⁽ⁿ⁺²⁾h (computed once per h by the caller)."""
         out = {}
-        for wt, cf in x.terms.items():
-            for legs, ch in d.terms.items():
-                factors = [self.m_act[wt[0], legs[0]]]
-                factors += [self.s_act[legs[n + 1 - i], wt[i + 1]] for i in range(n + 1)]
-                add_tensor(out, cf * ch, factors)
-        return self._chain(n, out)
+        for legs, ch in d.terms.items():
+            factors = [self.m_act[wt[0], legs[0]]]
+            factors += [self.s_act[legs[n + 1 - i], wt[i + 1]] for i in range(n + 1)]
+            add_tensor(out, ch, factors)
+        return out
 
     def quotient(self, n: int):
         """The degree-n chain basis and its quotient by span{xh − ε(h)x}
@@ -671,10 +640,9 @@ class AlgebraChainOps:
         hs = [h.from_word(w) for w in h.normal_words(2, 2) if w != EMPTY_WORD]
         sweeps = [(h.sweedler(a, n + 2), h.counit(a)) for a in hs]
         rows = []
-        for j, wt in enumerate(basis.tuples):
-            x = basis.elt(j)
+        for wt in basis.tuples:
             for d, eps in sweeps:
-                rel = dict(self.diagonal_action(n, x, d).terms)
+                rel = self.diagonal_action(n, wt, d)
                 if eps:
                     _merge_term(rel, wt, -eps)
                 rows.append(basis.coords(rel))

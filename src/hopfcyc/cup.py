@@ -254,16 +254,15 @@ def convolution_basis(ci: CupInstance) -> List[ConvolutionElt]:
     return basis
 
 
-def psi(ci: CupInstance, phi: Callable[[TensorElt], Fraction], chain: TensorElt, fs) -> Fraction:
-    """Ψ(φ ⊗ m⊗c̃)(f₀⊗…⊗fₙ) = φ(m ⊗ f₀(c₀) ⊗ … ⊗ fₙ(cₙ))."""
-    n = chain.legs - 2
-    if len(fs) != n + 1:
-        raise PreconditionError("one convolution element per C leg required")
+def psi(ci: CupInstance, phi: Callable[[TensorElt], Fraction], chain: dict, fs) -> Fraction:
+    """Ψ(φ ⊗ m⊗c̃)(f₀⊗…⊗fₙ) = φ(m ⊗ f₀(c₀) ⊗ … ⊗ fₙ(cₙ)), for a chain
+    given as a ``{basis tuple: coeff}`` dict."""
     out = Fraction(0)
-    for wt, k in chain.terms.items():
+    for wt, k in chain.items():
+        if len(fs) != len(wt) - 1:
+            raise PreconditionError("one convolution element per C leg required")
         factors = [ci.mc.space.from_word(wt[0])]
-        for i in range(n + 1):
-            factors.append(fs[i].image(wt[i + 1]))
+        factors += [f.image(c) for f, c in zip(fs, wt[1:])]
         out += k * phi(tensor(factors))
     return out
 
@@ -356,7 +355,7 @@ class CupData:
         for k in range(q + 1, n + 1):
             z = mat_vec(self.c_side.table["coface", k, 0], z)
         basis = self.c_side.bases[n]
-        chain = TensorElt(basis.prs, {basis.tuples[j]: x for j, x in z.items()}, _normalized=True)
+        chain = {basis.tuples[j]: x for j, x in z.items()}
         phi_basis = inst.bases[n]
 
         def phi(te):

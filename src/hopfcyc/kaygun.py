@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import EMPTY_WORD, TensorElt, word_str
 from .coefficients import HModuleCoalgebra, ModuleComodule
-from .errors import StructureError, UnsolvableError
+from .errors import UnsolvableError
 from .linalg import (
     Quotient,
     add_columns,
@@ -82,19 +82,16 @@ class KaygunBridge:
         self._rel = {}
         self._cm_inst = None
 
-    def l_action(self, d: TensorElt, x: TensorElt) -> TensorElt:
-        """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ on degree-n chains,
-        for ``d`` the Sweedler tensor Δ⁽ⁿ⁺²⁾g."""
-        if x.legs != d.legs:
-            raise StructureError(f"L-action with {d.legs} legs on a chain with {x.legs} legs")
+    def l_action(self, d: TensorElt, wt: tuple) -> dict:
+        """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ on a degree-n basis
+        tuple, for ``d`` the Sweedler tensor Δ⁽ⁿ⁺²⁾g."""
         c_act = self.ops.c_act
         out = {}
-        for wt, cf in x.terms.items():
-            for legs, ch in d.terms.items():
-                factors = [self._m_antipode[wt[0], legs[0]]]
-                factors += [c_act[g, c] for g, c in zip(legs[1:], wt[1:])]
-                add_tensor(out, cf * ch, factors)
-        return TensorElt(x.prs, out, _normalized=True)
+        for legs, ch in d.terms.items():
+            factors = [self._m_antipode[wt[0], legs[0]]]
+            factors += [c_act[g, c] for g, c in zip(legs[1:], wt[1:])]
+            add_tensor(out, ch, factors)
+        return out
 
     def tau_power(self, n: int, i: int):
         """τⁱ as an ambient matrix, built once per degree and exponent."""

@@ -10,8 +10,11 @@ difference are the entries where two matrices differ.  The matrices of this
 tool are mostly zero: the ⊗_H relation matrix of the regular S3 instance in
 degree 1 is 1080×216 with under 1% nonzero entries.
 
-:func:`mat_vec` and :func:`mat_mul` are the one product, and :func:`rref`
-is the general elimination; :func:`rank`, :func:`nullspace` and
+:func:`mat_vec` and :func:`mat_mul` are the one product: :func:`mat_vec`
+sums in one loop over the entries of the columns it reads and deletes
+each entry that cancels, so its result stores no zero, and
+:func:`mat_mul` is :func:`mat_vec` per column.  :func:`rref` is the
+general elimination; :func:`rank`, :func:`nullspace` and
 :func:`solve` run on it.  :func:`rref` sweeps the columns in order and
 takes as pivot the first remaining row with a nonzero entry in the column,
 as a dense Gauss–Jordan sweep does.  Relation rows of at most two entries,
@@ -70,10 +73,16 @@ def add_multiple(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
 
 
 def mat_vec(a: Columns, v: SparseRow) -> SparseRow:
-    """Σ v[c]·a[c]: a matrix held by its columns times a sparse vector."""
+    """Σ v[c]·a[c]: a matrix held by its columns times a sparse vector,
+    dropping the entries that cancel."""
     out: SparseRow = {}
     for c, x in v.items():
-        add_multiple(out, x, a[c])
+        for r, y in a[c].items():
+            s = out.get(r, 0) + x * y
+            if s:
+                out[r] = s
+            else:
+                del out[r]
     return out
 
 

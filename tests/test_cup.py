@@ -105,7 +105,7 @@ def test_psi_degree_zero(trivial_ci):
     abasis = TensorBasis((ci.mc.space, ci.a_mod.alg))
     for f in convolution_basis(ci):
         for cw in c.basis_words():
-            chain = tensor([ci.mc.space.unit(), c.from_word(cw)])
+            chain = tensor([ci.mc.space.unit(), c.from_word(cw)]).terms
             for j in range(abasis.dim):
                 phi = lambda te, j=j: abasis.coords(te.terms).get(j, 0)
                 direct = phi(tensor([ci.mc.space.unit(), f(c.from_word(cw))]))
@@ -126,11 +126,10 @@ def test_psi_commutes_with_cyclic_operators(trivial_ci, n, perm, rot):
     for j in range(abasis.dim):
         phi = lambda te, j=j: abasis.coords(te.terms).get(j, 0)
         phi_rot = lambda te, j=j: abasis.coords(te.permute(perm).terms).get(j, 0)
-        for ic in range(cbasis.dim):
-            x = cbasis.elt(ic)
+        for x in cbasis.tuples:
             for fs in iproduct(convs, repeat=n + 1):
                 assert psi(ci, phi, ops.tau(n, x), list(fs)) == psi(
-                    ci, phi_rot, x, rot(list(fs))
+                    ci, phi_rot, {x: 1}, rot(list(fs))
                 )
 
 

@@ -23,10 +23,21 @@ from hopfcyc.coefficients import (
     mc_trivial,
 )
 from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
-from hopfcyc.linalg import F0, F1, Quotient, mat_vec, nullspace, orbit_rref, rank, rref, solve
+from hopfcyc.linalg import (
+    F0,
+    F1,
+    Quotient,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    orbit_rref,
+    rank,
+    rref,
+    solve,
+)
 
 import dense_oracle
-from dense_oracle import dense, dense_rref, sparse
+from dense_oracle import as_dense, dense, dense_rref, sparse
 
 F = Fraction
 # 2^521 − 1 is prime and larger than the Hadamard bound of every minor of
@@ -205,6 +216,47 @@ def test_nullspace_is_the_kernel(m):
         assert mat_vec(cols, v) == {}
     # one vector per free column, with −R[r][fc] at the pivots
     assert densify(basis, ncols) == dense_oracle.nullspace(m, ncols)
+
+
+@st.composite
+def products(draw, max_dim=6):
+    """(nrows, a, b): sparse columns a (nrows × k) and b (k × m) with mixed
+    entries.  Some columns of a are multiples f·a[i] of another, and some
+    columns of b carry f·y at i and −y there, so products cancel exactly."""
+    nrows, k = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    m = draw(st.integers(0, max_dim))
+    column = st.dictionaries(st.integers(0, nrows - 1), mixed_entries)
+    a = draw(st.lists(column, min_size=k, max_size=k))
+    pairs = []
+    for _ in range(draw(st.integers(0, k - 1))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            f = draw(mixed_entries)
+            a[j] = {r: f * x for r, x in a[i].items()}
+            pairs.append((i, j, f))
+    vector = st.dictionaries(st.integers(0, k - 1), mixed_entries)
+    b = draw(st.lists(vector, min_size=m, max_size=m))
+    for col in b:
+        if pairs and draw(st.booleans()):
+            i, j, f = draw(st.sampled_from(pairs))
+            y = draw(mixed_entries)
+            col[i], col[j] = f * y, -y
+    return nrows, a, b
+
+
+@SETTINGS
+@given(products())
+def test_products_match_dense_oracle_and_store_no_zero(data):
+    nrows, a, b = data
+    k = len(a)
+    dense_a = as_dense(a, nrows)
+    for v in b:
+        out = mat_vec(a, v)
+        assert dense(out, nrows) == dense_oracle.mat_vec(dense_a, dense(v, k))
+        assert all(out.values())
+    prod = mat_mul(a, b)
+    assert as_dense(prod, nrows) == dense_oracle.mat_mul(dense_a, as_dense(b, k))
+    assert all(x for col in prod for x in col.values())
 
 
 @SETTINGS

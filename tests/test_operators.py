@@ -13,6 +13,8 @@ import pytest
 from hopfcyc.cocyclic import (
     AlgebraChainOps,
     CoalgebraOps,
+    FiniteComplex,
+    OperatorTable,
     RelativeTensorSpace,
     TensorBasis,
     op_matrix,
@@ -323,6 +325,47 @@ def test_algebra_side_operators_match_symbolic_route():
             )
     for n in range(top + 1):
         assert_same(lambda x: ops.t(n, x), lambda x: symbolic_t(mc, a_mod, n, x), bases[n], bases[n])
+
+
+def operator_keys(chains, top):
+    """Every key of an operator table through ``top``: τ (T), the cofaces
+    (faces) and the codegeneracies (degeneracies)."""
+    up, down, cyclic = FiniteComplex.NAMES[chains]
+    keys = [(cyclic, n) for n in range(top + 1)]
+    keys += [(up, n, i) for n in range(1, top + 1) for i in range(n + 1)]
+    keys += [(down, n, i) for n in range(top) for i in range(n + 1)]
+    return keys
+
+
+@pytest.mark.parametrize("side", ["coalgebra", "algebra"])
+def test_warm_operator_tables_build_no_tensor(monkeypatch, coalgebra_instances, side):
+    """Once the leg maps are warm, building an ambient matrix makes no
+    TensorElt: each column is read from the leg maps on a basis tuple."""
+    top = 3
+    if side == "coalgebra":
+        mc, c_mod, _ = coalgebra_instances["swap_graded"]
+        ops, carrier, chains = CoalgebraOps(mc, c_mod), c_mod.coalg, False
+    else:
+        ci = build_group_cup_instance(graded=True)
+        mc, ops, carrier, chains = ci.mc, AlgebraChainOps(ci.mc, ci.a_mod), ci.a_mod.alg, True
+    bases = chain_bases(mc, carrier, top)
+    keys = operator_keys(chains, top)
+    warm = OperatorTable(ops, bases, chains=chains)
+    for key in keys:
+        warm[key]
+    built = []
+    real = TensorElt.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorElt, "__init__", counting)
+    table = OperatorTable(ops, bases, chains=chains)
+    for key in keys:
+        assert table[key] == warm[key]
+    monkeypatch.undo()
+    assert built == []
 
 
 @pytest.mark.parametrize(
