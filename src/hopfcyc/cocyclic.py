@@ -18,27 +18,27 @@ the top for :func:`check_cocyclic`; τ and the cofaces on ℂ𝕄 and C_H for
 :func:`~hopfcyc.kaygun.check_iso`; the cofaces through top + 1 and τ
 through top of both sides of :class:`~hopfcyc.cup.CupData`.
 
-Chain operators and relation rows are evaluated on basis tuples from leg
-maps: the coproduct, coaction and actions of the carriers, each evaluated
-once per word by a :class:`LegMap` and kept by the operator object.  A
-basis tuple holds one carrier word per leg, 0-based: the coefficient word
-at position 0 and cᵢ (or aᵢ) at position i+1.  An operator takes one tuple
-and returns its image as a ``{word tuple: coeff}`` dict, with no
+Chain operators are evaluated on basis tuples from leg maps: the
+coproduct, coaction and actions of the carriers, each evaluated once per
+word by a :class:`LegMap` and kept by the operator object.  A basis tuple
+holds one carrier word per leg, 0-based: the coefficient word at position
+0 and cᵢ (or aᵢ) at position i+1.  An operator takes one tuple and returns
+its image as a ``{word tuple: coeff}`` dict, with no
 :class:`~hopfcyc.core.TensorElt` in between; :meth:`TensorBasis.coords`
 refuses any image outside the target basis.  This is sound because
 presentations are immutable once built (their rules are fixed, which is
 also why ``Presentation.from_word`` is memoized) and the maps are linear.
 :func:`op_matrix` returns an operator as sparse columns
 (:data:`~hopfcyc.linalg.Columns`: column j is a ``dict[row] -> entry``
-without zero entries), and relation rows are built as sparse rows that
-enter :class:`~hopfcyc.linalg.Quotient` as they are.  Every matrix from
-there on, the induced operators of a :class:`FiniteComplex`, the
-identities of :func:`check_cocyclic` and the differentials of
-:func:`cyclic_cohomology`, stays in that one format: products are
-:func:`~hopfcyc.linalg.mat_mul`, equations are list equality, ranks and
-kernels come from :func:`~hopfcyc.linalg.rref`, and the reduced relations
-of a quotient from :func:`~hopfcyc.linalg.orbit_rref` when every relation
-row has at most two entries (as on every instance built here).
+without zero entries).  The diagonal actions of H, which give the
+relations of both quotients and L_g, are sums over Sweedler terms of
+Kronecker products (:func:`sweedler_sum`, :func:`kron`) of leg matrices
+on carrier basis positions (:func:`leg_columns`), with no word tuple built
+or hashed.  Every matrix from there on stays in that one format: products
+are :func:`~hopfcyc.linalg.mat_mul`, equations are list equality, ranks
+and kernels come from :func:`~hopfcyc.linalg.rref`, and the reduced
+relations of a quotient from :func:`~hopfcyc.linalg.orbit_rref` when every
+relation row has at most two entries (as on every group-algebra instance).
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through a truncated cyclic bicomplex;
@@ -52,7 +52,7 @@ from functools import partial
 from itertools import product as iproduct
 from typing import Callable, Mapping, Optional
 
-from .core import EMPTY_WORD, ONE, TensorElt, _merge_term, word_str
+from .core import EMPTY_WORD, ONE, TensorElt, _merge_term, tensor, word_str
 from .coefficients import HModuleAlgebra, HModuleCoalgebra, ModuleComodule
 from .errors import PreconditionError, StructureError
 from .linalg import (
@@ -74,9 +74,9 @@ from .linalg import (
 class TensorBasis:
     """Deterministic basis of a tensor product of finite carriers.
 
-    Basis tensors are the tuples of carrier basis words; every such word
-    must be its own normal form (checked once, here), so the tuple is the
-    basis tensor itself and :meth:`elt` needs no normalization.
+    Basis tensors are the tuples of carrier basis words, last leg fastest;
+    every such word must be its own normal form (checked once, here), so
+    the tuple is the basis tensor itself.  ``dims`` are the leg dimensions.
     """
 
     def __init__(self, prs):
@@ -88,6 +88,7 @@ class TensorBasis:
                         f"basis word {word_str(w)} of {p.name!r} is not in normal form"
                     )
         bases = [p.basis_words() for p in self.prs]
+        self.dims = [len(b) for b in bases]
         self.tuples = list(iproduct(*bases))
         self.index = {wt: i for i, wt in enumerate(self.tuples)}
         self.dim = len(self.tuples)
@@ -102,9 +103,6 @@ class TensorBasis:
                 raise StructureError(f"tensor term {wt} outside the finite basis")
             out[i] = c
         return out
-
-    def elt(self, i: int) -> TensorElt:
-        return TensorElt(self.prs, {self.tuples[i]: ONE}, _normalized=True)
 
 
 def op_matrix(op: Callable[[tuple], Mapping], src: TensorBasis, tgt: TensorBasis) -> Columns:
@@ -145,9 +143,9 @@ class LegMap(dict):
 
     ``leg_map[key]`` calls ``f(key)`` on the first lookup and keeps the
     result: a ``word -> coeff`` dict (keyed by word pairs for a coaction or
-    coproduct), or a scalar for a counit.  Keys are normal words, or tuples of them, of immutable
-    presentations, and the maps are linear, so a chain operator evaluated
-    from leg maps equals the one evaluated through symbolic tensors.
+    coproduct), a scalar for a counit, or a :func:`leg_columns` matrix.  Keys
+    are normal words, or tuples of them, of immutable presentations, and the
+    maps are linear, so operators built from leg maps equal the symbolic ones.
     """
 
     __slots__ = ("f",)
@@ -161,21 +159,52 @@ class LegMap(dict):
         return val
 
 
-def add_tensor(out: dict, coeff, factors) -> None:
-    """out += coeff · f₁ ⊗ … ⊗ f_k, each factor a ``word -> coeff`` dict."""
-    for combo in iproduct(*[f.items() for f in factors]):
-        c = coeff
-        for _, x in combo:
-            c *= x
-        _merge_term(out, tuple(w for w, _ in combo), c)
+def leg_columns(f: Callable[[tuple], Mapping], carrier) -> Columns:
+    """A linear map of a finite carrier as sparse columns over its basis
+    positions: column j holds the coordinates of ``f(w)``, a ``word ->
+    coeff`` dict, for the j-th basis word w."""
+    basis = TensorBasis((carrier,))
+    return [basis.coords({(v,): c for v, c in f(w).items()}) for (w,) in basis.tuples]
+
+
+def kron(mats, dims) -> Columns:
+    """A₀ ⊗ … ⊗ A_k as sparse columns, leg i having ``dims[i]`` rows, last
+    leg fastest as in :class:`TensorBasis`: row r·d + s pairs row r of the
+    legs before with row s of a leg of d rows.  Stores no zero entry."""
+    out = [{0: 1}]
+    for a, d in zip(mats, dims):
+        out = [
+            {r * d + s: x * y for r, x in col.items() for s, y in leg.items()}
+            for col in out
+            for leg in a
+        ]
+    return out
+
+
+def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBasis) -> Columns:
+    """Σ c · kron(legs(w)) over the terms {w: c} of a tensor of H words,
+    such as a Sweedler tensor, w holding one word per leg of ``basis``."""
+    out = [{} for _ in range(basis.dim)]
+    for w, c in terms.items():
+        for acc, col in zip(out, kron(legs(w), basis.dims)):
+            add_multiple(acc, c, col)
+    return out
+
+
+def diagonal_quotient(basis: TensorBasis, h, relations: Callable) -> Quotient:
+    """``basis`` modulo the columns of ``relations(a)``, a over the nonempty
+    normal words of H of degree and index at most 2, as rows in tuple-major
+    order: every a for basis tuple 0, then every a for tuple 1, …"""
+    mats = [relations(h.from_word(w)) for w in h.normal_words(2, 2) if w != EMPTY_WORD]
+    return Quotient([col for cols in zip(*mats) for col in cols], basis.dim)
 
 
 def coefficient_legs(mc: ModuleComodule):
-    """The leg maps of the coefficients: ``coact[m]`` = m⟨-1⟩ ⊗ m⟨0⟩ and
-    ``act[m, h]`` = m·h, on words."""
-    h, space = mc.hopf, mc.space
-    coact = LegMap(lambda m: mc.coact(space.from_word(m)).terms)
-    act = LegMap(lambda k: mc.act(space.from_word(k[0]), h.from_word(k[1])).terms)
+    """The leg maps of the coefficients: ``coact[m]`` = m⟨-1⟩ ⊗ m⟨0⟩ on
+    words, and ``act[h]`` the columns of m ↦ m·h on the basis of M."""
+    h, sp = mc.hopf, mc.space
+    coact = LegMap(lambda m: mc.coact(sp.from_word(m)).terms)
+    act = LegMap(lambda hw: leg_columns(lambda m: mc.act(sp.from_word(m), h.from_word(hw)).terms, sp))
     return coact, act
 
 
@@ -189,7 +218,7 @@ class CoalgebraOps:
     Each operator takes one basis tuple (m, c₀, …, cₙ), with M at position
     0 and cᵢ at position i+1, and returns its image as a ``{word tuple:
     coeff}`` dict read from the leg maps below, so the coproduct, coaction
-    and actions are evaluated once per basis word.
+    and actions are evaluated once per basis word, for every degree.
     """
 
     mc: ModuleComodule
@@ -197,10 +226,15 @@ class CoalgebraOps:
 
     def __post_init__(self):
         h, c = self.mc.hopf, self.c_mod.coalg
-        self.coact, self.m_act = coefficient_legs(self.mc)
+        self.coact, self.m_cols = coefficient_legs(self.mc)
         self.c_act = LegMap(lambda k: self.c_mod.act(h.from_word(k[0]), c.from_word(k[1])).terms)
+        self.c_cols = LegMap(lambda hw: leg_columns(lambda w: self.c_act[hw, w], c))
         self.c_cop = LegMap(lambda w: c.coproduct(c.from_word(w)).terms)
         self.c_eps = LegMap(lambda w: c.counit(c.from_word(w)))
+
+    def act_legs(self, w: tuple) -> list:
+        """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ c̃: m·h₀, hᵢ₊₁▹cᵢ."""
+        return [self.m_cols[w[0]]] + [self.c_cols[g] for g in w[1:]]
 
     def coface(self, n: int, i: int, wt: tuple) -> dict:
         """∂_i: degree n-1 chains to degree n chains, 0 <= i <= n."""
@@ -235,36 +269,24 @@ class CoalgebraOps:
 
 class RelativeTensorSpace:
     """M ⊗_H C^⊗(n+1) for a finite instance: the quotient of the ambient
-    basis by the relations mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ.
+    basis by the relations mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ, one per
+    basis tensor and h, built per h as (m ↦ mh) ⊗ id ⊗ … ⊗ id −
+    Σ id ⊗ h⁽¹⁾▹ ⊗ … ⊗ h⁽ⁿ⁺¹⁾▹ from the leg matrices of ``ops``, the
+    instance's one :class:`CoalgebraOps`."""
 
-    One relation per basis tensor and h, built as a sparse row from the
-    leg maps of :class:`CoalgebraOps`, with Δ⁽ⁿ⁺¹⁾h computed once per h."""
-
-    def __init__(self, mc: ModuleComodule, c_mod: HModuleCoalgebra, n: int):
-        if mc.space.finite_basis is None or c_mod.coalg.finite_basis is None:
+    def __init__(self, ops: CoalgebraOps, n: int):
+        mc, c, h = ops.mc, ops.c_mod.coalg, ops.mc.hopf
+        if mc.space.finite_basis is None or c.finite_basis is None:
             raise PreconditionError("relative tensor quotient needs finite carriers")
-        self.mc = mc
-        self.c_mod = c_mod
         self.n = n
-        h = mc.hopf
-        ops = CoalgebraOps(mc, c_mod)
-        self.basis = TensorBasis((mc.space,) + (c_mod.coalg,) * (n + 1))
-        sweeps = [
-            (hw, h.sweedler(h.from_word(hw), n + 1).terms)
-            for hw in h.normal_words(2, 2)
-            if hw != EMPTY_WORD
-        ]
-        rows = []
-        for wt in self.basis.tuples:
-            m, cs = wt[0], wt[1:]
-            for hw, dn in sweeps:
-                rel = {}
-                for mh, ca in ops.m_act[m, hw].items():
-                    _merge_term(rel, (mh,) + cs, ca)
-                for legs, ch in dn.items():
-                    add_tensor(rel, -ch, [{m: ONE}] + [ops.c_act[g, c] for g, c in zip(legs, cs)])
-                rows.append(self.basis.coords(rel))
-        self.quot = Quotient(rows, self.basis.dim)
+        self.basis = TensorBasis((mc.space,) + (c,) * (n + 1))
+        one = h.unit()
+
+        def relations(a):  # a ⊗ 1 ⊗ … ⊗ 1 − 1 ⊗ Δ⁽ⁿ⁺¹⁾a, acting on m ⊗ c̃
+            rel = tensor([a] + [one] * (n + 1)) - tensor([one]).outer(h.sweedler(a, n + 1))
+            return sweedler_sum(rel.terms, ops.act_legs, self.basis)
+
+        self.quot = diagonal_quotient(self.basis, h, relations)
 
     @property
     def dim(self):
@@ -397,8 +419,9 @@ class FiniteComplex:
 def build_coalgebra_instance(mc: ModuleComodule, c_mod: HModuleCoalgebra, top: int) -> FiniteComplex:
     """The coalgebra-side cocyclic object on the relative quotients
     Cⁿ_H(C, M) through degree ``top``."""
-    spaces = [RelativeTensorSpace(mc, c_mod, n) for n in range(top + 1)]
-    table = OperatorTable(CoalgebraOps(mc, c_mod), [sp.basis for sp in spaces])
+    ops = CoalgebraOps(mc, c_mod)
+    spaces = [RelativeTensorSpace(ops, n) for n in range(top + 1)]
+    table = OperatorTable(ops, [sp.basis for sp in spaces])
     return FiniteComplex(table, [sp.quot for sp in spaces])
 
 
@@ -581,14 +604,16 @@ class AlgebraChainOps:
 
     def __post_init__(self):
         h, alg = self.mc.hopf, self.a_mod.alg
-        self.coact, self.m_act = coefficient_legs(self.mc)
+        self.coact, self.m_cols = coefficient_legs(self.mc)
         self.mul = LegMap(lambda k: (alg.from_word(k[0]) * alg.from_word(k[1])).terms)
-        # (h, a) -> S⁻¹(h)a and S(h)a
+        # (h, a) -> S⁻¹(h)a
         self.inv_act = LegMap(
             lambda k: self.a_mod.act(h.inv_antipode(h.from_word(k[0])), alg.from_word(k[1])).terms
         )
-        self.s_act = LegMap(
-            lambda k: self.a_mod.act(h.antipode(h.from_word(k[0])), alg.from_word(k[1])).terms
+        self.s_cols = LegMap(
+            lambda hw: leg_columns(
+                lambda a: self.a_mod.act(h.antipode(h.from_word(hw)), alg.from_word(a)).terms, alg
+            )
         )
 
     def face(self, n: int, i: int, wt: tuple) -> dict:
@@ -621,32 +646,22 @@ class AlgebraChainOps:
                 _merge_term(out, (m0, t) + rest, cc * tc)
         return out
 
-    def diagonal_action(self, n: int, wt: tuple, d: TensorElt) -> dict:
-        """(m ⊗ ã)h = mh⁽¹⁾ ⊗ S(h⁽ⁿ⁺²⁾)a₀ ⊗ … ⊗ S(h⁽²⁾)aₙ, for ``d`` the
-        Sweedler tensor Δ⁽ⁿ⁺²⁾h (computed once per h by the caller)."""
-        out = {}
-        for legs, ch in d.terms.items():
-            factors = [self.m_act[wt[0], legs[0]]]
-            factors += [self.s_act[legs[n + 1 - i], wt[i + 1]] for i in range(n + 1)]
-            add_tensor(out, ch, factors)
-        return out
+    def act_legs(self, w: tuple) -> list:
+        """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ ã: m·h₀, S(hₙ₊₁₋ᵢ)aᵢ."""
+        return [self.m_cols[w[0]]] + [self.s_cols[g] for g in reversed(w[1:])]
 
     def quotient(self, n: int):
         """The degree-n chain basis and its quotient by span{xh − ε(h)x}
-        under the diagonal action, h over the nonempty normal words of
-        degree and index at most 2."""
+        under the diagonal action (m ⊗ ã)h = mh⁽¹⁾ ⊗ S(h⁽ⁿ⁺²⁾)a₀ ⊗ … ⊗
+        S(h⁽²⁾)aₙ (see :func:`diagonal_quotient`)."""
         h = self.mc.hopf
         basis = TensorBasis((self.mc.space,) + (self.a_mod.alg,) * (n + 1))
-        hs = [h.from_word(w) for w in h.normal_words(2, 2) if w != EMPTY_WORD]
-        sweeps = [(h.sweedler(a, n + 2), h.counit(a)) for a in hs]
-        rows = []
-        for wt in basis.tuples:
-            for d, eps in sweeps:
-                rel = self.diagonal_action(n, wt, d)
-                if eps:
-                    _merge_term(rel, wt, -eps)
-                rows.append(basis.coords(rel))
-        return basis, Quotient(rows, basis.dim)
+
+        def relations(a):
+            rel = h.sweedler(a, n + 2) - tensor([h.unit()] * (n + 2)).scale(h.counit(a))
+            return sweedler_sum(rel.terms, self.act_legs, basis)
+
+        return basis, diagonal_quotient(basis, h, relations)
 
 
 class AlgebraCochainInstance(FiniteComplex):

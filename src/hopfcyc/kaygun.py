@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EMPTY_WORD, TensorElt, word_str
+from .core import EMPTY_WORD, word_str
 from .coefficients import HModuleCoalgebra, ModuleComodule
 from .errors import UnsolvableError
 from .linalg import (
@@ -33,16 +33,14 @@ from .linalg import (
 from .cocyclic import (
     CoalgebraOps,
     FiniteComplex,
-    LegMap,
     OperatorTable,
     RelativeTensorSpace,
     TensorBasis,
-    add_tensor,
     check_cocyclic,
     cyclic_cohomology,
     descent_witness,
     mismatch,
-    op_matrix,
+    sweedler_sum,
 )
 
 SATURATION_BOUND = 50
@@ -54,8 +52,9 @@ class KaygunBridge:
     finite instance, degree by degree, as sparse columns
     (:data:`~hopfcyc.linalg.Columns`); the cocyclic operators come from one
     :class:`~hopfcyc.cocyclic.OperatorTable`, τ's powers and L_g are built
-    once per degree, and commutators are composed on the columns.  Nothing
-    is built before it is asked for."""
+    once per degree (L_g by :func:`~hopfcyc.cocyclic.sweedler_sum`), and
+    commutators are composed on the columns.  One ``ops`` serves the table,
+    L_g and the relative quotients.  Nothing is built before it is asked for."""
 
     mc: ModuleComodule
     c_mod: HModuleCoalgebra
@@ -68,30 +67,13 @@ class KaygunBridge:
             for n in range(self.top + 1)
         ]
         self.table = OperatorTable(self.ops, self.bases)
-        h = self.mc.hopf
-        space = self.mc.space
-        self.group_words = list(h.normal_words(1, 1))
-        # (m, g) -> m·S(g), the coefficient leg of L_g
-        self._m_antipode = LegMap(
-            lambda k: self.mc.act(space.from_word(k[0]), h.antipode(h.from_word(k[1]))).terms
-        )
+        self.group_words = list(self.mc.hopf.normal_words(1, 1))
         self._tau_pow = {}
         self._l = {}
         self._w = {}
         self._cm = {}
         self._rel = {}
         self._cm_inst = None
-
-    def l_action(self, d: TensorElt, wt: tuple) -> dict:
-        """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ on a degree-n basis
-        tuple, for ``d`` the Sweedler tensor Δ⁽ⁿ⁺²⁾g."""
-        c_act = self.ops.c_act
-        out = {}
-        for legs, ch in d.terms.items():
-            factors = [self._m_antipode[wt[0], legs[0]]]
-            factors += [c_act[g, c] for g, c in zip(legs[1:], wt[1:])]
-            add_tensor(out, ch, factors)
-        return out
 
     def tau_power(self, n: int, i: int):
         """τⁱ as an ambient matrix, built once per degree and exponent."""
@@ -105,11 +87,13 @@ class KaygunBridge:
         return self._tau_pow[key]
 
     def l_matrix(self, n: int, gw):
+        """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ as an ambient matrix,
+        built once per degree and g."""
         key = (n, gw)
         if key not in self._l:
             h = self.mc.hopf
-            d = h.sweedler(h.from_word(gw), n + 2)
-            self._l[key] = op_matrix(lambda x: self.l_action(d, x), self.bases[n], self.bases[n])
+            d = h.sweedler(h.from_word(gw), n + 2).leg_apply(1, h.antipode)
+            self._l[key] = sweedler_sum(d.terms, self.ops.act_legs, self.bases[n])
         return self._l[key]
 
     def commutator_matrix(self, n: int, gw, i: int):
@@ -170,7 +154,7 @@ class KaygunBridge:
         """The relative quotient Cⁿ_H of the same instance, built once per
         degree."""
         if n not in self._rel:
-            self._rel[n] = RelativeTensorSpace(self.mc, self.c_mod, n)
+            self._rel[n] = RelativeTensorSpace(self.ops, n)
         return self._rel[n]
 
 

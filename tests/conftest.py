@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from hopfcyc.coefficients import group_set_module_coalgebra
+from hopfcyc.coefficients import HModuleAlgebra, HModuleCoalgebra, group_set_module_coalgebra
+from hopfcyc.dsl import build_hopf, parse
 from hopfcyc.instances import (
     GroupData,
     GroupSetData,
@@ -59,3 +60,48 @@ def s3_group() -> GroupData:
 @pytest.fixture(scope="session")
 def s3():
     return s3_group()
+
+
+# Sweedler's 4-dimensional Hopf algebra: not cocommutative (Δx = x⊗1 + g⊗x
+# has two terms), and S ≠ S⁻¹ on x
+H4_TEXT = """
+hopf h4 {
+  generators g < x;
+  rule g g -> 1;
+  rule x x -> 0;
+  rule x g -> - g x;
+  coproduct g -> g(x)g;
+  coproduct x -> x(x)1 + g(x)x;
+  counit g -> 1;
+  counit x -> 0;
+  antipode g -> g;
+}
+"""
+
+
+@pytest.fixture(scope="session")
+def h4():
+    """H4 with its finite basis 1, g, x, g x."""
+    h = build_hopf(parse(H4_TEXT).hopfs[0])
+    h.finite_basis = h.normal_words(2, 2)
+    return h
+
+
+@pytest.fixture(scope="session")
+def h4_left(h4):
+    """H4 acting on itself by left multiplication, as a module coalgebra."""
+    return HModuleCoalgebra(h4, h4, lambda a, x: a * x)
+
+
+@pytest.fixture(scope="session")
+def h4_adjoint(h4):
+    """H4 acting on itself by the adjoint action h ▹ a = h⁽¹⁾ a S(h⁽²⁾), as
+    a module algebra."""
+
+    def adjoint(a, b):
+        out = h4.zero()
+        for (w1, w2), c in h4.coproduct(a).terms.items():
+            out = out + (h4.from_word(w1) * b * h4.antipode(h4.from_word(w2))).scale(c)
+        return out
+
+    return HModuleAlgebra(h4, h4, adjoint)

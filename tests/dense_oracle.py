@@ -71,6 +71,15 @@ def mat_mul(a, b):
     return out
 
 
+def kronecker(mats):
+    """A₀ ⊗ … ⊗ A_k of dense matrices, the last factor fastest: entry
+    (r·len(b) + s, j·len(b[0]) + t) of a ⊗ b is a[r][j]·b[s][t]."""
+    out = [[F1]]
+    for b in mats:
+        out = [[x * y for x in ra for y in rb] for ra in out for rb in b]
+    return out
+
+
 def mat_vec(a, v):
     nonzero = [(j, x) for j, x in enumerate(v) if x]
     return [sum((row[j] * x for j, x in nonzero), F0) for row in a]

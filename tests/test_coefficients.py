@@ -3,7 +3,6 @@ and the two compatibility counterexamples."""
 
 from hopfcyc import cocyclic
 from hopfcyc.coefficients import (
-    HModuleAlgebra,
     ayd_sides,
     build_coideal_quotient_bicrossed,
     check_ah_sayd,
@@ -23,7 +22,6 @@ from hopfcyc.coefficients import (
 )
 from hopfcyc.core import tensor
 from hopfcyc.cup import build_group_cup_instance
-from hopfcyc.dsl import build_hopf, parse
 from hopfcyc.hopf import Character, GroupLike
 from hopfcyc.instances import build_group_algebra, cyclic_group, modular_character
 
@@ -196,39 +194,13 @@ def test_trivial_coefficients_are_relative_sayd_but_not_sayd(bicrossed):
     assert plain["ayd"]["witnesses"][0] == {"m": "1", "h": "X", "difference": "-d[1]⊗1"}
 
 
-# Sweedler's 4-dimensional Hopf algebra: not cocommutative, and S ≠ S⁻¹
-# on x, so a module algebra over it can tell the two apart in the
-# A-relative condition
-H4_TEXT = """
-hopf h4 {
-  generators g < x;
-  rule g g -> 1;
-  rule x x -> 0;
-  rule x g -> - g x;
-  coproduct g -> g(x)g;
-  coproduct x -> x(x)1 + g(x)x;
-  counit g -> 1;
-  counit x -> 0;
-  antipode g -> g;
-}
-"""
-
-
-def test_h4_adjoint_action_tells_s_from_s_inverse():
-    h = build_hopf(parse(H4_TEXT).hopfs[0])
-    h.finite_basis = h.normal_words(2, 2)
+def test_h4_adjoint_action_tells_s_from_s_inverse(h4, h4_adjoint):
+    # a module algebra over H4 can tell S from S⁻¹ in the A-relative condition
+    h = h4
     assert len(h.finite_basis) == 4
     x = h.gen("x")
     assert (str(h.antipode(x)), str(h.inv_antipode(x))) == ("-g x", "g x")
-
-    def adjoint(a, b):
-        # h ▹ a = h⁽¹⁾ a S(h⁽²⁾)
-        out = h.zero()
-        for (w1, w2), c in h.coproduct(a).terms.items():
-            out = out + (h.from_word(w1) * b * h.antipode(h.from_word(w2))).scale(c)
-        return out
-
-    a_mod = HModuleAlgebra(h, h, adjoint)
+    a_mod = h4_adjoint
     assert a_mod.validate()["ok"]
     report = check_ah_sayd(mc_trivial(h), a_mod)
     assert not report["ayd"]["ok"]

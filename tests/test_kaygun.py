@@ -67,9 +67,9 @@ def test_quotients_built_once_per_degree(swap_cmod, monkeypatch):
     built = {"relative": [], "cm": 0}
     relative, quotient = kaygun.RelativeTensorSpace, kaygun.Quotient
 
-    def counting_relative(mc, c_mod, n):
+    def counting_relative(ops, n):
         built["relative"].append(n)
-        return relative(mc, c_mod, n)
+        return relative(ops, n)
 
     def counting_quotient(rows, dim):
         built["cm"] += 1
@@ -158,18 +158,19 @@ def test_s3_graded_iso_names_non_descending_operators(s3):
 
 
 def test_each_operator_matrix_is_built_once(monkeypatch, swap_cmod):
+    # table matrices are built by cocyclic.op_matrix, L_g by one
+    # sweedler_sum per degree and g
     calls = {"table": 0, "L": 0}
-    op_matrix = cocyclic.op_matrix
 
-    def spy(kind):
-        def counting(op, src, tgt):
+    def spy(kind, real):
+        def counting(*args):
             calls[kind] += 1
-            return op_matrix(op, src, tgt)
+            return real(*args)
 
         return counting
 
-    monkeypatch.setattr(cocyclic, "op_matrix", spy("table"))
-    monkeypatch.setattr(kaygun_module, "op_matrix", spy("L"))
+    monkeypatch.setattr(cocyclic, "op_matrix", spy("table", cocyclic.op_matrix))
+    monkeypatch.setattr(kaygun_module, "sweedler_sum", spy("L", kaygun_module.sweedler_sum))
     # a bridge builds nothing until it is asked
     KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=4)
     assert calls == {"table": 0, "L": 0}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcyc import cli, kaygun, linalg
-from hopfcyc.cocyclic import RelativeTensorSpace, build_coalgebra_instance
+from hopfcyc.cocyclic import CoalgebraOps, RelativeTensorSpace, build_coalgebra_instance
 from hopfcyc.coefficients import (
     group_set_module_coalgebra,
     mc_conjugation_group,
@@ -472,9 +472,11 @@ def test_regular_s3_relation_matrices(monkeypatch, s3, coefficients):
     else:
         mc = mc_conjugation_group(cmod.hopf, space, s3)
 
+    ops = CoalgebraOps(mc, cmod)
+
     def build():
         for n in (0, 1):
-            RelativeTensorSpace(mc, cmod, n)
+            RelativeTensorSpace(ops, n)
 
     mats = relation_matrices(monkeypatch, build)
     assert max(len(rows) * ncols for rows, _, ncols in mats) == 1080 * 216

@@ -8,7 +8,12 @@ with no memoized leg map.  Both routes are exact, so every matrix must agree
 entry for entry.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcyc.cocyclic import (
     AlgebraChainOps,
@@ -17,13 +22,17 @@ from hopfcyc.cocyclic import (
     OperatorTable,
     RelativeTensorSpace,
     TensorBasis,
+    kron,
     op_matrix,
 )
 from hopfcyc.coefficients import (
+    HModuleAlgebra,
     group_set_module_coalgebra,
     mc_conjugation_group,
     mc_graded_group,
+    mc_regular,
     mc_trivial,
+    scalar_space,
 )
 from hopfcyc.core import EMPTY_WORD, AlgElt, Generator, TensorElt, tensor
 from hopfcyc.cup import build_group_cup_instance
@@ -34,12 +43,13 @@ from hopfcyc.instances import (
     build_group_algebra,
     build_h1cop,
     cyclic_group,
+    swap_instance,
 )
 from hopfcyc.kaygun import KaygunBridge
-from hopfcyc.linalg import Quotient
+from hopfcyc.linalg import Quotient, identity_columns, orbit_rref
 from hopfcyc.rewrite import ConcreteRule, Presentation
 
-from dense_oracle import as_dense, dense, identity, mat_mul, mat_sub, sparse
+from dense_oracle import as_dense, dense, identity, kronecker, mat_mul, mat_sub, sparse
 
 
 # -- the symbolic route ----------------------------------------------------------
@@ -390,11 +400,16 @@ def test_kaygun_matrices_match_symbolic_route(coalgebra_instances, name, top):
                 assert as_dense(bridge.commutator_matrix(n, gw, i), basis.dim) == comm
 
 
+def basis_elt(basis, j):
+    """Basis tensor j read straight off its tuple, with no normalization."""
+    return TensorElt(basis.prs, {basis.tuples[j]: 1}, _normalized=True)
+
+
 def test_basis_elements_are_the_symbolic_tensors(coalgebra_instances):
     mc, c_mod, _ = coalgebra_instances["swap_graded"]
     basis = TensorBasis((mc.space,) + (c_mod.coalg,) * 3)
     for j in range(basis.dim):
-        assert basis.elt(j) == symbolic_elt(basis, j)
+        assert basis_elt(basis, j) == symbolic_elt(basis, j)
 
 
 def test_basis_word_outside_normal_form_is_refused():
@@ -456,7 +471,7 @@ def test_coproduct_word_memo_matches_letter_fold(which, bicrossed, s3):
 def test_relative_relations_match_symbolic_route(monkeypatch, coalgebra_instances, name, top):
     mc, c_mod, _ = coalgebra_instances[name]
     for n in range(top + 1):
-        rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(mc, c_mod, n))
+        rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(CoalgebraOps(mc, c_mod), n))
         assert rows == [sparse(row) for row in symbolic_relative_rows(mc, c_mod, n)]
 
 
@@ -467,3 +482,111 @@ def test_diagonal_relations_match_symbolic_route(monkeypatch, graded):
     for n in range(3):
         rows = recorded_relations(monkeypatch, lambda: ops.quotient(n))
         assert rows == [sparse(row) for row in symbolic_diagonal_rows(ci.mc, ci.a_mod, n)]
+
+
+# -- the diagonal actions on H4 ------------------------------------------------------
+# Δx = x⊗1 + g⊗x has two terms, so the Sweedler sums have several terms per
+# h; from degree 1 on, relation rows have more than two entries and Quotient
+# falls back on rref
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_h4_relative_relations_match_symbolic_route(monkeypatch, h4, h4_left, n):
+    mc = mc_regular(h4)
+    rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(CoalgebraOps(mc, h4_left), n))
+    assert rows == [sparse(row) for row in symbolic_relative_rows(mc, h4_left, n)]
+    assert (orbit_rref(rows) is None) == (n == 1)  # rref fallback from n = 1
+
+
+def test_h4_l_action_matches_symbolic_route(h4, h4_left):
+    mc = mc_regular(h4)
+    bridge = KaygunBridge(mc, h4_left, top=1)
+    assert len(bridge.group_words) == 4
+    for n in range(2):
+        basis = bridge.bases[n]
+        for gw in bridge.group_words:
+            g = h4.from_word(gw)
+            lg = symbolic_op_matrix(lambda x: symbolic_l_action(mc, h4_left, g, n, x), basis, basis)
+            assert as_dense(bridge.l_matrix(n, gw), basis.dim) == lg
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_h4_adjoint_diagonal_relations_match_symbolic_route(monkeypatch, h4, h4_adjoint, n):
+    mc = mc_regular(h4)
+    ops = AlgebraChainOps(mc, h4_adjoint)
+    rows = recorded_relations(monkeypatch, lambda: ops.quotient(n))
+    assert rows == [sparse(row) for row in symbolic_diagonal_rows(mc, h4_adjoint, n)]
+    assert (orbit_rref(rows) is None) == (n == 1)  # rref fallback from n = 1
+
+
+# -- Kronecker products of leg matrices ----------------------------------------------
+
+nonzero_entries = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6)),
+)
+
+
+@st.composite
+def leg_matrices(draw):
+    """1 to 4 sparse legs of 1 to 3 rows (one row, as a counit has) and 1 to
+    3 columns, each column empty or holding one or more entries."""
+    mats, dims = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        d, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        column = st.dictionaries(st.integers(0, d - 1), nonzero_entries, max_size=d)
+        mats.append(draw(st.lists(column, min_size=ncols, max_size=ncols)))
+        dims.append(d)
+    return mats, dims
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(leg_matrices())
+def test_kron_matches_dense_kronecker_product(data):
+    mats, dims = data
+    out = kron(mats, dims)
+    assert as_dense(out, math.prod(dims)) == kronecker([as_dense(m, d) for m, d in zip(mats, dims)])
+    assert all(x for col in out for x in col.values())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_kron_of_unit_legs_indexes_like_tensor_basis(legs):
+    # e_{i₀} ⊗ … ⊗ e_{i_k} is the basis tuple of the words at positions
+    # i₀, …, i_k, and identity legs give the identity of the tensor basis
+    carriers = [
+        scalar_space(),
+        group_set_module_coalgebra(swap_instance()).coalg,
+        build_group_algebra(cyclic_group(3)),
+        build_group_algebra(cyclic_group(2)),
+    ]
+    basis = TensorBasis([carriers[k] for k in legs])
+    positions = [{w: i for i, w in enumerate(p.basis_words())} for p in basis.prs]
+    for wt, j in basis.index.items():
+        units = [[{pos[w]: 1}] for pos, w in zip(positions, wt)]
+        assert kron(units, basis.dims) == [{j: 1}]
+    ids = [identity_columns(d) for d in basis.dims]
+    assert kron(ids, basis.dims) == identity_columns(basis.dim)
+
+
+def test_images_outside_the_finite_basis_are_refused():
+    # the swap set coalgebra cut down to its first point, and Z2 cut down to
+    # its unit: g ▹ a = b and S(g)·1 = g leave the bases, so every diagonal
+    # action refuses them as the operator columns do
+    cmod = group_set_module_coalgebra(swap_instance())
+    cmod.coalg.finite_basis = cmod.coalg.finite_basis[:1]
+    h = cmod.hopf
+    alg = build_group_algebra(cyclic_group(2), name="kG_cut")
+    alg.finite_basis = [EMPTY_WORD]
+    a_mod = HModuleAlgebra(h, alg, lambda x, a: alg.elt(dict(x.terms)) * a)
+    mc = mc_trivial(h)
+    bridge = KaygunBridge(mc, cmod, top=0)
+    (gw,) = [w for w in bridge.group_words if w]
+    builds = [
+        lambda: RelativeTensorSpace(CoalgebraOps(mc, cmod), 0),
+        lambda: bridge.l_matrix(0, gw),
+        lambda: AlgebraChainOps(mc, a_mod).quotient(0),
+    ]
+    for build in builds:
+        with pytest.raises(StructureError, match="outside the finite basis"):
+            build()
