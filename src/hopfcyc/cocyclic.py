@@ -100,7 +100,10 @@ class TensorBasis:
         for wt, c in terms.items():
             i = self.index.get(wt)
             if i is None:
-                raise StructureError(f"tensor term {wt} outside the finite basis")
+                names = " ⊗ ".join(repr(p.name) for p in self.prs)
+                raise StructureError(
+                    f"tensor term {'⊗'.join(map(word_str, wt))} outside the finite basis of {names}"
+                )
             out[i] = c
         return out
 

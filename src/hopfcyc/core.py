@@ -7,7 +7,11 @@ it or by :func:`_merge_term`.  The presented algebras of this tool have
 integer structure constants, so nearly all arithmetic stays on ``int``;
 an ``int`` and a ``Fraction`` of equal value compare and hash alike, and
 ``coeff_str`` renders both the same.  Every identity checked by this tool
-is exact, so there is no floating-point mode.  Elements
+is exact, so there is no floating-point mode.  Words are plain tuples
+of letters (:class:`Generator`); letters are interned and hash by
+identity, since words key every hot dict of the engine (the rewrite
+worklist and caches, the memos of the structure maps, the terms of every
+element), and a word then hashes at one pointer hash per letter.  Elements
 (:class:`AlgElt`) and tensors (:class:`TensorElt`) are immutable after
 construction and always stored in normal form with respect to the rewrite
 rules of the presentation they are tagged with.
@@ -26,15 +30,45 @@ ZERO = 0
 ONE = 1
 
 
-class Generator(NamedTuple):
-    """A named, optionally indexed letter (``X``, ``Y``, ``d[3]``).
+# (name, index) -> its one Generator, filled on first use
+_LETTERS: dict = {}
 
-    A tuple underneath, so hashing and equality run in C: looking up a word
-    of length L in a dict costs no Python frame per letter.
-    """
 
+# the fields; NamedTuple refuses a __new__ or _make in its own class body
+class _Letter(NamedTuple):
     name: str
     index: int | None = None
+
+
+class Generator(_Letter):
+    """A named, optionally indexed letter (``X``, ``Y``, ``d[3]``).
+
+    Interned: ``Generator(name, index)`` returns the one letter for that
+    pair, and so do ``_make``, ``_replace``, ``copy``, ``deepcopy`` and
+    unpickling.  A letter therefore hashes and compares by identity, in C:
+    hashing a word of length L costs L pointer hashes, not L tuple hashes.
+    Identity hashes change from run to run, so no report may follow the
+    iteration order of a set of letters or words.  Underneath it is the
+    tuple ``(name, index)``: fields, unpacking, ``<``, ``str`` and ``repr``
+    are a tuple's.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, index: int | None = None):
+        key = (name, index)
+        g = _LETTERS.get(key)
+        if g is None:
+            g = _LETTERS[key] = tuple.__new__(cls, key)
+        return g
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one (and so _replace) skips __new__
+        return cls(*iterable)
+
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
     def __str__(self):
         if self.index is None:

@@ -590,32 +590,3 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
 
 def build_file(ast: FileAST) -> dict:
     return {h.name: build_hopf(h) for h in ast.hopfs}
-
-
-def hopf_equivalent(a: HopfPresentation, b: HopfPresentation, degree: int = 2, index_bound: int = 3) -> bool:
-    """Structural agreement of two Hopf presentations: same alphabet and
-    precedence, identical normal forms on all products of letters up to the
-    given degree, and identical structure maps on the letters."""
-    if a.generators != b.generators:
-        return False
-    if a.ruleset.precedence != b.ruleset.precedence:
-        return False
-    letters = a.letters(index_bound)
-    words = [()]
-    frontier = [()]
-    for _ in range(degree):
-        frontier = [w + (g,) for w in frontier for g in letters]
-        words.extend(frontier)
-    for w in words:
-        if a.normalize_terms({w: 1}) != b.normalize_terms({w: 1}):
-            return False
-    for g in letters:
-        if a.gen_coproduct(g).terms != b.gen_coproduct(g).terms:
-            return False
-        if a.gen_counit(g) != b.gen_counit(g):
-            return False
-        if a.gen_antipode(g).terms != b.gen_antipode(g).terms:
-            return False
-        if a.gen_inv_antipode(g).terms != b.gen_inv_antipode(g).terms:
-            return False
-    return True

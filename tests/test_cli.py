@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hopfcyc import cli
 from hopfcyc.core import Generator
 from hopfcyc.errors import ParseError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, argv):
@@ -129,6 +132,16 @@ def run_main(argv, *patch, env=None):
         text=True,
         env={**os.environ, **(env or {})},
     )
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("command", ["verify-hopf", "reproduce-paper"])
+def test_reports_do_not_depend_on_hash_order(command, seed):
+    # letters hash by identity and strings by the seed, so neither the
+    # seed nor memory layout may reach the order of a report
+    proc = run_main([command], env={"PYTHONHASHSEED": seed})
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / f"{command}.json").read_text(encoding="utf-8")
 
 
 def test_file_rejected_where_unread(tmp_path):

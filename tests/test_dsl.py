@@ -17,6 +17,35 @@ from hopfcyc.instances import build_h1cop
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def hopf_equivalent(a, b, degree: int = 2, index_bound: int = 3) -> bool:
+    """Structural agreement of two Hopf presentations: same alphabet and
+    precedence, identical normal forms on all products of letters up to the
+    given degree, and identical structure maps on the letters."""
+    if a.generators != b.generators:
+        return False
+    if a.ruleset.precedence != b.ruleset.precedence:
+        return False
+    letters = a.letters(index_bound)
+    words = [()]
+    frontier = [()]
+    for _ in range(degree):
+        frontier = [w + (g,) for w in frontier for g in letters]
+        words.extend(frontier)
+    for w in words:
+        if a.normalize_terms({w: 1}) != b.normalize_terms({w: 1}):
+            return False
+    for g in letters:
+        if a.gen_coproduct(g).terms != b.gen_coproduct(g).terms:
+            return False
+        if a.gen_counit(g) != b.gen_counit(g):
+            return False
+        if a.gen_antipode(g).terms != b.gen_antipode(g).terms:
+            return False
+        if a.gen_inv_antipode(g).terms != b.gen_inv_antipode(g).terms:
+            return False
+    return True
+
+
 def shipped_text() -> str:
     return (
         importlib.resources.files("hopfcyc") / "data" / "h1cop.hopf"
@@ -34,7 +63,7 @@ def test_shipped_file_round_trips():
 def test_shipped_file_builds_h1cop():
     ast = dsl.parse(shipped_text())
     built = dsl.build_hopf(ast.hopfs[0])
-    assert dsl.hopf_equivalent(built, build_h1cop())
+    assert hopf_equivalent(built, build_h1cop())
     # the ladder rule reproduces derived entries
     ref = build_h1cop()
     for k in (2, 3):
@@ -52,7 +81,7 @@ def assert_optional(capsys, tmp_path, dropped):
         if not line.lstrip().startswith(dropped)
     )
     ast = dsl.parse(text)
-    assert dsl.hopf_equivalent(dsl.build_hopf(ast.hopfs[0]), build_h1cop())
+    assert hopf_equivalent(dsl.build_hopf(ast.hopfs[0]), build_h1cop())
     path = tmp_path / "h1cop.hopf"
     path.write_text(text, encoding="utf-8")
     assert cli.run(["verify-hopf", "--file", str(path)]) == 0

@@ -582,11 +582,19 @@ def test_images_outside_the_finite_basis_are_refused():
     mc = mc_trivial(h)
     bridge = KaygunBridge(mc, cmod, top=0)
     (gw,) = [w for w in bridge.group_words if w]
+    # the term is rendered as TensorElt.__str__ renders it, and the message
+    # names the carriers of the basis it left
     builds = [
-        lambda: RelativeTensorSpace(CoalgebraOps(mc, cmod), 0),
-        lambda: bridge.l_matrix(0, gw),
-        lambda: AlgebraChainOps(mc, a_mod).quotient(0),
+        (lambda: RelativeTensorSpace(CoalgebraOps(mc, cmod), 0), "b", "'CX'"),
+        (lambda: bridge.l_matrix(0, gw), "b", "'CX'"),
+        (lambda: AlgebraChainOps(mc, a_mod).quotient(0), "g", "'kG_cut'"),
     ]
-    for build in builds:
-        with pytest.raises(StructureError, match="outside the finite basis"):
+    for build, term, carriers in builds:
+        with pytest.raises(StructureError) as err:
             build()
+        assert str(err.value) == f"tensor term {term} outside the finite basis of {carriers}"
+    # two legs are joined by ⊗, as in a TensorElt
+    (a,) = cmod.coalg.finite_basis
+    with pytest.raises(StructureError) as err:
+        TensorBasis([cmod.coalg, alg]).coords({(a, EMPTY_WORD): 1, ((Generator("b"),), EMPTY_WORD): 1})
+    assert str(err.value) == "tensor term b⊗1 outside the finite basis of 'CX' ⊗ 'kG_cut'"
