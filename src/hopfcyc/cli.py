@@ -365,8 +365,11 @@ def run(argv=None) -> int:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise PreconditionError(f"cannot write --json {args.json_out}: {e.strerror}") from None
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     if isinstance(result, dict) and result.get("ok") is False:
         raise PreconditionError(f"{args.command}: checks failed")

@@ -20,10 +20,10 @@ through top of both sides of :class:`~hopfcyc.cup.CupData`.
 
 Chain operators are evaluated on basis tuples from leg maps: the
 coproduct, coaction and actions of the carriers, each evaluated once per
-word by a :class:`LegMap` and kept by the operator object.  A basis tuple
-holds one carrier word per leg, 0-based: the coefficient word at position
-0 and cᵢ (or aᵢ) at position i+1.  An operator takes one tuple and returns
-its image as a ``{word tuple: coeff}`` dict, with no
+word by a :class:`~hopfcyc.core.Memo` kept by the operator object.  A
+basis tuple holds one carrier word per leg, 0-based: the coefficient word
+at position 0 and cᵢ (or aᵢ) at position i+1.  An operator takes one
+tuple and returns its image as a ``{word tuple: coeff}`` dict, with no
 :class:`~hopfcyc.core.TensorElt` in between; :meth:`TensorBasis.coords`
 refuses any image outside the target basis.  This is sound because
 presentations are immutable once built (their rules are fixed, which is
@@ -52,7 +52,7 @@ from functools import partial
 from itertools import product as iproduct
 from typing import Callable, Mapping, Optional
 
-from .core import EMPTY_WORD, ONE, TensorElt, _merge_term, tensor, word_str
+from .core import EMPTY_WORD, ONE, Memo, TensorElt, _merge_term, tensor, word_str
 from .coefficients import HModuleAlgebra, HModuleCoalgebra, ModuleComodule
 from .errors import PreconditionError, StructureError
 from .linalg import (
@@ -140,28 +140,6 @@ def descent_witness(labels: list, where: str = "") -> list:
 # -- leg maps -------------------------------------------------------------------
 
 
-class LegMap(dict):
-    """A map evaluated once per argument, such as a structure map of one
-    carrier, or the induced operators of a :class:`FiniteComplex`.
-
-    ``leg_map[key]`` calls ``f(key)`` on the first lookup and keeps the
-    result: a ``word -> coeff`` dict (keyed by word pairs for a coaction or
-    coproduct), a scalar for a counit, or a :func:`leg_columns` matrix.  Keys
-    are normal words, or tuples of them, of immutable presentations, and the
-    maps are linear, so operators built from leg maps equal the symbolic ones.
-    """
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, key):
-        val = self[key] = self.f(key)
-        return val
-
-
 def leg_columns(f: Callable[[tuple], Mapping], carrier) -> Columns:
     """A linear map of a finite carrier as sparse columns over its basis
     positions: column j holds the coordinates of ``f(w)``, a ``word ->
@@ -206,8 +184,8 @@ def coefficient_legs(mc: ModuleComodule):
     """The leg maps of the coefficients: ``coact[m]`` = m⟨-1⟩ ⊗ m⟨0⟩ on
     words, and ``act[h]`` the columns of m ↦ m·h on the basis of M."""
     h, sp = mc.hopf, mc.space
-    coact = LegMap(lambda m: mc.coact(sp.from_word(m)).terms)
-    act = LegMap(lambda hw: leg_columns(lambda m: mc.act(sp.from_word(m), h.from_word(hw)).terms, sp))
+    coact = Memo(lambda m: mc.coact(sp.from_word(m)).terms)
+    act = Memo(lambda hw: leg_columns(lambda m: mc.act(sp.from_word(m), h.from_word(hw)).terms, sp))
     return coact, act
 
 
@@ -230,10 +208,10 @@ class CoalgebraOps:
     def __post_init__(self):
         h, c = self.mc.hopf, self.c_mod.coalg
         self.coact, self.m_cols = coefficient_legs(self.mc)
-        self.c_act = LegMap(lambda k: self.c_mod.act(h.from_word(k[0]), c.from_word(k[1])).terms)
-        self.c_cols = LegMap(lambda hw: leg_columns(lambda w: self.c_act[hw, w], c))
-        self.c_cop = LegMap(lambda w: c.coproduct(c.from_word(w)).terms)
-        self.c_eps = LegMap(lambda w: c.counit(c.from_word(w)))
+        self.c_act = Memo(lambda k: self.c_mod.act(h.from_word(k[0]), c.from_word(k[1])).terms)
+        self.c_cols = Memo(lambda hw: leg_columns(lambda w: self.c_act[hw, w], c))
+        self.c_cop = Memo(lambda w: c.coproduct(c.from_word(w)).terms)
+        self.c_eps = Memo(lambda w: c.counit(c.from_word(w)))
 
     def act_legs(self, w: tuple) -> list:
         """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ c̃: m·h₀, hᵢ₊₁▹cᵢ."""
@@ -299,7 +277,7 @@ class RelativeTensorSpace:
         return self.quot.contains_in_relations(self.basis.coords(te.terms))
 
 
-class OperatorTable(dict):
+class OperatorTable(Memo):
     """The ambient matrices of the operators of one (co)simplicial object,
     built by :func:`op_matrix` on first use and kept.
 
@@ -318,20 +296,23 @@ class OperatorTable(dict):
     }
 
     def __init__(self, ops, bases, chains=False):
-        super().__init__()
+        bases = list(bases)
+
+        # the fill holds ops and bases but not the table, so a table no
+        # longer used is freed at once, not held in a cycle until a gc pass
+        def build(key) -> Columns:
+            src, tgt = OperatorTable.degrees(key)
+            return op_matrix(partial(getattr(ops, key[0]), *key[1:]), bases[src], bases[tgt])
+
+        super().__init__(build)
         self.ops = ops
-        self.bases = list(bases)
+        self.bases = bases
         self.chains = chains
 
-    def degrees(self, key) -> tuple:
-        s, t = self.SHIFTS[key[0]]
+    @staticmethod
+    def degrees(key) -> tuple:
+        s, t = OperatorTable.SHIFTS[key[0]]
         return key[1] + s, key[1] + t
-
-    def __missing__(self, key):
-        src, tgt = self.degrees(key)
-        op = partial(getattr(self.ops, key[0]), *key[1:])
-        val = self[key] = op_matrix(op, self.bases[src], self.bases[tgt])
-        return val
 
 
 class FiniteComplex:
@@ -357,9 +338,9 @@ class FiniteComplex:
         self.verified = False
         self._failures = {}
         fc, fd, ft = self.names = self.NAMES[self.chains]
-        self.coface = LegMap(lambda k: self.induce(fc, *k))
-        self.codeg = LegMap(lambda k: self.induce(fd, *k))
-        self.tau = LegMap(lambda n: self.induce(ft, n))
+        self.coface = Memo(lambda k: self.induce(fc, *k))
+        self.codeg = Memo(lambda k: self.induce(fd, *k))
+        self.tau = Memo(lambda n: self.induce(ft, n))
 
     def induce(self, *key) -> Columns:
         """The matrix of ``table[key]`` induced on the quotients (its
@@ -608,12 +589,12 @@ class AlgebraChainOps:
     def __post_init__(self):
         h, alg = self.mc.hopf, self.a_mod.alg
         self.coact, self.m_cols = coefficient_legs(self.mc)
-        self.mul = LegMap(lambda k: (alg.from_word(k[0]) * alg.from_word(k[1])).terms)
+        self.mul = Memo(lambda k: (alg.from_word(k[0]) * alg.from_word(k[1])).terms)
         # (h, a) -> S⁻¹(h)a
-        self.inv_act = LegMap(
+        self.inv_act = Memo(
             lambda k: self.a_mod.act(h.inv_antipode(h.from_word(k[0])), alg.from_word(k[1])).terms
         )
-        self.s_cols = LegMap(
+        self.s_cols = Memo(
             lambda hw: leg_columns(
                 lambda a: self.a_mod.act(h.antipode(h.from_word(hw)), alg.from_word(a)).terms, alg
             )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable
 
-from .core import AlgElt, EMPTY_WORD, Generator, TensorElt, tensor
+from .core import AlgElt, EMPTY_WORD, Generator, Memo, TensorElt, tensor
 from .errors import PreconditionError, StructureError
 from .hopf import Character, GroupLike, HopfPresentation
 from .rewrite import Presentation
@@ -390,6 +390,10 @@ def check_sayd(mc: ModuleComodule, degree: int = 2, index_bound: int = 2) -> dic
     return _sayd_report(ayd_fails, st_fails)
 
 
+# chains per n that check_ch_sayd tests for stability
+MAX_STABILITY_CHAINS = 64
+
+
 def check_ch_sayd(
     mc: ModuleComodule,
     c_mod: HModuleCoalgebra,
@@ -407,7 +411,10 @@ def check_ch_sayd(
     :class:`~hopfcyc.cocyclic.RelativeTensorSpace` is decided exactly
     (finite carriers only).  That subspace is the one the cohomology
     divides by (h up to degree and index 2); ``degree`` and
-    ``index_bound`` select the samples only.
+    ``index_bound`` select the samples only.  Stability is checked on every
+    chain of sampled c's of length n + 1 for n = 0..``max_chain``, at most
+    ``MAX_STABILITY_CHAINS`` chains per n; more raises
+    :class:`PreconditionError`.
     """
     from .cocyclic import CoalgebraOps, RelativeTensorSpace
 
@@ -420,10 +427,14 @@ def check_ch_sayd(
     st_fails = []
     finite = mc.space.finite_basis is not None and c.finite_basis is not None
     ops = CoalgebraOps(mc, c_mod)
+    rels = Memo(lambda n: RelativeTensorSpace(ops, n))
     for n in range(max_chain + 1):
-        chain_sets = iproduct(cs, repeat=n + 1) if len(cs) ** (n + 1) <= 64 else []
-        rel = None
-        for chain in chain_sets:
+        if len(cs) ** (n + 1) > MAX_STABILITY_CHAINS:
+            raise PreconditionError(
+                f"ch-SAYD stability at n={n} needs {len(cs) ** (n + 1)} chains,"
+                f" over the bound of {MAX_STABILITY_CHAINS}; lower max_chain"
+            )
+        for chain in iproduct(cs, repeat=n + 1):
             for m in ms:
                 cm = mc.coact(m)
                 left = tensor([m]).outer(tensor(chain)).scale(0)
@@ -441,9 +452,7 @@ def check_ch_sayd(
                 if not finite:
                     st_fails.append({"n": n, "m": str(m), "difference": str(diff)})
                     continue
-                if rel is None:
-                    rel = RelativeTensorSpace(ops, n)
-                if not rel.contains(diff):
+                if not rels[n].contains(diff):
                     st_fails.append({"n": n, "m": str(m), "difference": str(diff)})
 
     return _sayd_report(ayd_fails, st_fails)

@@ -11,7 +11,8 @@ is exact, so there is no floating-point mode.  Words are plain tuples
 of letters (:class:`Generator`); letters are interned and hash by
 identity, since words key every hot dict of the engine (the rewrite
 worklist and caches, the memos of the structure maps, the terms of every
-element), and a word then hashes at one pointer hash per letter.  Elements
+element), and a word then hashes at one pointer hash per letter.  Values
+computed once per key are kept in a :class:`Memo`.  Elements
 (:class:`AlgElt`) and tensors (:class:`TensorElt`) are immutable after
 construction and always stored in normal form with respect to the rewrite
 rules of the presentation they are tagged with.
@@ -30,7 +31,8 @@ ZERO = 0
 ONE = 1
 
 
-# (name, index) -> its one Generator, filled on first use
+# (name, index) -> its one Generator; a plain dict, not a Memo, since
+# letters are interned in Generator.__new__, its one reader and writer
 _LETTERS: dict = {}
 
 
@@ -80,6 +82,30 @@ class Generator(_Letter):
 Word = tuple  # tuple[Generator, ...]
 
 EMPTY_WORD: Word = ()
+
+
+class Memo(dict):
+    """A map evaluated once per key, the engine's per-key cache.
+
+    ``memo[key]`` calls ``f(key)`` on the first lookup and keeps the result,
+    None included; a call that raises keeps nothing, so the next lookup
+    tries again.  ``in`` and ``.get`` read only what is kept and never call
+    ``f``, and entries may be set by hand, as the builders set generator
+    tables.  Sound for the maps it holds because presentations are
+    immutable once built, their elements and tensors are immutable, and
+    every value is fixed by its key: callers share a kept value and only
+    read it.
+    """
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        val = self[key] = self.f(key)
+        return val
 
 
 def gen_key(g: Generator):

@@ -84,30 +84,24 @@ def build_group_cup_instance(
     h = c_mod.hopf
     alg = build_function_algebra(group.elements, name="FunG")
 
-    def point(word):
-        return word[0].name[2:]
+    def translation(label: Callable[[tuple], str]):
+        """x . e_z = e_{z x^{-1}}, ``label`` naming the x of a word."""
 
-    def h_act(a: AlgElt, f: AlgElt) -> AlgElt:
-        # g . e_x = e_{x g^{-1}}
-        out = alg.zero()
-        for hw, hc in a.terms.items():
-            g = group.identity if hw == () else hw[0].name
-            gi = group.inverse(g)
-            for fw, fc in f.terms.items():
-                out = out + alg.gen(f"e_{group.mult[(point(fw), gi)]}").scale(hc * fc)
-        return out
+        def act(a: AlgElt, f: AlgElt) -> AlgElt:
+            out = alg.zero()
+            for aw, ac in a.terms.items():
+                xi = group.inverse(label(aw))
+                for fw, fc in f.terms.items():
+                    z = fw[0].name[2:]
+                    out = out + alg.gen(f"e_{group.mult[(z, xi)]}").scale(ac * fc)
+            return out
 
-    a_mod = HModuleAlgebra(h, alg, h_act)
+        return act
 
-    def c_on_a(c: AlgElt, f: AlgElt) -> AlgElt:
-        # x . e_z = e_{z x^{-1}}
-        out = alg.zero()
-        for cw, cc in c.terms.items():
-            x = cw[0].name
-            xi = group.inverse(x)
-            for fw, fc in f.terms.items():
-                out = out + alg.gen(f"e_{group.mult[(point(fw), xi)]}").scale(cc * fc)
-        return out
+    # the empty word is the identity of kG; C's words are single letters,
+    # the identity included
+    a_mod = HModuleAlgebra(h, alg, translation(lambda w: w[0].name if w else group.identity))
+    c_on_a = translation(lambda w: w[0].name)
 
     if graded:
         mc = mc_graded_group(h, build_group_algebra(group, name="kG_coeff"))

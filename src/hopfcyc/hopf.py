@@ -12,15 +12,17 @@ by Δ alone, needs an antipode table entry.
 
 The tables are filled before the first structure map is evaluated (the
 builders in :mod:`hopfcyc.instances` and :func:`hopfcyc.dsl.build_hopf`
-write them right after construction) and never change afterwards; hook and
-derived values are computed once and kept.  That is what lets Δ, S and S⁻¹
-of a word be memoized per presentation, on every prefix of the word
-(:meth:`HopfPresentation._by_prefix`): each is a fixed product of letter
-values, and elements and tensors are immutable.
+write them right after construction) and never change afterwards; a
+generator without an entry gets its hook, ladder or derived value on first
+use, kept in the same :class:`~hopfcyc.core.Memo` as the entries.  That is
+what lets Δ, S and S⁻¹ of a word be memoized per presentation, on every
+prefix of the word (:meth:`HopfPresentation._by_prefix`): each is a fixed
+product of letter values, and elements and tensors are immutable.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -28,6 +30,7 @@ from .core import (
     Coeff,
     EMPTY_WORD,
     Generator,
+    Memo,
     ONE,
     TensorElt,
     Word,
@@ -73,13 +76,17 @@ class HopfPresentation(Presentation):
             unit_terms=unit_terms,
             check_rules=check_rules,
         )
-        self._cop = dict(coproducts)
-        self._cou = {g: exact(c) for g, c in counits.items()}
-        self._ant: dict = {}  # generator -> S, derived on demand
-        self._inv: dict = {}  # generator -> S⁻¹, derived on demand
+        # generator -> Δ, ε, S and S⁻¹: a table entry, else made on first use
+        cop = partial(coproduct_hook, self) if coproduct_hook else partial(self._ladder, "coproduct")
+        cou = partial(counit_hook, self) if counit_hook else partial(self._ladder, "counit")
+        self._cop = Memo(cop)
+        self._cop.update(coproducts)
+        self._cou = Memo(lambda g: exact(cou(g)))
+        self._cou.update((g, exact(c)) for g, c in counits.items())
+        self._ant = Memo(partial(self._derive, inverse=False))
+        self._inv = Memo(partial(self._derive, inverse=True))
         self._pending: set = set()  # (map symbol, generator) being derived
-        self._cop_hook = coproduct_hook
-        self._cou_hook = counit_hook
+        # plain dicts, not Memos: a value extends its longest cached prefix
         self._cop_word_cache: dict = {}  # word -> coproduct_word(word)
         self._ant_word_cache: dict = {}  # word -> antipode_word(word)
         self._inv_word_cache: dict = {}  # word -> inv_antipode_word(word)
@@ -87,44 +94,31 @@ class HopfPresentation(Presentation):
     # -- generator tables -----------------------------------------------------
 
     def gen_coproduct(self, g: Generator) -> TensorElt:
-        val = self._cop.get(g)
-        if val is None:
-            hook = self._cop_hook
-            val = self._cop[g] = hook(self, g) if hook else self.coproduct(self._ladder(g, "coproduct"))
-        return val
+        return self._cop[g]
 
     def gen_counit(self, g: Generator) -> Coeff:
-        val = self._cou.get(g)
-        if val is None:
-            hook = self._cou_hook
-            val = self._cou[g] = exact(hook(self, g) if hook else self.counit(self._ladder(g, "counit")))
-        return val
+        return self._cou[g]
 
-    def _ladder(self, g: Generator, what: str) -> AlgElt:
-        """g = c⁻¹·(lhs − rest) by the rule that raises its index, in words
-        of lower index kept as written (:meth:`RuleSet.ladder`): Δ and ε are
-        algebra maps and read an element word by word.  Raises
-        :class:`UnsolvableError` when no rule raises the index of g."""
+    def _ladder(self, what: str, g: Generator):
+        """Δ(g) or ε(g), ``what`` naming the method, read off g = c⁻¹·(lhs −
+        rest) by the rule that raises its index, in words of lower index
+        kept as written (:meth:`RuleSet.ladder`): Δ and ε are algebra maps
+        and read an element word by word.  Raises :class:`UnsolvableError`
+        when no rule raises the index of g."""
         found = self.ruleset.ladder(g)
         if found is None:
             raise UnsolvableError(f"no {what} for generator {g} in {self.name!r}")
-        return AlgElt(self, found[1], _normalized=True)
+        return getattr(self, what)(AlgElt(self, found[1], _normalized=True))
 
     def gen_antipode(self, g: Generator) -> AlgElt:
         """S on a generator: its table entry, or derived from Δ(g) and
         memoized (:meth:`_derive`)."""
-        val = self._ant.get(g)
-        if val is None:
-            val = self._ant[g] = self._derive(g, inverse=False)
-        return val
+        return self._ant[g]
 
     def gen_inv_antipode(self, g: Generator) -> AlgElt:
         """S⁻¹ on a generator: a DSL ``inverse`` entry, or derived from Δ(g)
         and memoized (:meth:`_derive`)."""
-        val = self._inv.get(g)
-        if val is None:
-            val = self._inv[g] = self._derive(g, inverse=True)
-        return val
+        return self._inv[g]
 
     def _derive(self, g: Generator, inverse: bool) -> AlgElt:
         """S(g), or S⁻¹(g) when ``inverse``, from the coproduct of g.

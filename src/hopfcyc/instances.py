@@ -10,10 +10,10 @@ finite G-set, used by the cyclic-cohomology and cup-product machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import AlgElt, EMPTY_WORD, Generator, ONE, TensorElt, Word, _merge_term, exact, tensor
+from .core import AlgElt, EMPTY_WORD, Generator, Memo, ONE, TensorElt, Word, _merge_term, exact, tensor
 from .errors import StructureError
 from .hopf import Character, HopfPresentation
 from .rewrite import (
@@ -147,8 +147,11 @@ class MatchedPairData:
     gen_action: dict
     # u generator name -> TensorElt with legs (u, f)
     gen_coaction: dict
-    _act_cache: dict = field(default_factory=dict)
-    _coact_cache: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # (u word, f word) -> u ▹ f, and u word -> ∇(u)
+        self._act = Memo(lambda k: self._act_on_words(*k))
+        self._coact = Memo(self._coact_on_word)
 
     # action ------------------------------------------------------------------
 
@@ -159,10 +162,9 @@ class MatchedPairData:
         return fn(fg.index)
 
     def act_word(self, uw: Word, fw: Word) -> AlgElt:
-        key = (uw, fw)
-        cached = self._act_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._act[uw, fw]
+
+    def _act_on_words(self, uw: Word, fw: Word) -> AlgElt:
         if not uw:
             out = self.f.from_word(fw)
         elif not fw:
@@ -179,7 +181,6 @@ class MatchedPairData:
         else:
             # (u v) ▹ f = u ▹ (v ▹ f)
             out = self.act(self.u.from_word(uw[:1]), self.act_word(uw[1:], fw))
-        self._act_cache[key] = out
         return out
 
     def act(self, u: AlgElt, f: AlgElt) -> AlgElt:
@@ -192,9 +193,9 @@ class MatchedPairData:
     # coaction ----------------------------------------------------------------
 
     def coact_word(self, uw: Word) -> TensorElt:
-        cached = self._coact_cache.get(uw)
-        if cached is not None:
-            return cached
+        return self._coact[uw]
+
+    def _coact_on_word(self, uw: Word) -> TensorElt:
         if not uw:
             out = tensor([self.u.unit(), self.f.unit()])
         elif len(uw) == 1:
@@ -213,7 +214,6 @@ class MatchedPairData:
                         uleg = self.u.from_word(a0) * self.u.from_word(v0)
                         fleg = self.f.from_word(a1) * self.act_word(b, v1)
                         out = out + tensor([uleg, fleg]).scale(c * ca * cv)
-        self._coact_cache[uw] = out
         return out
 
     def coact(self, u: AlgElt) -> TensorElt:
@@ -354,7 +354,7 @@ class Bicrossed:
             cut += 1
         for g in w[cut:]:
             if g.name in fgens:
-                raise StructureError(f"word {w} is not straightened")
+                raise StructureError(f"word {w} is not an F block followed by a U block")
         return w[:cut], w[cut:]
 
     def project_u(self, e: AlgElt) -> AlgElt:
@@ -391,32 +391,23 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
     # the rule has no fixed first letter, so it is tried at every position
     # of every word; a segment's replacement is computed once (shared,
     # callers only read it)
-    straightened: dict = {}
-
     def straighten(seg: Word):
-        try:
-            return straightened[seg]
-        except KeyError:
-            pass
         ug, fg = seg
         if ug.name not in u.generators or fg.name not in f.generators:
-            out = None
-        else:
-            acc: dict = {}
-            for (a, b), c in u.gen_coproduct(ug).terms.items():
-                for fw, cf in mp.act_word(a, (fg,)).terms.items():
-                    w = fw + b
-                    acc[w] = acc.get(w, 0) + c * cf
-            out = {w: exact(c) for w, c in acc.items() if c}
-        straightened[seg] = out
-        return out
+            return None
+        acc: dict = {}
+        for (a, b), c in u.gen_coproduct(ug).terms.items():
+            for fw, cf in mp.act_word(a, (fg,)).terms.items():
+                w = fw + b
+                acc[w] = acc.get(w, 0) + c * cf
+        return {w: exact(c) for w, c in acc.items() if c}
 
     samples = []
     for ug in u.letters(1):
         for fg in f.letters(3):
             samples.append((ug, fg))
     rules = list(f.ruleset.rules) + list(u.ruleset.rules) + [
-        FunctionRule(2, straighten, samples=samples)
+        FunctionRule(2, Memo(straighten).__getitem__, samples=samples)
     ]
 
     def cop_hook(hp, g):

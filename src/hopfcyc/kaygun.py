@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EMPTY_WORD, word_str
+from .core import EMPTY_WORD, Memo, word_str
 from .coefficients import HModuleCoalgebra, ModuleComodule
 from .errors import UnsolvableError
 from .linalg import (
@@ -68,33 +68,33 @@ class KaygunBridge:
         ]
         self.table = OperatorTable(self.ops, self.bases)
         self.group_words = list(self.mc.hopf.normal_words(1, 1))
-        self._tau_pow = {}
-        self._l = {}
-        self._w = {}
-        self._cm = {}
-        self._rel = {}
+        self._tau_pow = Memo(lambda k: self._build_tau_power(*k))
+        self._l = Memo(lambda k: self._build_l(*k))
+        self._w = Memo(self._saturate)
+        self._cm = Memo(
+            lambda n: Quotient(self.w_rows(n) + self.l_coinvariance_rows(n), self.bases[n].dim)
+        )
+        self._rel = Memo(lambda n: RelativeTensorSpace(self.ops, n))
         self._cm_inst = None
 
     def tau_power(self, n: int, i: int):
         """τⁱ as an ambient matrix, built once per degree and exponent."""
-        key = (n, i)
-        if key not in self._tau_pow:
-            self._tau_pow[key] = (
-                identity_columns(self.bases[n].dim)
-                if i == 0
-                else mat_mul(self.table["tau", n], self.tau_power(n, i - 1))
-            )
-        return self._tau_pow[key]
+        return self._tau_pow[n, i]
+
+    def _build_tau_power(self, n: int, i: int):
+        if i == 0:
+            return identity_columns(self.bases[n].dim)
+        return mat_mul(self.table["tau", n], self.tau_power(n, i - 1))
 
     def l_matrix(self, n: int, gw):
         """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ as an ambient matrix,
         built once per degree and g."""
-        key = (n, gw)
-        if key not in self._l:
-            h = self.mc.hopf
-            d = h.sweedler(h.from_word(gw), n + 2).leg_apply(1, h.antipode)
-            self._l[key] = sweedler_sum(d.terms, self.ops.act_legs, self.bases[n])
-        return self._l[key]
+        return self._l[n, gw]
+
+    def _build_l(self, n: int, gw):
+        h = self.mc.hopf
+        d = h.sweedler(h.from_word(gw), n + 2).leg_apply(1, h.antipode)
+        return sweedler_sum(d.terms, self.ops.act_legs, self.bases[n])
 
     def commutator_matrix(self, n: int, gw, i: int):
         """[L_g, τⁱ] as an ambient matrix."""
@@ -110,8 +110,9 @@ class KaygunBridge:
         rows and the τ-images of a reduced span have at most two entries
         and each elimination takes :func:`~hopfcyc.linalg.orbit_rref`;
         :func:`~hopfcyc.linalg.rref` is the fallback for other rows."""
-        if n in self._w:
-            return self._w[n]
+        return self._w[n]
+
+    def _saturate(self, n: int):
         rows = []
         for gw in self.group_words:
             if gw == EMPTY_WORD:
@@ -124,7 +125,6 @@ class KaygunBridge:
             grown = span + [mat_vec(tau, v) for v in span]
             grown = (orbit_rref(grown) or rref(grown))[0]
             if len(grown) == len(span):
-                self._w[n] = span
                 return span
             span = grown
         raise UnsolvableError(f"W saturation did not stabilize at degree {n}")
@@ -144,17 +144,11 @@ class KaygunBridge:
 
     def cm_quotient(self, n: int) -> Quotient:
         """ℂ𝕄ⁿ = Cⁿ / (Wⁿ + span{L_g x − ε(g)x}), built once per degree."""
-        if n not in self._cm:
-            self._cm[n] = Quotient(
-                self.w_rows(n) + self.l_coinvariance_rows(n), self.bases[n].dim
-            )
         return self._cm[n]
 
     def relative_space(self, n: int) -> RelativeTensorSpace:
         """The relative quotient Cⁿ_H of the same instance, built once per
         degree."""
-        if n not in self._rel:
-            self._rel[n] = RelativeTensorSpace(self.ops, n)
         return self._rel[n]
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import AlgElt, EMPTY_WORD, Generator, ONE, Word, _merge_term, _scaled, exact
+from .core import AlgElt, EMPTY_WORD, Generator, Memo, ONE, Word, _merge_term, _scaled, exact
 from .errors import RewriteLimitError, StructureError, TerminationOrderError
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -144,7 +144,9 @@ class SchemaRule(Rule):
         self.first = self.lhs[0].name
         self.rhs = tuple((c, tuple(ws)) for c, ws in rhs)
         self.guard = guard
-        self._matches: dict = {}
+        # one segment recurs across the words of a normalization, so the
+        # replacement is kept per segment (shared; callers only read it)
+        self._matches = Memo(self._replacement)
 
     def _bind(self, segment: Word) -> Optional[dict]:
         binding: dict = {}
@@ -188,16 +190,11 @@ class SchemaRule(Rule):
         return out
 
     def match(self, segment: Word):
-        # one segment recurs across the words of a normalization, so the
-        # replacement is kept per segment (shared; callers only read it)
-        try:
-            return self._matches[segment]
-        except KeyError:
-            pass
+        return self._matches[segment]
+
+    def _replacement(self, segment: Word) -> Optional[dict]:
         binding = self._bind(segment)
-        repl = None if binding is None else self._instantiate(binding)
-        self._matches[segment] = repl
-        return repl
+        return None if binding is None else self._instantiate(binding)
 
     def _vars(self):
         vs = []
@@ -278,18 +275,6 @@ class FunctionRule(Rule):
 # -- rule sets ----------------------------------------------------------------
 
 
-class _HeapKeys(dict):
-    """Generator -> its ``order_key`` component, negated, filled on demand."""
-
-    def __init__(self, rank: dict):
-        super().__init__()
-        self.rank = rank
-
-    def __missing__(self, g: Generator):
-        key = self[g] = (-self.rank.get(g.name, len(self.rank)), -(g.index or 0))
-        return key
-
-
 class RuleSet:
     def __init__(self, rules: Sequence[Rule], precedence: Sequence[str]):
         self.rules = list(rules)
@@ -304,8 +289,12 @@ class RuleSet:
             if r.first is not None
         }
         self._back = max((r.lhs_len for r in self.rules), default=1) - 1
-        self._heap_keys = _HeapKeys(self._rank)
-        self._nf_cache: dict = {}  # whole input words of normalize_terms
+        rank = self._rank
+        # letter -> its order_key component, negated
+        self._heap_keys = Memo(lambda g: (-rank.get(g.name, len(rank)), -(g.index or 0)))
+        # a plain dict, not a Memo: filled only for the whole input words of
+        # normalize_terms, and read mid-worklist without filling
+        self._nf_cache: dict = {}
         self._steps = 0
         self._depth = 0
         self._limit = None  # read from the environment on the first rewrite
@@ -523,8 +512,8 @@ class Presentation:
             self.ruleset.check_all()
         self.finite_basis = list(finite_basis) if finite_basis is not None else None
         self.unit_terms = unit_terms
-        self._word_cache: dict = {}
-        self._elt_cache: dict = {}  # word -> from_word(word)
+        self._elts = Memo(lambda w: AlgElt(self, {w: ONE}))
+        self._normal = Memo(self._normal_words)
 
     # -- element constructors -------------------------------------------------
 
@@ -560,10 +549,7 @@ class Presentation:
         rules are fixed once the presentation is built and elements are
         immutable, so every call with the same word may return one shared
         element."""
-        e = self._elt_cache.get(word)
-        if e is None:
-            e = self._elt_cache[word] = AlgElt(self, {word: ONE})
-        return e
+        return self._elts[word]
 
     # -- bases ----------------------------------------------------------------
 
@@ -581,10 +567,10 @@ class Presentation:
         indexed families).  Finite presentations return their basis."""
         if self.finite_basis is not None:
             return list(self.finite_basis)
-        key = (max_degree, index_bound)
-        cached = self._word_cache.get(key)
-        if cached is not None:
-            return list(cached)
+        return list(self._normal[max_degree, index_bound])
+
+    def _normal_words(self, key: tuple) -> list:
+        max_degree, index_bound = key
         letters = self.letters(index_bound)
         words = [EMPTY_WORD]
         frontier = [EMPTY_WORD]
@@ -593,8 +579,7 @@ class Presentation:
             words.extend(frontier)
         normal = [w for w in words if self.ruleset._find(w) is None]
         normal.sort(key=self.ruleset.order_key)
-        self._word_cache[key] = normal
-        return list(normal)
+        return normal
 
     def basis_words(self):
         if self.finite_basis is None:

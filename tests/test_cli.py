@@ -166,6 +166,14 @@ def test_unreadable_file_is_a_precondition_error(tmp_path):
     assert proc.stderr.count("\n") == 1 and "not UTF-8" in proc.stderr
 
 
+def test_unwritable_json_is_a_precondition_error(tmp_path):
+    target = tmp_path / "no-such-dir" / "out.json"
+    proc = run_main(["check-sayd", "--json", str(target)])
+    assert proc.returncode == 8
+    assert proc.stderr == f"error: cannot write --json {target}: No such file or directory\n"
+    assert proc.stdout == (GOLDEN / "check-sayd.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

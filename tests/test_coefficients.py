@@ -2,7 +2,10 @@
 and the two compatibility counterexamples."""
 
 from hopfcyc import cocyclic
+import pytest
+
 from hopfcyc.coefficients import (
+    MAX_STABILITY_CHAINS,
     ayd_sides,
     build_coideal_quotient_bicrossed,
     check_ah_sayd,
@@ -22,6 +25,7 @@ from hopfcyc.coefficients import (
 )
 from hopfcyc.core import tensor
 from hopfcyc.cup import build_group_cup_instance
+from hopfcyc.errors import PreconditionError
 from hopfcyc.hopf import Character, GroupLike
 from hopfcyc.instances import build_group_algebra, cyclic_group, modular_character
 
@@ -294,12 +298,25 @@ def test_pushed_ayd_difference_matches_written_out_sides(bicrossed, swap_cmod, s
 
 
 def test_sayd_implies_relative_ayd(bicrossed, swap_cmod, s3):
-    checks = {c_side_oracle: check_ch_sayd, a_side_oracle: check_ah_sayd}
     seen = 0
-    for mc, carrier, oracle, _, degree, bound in relative_cases(bicrossed, swap_cmod, s3):
+    for mc, carrier, oracle, space, degree, bound in relative_cases(bicrossed, swap_cmod, s3):
         if not check_sayd(mc, degree=degree, index_bound=bound)["ayd"]["ok"]:
             continue
         seen += 1
-        report = checks[oracle](mc, carrier, degree=degree, index_bound=bound)
+        if oracle is c_side_oracle:
+            # the longest chains within the bound: n <= 1 on S3's 6 points, else 2
+            cs = len(space.normal_words(degree, bound))
+            fits = max(n for n in range(3) if cs ** (n + 1) <= MAX_STABILITY_CHAINS)
+            report = check_ch_sayd(mc, carrier, degree=degree, index_bound=bound, max_chain=fits)
+        else:
+            report = check_ah_sayd(mc, carrier, degree=degree, index_bound=bound)
         assert report["ayd"]["ok"], (mc.name, report)
     assert seen
+
+
+def test_ch_sayd_refuses_chains_over_its_bound(s3):
+    # S3 on itself, graded coefficients: 6 points give 6³ = 216 chains at n = 2
+    ci = build_group_cup_instance(s3, graded=True)
+    with pytest.raises(PreconditionError, match="at n=2 needs 216 chains, over the bound of 64"):
+        check_ch_sayd(ci.mc, ci.c_mod)
+    assert check_ch_sayd(ci.mc, ci.c_mod, max_chain=1)["stability"]["ok"]

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from hopfcyc import cli, dsl
-from hopfcyc.core import Generator, tensor, word_str
+from hopfcyc.core import Generator, Memo, tensor, word_str
 from hopfcyc.errors import StructureError
-from hopfcyc.rewrite import SchemaRule
+from hopfcyc.rewrite import IndexExpr, LetterPat, SchemaRule
 
 
 def rand_elt(h, rng, letters, degree=2):
@@ -162,3 +162,53 @@ def test_letters_render_and_order_as_tuples():
     assert sorted([d3, Generator("Y"), d2, x]) == [x, Generator("Y"), d2, d3]
     assert word_str((x, d2)) == "X d[2]"
     assert cli.jsonable({"w": [(x, d2)], "g": d3}) == {"w": [["X", "d[2]"]], "g": "d[3]"}
+
+
+def test_memo_fills_once_per_key_and_keeps_none():
+    calls = []
+    memo = Memo(lambda k: calls.append(k) or (None if k == "miss" else k * 2))
+    for _ in range(3):
+        assert memo["a"] == "aa"
+        assert memo["miss"] is None
+    assert calls == ["a", "miss"]
+    assert dict(memo) == {"a": "aa", "miss": None}
+
+
+def test_schema_rule_binds_a_segment_once_even_without_a_match():
+    k = IndexExpr(var="k")
+    rule = SchemaRule([LetterPat("X"), LetterPat("d", k)], [(1, (LetterPat("d", k), LetterPat("X")))])
+    bound = []
+    bind = rule._bind
+    rule._bind = lambda seg: bound.append(seg) or bind(seg)
+    miss, hit = (Generator("Y"), Generator("d", 1)), (Generator("X"), Generator("d", 2))
+    for _ in range(3):
+        assert rule.match(miss) is None
+        assert rule.match(hit) == {(Generator("d", 2), Generator("X")): 1}
+    assert bound == [miss, hit]
+
+
+def test_memo_keeps_nothing_from_a_fill_that_raises():
+    attempts = []
+
+    def fill(key):
+        attempts.append(key)
+        if len(attempts) < 3:
+            raise ValueError(key)
+        return key.upper()
+
+    memo = Memo(fill)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo["a"]
+        assert "a" not in memo
+    assert memo["a"] == "A" and memo["a"] == "A"
+    assert attempts == ["a"] * 3
+
+
+def test_memo_membership_and_get_never_fill():
+    memo = Memo(lambda key: pytest.fail(f"filled {key}"))
+    assert "a" not in memo
+    assert memo.get("a") is None and memo.get("a", 0) == 0
+    memo["a"] = None  # set by hand, as the builders set generator tables
+    assert "a" in memo and memo["a"] is None
+    assert dict(memo) == {"a": None}

@@ -88,3 +88,33 @@ def test_every_definition_in_src_is_reached():
     src = {f"src/{p.name}": p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     tests = {f"tests/{p.name}": p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
     assert unreached_definitions({**src, **tests}, src) == []
+
+
+def missing_definers(sources: dict) -> list:
+    """(file, class) of each class in ``sources`` (file -> text), nested
+    ones included, whose body defines ``__missing__``."""
+    return sorted(
+        (fname, node.name)
+        for fname, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "__missing__"
+            for item in node.body
+        )
+    )
+
+
+def test_missing_definers_are_found():
+    sources = {
+        "a.py": "class Memo(dict):\n    def __missing__(self, k):\n        pass\n\n\ndef f():\n    class Local(dict):\n        def __missing__(self, k):\n            pass\n",
+        "b.py": "class Table(Memo):\n    def build(self, k):\n        pass\n",
+    }
+    assert missing_definers(sources) == [("a.py", "Local"), ("a.py", "Memo")]
+
+
+def test_memo_is_the_only_dict_with_missing():
+    # one cache idiom: every per-key cache in src is a core.Memo, or a
+    # subclass that leaves __missing__ to it
+    src = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert missing_definers(src) == [("core.py", "Memo")]
