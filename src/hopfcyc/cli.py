@@ -117,7 +117,7 @@ def cmd_verify_hopf(args):
         # reports; it stays fixed so the reports stay byte-identical
         report[name] = {
             "axioms": h.verify_hopf_axioms(degree=degree),
-            "inverse_antipode": h.verify_inv_antipode(degree=min(degree, 2), index_bound=2),
+            "inverse_antipode": h.verify_inv_antipode(degree=min(degree, 2)),
         }
     if args.file:
         report["roundtrip"] = roundtrip
@@ -182,11 +182,9 @@ def cmd_check_mpi(args):
     eps = Character(h, {nm: 0 for nm in h.generators})
     one = GroupLike(h, h.unit(), h.unit())
     report = {
-        "coalgebra_quotient": check_mpi(
-            h, eps, one, bicrossed_module_coalgebra_u(bc), variant="CH"
-        ),
+        "coalgebra_quotient": check_mpi(h, eps, one, bicrossed_module_coalgebra_u(bc)),
         "algebra_carrier": check_mpi(
-            h, modular_character(h), one, bicrossed_module_algebra_f(bc), variant="AH"
+            h, modular_character(h), one, bicrossed_module_algebra_f(bc)
         ),
     }
     report["ok"] = all(v["ok"] for v in report.values())
@@ -194,10 +192,7 @@ def cmd_check_mpi(args):
 
 
 def cmd_quotient_coideal(args):
-    bc = build_bicrossed()
-    report = build_coideal_quotient_bicrossed(bc, None)
-    report.pop("quotient", None)
-    return report
+    return build_coideal_quotient_bicrossed(build_bicrossed())
 
 
 def cmd_check_cocyclic(args):
@@ -290,8 +285,7 @@ def cmd_reproduce_paper(args):
         )
 
     bc = build_bicrossed()
-    coideal = build_coideal_quotient_bicrossed(bc, None)
-    coideal.pop("quotient", None)
+    coideal = build_coideal_quotient_bicrossed(bc)
 
     return {
         "antipodes": antipodes,

@@ -284,9 +284,10 @@ class OperatorTable(Memo):
     ``table[name, n, i]`` is the i-th (co)face or (co)degeneracy of degree
     n and ``table[name, n]`` the cyclic operator, ``name`` being the method
     of ``ops`` that evaluates it: a :class:`CoalgebraOps` (cofaces,
-    codegeneracies and τ), or with ``chains`` an :class:`AlgebraChainOps`
-    (faces, degeneracies and T, which run the other way).  ``bases[n]`` is
-    the ambient basis in degree n.
+    codegeneracies and τ) or an :class:`AlgebraChainOps` (faces,
+    degeneracies and T, which run the other way).  ``bases[n]`` is the
+    ambient basis in degree n.  The direction, ``chains``, is read from
+    the type of ``ops``.
     """
 
     # (source, target) degree of each operator, relative to its n
@@ -295,7 +296,7 @@ class OperatorTable(Memo):
         "face": (0, -1), "degeneracy": (0, 1), "t": (0, 0),
     }
 
-    def __init__(self, ops, bases, chains=False):
+    def __init__(self, ops, bases):
         bases = list(bases)
 
         # the fill holds ops and bases but not the table, so a table no
@@ -305,9 +306,8 @@ class OperatorTable(Memo):
             return op_matrix(partial(getattr(ops, key[0]), *key[1:]), bases[src], bases[tgt])
 
         super().__init__(build)
-        self.ops = ops
         self.bases = bases
-        self.chains = chains
+        self.chains = isinstance(ops, AlgebraChainOps)
 
     @staticmethod
     def degrees(key) -> tuple:
@@ -656,8 +656,6 @@ class AlgebraCochainInstance(FiniteComplex):
     """
 
     def __init__(self, mc: ModuleComodule, a_mod: HModuleAlgebra, top: int):
-        self.mc = mc
-        self.a_mod = a_mod
-        self.ops = AlgebraChainOps(mc, a_mod)
-        bases, quots = zip(*(self.ops.quotient(n) for n in range(top + 1)))
-        super().__init__(OperatorTable(self.ops, bases, chains=True), quots)
+        ops = AlgebraChainOps(mc, a_mod)
+        bases, quots = zip(*(ops.quotient(n) for n in range(top + 1)))
+        super().__init__(OperatorTable(ops, bases), quots)

@@ -49,15 +49,16 @@ class ModuleComodule:
     act: Callable[[AlgElt, AlgElt], AlgElt]
     coact: Callable[[AlgElt], TensorElt]
 
-    def basis(self, degree: int = 1, index_bound: int = 2):
-        return [self.space.from_word(w) for w in self.space.normal_words(degree, index_bound)]
+    def basis(self):
+        """The carrier's normal words of degree at most 1, indices up to 2."""
+        return [self.space.from_word(w) for w in self.space.normal_words(1, 2)]
 
-    def validate(self, degree: int = 2, index_bound: int = 2) -> dict:
+    def validate(self) -> dict:
         """Module associativity/unit and comodule coassociativity/counit on
-        basis elements against normal words of bounded degree."""
+        basis elements against normal words of degree and index up to 2."""
         h = self.hopf
         ms = self.basis()
-        hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
+        hs = [h.from_word(w) for w in h.normal_words(2, 2)]
         checks = []
 
         fails = []
@@ -82,11 +83,11 @@ class ModuleComodule:
         return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-def mc_trivial(hopf: HopfPresentation, name: str = "trivial") -> ModuleComodule:
+def mc_trivial(hopf: HopfPresentation) -> ModuleComodule:
     """The carrier with the counit action and the unit coaction."""
-    space = scalar_space(name)
+    space = scalar_space("trivial")
     return ModuleComodule(
-        name,
+        "trivial",
         hopf,
         space,
         lambda m, h: m.scale(hopf.counit(h)),
@@ -94,16 +95,14 @@ def mc_trivial(hopf: HopfPresentation, name: str = "trivial") -> ModuleComodule:
     )
 
 
-def mc_regular(hopf: HopfPresentation, name: str = "regular") -> ModuleComodule:
+def mc_regular(hopf: HopfPresentation) -> ModuleComodule:
     """M = H with the multiplication action and the trivial coaction."""
     return ModuleComodule(
-        name, hopf, hopf, lambda m, h: m * h, lambda m: tensor([hopf.unit(), m])
+        "regular", hopf, hopf, lambda m, h: m * h, lambda m: tensor([hopf.unit(), m])
     )
 
 
-def mc_conjugation_group(
-    hopf: HopfPresentation, space: Presentation, group, name: str = "conjugation"
-) -> ModuleComodule:
+def mc_conjugation_group(hopf: HopfPresentation, space: Presentation, group) -> ModuleComodule:
     """A group-algebra carrier with the conjugation action m·g = g⁻¹mg and
     the grading coaction; stable anti-Yetter-Drinfeld for any finite group,
     commutative or not.  ``group`` supplies labels and the inverse map."""
@@ -123,10 +122,10 @@ def mc_conjugation_group(
                 out = out + from_label(space, conj).scale(mc * hc)
         return out
 
-    return ModuleComodule(name, hopf, space, act, mc_graded_group(hopf, space).coact)
+    return ModuleComodule("conjugation", hopf, space, act, mc_graded_group(hopf, space).coact)
 
 
-def mc_graded_group(hopf: HopfPresentation, space: Presentation, name: str = "graded") -> ModuleComodule:
+def mc_graded_group(hopf: HopfPresentation, space: Presentation) -> ModuleComodule:
     """A group-algebra-graded carrier: trivial action, coaction sending a
     basis word to (the same word read in H) ⊗ itself.  ``space`` must carry
     the same letters as the group algebra ``hopf``."""
@@ -138,7 +137,7 @@ def mc_graded_group(hopf: HopfPresentation, space: Presentation, name: str = "gr
         return out
 
     return ModuleComodule(
-        name, hopf, space, lambda m, h: m.scale(hopf.counit(h)), coact
+        "graded", hopf, space, lambda m, h: m.scale(hopf.counit(h)), coact
     )
 
 
@@ -158,10 +157,12 @@ class HModuleCoalgebra:
         """x ↦ x ▹ c: the leg map that carries an H leg into C."""
         return lambda x: self.act(x, c)
 
-    def validate(self, degree: int = 2, index_bound: int = 2) -> dict:
+    def validate(self) -> dict:
+        """Module and module-coalgebra axioms on normal words of degree and
+        index up to 2."""
         h, c = self.hopf, self.coalg
-        hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
-        cs = [c.from_word(w) for w in c.normal_words(degree, index_bound)]
+        hs = [h.from_word(w) for w in h.normal_words(2, 2)]
+        cs = [c.from_word(w) for w in c.normal_words(2, 2)]
         checks = []
 
         fails = []
@@ -210,10 +211,12 @@ class HModuleAlgebra:
         """x ↦ S⁻¹(x) ▹ a: the leg map that carries an H leg into A."""
         return lambda x: self.act(self.hopf.inv_antipode(x), a)
 
-    def validate(self, degree: int = 2, index_bound: int = 2) -> dict:
+    def validate(self) -> dict:
+        """Module and module-algebra axioms on normal words of degree and
+        index up to 2."""
         h, alg = self.hopf, self.alg
-        hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
-        xs = [alg.from_word(w) for w in alg.normal_words(degree, index_bound)]
+        hs = [h.from_word(w) for w in h.normal_words(2, 2)]
+        xs = [alg.from_word(w) for w in alg.normal_words(2, 2)]
         checks = []
 
         fails = []
@@ -278,29 +281,26 @@ def inv_antipode_via_twist(hopf: HopfPresentation, delta: Character, h: AlgElt) 
     return out
 
 
-def check_mpi(
-    hopf: HopfPresentation,
-    delta: Character,
-    sigma: GroupLike,
-    carrier,
-    variant: str = "CH",
-    degree: int = 2,
-    index_bound: int = 2,
-) -> dict:
-    """Modular pair in involution relative to a carrier.
+def check_mpi(hopf: HopfPresentation, delta: Character, sigma: GroupLike, carrier) -> dict:
+    """Modular pair in involution relative to a carrier, whose type picks
+    the condition:
 
-    CH variant (module coalgebra C): S_δ²(h) ▹ c = (σ h σ⁻¹) ▹ c.
-    AH variant (module algebra A): S_δ⁻²(h) ▹ a = (σ⁻¹ h σ) ▹ a.
+    module coalgebra C (:class:`HModuleCoalgebra`): S_δ²(h) ▹ c = (σ h σ⁻¹) ▹ c;
+    module algebra A (:class:`HModuleAlgebra`): S_δ⁻²(h) ▹ a = (σ⁻¹ h σ) ▹ a.
+
+    Both h and c (or a) run over the normal words of degree and index up
+    to 2.
     """
     if delta(sigma.elt) != 1:
         return {"ok": False, "witnesses": ["character is not 1 on the group-like"]}
     h = hopf
-    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
-    space = carrier.coalg if variant == "CH" else carrier.alg
-    cs = [space.from_word(w) for w in space.normal_words(degree, index_bound)]
+    hs = [h.from_word(w) for w in h.normal_words(2, 2)]
+    coalgebra = isinstance(carrier, HModuleCoalgebra)
+    space = carrier.coalg if coalgebra else carrier.alg
+    cs = [space.from_word(w) for w in space.normal_words(2, 2)]
     fails = []
     for a in hs:
-        if variant == "CH":
+        if coalgebra:
             twisted = s_delta(h, delta, s_delta(h, delta, a))
             conj = sigma.conjugate(a)
         else:
@@ -509,19 +509,20 @@ def check_ah_sayd(
 # -- coideal quotients ---------------------------------------------------------
 
 
-def build_coideal_quotient_bicrossed(bc, delta: Character, degree: int = 3, index_bound: int = 3) -> dict:
+def build_coideal_quotient_bicrossed(bc) -> dict:
     """The coideal quotient of H = F ▷◁ U by I = ker(ε ▷◁ id).
 
     The quotient map φ(f ▷◁ u) = ε(f)u identifies H/I with U; the report
-    verifies that φ is a coalgebra map, that the induced action is
-    (f ▷◁ u)·v = ε(f)uv on generators, and that S²(Xⁿ) − Xⁿ lies in the
-    kernel for n ≤ 4.
+    verifies that φ is a coalgebra map on the normal words of degree and
+    index up to 3, that the induced action is (f ▷◁ u)·v = ε(f)uv on
+    generators, that S²(Xⁿ) − Xⁿ lies in the kernel for n ≤ 4, and that
+    (ε, 1) is a modular pair in involution on the quotient.
     """
     h, u = bc.hopf, bc.mp.u
     checks = []
 
     fails = []
-    for w in h.normal_words(degree, index_bound):
+    for w in h.normal_words(3, 3):
         e = h.from_word(w)
         lhs = u.coproduct(bc.project_u(e))
         rhs = h.coproduct(e).leg_apply(1, bc.project_u).leg_apply(2, bc.project_u)
@@ -550,53 +551,23 @@ def build_coideal_quotient_bicrossed(bc, delta: Character, degree: int = 3, inde
             fails.append(f"n={n}: {img}")
     checks.append({"name": "S²(Xⁿ) − Xⁿ in the kernel", "ok": not fails, "witnesses": fails})
 
-    quotient_coalgebra = bicrossed_module_coalgebra_u(bc)
-    if delta is None:
-        delta = Character(
-            h, {nm: ((lambda k: 0) if fam else 0) for nm, fam in h.generators.items()}
-        )
-    mpi = check_mpi(
-        h,
-        delta,
-        GroupLike(h, h.unit(), h.unit()),
-        quotient_coalgebra,
-        variant="CH",
-        degree=2,
-        index_bound=2,
-    )
+    eps = Character(h, {nm: ((lambda k: 0) if fam else 0) for nm, fam in h.generators.items()})
+    mpi = check_mpi(h, eps, GroupLike(h, h.unit(), h.unit()), bicrossed_module_coalgebra_u(bc))
     checks.append({"name": "modular pair in involution on the quotient", **mpi})
 
-    return {"ok": all(c["ok"] for c in checks), "checks": checks, "quotient": quotient_coalgebra}
-
-
-def _bicrossed_act_on_u(bc, a: AlgElt, v: AlgElt) -> AlgElt:
-    """(f ▷◁ u) ▹ v = ε(f) u v, the induced action on the quotient U."""
-    out = bc.mp.u.zero()
-    for w, c in a.terms.items():
-        fw, uw = bc.split_word(w)
-        if fw == EMPTY_WORD:
-            out = out + (bc.mp.u.from_word(uw) * v).scale(c)
-    return out
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 def bicrossed_module_coalgebra_u(bc) -> HModuleCoalgebra:
-    """C = U as a module coalgebra over the bicrossed product."""
-    return HModuleCoalgebra(bc.hopf, bc.mp.u, lambda a, v: _bicrossed_act_on_u(bc, a, v))
+    """C = U as a module coalgebra over the bicrossed product:
+    (f ▷◁ u) ▹ v = ε(f) u v, the induced action on the quotient U."""
+    return HModuleCoalgebra(bc.hopf, bc.mp.u, lambda a, v: bc.project_u(a) * v)
 
 
 def bicrossed_module_algebra_f(bc) -> HModuleAlgebra:
     """A = F as a module algebra over the bicrossed product:
     (f ▷◁ u) ▹ g = ε(f)(u ▹ g)."""
-
-    def act(a: AlgElt, g: AlgElt) -> AlgElt:
-        out = bc.mp.f.zero()
-        for w, c in a.terms.items():
-            fw, uw = bc.split_word(w)
-            if fw == EMPTY_WORD:
-                out = out + bc.mp.act(bc.mp.u.from_word(uw), g).scale(c)
-        return out
-
-    return HModuleAlgebra(bc.hopf, bc.mp.f, act)
+    return HModuleAlgebra(bc.hopf, bc.mp.f, lambda a, g: bc.mp.act(bc.project_u(a), g))
 
 
 def group_set_module_coalgebra(gs) -> HModuleCoalgebra:
@@ -662,7 +633,7 @@ def counterexample_algebra(bc) -> dict:
 # -- tensor of anti-Yetter-Drinfeld and Yetter-Drinfeld carriers ---------------
 
 
-def tensor_ayd_yd(m: ModuleComodule, n: ModuleComodule, name: str = "m_tensor_n") -> ModuleComodule:
+def tensor_ayd_yd(m: ModuleComodule, n: ModuleComodule) -> ModuleComodule:
     """M ⊗ N with (m⊗n)h = mh⁽²⁾ ⊗ nh⁽¹⁾ and coaction
     m⊗n ↦ m⟨-1⟩ n⟨-1⟩ ⊗ m⟨0⟩ ⊗ n⟨0⟩; finite carriers only."""
     if m.hopf.name != n.hopf.name:
@@ -673,7 +644,7 @@ def tensor_ayd_yd(m: ModuleComodule, n: ModuleComodule, name: str = "m_tensor_n"
     pairs = list(iproduct(m.space.basis_words(), n.space.basis_words()))
     gens = {f"p{i}": False for i in range(len(pairs))}
     space = Presentation(
-        name,
+        "m_tensor_n",
         gens,
         tuple(gens),
         [],
@@ -717,4 +688,4 @@ def tensor_ayd_yd(m: ModuleComodule, n: ModuleComodule, name: str = "m_tensor_n"
                     ).scale(c * ccm * ccn)
         return out
 
-    return ModuleComodule(name, h, space, act, coact)
+    return ModuleComodule("m_tensor_n", h, space, act, coact)

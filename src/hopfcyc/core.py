@@ -391,9 +391,6 @@ class TensorElt:
                     _merge_term(out, full, fc)
         return TensorElt(self.prs, out, _normalized=True)
 
-    def leg(self, term_words, i: int) -> AlgElt:
-        return AlgElt(self.prs[i], {term_words[i]: ONE}, _normalized=True)
-
     def leg_apply(self, leg: int, f: Callable[[AlgElt], LegValue]) -> "TensorElt":
         """Apply a linear map to one leg (1-based), multilinearly.
 

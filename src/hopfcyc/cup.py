@@ -272,7 +272,7 @@ def ordinary_chains(ci: CupInstance, top: int) -> OperatorTable:
     trivial = mc_trivial(ci.mc.hopf)
     alg = ci.a_mod.alg
     bases = [TensorBasis((trivial.space,) + (alg,) * (n + 1)) for n in range(top + 1)]
-    return OperatorTable(AlgebraChainOps(trivial, ci.a_mod), bases, chains=True)
+    return OperatorTable(AlgebraChainOps(trivial, ci.a_mod), bases)
 
 
 def ordinary_coboundary(chains: OperatorTable, n: int, f) -> list:

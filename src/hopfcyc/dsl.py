@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .core import Generator, Word, tensor
+from .core import Generator, Word, tensor, word_str
 from .errors import ParseError, SemanticError, TerminationOrderError
 from .hopf import HopfPresentation
 from .rewrite import ConcreteRule, IndexExpr, LetterPat, RuleSet, SchemaRule
@@ -453,15 +453,6 @@ def _coeff_parts(c) -> tuple:
     return c < 0, "" if abs(c) == 1 else str(abs(c))
 
 
-def _word_text(word) -> str:
-    if not word:
-        return "1"
-    parts = []
-    for g in word:
-        parts.append(g.name if g.index is None else f"{g.name}[{g.index}]")
-    return " ".join(parts)
-
-
 def _pat_text(pats) -> str:
     if not pats:
         return "1"
@@ -493,17 +484,17 @@ def print_hopf(ast: HopfAST) -> str:
         lines.append(f"  rule {_pat_text(r.lhs)} -> {rhs}{guard};")
     for g, terms in ast.coproducts:
         body = _poly_text(
-            terms, lambda t: f"{_word_text(t[1])}(x){_word_text(t[2])}"
+            terms, lambda t: f"{word_str(t[1])}(x){word_str(t[2])}"
         )
-        lines.append(f"  coproduct {_word_text((g,))} -> {body};")
+        lines.append(f"  coproduct {word_str((g,))} -> {body};")
     for g, val in ast.counits:
-        lines.append(f"  counit {_word_text((g,))} -> {val};")
+        lines.append(f"  counit {word_str((g,))} -> {val};")
     for keyword, table in (("antipode", ast.antipodes), ("inverse", ast.inverses)):
         for g, terms in table:
-            body = _poly_text(terms, lambda t: _word_text(t[1]))
-            lines.append(f"  {keyword} {_word_text((g,))} -> {body};")
+            body = _poly_text(terms, lambda t: word_str(t[1]))
+            lines.append(f"  {keyword} {word_str((g,))} -> {body};")
     for fam, anchor in ast.extends:
-        lines.append(f"  extend {fam} by commutator {_word_text((anchor,))};")
+        lines.append(f"  extend {fam} by commutator {word_str((anchor,))};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -538,7 +529,7 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
                 if order.order_key(w) >= order.order_key(lhs_word):
                     raise TerminationOrderError(
                         f"rule {_pat_text(r.lhs)} -> ... does not decrease the "
-                        f"termination order at {_word_text(w)!r}"
+                        f"termination order at {word_str(w)!r}"
                     )
             rhs = {}
             for c, pats in r.rhs:
@@ -565,7 +556,6 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
         generators,
         precedence,
         rules,
-        coproducts={},
         counits={g: v for g, v in ast.counits},
     )
     for g, terms in ast.coproducts:

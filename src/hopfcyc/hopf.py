@@ -2,8 +2,10 @@
 
 A :class:`HopfPresentation` extends :class:`Presentation` with generator
 tables for the coproduct and counit, extended multiplicatively to all of the
-algebra.  An indexed family needs table entries only at index 1: Δ and ε
-of fam[k+1] follow from the rule that raises its index, as in
+algebra.  The counit table is a constructor argument; the coproduct table
+is written by the builder once the presentation exists, since its values
+are tensors over it.  An indexed family needs table entries only at index
+1: Δ and ε of fam[k+1] follow from the rule that raises its index, as in
 ``X d[k] -> d[k] X + d[k+1]``; F and F ▷◁ U take theirs from hooks, which
 are their construction.  S and S⁻¹ are derived from Δ and ε on every
 generator (:meth:`HopfPresentation.gen_antipode`) and extended
@@ -12,9 +14,10 @@ by Δ alone, needs an antipode table entry.
 
 The tables are filled before the first structure map is evaluated (the
 builders in :mod:`hopfcyc.instances` and :func:`hopfcyc.dsl.build_hopf`
-write them right after construction) and never change afterwards; a
-generator without an entry gets its hook, ladder or derived value on first
-use, kept in the same :class:`~hopfcyc.core.Memo` as the entries.  That is
+write the coproduct and antipode entries right after construction) and
+never change afterwards; a generator without an entry gets its hook,
+ladder or derived value on first use, kept in the same
+:class:`~hopfcyc.core.Memo` as the entries.  That is
 what lets Δ, S and S⁻¹ of a word be memoized per presentation, on every
 prefix of the word (:meth:`HopfPresentation._by_prefix`): each is a fixed
 product of letter values, and elements and tensors are immutable.
@@ -46,10 +49,12 @@ from .rewrite import Presentation, Rule
 class HopfPresentation(Presentation):
     """A presented algebra with Hopf structure maps.
 
-    Tables are keyed by :class:`Generator`.  A generator without an entry
-    gets Δ and ε from ``coproduct_hook(hopf, gen)`` and ``counit_hook`` (F
-    and F ▷◁ U), or else from its family's ladder rule (:meth:`_ladder`);
-    S and S⁻¹ from Δ and ε (:meth:`gen_antipode`, :meth:`gen_inv_antipode`).
+    Tables are keyed by :class:`Generator`: ``counits`` is given here, and
+    coproduct entries are written to ``_cop`` after construction.  A
+    generator without an entry gets Δ and ε from ``coproduct_hook(hopf,
+    gen)`` and ``counit_hook`` (F and F ▷◁ U), or else from its family's
+    ladder rule (:meth:`_ladder`); S and S⁻¹ from Δ and ε
+    (:meth:`gen_antipode`, :meth:`gen_inv_antipode`).
     """
 
     def __init__(
@@ -59,28 +64,16 @@ class HopfPresentation(Presentation):
         precedence: Sequence[str],
         rules: Sequence[Rule] = (),
         *,
-        coproducts: dict,
         counits: dict,
         coproduct_hook: Optional[Callable] = None,
         counit_hook: Optional[Callable] = None,
         finite_basis=None,
-        unit_terms=None,
-        check_rules: bool = True,
     ):
-        super().__init__(
-            name,
-            generators,
-            precedence,
-            rules,
-            finite_basis=finite_basis,
-            unit_terms=unit_terms,
-            check_rules=check_rules,
-        )
+        super().__init__(name, generators, precedence, rules, finite_basis=finite_basis)
         # generator -> Δ, ε, S and S⁻¹: a table entry, else made on first use
         cop = partial(coproduct_hook, self) if coproduct_hook else partial(self._ladder, "coproduct")
         cou = partial(counit_hook, self) if counit_hook else partial(self._ladder, "counit")
         self._cop = Memo(cop)
-        self._cop.update(coproducts)
         self._cou = Memo(lambda g: exact(cou(g)))
         self._cou.update((g, exact(c)) for g, c in counits.items())
         self._ant = Memo(partial(self._derive, inverse=False))
@@ -163,8 +156,8 @@ class HopfPresentation(Presentation):
 
     # -- structure maps on elements -------------------------------------------
 
-    def one_tensor(self, legs: int = 2) -> TensorElt:
-        return tensor([self.unit()] * legs)
+    def one_tensor(self) -> TensorElt:
+        return tensor([self.unit()] * 2)
 
     @staticmethod
     def _by_prefix(cache: dict, word: Word, empty: Callable, extend: Callable):
@@ -326,14 +319,15 @@ class HopfPresentation(Presentation):
 
         return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
-    def verify_inv_antipode(self, degree: int = 2, index_bound: int = 3) -> dict:
-        """Check S⁻¹∘S = S∘S⁻¹ = id on normal words of bounded degree.
+    def verify_inv_antipode(self, degree: int = 2) -> dict:
+        """Check S⁻¹∘S = S∘S⁻¹ = id on normal words of bounded degree, with
+        family indices up to 2.
 
         A witness names the failing identity, the word and the nonzero
         count of the residual; a word whose S⁻¹ cannot be derived fails
         with the reason instead of aborting the check."""
         fails = []
-        for w in self.normal_words(degree, index_bound):
+        for w in self.normal_words(degree, 2):
             e = self.from_word(w)
             try:
                 images = (

@@ -71,7 +71,6 @@ def build_h1cop() -> HopfPresentation:
         {"X": False, "Y": False, "d": True},
         ("d", "Y", "X"),
         _h1cop_rules(),
-        coproducts={},
         counits={Generator("X"): 0, Generator("Y"): 0, Generator("d", 1): 0},
     )
     X, Y, d1 = h.gen("X"), h.gen("Y"), h.gen("d", 1)
@@ -95,7 +94,6 @@ def build_u() -> HopfPresentation:
         {"X": False, "Y": False},
         ("Y", "X"),
         [SchemaRule([X, Y], [(1, (Y, X)), (-1, (X,))])],
-        coproducts={},
         counits={Generator("X"): 0, Generator("Y"): 0},
     )
     x, y, one = u.gen("X"), u.gen("Y"), u.unit()
@@ -104,14 +102,14 @@ def build_u() -> HopfPresentation:
     return u
 
 
-def build_f(internal: Optional[HopfPresentation] = None) -> HopfPresentation:
+def build_f() -> HopfPresentation:
     """The commutative factor F on the d-family.
 
     Its coproduct on d[k] is the internal one (computed in the full
     algebra, where pure-δ words stay pure-δ) reinterpreted over F; its
     antipode is derived from that coproduct.
     """
-    internal = internal or build_h1cop()
+    internal = build_h1cop()
     k = IndexExpr.parse("k")
     i = IndexExpr.parse("i")
     dk, di = LetterPat("d", k), LetterPat("d", i)
@@ -125,7 +123,6 @@ def build_f(internal: Optional[HopfPresentation] = None) -> HopfPresentation:
         {"d": True},
         ("d",),
         [SchemaRule([dk, di], [(1, (di, dk))], guard=("k", ">", "i"))],
-        coproducts={},
         counits={},
         coproduct_hook=cop_hook,
         counit_hook=lambda fp, g: 0,
@@ -223,13 +220,11 @@ class MatchedPairData:
         return out
 
 
-def build_matched_pair(
-    u: Optional[HopfPresentation] = None, f: Optional[HopfPresentation] = None
-) -> MatchedPairData:
+def build_matched_pair() -> MatchedPairData:
     """The built-in matched pair: X ▹ d[k] = d[k+1], Y ▹ d[k] = k d[k];
     ∇(X) = X⊗1 + Y⊗d[1], ∇(Y) = Y⊗1."""
-    u = u or build_u()
-    f = f or build_f()
+    u = build_u()
+    f = build_f()
     gen_action = {
         ("X", "d"): lambda k: f.gen("d", k + 1),
         ("Y", "d"): lambda k: f.gen("d", k).scale(k),
@@ -242,12 +237,13 @@ def build_matched_pair(
     return MatchedPairData(u, f, gen_action, gen_coaction)
 
 
-def check_matched_pair(mp: MatchedPairData, degree: int = 2, index_bound: int = 3) -> dict:
+def check_matched_pair(mp: MatchedPairData, degree: int = 2) -> dict:
     """Verify the matched-pair compatibility conditions on all normal words
-    of bounded degree.  Returns a report with per-condition witnesses."""
+    of bounded degree, with family indices up to 3.  Returns a report with
+    per-condition witnesses."""
     u, f = mp.u, mp.f
-    uwords = u.normal_words(degree, index_bound)
-    fwords = [w for w in f.normal_words(degree, index_bound) if w != EMPTY_WORD]
+    uwords = u.normal_words(degree, 3)
+    fwords = [w for w in f.normal_words(degree, 3) if w != EMPTY_WORD]
     checks = []
 
     def run(name, fails):
@@ -359,13 +355,15 @@ class Bicrossed:
 
     def project_u(self, e: AlgElt) -> AlgElt:
         """Apply ε ▷◁ id: kill every word with an F letter, reinterpret the
-        rest in U.  (The F counit vanishes on all F generators.)"""
-        out: dict = {}
+        rest in U.  (The F counit vanishes on all F generators.)  A normal
+        word with no F letter is U-normal, since the U rules are the only
+        ones that rewrite U letters alone."""
+        out = {}
         for w, c in e.terms.items():
             fw, uw = self.split_word(w)
             if fw == EMPTY_WORD:
-                out[uw] = out.get(uw, 0) + c
-        return self.mp.u.elt(out)
+                out[uw] = c
+        return AlgElt(self.mp.u, out, _normalized=True)
 
     def project_f(self, e: AlgElt) -> AlgElt:
         """Apply id ▷◁ ε over the F block (the U counit kills U letters)."""
@@ -377,7 +375,7 @@ class Bicrossed:
         return self.mp.f.elt(out)
 
 
-def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed") -> Bicrossed:
+def build_bicrossed(mp: Optional[MatchedPairData] = None) -> Bicrossed:
     """Assemble F ▷◁ U: F and U rules plus the straightening rule
     u·f -> Σ (u⁽¹⁾ ▹ f)·u⁽²⁾, with Δ and ε induced from the matched-pair
     formulas (S and S⁻¹ are derived from Δ)."""
@@ -428,11 +426,10 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None, name: str = "bicrossed
         return f.gen_counit(g) if g.name in f.generators else u.gen_counit(g)
 
     hopf = HopfPresentation(
-        name,
+        "bicrossed",
         generators,
         precedence,
         rules,
-        coproducts={},
         counits={},
         coproduct_hook=cop_hook,
         counit_hook=cou_hook,
@@ -500,7 +497,6 @@ def build_group_algebra(g: GroupData, name: str = "kG") -> HopfPresentation:
         gens,
         tuple(nonid),
         rules,
-        coproducts={},
         counits={Generator(a): ONE for a in nonid},
         finite_basis=basis,
     )
@@ -512,16 +508,15 @@ def build_group_algebra(g: GroupData, name: str = "kG") -> HopfPresentation:
     return h
 
 
-def build_set_coalgebra(points: Sequence[str], name: str = "CX") -> HopfPresentation:
+def build_set_coalgebra(points: Sequence[str]) -> HopfPresentation:
     """The coalgebra on a finite set: the points are group-like, there is no
     algebra unit (the empty word is excluded from the basis) and no antipode."""
     gens = {x: False for x in points}
     c = HopfPresentation(
-        name,
+        "CX",
         gens,
         tuple(points),
         [],
-        coproducts={},
         counits={Generator(x): ONE for x in points},
         finite_basis=[(Generator(x),) for x in points],
     )

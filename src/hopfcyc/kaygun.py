@@ -166,12 +166,12 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                 continue
             g = word_str(gw)
             lg = bridge.l_matrix(n, gw)
+            bracket = add_columns(mat_mul(tau, lg), mat_mul(lg, tau), -1)
             for i in range(1, n + 2):
                 comm_i = bridge.commutator_matrix(n, gw, i)
                 comm_i1 = bridge.commutator_matrix(n, gw, i + 1)
                 taui = bridge.tau_power(n, i)
                 lhs = mat_mul(tau, comm_i)
-                bracket = add_columns(mat_mul(tau, lg), mat_mul(lg, tau), -1)
                 rhs = add_columns(mat_mul(bracket, taui), comm_i1)
                 fails += mismatch(lhs, rhs, f"tau commutator expansion (n={n}, g={g}, i={i})")
             if n < bridge.top:

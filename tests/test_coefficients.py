@@ -73,7 +73,7 @@ def test_mpi_on_bicrossed_quotient(bicrossed):
     h = bicrossed.hopf
     eps = Character(h, {nm: 0 for nm in h.generators})
     one = GroupLike(h, h.unit(), h.unit())
-    report = check_mpi(h, eps, one, bicrossed_module_coalgebra_u(bicrossed), variant="CH")
+    report = check_mpi(h, eps, one, bicrossed_module_coalgebra_u(bicrossed))
     assert report["ok"], report
 
 
@@ -81,13 +81,13 @@ def test_mpi_ah_variant(bicrossed):
     h = bicrossed.hopf
     one = GroupLike(h, h.unit(), h.unit())
     report = check_mpi(
-        h, modular_character(h), one, bicrossed_module_algebra_f(bicrossed), variant="AH"
+        h, modular_character(h), one, bicrossed_module_algebra_f(bicrossed)
     )
     assert report["ok"], report
 
 
 def test_coideal_quotient_report(bicrossed):
-    report = build_coideal_quotient_bicrossed(bicrossed, None)
+    report = build_coideal_quotient_bicrossed(bicrossed)
     assert report["ok"], report["checks"]
     names = [c["name"] for c in report["checks"]]
     assert "S²(Xⁿ) − Xⁿ in the kernel" in names

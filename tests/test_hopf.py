@@ -30,7 +30,7 @@ def test_axioms_degree_three(h1cop):
 
 
 def test_inverse_antipode(h1cop):
-    report = h1cop.verify_inv_antipode(degree=2, index_bound=2)
+    report = h1cop.verify_inv_antipode(degree=2)
     assert report["ok"], report
 
 
@@ -280,7 +280,7 @@ def test_underivable_antipode_fails_the_checks(capsys, tmp_path):
     # with the antipode line the same file is a Hopf algebra (k[Z/2])
     h = from_text(GROUPLIKE.replace("counit g -> 1;", "counit g -> 1;\n  antipode g -> g;"))
     assert h.verify_hopf_axioms()["ok"]
-    assert h.verify_inv_antipode(degree=2, index_bound=2)["ok"]
+    assert h.verify_inv_antipode(degree=2)["ok"]
 
 
 def test_underivable_antipode_raises():
@@ -403,7 +403,7 @@ def test_sweedler_inv_antipode(presentations):
     x, g = h.gen("x"), h.gen("g")
     assert h.gen_inv_antipode(Generator("x")) == -(x * g)
     assert h.gen_inv_antipode(Generator("g")) == g
-    assert h.verify_inv_antipode(degree=2, index_bound=2) == {"ok": True, "witnesses": []}
+    assert h.verify_inv_antipode(degree=2) == {"ok": True, "witnesses": []}
 
 
 def test_sweedler_antipode_derived():
@@ -415,7 +415,7 @@ def test_sweedler_antipode_derived():
         h = from_text(src)
         assert h.gen_antipode(Generator("x")) == (h.gen("x") * h.gen("g")).scale(sign)
         assert h.verify_hopf_axioms()["ok"]
-        assert h.verify_inv_antipode(degree=2, index_bound=2)["ok"]
+        assert h.verify_inv_antipode(degree=2)["ok"]
 
 
 @pytest.mark.parametrize("name", ["h1cop", "bicrossed"])
@@ -469,7 +469,7 @@ def test_wrong_antipode_fails_the_inverse_check():
     # S⁻¹ is derived from Δ alone, so a wrong S shows in S∘S⁻¹ and S⁻¹∘S
     h = from_text(SWEEDLER.replace("antipode x -> x g;", "antipode x -> - x g;"))
     assert not h.verify_hopf_axioms()["ok"]
-    report = h.verify_inv_antipode(degree=2, index_bound=2)
+    report = h.verify_inv_antipode(degree=2)
     assert report == {
         "ok": False,
         "witnesses": ["S⁻¹∘S: x: 1 nonzero", "S∘S⁻¹: x: 1 nonzero", "S⁻¹∘S: x g: 1 nonzero"],

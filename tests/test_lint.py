@@ -118,3 +118,70 @@ def test_memo_is_the_only_dict_with_missing():
     # subclass that leaves __missing__ to it
     src = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert missing_definers(src) == [("core.py", "Memo")]
+
+
+def unread_methods(sources: dict, defining) -> list:
+    """(file, line, "Class.method") of each method of a top-level class in
+    the files ``defining``, dunders aside, that no file of ``sources``
+    (file -> text) reads as an attribute or names as a whole string other
+    than a docstring, the way a ``getattr`` key does."""
+    read = set()
+    for text in sources.values():
+        tree = ast.parse(text)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+            ):
+                read.add(node.value)
+    return sorted(
+        (fname, item.lineno, f"{node.name}.{item.name}")
+        for fname in defining
+        for node in ast.parse(sources[fname]).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in read
+    )
+
+
+def test_unread_methods_are_found():
+    sources = {
+        "a.py": (
+            "class K:\n"
+            "    def called(self):\n"
+            "        return self.keyed\n"
+            "\n"
+            "    def keyed(self):\n"
+            "        pass\n"
+            "\n"
+            "    def leg(self):\n"
+            '        """leg: only a docstring names it"""\n'
+            "\n"
+            "    def __eq__(self, o):\n"
+            "        pass\n"
+        ),
+        "b.py": 'from a import K\n\nK().called()\ngetattr(K(), "keyed")\nleg = 1  # leg\n',
+    }
+    assert unread_methods(sources, ["a.py"]) == [("a.py", 8, "K.leg")]
+
+
+def test_every_method_in_src_is_read():
+    # stricter than the word scan above: a method counts as reached only
+    # through an attribute read or a string key, so a common word such as
+    # "leg" in a comment or a docstring does not keep it alive
+    src = {f"src/{p.name}": p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    tests = {f"tests/{p.name}": p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
+    assert unread_methods({**src, **tests}, src) == []

@@ -360,7 +360,7 @@ def test_warm_operator_tables_build_no_tensor(monkeypatch, coalgebra_instances, 
         mc, ops, carrier, chains = ci.mc, AlgebraChainOps(ci.mc, ci.a_mod), ci.a_mod.alg, True
     bases = chain_bases(mc, carrier, top)
     keys = operator_keys(chains, top)
-    warm = OperatorTable(ops, bases, chains=chains)
+    warm = OperatorTable(ops, bases)
     for key in keys:
         warm[key]
     built = []
@@ -371,7 +371,7 @@ def test_warm_operator_tables_build_no_tensor(monkeypatch, coalgebra_instances, 
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(TensorElt, "__init__", counting)
-    table = OperatorTable(ops, bases, chains=chains)
+    table = OperatorTable(ops, bases)
     for key in keys:
         assert table[key] == warm[key]
     monkeypatch.undo()
