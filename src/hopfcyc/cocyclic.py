@@ -36,9 +36,11 @@ Kronecker products (:func:`sweedler_sum`, :func:`kron`) of leg matrices
 on carrier basis positions (:func:`leg_columns`), with no word tuple built
 or hashed.  Every matrix from there on stays in that one format: products
 are :func:`~hopfcyc.linalg.mat_mul`, equations are list equality, ranks
-and kernels come from :func:`~hopfcyc.linalg.rref`, and the reduced
-relations of a quotient from :func:`~hopfcyc.linalg.orbit_rref` when every
-relation row has at most two entries (as on every group-algebra instance).
+come from the fraction-free :func:`~hopfcyc.linalg.rank`, and kernels and
+the reduced relations of a quotient from
+:func:`~hopfcyc.linalg.orbit_rref` when every row has at most two entries
+(as on every group-algebra instance), else from
+:func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through a truncated cyclic bicomplex;

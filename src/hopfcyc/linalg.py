@@ -12,24 +12,29 @@ degree 1 is 1080×216 with under 1% nonzero entries.
 
 :func:`mat_vec` and :func:`mat_mul` are the one product: :func:`mat_vec`
 sums in one loop over the entries of the columns it reads and deletes
-each entry that cancels, so its result stores no zero, and
-:func:`mat_mul` is :func:`mat_vec` per column.  :func:`rref` is the
-general elimination; :func:`rank`, :func:`nullspace` and
-:func:`solve` run on it.  :func:`rref` sweeps the columns in order and
-takes as pivot the first remaining row with a nonzero entry in the column,
-as a dense Gauss–Jordan sweep does.  Relation rows of at most two entries,
-as every ⊗_H, coinvariant and W row of the finite instances is, say that
-one basis vector is a multiple of another; :func:`orbit_rref` reads their
-reduced form off a weighted union-find of those classes (Tarjan 1975), in
-``int`` entries where they are integral, and returns None on any other row
-set.  :class:`Quotient` takes that route first and falls back on
-:func:`rref`.  The reduced row echelon form of a matrix is unique (its
-nonzero rows are the one basis of the row space in reduced echelon shape),
-so results do not depend on the route or the row format and reports stay
-byte-identical.  Identity columns and the default factor of
-:func:`add_columns` are the ``int`` 1, so τ powers, commutators and W rows
-of an integral instance stay in ``int`` arithmetic; :func:`rref` still
-returns ``Fraction`` entries.
+each entry that cancels, so its result stores no zero.  :func:`mat_mul`
+reads a one-entry column x·e_c of its right factor as a scaled copy of
+column c of the left one (the induced operators of the group-algebra
+instances are signed partial maps, one ±1 or nothing per column), and
+sends every other column through :func:`mat_vec`.  :func:`rref` is the
+general elimination, and :func:`solve` runs on it.  :func:`rref` sweeps
+the columns in order and takes as pivot the first remaining row with a
+nonzero entry in the column, as a dense Gauss–Jordan sweep does.
+Relation rows of at most two entries, as every ⊗_H, coinvariant, W and
+1 − λ row of the finite instances is, say that one basis vector is a
+multiple of another; :func:`orbit_rref` reads their reduced form off a
+weighted union-find of those classes (Tarjan 1975), in ``int`` entries
+where they are integral, and returns None on any other row set.
+:class:`Quotient` and :func:`nullspace` take that route first and fall
+back on :func:`rref`.  The reduced row echelon form of a matrix is unique
+(its nonzero rows are the one basis of the row space in reduced echelon
+shape), so results do not depend on the route or the row format and
+reports stay byte-identical.  :func:`rank` needs no reduced form: it
+counts pivots by fraction-free elimination in ``int`` (Bareiss 1968),
+shortest row first, with no back-substitution.  Identity columns and the
+default factor of :func:`add_columns` are the ``int`` 1, so τ powers,
+commutators and W rows of an integral instance stay in ``int``
+arithmetic; :func:`rref` still returns ``Fraction`` entries.
 
 Chain operators are built as :data:`Columns` by
 :func:`hopfcyc.cocyclic.op_matrix`; relation rows are built as sparse rows
@@ -44,6 +49,7 @@ operator descends before it induces it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional
 
 SparseRow = Dict[int, Fraction]
@@ -87,8 +93,17 @@ def mat_vec(a: Columns, v: SparseRow) -> SparseRow:
 
 
 def mat_mul(a: Columns, b: Columns) -> Columns:
-    """a∘b: column j is a applied to column j of b."""
-    return [mat_vec(a, col) for col in b]
+    """a∘b: column j is a applied to column j of b.  A column of b with one
+    entry x at c is x·a[c], built as a new dict, so no column of the result
+    is a column of a."""
+    out = []
+    for col in b:
+        if len(col) == 1:
+            ((c, x),) = col.items()
+            out.append(dict(a[c]) if x == 1 else {r: x * y for r, y in a[c].items()})
+        else:
+            out.append(mat_vec(a, col))
+    return out
 
 
 def add_columns(a: Columns, b: Columns, f: Fraction = 1) -> Columns:
@@ -219,21 +234,63 @@ def orbit_rref(rows: List[SparseRow]) -> Optional[tuple[List[SparseRow], List[in
 
 def rank(rows: List[SparseRow]) -> int:
     """Rank of the matrix with these rows (or these columns: the rank is
-    the same)."""
-    return len(rref(rows)[0])
+    the same), by fraction-free elimination in ``int`` (Bareiss 1968).
+
+    Each row is scaled to integers by the lcm of its denominators.  The
+    shortest remaining row is the pivot, at the first column c it stores,
+    with entry p; every other row with an entry f at c becomes
+    p·row − f·pivot (both factors divided by gcd(p, f), the sign dropped),
+    then divided by the gcd of its entries.  Only the count of pivots is
+    kept, so there is no back-substitution.  The input rows are not
+    modified.
+    """
+    m = []
+    for row in rows:
+        if row:
+            den = lcm(*[x.denominator for x in row.values()])
+            m.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+    r = 0
+    while m:
+        prow = min(m, key=len)
+        c, p = next(iter(prow.items()))
+        r += 1
+        rest = []
+        for row in m:
+            f = row.get(c)
+            if f is None:
+                rest.append(row)
+            elif row is not prow:
+                g = gcd(p, f)
+                u, f = p // g, f // g
+                if u < 0:
+                    u, f = -u, -f
+                if u != 1:
+                    for j in row:
+                        row[j] *= u
+                add_multiple(row, -f, prow)
+                if row:
+                    g = gcd(*row.values())
+                    if g != 1:
+                        for j in row:
+                            row[j] //= g
+                    rest.append(row)
+        m = rest
+    return r
 
 
 def nullspace(rows: List[SparseRow], ncols: int) -> List[SparseRow]:
     """Basis of the right kernel of the matrix with these rows and
     ``ncols`` columns: one vector per free column fc, with 1 at fc and
-    −R[k][fc] at the pivot of row k of the reduced form R."""
-    reduced, pivots = rref(rows)
+    −R[k][fc] at the pivot of row k of the reduced form R, from
+    :func:`orbit_rref` when every row has at most two entries (then in
+    ``int`` entries where integral) and from :func:`rref` otherwise."""
+    reduced, pivots = orbit_rref(rows) or rref(rows)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = {fc: F1}
+        v = {fc: 1}
         for row, pc in zip(reduced, pivots):
             x = row.get(fc)
             if x:

@@ -135,10 +135,11 @@ def run_main(argv, *patch, env=None):
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
-@pytest.mark.parametrize("command", ["verify-hopf", "reproduce-paper"])
+@pytest.mark.parametrize("command", ["verify-hopf", "reproduce-paper", "cohomology", "cup"])
 def test_reports_do_not_depend_on_hash_order(command, seed):
     # letters hash by identity and strings by the seed, so neither the
-    # seed nor memory layout may reach the order of a report
+    # seed nor memory layout may reach the order of a report; rank picks
+    # its pivots by row length, and ties fall to the order rows were built in
     proc = run_main([command], env={"PYTHONHASHSEED": seed})
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / f"{command}.json").read_text(encoding="utf-8")

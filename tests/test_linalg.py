@@ -6,15 +6,16 @@ oracles.  The reduced row echelon form is unique, so the two routes must
 agree exactly, rows and pivots, on every input.
 """
 
+import copy
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfcyc import cli, kaygun, linalg
+from hopfcyc import cli, cocyclic, cup, kaygun, linalg
 from hopfcyc.cocyclic import CoalgebraOps, RelativeTensorSpace, build_coalgebra_instance
 from hopfcyc.coefficients import (
     group_set_module_coalgebra,
@@ -205,6 +206,43 @@ def test_rank_matches_rank_mod_prime(m):
     assert rank(sparse_columns(m)) == rank_mod_prime(m)
 
 
+
+@st.composite
+def dependent_rows(draw, max_base=6, max_cols=10):
+    """Sparse Fraction rows, many of them combinations of others: sums of
+    up to four drawn rows with Fraction factors (fill-in), and pairs whose
+    sum cancels exactly, with empty rows mixed in, in a drawn order."""
+    ncols = draw(st.integers(1, max_cols))
+    fraction = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, ncols - 1), fraction, max_size=ncols)
+    base = draw(st.lists(row, max_size=max_base))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 6)) if base else 0):
+        combo = {}
+        for i in draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=4)):
+            linalg.add_multiple(combo, draw(fraction), base[i])
+        rows.append(combo)
+        if draw(st.booleans()):
+            # combo + (rows[i] − combo) == rows[i]: entries cancel in pairs
+            other = dict(rows[draw(st.integers(0, len(rows) - 1))])
+            linalg.add_multiple(other, F(-1), combo)
+            rows.append(other)
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    return ncols, draw(st.permutations(rows))
+
+
+@SETTINGS
+@given(dependent_rows())
+@example((3, []))
+@example((3, [{}, {}]))
+def test_fraction_free_rank_matches_rref_and_rank_mod_prime(data):
+    ncols, rows = data
+    before = copy.deepcopy(rows)
+    r = rank(rows)
+    assert rows == before
+    assert r == len(rref(rows)[0])
+    assert r == rank_mod_prime([dense(row, ncols) for row in rows])
+
 @SETTINGS
 @given(matrices(min_cols=0))
 def test_nullspace_is_the_kernel(m):
@@ -258,6 +296,46 @@ def test_products_match_dense_oracle_and_store_no_zero(data):
     assert as_dense(prod, nrows) == dense_oracle.mat_mul(dense_a, as_dense(b, k))
     assert all(x for col in prod for x in col.values())
 
+
+
+# the entry of a one-entry column: ±1, as in the signed partial maps of the
+# group-algebra instances, other ints, and non-integral Fractions
+unit_scalars = st.one_of(st.sampled_from([1, -1]), mixed_entries)
+
+
+@st.composite
+def products_with_unit_columns(draw):
+    """(nrows, a, b): a product from :func:`products` whose right factor also
+    gets one-entry columns, empty columns and a column summing two columns
+    of a that cancel, in a drawn order."""
+    nrows, a, b = draw(products())
+    k = len(a)
+    extra = [{draw(st.integers(0, k - 1)): draw(unit_scalars)} for _ in range(draw(st.integers(0, 6)))]
+    extra += [{} for _ in range(draw(st.integers(0, 2)))]
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    if i != j and a[i]:
+        # a[j] = f·a[i], so f·y·e_i − y·e_j maps to zero
+        f, y = draw(mixed_entries), draw(mixed_entries)
+        a[j] = {r: f * x for r, x in a[i].items()}
+        extra.append({i: f * y, j: -y})
+    cols = draw(st.permutations(b + extra))
+    return nrows, a, cols
+
+
+@SETTINGS
+@given(products_with_unit_columns())
+def test_mat_mul_matches_per_column_route_and_never_aliases(data):
+    nrows, a, b = data
+    before = copy.deepcopy(a)
+    prod = mat_mul(a, b)
+    assert prod == [mat_vec(a, col) for col in b]
+    assert as_dense(prod, nrows) == dense_oracle.mat_mul(as_dense(a, nrows), as_dense(b, len(a)))
+    assert all(x for col in prod for x in col.values())
+    assert all(col is not x for col in prod for x in a)
+    for col in prod:
+        col[nrows] = 1
+        col.clear()
+    assert a == before
 
 @SETTINGS
 @given(matrices().filter(bool), st.randoms(use_true_random=False))
@@ -370,6 +448,32 @@ def test_orbit_rref_matches_rref_and_dense_oracle(data):
     assert orbit_rref(out) == (out, pivots)
 
 
+
+def assert_nullspace_matches_oracle(ncols, rows):
+    basis = nullspace(rows, ncols)
+    assert densify(basis, ncols) == dense_oracle.nullspace(densify(rows, ncols), ncols)
+    assert all(type(x) is int or x.denominator != 1 for v in basis for x in v.values())
+
+
+@SETTINGS
+@given(orbit_rows())
+def test_nullspace_of_orbit_rows_matches_dense_oracle(data):
+    assert_nullspace_matches_oracle(*data)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: 2, 1: 3}],  # e_0 ≡ −3/2·e_1
+        [{0: 2, 1: 3}, {1: F(1, 2), 2: -5}, {3: 4, 4: 6}],
+        [{1: 5}, {0: 1, 2: -1}],  # a one-entry row kills its column
+        [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: -2}],  # inconsistent cycle
+        [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: -1}, {3: 3, 4: 2}],  # consistent
+    ],
+)
+def test_nullspace_of_two_entry_rows_cases(rows):
+    assert_nullspace_matches_oracle(6, rows)
+
 def test_three_entry_row_falls_back_to_rref():
     # not monomial, as the relation rows of Sweedler's H4 acting on itself are
     rows = [{0: 1, 2: -1}, {1: 1, 3: 1, 4: -1}, {2: 1, 5: -1}, {3: 2, 5: F(1, 2)}]
@@ -385,14 +489,15 @@ def test_three_entry_row_falls_back_to_rref():
 
 @pytest.mark.parametrize("command", ["cohomology", "kaygun", "cup"])
 def test_quotients_and_w_spans_do_not_call_rref(monkeypatch, capsys, command):
-    """Every ⊗_H, coinvariant and W relation row of the default reports has
-    at most two entries, so none of their eliminations reaches ``rref``."""
+    """Every ⊗_H, coinvariant, W and 1 − λ row of the default reports has at
+    most two entries, and :func:`rank` eliminates on its own, so no call
+    made for these reports reaches ``rref``: not from a quotient, a W span,
+    a kernel or a rank."""
     inside, built, slow = [], [], []
     real_rref = linalg.rref
 
     def spy(rows):
-        if inside:
-            slow.append(inside[-1])
+        slow.append(inside[-1] if inside else "elsewhere")
         return real_rref(rows)
 
     def entering(name, real):
@@ -412,10 +517,14 @@ def test_quotients_and_w_spans_do_not_call_rref(monkeypatch, capsys, command):
     monkeypatch.setattr(
         kaygun.KaygunBridge, "w_rows", entering("w_rows", kaygun.KaygunBridge.w_rows)
     )
+    monkeypatch.setattr(cocyclic, "rank", entering("rank", rank))
+    for module in (cocyclic, cup):
+        monkeypatch.setattr(module, "nullspace", entering("nullspace", nullspace))
     assert cli.run([command]) == 0
     capsys.readouterr()
-    assert "Quotient" in built
+    assert "Quotient" in built and "nullspace" in built
     assert ("w_rows" in built) == (command == "kaygun")
+    assert ("rank" in built) == (command != "cup")
     assert slow == []
 
 
