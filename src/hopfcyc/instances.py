@@ -386,9 +386,8 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None) -> Bicrossed:
         raise StructureError("factor alphabets overlap")
     precedence = tuple(f.ruleset.precedence) + tuple(u.ruleset.precedence)
 
-    # the rule has no fixed first letter, so it is tried at every position
-    # of every word; a segment's replacement is computed once (shared,
-    # callers only read it)
+    # pure in its segment, as a rule's match must be: the rule set's redex
+    # table asks once per window
     def straighten(seg: Word):
         ug, fg = seg
         if ug.name not in u.generators or fg.name not in f.generators:
@@ -405,7 +404,7 @@ def build_bicrossed(mp: Optional[MatchedPairData] = None) -> Bicrossed:
         for fg in f.letters(3):
             samples.append((ug, fg))
     rules = list(f.ruleset.rules) + list(u.ruleset.rules) + [
-        FunctionRule(2, Memo(straighten).__getitem__, samples=samples)
+        FunctionRule(2, straighten, samples=samples)
     ]
 
     def cop_hook(hp, g):

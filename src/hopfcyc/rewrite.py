@@ -20,6 +20,19 @@ and the map is applied linearly, so the result does not depend on the pop
 order (which only decides how often a word is visited): it is the map a
 recursive, per-word evaluation computes, also for rule sets that are not
 confluent.
+
+Each rule set keeps two tables, both filled on first use.  A letter's code
+is ``CODE_WIDTH`` bytes, the complement of its ``order_key`` component, so
+a larger letter has a smaller code.  Names outside the precedence, which
+``order_key`` ties, are told apart after the index in the order the rule
+set first meets them: the codes are injective and only refine the
+termination order, so every rewrite result still sorts below its parent.
+A letter past ``MAX_INDEX`` raises :class:`StructureError`.  A word's key,
+the concatenation of its letter codes, orders the heap and keys the pending
+words, so a merge into a pending word hashes one bytes key and builds no
+tuple.  The redex table maps a window of the longest left side's length to
+the first rule in list order that matches at its start (None if none
+does), so each rule is asked about a segment once.
 """
 
 from __future__ import annotations
@@ -34,6 +47,13 @@ from .core import AlgElt, EMPTY_WORD, Generator, Memo, ONE, Word, _merge_term, _
 from .errors import RewriteLimitError, StructureError, TerminationOrderError
 
 DEFAULT_STEP_LIMIT = 10**6
+
+# a letter code holds three fields of two bytes: the name's precedence rank
+# (names outside the precedence share the rank after it), the index (None
+# below 0), then the order among names outside the precedence
+CODE_WIDTH = 6
+MAX_INDEX = 0xFFFE
+MAX_NAMES = 0x10000  # in the precedence, and again outside it
 
 
 def step_limit() -> int:
@@ -86,11 +106,11 @@ class LetterPat:
 class Rule:
     """Interface: ``lhs_len`` and ``match(segment) -> replacement or None``.
 
-    ``first`` names the letter every match starts with, or is None when the
-    rule may match at any letter."""
+    ``match`` must be a pure function of its segment: a rule set keeps the
+    answer in its redex table, and callers share the replacement dict and
+    only read it."""
 
     lhs_len: int
-    first: Optional[str] = None
 
     def match(self, segment: Word) -> Optional[dict]:
         raise NotImplementedError
@@ -106,7 +126,6 @@ class ConcreteRule(Rule):
             raise StructureError("rule left-hand sides must have length >= 2")
         self.lhs = lhs
         self.lhs_len = len(lhs)
-        self.first = lhs[0].name
         self.rhs = {w: exact(c) for w, c in rhs.items() if c != 0}
 
     def match(self, segment: Word):
@@ -141,12 +160,8 @@ class SchemaRule(Rule):
                 raise StructureError("lhs index variables must be plain (no offsets)")
         self.lhs = tuple(lhs)
         self.lhs_len = len(lhs)
-        self.first = self.lhs[0].name
         self.rhs = tuple((c, tuple(ws)) for c, ws in rhs)
         self.guard = guard
-        # one segment recurs across the words of a normalization, so the
-        # replacement is kept per segment (shared; callers only read it)
-        self._matches = Memo(self._replacement)
 
     def _bind(self, segment: Word) -> Optional[dict]:
         binding: dict = {}
@@ -190,9 +205,6 @@ class SchemaRule(Rule):
         return out
 
     def match(self, segment: Word):
-        return self._matches[segment]
-
-    def _replacement(self, segment: Word) -> Optional[dict]:
         binding = self._bind(segment)
         return None if binding is None else self._instantiate(binding)
 
@@ -280,18 +292,38 @@ class RuleSet:
         self.rules = list(rules)
         self.precedence = tuple(precedence)
         self._rank = {name: i for i, name in enumerate(self.precedence)}
-        # candidate rules by first letter, in list order; rules without a
-        # fixed first letter are candidates at every position
-        self._anywhere = [r for r in self.rules if r.first is None]
-        self._by_first = {
-            r.first: [q for q in self.rules if q.first in (r.first, None)]
-            for r in self.rules
-            if r.first is not None
-        }
-        self._back = max((r.lhs_len for r in self.rules), default=1) - 1
-        rank = self._rank
-        # letter -> its order_key component, negated
-        self._heap_keys = Memo(lambda g: (-rank.get(g.name, len(rank)), -(g.index or 0)))
+        # both fills close over locals, not self, so no reference cycle
+        rules = tuple(self.rules)
+        self._span = max((r.lhs_len for r in rules), default=1)
+        rank = dict(self._rank)  # grows by names outside the precedence
+        ranked = len(rank)
+        top = (1 << 8 * CODE_WIDTH) - 1
+
+        def letter_code(g: Generator) -> bytes:
+            n = rank.setdefault(g.name, len(rank))
+            r = min(n, ranked)
+            outside, i = n - r, g.index
+            if r >= MAX_NAMES or outside >= MAX_NAMES or i is not None and not 0 <= i <= MAX_INDEX:
+                raise StructureError(
+                    f"letter {g} is outside the rewrite code range (index 0 to {MAX_INDEX};"
+                    f" under {MAX_NAMES} names in, and outside, the precedence)"
+                )
+            value = (r << 32) + ((0 if i is None else i + 1) << 16) + outside
+            return (top - value).to_bytes(CODE_WIDTH, "big")
+
+        def first_redex(window: Word) -> Optional[tuple]:
+            for rule in rules:
+                L = rule.lhs_len
+                if L <= len(window):
+                    repl = rule.match(window[:L])
+                    if repl is not None:
+                        return L, tuple((r, b"".join(map(code, r)), c) for r, c in repl.items())
+            return None
+
+        self._codes = Memo(letter_code)
+        code = self._codes.__getitem__
+        # window word[pos : pos + span] -> (lhs_len, ((word, key, coeff), ...))
+        self._redex = Memo(first_redex)
         # a plain dict, not a Memo: filled only for the whole input words of
         # normalize_terms, and read mid-worklist without filling
         self._nf_cache: dict = {}
@@ -332,38 +364,40 @@ class RuleSet:
 
     def _find(self, word: Word, start: int = 0):
         """The leftmost redex at or after ``start``, as ``(pos, lhs_len,
-        rhs)`` with the first matching rule in list order, or None."""
-        n = len(word)
-        by_first, anywhere = self._by_first, self._anywhere
-        for pos in range(start, n):
-            for rule in by_first.get(word[pos].name, anywhere):
-                L = rule.lhs_len
-                if pos + L > n:
-                    continue
-                repl = rule.match(word[pos : pos + L])
-                if repl is not None:
-                    return pos, L, repl
+        terms)`` with the first matching rule in list order, or None;
+        ``terms`` lists the replacement as ``(word, key, coeff)``."""
+        redex, span = self._redex, self._span
+        for pos in range(start, len(word)):
+            hit = redex[word[pos : pos + span]]
+            if hit is not None:
+                return pos, hit[0], hit[1]
         return None
 
     def _nf_word(self, word: Word) -> dict:
         """Normal form of one word by the largest-first worklist.
 
-        ``pending`` maps a word to ``[coeff, resume]``: positions before
-        ``resume`` hold no redex.  A rewrite at ``pos`` leaves the prefix
-        before it unchanged, so a redex of the result starts at
-        ``pos - (max_lhs - 1)`` or later.  Heap entries lead with
-        ``order_key`` negated, per letter, so the smallest entry is the
-        largest word; a result's key is spliced from its parent's."""
+        A word's key is the concatenation of its letter codes; the heap
+        holds ``(-len, key, word)``, so it pops the largest word first and
+        never compares words, as keys are unique.  ``pending`` maps a key to
+        ``[coeff, resume]``: positions before ``resume`` hold no redex, and
+        the leftmost redex after it is one redex-table lookup per position,
+        as in :meth:`_find`.  A rewrite at ``pos`` leaves the prefix before
+        it unchanged, so a redex of the result starts at
+        ``pos - (span - 1)`` or later.  A result's
+        key is spliced from its parent's and the replacement's, and its word
+        is built only when the key is new."""
         cache = self._nf_cache
-        letter_key = self._heap_keys.__getitem__
-        back = self._back
-        pending = {word: [ONE, 0]}
-        heap = [(-len(word), tuple(map(letter_key, word)), 0, word)]
-        seq = 1
+        width = CODE_WIDTH
+        span = self._span
+        back = span - 1
+        redex = self._redex.__getitem__
+        key = b"".join(map(self._codes.__getitem__, word))
+        pending = {key: [ONE, 0]}
+        heap = [(-len(word), key, word)]
         out: dict = {}
         while heap:
-            _, wkey, _, w = heappop(heap)
-            c, start = pending.pop(w)
+            _, key, w = heappop(heap)
+            c, start = pending.pop(key)
             if c == 0:
                 continue
             hit = cache.get(w)
@@ -371,28 +405,29 @@ class RuleSet:
                 for nw, nc in hit.items():
                     _merge_term(out, nw, c * nc)
                 continue
-            found = self._find(w, start)
-            if found is None:
+            for pos in range(start, len(w)):
+                found = redex(w[pos : pos + span])
+                if found is not None:
+                    break
+            else:
                 _merge_term(out, w, c)
                 continue
-            pos, L, repl = found
+            L, terms = found
             self._steps += 1
             if self._steps > self._limit:
                 raise RewriteLimitError(
                     f"rewrite step guard ({self._limit}) exceeded; the rule set is"
                     " suspected non-terminating (or raise HOPFCYC_STEP_LIMIT)"
                 )
-            head, tail = w[:pos], w[pos + L :]
-            khead, ktail = wkey[:pos], wkey[pos + L :]
+            khead, ktail = key[: width * pos], key[width * (pos + L) :]
             resume = pos - back if pos > back else 0
-            for r, rc in repl.items():
-                child = head + r + tail
-                entry = pending.get(child)
+            for r, rkey, rc in terms:
+                ckey = khead + rkey + ktail
+                entry = pending.get(ckey)
                 if entry is None:
-                    pending[child] = [c * rc, resume]
-                    ckey = khead + tuple(map(letter_key, r)) + ktail
-                    heappush(heap, (-len(child), ckey, seq, child))
-                    seq += 1
+                    pending[ckey] = [c * rc, resume]
+                    child = w[:pos] + r + w[pos + L :]
+                    heappush(heap, (-len(child), ckey, child))
                 else:
                     entry[0] += c * rc
                     if resume < entry[1]:

@@ -219,6 +219,23 @@ def test_input_hash_names_every_argument(capsys, tmp_path):
     )
 
 
+def test_letter_past_the_code_range_exits_5(tmp_path):
+    import importlib.resources
+
+    from hopfcyc.rewrite import MAX_INDEX
+
+    shipped = (importlib.resources.files("hopfcyc") / "data" / "h1cop.hopf").read_text(encoding="utf-8")
+    big = MAX_INDEX + 1
+    rule = f"  rule Y d[{big}] -> d[{big}] Y;\n"
+    path = tmp_path / "big.hopf"
+    path.write_text(shipped.replace("  coproduct X", rule + "  coproduct X", 1), encoding="utf-8")
+    proc = run_main(["verify-hopf", "--file", str(path)])
+    assert proc.returncode == 5
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: letter d[{big}] is outside the rewrite code range")
+    assert proc.stdout == ""
+
+
 def test_step_limit_exit_code():
     from hopfcyc.errors import RewriteLimitError
 

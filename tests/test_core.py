@@ -11,7 +11,7 @@ import pytest
 from hopfcyc import cli, dsl
 from hopfcyc.core import Generator, Memo, tensor, word_str
 from hopfcyc.errors import StructureError
-from hopfcyc.rewrite import IndexExpr, LetterPat, SchemaRule
+from hopfcyc.rewrite import IndexExpr, LetterPat, RuleSet, SchemaRule
 
 
 def rand_elt(h, rng, letters, degree=2):
@@ -180,10 +180,13 @@ def test_schema_rule_binds_a_segment_once_even_without_a_match():
     bound = []
     bind = rule._bind
     rule._bind = lambda seg: bound.append(seg) or bind(seg)
+    # the rule set's redex table asks the rule once per segment
+    rs = RuleSet([rule], ("d", "Y", "X"))
     miss, hit = (Generator("Y"), Generator("d", 1)), (Generator("X"), Generator("d", 2))
     for _ in range(3):
-        assert rule.match(miss) is None
-        assert rule.match(hit) == {(Generator("d", 2), Generator("X")): 1}
+        assert rs._find(miss) is None
+        pos, L, terms = rs._find(hit)
+        assert (pos, L, [(w, c) for w, _, c in terms]) == (0, 2, [((Generator("d", 2), Generator("X")), 1)])
     assert bound == [miss, hit]
 
 

@@ -1,7 +1,10 @@
 """Rewriting: normal forms, termination order, confluence diagnostics."""
 
+import gc
 import random
+import re
 import sys
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -10,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcyc.core import Generator
-from hopfcyc.errors import RewriteLimitError, TerminationOrderError
+from hopfcyc.errors import RewriteLimitError, StructureError, TerminationOrderError
 from hopfcyc.instances import build_function_algebra, build_group_algebra, build_h1cop
 from hopfcyc.rewrite import (
+    CODE_WIDTH,
+    MAX_INDEX,
+    MAX_NAMES,
     ConcreteRule,
     FunctionRule,
     IndexExpr,
@@ -188,6 +194,135 @@ def test_worklist_matches_oracle_without_confluence():
     for _ in range(200):
         w = tuple(rng.choice((a, b, c)) for _ in range(rng.randint(0, 9)))
         assert pres.normalize_terms({w: 1}) == recursive_nf(pres.ruleset, w, oracle_cache), w
+
+
+# -- random rule sets that are not confluent ------------------------------------
+
+PREC = ("a", "b", "d")
+# u and v lie outside the precedence: their order_key components tie
+LETTERS = [Generator(n) for n in "abuv"] + [Generator("u", 1)]
+LETTERS += [d(k) for k in (1, 2, MAX_INDEX - 1, MAX_INDEX)]
+ORDER = RuleSet([], PREC).order_key
+
+
+def below(w, lhs) -> bool:
+    """w is shorter than lhs, or smaller at the first letter where they
+    differ: smaller in every refinement of the termination order."""
+    if len(w) != len(lhs):
+        return len(w) < len(lhs)
+    x, y = next(((x, y) for x, y in zip(w, lhs) if x is not y), (None, None))
+    return x is not None and ORDER((x,)) < ORDER((y,))
+
+
+def letter_words(lo, hi):
+    return st.lists(st.sampled_from(LETTERS), min_size=lo, max_size=hi).map(tuple)
+
+
+@st.composite
+def random_rule_sets(draw):
+    """(positive, rules): concrete rules with left sides of length 2 and 3,
+    and a rule with no first letter at a random place in the list."""
+    positive = draw(st.booleans())
+    coeffs = st.sampled_from((1, 2, 3) if positive else (-2, -1, 1, 2, 3))
+    rules = []
+    for lhs in draw(st.lists(letter_words(2, 3), min_size=1, max_size=4)):
+        words = draw(st.lists(letter_words(0, 3), max_size=3))
+        rules.append(ConcreteRule(lhs, {w: draw(coeffs) for w in words if below(w, lhs)}))
+    k = draw(coeffs)
+
+    def swap(seg):  # any pair whose first letter is the larger one
+        x, y = seg
+        return {(y, x): k, (y,): 1} if ORDER((y,)) < ORDER((x,)) else None
+
+    rules.insert(draw(st.integers(0, len(rules))), FunctionRule(2, swap))
+    return positive, rules
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_rule_sets(), st.lists(letter_words(0, 5), min_size=1, max_size=3))
+def test_worklist_matches_oracle_on_random_rule_sets(case, words):
+    positive, rules = case
+    for w in words:
+        rs = RuleSet(rules, PREC)
+        oracle: dict = {}
+        assert rs.normalize_terms({w: 1}) == recursive_nf(rs, w, oracle), w
+        # one rewrite per distinct word; with positive coefficients no
+        # pending coefficient cancels, so every word the oracle rewrites is
+        # rewritten
+        rewritten = sum(1 for v, nf in oracle.items() if nf != {v: 1})
+        assert rs._steps == rewritten if positive else rs._steps <= rewritten
+
+
+# -- letter codes --------------------------------------------------------------
+
+code_letters = st.builds(
+    Generator,
+    st.sampled_from(["a", "b", "d", "u", "v"]),
+    st.one_of(st.none(), st.integers(0, MAX_INDEX)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(code_letters, min_size=2, max_size=12))
+def test_letter_codes_reverse_the_order_and_are_injective(letters):
+    codes = RuleSet([], PREC)._codes
+    for x in letters:
+        assert len(codes[x]) == CODE_WIDTH
+        for y in letters:
+            # a larger letter has a smaller code; ties are split, never merged
+            if ORDER((x,)) < ORDER((y,)):
+                assert codes[x] > codes[y]
+            assert (codes[x] == codes[y]) == (x is y)
+
+
+def test_names_outside_the_precedence_rank_after_it_as_first_met():
+    u, v, a = Generator("u"), Generator("v"), Generator("a")
+    codes = RuleSet([], PREC)._codes
+    first, second = codes[v], codes[u]
+    assert second < first < codes[d(MAX_INDEX)] < codes[a]
+    codes = RuleSet([], PREC)._codes
+    first, second = codes[u], codes[v]
+    assert second < first
+
+
+@pytest.mark.parametrize("letter", [d(MAX_INDEX + 1), d(10**30), d(-1)])
+def test_letter_past_the_code_range_is_a_structure_error(letter):
+    rs = RuleSet([], PREC)
+    with pytest.raises(StructureError, match=rf"letter {re.escape(str(letter))} is outside"):
+        rs.normalize_terms({(A, letter): 1})
+
+
+def test_name_past_the_code_range_is_a_structure_error():
+    rs = RuleSet([], [f"n{i}" for i in range(MAX_NAMES)])
+    with pytest.raises(StructureError, match="letter a is outside"):
+        rs.normalize_terms({(A,): 1})
+
+
+def test_x_power_d1_takes_one_step_per_rewritten_word():
+    # the words X^a d[1+j] X^b with a + j + b = n and a >= 1 hold a redex,
+    # and each is rewritten once: n(n+1)/2 steps, the same count as the
+    # per-position rule scan the redex table replaced
+    n = 80
+    h = build_h1cop()
+    h.normalize_terms({(X,) * n + (d(1),): 1})
+    assert h.ruleset._steps == n * (n + 1) // 2 == 3240
+
+
+def test_rule_sets_and_schema_rules_are_freed_without_gc():
+    dk, dk1 = LetterPat("d", IndexExpr.parse("k")), LetterPat("d", IndexExpr.parse("k+1"))
+    rule = SchemaRule([LetterPat("X"), dk], [(1, (dk, LetterPat("X"))), (1, (dk1,))])
+    rs = RuleSet([rule], ("d", "X"))
+    assert rs.normalize_terms({(X, X, d(1)): 1}) == {(d(1), X, X): 1, (d(2), X): 2, (d(3),): 1}
+    assert rule.match((X, d(4))) == {(d(4), X): 1, (d(5),): 1}
+    refs = [weakref.ref(rule), weakref.ref(rs)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del rule, rs
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @st.composite
