@@ -34,12 +34,13 @@ without zero entries).  The diagonal actions of H, which give the
 relations of both quotients and L_g, are sums over Sweedler terms of
 Kronecker products (:func:`sweedler_sum`, :func:`kron`) of leg matrices
 on carrier basis positions (:func:`leg_columns`), with no word tuple built
-or hashed.  Every matrix from there on stays in that one format: products
-are :func:`~hopfcyc.linalg.mat_mul`, equations are list equality, ranks
-come from the fraction-free :func:`~hopfcyc.linalg.rank`, and kernels and
-the reduced relations of a quotient from
-:func:`~hopfcyc.linalg.orbit_rref` when every row has at most two entries
-(as on every group-algebra instance), else from
+or hashed; each term's last leg is summed in place into the output
+columns, so no full product is built.  Every matrix from there on stays
+in that one format: products are :func:`~hopfcyc.linalg.mat_mul`,
+equations are list equality, ranks come from the fraction-free
+:func:`~hopfcyc.linalg.rank`, and kernels and the reduced relations of a
+quotient from :func:`~hopfcyc.linalg.orbit_rref` when every row has at
+most two entries (as on every group-algebra instance), else from
 :func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
@@ -166,11 +167,27 @@ def kron(mats, dims) -> Columns:
 
 def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBasis) -> Columns:
     """Σ c · kron(legs(w)) over the terms {w: c} of a tensor of H words,
-    such as a Sweedler tensor, w holding one word per leg of ``basis``."""
+    such as a Sweedler tensor, w holding one word per leg of ``basis``.
+
+    Summed in place: per term, :func:`kron` builds only the product of the
+    leading legs, with c folded in as a 1×1 first leg, and the entries of
+    the last leg are added straight into the output columns, each entry
+    that cancels dropped, so no column of the full product is built."""
+    dims = basis.dims
+    d = dims[-1]
     out = [{} for _ in range(basis.dim)]
     for w, c in terms.items():
-        for acc, col in zip(out, kron(legs(w), basis.dims)):
-            add_multiple(acc, c, col)
+        *lead, last = legs(w)
+        heads = kron([[{0: c}]] + lead, [1] + dims[:-1])
+        for acc, (col, leg) in zip(out, iproduct(heads, last)):
+            for r, x in col.items():
+                r *= d
+                for s, y in leg.items():
+                    v = acc.get(r + s, 0) + x * y
+                    if v:
+                        acc[r + s] = v
+                    else:
+                        del acc[r + s]
     return out
 
 
@@ -208,10 +225,12 @@ class CoalgebraOps:
     c_mod: HModuleCoalgebra
 
     def __post_init__(self):
-        h, c = self.mc.hopf, self.c_mod.coalg
+        # the fills close over what they read, not over self, so a dropped
+        # CoalgebraOps is freed by reference counting, not by a gc pass
+        c_mod, h, c = self.c_mod, self.mc.hopf, self.c_mod.coalg
         self.coact, self.m_cols = coefficient_legs(self.mc)
-        self.c_act = Memo(lambda k: self.c_mod.act(h.from_word(k[0]), c.from_word(k[1])).terms)
-        self.c_cols = Memo(lambda hw: leg_columns(lambda w: self.c_act[hw, w], c))
+        c_act = self.c_act = Memo(lambda k: c_mod.act(h.from_word(k[0]), c.from_word(k[1])).terms)
+        self.c_cols = Memo(lambda hw: leg_columns(lambda w: c_act[hw, w], c))
         self.c_cop = Memo(lambda w: c.coproduct(c.from_word(w)).terms)
         self.c_eps = Memo(lambda w: c.counit(c.from_word(w)))
 
@@ -589,16 +608,17 @@ class AlgebraChainOps:
     a_mod: HModuleAlgebra
 
     def __post_init__(self):
-        h, alg = self.mc.hopf, self.a_mod.alg
+        # as in CoalgebraOps, the fills close over what they read, not over self
+        a_mod, h, alg = self.a_mod, self.mc.hopf, self.a_mod.alg
         self.coact, self.m_cols = coefficient_legs(self.mc)
         self.mul = Memo(lambda k: (alg.from_word(k[0]) * alg.from_word(k[1])).terms)
         # (h, a) -> S⁻¹(h)a
         self.inv_act = Memo(
-            lambda k: self.a_mod.act(h.inv_antipode(h.from_word(k[0])), alg.from_word(k[1])).terms
+            lambda k: a_mod.act(h.inv_antipode(h.from_word(k[0])), alg.from_word(k[1])).terms
         )
         self.s_cols = Memo(
             lambda hw: leg_columns(
-                lambda a: self.a_mod.act(h.antipode(h.from_word(hw)), alg.from_word(a)).terms, alg
+                lambda a: a_mod.act(h.antipode(h.from_word(hw)), alg.from_word(a)).terms, alg
             )
         )
 

@@ -24,7 +24,11 @@ Relation rows of at most two entries, as every ⊗_H, coinvariant, W and
 1 − λ row of the finite instances is, say that one basis vector is a
 multiple of another; :func:`orbit_rref` reads their reduced form off a
 weighted union-find of those classes (Tarjan 1975), in ``int`` entries
-where they are integral, and returns None on any other row set.
+where they are integral, and returns None on any other row set.  Its
+lookup answers a new column, a root or a child of a root with one or two
+dict reads and walks (and compresses) only longer paths, and a row with
+a ±1 entry first, as every row of a group-algebra instance has, gives
+its ratio without a division.
 :class:`Quotient` and :func:`nullspace` take that route first and fall
 back on :func:`rref`.  The reduced row echelon form of a matrix is unique
 (its nonzero rows are the one basis of the row space in reduced echelon
@@ -179,28 +183,45 @@ def orbit_rref(rows: List[SparseRow]) -> Optional[tuple[List[SparseRow], List[in
     an inconsistent cycle or a one-entry row spans all of its columns, so
     each of them is a pivot and row a is e_a.  Entries are ``int`` wherever
     they are integral.
+
+    Most lookups are short: a new column, a root or a child of a root is
+    answered with one or two dict reads, and only a longer path is walked
+    and compressed, each column on it taking the product of the weights
+    above it.  No unit needs a division: for c_a = ±1 the ratio k =
+    −c_b/c_a is ∓c_b, for k = ±1 its inverse is k, and for w_a = ±1 the
+    new weight k·w_b/w_a is ±k·w_b; every other ratio goes through
+    ``_ratio``.  The weights are internal, and each output entry is passed
+    through ``_ratio``, so an integral ``Fraction`` weight still gives an
+    ``int`` entry.
     """
-    if any(len(row) > 2 for row in rows):
+    if max(map(len, rows), default=0) > 2:
         return None
     parent: Dict[int, int] = {}
     weight: Dict[int, Fraction] = {}
     dead = set()  # roots of classes that span all of their columns
 
     def find(a):
-        """(root, w) with e_a ≡ w·e_root, compressing the path to a."""
-        if a not in parent:
-            parent[a], weight[a] = a, 1
+        """(root, w) with e_a ≡ w·e_root, compressing a path of two or
+        more hops."""
+        p = parent.get(a)
+        if p is None:
+            parent[a] = a
             return a, 1
-        path = []
-        while parent[a] != a:
-            path.append(a)
-            a = parent[a]
+        if p == a:
+            return a, 1
+        r = parent[p]
+        if r == p:
+            return p, weight[a]
+        path = [a, p]
+        while parent[r] != r:
+            path.append(r)
+            r = parent[r]
         for x in reversed(path):
             p = parent[x]
-            if p != a:
+            if p != r:
                 weight[x] *= weight[p]
-                parent[x] = a
-        return a, (weight[path[0]] if path else 1)
+                parent[x] = r
+        return r, weight[a]
 
     for row in rows:
         if len(row) == 1:
@@ -208,7 +229,8 @@ def orbit_rref(rows: List[SparseRow]) -> Optional[tuple[List[SparseRow], List[in
             dead.add(find(a)[0])
         elif row:
             (a, ca), (b, cb) = row.items()
-            k = _ratio(-cb, ca)  # e_a ≡ k·e_b
+            # e_a ≡ k·e_b; a unit c_a, as in every group-algebra row, needs no division
+            k = -cb if ca == 1 else cb if ca == -1 else _ratio(-cb, ca)
             ra, wa = find(a)
             rb, wb = find(b)
             if ra == rb:
@@ -216,9 +238,11 @@ def orbit_rref(rows: List[SparseRow]) -> Optional[tuple[List[SparseRow], List[in
                     dead.add(ra)
                 continue
             if ra > rb:
-                ra, wa, rb, wb, k = rb, wb, ra, wa, _ratio(1, k)
+                ra, wa, rb, wb = rb, wb, ra, wa
+                k = k if k == 1 or k == -1 else _ratio(1, k)
             # wa·e_ra ≡ k·wb·e_rb, and ra < rb becomes a child of rb
-            parent[ra], weight[ra] = rb, _ratio(k * wb, wa)
+            parent[ra] = rb
+            weight[ra] = k * wb if wa == 1 else -k * wb if wa == -1 else _ratio(k * wb, wa)
             if ra in dead:
                 dead.add(rb)
 

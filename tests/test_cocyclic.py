@@ -1,7 +1,9 @@
 """Cocyclic structure on finite instances and the two cohomology routes."""
 
+import gc
 import itertools
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,12 @@ from hypothesis import strategies as st
 
 from hopfcyc import cocyclic
 from hopfcyc.cocyclic import (
+    AlgebraChainOps,
     AlgebraCochainInstance,
+    CoalgebraOps,
+    FiniteComplex,
+    OperatorTable,
+    RelativeTensorSpace,
     build_coalgebra_instance,
     check_cocyclic,
     cyclic_cohomology,
@@ -53,6 +60,37 @@ def point(point_cmod):
     inst = build_coalgebra_instance(mc_trivial(point_cmod.hopf), point_cmod, 5)
     assert check_cocyclic(inst)["ok"]
     return inst
+
+
+def test_operator_legs_are_freed_without_gc(swap_cmod):
+    """The memo fills of CoalgebraOps and AlgebraChainOps close over what
+    they read, not over the object, so neither sits in a reference cycle:
+    once the table of a checked instance is let go, its CoalgebraOps dies
+    by reference counting, and so does a dropped AlgebraChainOps."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # built as build_coalgebra_instance builds it, keeping a weakref
+        ops = CoalgebraOps(mc_trivial(swap_cmod.hopf), swap_cmod)
+        spaces = [RelativeTensorSpace(ops, n) for n in range(3)]
+        inst = FiniteComplex(OperatorTable(ops, [sp.basis for sp in spaces]), [sp.quot for sp in spaces])
+        ref = weakref.ref(ops)
+        del ops, spaces
+        assert ref() is not None  # the table still holds it
+        assert check_cocyclic(inst)["ok"]
+        assert ref() is None
+
+        ci = build_group_cup_instance(graded=True)
+        chain_ops = AlgebraChainOps(ci.mc, ci.a_mod)
+        basis, _ = chain_ops.quotient(1)
+        chain_ops.face(1, 1, basis.tuples[0])
+        assert chain_ops.s_cols and chain_ops.inv_act and chain_ops.mul
+        ref = weakref.ref(chain_ops)
+        del chain_ops
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_point_dims(point):

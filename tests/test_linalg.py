@@ -402,9 +402,11 @@ def test_seeded_sparse_matrices_match_dense_oracle():
 
 # -- rows of at most two entries: the orbit route ------------------------------
 
+units = st.sampled_from([1, -1, F(1), F(-1)])
 weights = st.one_of(
-    st.sampled_from([1, -1]),
+    units,
     st.integers(-4, 4).filter(bool),
+    st.builds(F, st.integers(-4, 4).filter(bool)),  # integral, yet a Fraction
     st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 5)),
 )
 
@@ -414,24 +416,43 @@ def orbit_rows(draw, max_cols=8, max_rows=12):
     """Zero-, one- and two-entry rows over a few columns.  A two-entry row
     is either free or consistent with one weight p per column (c_a·p_a +
     c_b·p_b = 0), so classes come both with and without inconsistent
-    cycles; some rows are repeated."""
+    cycles; some rows are repeated.
+
+    A chain links four to six columns in increasing order, one row per
+    hop: on columns no earlier row has met, each row puts the root of the
+    smaller column under the larger one, so the first column ends up three
+    or more hops below its root before any lookup compresses the path.
+    The two entries of a row come in either order, so a union finds the
+    larger root on either side.  Entries ±1 come as ``int`` and as
+    ``Fraction``, and some ``Fraction`` entries are integral.  In about
+    half of the examples every entry is ±1, as in the rows of a group
+    algebra, so that unit ratios and unit weights meet in the unions."""
+    entries = draw(st.sampled_from([units, weights]))
     ncols = draw(st.integers(2, max_cols))
-    p = draw(st.lists(weights, min_size=ncols, max_size=ncols))
+    p = draw(st.lists(entries, min_size=ncols, max_size=ncols))
     pair = st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2, unique=True)
+
+    def two_entry(a, b):
+        if draw(st.booleans()):
+            row = {a: draw(entries), b: draw(entries)}
+        else:
+            c = draw(entries)
+            row = {a: c * p[b], b: -c * p[a]}
+        return row if draw(st.booleans()) else dict(reversed(row.items()))
+
     rows = []
     for _ in range(draw(st.integers(0, max_rows))):
-        kind = draw(st.sampled_from(["zero", "one", "free", "consistent", "consistent"]))
+        kind = draw(st.sampled_from(["zero", "one", "pair", "pair", "chain"]))
         if kind == "zero":
             rows.append({})
         elif kind == "one":
-            rows.append({draw(st.integers(0, ncols - 1)): draw(weights)})
+            rows.append({draw(st.integers(0, ncols - 1)): draw(entries)})
+        elif kind == "pair" or ncols < 4:
+            rows.append(two_entry(*draw(pair)))
         else:
-            a, b = draw(pair)
-            if kind == "free":
-                rows.append({a: draw(weights), b: draw(weights)})
-            else:
-                c = draw(weights)
-                rows.append({a: c * p[b], b: -c * p[a]})
+            hops = draw(st.lists(st.integers(0, ncols - 1), min_size=4, max_size=6, unique=True))
+            hops.sort()
+            rows.extend(two_entry(a, b) for a, b in zip(hops, hops[1:]))
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         rows.append(dict(rows[draw(st.integers(0, len(rows) - 1))]))
     return ncols, rows

@@ -185,3 +185,71 @@ def test_every_method_in_src_is_read():
     src = {f"src/{p.name}": p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     tests = {f"tests/{p.name}": p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
     assert unread_methods({**src, **tests}, src) == []
+
+
+def memo_fills_naming_self(sources: dict) -> list:
+    """(file, class) of each class in ``sources`` (file -> text) whose body,
+    nested functions included, holds a ``Memo(...)`` call with an argument
+    that names ``self``: a fill that keeps the object in a reference cycle
+    with its own memo, freed only by a gc pass.  A call in a nested class
+    counts for every class around it.  A local alias of ``self`` is not
+    caught: neither ``obj = self`` read in the fill, nor a local function
+    or ``partial`` that reads ``self`` and is passed by its name."""
+    found = set()
+    for fname, text in sources.items():
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for call in ast.walk(cls):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if getattr(func, "id", getattr(func, "attr", None)) != "Memo":
+                    continue
+                args = call.args + [kw.value for kw in call.keywords]
+                if any(isinstance(n, ast.Name) and n.id == "self" for a in args for n in ast.walk(a)):
+                    found.add((fname, cls.name))
+    return sorted(found)
+
+
+def test_memo_fills_naming_self_are_found():
+    source = (
+        "class Cycle:\n"
+        "    def __init__(self):\n"
+        "        self.m = Memo(lambda k: self.f(k))\n"
+        "        self.n = core.Memo(self.g)\n"
+        "\n"
+        "\n"
+        "class Closed:\n"
+        "    def __init__(self, c):\n"
+        "        self.m = Memo(lambda k: c.f(k))\n"
+        "        obj = self\n"
+        "        self.n = Memo(lambda k: obj.f(k))  # an alias: not caught\n"
+        "\n"
+        "\n"
+        "def free(self):\n"
+        "    return Memo(lambda k: self.f(k))  # not in a class\n"
+    )
+    assert memo_fills_naming_self({"a.py": source}) == [("a.py", "Cycle")]
+
+
+# Classes whose Memo fills still name self, each with the reason it stays.
+MEMO_FILLS_OVER_SELF = {
+    "FiniteComplex": "coface, codeg and tau induce through self.induce, which reads the"
+    " table, the quotients and the failure log of the same instance",
+    "KaygunBridge": "the τ-power, L_g, W, ℂ𝕄 and C_H memos call methods that read the"
+    " bridge's other memos, bases and table",
+    "MatchedPairData": "the action and coaction on words recurse through methods that"
+    " read the generator tables and each other's memo",
+    "HopfPresentation": "S and S⁻¹ of a generator come from self._derive, which reads Δ,"
+    " ε and the pending set of the same presentation",
+    "Presentation": "every kept element holds its presentation, so the element memo is"
+    " a cycle whatever its fill closes over; the normal-word fill reads the rule set",
+}
+
+
+def test_memo_fills_close_over_what_they_read():
+    # a fill that closes over the fields it reads, not over self, lets a
+    # dropped object go by reference counting; the classes above stay open
+    src = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert sorted(cls for _, cls in memo_fills_naming_self(src)) == sorted(MEMO_FILLS_OVER_SELF)

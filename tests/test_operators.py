@@ -8,8 +8,10 @@ with no memoized leg map.  Both routes are exact, so every matrix must agree
 entry for entry.
 """
 
+import copy
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from hopfcyc.cocyclic import (
     TensorBasis,
     kron,
     op_matrix,
+    sweedler_sum,
 )
 from hopfcyc.coefficients import (
     HModuleAlgebra,
@@ -46,10 +49,10 @@ from hopfcyc.instances import (
     swap_instance,
 )
 from hopfcyc.kaygun import KaygunBridge
-from hopfcyc.linalg import Quotient, identity_columns, orbit_rref
+from hopfcyc.linalg import Quotient, add_multiple, identity_columns, orbit_rref
 from hopfcyc.rewrite import ConcreteRule, Presentation
 
-from dense_oracle import as_dense, dense, identity, kronecker, mat_mul, mat_sub, sparse
+from dense_oracle import F0, as_dense, dense, identity, kronecker, mat_mul, mat_sub, sparse
 
 
 # -- the symbolic route ----------------------------------------------------------
@@ -567,6 +570,84 @@ def test_kron_of_unit_legs_indexes_like_tensor_basis(legs):
         assert kron(units, basis.dims) == [{j: 1}]
     ids = [identity_columns(d) for d in basis.dims]
     assert kron(ids, basis.dims) == identity_columns(basis.dim)
+
+
+def per_term_sweedler_sum(terms, legs, basis):
+    """:func:`sweedler_sum` by the per-term route, its oracle: the full
+    Kronecker product of each term, every column built, then added with
+    ``add_multiple``."""
+    out = [{} for _ in range(basis.dim)]
+    for w, c in terms.items():
+        for acc, col in zip(out, kron(legs(w), basis.dims)):
+            add_multiple(acc, c, col)
+    return out
+
+
+@st.composite
+def sweedler_terms(draw):
+    """A tensor of zero to four words, each with its own leg matrices over
+    1 to 3 legs (one leg, as a single-leg basis has) and an ``int`` or
+    ``Fraction`` coefficient.  A leg has 1 to 3 rows (one row, as a counit
+    has), and its columns hold zero or more entries (several, as H4's
+    do).  A word may copy the legs of an earlier one with one leg scaled
+    by t, and take −c/t as its coefficient, so the two terms cancel
+    exactly; or copy them with one column changed, so they cancel in every
+    other column.  ``basis`` carries only the ``dims`` and ``dim`` that
+    sweedler_sum reads."""
+    k = draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 3)) for _ in range(k)]
+    ncols = [draw(st.integers(1, 3)) for _ in range(k)]
+
+    def leg(i):
+        column = st.dictionaries(st.integers(0, dims[i] - 1), nonzero_entries, max_size=dims[i])
+        return draw(st.lists(column, min_size=ncols[i], max_size=ncols[i]))
+
+    legs, terms = [], {}
+    for w in range(draw(st.integers(0, 4))):
+        how = draw(st.sampled_from(["fresh", "cancel", "near"])) if legs else "fresh"
+        c = draw(nonzero_entries)
+        if how == "fresh":
+            legs.append([leg(i) for i in range(k)])
+        else:
+            v = draw(st.integers(0, len(legs) - 1))
+            mats = [[dict(col) for col in m] for m in legs[v]]
+            i = draw(st.integers(0, k - 1))
+            if how == "cancel":
+                t = draw(nonzero_entries)
+                mats[i] = [{r: t * x for r, x in col.items()} for col in mats[i]]
+                c = -Fraction(terms[v]) / t
+            else:
+                mats[i][draw(st.integers(0, ncols[i] - 1))] = leg(i)[0]
+                c = -terms[v]
+            legs.append(mats)
+        terms[w] = c
+    basis = SimpleNamespace(dims=dims, dim=math.prod(ncols))
+    return terms, legs, basis
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sweedler_terms())
+def test_sweedler_sum_matches_per_term_route_and_dense_kronecker(data):
+    terms, legs, basis = data
+    before = copy.deepcopy(legs)
+    out = sweedler_sum(terms, legs.__getitem__, basis)
+    oracle = per_term_sweedler_sum(terms, legs.__getitem__, basis)
+    assert out == oracle
+    assert [list(map(type, col.values())) for col in out] == [
+        list(map(type, col.values())) for col in oracle
+    ]
+    nrows = math.prod(basis.dims)
+    expected = [[F0] * basis.dim for _ in range(nrows)]
+    for w, c in terms.items():
+        term = kronecker([as_dense(m, d) for m, d in zip(legs[w], basis.dims)])
+        expected = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(expected, term)]
+    assert as_dense(out, nrows) == expected
+    assert all(x for col in out for x in col.values())
+    # the output owns its columns: writing to them leaves every leg as drawn
+    for col in out:
+        col.clear()
+        col[0] = 7
+    assert legs == before
 
 
 def test_images_outside_the_finite_basis_are_refused():
