@@ -21,6 +21,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from functools import partial
 
 from . import dsl
 from .coefficients import (
@@ -82,15 +83,22 @@ def _point_instance():
 
 
 def _swap_instances(top: int):
-    """The trivial and the graded instance on the swap G-set, by name; each
-    is built when the caller asks for it, after it is done with the one
-    before."""
+    """Builders of the trivial and the graded instance on the swap G-set, by
+    name.  A caller that builds each inside the expression that uses it
+    holds no instance while it builds the next one."""
     gs = swap_instance()
     c_mod = group_set_module_coalgebra(gs)
     h = c_mod.hopf
-    yield "trivial", build_coalgebra_instance(mc_trivial(h), c_mod, top)
+    yield "trivial", partial(build_coalgebra_instance, mc_trivial(h), c_mod, top)
     graded_space = build_group_algebra(gs.group, name="kG_coeff")
-    yield "graded", build_coalgebra_instance(mc_graded_group(h, graded_space), c_mod, top)
+    yield "graded", partial(build_coalgebra_instance, mc_graded_group(h, graded_space), c_mod, top)
+
+
+def _checked_cohomology(inst, upto: int) -> dict:
+    """:func:`cyclic_cohomology` of an instance after :func:`check_cocyclic`;
+    the instance is let go on return."""
+    check_cocyclic(inst)
+    return cyclic_cohomology(inst, upto)
 
 
 # -- commands ------------------------------------------------------------------
@@ -198,8 +206,8 @@ def cmd_quotient_coideal(args):
 def cmd_check_cocyclic(args):
     upto = args.upto if args.upto is not None else 3
     report = {}
-    for name, inst in _swap_instances(upto + 1):
-        report[name] = check_cocyclic(inst, upto=upto)
+    for name, build in _swap_instances(upto + 1):
+        report[name] = check_cocyclic(build(), upto=upto)
     report["ok"] = all(v["ok"] for v in report.values())
     return report
 
@@ -208,15 +216,11 @@ def cmd_cohomology(args):
     upto = args.upto if args.upto is not None else 3
     report = {}
 
-    gs = _point_instance()
-    c_mod = group_set_module_coalgebra(gs)
-    inst = build_coalgebra_instance(mc_trivial(c_mod.hopf), c_mod, upto + 2)
-    check_cocyclic(inst)
-    report["point"] = cyclic_cohomology(inst, upto)
-
-    for name, sw in _swap_instances(upto + 2):
-        check_cocyclic(sw)
-        report[f"swap_{name}"] = cyclic_cohomology(sw, upto)
+    c_mod = group_set_module_coalgebra(_point_instance())
+    point = partial(build_coalgebra_instance, mc_trivial(c_mod.hopf), c_mod, upto + 2)
+    report["point"] = _checked_cohomology(point(), upto)
+    for name, build in _swap_instances(upto + 2):
+        report[f"swap_{name}"] = _checked_cohomology(build(), upto)
 
     report["ok"] = all(v["agree"] for v in report.values() if isinstance(v, dict))
     return report

@@ -9,39 +9,44 @@ transposes of the induced chain matrices.
 
 Every finite instance is one :class:`FiniteComplex`: a quotient per
 degree over the bases of an :class:`OperatorTable`, whose operators are
-induced on first read by one pipeline (:meth:`FiniteComplex.induce`)
-that takes the ambient matrix from the table, checks that it descends to
-the quotients and induces it there.  The table builds each ambient matrix
-once, on first use, and complexes over the same bases share it.  So a
-consumer checks for descent exactly what it reads: every operator through
-the top for :func:`check_cocyclic`; τ and the cofaces on ℂ𝕄 and C_H for
-:func:`~hopfcyc.kaygun.check_iso`; the cofaces through top + 1 and τ
-through top of both sides of :class:`~hopfcyc.cup.CupData`.
+induced on first read by one pipeline that takes the ambient matrix from
+the table and composes it with the target's projection matrix, checks
+that it descends to the quotients and selects the induced matrix
+(:meth:`~hopfcyc.linalg.Quotient.induced`).  The table builds each
+ambient matrix once, on first use, and complexes over the same bases
+share it.  So a consumer checks for descent exactly what it reads: every
+operator through the top for :func:`check_cocyclic`; τ and the cofaces
+on ℂ𝕄 and C_H for :func:`~hopfcyc.kaygun.check_iso`; the cofaces through
+top + 1 and τ through top of both sides of :class:`~hopfcyc.cup.CupData`.
 
-Chain operators are evaluated on basis tuples from leg maps: the
-coproduct, coaction and actions of the carriers, each evaluated once per
-word by a :class:`~hopfcyc.core.Memo` kept by the operator object.  A
-basis tuple holds one carrier word per leg, 0-based: the coefficient word
-at position 0 and cᵢ (or aᵢ) at position i+1.  An operator takes one
-tuple and returns its image as a ``{word tuple: coeff}`` dict, with no
-:class:`~hopfcyc.core.TensorElt` in between; :meth:`TensorBasis.coords`
-refuses any image outside the target basis.  This is sound because
-presentations are immutable once built (their rules are fixed, which is
-also why ``Presentation.from_word`` is memoized) and the maps are linear.
-:func:`op_matrix` returns an operator as sparse columns
-(:data:`~hopfcyc.linalg.Columns`: column j is a ``dict[row] -> entry``
-without zero entries).  The diagonal actions of H, which give the
-relations of both quotients and L_g, are sums over Sweedler terms of
-Kronecker products (:func:`sweedler_sum`, :func:`kron`) of leg matrices
-on carrier basis positions (:func:`leg_columns`), with no word tuple built
-or hashed; each term's last leg is summed in place into the output
-columns, so no full product is built.  Every matrix from there on stays
-in that one format: products are :func:`~hopfcyc.linalg.mat_mul`,
-equations are list equality, ranks come from the fraction-free
-:func:`~hopfcyc.linalg.rank`, and kernels and the reduced relations of a
-quotient from :func:`~hopfcyc.linalg.orbit_rref` when every row has at
-most two entries (as on every group-algebra instance), else from
-:func:`~hopfcyc.linalg.rref`.
+A basis tuple holds one carrier word per leg, 0-based: the coefficient
+word at position 0 and cᵢ (or aᵢ) at position i+1, last leg fastest.
+Every coface and face but the last, every codegeneracy and every
+degeneracy acts on one leg or two adjacent ones (Loday, *Cyclic
+Homology*, §2.5), so it is I_a ⊗ L ⊗ I_b for a leg matrix L (Δ, ε, the
+product or the unit), built by index arithmetic (:func:`kron_local`).
+The twisted operators (the last coface, τ, the last face and T) take one
+basis tuple and return its image as a ``{word tuple: coeff}`` dict, read
+from leg maps (the coproduct, coaction and actions of the carriers, each
+evaluated once per word by a :class:`~hopfcyc.core.Memo` kept by the
+operator object), with no :class:`~hopfcyc.core.TensorElt` in between;
+:meth:`TensorBasis.coords` refuses any image outside the target basis.
+This is sound because presentations are immutable once built (their
+rules are fixed, which is also why ``Presentation.from_word`` is
+memoized) and the maps are linear.  :func:`op_matrix` returns such an
+operator as sparse columns (:data:`~hopfcyc.linalg.Columns`: column j is
+a ``dict[row] -> entry`` without zero entries).  The diagonal actions of
+H, which give the relations of both quotients and L_g, are sums over
+Sweedler terms of Kronecker products (:func:`sweedler_sum`, :func:`kron`)
+of leg matrices on carrier basis positions (:func:`leg_columns`), with no
+word tuple built or hashed; each term's last leg is summed in place into
+the output columns, so no full product is built.  Every matrix from
+there on stays in that one format: products are
+:func:`~hopfcyc.linalg.mat_mul`, equations are list equality, ranks come
+from the fraction-free :func:`~hopfcyc.linalg.rank`, and kernels and the
+reduced relations of a quotient from :func:`~hopfcyc.linalg.orbit_rref`
+when every row has at most two entries (as on every group-algebra
+instance), else from :func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through a truncated cyclic bicomplex;
@@ -51,8 +56,9 @@ agreement of the two is part of the test surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import product as iproduct
+from math import prod
 from typing import Callable, Mapping, Optional
 
 from .core import EMPTY_WORD, ONE, Memo, TensorElt, _merge_term, tensor, word_str
@@ -94,6 +100,9 @@ class TensorBasis:
         self.dims = [len(b) for b in bases]
         self.tuples = list(iproduct(*bases))
         self.index = {wt: i for i, wt in enumerate(self.tuples)}
+        # the ints of index in order: keys[i] is i, shared by every matrix
+        # whose rows are this basis, as the keys of coords are
+        self.keys = list(self.index.values())
         self.dim = len(self.tuples)
 
     def coords(self, terms: Mapping) -> SparseRow:
@@ -112,10 +121,33 @@ class TensorBasis:
 
 
 def op_matrix(op: Callable[[tuple], Mapping], src: TensorBasis, tgt: TensorBasis) -> Columns:
-    """A linear chain operator as sparse columns (:data:`~hopfcyc.linalg.Columns`):
+    """A linear map given on basis tuples, such as a twisted chain operator
+    or a leg matrix, as sparse columns (:data:`~hopfcyc.linalg.Columns`):
     column j holds the ``tgt`` coordinates of ``op(src.tuples[j])``, the
     image of basis tuple j as a ``{word tuple: coeff}`` dict."""
     return [tgt.coords(op(wt)) for wt in src.tuples]
+
+
+def kron_local(a: int, leg: Columns, b: int, keys) -> Columns:
+    """I_a ⊗ leg ⊗ I_b as sparse columns, last factor fastest as in
+    :func:`kron`: column (x·m + c)·b + y, for the m columns of ``leg``,
+    holds row (x·d + r)·b + y for each entry r of column c, the d rows of
+    ``leg`` being ``len(keys) // (a·b)``.  Each row key is read from
+    ``keys`` (the :attr:`TensorBasis.keys` of the target), so no entry
+    allocates an ``int``; the b columns of a one-entry leg column take
+    their keys from one slice.  Builds or hashes no word tuple."""
+    d = len(keys) // (a * b)
+    out = []
+    for x in range(a):
+        for col in leg:
+            if len(col) == 1:
+                ((r, v),) = col.items()
+                o = (x * d + r) * b
+                out += [{k: v} for k in keys[o : o + b]]
+            else:
+                heads = [((x * d + r) * b, v) for r, v in col.items()]
+                out += [{keys[o + y]: v for o, v in heads} for y in range(b)]
+    return out
 
 
 def alternating_sum(mats) -> Columns:
@@ -215,14 +247,16 @@ def coefficient_legs(mc: ModuleComodule):
 class CoalgebraOps:
     """The (para)cocyclic operators on chains m ⊗ c₀ ⊗ … ⊗ cₙ.
 
-    Each operator takes one basis tuple (m, c₀, …, cₙ), with M at position
-    0 and cᵢ at position i+1, and returns its image as a ``{word tuple:
-    coeff}`` dict read from the leg maps below, so the coproduct, coaction
-    and actions are evaluated once per basis word, for every degree.
+    The local ones are leg matrices (:meth:`local`).  The last coface and
+    τ take one basis tuple (m, c₀, …, cₙ), with M at position 0 and cᵢ at
+    position i+1, and return its image as a ``{word tuple: coeff}`` dict
+    read from the leg maps below, so the coproduct, coaction and actions
+    are evaluated once per basis word, for every degree.
     """
 
     mc: ModuleComodule
     c_mod: HModuleCoalgebra
+    chains = False
 
     def __post_init__(self):
         # the fills close over what they read, not over self, so a dropped
@@ -232,18 +266,37 @@ class CoalgebraOps:
         c_act = self.c_act = Memo(lambda k: c_mod.act(h.from_word(k[0]), c.from_word(k[1])).terms)
         self.c_cols = Memo(lambda hw: leg_columns(lambda w: c_act[hw, w], c))
         self.c_cop = Memo(lambda w: c.coproduct(c.from_word(w)).terms)
-        self.c_eps = Memo(lambda w: c.counit(c.from_word(w)))
+
+    @cached_property
+    def cop_leg(self) -> Columns:
+        """Δ: C → C ⊗ C as a leg matrix."""
+        c, cop = self.c_mod.coalg, self.c_cop
+        return op_matrix(lambda wt: cop[wt[0]], TensorBasis((c,)), TensorBasis((c, c)))
+
+    @cached_property
+    def eps_leg(self) -> Columns:
+        """ε: C → k as a leg matrix of one row."""
+        c = self.c_mod.coalg
+        return [{0: e} if e else {} for e in (c.counit(c.from_word(w)) for w in c.basis_words())]
+
+    def local(self, name: str, n: int, i: Optional[int] = None):
+        """(p, L) when operator ``name`` of degree n is I ⊗ L ⊗ I, the leg
+        matrix L read at source leg p: ∂_i for i < n is Δ on cᵢ, and σ_i
+        is ε on cᵢ₊₁, matching the coface insertion index; None for the
+        last coface and τ."""
+        if name == "codegeneracy":
+            return i + 2, self.eps_leg
+        if name == "coface" and i < n:
+            return i + 1, self.cop_leg
+        return None
 
     def act_legs(self, w: tuple) -> list:
         """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ c̃: m·h₀, hᵢ₊₁▹cᵢ."""
         return [self.m_cols[w[0]]] + [self.c_cols[g] for g in w[1:]]
 
-    def coface(self, n: int, i: int, wt: tuple) -> dict:
-        """∂_i: degree n-1 chains to degree n chains, 0 <= i <= n."""
-        if i < n:
-            head, tail = wt[: i + 1], wt[i + 2 :]
-            return {head + pair + tail: cd for pair, cd in self.c_cop[wt[i + 1]].items()}
-        # last coface: m⟨0⟩ ⊗ c₀⁽²⁾ ⊗ c₁ ⊗ … ⊗ m⟨-1⟩ c₀⁽¹⁾
+    def coface(self, n: int, wt: tuple) -> dict:
+        """∂_n, the last coface from degree n-1 to degree n: m ⊗ c̃ to
+        m⟨0⟩ ⊗ c₀⁽²⁾ ⊗ c₁ ⊗ … ⊗ m⟨-1⟩ c₀⁽¹⁾."""
         out = {}
         mids = wt[2:]
         for (w, m0), cc in self.coact[wt[0]].items():
@@ -252,12 +305,6 @@ class CoalgebraOps:
                 for a, ca in self.c_act[w, c1].items():
                     _merge_term(out, (m0, c2) + mids + (a,), k * ca)
         return out
-
-    def codegeneracy(self, n: int, i: int, wt: tuple) -> dict:
-        """σ_i: degree n+1 chains to degree n chains, 0 <= i <= n; applies
-        the counit at position i+1, matching the coface insertion index."""
-        e = self.c_eps[wt[i + 2]]
-        return {wt[: i + 2] + wt[i + 3 :]: e} if e else {}
 
     def tau(self, n: int, wt: tuple) -> dict:
         """τ_n: m ⊗ c̃ to m⟨0⟩ ⊗ c₁ ⊗ … ⊗ cₙ ⊗ m⟨-1⟩ c₀."""
@@ -300,15 +347,16 @@ class RelativeTensorSpace:
 
 class OperatorTable(Memo):
     """The ambient matrices of the operators of one (co)simplicial object,
-    built by :func:`op_matrix` on first use and kept.
+    built on first use and kept.
 
     ``table[name, n, i]`` is the i-th (co)face or (co)degeneracy of degree
-    n and ``table[name, n]`` the cyclic operator, ``name`` being the method
-    of ``ops`` that evaluates it: a :class:`CoalgebraOps` (cofaces,
-    codegeneracies and τ) or an :class:`AlgebraChainOps` (faces,
-    degeneracies and T, which run the other way).  ``bases[n]`` is the
-    ambient basis in degree n.  The direction, ``chains``, is read from
-    the type of ``ops``.
+    n and ``table[name, n]`` the cyclic operator of ``ops``: a
+    :class:`CoalgebraOps` (cofaces, codegeneracies and τ) or an
+    :class:`AlgebraChainOps` (faces, degeneracies and T, which run the
+    other way, as ``ops.chains`` says).  ``bases[n]`` is the ambient basis
+    in degree n.  An operator that ``ops.local`` gives as a leg matrix L
+    read at source leg p is I_a ⊗ L ⊗ I_b (:func:`kron_local`); any other
+    is the method ``name`` of ``ops`` per basis tuple (:func:`op_matrix`).
     """
 
     # (source, target) degree of each operator, relative to its n
@@ -323,12 +371,20 @@ class OperatorTable(Memo):
         # the fill holds ops and bases but not the table, so a table no
         # longer used is freed at once, not held in a cycle until a gc pass
         def build(key) -> Columns:
-            src, tgt = OperatorTable.degrees(key)
-            return op_matrix(partial(getattr(ops, key[0]), *key[1:]), bases[src], bases[tgt])
+            s, t = OperatorTable.degrees(key)
+            src, tgt = bases[s], bases[t]
+            if not src.dim:
+                return []  # no column, and no leg dims to divide by
+            local = ops.local(*key)
+            if local is None:
+                return op_matrix(partial(getattr(ops, key[0]), key[1]), src, tgt)
+            p, leg = local
+            a = prod(src.dims[:p])
+            return kron_local(a, leg, src.dim // (a * len(leg)), tgt.keys)
 
         super().__init__(build)
         self.bases = bases
-        self.chains = isinstance(ops, AlgebraChainOps)
+        self.chains = ops.chains
 
     @staticmethod
     def degrees(key) -> tuple:
@@ -342,7 +398,8 @@ class FiniteComplex:
     ``quots[n]``.
 
     ``coface[n, i]`` (∂_i: n-1 -> n), ``codeg[n, i]`` (σ_i: n+1 -> n) and
-    ``tau[n]`` call :meth:`induce` on first read and keep the result; over
+    ``tau[n]`` induce ``table[key]`` on first read (through
+    :meth:`~hopfcyc.linalg.Quotient.induced`) and keep the result; over
     a table of chain operators they hold the transposes of the induced
     faces, degeneracies and T, so cofaces raise the degree either way.
     """
@@ -350,30 +407,39 @@ class FiniteComplex:
     NAMES = {False: ("coface", "codegeneracy", "tau"), True: ("face", "degeneracy", "t")}
 
     def __init__(self, table: OperatorTable, quots):
-        self.table = table
         self.bases = table.bases
-        self.chains = table.chains
-        self.quots = list(quots)
-        self.dims = [q.dim for q in self.quots]
-        self.top = len(self.quots) - 1
+        self.chains = chains = table.chains
+        self.quots = quots = list(quots)
+        self.dims = dims = [q.dim for q in quots]
+        self.top = len(quots) - 1
         self.verified = False
-        self._failures = {}
-        fc, fd, ft = self.names = self.NAMES[self.chains]
-        self.coface = Memo(lambda k: self.induce(fc, *k))
-        self.codeg = Memo(lambda k: self.induce(fd, *k))
-        self.tau = Memo(lambda n: self.induce(ft, n))
+        # the memos close over this state, not over self, so a dropped
+        # complex is freed by reference counting; induce_all empties the
+        # table slot
+        self._slot = slot = [table]
+        self._failures = failures = {}
+        names = self.NAMES[chains]
 
-    def induce(self, *key) -> Columns:
-        """The matrix of ``table[key]`` induced on the quotients (its
-        transpose over a chain table), recorded by its label, such as
-        ``coface(n,i)`` or ``t(n)``, if it does not descend."""
-        src, tgt = self.table.degrees(key)
-        amb = self.table[key]
-        if not self.quots[src].preserves_relations(amb, self.quots[tgt]):
-            label = f"{key[0]}({','.join(map(str, key[1:]))})"
-            self._failures[(self.names.index(key[0]),) + key[1:]] = label
-        m = self.quots[src].induced_matrix(amb, self.quots[tgt])
-        return transpose(m, self.dims[tgt]) if self.chains else m
+        def induce(*key) -> Columns:
+            """The matrix of ``table[key]`` induced on the quotients (its
+            transpose over a chain table), recorded by its label, such as
+            ``coface(n,i)`` or ``t(n)``, if it does not descend."""
+            src, tgt = OperatorTable.degrees(key)
+            m, off = quots[src].induced(slot[0][key], quots[tgt])
+            if off:
+                label = f"{key[0]}({','.join(map(str, key[1:]))})"
+                failures[(names.index(key[0]),) + key[1:]] = label
+            return transpose(m, dims[tgt]) if chains else m
+
+        fc, fd, ft = names
+        self.coface = Memo(lambda k: induce(fc, *k))
+        self.codeg = Memo(lambda k: induce(fd, *k))
+        self.tau = Memo(lambda n: induce(ft, n))
+
+    @property
+    def table(self) -> Optional[OperatorTable]:
+        """The operator table, until :meth:`induce_all` lets go of it."""
+        return self._slot[0]
 
     @property
     def welldef_failures(self) -> list:
@@ -392,7 +458,7 @@ class FiniteComplex:
                     self.coface[n, i]
                 if n < self.top:
                     self.codeg[n, i]
-        self.table = None
+        self._slot[0] = None
 
     def b(self, n: int) -> Columns:
         """Hochschild coboundary C^n -> C^(n+1) (alternating coface sum)."""
@@ -598,14 +664,15 @@ def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
 @dataclass
 class AlgebraChainOps:
     """Chain-level operators on M ⊗ A^⊗(n+1); cochain operators arise as
-    transposes of the induced quotient matrices.  Like
-    :class:`CoalgebraOps`, each operator takes one basis tuple (m, a₀, …,
-    aₙ), with M at position 0 and aᵢ at position i+1, and returns its image
-    as a ``{word tuple: coeff}`` dict read from leg maps evaluated once per
-    basis word."""
+    transposes of the induced quotient matrices.  As in
+    :class:`CoalgebraOps`, the local ones are leg matrices (:meth:`local`),
+    and the last face and T take one basis tuple (m, a₀, …, aₙ), with M at
+    position 0 and aᵢ at position i+1, and return its image read from leg
+    maps evaluated once per basis word."""
 
     mc: ModuleComodule
     a_mod: HModuleAlgebra
+    chains = True
 
     def __post_init__(self):
         # as in CoalgebraOps, the fills close over what they read, not over self
@@ -622,13 +689,34 @@ class AlgebraChainOps:
             )
         )
 
-    def face(self, n: int, i: int, wt: tuple) -> dict:
-        """D_i: degree n chains to degree n-1 chains, 0 <= i <= n."""
-        if i < n:
-            # merge A legs i and i+1
-            head, tail = wt[: i + 1], wt[i + 3 :]
-            return {head + (p,) + tail: pc for p, pc in self.mul[wt[i + 1], wt[i + 2]].items()}
-        # last face: m⟨0⟩ ⊗ (S⁻¹(m⟨-1⟩)aₙ)a₀ ⊗ a₁ ⊗ … ⊗ a_{n-1}
+    @cached_property
+    def mul_leg(self) -> Columns:
+        """The product A ⊗ A → A as a leg matrix."""
+        alg, mul = self.a_mod.alg, self.mul
+        return op_matrix(
+            lambda wt: {(p,): x for p, x in mul[wt].items()}, TensorBasis((alg, alg)), TensorBasis((alg,))
+        )
+
+    @cached_property
+    def unit_leg(self) -> Columns:
+        """The unit k → A as a leg matrix of one column."""
+        alg = self.a_mod.alg
+        return [TensorBasis((alg,)).coords({(u,): x for u, x in alg.unit().terms.items()})]
+
+    def local(self, name: str, n: int, i: Optional[int] = None):
+        """(p, L) when operator ``name`` of degree n is I ⊗ L ⊗ I, the leg
+        matrix L read at source leg p: D_i for i < n multiplies aᵢ and
+        aᵢ₊₁, and S_i inserts the unit after aᵢ; None for the last face
+        and T."""
+        if name == "degeneracy":
+            return i + 2, self.unit_leg
+        if name == "face" and i < n:
+            return i + 1, self.mul_leg
+        return None
+
+    def face(self, n: int, wt: tuple) -> dict:
+        """D_n, the last face from degree n to degree n-1: m ⊗ ã to
+        m⟨0⟩ ⊗ (S⁻¹(m⟨-1⟩)aₙ)a₀ ⊗ a₁ ⊗ … ⊗ a_{n-1}."""
         out = {}
         mids = wt[2:-1]
         for (w, m0), cc in self.coact[wt[0]].items():
@@ -637,11 +725,6 @@ class AlgebraChainOps:
                 for p, pc in self.mul[t, wt[1]].items():
                     _merge_term(out, (m0, p) + mids, k * pc)
         return out
-
-    def degeneracy(self, n: int, i: int, wt: tuple) -> dict:
-        """S_i: insert the unit after A position i, degree n to n+1."""
-        head, tail = wt[: i + 2], wt[i + 2 :]
-        return {head + (u,) + tail: uc for u, uc in self.a_mod.alg.unit().terms.items()}
 
     def t(self, n: int, wt: tuple) -> dict:
         """T_n: m ⊗ ã to m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩)aₙ ⊗ a₀ ⊗ … ⊗ a_{n-1}."""

@@ -41,13 +41,18 @@ commutators and W rows of an integral instance stay in ``int``
 arithmetic; :func:`rref` still returns ``Fraction`` entries.
 
 Chain operators are built as :data:`Columns` by
-:func:`hopfcyc.cocyclic.op_matrix`; relation rows are built as sparse rows
-and enter :class:`Quotient` as they are.  The quotient maps
-(:meth:`Quotient.induced_matrix`, :meth:`Quotient.preserves_relations`)
-take and return :data:`Columns`, so operators stay sparse from the ambient
-space to the ranks.  Their caller is
-:meth:`hopfcyc.cocyclic.FiniteComplex.induce`, which checks that an
-operator descends before it induces it.
+:class:`hopfcyc.cocyclic.OperatorTable`; relation rows are built as sparse
+rows and enter :class:`Quotient` as they are.  A :class:`Quotient` holds
+its projection as one matrix, ``proj``, so projecting a vector is
+:func:`mat_vec`, and inducing an operator is compose, check, select
+(:meth:`Quotient.induced`): Q = proj ∘ op of the target is one
+:func:`mat_mul`, the operator descends exactly when Q sends every reduced
+relation row of the source to zero, and the induced matrix is the columns
+of Q at the free coordinates.  Operators stay sparse from the ambient
+space to the ranks.  The callers are the operator memos of
+:class:`hopfcyc.cocyclic.FiniteComplex`, which check that an operator
+descends before they keep it, and the Π/Π′ maps of
+:func:`hopfcyc.kaygun.check_iso`.
 """
 
 from __future__ import annotations
@@ -348,57 +353,61 @@ class Quotient:
     """Quotient of ℚ^n by the span of sparse relation rows.
 
     Quotient coordinates are the free (non-pivot) coordinates of the
-    reduced relations; ``project`` reduces an ambient vector to them and
+    reduced relations; ``project`` sends an ambient vector to them and
     ``include`` embeds them back as ambient representatives.  ``rows``
     holds the reduced relations, row k with its leading 1 at
     ``pivots[k]``: from :func:`orbit_rref` when every relation has at most
     two entries (then each reduced row is e_a or e_a − w·e_r, in ``int``
     entries where integral, and projecting stays in ``int`` arithmetic),
     from :func:`rref` otherwise.
+
+    ``proj`` is the projection as one matrix: column c is e_c in quotient
+    coordinates, {k: 1} for the k-th free c, and for a pivot c minus the
+    free entries of its reduced row, which is zero at every other pivot.
+    Each quotient coordinate k is one ``int`` object, held by every column
+    of ``proj`` that has an entry at k and so by every matrix projected
+    through it.
     """
 
     def __init__(self, relations: List[SparseRow], ambient_dim: int):
         self.ambient_dim = ambient_dim
         self.rows, self.pivots = orbit_rref(relations) or rref(relations)
-        self._row_of = dict(zip(self.pivots, self.rows))
-        self.free = [c for c in range(ambient_dim) if c not in self._row_of]
-        self._free_pos = {c: k for k, c in enumerate(self.free)}
+        row_of = dict(zip(self.pivots, self.rows))
+        self.free = [c for c in range(ambient_dim) if c not in row_of]
         self.dim = len(self.free)
-
-    def _reduce(self, v: SparseRow) -> SparseRow:
-        """Subtract from v, in place, its part in the relation span; what is
-        left sits at free coordinates only.  Each reduced relation is zero at
-        every other pivot, so one pass over v's pivot entries suffices."""
-        for pc in [pc for pc in v if pc in self._row_of]:
-            add_multiple(v, -v[pc], self._row_of[pc])
-        return v
+        pos = dict(zip(self.free, range(self.dim)))
+        self.proj: Columns = [
+            {pos[c]: 1} if c in pos else {pos[f]: -x for f, x in row_of[c].items() if f != c}
+            for c in range(ambient_dim)
+        ]
 
     def project(self, v: SparseRow) -> SparseRow:
         """Coordinates of v + relations in the quotient basis."""
-        pos = self._free_pos
-        return {pos[c]: x for c, x in self._reduce(dict(v)).items()}
+        return mat_vec(self.proj, v)
 
     def include(self, q: SparseRow) -> SparseRow:
         """Ambient representative of a quotient vector (section of project)."""
         return {self.free[k]: x for k, x in q.items()}
 
     def contains_in_relations(self, v: SparseRow) -> bool:
-        return not self._reduce(dict(v))
+        return not self.project(v)
+
+    def induced(self, ambient_op: Columns, target: "Quotient") -> tuple[Columns, int]:
+        """(M, k): M the map that ``ambient_op`` induces on the quotients,
+        k the nonzero count of the reduced relations' images projected to
+        the target, so that the operator descends exactly when k is 0.
+        Q = target.proj ∘ ambient_op is composed once; M is its columns at
+        the free coordinates, and the images are Q applied to each row."""
+        q = mat_mul(target.proj, ambient_op)
+        return [q[c] for c in self.free], sum(len(mat_vec(q, row)) for row in self.rows)
 
     def induced_matrix(self, ambient_op: Columns, target: "Quotient") -> Columns:
-        """The induced map on quotients: column k is the column of the
-        ambient operator at free coordinate k, projected to the target.
-        The caller checks well-definedness (:meth:`preserves_relations`),
-        as :meth:`hopfcyc.cocyclic.FiniteComplex.induce` does."""
-        return [target.project(ambient_op[c]) for c in self.free]
+        """The induced map on quotients, as :meth:`induced` gives it."""
+        return self.induced(ambient_op, target)[0]
 
     def preserves_relations(self, ambient_op: Columns, target: "Quotient") -> bool:
-        """Does the ambient operator map the relation subspace into the
-        target relation subspace (i.e. descend to the quotients)?"""
-        for row in self.rows:
-            if target._reduce(mat_vec(ambient_op, row)):
-                return False
-        return True
+        """Does the ambient operator descend to the quotients?"""
+        return not self.induced(ambient_op, target)[1]
 
 
 def cohomology_dims(diffs: List[Columns], dims: List[int], upto: int) -> List[int]:

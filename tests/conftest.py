@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from hopfcyc.cocyclic import OperatorTable
 from hopfcyc.coefficients import HModuleAlgebra, HModuleCoalgebra, group_set_module_coalgebra
 from hopfcyc.dsl import build_hopf, parse
 from hopfcyc.instances import (
@@ -15,6 +16,22 @@ from hopfcyc.instances import (
     cyclic_group,
     swap_instance,
 )
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The key of every ambient matrix an :class:`OperatorTable` builds
+    while the test runs, in build order: the table's fill is spied on, so
+    local and twisted operators count alike."""
+    built = []
+    fill = OperatorTable.__missing__
+
+    def spy(table, key):
+        built.append(key)
+        return fill(table, key)
+
+    monkeypatch.setattr(OperatorTable, "__missing__", spy)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,17 @@
 """Cocyclic structure on finite instances and the two cohomology routes."""
 
 import gc
+import io
 import itertools
 import re
 import weakref
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcyc import cocyclic
+from hopfcyc import cli
 from hopfcyc.cocyclic import (
     AlgebraChainOps,
     AlgebraCochainInstance,
@@ -83,7 +85,7 @@ def test_operator_legs_are_freed_without_gc(swap_cmod):
         ci = build_group_cup_instance(graded=True)
         chain_ops = AlgebraChainOps(ci.mc, ci.a_mod)
         basis, _ = chain_ops.quotient(1)
-        chain_ops.face(1, 1, basis.tuples[0])
+        chain_ops.face(1, basis.tuples[0])
         assert chain_ops.s_cols and chain_ops.inv_act and chain_ops.mul
         ref = weakref.ref(chain_ops)
         del chain_ops
@@ -91,6 +93,61 @@ def test_operator_legs_are_freed_without_gc(swap_cmod):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_complexes_are_freed_without_gc(swap_cmod):
+    """FiniteComplex's memos close over its quotients, its failure log and
+    a table slot, not over the complex, so a dropped complex dies by
+    reference counting, whether it still holds its table or has been
+    checked and let go of it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for checked in (False, True):
+            inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 3)
+            inst.tau[2], inst.coface[2, 1]
+            if checked:
+                assert check_cocyclic(inst)["ok"] and inst.table is None
+            ref = weakref.ref(inst)
+            del inst
+            assert ref() is None, checked
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", ["cohomology", "check-cocyclic"])
+def test_commands_let_go_of_each_instance_before_the_next(monkeypatch, command):
+    # with gc off, every instance built before must be dead when the next
+    # one is built, and the last one when the command returns
+    refs = []
+    real = cli.build_coalgebra_instance
+
+    def recording(*args):
+        assert [r() for r in refs] == [None] * len(refs)
+        inst = real(*args)
+        refs.append(weakref.ref(inst))
+        return inst
+
+    monkeypatch.setattr(cli, "build_coalgebra_instance", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.run([command, "--upto", "2"]) == 0
+        assert len(refs) == (3 if command == "cohomology" else 2)
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_zero_dimensional_coefficients_give_an_empty_complex(swap_cmod):
+    mc = mc_trivial(swap_cmod.hopf)
+    mc.space.finite_basis = []
+    inst = build_coalgebra_instance(mc, swap_cmod, 3)
+    assert check_cocyclic(inst) == {"ok": True, "witnesses": []}
+    assert inst.dims == [0, 0, 0, 0] and inst.coface[2, 0] == inst.codeg[1, 1] == []
 
 
 def test_point_dims(point):
@@ -315,23 +372,16 @@ def test_failure_order_does_not_depend_on_read_order(s3_graded_coset):
     assert first.welldef_failures == second.welldef_failures == expected
 
 
-def test_operators_are_built_on_first_read(monkeypatch, swap_cmod):
-    built = []
-    op_matrix = cocyclic.op_matrix
-
-    def spy(op, src, tgt):
-        built.append(op)
-        return op_matrix(op, src, tgt)
-
-    monkeypatch.setattr(cocyclic, "op_matrix", spy)
+def test_operators_are_built_on_first_read(table_builds, swap_cmod):
+    built = table_builds
     inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 3)
     assert built == []
     tau = inst.tau[2]
-    assert len(built) == 1 and inst.tau[2] is tau
+    assert built == [("tau", 2)] and inst.tau[2] is tau
     # check_cocyclic reads all 9 cofaces, 6 codegeneracies and 4 τ once,
     # then the complex lets go of its table
     assert check_cocyclic(inst)["ok"]
-    assert len(built) == 19
+    assert len(built) == 19 and len(set(built)) == 19
     assert inst.table is None
 
 

@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from hopfcyc import cli, cocyclic
+from hopfcyc import cli
 from hopfcyc import kaygun as kaygun_module
 from hopfcyc.coefficients import (
     group_set_module_coalgebra,
@@ -157,29 +157,27 @@ def test_s3_graded_iso_names_non_descending_operators(s3):
     assert not any(w.startswith("not well-defined on CM") for w in report["witnesses"])
 
 
-def test_each_operator_matrix_is_built_once(monkeypatch, swap_cmod):
-    # table matrices are built by cocyclic.op_matrix, L_g by one
-    # sweedler_sum per degree and g
-    calls = {"table": 0, "L": 0}
+def test_each_operator_matrix_is_built_once(monkeypatch, table_builds, swap_cmod):
+    # table matrices are built by the fill of the bridge's OperatorTable,
+    # L_g by one sweedler_sum per degree and g
+    calls = {"L": 0}
+    real = kaygun_module.sweedler_sum
 
-    def spy(kind, real):
-        def counting(*args):
-            calls[kind] += 1
-            return real(*args)
+    def counting(*args):
+        calls["L"] += 1
+        return real(*args)
 
-        return counting
-
-    monkeypatch.setattr(cocyclic, "op_matrix", spy("table", cocyclic.op_matrix))
-    monkeypatch.setattr(kaygun_module, "sweedler_sum", spy("L", kaygun_module.sweedler_sum))
+    monkeypatch.setattr(kaygun_module, "sweedler_sum", counting)
     # a bridge builds nothing until it is asked
     KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=4)
-    assert calls == {"table": 0, "L": 0}
+    assert table_builds == [] and calls == {"L": 0}
     with redirect_stdout(io.StringIO()):
         assert cli.run(["kaygun"]) == 0
     # top 4: 14 cofaces, 10 codegeneracies and 5 τ, shared by the
-    # commutator identities, ℂ𝕄 and C_H; L_g of the one non-unit group
-    # element in degrees 0..4
-    assert calls == {"table": 29, "L": 5}
+    # commutator identities, ℂ𝕄 and C_H, each built once; L_g of the one
+    # non-unit group element in degrees 0..4
+    assert len(table_builds) == 29 and len(set(table_builds)) == 29
+    assert calls == {"L": 5}
 
 
 def test_commutator_witness_names_the_element_and_the_residual(monkeypatch, swap_cmod):

@@ -495,6 +495,80 @@ def test_nullspace_of_orbit_rows_matches_dense_oracle(data):
 def test_nullspace_of_two_entry_rows_cases(rows):
     assert_nullspace_matches_oracle(6, rows)
 
+# -- the projection matrix against the elimination route it replaced -------------
+
+
+def eliminating_reduce(q, v):
+    """v minus its part in the relation span of ``q``, by elimination, the
+    route :class:`Quotient` took before it held its projection as a
+    matrix: each entry at a pivot is cleared with that pivot's reduced row,
+    which is zero at every other pivot, so one pass leaves free entries
+    only."""
+    row_of = dict(zip(q.pivots, q.rows))
+    v = dict(v)
+    for pc in [pc for pc in v if pc in row_of]:
+        linalg.add_multiple(v, -v[pc], row_of[pc])
+    return v
+
+
+def eliminating_project(q, v):
+    pos = {c: k for k, c in enumerate(q.free)}
+    return {pos[c]: x for c, x in eliminating_reduce(q, v).items()}
+
+
+def eliminating_induced(src, op, tgt):
+    """(induced matrix, nonzero count of the reduced relations' images
+    projected to the target) by elimination, column by column and row by
+    row."""
+    induced = [eliminating_project(tgt, op[c]) for c in src.free]
+    return induced, sum(len(eliminating_project(tgt, mat_vec(op, row))) for row in src.rows)
+
+
+@st.composite
+def quotient_pairs(draw):
+    """(ncols, source relations, target relations, op, v).  The source
+    relations are ``orbit_rows``, and in about half of the examples also
+    rows of three or more entries, so that :class:`Quotient` falls back on
+    :func:`rref`.  The target keeps some of them and adds rows of its own,
+    of two entries or more; the op is a sparse matrix, which seldom
+    descends, or a signed permutation."""
+    ncols, rows = draw(orbit_rows())
+    wide = st.dictionaries(st.integers(0, ncols - 1), mixed_entries, min_size=min(3, ncols), max_size=ncols)
+    if draw(st.booleans()):
+        rows = rows + draw(st.lists(wide, min_size=1, max_size=3))
+    kept = [row for row in rows if draw(st.booleans())]
+    pair = st.dictionaries(st.integers(0, ncols - 1), mixed_entries, min_size=2, max_size=2)
+    target = kept + draw(st.lists(st.one_of(pair, wide), max_size=3))
+    column = st.dictionaries(st.integers(0, ncols - 1), mixed_entries, max_size=3)
+    if draw(st.booleans()):
+        op = draw(st.lists(column, min_size=ncols, max_size=ncols))
+    else:
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=ncols, max_size=ncols))
+        op = [{r: s} for r, s in zip(draw(st.permutations(range(ncols))), signs)]
+    return ncols, rows, target, op, draw(column)
+
+
+@SETTINGS
+@given(quotient_pairs())
+def test_projection_matrix_matches_elimination_route(data):
+    ncols, rows, target, op, v = data
+    src, tgt = Quotient(rows, ncols), Quotient(target, ncols)
+    for q in (src, tgt):
+        for w in [v] + rows + target:
+            assert q.project(w) == eliminating_project(q, w)
+            assert q.contains_in_relations(w) == (not eliminating_reduce(q, w))
+    ident = linalg.identity_columns(ncols)
+    for amb in (ident, op):
+        for a, b in ((src, tgt), (tgt, src)):
+            induced, nonzero = a.induced(amb, b)
+            assert (induced, nonzero) == eliminating_induced(a, amb, b)
+            assert (a.induced_matrix(amb, b), a.preserves_relations(amb, b)) == (induced, not nonzero)
+            assert all(x for col in induced for x in col.values())
+    # check_iso's count for a Π that does not descend: the source relations
+    # projected to the target
+    assert src.induced(ident, tgt)[1] == sum(len(eliminating_project(tgt, row)) for row in src.rows)
+
+
 def test_three_entry_row_falls_back_to_rref():
     # not monomial, as the relation rows of Sweedler's H4 acting on itself are
     rows = [{0: 1, 2: -1}, {1: 1, 3: 1, 4: -1}, {2: 1, 5: -1}, {3: 2, 5: F(1, 2)}]

@@ -235,8 +235,6 @@ def test_memo_fills_naming_self_are_found():
 
 # Classes whose Memo fills still name self, each with the reason it stays.
 MEMO_FILLS_OVER_SELF = {
-    "FiniteComplex": "coface, codeg and tau induce through self.induce, which reads the"
-    " table, the quotients and the failure log of the same instance",
     "KaygunBridge": "the τ-power, L_g, W, ℂ𝕄 and C_H memos call methods that read the"
     " bridge's other memos, bases and table",
     "MatchedPairData": "the action and coaction on words recurse through methods that"

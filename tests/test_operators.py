@@ -11,6 +11,7 @@ entry for entry.
 import copy
 import math
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +26,7 @@ from hopfcyc.cocyclic import (
     RelativeTensorSpace,
     TensorBasis,
     kron,
-    op_matrix,
+    kron_local,
     sweedler_sum,
 )
 from hopfcyc.coefficients import (
@@ -268,7 +269,7 @@ def regular_s3(s3, coefficients):
 
 
 @pytest.fixture(scope="module")
-def coalgebra_instances(point_cmod, swap_cmod, s3):
+def coalgebra_instances(point_cmod, swap_cmod, s3, h4, h4_left):
     graded = mc_graded_group(swap_cmod.hopf, build_group_algebra(cyclic_group(2), name="kG_g"))
     return {
         "point": (mc_trivial(point_cmod.hopf), point_cmod, 3),
@@ -276,6 +277,8 @@ def coalgebra_instances(point_cmod, swap_cmod, s3):
         "swap_graded": (graded, swap_cmod, 3),
         "s3_graded": (*regular_s3(s3, "graded"), 1),
         "s3_conjugation": (*regular_s3(s3, "conjugation"), 1),
+        # Δx = x⊗1 + g⊗x: leg columns of two entries
+        "h4_left": (mc_regular(h4), h4_left, 3),
     }
 
 
@@ -283,61 +286,64 @@ def chain_bases(mc, module_carrier, top):
     return [TensorBasis((mc.space,) + (module_carrier,) * (n + 1)) for n in range(top + 1)]
 
 
-def assert_same(op, oracle, src, tgt):
-    assert as_dense(op_matrix(op, src, tgt), tgt.dim) == symbolic_op_matrix(oracle, src, tgt)
+def symbolic_columns(op, src, tgt):
+    """Sparse columns of ``op`` by the symbolic route: one ``op(elt(j))``
+    per basis tensor, read off in ``tgt`` coordinates."""
+    return [tgt.coords(op(symbolic_elt(src, j)).terms) for j in range(src.dim)]
+
+
+def assert_table_matches(table, top, oracles):
+    """Every matrix of ``table`` through ``top`` against the symbolic
+    operator ``oracles[name]`` called with the rest of the key: the local
+    operators, built by index arithmetic, and the twisted ones, built per
+    basis tuple."""
+    for key in operator_keys(table.chains, top):
+        src, tgt = (table.bases[d] for d in OperatorTable.degrees(key))
+        oracle = oracles[key[0]]
+        assert table[key] == symbolic_columns(lambda x: oracle(*key[1:], x), src, tgt), key
 
 
 # -- the oracle comparisons ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["point", "swap_trivial", "swap_graded", "s3_graded", "s3_conjugation"])
+@pytest.mark.parametrize(
+    "name", ["point", "swap_trivial", "swap_graded", "s3_graded", "s3_conjugation", "h4_left"]
+)
 def test_coalgebra_operators_match_symbolic_route(coalgebra_instances, name):
     mc, c_mod, top = coalgebra_instances[name]
-    ops = CoalgebraOps(mc, c_mod)
-    bases = chain_bases(mc, c_mod.coalg, top)
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            assert_same(
-                lambda x: ops.coface(n, i, x),
-                lambda x: symbolic_coface(mc, c_mod, n, i, x),
-                bases[n - 1],
-                bases[n],
-            )
-    for n in range(top):
-        for i in range(n + 1):
-            assert_same(
-                lambda x: ops.codegeneracy(n, i, x),
-                lambda x: symbolic_codegeneracy(mc, c_mod, n, i, x),
-                bases[n + 1],
-                bases[n],
-            )
-    for n in range(top + 1):
-        assert_same(lambda x: ops.tau(n, x), lambda x: symbolic_tau(mc, c_mod, n, x), bases[n], bases[n])
+    table = OperatorTable(CoalgebraOps(mc, c_mod), chain_bases(mc, c_mod.coalg, top))
+    assert_table_matches(
+        table,
+        top,
+        {
+            "coface": partial(symbolic_coface, mc, c_mod),
+            "codegeneracy": partial(symbolic_codegeneracy, mc, c_mod),
+            "tau": partial(symbolic_tau, mc, c_mod),
+        },
+    )
+
+
+def assert_algebra_side_matches(mc, a_mod, top):
+    table = OperatorTable(AlgebraChainOps(mc, a_mod), chain_bases(mc, a_mod.alg, top))
+    assert_table_matches(
+        table,
+        top,
+        {
+            "face": partial(symbolic_face, mc, a_mod),
+            "degeneracy": partial(symbolic_degeneracy, mc, a_mod),
+            "t": partial(symbolic_t, mc, a_mod),
+        },
+    )
 
 
 def test_algebra_side_operators_match_symbolic_route():
     ci = build_group_cup_instance(graded=True)
-    mc, a_mod, top = ci.mc, ci.a_mod, 3
-    ops = AlgebraChainOps(mc, a_mod)
-    bases = chain_bases(mc, a_mod.alg, top)
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            assert_same(
-                lambda x: ops.face(n, i, x),
-                lambda x: symbolic_face(mc, a_mod, n, i, x),
-                bases[n],
-                bases[n - 1],
-            )
-    for n in range(top):
-        for i in range(n + 1):
-            assert_same(
-                lambda x: ops.degeneracy(n, i, x),
-                lambda x: symbolic_degeneracy(mc, a_mod, n, i, x),
-                bases[n],
-                bases[n + 1],
-            )
-    for n in range(top + 1):
-        assert_same(lambda x: ops.t(n, x), lambda x: symbolic_t(mc, a_mod, n, x), bases[n], bases[n])
+    assert_algebra_side_matches(ci.mc, ci.a_mod, 3)
+
+
+def test_h4_adjoint_operators_match_symbolic_route(h4, h4_adjoint):
+    # the product of H4 has empty and −1 leg columns: x·x = 0, x·g = −gx
+    assert_algebra_side_matches(mc_regular(h4), h4_adjoint, 3)
 
 
 def operator_keys(chains, top):
@@ -570,6 +576,35 @@ def test_kron_of_unit_legs_indexes_like_tensor_basis(legs):
         assert kron(units, basis.dims) == [{j: 1}]
     ids = [identity_columns(d) for d in basis.dims]
     assert kron(ids, basis.dims) == identity_columns(basis.dim)
+
+
+@st.composite
+def local_factors(draw):
+    """(a, leg, d, b): a leg of d rows (one row, as a counit has) and 1 to
+    3 columns (one column, as a unit has) between identities of a and b
+    rows, each often 1.  A column is empty or holds one or more ``int`` or
+    ``Fraction`` entries."""
+    a, b, d, ncols = (draw(st.integers(1, 3)) for _ in range(4))
+    column = st.dictionaries(st.integers(0, d - 1), nonzero_entries, max_size=d)
+    return a, draw(st.lists(column, min_size=ncols, max_size=ncols)), d, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(local_factors())
+def test_kron_local_matches_dense_kronecker_with_identities(data):
+    a, leg, d, b = data
+    out = kron_local(a, leg, b, range(a * d * b))
+    assert as_dense(out, a * d * b) == kronecker([identity(a), as_dense(leg, d), identity(b)])
+    assert all(x for col in out for x in col.values())
+
+
+def test_kron_local_takes_every_row_key_from_the_target():
+    # ints past 256 are not cached by the interpreter: each key must be the
+    # target's own object, not an equal int allocated per entry
+    keys = [int(str(i)) for i in range(2 * 3 * 150)]
+    out = kron_local(2, [{0: 1, 2: -1}, {}, {1: Fraction(1, 2)}], 150, keys)
+    assert len(out) == 2 * 3 * 150
+    assert all(r is keys[r] for col in out for r in col)
 
 
 def per_term_sweedler_sum(terms, legs, basis):
