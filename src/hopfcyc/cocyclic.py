@@ -49,8 +49,10 @@ when every row has at most two entries (as on every group-algebra
 instance), else from :func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
-signed τ-invariant cochains, and through a truncated cyclic bicomplex;
-agreement of the two is part of the test surface.
+signed τ-invariant cochains, and through the total complex of Connes'
+(b, B) mixed complex, whose B reads the codegeneracies (Connes 1985;
+Loday, *Cyclic Homology*, §2.1); agreement of the two is part of the
+test surface.
 """
 
 from __future__ import annotations
@@ -462,15 +464,7 @@ class FiniteComplex:
 
     def b(self, n: int) -> Columns:
         """Hochschild coboundary C^n -> C^(n+1) (alternating coface sum)."""
-        return self._coface_sum(n, n + 2)
-
-    def b_prime(self, n: int) -> Columns:
-        """Coboundary without the last coface."""
-        return self._coface_sum(n, n + 1)
-
-    def _coface_sum(self, n: int, count: int) -> Columns:
-        """Alternating sum of the cofaces ∂_0 … ∂_(count-1) from C^n."""
-        return alternating_sum([self.coface[n + 1, i] for i in range(count)])
+        return alternating_sum([self.coface[n + 1, i] for i in range(n + 2)])
 
     def lam(self, n: int) -> Columns:
         """The signed cyclic operator λ_n = (-1)^n τ_n."""
@@ -580,76 +574,52 @@ def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
     """Cyclic cohomology dimensions by two independent routes.
 
     Route one restricts the coboundary b to the signed τ-invariant
-    subcomplex.  Route two totalizes the first-quadrant cyclic bicomplex
-    (columns alternate b and b', rows alternate 1−λ and N with the Koszul
-    sign on the horizontals), truncated two columns past the requested
-    degree.  Refuses unverified instances.
+    subcomplex.  Route two is the total complex of Connes' (b, B) mixed
+    complex (Connes, *Non-commutative differential geometry*, IHÉS 1985;
+    Loday, *Cyclic Homology*, §2.1, Thm 2.1.8): Totⁿ = Cⁿ ⊕ Cⁿ⁻² ⊕ …
+    with differential b + B, where B = N σ₋₁ (1 − λ) : C^(q+1) -> C^q
+    and σ₋₁ = σ_q τ_(q+1) is the extra codegeneracy.  Its d∘d = 0, that
+    is b∘b = 0, bB + Bb = 0 and B∘B = 0, is checked.  Refuses unverified
+    instances.
     """
     if not inst.verified:
         raise PreconditionError("cyclic cohomology requires a verified cocyclic instance")
     if inst.top < upto + 1:
         raise PreconditionError("instance too shallow for the requested degree")
+    dims = inst.dims
+    b = [inst.b(q) for q in range(upto + 1)]
+    fix = [add_columns(identity_columns(dims[q]), inst.lam(q), -1) for q in range(upto + 1)]  # 1 − λ
 
     # route one: the lambda-subcomplex
-    kernel_dims = []
-    ranks = []
-    for n in range(upto + 1):
-        d = inst.dims[n]
-        fixed = add_columns(identity_columns(d), inst.lam(n), -1)  # 1 − λ
-        kernel = nullspace(transpose(fixed, d), d)
-        bmat = inst.b(n)
-        kernel_dims.append(len(kernel))
-        ranks.append(rank([mat_vec(bmat, v) for v in kernel]))  # b on each kernel vector
-    lam_dims = [kernel_dims[n] - ranks[n] - (ranks[n - 1] if n > 0 else 0) for n in range(upto + 1)]
+    kernels = [nullspace(transpose(fix[n], dims[n]), dims[n]) for n in range(upto + 1)]
+    # b on each kernel vector
+    ranks = [rank([mat_vec(b[n], v) for v in kernels[n]]) for n in range(upto + 1)]
+    lam_dims = [len(kernels[n]) - ranks[n] - (ranks[n - 1] if n > 0 else 0) for n in range(upto + 1)]
 
-    # route two: truncated cyclic bicomplex
-    cols = upto + 3  # columns p = 0..upto+2
-    def cell_dim(p, q):
-        return inst.dims[q] if 0 <= q <= inst.top and 0 <= p < cols else 0
-
-    def tot_cells(n):
-        return [(p, n - p) for p in range(cols) if cell_dim(p, n - p) > 0]
-
-    def tot_dim(n):
-        return sum(cell_dim(p, q) for p, q in tot_cells(n))
+    # route two: the (b, B) total complex
+    big_b = [
+        mat_mul(inst.norm(q), mat_mul(inst.codeg[q, q], mat_mul(inst.tau[q + 1], fix[q + 1])))
+        for q in range(upto)
+    ]
 
     def tot_diff(n):
-        tgt_off = {}
-        off = 0
-        for cell in tot_cells(n + 1):
-            tgt_off[cell] = off
-            off += cell_dim(*cell)
-        out = []
-        for p, q in tot_cells(n):
-            # (row offset, sign, block) of each arrow out of the cell
-            blocks = []
-            # vertical: b on even columns, b' on odd columns; the squares
-            # commute, so the Koszul sign sits on the horizontal arrows
-            if (p, q + 1) in tgt_off and q + 1 <= inst.top:
-                block = inst.b(q) if p % 2 == 0 else inst.b_prime(q)
-                blocks.append((tgt_off[(p, q + 1)], 1, block))
-            # horizontal: 1-lambda from even columns, N from odd columns
-            if (p + 1, q) in tgt_off:
-                block = (
-                    add_columns(identity_columns(inst.dims[q]), inst.lam(q), -1)
-                    if p % 2 == 0
-                    else inst.norm(q)
-                )
-                blocks.append((tgt_off[(p + 1, q)], (-1) ** q, block))
-            for j in range(cell_dim(p, q)):
-                col = {}
-                for r0, sign, block in blocks:
-                    for i, x in block[j].items():
-                        col[r0 + i] = sign * x
+        # C^q of Totⁿ goes by b to C^(q+1) at row r and by B to C^(q-1) at
+        # row s, the next block of Totⁿ⁺¹
+        out, r = [], 0
+        for q in range(n, -1, -2):
+            s = r + dims[q + 1]
+            for up, down in zip(b[q], big_b[q - 1] if q else [{}] * dims[q]):
+                col = {r + i: x for i, x in up.items()}
+                col.update((s + i, x) for i, x in down.items())
                 out.append(col)
+            r = s
         return out
 
     diffs = [tot_diff(n) for n in range(upto + 1)]
-    dims = [tot_dim(n) for n in range(upto + 2)]
     for n in range(upto):
         if any(mat_mul(diffs[n + 1], diffs[n])):
             raise StructureError(f"bicomplex total differential fails d*d = 0 at degree {n}")
-    bic_dims = cohomology_dims(diffs, dims, upto)
+    bic_dims = cohomology_dims(diffs, [sum(dims[n::-2]) for n in range(upto + 1)], upto)
 
     return {
         "lambda_complex": lam_dims,

@@ -7,6 +7,10 @@ no code with :func:`hopfcyc.linalg.rref`.  :func:`check_cocyclic` and
 :func:`cyclic_cohomology` are the dense versions of the ones in
 :mod:`hopfcyc.cocyclic`, run on :func:`dense_instance` copies of sparse
 instances; they must give the same verdicts, witnesses and dimensions.
+Route two here is the cyclic bicomplex truncated two columns past the
+requested degree (columns b and b′, rows 1 − λ and N), not the (b, B)
+mixed complex of the package, so the dimensions it reports under the
+``bicomplex`` key come from a second algorithm.
 """
 
 from __future__ import annotations

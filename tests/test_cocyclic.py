@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcyc import cli
+from hopfcyc import cli, linalg
 from hopfcyc.cocyclic import (
     AlgebraChainOps,
     AlgebraCochainInstance,
@@ -24,15 +24,19 @@ from hopfcyc.cocyclic import (
     cyclic_cohomology,
 )
 from hopfcyc.coefficients import (
+    ModuleComodule,
     check_ch_sayd,
     check_sayd,
     group_set_module_coalgebra,
     mc_conjugation_group,
     mc_graded_group,
     mc_trivial,
+    scalar_space,
 )
+from hopfcyc.core import Memo, tensor
 from hopfcyc.cup import build_group_cup_instance
-from hopfcyc.errors import PreconditionError
+from hopfcyc.errors import PreconditionError, StructureError
+from hopfcyc.hopf import Character
 from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
 from hopfcyc.kaygun import KaygunBridge, kaygun_cocyclic_instance
 
@@ -321,16 +325,22 @@ def test_graded_trivial_action_over_s3_does_not_descend(s3):
     assert not is_zero_matrix(mat_mul(dense.b(1), dense.b(0)))
 
 
-def test_graded_coefficients_over_s3_mod_a3_are_relative_sayd(s3):
+@pytest.fixture(scope="module")
+def s3_mod_a3(s3):
+    """S3 acting on S3/A3 with graded coefficients, through degree 4."""
+    cmod = group_set_module_coalgebra(coset_space_union(s3, [["e", "p120", "p201"]]))
+    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kG_g"))
+    return mc, cmod, build_coalgebra_instance(mc, cmod, 4)
+
+
+def test_graded_coefficients_over_s3_mod_a3_are_relative_sayd(s3_mod_a3):
     # the paper's middle category: graded coefficients are not SAYD over
     # kS3, but they are relative SAYD for the coalgebra S3/A3, and that is
     # what makes the relative module cocyclic (compare the instance above,
     # which is not relative SAYD and does not descend)
-    cmod = group_set_module_coalgebra(coset_space_union(s3, [["e", "p120", "p201"]]))
-    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kG_g"))
+    mc, cmod, inst = s3_mod_a3
     assert not check_sayd(mc)["ok"]
     assert check_ch_sayd(mc, cmod)["ok"]
-    inst = build_coalgebra_instance(mc, cmod, 4)
     assert check_cocyclic(inst, upto=4) == {"ok": True, "witnesses": []}
     assert cyclic_cohomology(inst, 3) == {
         "lambda_complex": [3, 0, 3, 0],
@@ -383,6 +393,101 @@ def test_operators_are_built_on_first_read(table_builds, swap_cmod):
     assert check_cocyclic(inst)["ok"]
     assert len(built) == 19 and len(set(built)) == 19
     assert inst.table is None
+
+
+# -- Connes' B and the (b, B) mixed complex ------------------------------------------
+
+
+def connes_b(inst, q, i):
+    """B = N σ_i τ (1 − λ) from C^(q+1) to C^q of a verified complex; Connes'
+    B reads the extra codegeneracy σ₋₁ = σ_q τ_(q+1), so i = q."""
+    mul = linalg.mat_mul
+    fix = linalg.add_columns(linalg.identity_columns(inst.dims[q + 1]), inst.lam(q + 1), -1)
+    return mul(inst.norm(q), mul(inst.codeg[q, i], mul(inst.tau[q + 1], fix)))
+
+
+def mixed_residues(inst, sigma=lambda q: q):
+    """The nonzero entries of bB + Bb on Cⁿ for n < top, and of B∘B from
+    Cⁿ⁺² for n < top − 1, with B from C^(q+1) read through σ_sigma(q)."""
+    top, mul = inst.top, linalg.mat_mul
+    b = [inst.b(q) for q in range(top)]
+    big_b = [connes_b(inst, q, sigma(q)) for q in range(top)]
+    anti = [
+        linalg.add_columns(mul(b[n - 1], big_b[n - 1]) if n else [{}] * inst.dims[0], mul(big_b[n], b[n]))
+        for n in range(top)
+    ]
+    square = [mul(big_b[n], big_b[n + 1]) for n in range(top - 1)]
+    return [sum(map(len, m)) for m in anti], [sum(map(len, m)) for m in square]
+
+
+@pytest.fixture(scope="module")
+def deep_instances(point_cmod, swap_cmod):
+    """The three instances of the cohomology command, through degree 7."""
+    graded = mc_graded_group(swap_cmod.hopf, build_group_algebra(cyclic_group(2), name="kG_g"))
+    out = {
+        "point": build_coalgebra_instance(mc_trivial(point_cmod.hopf), point_cmod, 7),
+        "swap_trivial": build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 7),
+        "swap_graded": build_coalgebra_instance(graded, swap_cmod, 7),
+    }
+    for inst in out.values():
+        assert check_cocyclic(inst)["ok"]
+    return out
+
+
+@pytest.mark.parametrize("name", ["point", "swap_trivial", "swap_graded"])
+def test_connes_b_gives_a_mixed_complex(deep_instances, name):
+    # bB + Bb = 0 on C⁰ … C⁶, and B∘B = 0 from C² … C⁷ to C⁰ … C⁵
+    assert mixed_residues(deep_instances[name]) == ([0] * 7, [0] * 6)
+
+
+def test_connes_b_gives_a_mixed_complex_on_s3_mod_a3(s3_mod_a3):
+    _, _, inst = s3_mod_a3
+    assert check_cocyclic(inst)["ok"]
+    assert mixed_residues(inst) == ([0] * 4, [0] * 3)
+
+
+@pytest.mark.parametrize("name", ["swap_trivial", "swap_graded"])
+def test_wrong_extra_codegeneracy_breaks_the_mixed_identity(deep_instances, name):
+    # σ₀ τ in place of σ_q τ: B∘B stays zero, since (1 − λ) N = 0 whatever
+    # sits between, but bB + Bb fails from C² on
+    anti, square = mixed_residues(deep_instances[name], sigma=lambda q: 0)
+    assert [n for n, k in enumerate(anti) if k] == [2, 3, 4, 5, 6]
+    assert square == [0] * 6
+
+
+def test_route_two_refuses_a_total_complex_with_d_squared_nonzero(swap_cmod):
+    inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 4)
+    assert check_cocyclic(inst)["ok"]
+    codeg = inst.codeg
+    inst.codeg = Memo(lambda k: codeg[k[0], 0])
+    with pytest.raises(StructureError, match=r"fails d\*d = 0 at degree 2$"):
+        cyclic_cohomology(inst, 3)
+
+
+def h4_scalar_coefficients(h4, name):
+    """A one-dimensional carrier over H4: (δ, 1) acts by the character
+    δ(g) = −1, δ(x) = 0 and coacts by m ↦ 1 ⊗ m; (ε, g) acts by the counit
+    and coacts by m ↦ g ⊗ m."""
+    chi, grouplike = {
+        "delta_1": (Character(h4, {"g": -1, "x": 0}), h4.unit()),
+        "eps_g": (Character(h4, {"g": 1, "x": 0}), h4.gen("g")),
+    }[name]
+    return ModuleComodule(
+        name, h4, scalar_space(name), lambda m, h: m.scale(chi(h)), lambda m: tensor([grouplike, m])
+    )
+
+
+@pytest.mark.parametrize("name,dims", [("delta_1", [1, 0, 2, 0]), ("eps_g", [0, 1, 0, 2])])
+def test_h4_cohomology_through_both_routes(h4, h4_left, name, dims):
+    # H4 is not cocommutative, so these are the first coefficients here
+    # whose cyclic cohomology is not read off monomial operators
+    mc = h4_scalar_coefficients(h4, name)
+    assert mc.validate()["ok"]
+    inst = build_coalgebra_instance(mc, h4_left, 4)
+    assert check_cocyclic(inst) == {"ok": True, "witnesses": []}
+    assert cyclic_cohomology(inst, 3) == {"lambda_complex": dims, "bicomplex": dims, "agree": True}
+    assert mixed_residues(inst) == ([0] * 4, [0] * 3)
+    assert_checks_match_dense_oracle(build_coalgebra_instance(mc, h4_left, 3), hc_upto=2)
 
 
 # -- witnesses ----------------------------------------------------------------------

@@ -45,6 +45,7 @@ def test_report_matches_golden(capsys, command):
     [
         ("cohomology", 4),
         ("cohomology", 5),
+        ("cohomology", 7),
         ("check-cocyclic", 4),
         ("kaygun", 3),
         ("kaygun", 4),
