@@ -339,10 +339,6 @@ class RelativeTensorSpace:
 
         self.quot = diagonal_quotient(self.basis, h, relations)
 
-    @property
-    def dim(self):
-        return self.quot.dim
-
     def contains(self, te: TensorElt) -> bool:
         return self.quot.contains_in_relations(self.basis.coords(te.terms))
 

@@ -6,8 +6,17 @@ algebra map χ: A -> B, and the pairing Ψ evaluates an equivariant A-side
 cochain against convolution values on a C-side chain.  The cup product
 lifts a bidegree (p, q) pair to the diagonal with the Alexander-Whitney
 map: the A-side cochain climbs with last cofaces, the C-side chain with
-zeroth cofaces, then :func:`psi` on χ of each A-basis word lands the
-result in ordinary cochains on A.
+zeroth cofaces, then Ψ on χ of each A-basis word lands the result in
+ordinary cochains on A.
+
+A convolution element f is a sparse C → A matrix
+(:data:`~hopfcyc.linalg.Columns`), column j holding the A coordinates of
+f(c_j), and every operation is a product of the leg matrices that
+:class:`CupInstance` builds once: f∗g = μ∘(f⊗g)∘Δ with unit η∘ε, χ(a) =
+(c·-)∘(I_C ⊗ a) for the action matrix c·-: C ⊗ A → A, and Hom_H(C, A) as
+the kernel of f ↦ f∘(h▹_C) − (h▹_A)∘f.  Since χ(a)(c) = c·a, Ψ of a chain
+tuple (m, c₀, …, cₙ) on χ of every ordinary chain is φ on the columns of
+one Kronecker product e_m ⊗ L(c₀) ⊗ … ⊗ L(cₙ), L(c) the block of c·- at c.
 
 Every matrix of :class:`CupData` comes from an
 :class:`~hopfcyc.cocyclic.OperatorTable`: that of the A-side cochain
@@ -21,10 +30,9 @@ faces give the coboundary that the "cup closed" check applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional
 
-from .core import AlgElt, TensorElt, _merge_term, tensor
+from .core import AlgElt
 from .coefficients import (
     HModuleAlgebra,
     HModuleCoalgebra,
@@ -33,7 +41,7 @@ from .coefficients import (
     mc_graded_group,
     mc_trivial,
 )
-from .errors import PreconditionError, StructureError
+from .errors import StructureError
 from .instances import (
     GroupData,
     GroupSetData,
@@ -41,15 +49,19 @@ from .instances import (
     build_group_algebra,
     cyclic_group,
 )
-from .linalg import add_columns, identity_columns, mat_vec, nullspace, transpose
+from .linalg import F0, Columns, SparseRow, add_columns, identity_columns, mat_mul, mat_vec, nullspace, transpose
 from .cocyclic import (
     AlgebraCochainInstance,
     AlgebraChainOps,
+    CoalgebraOps,
     OperatorTable,
     TensorBasis,
     alternating_sum,
     build_coalgebra_instance,
     descent_witness,
+    kron,
+    leg_columns,
+    op_matrix,
 )
 
 
@@ -58,7 +70,12 @@ class CupInstance:
     """A finite group instance of the compatible (C, A) pair: C is the set
     coalgebra on the group with left translation, A the function algebra
     with right-translation action, and c·a evaluated pointwise.
-    ``c_pos[w]`` is the position of the word w in the C basis."""
+
+    Its leg matrices, on carrier basis positions: ``cop`` and ``eps`` (Δ
+    and ε of C), ``mul`` and ``unit`` (μ and η of A), ``actions`` (the pair
+    h▹ on C, h▹ on A for each basis word h of H) and ``ca`` (c·a as one
+    C ⊗ A → A matrix, column c·dA + k for c and A-basis k).  ``dims`` is
+    (dim C, dim A)."""
 
     group: GroupData
     mc: ModuleComodule
@@ -67,7 +84,22 @@ class CupInstance:
     c_on_a: Callable[[AlgElt, AlgElt], AlgElt]
 
     def __post_init__(self):
-        self.c_pos = {w: i for i, w in enumerate(self.c_mod.coalg.basis_words())}
+        h, c, alg = self.c_mod.hopf, self.c_mod.coalg, self.a_mod.alg
+        c_ops = CoalgebraOps(self.mc, self.c_mod)
+        a_ops = AlgebraChainOps(self.mc, self.a_mod)
+        self.dims = len(c.basis_words()), len(alg.basis_words())
+        self.cop, self.eps = c_ops.cop_leg, c_ops.eps_leg
+        self.mul, self.unit = a_ops.mul_leg, a_ops.unit_leg
+        act, c_on_a = self.a_mod.act, self.c_on_a
+        self.actions = [
+            (c_ops.c_cols[w], leg_columns(lambda a: act(h.from_word(w), alg.from_word(a)).terms, alg))
+            for w in h.basis_words()
+        ]
+        self.ca = op_matrix(
+            lambda wt: {(v,): x for v, x in c_on_a(c.from_word(wt[0]), alg.from_word(wt[1])).terms.items()},
+            TensorBasis((c, alg)),
+            TensorBasis((alg,)),
+        )
 
 
 def build_group_cup_instance(
@@ -139,126 +171,58 @@ def check_compatible_action(ci: CupInstance) -> dict:
     return {"ok": not fails, "witnesses": fails[:3]}
 
 
-class ConvolutionElt:
-    """An H-linear map C -> A on a finite instance, stored columnwise as
-    images of the C basis."""
-
-    def __init__(self, ci: CupInstance, images: List[AlgElt], check: bool = True):
-        self.ci = ci
-        c = ci.c_mod.coalg
-        if len(images) != len(c.basis_words()):
-            raise StructureError("one image per C basis element required")
-        self.images = list(images)
-        if check and not self.is_h_linear():
-            raise StructureError("map is not H-linear")
-
-    def __call__(self, x: AlgElt) -> AlgElt:
-        out = self.ci.a_mod.alg.zero()
-        for w, k in x.terms.items():
-            out = out + self.image(w).scale(k)
-        return out
-
-    def image(self, w) -> AlgElt:
-        """The image of the C-basis word ``w``."""
-        return self.images[self.ci.c_pos[w]]
-
-    def is_h_linear(self) -> bool:
-        h = self.ci.c_mod.hopf
-        c = self.ci.c_mod.coalg
-        for w in h.basis_words():
-            hh = h.from_word(w)
-            for cw in c.basis_words():
-                moved = self(self.ci.c_mod.act(hh, c.from_word(cw)))
-                if moved != self.ci.a_mod.act(hh, self.image(cw)):
-                    return False
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, ConvolutionElt) and self.images == other.images
-
-    def __hash__(self):
-        raise TypeError("unhashable")
+def h_linear(ci: CupInstance, f: Columns) -> Columns:
+    """``f`` itself, once checked to be an H-linear map C → A: one column
+    per C basis element, and f∘(h▹_C) = (h▹_A)∘f for each basis word h
+    of H."""
+    if len(f) != ci.dims[0]:
+        raise StructureError("one image per C basis element required")
+    if any(mat_mul(f, hc) != mat_mul(ha, f) for hc, ha in ci.actions):
+        raise StructureError("map is not H-linear")
+    return f
 
 
-def unit_convolution(ci: CupInstance) -> ConvolutionElt:
+def unit_convolution(ci: CupInstance) -> Columns:
     """η∘ε, the convolution unit."""
-    c = ci.c_mod.coalg
-    alg = ci.a_mod.alg
-    return ConvolutionElt(
-        ci, [alg.unit().scale(c.counit(c.from_word(w))) for w in c.basis_words()]
-    )
+    return h_linear(ci, mat_mul(ci.unit, ci.eps))
 
 
-def convolve(f: ConvolutionElt, g: ConvolutionElt) -> ConvolutionElt:
-    """(f∗g)(c) = f(c⁽¹⁾) g(c⁽²⁾)."""
-    ci = f.ci
-    c = ci.c_mod.coalg
-    images = []
-    for w in c.basis_words():
-        d = c.coproduct(c.from_word(w))
-        val = ci.a_mod.alg.zero()
-        for (c1, c2), k in d.terms.items():
-            val = val + (f.image(c1) * g.image(c2)).scale(k)
-        images.append(val)
-    return ConvolutionElt(ci, images, check=False)
+def convolve(ci: CupInstance, f: Columns, g: Columns) -> Columns:
+    """f∗g = μ∘(f⊗g)∘Δ, that is (f∗g)(c) = f(c⁽¹⁾) g(c⁽²⁾)."""
+    d_a = ci.dims[1]
+    return mat_mul(ci.mul, mat_mul(kron([f, g], [d_a, d_a]), ci.cop))
 
 
-def chi(ci: CupInstance, a: AlgElt) -> ConvolutionElt:
-    """χ(a)(c) = c·a; a unital algebra map A -> Hom_H(C, A)."""
-    c = ci.c_mod.coalg
-    return ConvolutionElt(ci, [ci.c_on_a(c.from_word(w), a) for w in c.basis_words()])
+def chi(ci: CupInstance, a: SparseRow) -> Columns:
+    """χ(a)(c) = c·a for ``a`` in A coordinates; a unital algebra map
+    A → Hom_H(C, A)."""
+    d_c, d_a = ci.dims
+    return h_linear(ci, mat_mul(ci.ca, kron([identity_columns(d_c), [a]], [d_c, d_a])))
 
 
-def convolution_basis(ci: CupInstance) -> List[ConvolutionElt]:
-    """A basis of the H-linear maps C -> A, from the nullspace of the
-    linearity conditions."""
-    c = ci.c_mod.coalg
-    alg = ci.a_mod.alg
-    cb = c.basis_words()
-    ab = alg.basis_words()
-    ncols = len(cb) * len(ab)
-    h = ci.c_mod.hopf
+def convolution_basis(ci: CupInstance) -> List[Columns]:
+    """A basis of the H-linear maps C → A: the kernel of f ↦ f∘(h▹_C) −
+    (h▹_A)∘f over the basis words h of H, whose matrix on the coordinates
+    j·dA + k of f (the coefficient of A-basis k in f(c_j)) is
+    (h▹_C)ᵀ ⊗ I_A − I_C ⊗ h▹_A."""
+    d_c, d_a = ci.dims
+    n = d_c * d_a
     rows = []
-    # unknowns x[j][k]: coefficient of a-basis k in the image of c-basis j
-    for w in h.basis_words():
-        hh = h.from_word(w)
-        for j, cw in enumerate(cb):
-            moved = ci.c_mod.act(hh, c.from_word(cw))  # combination of C basis
-            for k, aw in enumerate(ab):
-                # condition: f(h c_j) - h . f(c_j) = 0, coefficient of a-basis k
-                row = {}
-                for jj, cw2 in enumerate(cb):
-                    mcoef = moved.coeff(cw2)
-                    if mcoef:
-                        _merge_term(row, jj * len(ab) + k, mcoef)
-                for kk, aw2 in enumerate(ab):
-                    img = ci.a_mod.act(hh, alg.from_word(aw2))
-                    if img.coeff(aw):
-                        _merge_term(row, j * len(ab) + kk, -img.coeff(aw))
-                if row:
-                    rows.append(row)
+    for hc, ha in ci.actions:
+        cond = add_columns(
+            kron([transpose(hc, d_c), identity_columns(d_a)], [d_c, d_a]),
+            kron([identity_columns(d_c), ha], [d_c, d_a]),
+            -1,
+        )
+        rows.extend(row for row in transpose(cond, n) if row)
     basis = []
-    for v in nullspace(rows, ncols):
-        images = []
-        for j in range(len(cb)):
-            images.append(
-                alg.elt({ab[k]: v[j * len(ab) + k] for k in range(len(ab)) if j * len(ab) + k in v})
-            )
-        basis.append(ConvolutionElt(ci, images))
+    for v in nullspace(rows, n):
+        f = [{} for _ in range(d_c)]
+        for i, x in v.items():
+            j, k = divmod(i, d_a)
+            f[j][k] = x
+        basis.append(h_linear(ci, f))
     return basis
-
-
-def psi(ci: CupInstance, phi: Callable[[TensorElt], Fraction], chain: dict, fs) -> Fraction:
-    """Ψ(φ ⊗ m⊗c̃)(f₀⊗…⊗fₙ) = φ(m ⊗ f₀(c₀) ⊗ … ⊗ fₙ(cₙ)), for a chain
-    given as a ``{basis tuple: coeff}`` dict."""
-    out = Fraction(0)
-    for wt, k in chain.items():
-        if len(fs) != len(wt) - 1:
-            raise PreconditionError("one convolution element per C leg required")
-        factors = [ci.mc.space.from_word(wt[0])]
-        factors += [f.image(c) for f, c in zip(fs, wt[1:])]
-        out += k * phi(tensor(factors))
-    return out
 
 
 # -- the cup product at small bidegrees ---------------------------------------
@@ -288,8 +252,8 @@ class CupData:
     cochain complex, whose ambient faces and T lift and constrain φ; the
     relative complex C_H, whose cofaces and τ cut out the C-side cocycles
     and whose ambient zeroth cofaces lift them, both through top + 1, where
-    the coboundary out of the top degree lands; the ordinary chains on A;
-    and χ of each A-basis word.  Construction checks the descent of what
+    the coboundary out of the top degree lands; and the ordinary chains on
+    A.  Construction checks the descent of what
     the cup reads on each side, the cofaces (faces) through top + 1 and τ
     (T) through top; no (co)degeneracy is built."""
 
@@ -306,8 +270,6 @@ class CupData:
                 for i in range(n + 2):
                     side.coface[n + 1, i]
         self.ordinary = ordinary_chains(ci, top + 1)
-        alg = ci.a_mod.alg
-        self.chis = {w: chi(ci, alg.from_word(w)) for w in alg.basis_words()}
 
     # A-side equivariant cocycles, as sparse functionals on the ambient
     # chain basis that vanish on the H-relations; cyclic adds the
@@ -336,10 +298,13 @@ class CupData:
         """AW lift and pairing of the sparse cocycles ``phi_row`` and
         ``z_amb`` (as :meth:`a_side_cocycles` and :meth:`c_side_cocycles`
         return them): φ climbs with the transposed last faces of the A-side
-        table and z with the zeroth cofaces of the C-side table, and
-        :func:`psi` pairs them on χ of each basis tensor of the ordinary
-        chains on A^(p+q+1).  Returns the cup cochain as a functional, one
-        value per such basis tensor."""
+        table and z with the zeroth cofaces of the C-side table, and Ψ
+        pairs them on χ of each basis tensor a₀⊗…⊗aₙ of the ordinary chains
+        on A^(p+q+1): Σ_j z_j · φ(m ⊗ c₀·a₀ ⊗ … ⊗ cₙ·aₙ) over the chain
+        tuples j = (m, c₀, …, cₙ), read off the columns of e_m ⊗ L(c₀) ⊗ …
+        ⊗ L(cₙ), which run over the ordinary chains in basis order (their
+        trivial coefficient has one basis word).  Returns the cup cochain as
+        a functional, one value per such basis tensor."""
         n = p + q
         inst = self.a_inst
         row = phi_row
@@ -348,18 +313,20 @@ class CupData:
         z = z_amb
         for k in range(q + 1, n + 1):
             z = mat_vec(self.c_side.table["coface", k, 0], z)
-        basis = self.c_side.bases[n]
-        chain = {basis.tuples[j]: x for j, x in z.items()}
-        phi_basis = inst.bases[n]
-
-        def phi(te):
-            return sum(row[r] * x for r, x in phi_basis.coords(te.terms).items() if r in row)
-
-        # the first leg of an ordinary chain is the trivial coefficient
-        return [
-            psi(self.ci, phi, chain, [self.chis[w] for w in awt[1:]])
-            for awt in self.ordinary.bases[n].tuples
-        ]
+        d_a = self.ci.dims[1]
+        blocks = [self.ci.ca[o : o + d_a] for o in range(0, len(self.ci.ca), d_a)]
+        c_dims = self.c_side.bases[n].dims[::-1]
+        out = [F0] * self.ordinary.bases[n].dim
+        for j, x in z.items():
+            legs = []
+            for d in c_dims:
+                j, r = divmod(j, d)
+                legs.append(r)
+            m, *cs = legs[::-1]
+            paired = kron([[{m: 1}]] + [blocks[c] for c in cs], inst.bases[n].dims)
+            for t, col in enumerate(paired):
+                out[t] += x * sum(row[r] * y for r, y in col.items() if r in row)
+        return out
 
 
 def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: bool = True) -> dict:
@@ -380,21 +347,23 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
     unit = unit_convolution(ci)
     fails = []
     for i, f in enumerate(basis):
-        if convolve(f, unit) != f or convolve(unit, f) != f:
+        if convolve(ci, f, unit) != f or convolve(ci, unit, f) != f:
             fails.append(f"unit: basis {i}")
         for j, g in enumerate(basis):
             for k, h in enumerate(basis):
-                if convolve(convolve(f, g), h) != convolve(f, convolve(g, h)):
+                if convolve(ci, convolve(ci, f, g), h) != convolve(ci, f, convolve(ci, g, h)):
                     fails.append(f"associativity: basis ({i},{j},{k})")
     checks.append({"name": "convolution algebra", "ok": not fails, "witnesses": fails[:3]})
 
-    alg = ci.a_mod.alg
     fails = []
-    if chi(ci, alg.unit()) != unit:
+    if chi(ci, ci.unit[0]) != unit:
         fails.append("chi(1)")
-    for x in alg.basis_elts():
-        for y in alg.basis_elts():
-            if chi(ci, x * y) != convolve(chi(ci, x), chi(ci, y)):
+    # the product of A-basis words i and j is column i·dA + j of μ
+    xs = ci.a_mod.alg.basis_elts()
+    chis = [chi(ci, {k: 1}) for k in range(len(xs))]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            if chi(ci, ci.mul[i * len(xs) + j]) != convolve(ci, chis[i], chis[j]):
                 fails.append(f"chi multiplicative: {x}, {y}")
     checks.append({"name": "chi algebra map", "ok": not fails, "witnesses": fails[:3]})
 

@@ -326,21 +326,14 @@ def check_matched_pair(mp: MatchedPairData, degree: int = 2) -> dict:
 
 
 class Bicrossed:
-    """The bicrossed product F ▷◁ U with its embeddings and projections."""
+    """The bicrossed product F ▷◁ U with the embedding and projection of U."""
 
     def __init__(self, hopf: HopfPresentation, mp: MatchedPairData):
         self.hopf = hopf
         self.mp = mp
 
-    def embed_f(self, f: AlgElt) -> AlgElt:
-        return retag(f, self.hopf)
-
     def embed_u(self, u: AlgElt) -> AlgElt:
         return retag(u, self.hopf)
-
-    def pair(self, f: AlgElt, u: AlgElt) -> AlgElt:
-        """The element f ▷◁ u."""
-        return self.embed_f(f) * self.embed_u(u)
 
     def split_word(self, w: Word):
         """A normal word is an F block followed by a U block."""
@@ -364,15 +357,6 @@ class Bicrossed:
             if fw == EMPTY_WORD:
                 out[uw] = c
         return AlgElt(self.mp.u, out, _normalized=True)
-
-    def project_f(self, e: AlgElt) -> AlgElt:
-        """Apply id ▷◁ ε over the F block (the U counit kills U letters)."""
-        out: dict = {}
-        for w, c in e.terms.items():
-            fw, uw = self.split_word(w)
-            if uw == EMPTY_WORD:
-                out[fw] = out.get(fw, 0) + c
-        return self.mp.f.elt(out)
 
 
 def build_bicrossed(mp: Optional[MatchedPairData] = None) -> Bicrossed:

@@ -7,10 +7,19 @@ from itertools import product as iproduct
 import pytest
 
 import hopfcyc.cup as cup_module
+from cup_oracle import (
+    images,
+    symbolic_basis,
+    symbolic_chi,
+    symbolic_convolve,
+    symbolic_cup,
+    symbolic_is_h_linear,
+    symbolic_psi,
+    symbolic_unit,
+)
 from hopfcyc.cocyclic import CoalgebraOps, TensorBasis
 from hopfcyc.core import tensor
 from hopfcyc.cup import (
-    ConvolutionElt,
     CupData,
     build_group_cup_instance,
     check_compatible_action,
@@ -18,13 +27,14 @@ from hopfcyc.cup import (
     chi,
     convolution_basis,
     convolve,
+    h_linear,
     ordinary_chains,
     ordinary_coboundary,
-    psi,
     unit_convolution,
 )
+from hopfcyc.errors import StructureError
 from hopfcyc.instances import cyclic_group
-from hopfcyc.linalg import F0, F1
+from hopfcyc.linalg import F0, F1, add_columns
 
 
 @pytest.fixture(scope="module")
@@ -78,24 +88,90 @@ def test_compatible_action(trivial_ci):
     assert check_compatible_action(trivial_ci)["ok"]
 
 
+def a_coords(ci, x) -> dict:
+    """The coordinates of an element of A on its basis."""
+    return TensorBasis((ci.a_mod.alg,)).coords({(w,): k for w, k in x.terms.items()})
+
+
 def test_convolution_algebra_exhaustive(trivial_ci):
-    basis = convolution_basis(trivial_ci)
+    ci = trivial_ci
+    basis = convolution_basis(ci)
     assert len(basis) == 2
-    unit = unit_convolution(trivial_ci)
+    unit = unit_convolution(ci)
     for f in basis:
-        assert convolve(f, unit) == f
-        assert convolve(unit, f) == f
+        assert convolve(ci, f, unit) == f
+        assert convolve(ci, unit, f) == f
         for g in basis:
             for k in basis:
-                assert convolve(convolve(f, g), k) == convolve(f, convolve(g, k))
+                assert convolve(ci, convolve(ci, f, g), k) == convolve(ci, f, convolve(ci, g, k))
 
 
 def test_chi_is_unital_algebra_map(trivial_ci):
-    alg = trivial_ci.a_mod.alg
-    assert chi(trivial_ci, alg.unit()) == unit_convolution(trivial_ci)
+    ci = trivial_ci
+    alg = ci.a_mod.alg
+    assert chi(ci, a_coords(ci, alg.unit())) == unit_convolution(ci)
     for x in alg.basis_elts():
         for y in alg.basis_elts():
-            assert chi(trivial_ci, x * y) == convolve(chi(trivial_ci, x), chi(trivial_ci, y))
+            assert chi(ci, a_coords(ci, x * y)) == convolve(
+                ci, chi(ci, a_coords(ci, x)), chi(ci, a_coords(ci, y))
+            )
+
+
+GROUPS = [(2, False), (2, True), (3, False), (3, True), (6, False), (6, True)]
+
+
+@pytest.fixture(
+    scope="module", params=GROUPS, ids=["Z2", "Z2-graded", "Z3", "Z3-graded", "S3", "S3-graded"]
+)
+def group_ci(request, s3):
+    # order 6 is S3, the others cyclic groups
+    order, graded = request.param
+    group = s3 if order == 6 else cyclic_group(order)
+    return build_group_cup_instance(group, graded=graded)
+
+
+def test_convolution_matrices_match_symbolic_route(group_ci):
+    # the basis, the unit, every product of two basis maps and χ of every
+    # basis word, each equal to its image list by element arithmetic
+    ci = group_ci
+    basis = convolution_basis(ci)
+    oracle = symbolic_basis(ci)
+    assert basis and [images(ci, f) for f in basis] == oracle
+    assert images(ci, unit_convolution(ci)) == symbolic_unit(ci)
+    assert symbolic_is_h_linear(ci, symbolic_unit(ci))
+    for f, sf in zip(basis, oracle):
+        assert symbolic_is_h_linear(ci, sf)
+        for g, sg in zip(basis, oracle):
+            assert images(ci, convolve(ci, f, g)) == symbolic_convolve(ci, sf, sg)
+    for x in ci.a_mod.alg.basis_elts():
+        assert images(ci, chi(ci, a_coords(ci, x))) == symbolic_chi(ci, x)
+
+
+@pytest.mark.parametrize("order,top", [(2, 2), (2, 4), (3, 2), (6, 1)], ids=["Z2-2", "Z2-4", "Z3-2", "S3-1"])
+@pytest.mark.parametrize("graded", [False, True], ids=["trivial", "graded"])
+def test_cup_matches_symbolic_route(s3, order, top, graded):
+    # every pair of Hochschild cocycles at every bidegree with p + q <= top
+    group = s3 if order == 6 else cyclic_group(order)
+    data = CupData(build_group_cup_instance(group, graded=graded), top)
+    pairs = 0
+    for p in range(top + 1):
+        for q in range(top + 1 - p):
+            for phi in data.a_side_cocycles(p, cyclic=False):
+                for z in data.c_side_cocycles(q, cyclic=False):
+                    assert data.cup(phi, p, z, q) == symbolic_cup(data, phi, p, z, q)
+                    pairs += 1
+    assert pairs
+
+
+def test_h_linearity_guards(s3):
+    ci = build_group_cup_instance(s3)
+    d_c, _ = ci.dims
+    # every c to the idempotent e_e: h▹e_e = e_(h⁻¹) differs from it
+    idempotent = a_coords(ci, ci.a_mod.alg.gen("e_e"))
+    with pytest.raises(StructureError, match="map is not H-linear"):
+        h_linear(ci, [dict(idempotent) for _ in range(d_c)])
+    with pytest.raises(StructureError, match="one image per C basis element required"):
+        h_linear(ci, unit_convolution(ci)[:-1])
 
 
 def test_psi_degree_zero(trivial_ci):
@@ -104,12 +180,13 @@ def test_psi_degree_zero(trivial_ci):
     c = ci.c_mod.coalg
     abasis = TensorBasis((ci.mc.space, ci.a_mod.alg))
     for f in convolution_basis(ci):
-        for cw in c.basis_words():
+        f = images(ci, f)
+        for pos, cw in enumerate(c.basis_words()):
             chain = tensor([ci.mc.space.unit(), c.from_word(cw)]).terms
             for j in range(abasis.dim):
                 phi = lambda te, j=j: abasis.coords(te.terms).get(j, 0)
-                direct = phi(tensor([ci.mc.space.unit(), f(c.from_word(cw))]))
-                assert psi(ci, phi, chain, [f]) == direct
+                direct = phi(tensor([ci.mc.space.unit(), f[pos]]))
+                assert symbolic_psi(ci, phi, chain, [f]) == direct
 
 
 @pytest.mark.parametrize("n,perm,rot", [
@@ -120,7 +197,7 @@ def test_psi_commutes_with_cyclic_operators(trivial_ci, n, perm, rot):
     # Ψ(φ, τx, f₀…f_n) = Ψ(φ∘leg-rotation, x, f_n f₀…f_{n-1}), exhaustively
     ci = trivial_ci
     ops = CoalgebraOps(ci.mc, ci.c_mod)
-    convs = convolution_basis(ci)
+    convs = [images(ci, f) for f in convolution_basis(ci)]
     cbasis = TensorBasis((ci.mc.space,) + (ci.c_mod.coalg,) * (n + 1))
     abasis = TensorBasis((ci.mc.space,) + (ci.a_mod.alg,) * (n + 1))
     for j in range(abasis.dim):
@@ -128,7 +205,7 @@ def test_psi_commutes_with_cyclic_operators(trivial_ci, n, perm, rot):
         phi_rot = lambda te, j=j: abasis.coords(te.permute(perm).terms).get(j, 0)
         for x in cbasis.tuples:
             for fs in iproduct(convs, repeat=n + 1):
-                assert psi(ci, phi, ops.tau(n, x), list(fs)) == psi(
+                assert symbolic_psi(ci, phi, ops.tau(n, x), list(fs)) == symbolic_psi(
                     ci, phi_rot, {x: 1}, rot(list(fs))
                 )
 
@@ -252,9 +329,8 @@ def test_s3_graded_cup_names_non_descending_operators(monkeypatch, s3):
 def test_convolution_failure_names_basis_indices(monkeypatch):
     real = cup_module.convolve
 
-    def skewed(f, g):  # f∗g + f: neither unital nor associative
-        images = [x + y for x, y in zip(real(f, g).images, f.images)]
-        return ConvolutionElt(f.ci, images, check=False)
+    def skewed(ci, f, g):  # f∗g + f: neither unital nor associative
+        return add_columns(real(ci, f, g), f)
 
     monkeypatch.setattr(cup_module, "convolve", skewed)
     report = check_cup_suite(top=0)
