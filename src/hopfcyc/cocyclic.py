@@ -1,10 +1,11 @@
 """Cocyclic structures for module coalgebras and module algebras.
 
-The coalgebra side works on chains m ⊗ c₀ ⊗ … ⊗ cₙ with the coefficient
-leg first; the equivariant space Cⁿ_H(C, M) is the quotient of the ambient
-tensor space by the ⊗_H relations, built only by :class:`RelativeTensorSpace`.
-The algebra side builds the chain-level operators on M ⊗ A^⊗(n+1); cochains
-are dual vectors on the H-coinvariant quotient and cochain operators are
+The coalgebra side works on chains m ⊗ c₀ ⊗ … ⊗ cₙ, the algebra side on
+m ⊗ a₀ ⊗ … ⊗ aₙ, the coefficient leg first.  Each side's ops object owns
+its ambient basis per degree and its H-relation, and
+:class:`RelativeTensorSpace` divides one by the other on either side:
+Cⁿ_H(C, M) = M ⊗_H C^⊗(n+1), or the H-coinvariants of M ⊗ A^⊗(n+1), on
+which algebra-side cochains are dual vectors and cochain operators are
 transposes of the induced chain matrices.
 
 Every finite instance is one :class:`FiniteComplex`: a quotient per
@@ -225,12 +226,17 @@ def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBas
     return out
 
 
-def diagonal_quotient(basis: TensorBasis, h, relations: Callable) -> Quotient:
-    """``basis`` modulo the columns of ``relations(a)``, a over the nonempty
-    normal words of H of degree and index at most 2, as rows in tuple-major
-    order: every a for basis tuple 0, then every a for tuple 1, …"""
-    mats = [relations(h.from_word(w)) for w in h.normal_words(2, 2) if w != EMPTY_WORD]
-    return Quotient([col for cols in zip(*mats) for col in cols], basis.dim)
+def chain_bases(space, carrier) -> Memo:
+    """n ↦ the degree-n chain basis M ⊗ X^⊗(n+1) over ``space`` (M) and a
+    finite carrier X: C for :class:`CoalgebraOps`, A for
+    :class:`AlgebraChainOps`."""
+
+    def build(n):
+        if space.finite_basis is None or carrier.finite_basis is None:
+            raise PreconditionError("chain basis needs finite carriers")
+        return TensorBasis((space,) + (carrier,) * (n + 1))
+
+    return Memo(build)
 
 
 def coefficient_legs(mc: ModuleComodule):
@@ -250,10 +256,10 @@ class CoalgebraOps:
     """The (para)cocyclic operators on chains m ⊗ c₀ ⊗ … ⊗ cₙ.
 
     The local ones are leg matrices (:meth:`local`).  The last coface and
-    τ take one basis tuple (m, c₀, …, cₙ), with M at position 0 and cᵢ at
-    position i+1, and return its image as a ``{word tuple: coeff}`` dict
-    read from the leg maps below, so the coproduct, coaction and actions
-    are evaluated once per basis word, for every degree.
+    τ take one basis tuple (m, c₀, …, cₙ) of ``basis[n]``, with M at 0
+    and cᵢ at position i+1, and return its image as a ``{word tuple:
+    coeff}`` dict read from the leg maps below, so the coproduct, coaction
+    and actions are evaluated once per basis word, for every degree.
     """
 
     mc: ModuleComodule
@@ -264,6 +270,7 @@ class CoalgebraOps:
         # the fills close over what they read, not over self, so a dropped
         # CoalgebraOps is freed by reference counting, not by a gc pass
         c_mod, h, c = self.c_mod, self.mc.hopf, self.c_mod.coalg
+        self.basis = chain_bases(self.mc.space, c)
         self.coact, self.m_cols = coefficient_legs(self.mc)
         c_act = self.c_act = Memo(lambda k: c_mod.act(h.from_word(k[0]), c.from_word(k[1])).terms)
         self.c_cols = Memo(lambda hw: leg_columns(lambda w: c_act[hw, w], c))
@@ -296,6 +303,12 @@ class CoalgebraOps:
         """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ c̃: m·h₀, hᵢ₊₁▹cᵢ."""
         return [self.m_cols[w[0]]] + [self.c_cols[g] for g in w[1:]]
 
+    def relation(self, a, n: int) -> TensorElt:
+        """a ⊗ 1 ⊗ … ⊗ 1 − 1 ⊗ Δ⁽ⁿ⁺¹⁾a, by :meth:`act_legs` the ⊗_H relation
+        ma ⊗ c̃ − m ⊗ a⁽¹⁾c₀ ⊗ … ⊗ a⁽ⁿ⁺¹⁾cₙ of degree n."""
+        h, one = self.mc.hopf, self.mc.hopf.unit()
+        return tensor([a] + [one] * (n + 1)) - tensor([one]).outer(h.sweedler(a, n + 1))
+
     def coface(self, n: int, wt: tuple) -> dict:
         """∂_n, the last coface from degree n-1 to degree n: m ⊗ c̃ to
         m⟨0⟩ ⊗ c₀⁽²⁾ ⊗ c₁ ⊗ … ⊗ m⟨-1⟩ c₀⁽¹⁾."""
@@ -319,25 +332,19 @@ class CoalgebraOps:
 
 
 class RelativeTensorSpace:
-    """M ⊗_H C^⊗(n+1) for a finite instance: the quotient of the ambient
-    basis by the relations mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ, one per
-    basis tensor and h, built per h as (m ↦ mh) ⊗ id ⊗ … ⊗ id −
-    Σ id ⊗ h⁽¹⁾▹ ⊗ … ⊗ h⁽ⁿ⁺¹⁾▹ from the leg matrices of ``ops``, the
-    instance's one :class:`CoalgebraOps`."""
+    """``ops.basis[n]`` modulo the columns of ``ops.relation(a, n)`` on the
+    legs ``ops.act_legs``: M ⊗_H C^⊗(n+1) over a :class:`CoalgebraOps`, the
+    H-coinvariants of M ⊗ A^⊗(n+1) over an :class:`AlgebraChainOps`.  a
+    runs over the nonempty normal words of H of degree and index at most 2;
+    rows go tuple-major: every a for basis tuple 0, then for tuple 1, …"""
 
-    def __init__(self, ops: CoalgebraOps, n: int):
-        mc, c, h = ops.mc, ops.c_mod.coalg, ops.mc.hopf
-        if mc.space.finite_basis is None or c.finite_basis is None:
-            raise PreconditionError("relative tensor quotient needs finite carriers")
+    def __init__(self, ops, n: int):
+        h = ops.mc.hopf
         self.n = n
-        self.basis = TensorBasis((mc.space,) + (c,) * (n + 1))
-        one = h.unit()
-
-        def relations(a):  # a ⊗ 1 ⊗ … ⊗ 1 − 1 ⊗ Δ⁽ⁿ⁺¹⁾a, acting on m ⊗ c̃
-            rel = tensor([a] + [one] * (n + 1)) - tensor([one]).outer(h.sweedler(a, n + 1))
-            return sweedler_sum(rel.terms, ops.act_legs, self.basis)
-
-        self.quot = diagonal_quotient(self.basis, h, relations)
+        self.basis = basis = ops.basis[n]
+        words = [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]
+        mats = [sweedler_sum(ops.relation(h.from_word(w), n).terms, ops.act_legs, basis) for w in words]
+        self.quot = Quotient([col for cols in zip(*mats) for col in cols], basis.dim)
 
     def contains(self, te: TensorElt) -> bool:
         return self.quot.contains_in_relations(self.basis.coords(te.terms))
@@ -351,8 +358,8 @@ class OperatorTable(Memo):
     n and ``table[name, n]`` the cyclic operator of ``ops``: a
     :class:`CoalgebraOps` (cofaces, codegeneracies and τ) or an
     :class:`AlgebraChainOps` (faces, degeneracies and T, which run the
-    other way, as ``ops.chains`` says).  ``bases[n]`` is the ambient basis
-    in degree n.  An operator that ``ops.local`` gives as a leg matrix L
+    other way, as ``ops.chains`` says).  ``bases`` is ``ops.basis``, the
+    ambient basis per degree.  An operator that ``ops.local`` gives as a leg matrix L
     read at source leg p is I_a ⊗ L ⊗ I_b (:func:`kron_local`); any other
     is the method ``name`` of ``ops`` per basis tuple (:func:`op_matrix`).
     """
@@ -363,8 +370,8 @@ class OperatorTable(Memo):
         "face": (0, -1), "degeneracy": (0, 1), "t": (0, 0),
     }
 
-    def __init__(self, ops, bases):
-        bases = list(bases)
+    def __init__(self, ops):
+        bases = ops.basis
 
         # the fill holds ops and bases but not the table, so a table no
         # longer used is freed at once, not held in a cycle until a gc pass
@@ -477,13 +484,16 @@ class FiniteComplex:
         return out
 
 
+def relative_complex(ops, top: int) -> FiniteComplex:
+    """The cocyclic object of ``ops`` (either side) on its relative
+    quotients (:class:`RelativeTensorSpace`) through degree ``top``."""
+    return FiniteComplex(OperatorTable(ops), [RelativeTensorSpace(ops, n).quot for n in range(top + 1)])
+
+
 def build_coalgebra_instance(mc: ModuleComodule, c_mod: HModuleCoalgebra, top: int) -> FiniteComplex:
     """The coalgebra-side cocyclic object on the relative quotients
     Cⁿ_H(C, M) through degree ``top``."""
-    ops = CoalgebraOps(mc, c_mod)
-    spaces = [RelativeTensorSpace(ops, n) for n in range(top + 1)]
-    table = OperatorTable(ops, [sp.basis for sp in spaces])
-    return FiniteComplex(table, [sp.quot for sp in spaces])
+    return relative_complex(CoalgebraOps(mc, c_mod), top)
 
 
 def check_cocyclic(inst: FiniteComplex, upto: Optional[int] = None) -> dict:
@@ -632,9 +642,9 @@ class AlgebraChainOps:
     """Chain-level operators on M ⊗ A^⊗(n+1); cochain operators arise as
     transposes of the induced quotient matrices.  As in
     :class:`CoalgebraOps`, the local ones are leg matrices (:meth:`local`),
-    and the last face and T take one basis tuple (m, a₀, …, aₙ), with M at
-    position 0 and aᵢ at position i+1, and return its image read from leg
-    maps evaluated once per basis word."""
+    and the last face and T take one basis tuple (m, a₀, …, aₙ) of
+    ``basis[n]``, with M at position 0 and aᵢ at position i+1, and return
+    its image read from leg maps evaluated once per basis word."""
 
     mc: ModuleComodule
     a_mod: HModuleAlgebra
@@ -643,6 +653,7 @@ class AlgebraChainOps:
     def __post_init__(self):
         # as in CoalgebraOps, the fills close over what they read, not over self
         a_mod, h, alg = self.a_mod, self.mc.hopf, self.a_mod.alg
+        self.basis = chain_bases(self.mc.space, alg)
         self.coact, self.m_cols = coefficient_legs(self.mc)
         self.mul = Memo(lambda k: (alg.from_word(k[0]) * alg.from_word(k[1])).terms)
         # (h, a) -> S⁻¹(h)a
@@ -705,18 +716,12 @@ class AlgebraChainOps:
         """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ ã: m·h₀, S(hₙ₊₁₋ᵢ)aᵢ."""
         return [self.m_cols[w[0]]] + [self.s_cols[g] for g in reversed(w[1:])]
 
-    def quotient(self, n: int):
-        """The degree-n chain basis and its quotient by span{xh − ε(h)x}
-        under the diagonal action (m ⊗ ã)h = mh⁽¹⁾ ⊗ S(h⁽ⁿ⁺²⁾)a₀ ⊗ … ⊗
-        S(h⁽²⁾)aₙ (see :func:`diagonal_quotient`)."""
+    def relation(self, a, n: int) -> TensorElt:
+        """Δ⁽ⁿ⁺²⁾a − ε(a) 1 ⊗ … ⊗ 1, by :meth:`act_legs` the relation
+        xa − ε(a)x of degree n for the diagonal action (m ⊗ ã)h = mh⁽¹⁾ ⊗
+        S(h⁽ⁿ⁺²⁾)a₀ ⊗ … ⊗ S(h⁽²⁾)aₙ."""
         h = self.mc.hopf
-        basis = TensorBasis((self.mc.space,) + (self.a_mod.alg,) * (n + 1))
-
-        def relations(a):
-            rel = h.sweedler(a, n + 2) - tensor([h.unit()] * (n + 2)).scale(h.counit(a))
-            return sweedler_sum(rel.terms, self.act_legs, basis)
-
-        return basis, diagonal_quotient(basis, h, relations)
+        return h.sweedler(a, n + 2) - tensor([h.unit()] * (n + 2)).scale(h.counit(a))
 
 
 class AlgebraCochainInstance(FiniteComplex):
@@ -727,6 +732,5 @@ class AlgebraCochainInstance(FiniteComplex):
     """
 
     def __init__(self, mc: ModuleComodule, a_mod: HModuleAlgebra, top: int):
-        ops = AlgebraChainOps(mc, a_mod)
-        bases, quots = zip(*(ops.quotient(n) for n in range(top + 1)))
-        super().__init__(OperatorTable(ops, bases), quots)
+        inst = relative_complex(AlgebraChainOps(mc, a_mod), top)
+        super().__init__(inst.table, inst.quots)

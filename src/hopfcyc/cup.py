@@ -51,17 +51,16 @@ from .instances import (
 )
 from .linalg import F0, Columns, SparseRow, add_columns, identity_columns, mat_mul, mat_vec, nullspace, transpose
 from .cocyclic import (
-    AlgebraCochainInstance,
     AlgebraChainOps,
     CoalgebraOps,
     OperatorTable,
     TensorBasis,
     alternating_sum,
-    build_coalgebra_instance,
     descent_witness,
     kron,
     leg_columns,
     op_matrix,
+    relative_complex,
 )
 
 
@@ -71,7 +70,8 @@ class CupInstance:
     coalgebra on the group with left translation, A the function algebra
     with right-translation action, and c·a evaluated pointwise.
 
-    Its leg matrices, on carrier basis positions: ``cop`` and ``eps`` (Δ
+    Its ops objects ``c_ops`` and ``a_ops``, which :class:`CupData` reuses,
+    and its leg matrices on carrier basis positions: ``cop`` and ``eps`` (Δ
     and ε of C), ``mul`` and ``unit`` (μ and η of A), ``actions`` (the pair
     h▹ on C, h▹ on A for each basis word h of H) and ``ca`` (c·a as one
     C ⊗ A → A matrix, column c·dA + k for c and A-basis k).  ``dims`` is
@@ -85,8 +85,8 @@ class CupInstance:
 
     def __post_init__(self):
         h, c, alg = self.c_mod.hopf, self.c_mod.coalg, self.a_mod.alg
-        c_ops = CoalgebraOps(self.mc, self.c_mod)
-        a_ops = AlgebraChainOps(self.mc, self.a_mod)
+        c_ops = self.c_ops = CoalgebraOps(self.mc, self.c_mod)
+        a_ops = self.a_ops = AlgebraChainOps(self.mc, self.a_mod)
         self.dims = len(c.basis_words()), len(alg.basis_words())
         self.cop, self.eps = c_ops.cop_leg, c_ops.eps_leg
         self.mul, self.unit = a_ops.mul_leg, a_ops.unit_leg
@@ -228,15 +228,12 @@ def convolution_basis(ci: CupInstance) -> List[Columns]:
 # -- the cup product at small bidegrees ---------------------------------------
 
 
-def ordinary_chains(ci: CupInstance, top: int) -> OperatorTable:
-    """The chains of A with trivial coefficients in degrees 0..top, as an
-    operator table: the ordinary chains the cup product lands on.  The
-    alternating sum of the faces is the Hochschild boundary, and T sends
-    a₀⊗…⊗aₙ to aₙ⊗a₀⊗…⊗aₙ₋₁."""
-    trivial = mc_trivial(ci.mc.hopf)
-    alg = ci.a_mod.alg
-    bases = [TensorBasis((trivial.space,) + (alg,) * (n + 1)) for n in range(top + 1)]
-    return OperatorTable(AlgebraChainOps(trivial, ci.a_mod), bases)
+def ordinary_chains(ci: CupInstance) -> OperatorTable:
+    """The chains of A with trivial coefficients, as an operator table:
+    the ordinary chains the cup product lands on.  The alternating sum of
+    the faces is the Hochschild boundary, and T sends a₀⊗…⊗aₙ to
+    aₙ⊗a₀⊗…⊗aₙ₋₁."""
+    return OperatorTable(AlgebraChainOps(mc_trivial(ci.mc.hopf), ci.a_mod))
 
 
 def ordinary_coboundary(chains: OperatorTable, n: int, f) -> list:
@@ -262,14 +259,14 @@ class CupData:
 
     def __post_init__(self):
         ci, top = self.ci, self.top
-        self.a_inst = AlgebraCochainInstance(ci.mc, ci.a_mod, top + 1)
-        self.c_side = build_coalgebra_instance(ci.mc, ci.c_mod, top + 1)
+        self.a_inst = relative_complex(ci.a_ops, top + 1)
+        self.c_side = relative_complex(ci.c_ops, top + 1)
         for side in (self.a_inst, self.c_side):
             for n in range(top + 1):
                 side.tau[n]
                 for i in range(n + 2):
                     side.coface[n + 1, i]
-        self.ordinary = ordinary_chains(ci, top + 1)
+        self.ordinary = ordinary_chains(ci)
 
     # A-side equivariant cocycles, as sparse functionals on the ambient
     # chain basis that vanish on the H-relations; cyclic adds the
@@ -345,13 +342,14 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
 
     basis = convolution_basis(ci)
     unit = unit_convolution(ci)
+    products = [[convolve(ci, f, g) for g in basis] for f in basis]
     fails = []
     for i, f in enumerate(basis):
         if convolve(ci, f, unit) != f or convolve(ci, unit, f) != f:
             fails.append(f"unit: basis {i}")
-        for j, g in enumerate(basis):
+        for j, fg in enumerate(products[i]):
             for k, h in enumerate(basis):
-                if convolve(ci, convolve(ci, f, g), h) != convolve(ci, f, convolve(ci, g, h)):
+                if convolve(ci, fg, h) != convolve(ci, f, products[j][k]):
                     fails.append(f"associativity: basis ({i},{j},{k})")
     checks.append({"name": "convolution algebra", "ok": not fails, "witnesses": fails[:3]})
 

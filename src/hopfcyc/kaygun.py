@@ -37,7 +37,6 @@ from .cocyclic import (
     FiniteComplex,
     OperatorTable,
     RelativeTensorSpace,
-    TensorBasis,
     check_cocyclic,
     cyclic_cohomology,
     descent_witness,
@@ -56,7 +55,8 @@ class KaygunBridge:
     :class:`~hopfcyc.cocyclic.OperatorTable`, τ's powers and L_g are built
     once per degree (L_g by :func:`~hopfcyc.cocyclic.sweedler_sum`), and
     commutators are composed on the columns.  One ``ops`` serves the table,
-    L_g and the relative quotients.  Nothing is built before it is asked for."""
+    L_g and the relative quotients, and gives the ambient ``bases``.
+    Nothing is built before it is asked for."""
 
     mc: ModuleComodule
     c_mod: HModuleCoalgebra
@@ -64,11 +64,8 @@ class KaygunBridge:
 
     def __post_init__(self):
         self.ops = CoalgebraOps(self.mc, self.c_mod)
-        self.bases = [
-            TensorBasis((self.mc.space,) + (self.c_mod.coalg,) * (n + 1))
-            for n in range(self.top + 1)
-        ]
-        self.table = OperatorTable(self.ops, self.bases)
+        self.bases = self.ops.basis
+        self.table = OperatorTable(self.ops)
         self.group_words = list(self.mc.hopf.normal_words(1, 1))
         self._tau_pow = Memo(lambda k: self._build_tau_power(*k))
         self._l = Memo(lambda k: self._build_l(*k))

@@ -25,11 +25,14 @@ from hopfcyc.cocyclic import (
 )
 from hopfcyc.coefficients import (
     ModuleComodule,
+    bicrossed_module_algebra_f,
+    bicrossed_module_coalgebra_u,
     check_ch_sayd,
     check_sayd,
     group_set_module_coalgebra,
     mc_conjugation_group,
     mc_graded_group,
+    mc_regular,
     mc_trivial,
     scalar_space,
 )
@@ -79,7 +82,7 @@ def test_operator_legs_are_freed_without_gc(swap_cmod):
         # built as build_coalgebra_instance builds it, keeping a weakref
         ops = CoalgebraOps(mc_trivial(swap_cmod.hopf), swap_cmod)
         spaces = [RelativeTensorSpace(ops, n) for n in range(3)]
-        inst = FiniteComplex(OperatorTable(ops, [sp.basis for sp in spaces]), [sp.quot for sp in spaces])
+        inst = FiniteComplex(OperatorTable(ops), [sp.quot for sp in spaces])
         ref = weakref.ref(ops)
         del ops, spaces
         assert ref() is not None  # the table still holds it
@@ -88,7 +91,7 @@ def test_operator_legs_are_freed_without_gc(swap_cmod):
 
         ci = build_group_cup_instance(graded=True)
         chain_ops = AlgebraChainOps(ci.mc, ci.a_mod)
-        basis, _ = chain_ops.quotient(1)
+        basis = RelativeTensorSpace(chain_ops, 1).basis
         chain_ops.face(1, basis.tuples[0])
         assert chain_ops.s_cols and chain_ops.inv_act and chain_ops.mul
         ref = weakref.ref(chain_ops)
@@ -213,6 +216,18 @@ def test_unverified_instance_refused(swap_cmod):
     inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 3)
     with pytest.raises(PreconditionError):
         cyclic_cohomology(inst, 1)
+
+
+def test_relative_quotient_refuses_infinite_carriers(bicrossed):
+    # either side's chain basis guards its carriers before any basis word
+    # of the bicrossed product is listed
+    mc = mc_regular(bicrossed.hopf)
+    for ops in (
+        CoalgebraOps(mc, bicrossed_module_coalgebra_u(bicrossed)),
+        AlgebraChainOps(mc, bicrossed_module_algebra_f(bicrossed)),
+    ):
+        with pytest.raises(PreconditionError, match="chain basis needs finite carriers"):
+            RelativeTensorSpace(ops, 0)
 
 
 def test_algebra_side_instance():

@@ -17,7 +17,7 @@ from cup_oracle import (
     symbolic_psi,
     symbolic_unit,
 )
-from hopfcyc.cocyclic import CoalgebraOps, TensorBasis
+from hopfcyc.cocyclic import AlgebraChainOps, CoalgebraOps, TensorBasis
 from hopfcyc.core import tensor
 from hopfcyc.cup import (
     CupData,
@@ -49,9 +49,9 @@ def graded_data():
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["Z2", "Z3"])
 def ordinary(request):
-    """A cyclic-group instance and its ordinary chains through degree 4."""
+    """A cyclic-group instance and its ordinary chains."""
     ci = build_group_cup_instance(cyclic_group(request.param), graded=False)
-    return ci, ordinary_chains(ci, 4)
+    return ci, ordinary_chains(ci)
 
 
 def hochschild_coboundary(alg, n: int, row):
@@ -342,6 +342,38 @@ def test_convolution_failure_names_basis_indices(monkeypatch):
         "associativity: basis (0,0,0)",
         "associativity: basis (0,1,0)",
     ]
+
+
+@pytest.mark.parametrize("order,top,calls", [(2, 2, 28), (6, 0, 516)], ids=["Z2", "S3"])
+def test_associativity_reads_one_product_table(monkeypatch, s3, order, top, calls):
+    # each f∗g of two basis maps is built once and read by both sides of
+    # (f∗g)∗h = f∗(g∗h): b² + 2b³ convolutions, not 4b³, besides 2b for the
+    # unit and dim(A)² for χ (b = 2 on Z2, 6 on S3)
+    real, seen = cup_module.convolve, []
+
+    def counting(ci, f, g):
+        seen.append(None)
+        return real(ci, f, g)
+
+    monkeypatch.setattr(cup_module, "convolve", counting)
+    check_cup_suite(s3 if order == 6 else cyclic_group(order), top=top, graded=True)
+    assert len(seen) == calls
+
+
+def test_cup_suite_builds_one_ops_object_per_carrier_pair(monkeypatch):
+    # CupData's two complexes reuse the ops objects of the CupInstance; the
+    # one other AlgebraChainOps is that of the ordinary chains, over
+    # trivial coefficients
+    built = []
+    for cls in (CoalgebraOps, AlgebraChainOps):
+
+        def recording(self, real=cls.__post_init__):
+            built.append(type(self).__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", recording)
+    check_cup_suite(top=2)
+    assert sorted(built) == ["AlgebraChainOps", "AlgebraChainOps", "CoalgebraOps"]
 
 
 def test_unclosed_cup_names_the_cocycle_pair(monkeypatch):

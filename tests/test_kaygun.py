@@ -85,6 +85,8 @@ def test_quotients_built_once_per_degree(swap_cmod, monkeypatch):
     assert built["cm"] == 4
     assert bridge.relative_space(1) is bridge.relative_space(1)
     assert bridge.cm_quotient(1) is bridge.cm_quotient(1)
+    # and over the one basis per degree that the bridge's table reads
+    assert all(bridge.relative_space(n).basis is bridge.table.bases[n] for n in range(4))
 
 
 def test_graded_coefficients(swap_cmod):

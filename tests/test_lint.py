@@ -251,3 +251,59 @@ def test_memo_fills_close_over_what_they_read():
     # dropped object go by reference counting; the classes above stay open
     src = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert sorted(cls for _, cls in memo_fills_naming_self(src)) == sorted(MEMO_FILLS_OVER_SELF)
+
+
+def repeated_tuple_bases(sources: dict) -> list:
+    """(file, owner) of each ``TensorBasis(...)`` call in ``sources`` (file
+    -> text) whose argument repeats a tuple by multiplication, as the chain
+    layout ``(space,) + (carrier,) * (n + 1)`` does; the owner is the
+    top-level function or class around the call, ``<module>`` outside
+    one.  A repeated list is not caught."""
+    found = []
+    for fname, text in sources.items():
+        for node in ast.parse(text).body:
+            owner = getattr(node, "name", "<module>")
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                if getattr(call.func, "id", getattr(call.func, "attr", None)) != "TensorBasis":
+                    continue
+                args = call.args + [kw.value for kw in call.keywords]
+                if any(
+                    isinstance(n, ast.BinOp)
+                    and isinstance(n.op, ast.Mult)
+                    and ast.Tuple in (type(n.left), type(n.right))
+                    for a in args
+                    for n in ast.walk(a)
+                ):
+                    found.append((fname, owner))
+    return sorted(found)
+
+
+def test_repeated_tuple_bases_are_found():
+    source = (
+        "def chain_bases(space, carrier):\n"
+        "    return Memo(lambda n: TensorBasis((space,) + (carrier,) * (n + 1)))\n"
+        "\n"
+        "\n"
+        "class Ops:\n"
+        "    def quotient(self, n):\n"
+        "        return cocyclic.TensorBasis((self.space,) + (self.alg,) * (n + 1))\n"
+        "\n"
+        "\n"
+        "pair = TensorBasis((c, alg))\n"
+        "legs = TensorBasis(prs=3 * (c,))\n"
+        "listed = TensorBasis([c] * 3)  # a list: not caught\n"
+    )
+    assert repeated_tuple_bases({"a.py": source}) == [
+        ("a.py", "<module>"),
+        ("a.py", "Ops"),
+        ("a.py", "chain_bases"),
+    ]
+
+
+def test_chain_basis_layout_is_written_once():
+    # every ops object takes its degree-n basis from the one helper, so
+    # that tables, quotients and bridges over one ops share each basis
+    src = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert repeated_tuple_bases(src) == [("cocyclic.py", "chain_bases")]

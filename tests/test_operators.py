@@ -282,10 +282,6 @@ def coalgebra_instances(point_cmod, swap_cmod, s3, h4, h4_left):
     }
 
 
-def chain_bases(mc, module_carrier, top):
-    return [TensorBasis((mc.space,) + (module_carrier,) * (n + 1)) for n in range(top + 1)]
-
-
 def symbolic_columns(op, src, tgt):
     """Sparse columns of ``op`` by the symbolic route: one ``op(elt(j))``
     per basis tensor, read off in ``tgt`` coordinates."""
@@ -311,7 +307,7 @@ def assert_table_matches(table, top, oracles):
 )
 def test_coalgebra_operators_match_symbolic_route(coalgebra_instances, name):
     mc, c_mod, top = coalgebra_instances[name]
-    table = OperatorTable(CoalgebraOps(mc, c_mod), chain_bases(mc, c_mod.coalg, top))
+    table = OperatorTable(CoalgebraOps(mc, c_mod))
     assert_table_matches(
         table,
         top,
@@ -324,7 +320,7 @@ def test_coalgebra_operators_match_symbolic_route(coalgebra_instances, name):
 
 
 def assert_algebra_side_matches(mc, a_mod, top):
-    table = OperatorTable(AlgebraChainOps(mc, a_mod), chain_bases(mc, a_mod.alg, top))
+    table = OperatorTable(AlgebraChainOps(mc, a_mod))
     assert_table_matches(
         table,
         top,
@@ -363,13 +359,12 @@ def test_warm_operator_tables_build_no_tensor(monkeypatch, coalgebra_instances, 
     top = 3
     if side == "coalgebra":
         mc, c_mod, _ = coalgebra_instances["swap_graded"]
-        ops, carrier, chains = CoalgebraOps(mc, c_mod), c_mod.coalg, False
+        ops, chains = CoalgebraOps(mc, c_mod), False
     else:
         ci = build_group_cup_instance(graded=True)
-        mc, ops, carrier, chains = ci.mc, AlgebraChainOps(ci.mc, ci.a_mod), ci.a_mod.alg, True
-    bases = chain_bases(mc, carrier, top)
+        ops, chains = AlgebraChainOps(ci.mc, ci.a_mod), True
     keys = operator_keys(chains, top)
-    warm = OperatorTable(ops, bases)
+    warm = OperatorTable(ops)
     for key in keys:
         warm[key]
     built = []
@@ -380,7 +375,7 @@ def test_warm_operator_tables_build_no_tensor(monkeypatch, coalgebra_instances, 
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(TensorElt, "__init__", counting)
-    table = OperatorTable(ops, bases)
+    table = OperatorTable(ops)
     for key in keys:
         assert table[key] == warm[key]
     monkeypatch.undo()
@@ -489,7 +484,7 @@ def test_diagonal_relations_match_symbolic_route(monkeypatch, graded):
     ci = build_group_cup_instance(graded=graded)
     ops = AlgebraChainOps(ci.mc, ci.a_mod)
     for n in range(3):
-        rows = recorded_relations(monkeypatch, lambda: ops.quotient(n))
+        rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(ops, n))
         assert rows == [sparse(row) for row in symbolic_diagonal_rows(ci.mc, ci.a_mod, n)]
 
 
@@ -523,7 +518,7 @@ def test_h4_l_action_matches_symbolic_route(h4, h4_left):
 def test_h4_adjoint_diagonal_relations_match_symbolic_route(monkeypatch, h4, h4_adjoint, n):
     mc = mc_regular(h4)
     ops = AlgebraChainOps(mc, h4_adjoint)
-    rows = recorded_relations(monkeypatch, lambda: ops.quotient(n))
+    rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(ops, n))
     assert rows == [sparse(row) for row in symbolic_diagonal_rows(mc, h4_adjoint, n)]
     assert (orbit_rref(rows) is None) == (n == 1)  # rref fallback from n = 1
 
@@ -703,7 +698,7 @@ def test_images_outside_the_finite_basis_are_refused():
     builds = [
         (lambda: RelativeTensorSpace(CoalgebraOps(mc, cmod), 0), "b", "'CX'"),
         (lambda: bridge.l_matrix(0, gw), "b", "'CX'"),
-        (lambda: AlgebraChainOps(mc, a_mod).quotient(0), "g", "'kG_cut'"),
+        (lambda: RelativeTensorSpace(AlgebraChainOps(mc, a_mod), 0), "g", "'kG_cut'"),
     ]
     for build, term, carriers in builds:
         with pytest.raises(StructureError) as err:
