@@ -12,7 +12,13 @@ Every finite instance is one :class:`FiniteComplex`: a quotient per
 degree over the bases of an :class:`OperatorTable`, whose operators are
 induced on first read by one pipeline that takes the ambient matrix from
 the table and composes it with the target's projection matrix, checks
-that it descends to the quotients and selects the induced matrix
+that it descends to the quotients and selects the induced matrix.  On a
+group-algebra instance every projection and every ambient column is
+monomial (empty or one ±1 entry), so this runs on
+:data:`~hopfcyc.linalg.Signed` maps, one ``int`` per column
+(:meth:`~hopfcyc.linalg.Quotient.induced_signed`), and the complex keeps
+its operators so; any other operator, such as those of H4, is induced
+and kept as :data:`~hopfcyc.linalg.Columns`
 (:meth:`~hopfcyc.linalg.Quotient.induced`).  The table builds each
 ambient matrix once, on first use, and complexes over the same bases
 share it.  So a consumer checks for descent exactly what it reads: every
@@ -42,8 +48,11 @@ Sweedler terms of Kronecker products (:func:`sweedler_sum`, :func:`kron`)
 of leg matrices on carrier basis positions (:func:`leg_columns`), with no
 word tuple built or hashed; each term's last leg is summed in place into
 the output columns, so no full product is built.  Every matrix from
-there on stays in that one format: products are
-:func:`~hopfcyc.linalg.mat_mul`, equations are list equality, ranks come
+there on is sparse: :func:`check_cocyclic` composes with
+:func:`~hopfcyc.linalg.compose` and compares lists, which for two signed
+maps is one comprehension and one list equality; ``b``, ``lam``, ``norm``
+and route two of :func:`cyclic_cohomology` turn signed maps into Columns
+where they meet a sum, a Columns factor or a rank; ranks come
 from the fraction-free :func:`~hopfcyc.linalg.rank`, and kernels and the
 reduced relations of a quotient from :func:`~hopfcyc.linalg.orbit_rref`
 when every row has at most two entries (as on every group-algebra
@@ -69,16 +78,21 @@ from .coefficients import HModuleAlgebra, HModuleCoalgebra, ModuleComodule
 from .errors import PreconditionError, StructureError
 from .linalg import (
     Columns,
+    Matrix,
     Quotient,
     SparseRow,
     add_columns,
     add_multiple,
     cohomology_dims,
+    columns,
+    compose,
     identity_columns,
     mat_mul,
     mat_vec,
+    monomial_transpose,
     nullspace,
     rank,
+    residual_nonzeros,
     transpose,
 )
 
@@ -154,18 +168,20 @@ def kron_local(a: int, leg: Columns, b: int, keys) -> Columns:
 
 
 def alternating_sum(mats) -> Columns:
-    """Σ (-1)^i mats[i], for matrices of one shape."""
+    """Σ (-1)^i mats[i], for matrices of one shape in either encoding."""
     out = [{} for _ in mats[0]]
     for i, m in enumerate(mats):
-        for acc, col in zip(out, m):
+        for acc, col in zip(out, columns(m)):
             add_multiple(acc, (-1) ** i, col)
     return out
 
 
-def mismatch(a: Columns, b: Columns, label: str) -> list:
-    """``["<label>: <k> nonzero"]`` if a and b, of one shape, differ in k
-    entries, else ``[]``: the witness of a failed matrix identity."""
-    return [f"{label}: {sum(map(len, add_columns(a, b, -1)))} nonzero"] if a != b else []
+def mismatch(a: Matrix, b: Matrix, label: str) -> list:
+    """``["<label>: <k> nonzero"]`` if a and b, of one shape and in either
+    encoding, differ in k entries, else ``[]``: the witness of a failed
+    matrix identity."""
+    k = a != b and residual_nonzeros(a, b)
+    return [f"{label}: {k} nonzero"] if k else []
 
 
 def descent_witness(labels: list, where: str = "") -> list:
@@ -403,10 +419,14 @@ class FiniteComplex:
     ``quots[n]``.
 
     ``coface[n, i]`` (∂_i: n-1 -> n), ``codeg[n, i]`` (σ_i: n+1 -> n) and
-    ``tau[n]`` induce ``table[key]`` on first read (through
-    :meth:`~hopfcyc.linalg.Quotient.induced`) and keep the result; over
-    a table of chain operators they hold the transposes of the induced
-    faces, degeneracies and T, so cofaces raise the degree either way.
+    ``tau[n]`` induce ``table[key]`` on first read and keep the result, a
+    :data:`~hopfcyc.linalg.Signed` map when both quotients have signed
+    projections and every column of ``table[key]`` is one ±1 entry
+    (:meth:`~hopfcyc.linalg.Quotient.induced_signed`), else
+    :data:`~hopfcyc.linalg.Columns` (:meth:`~hopfcyc.linalg.Quotient.induced`);
+    over a table of chain operators they hold the transposes of the
+    induced faces, degeneracies and T (signed where no two columns share a
+    row), so cofaces raise the degree either way.
     """
 
     NAMES = {False: ("coface", "codegeneracy", "tau"), True: ("face", "degeneracy", "t")}
@@ -430,11 +450,12 @@ class FiniteComplex:
             transpose over a chain table), recorded by its label, such as
             ``coface(n,i)`` or ``t(n)``, if it does not descend."""
             src, tgt = OperatorTable.degrees(key)
-            m, off = quots[src].induced(slot[0][key], quots[tgt])
+            op, source, target = slot[0][key], quots[src], quots[tgt]
+            m, off = source.induced_signed(op, target) or source.induced(op, target)
             if off:
                 label = f"{key[0]}({','.join(map(str, key[1:]))})"
                 failures[(names.index(key[0]),) + key[1:]] = label
-            return transpose(m, dims[tgt]) if chains else m
+            return monomial_transpose(m, dims[tgt]) if chains else m
 
         fc, fd, ft = names
         self.coface = Memo(lambda k: induce(fc, *k))
@@ -470,9 +491,9 @@ class FiniteComplex:
         return alternating_sum([self.coface[n + 1, i] for i in range(n + 2)])
 
     def lam(self, n: int) -> Columns:
-        """The signed cyclic operator λ_n = (-1)^n τ_n."""
+        """The signed cyclic operator λ_n = (-1)^n τ_n, as Columns."""
         s = (-1) ** n
-        return [{r: s * x for r, x in col.items()} for col in self.tau[n]]
+        return [{r: s * x for r, x in col.items()} for col in columns(self.tau[n])]
 
     def norm(self, n: int) -> Columns:
         """N = 1 + λ + … + λⁿ."""
@@ -501,9 +522,11 @@ def check_cocyclic(inst: FiniteComplex, upto: Optional[int] = None) -> dict:
     equations through degree ``upto``, including τⁿ⁺¹ = id and the
     last-coface factorization ∂_n = τ_n ∘ ∂₀.  Every operator through the
     top degree is checked for descent, whatever ``upto``, and those that
-    do not descend are named in one witness.  A failed identity is
-    reported with the number of nonzero entries of its residual.  Marks
-    the instance verified on success."""
+    do not descend are named in one witness.  Both sides of an identity
+    are composed by :func:`~hopfcyc.linalg.compose`, on signed maps when
+    the operators are, against the identity as a signed map.  A failed
+    identity is reported with the number of nonzero entries of its
+    residual.  Marks the instance verified on success."""
     inst.induce_all()
     top = inst.top
     upto = top if upto is None else min(upto, top)
@@ -517,57 +540,57 @@ def check_cocyclic(inst: FiniteComplex, upto: Optional[int] = None) -> dict:
         for i in range(n + 1):
             for j in range(i + 1, n + 2):
                 eq(
-                    mat_mul(inst.coface[(n + 1, j)], inst.coface[(n, i)]),
-                    mat_mul(inst.coface[(n + 1, i)], inst.coface[(n, j - 1)]),
+                    compose(inst.coface[(n + 1, j)], inst.coface[(n, i)]),
+                    compose(inst.coface[(n + 1, i)], inst.coface[(n, j - 1)]),
                     f"coface identity ({n},{i},{j})",
                 )
     for n in range(upto - 1):
         for i in range(n + 1):
             for j in range(i, n + 1):
                 eq(
-                    mat_mul(inst.codeg[(n, j)], inst.codeg[(n + 1, i)]),
-                    mat_mul(inst.codeg[(n, i)], inst.codeg[(n + 1, j + 1)]),
+                    compose(inst.codeg[(n, j)], inst.codeg[(n + 1, i)]),
+                    compose(inst.codeg[(n, i)], inst.codeg[(n + 1, j + 1)]),
                     f"codegeneracy identity ({n},{i},{j})",
                 )
     for n in range(1, upto):
-        ident = identity_columns(inst.dims[n])
+        ident = list(range(1, inst.dims[n] + 1))  # the identity as a Signed map
         for j in range(n):
             for i in range(n + 2):
-                lhs = mat_mul(inst.codeg[(n, j)], inst.coface[(n + 1, i)])
+                lhs = compose(inst.codeg[(n, j)], inst.coface[(n + 1, i)])
                 if i < j:
-                    eq(lhs, mat_mul(inst.coface[(n, i)], inst.codeg[(n - 1, j - 1)]), f"mixed ({n},{i},{j})")
+                    eq(lhs, compose(inst.coface[(n, i)], inst.codeg[(n - 1, j - 1)]), f"mixed ({n},{i},{j})")
                 elif i in (j, j + 1):
                     eq(lhs, ident, f"mixed identity ({n},{i},{j})")
                 else:
-                    eq(lhs, mat_mul(inst.coface[(n, i - 1)], inst.codeg[(n - 1, j)]), f"mixed ({n},{i},{j})")
+                    eq(lhs, compose(inst.coface[(n, i - 1)], inst.codeg[(n - 1, j)]), f"mixed ({n},{i},{j})")
 
     for n in range(upto + 1):
-        power = ident = identity_columns(inst.dims[n])
+        power = ident = list(range(1, inst.dims[n] + 1))
         for _ in range(n + 1):
-            power = mat_mul(inst.tau[n], power)
+            power = compose(inst.tau[n], power)
         eq(power, ident, f"tau^(n+1) at n={n}")
     for n in range(1, upto + 1):
         eq(
             inst.coface[(n, n)],
-            mat_mul(inst.tau[n], inst.coface[(n, 0)]),
+            compose(inst.tau[n], inst.coface[(n, 0)]),
             f"last coface = tau.coface0 at n={n}",
         )
         for i in range(1, n + 1):
             eq(
-                mat_mul(inst.tau[n], inst.coface[(n, i)]),
-                mat_mul(inst.coface[(n, i - 1)], inst.tau[n - 1]),
+                compose(inst.tau[n], inst.coface[(n, i)]),
+                compose(inst.coface[(n, i - 1)], inst.tau[n - 1]),
                 f"tau-coface ({n},{i})",
             )
     for n in range(upto - 1):
         for i in range(1, n + 1):
             eq(
-                mat_mul(inst.tau[n], inst.codeg[(n, i)]),
-                mat_mul(inst.codeg[(n, i - 1)], inst.tau[n + 1]),
+                compose(inst.tau[n], inst.codeg[(n, i)]),
+                compose(inst.codeg[(n, i - 1)], inst.tau[n + 1]),
                 f"tau-codegeneracy ({n},{i})",
             )
         eq(
-            mat_mul(inst.tau[n], inst.codeg[(n, 0)]),
-            mat_mul(inst.codeg[(n, n)], mat_mul(inst.tau[n + 1], inst.tau[n + 1])),
+            compose(inst.tau[n], inst.codeg[(n, 0)]),
+            compose(inst.codeg[(n, n)], compose(inst.tau[n + 1], inst.tau[n + 1])),
             f"tau-codegeneracy-0 ({n})",
         )
 
@@ -604,7 +627,7 @@ def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
 
     # route two: the (b, B) total complex
     big_b = [
-        mat_mul(inst.norm(q), mat_mul(inst.codeg[q, q], mat_mul(inst.tau[q + 1], fix[q + 1])))
+        mat_mul(inst.norm(q), compose(compose(inst.codeg[q, q], inst.tau[q + 1]), fix[q + 1]))
         for q in range(upto)
     ]
 

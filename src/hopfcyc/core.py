@@ -426,16 +426,6 @@ class TensorElt:
                 _merge_term(out, wt[:i] + wt[i + 1 :], c * s)
         return TensorElt(self.prs[:i] + self.prs[i + 1 :], out, _normalized=True)
 
-    def permute(self, order: Sequence[int]) -> "TensorElt":
-        """Reorder legs; ``order[i]`` is the 0-based source leg for slot i."""
-        if sorted(order) != list(range(self.legs)):
-            raise StructureError("invalid leg permutation")
-        prs = tuple(self.prs[j] for j in order)
-        terms = {}
-        for wt, c in self.terms.items():
-            _merge_term(terms, tuple(wt[j] for j in order), c)
-        return TensorElt(prs, terms, _normalized=True)
-
     def outer(self, other: "TensorElt") -> "TensorElt":
         """Concatenate legs: (a⊗…)⊗(b⊗…)."""
         out = {}

@@ -577,6 +577,3 @@ def build_hopf(ast: HopfAST) -> HopfPresentation:
             )
     return h
 
-
-def build_file(ast: FileAST) -> dict:
-    return {h.name: build_hopf(h) for h in ast.hopfs}

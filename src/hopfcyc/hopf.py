@@ -370,15 +370,6 @@ class Character:
             total += prod
         return exact(total)
 
-    def check(self, index_bound: int = 3) -> bool:
-        """Multiplicativity across the rewrite rules: the character takes
-        equal values on both sides of every sampled rule instance."""
-        for rule in self.hopf.ruleset.rules:
-            for lhs, rhs in rule.sample_instances(index_bound):
-                if self(self.hopf.from_word(lhs)) != self(self.hopf.elt(rhs)):
-                    return False
-        return True
-
 
 class GroupLike:
     """A group-like element with its inverse; validated on construction."""

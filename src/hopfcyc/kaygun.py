@@ -26,6 +26,7 @@ from .errors import UnsolvableError
 from .linalg import (
     Quotient,
     add_columns,
+    compose,
     identity_columns,
     mat_mul,
     mat_vec,
@@ -231,11 +232,11 @@ def check_iso(bridge: KaygunBridge) -> dict:
 
     crossed = []
     for n in range(top + 1):
-        lhs, rhs = mat_mul(pi[n], cm.tau[n]), mat_mul(ch.tau[n], pi[n])
+        lhs, rhs = compose(pi[n], cm.tau[n]), compose(ch.tau[n], pi[n])
         crossed += mismatch(lhs, rhs, f"Pi does not intertwine tau at degree {n}")
     for n in range(1, top + 1):
         for i in range(n + 1):
-            lhs, rhs = mat_mul(pi[n], cm.coface[n, i]), mat_mul(ch.coface[n, i], pi[n - 1])
+            lhs, rhs = compose(pi[n], cm.coface[n, i]), compose(ch.coface[n, i], pi[n - 1])
             crossed += mismatch(lhs, rhs, f"Pi does not intertwine coface ({n},{i})")
     fails += descent_witness(cm.welldef_failures, " on CM")
     fails += descent_witness(ch.welldef_failures, " on C_H")

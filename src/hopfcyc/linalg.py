@@ -53,16 +53,33 @@ space to the ranks.  The callers are the operator memos of
 :class:`hopfcyc.cocyclic.FiniteComplex`, which check that an operator
 descends before they keep it, and the Π/Π′ maps of
 :func:`hopfcyc.kaygun.check_iso`.
+
+A monomial matrix, each column empty or one ±1 entry, as every induced
+operator of a group-algebra instance is, is also held as a
+:data:`Signed` map: a list of one ``int`` per column, s·(r+1) for a
+column s·e_r and 0 for an empty one.  :func:`compose` of two is one list
+comprehension, equality is list equality, :func:`residual_nonzeros`
+counts a difference as the Columns residual would, and :func:`columns`
+converts back.  A :class:`Quotient` whose reduced rows are all e_a or
+e_a ∓ e_r has its projection as one too (``signed_proj``), and
+:meth:`Quotient.induced_signed` induces on such lists: Q = P ∘ op reads
+one entry of P per column of the ambient operator, and the descent check
+compares Q with M ∘ P of the source, an ``int`` comparison per column.
+Any other matrix, such as the operators of H4, stays :data:`Columns`, and
+:func:`compose` and :func:`residual_nonzeros` take either encoding.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 SparseRow = Dict[int, Fraction]
 Columns = List[SparseRow]
+Signed = List[int]
+Matrix = Union[Columns, Signed]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -115,6 +132,58 @@ def mat_mul(a: Columns, b: Columns) -> Columns:
     return out
 
 
+def is_signed(a: Matrix) -> bool:
+    """Is ``a`` a :data:`Signed` map?  The empty matrix is read as both."""
+    return not a or type(a[0]) is int
+
+
+def signed(a: Columns) -> Optional[Signed]:
+    """``a`` as a :data:`Signed` map, or None if some column is neither
+    empty nor one ±1 entry."""
+    out = []
+    for col in a:
+        if not col:
+            out.append(0)
+            continue
+        if len(col) > 1:
+            return None
+        ((r, x),) = col.items()
+        if x == 1:
+            out.append(r + 1)
+        elif x == -1:
+            out.append(-r - 1)
+        else:
+            return None
+    return out
+
+
+def columns(a: Matrix) -> Columns:
+    """``a`` as :data:`Columns`; a matrix that already is one is returned
+    as it is."""
+    if not is_signed(a):
+        return a
+    return [{e - 1: 1} if e > 0 else {-e - 1: -1} if e else {} for e in a]
+
+
+def compose(a: Matrix, b: Matrix) -> Matrix:
+    """a∘b, each factor in either encoding: a :data:`Signed` map when both
+    are, one entry of ``a`` per entry of ``b``, else :func:`mat_mul` of
+    their :func:`columns`."""
+    if is_signed(a) and is_signed(b):
+        return [a[e - 1] if e > 0 else -a[-e - 1] if e else 0 for e in b]
+    return mat_mul(columns(a), columns(b))
+
+
+def residual_nonzeros(a: Matrix, b: Matrix) -> int:
+    """The nonzero count of a − b, for matrices of one shape in either
+    encoding.  Between two :data:`Signed` maps a column where they differ
+    counts 1 when one side is empty or both hit one row with opposite
+    signs, and 2 when they hit different rows."""
+    if is_signed(a) and is_signed(b):
+        return sum(1 if not x or not y or x == -y else 2 for x, y in zip(a, b) if x != y)
+    return sum(map(len, add_columns(columns(a), columns(b), -1)))
+
+
 def add_columns(a: Columns, b: Columns, f: Fraction = 1) -> Columns:
     """a + f·b."""
     if not f:
@@ -136,6 +205,22 @@ def transpose(a: Columns, nrows: int) -> Columns:
         for r, x in col.items():
             out[r][j] = x
     return out
+
+
+def monomial_transpose(a: Matrix, nrows: int) -> Matrix:
+    """:func:`transpose` of a matrix in either encoding: a :data:`Signed`
+    map when ``a`` is one whose nonzero columns hit distinct rows, else
+    :data:`Columns`."""
+    if is_signed(a):
+        out = [0] * nrows
+        for j, e in enumerate(a, 1):
+            if e:
+                r = abs(e) - 1
+                if out[r]:
+                    return transpose(columns(a), nrows)
+                out[r] = j if e > 0 else -j
+        return out
+    return transpose(a, nrows)
 
 
 def rref(rows: List[SparseRow]) -> tuple[List[SparseRow], List[int]]:
@@ -392,14 +477,56 @@ class Quotient:
     def contains_in_relations(self, v: SparseRow) -> bool:
         return not self.project(v)
 
+    @cached_property
+    def signed_proj(self) -> Optional[Signed]:
+        """``proj`` as a :data:`Signed` map, or None: it is one exactly when
+        every reduced row is e_a or e_a − w·e_r with w = ±1."""
+        return signed(self.proj)
+
     def induced(self, ambient_op: Columns, target: "Quotient") -> tuple[Columns, int]:
         """(M, k): M the map that ``ambient_op`` induces on the quotients,
         k the nonzero count of the reduced relations' images projected to
         the target, so that the operator descends exactly when k is 0.
         Q = target.proj ∘ ambient_op is composed once; M is its columns at
-        the free coordinates, and the images are Q applied to each row."""
+        the free coordinates, and the images are Q applied to each row.  A
+        row e_a − w·e_r is compared first, Q[a] against w·Q[r], and only a
+        row whose two sides differ is applied."""
         q = mat_mul(target.proj, ambient_op)
-        return [q[c] for c in self.free], sum(len(mat_vec(q, row)) for row in self.rows)
+        off = 0
+        for a, row in zip(self.pivots, self.rows):
+            if len(row) == 1:
+                off += len(q[a])
+                continue
+            if len(row) == 2:
+                (c0, x0), (c1, x1) = row.items()
+                r, x = (c1, x1) if c0 == a else (c0, x0)
+                if q[a] == (q[r] if x == -1 else {k: -x * y for k, y in q[r].items()}):
+                    continue
+            off += len(mat_vec(q, row))
+        return [q[c] for c in self.free], off
+
+    def induced_signed(self, ambient_op: Columns, target: "Quotient") -> Optional[tuple[Signed, int]]:
+        """:meth:`induced` on :data:`Signed` maps, or None when the source or
+        the target projection is not one or a column of ``ambient_op`` is
+        not one ±1 entry.  Q = target.signed_proj ∘ ambient_op and M is its
+        entries at the free coordinates, as there; the operator descends
+        exactly when Q = M ∘ P, P the source's ``signed_proj`` (the row
+        e_a − w·e_r asks Q[a] = w·Q[r], and e_a asks Q[a] = 0), and k is the
+        nonzero count of Q − M ∘ P."""
+        p, s = target.signed_proj, self.signed_proj
+        if p is None or s is None:
+            return None
+        q = [
+            p[r] if col[r] == 1 else -p[r] if col[r] == -1 else None
+            for col in ambient_op
+            if len(col) == 1
+            for r in col
+        ]
+        if len(q) != len(ambient_op) or None in q:
+            return None
+        m = [q[c] for c in self.free]
+        back = compose(m, s)
+        return m, (residual_nonzeros(q, back) if q != back else 0)
 
     def induced_matrix(self, ambient_op: Columns, target: "Quotient") -> Columns:
         """The induced map on quotients, as :meth:`induced` gives it."""

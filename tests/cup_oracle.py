@@ -14,8 +14,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hopfcyc.core import _merge_term, tensor
+from hopfcyc.core import TensorElt, _merge_term, tensor
 from hopfcyc.linalg import mat_vec, nullspace, transpose
+
+
+def permute(te, order) -> TensorElt:
+    """The legs of a tensor reordered; ``order[i]`` is the 0-based source
+    leg for slot i."""
+    assert sorted(order) == list(range(te.legs)), "invalid leg permutation"
+    terms = {}
+    for wt, c in te.terms.items():
+        _merge_term(terms, tuple(wt[j] for j in order), c)
+    return TensorElt(tuple(te.prs[j] for j in order), terms, _normalized=True)
 
 
 def images(ci, f) -> list:

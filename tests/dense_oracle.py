@@ -51,9 +51,15 @@ def dense(row, ncols):
 
 
 def as_dense(cols, nrows):
-    """A matrix held as sparse columns, with ``nrows`` rows, as dense rows."""
+    """A matrix held as sparse columns, or as a signed map (entry j is
+    ±(r + 1) for a column ±e_r and 0 for an empty one), with ``nrows``
+    rows, as dense rows."""
     out = zeros(nrows, len(cols))
     for j, col in enumerate(cols):
+        if isinstance(col, int):
+            if col:
+                out[abs(col) - 1][j] = F1 if col > 0 else -F1
+            continue
         for i, x in col.items():
             out[i][j] = x
     return out

@@ -299,9 +299,9 @@ def coset_space_union(g, subs):
 MAX_AMBIENT = 512
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_random_gsets_square_to_zero(s3, data):
+def draw_gset_instance(s3, data):
+    """A coalgebra instance through degree 2 on a drawn G-set (one or two
+    orbits of Z2, Z3 or S3) with trivial or graded coefficients."""
     g = data.draw(st.sampled_from([cyclic_group(2), cyclic_group(3), s3]), label="group")
     graded = data.draw(st.booleans(), label="graded")
     subs = subgroups(g)
@@ -323,9 +323,69 @@ def test_random_gsets_square_to_zero(s3, data):
         mc = mc_conjugation_group(cmod.hopf, build_group_algebra(g, name="kG_c"), g)
     else:
         mc = mc_graded_group(cmod.hopf, build_group_algebra(g, name="kG_g"))
-    inst = build_coalgebra_instance(mc, cmod, 2)
+    return build_coalgebra_instance(mc, cmod, 2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_gsets_square_to_zero(s3, data):
+    inst = draw_gset_instance(s3, data)
     assert_differentials_square_to_zero(inst)
     assert inst.welldef_failures == []
+
+
+def assert_routes_agree(inst) -> list:
+    """Reads every operator of a fresh ``inst`` through its top and checks
+    it against :meth:`~hopfcyc.linalg.Quotient.induced` on Columns, the
+    route the signed maps replaced, kept as their oracle: the same matrix
+    (transposed over a chain table) and the same operators that do not
+    descend, in the same order.  Returns the table keys of those that came
+    as signed maps."""
+    table, quots, top = inst.table, inst.quots, inst.top
+    up, down, cyclic = FiniteComplex.NAMES[inst.chains]
+    reads = [(inst.coface, (n, i), (up, n, i)) for n in range(1, top + 1) for i in range(n + 1)]
+    reads += [(inst.codeg, (n, i), (down, n, i)) for n in range(top) for i in range(n + 1)]
+    reads += [(inst.tau, n, (cyclic, n)) for n in range(top + 1)]
+    failures, signed = [], []
+    for memo, k, key in reads:
+        s, t = OperatorTable.degrees(key)
+        m, off = quots[s].induced(table[key], quots[t])
+        if inst.chains:
+            m = linalg.transpose(m, inst.dims[t])
+        assert linalg.columns(memo[k]) == m, key
+        if linalg.is_signed(memo[k]):
+            signed.append(key)
+        if off:
+            failures.append(f"{key[0]}({','.join(map(str, key[1:]))})")
+    assert inst.welldef_failures == failures
+    return signed
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_gsets_take_the_signed_route(s3, data):
+    # every operator of a group-algebra instance is a signed partial map
+    inst = draw_gset_instance(s3, data)
+    assert len(assert_routes_agree(inst)) == 5 + 3 + 3  # cofaces, codegeneracies, τ
+
+
+def test_regular_s3_graded_witness_through_both_routes(s3):
+    # S3 acting on itself, graded coefficients: not relative SAYD, so the
+    # last cofaces and τ leave ⊗_H, by both routes
+    cmod = group_set_module_coalgebra(coset_space_union(s3, [["e"]]))
+    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kG_g"))
+    inst = build_coalgebra_instance(mc, cmod, 2)
+    assert len(assert_routes_agree(inst)) == 11
+    report = check_cocyclic(inst)
+    assert report["witnesses"][0] == "not well-defined: coface(1,1), coface(2,2), tau(1), tau(2)"
+    assert not report["ok"]
+
+
+def test_algebra_side_transposes_through_both_routes():
+    # a transpose is a signed map only where no two columns share a row
+    for graded in (False, True):
+        ci = build_group_cup_instance(graded=graded)
+        assert assert_routes_agree(AlgebraCochainInstance(ci.mc, ci.a_mod, 3))
 
 
 def test_graded_trivial_action_over_s3_does_not_descend(s3):
@@ -416,7 +476,7 @@ def test_operators_are_built_on_first_read(table_builds, swap_cmod):
 def connes_b(inst, q, i):
     """B = N σ_i τ (1 − λ) from C^(q+1) to C^q of a verified complex; Connes'
     B reads the extra codegeneracy σ₋₁ = σ_q τ_(q+1), so i = q."""
-    mul = linalg.mat_mul
+    mul = linalg.compose
     fix = linalg.add_columns(linalg.identity_columns(inst.dims[q + 1]), inst.lam(q + 1), -1)
     return mul(inst.norm(q), mul(inst.codeg[q, i], mul(inst.tau[q + 1], fix)))
 
@@ -424,7 +484,7 @@ def connes_b(inst, q, i):
 def mixed_residues(inst, sigma=lambda q: q):
     """The nonzero entries of bB + Bb on Cⁿ for n < top, and of B∘B from
     Cⁿ⁺² for n < top − 1, with B from C^(q+1) read through σ_sigma(q)."""
-    top, mul = inst.top, linalg.mat_mul
+    top, mul = inst.top, linalg.compose
     b = [inst.b(q) for q in range(top)]
     big_b = [connes_b(inst, q, sigma(q)) for q in range(top)]
     anti = [
@@ -505,12 +565,22 @@ def test_h4_cohomology_through_both_routes(h4, h4_left, name, dims):
     assert_checks_match_dense_oracle(build_coalgebra_instance(mc, h4_left, 3), hc_upto=2)
 
 
+@pytest.mark.parametrize("name", ["delta_1", "eps_g"])
+def test_h4_operators_take_the_columns_route(h4, h4_left, name):
+    # relation rows of three entries and more from degree 2 on, so those
+    # quotients have no signed projection; below, Δx = x ⊗ 1 + g ⊗ x keeps
+    # every coface on Columns, and only τ₀ and τ₁ are signed maps
+    inst = build_coalgebra_instance(h4_scalar_coefficients(h4, name), h4_left, 3)
+    assert [q.signed_proj is not None for q in inst.quots] == [True, True, False, False]
+    assert assert_routes_agree(inst) == [("tau", 0), ("tau", 1)]
+
+
 # -- witnesses ----------------------------------------------------------------------
 
 
 def perturbed_tau(cols):
     """τ with 1 added to its (0, 0) entry: no longer of finite order."""
-    cols = [dict(col) for col in cols]
+    cols = [dict(col) for col in linalg.columns(cols)]
     x = cols[0].get(0, 0) + 1
     if x:
         cols[0][0] = x

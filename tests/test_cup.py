@@ -9,6 +9,7 @@ import pytest
 import hopfcyc.cup as cup_module
 from cup_oracle import (
     images,
+    permute,
     symbolic_basis,
     symbolic_chi,
     symbolic_convolve,
@@ -202,7 +203,7 @@ def test_psi_commutes_with_cyclic_operators(trivial_ci, n, perm, rot):
     abasis = TensorBasis((ci.mc.space,) + (ci.a_mod.alg,) * (n + 1))
     for j in range(abasis.dim):
         phi = lambda te, j=j: abasis.coords(te.terms).get(j, 0)
-        phi_rot = lambda te, j=j: abasis.coords(te.permute(perm).terms).get(j, 0)
+        phi_rot = lambda te, j=j: abasis.coords(permute(te, perm).terms).get(j, 0)
         for x in cbasis.tuples:
             for fs in iproduct(convs, repeat=n + 1):
                 assert symbolic_psi(ci, phi, ops.tau(n, x), list(fs)) == symbolic_psi(

@@ -124,7 +124,7 @@ def test_empty_file_is_empty_graph():
 def test_degree_increasing_rule_rejected():
     text = "hopf t { generators X; rule X -> X X; }"
     with pytest.raises(TerminationOrderError):
-        dsl.build_file(dsl.parse(text))
+        [dsl.build_hopf(h) for h in dsl.parse(text).hopfs]
 
 
 def test_parse_error_carries_location():

@@ -28,12 +28,16 @@ from hopfcyc.linalg import (
     F0,
     F1,
     Quotient,
+    columns,
+    compose,
     mat_mul,
     mat_vec,
     nullspace,
     orbit_rref,
     rank,
+    residual_nonzeros,
     rref,
+    signed,
     solve,
 )
 
@@ -567,6 +571,117 @@ def test_projection_matrix_matches_elimination_route(data):
     # check_iso's count for a Π that does not descend: the source relations
     # projected to the target
     assert src.induced(ident, tgt)[1] == sum(len(eliminating_project(tgt, row)) for row in src.rows)
+
+
+# -- signed maps against Columns ---------------------------------------------------
+
+
+def signed_entries(nrows):
+    """An entry of a signed map into ``nrows`` rows: 0 (an empty column) or
+    ±(r + 1) for a column ±e_r."""
+    return st.integers(-nrows, nrows)
+
+
+@st.composite
+def signed_products(draw):
+    """(nrows, a, a2, b, x, y): signed maps a, a2 (k columns, ``nrows``
+    rows) and b (into k rows), and Columns factors x (k columns) and y (k
+    rows).  Each column of a2 is that of a kept, emptied, sign-flipped on
+    its row, or sent to another row, so that equal, opposite, one-sided
+    and two-row differences all occur; a and b send some columns to one
+    row."""
+    nrows, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(st.lists(signed_entries(nrows), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        a[1] = a[0]  # two columns sent to one row
+    a2 = []
+    for e in a:
+        kind = draw(st.sampled_from(["keep", "keep", "empty", "flip", "move"]))
+        a2.append({"keep": e, "empty": 0, "flip": -e, "move": draw(signed_entries(nrows))}[kind])
+    b = draw(st.lists(signed_entries(k), max_size=6))
+    column = st.dictionaries(st.integers(0, nrows - 1), mixed_entries, max_size=3)
+    x = draw(st.lists(column, min_size=k, max_size=k))
+    y = draw(st.lists(st.dictionaries(st.integers(0, k - 1), mixed_entries, max_size=3), max_size=5))
+    return nrows, a, a2, b, x, y
+
+
+@SETTINGS
+@given(signed_products())
+def test_signed_kernel_matches_columns(data):
+    nrows, a, a2, b, x, y = data
+    ca, ca2, cb = columns(a), columns(a2), columns(b)
+    assert signed(ca) == a and all(len(col) <= 1 for col in ca)
+    assert columns(ca) is ca
+    # composition: signed∘signed stays signed; a Columns factor gives Columns
+    ab = compose(a, b)
+    assert type(ab) is list and all(type(e) is int for e in ab)
+    assert columns(ab) == mat_mul(ca, cb)
+    assert compose(x, b) == mat_mul(x, cb)
+    assert compose(a, y) == mat_mul(ca, y)
+    assert compose(ca, b) == compose(a, cb) == mat_mul(ca, cb)
+    # equality and the witness count
+    assert (a == a2) == (ca == ca2)
+    count = sum(map(len, linalg.add_columns(ca, ca2, -1)))
+    assert residual_nonzeros(a, a2) == residual_nonzeros(ca, a2) == residual_nonzeros(ca, ca2) == count
+    assert cocyclic.mismatch(a, a2, "id") == cocyclic.mismatch(ca, ca2, "id")
+    assert cocyclic.mismatch(a, ca, "id") == []
+    t = linalg.transpose(ca, nrows)
+    assert linalg.monomial_transpose(a, nrows) in (t, signed(t))
+
+
+@pytest.mark.parametrize(
+    "a,b,count",
+    [
+        ([2], [-2], 1),  # one row, opposite signs: 2·e_1
+        ([2], [3], 2),  # two rows: e_1 − e_2
+        ([-1], [0], 1),  # one empty side
+        ([0], [3], 1),
+        ([1, 0, -2], [1, 0, -2], 0),
+    ],
+)
+def test_signed_witness_counts(a, b, count):
+    assert residual_nonzeros(a, b) == count == sum(map(len, linalg.add_columns(columns(a), columns(b), -1)))
+
+
+def test_only_monomial_columns_encode():
+    assert signed([{}, {3: 1}, {0: F(-1)}]) == [0, 4, -1]
+    assert signed([{0: 2}]) is None and signed([{0: 1, 1: 1}]) is None
+    assert linalg.monomial_transpose([2, 0, -1], 2) == [-3, 1]
+    assert linalg.monomial_transpose([1, 1], 1) == [{0: 1, 1: 1}]  # two columns on one row
+
+
+@st.composite
+def signed_quotient_pairs(draw):
+    """(ncols, source rows, target rows, op): two ``orbit_rows`` sets on one
+    space, monomial when their entries are ±1, and an op of one ±1 entry
+    per column, a signed partial map, with now and then an empty column, a
+    column of two entries or an entry 2, each of which sends it back to
+    the Columns route."""
+    ncols, rows = draw(orbit_rows())
+    target = draw(orbit_rows(max_cols=ncols).filter(lambda d: d[0] == ncols))[1]
+    op = [{draw(st.integers(0, ncols - 1)): draw(units)} for _ in range(ncols)]
+    odd = draw(st.sampled_from([None, None, None, {}, {0: 1, ncols - 1: -1}, {0: 2}]))
+    if odd is not None:
+        op[draw(st.integers(0, ncols - 1))] = odd
+    return ncols, rows, target, op
+
+
+@SETTINGS
+@given(signed_quotient_pairs())
+def test_signed_induction_matches_columns_route(data):
+    ncols, rows, target, op = data
+    src, tgt = Quotient(rows, ncols), Quotient(target, ncols)
+    for q in (src, tgt):
+        unit_rows = all(len(row) == 1 or all(x in (1, -1) for x in row.values()) for row in q.rows)
+        assert (q.signed_proj is not None) == unit_rows
+        assert q.signed_proj is None or columns(q.signed_proj) == q.proj
+    monomial_op = all(len(col) == 1 and next(iter(col.values())) in (1, -1) for col in op)
+    for a, b in ((src, tgt), (tgt, src)):
+        got = a.induced_signed(op, b)
+        assert (got is not None) == (monomial_op and a.signed_proj is not None and b.signed_proj is not None)
+        if got is not None:
+            m, off = got
+            assert (columns(m), off) == a.induced(op, b)
 
 
 def test_three_entry_row_falls_back_to_rref():
