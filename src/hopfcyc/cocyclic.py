@@ -13,12 +13,13 @@ degree over the bases of an :class:`OperatorTable`, whose operators are
 induced on first read by one pipeline that takes the ambient matrix from
 the table and composes it with the target's projection matrix, checks
 that it descends to the quotients and selects the induced matrix.  On a
-group-algebra instance every projection and every ambient column is
-monomial (empty or one ±1 entry), so this runs on
-:data:`~hopfcyc.linalg.Signed` maps, one ``int`` per column
-(:meth:`~hopfcyc.linalg.Quotient.induced_signed`), and the complex keeps
-its operators so; any other operator, such as those of H4, is induced
-and kept as :data:`~hopfcyc.linalg.Columns`
+group-algebra instance every leg matrix, every ambient operator and every
+projection is monomial (each column empty or one ±1 entry), so the table
+keeps its matrices as :data:`~hopfcyc.linalg.Signed` maps, one ``int``
+per column, the pipeline runs on them
+(:meth:`~hopfcyc.linalg.Quotient.induced_signed`) and the complex keeps
+its operators so; any other matrix, such as those of H4, is built,
+induced and kept as :data:`~hopfcyc.linalg.Columns`
 (:meth:`~hopfcyc.linalg.Quotient.induced`).  The table builds each
 ambient matrix once, on first use, and complexes over the same bases
 share it.  So a consumer checks for descent exactly what it reads: every
@@ -31,24 +32,29 @@ word at position 0 and cᵢ (or aᵢ) at position i+1, last leg fastest.
 Every coface and face but the last, every codegeneracy and every
 degeneracy acts on one leg or two adjacent ones (Loday, *Cyclic
 Homology*, §2.5), so it is I_a ⊗ L ⊗ I_b for a leg matrix L (Δ, ε, the
-product or the unit), built by index arithmetic (:func:`kron_local`).
-The twisted operators (the last coface, τ, the last face and T) take one
-basis tuple and return its image as a ``{word tuple: coeff}`` dict, read
-from leg maps (the coproduct, coaction and actions of the carriers, each
-evaluated once per word by a :class:`~hopfcyc.core.Memo` kept by the
-operator object), with no :class:`~hopfcyc.core.TensorElt` in between;
+product or the unit): for a monomial L the
+:func:`~hopfcyc.linalg.signed_kron` of the three, built by index
+arithmetic, else their :func:`kron`.  The twisted operators (the last
+coface, τ, the last face and T) take one basis tuple and return its
+image as a ``{word tuple: coeff}`` dict, read from leg maps (the
+coproduct, coaction and actions of the carriers, each evaluated once per
+word by a :class:`~hopfcyc.core.Memo` kept by the operator object), with
+no :class:`~hopfcyc.core.TensorElt` in between;
 :meth:`TensorBasis.coords` refuses any image outside the target basis.
 This is sound because presentations are immutable once built (their
 rules are fixed, which is also why ``Presentation.from_word`` is
 memoized) and the maps are linear.  :func:`op_matrix` returns such an
 operator as sparse columns (:data:`~hopfcyc.linalg.Columns`: column j is
-a ``dict[row] -> entry`` without zero entries).  The diagonal actions of
-H, which give the relations of both quotients and L_g, are sums over
-Sweedler terms of Kronecker products (:func:`sweedler_sum`, :func:`kron`)
-of leg matrices on carrier basis positions (:func:`leg_columns`), with no
-word tuple built or hashed; each term's last leg is summed in place into
-the output columns, so no full product is built.  Every matrix from
-there on is sparse: :func:`check_cocyclic` composes with
+a ``dict[row] -> entry`` without zero entries), and the table keeps it as
+a signed map when it is monomial.  The diagonal actions of H, which give
+the relations of both quotients and L_g, are sums over Sweedler terms of
+Kronecker products (:func:`sweedler_sum`) of leg matrices on carrier
+basis positions (:func:`leg_columns`), with no word tuple built or
+hashed: on a group algebra each term is one signed Kronecker product, so
+L_g is a signed map and a ⊗_H relation has at most two entries per
+column; any other sum adds each term's last leg in place into the output
+columns, so no full product is built.  Every matrix from there on is
+sparse: :func:`check_cocyclic` composes with
 :func:`~hopfcyc.linalg.compose` and compares lists, which for two signed
 maps is one comprehension and one list equality; ``b``, ``lam``, ``norm``
 and route two of :func:`cyclic_cohomology` turn signed maps into Columns
@@ -80,6 +86,7 @@ from .linalg import (
     Columns,
     Matrix,
     Quotient,
+    Signed,
     SparseRow,
     add_columns,
     add_multiple,
@@ -93,6 +100,9 @@ from .linalg import (
     nullspace,
     rank,
     residual_nonzeros,
+    signed,
+    signed_kron,
+    signed_sum,
     transpose,
 )
 
@@ -117,9 +127,6 @@ class TensorBasis:
         self.dims = [len(b) for b in bases]
         self.tuples = list(iproduct(*bases))
         self.index = {wt: i for i, wt in enumerate(self.tuples)}
-        # the ints of index in order: keys[i] is i, shared by every matrix
-        # whose rows are this basis, as the keys of coords are
-        self.keys = list(self.index.values())
         self.dim = len(self.tuples)
 
     def coords(self, terms: Mapping) -> SparseRow:
@@ -143,28 +150,6 @@ def op_matrix(op: Callable[[tuple], Mapping], src: TensorBasis, tgt: TensorBasis
     column j holds the ``tgt`` coordinates of ``op(src.tuples[j])``, the
     image of basis tuple j as a ``{word tuple: coeff}`` dict."""
     return [tgt.coords(op(wt)) for wt in src.tuples]
-
-
-def kron_local(a: int, leg: Columns, b: int, keys) -> Columns:
-    """I_a ⊗ leg ⊗ I_b as sparse columns, last factor fastest as in
-    :func:`kron`: column (x·m + c)·b + y, for the m columns of ``leg``,
-    holds row (x·d + r)·b + y for each entry r of column c, the d rows of
-    ``leg`` being ``len(keys) // (a·b)``.  Each row key is read from
-    ``keys`` (the :attr:`TensorBasis.keys` of the target), so no entry
-    allocates an ``int``; the b columns of a one-entry leg column take
-    their keys from one slice.  Builds or hashes no word tuple."""
-    d = len(keys) // (a * b)
-    out = []
-    for x in range(a):
-        for col in leg:
-            if len(col) == 1:
-                ((r, v),) = col.items()
-                o = (x * d + r) * b
-                out += [{k: v} for k in keys[o : o + b]]
-            else:
-                heads = [((x * d + r) * b, v) for r, v in col.items()]
-                out += [{keys[o + y]: v for o, v in heads} for y in range(b)]
-    return out
 
 
 def alternating_sum(mats) -> Columns:
@@ -216,15 +201,34 @@ def kron(mats, dims) -> Columns:
     return out
 
 
-def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBasis) -> Columns:
+def int_signed(m: Columns) -> Optional[Signed]:
+    """``m`` as a :data:`~hopfcyc.linalg.Signed` map when each column is
+    empty or one ``int`` ±1, else None: the signed map then gives back
+    every entry with its type."""
+    return signed(m) if all(type(x) is int for col in m for x in col.values()) else None
+
+
+def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBasis) -> Matrix:
     """Σ c · kron(legs(w)) over the terms {w: c} of a tensor of H words,
     such as a Sweedler tensor, w holding one word per leg of ``basis``.
 
-    Summed in place: per term, :func:`kron` builds only the product of the
-    leading legs, with c folded in as a 1×1 first leg, and the entries of
-    the last leg are added straight into the output columns, each entry
-    that cancels dropped, so no column of the full product is built."""
+    When every c is an ``int`` ±1 and every leg is monomial with ``int``
+    entries, as on a group algebra, each term is one :func:`signed_kron`: a
+    single term with c = 1, such as L_g for a group-like g, is returned as
+    that :data:`~hopfcyc.linalg.Signed` map, and several are summed by
+    :func:`~hopfcyc.linalg.signed_sum` into Columns, such as the ⊗_H
+    relations, each column of at most two entries.  Any other sum is built
+    in place: per term, :func:`kron` builds only the product of the leading
+    legs, with c folded in as a 1×1 first leg, and the entries of the last
+    leg are added straight into the output columns, each entry that cancels
+    dropped, so no column of the full product is built."""
     dims = basis.dims
+    if all(type(c) is int and (c == 1 or c == -1) for c in terms.values()):
+        mono = [(c, [int_signed(m) for m in legs(w)]) for w, c in terms.items()]
+        if not any(None in signs for _, signs in mono):
+            if len(mono) == 1 and mono[0][0] == 1:
+                return signed_kron(mono[0][1], dims)
+            return signed_sum([(c, signed_kron(signs, dims)) for c, signs in mono], basis.dim)
     d = dims[-1]
     out = [{} for _ in range(basis.dim)]
     for w, c in terms.items():
@@ -359,7 +363,7 @@ class RelativeTensorSpace:
         self.n = n
         self.basis = basis = ops.basis[n]
         words = [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]
-        mats = [sweedler_sum(ops.relation(h.from_word(w), n).terms, ops.act_legs, basis) for w in words]
+        mats = [columns(sweedler_sum(ops.relation(h.from_word(w), n).terms, ops.act_legs, basis)) for w in words]
         self.quot = Quotient([col for cols in zip(*mats) for col in cols], basis.dim)
 
     def contains(self, te: TensorElt) -> bool:
@@ -375,9 +379,14 @@ class OperatorTable(Memo):
     :class:`CoalgebraOps` (cofaces, codegeneracies and τ) or an
     :class:`AlgebraChainOps` (faces, degeneracies and T, which run the
     other way, as ``ops.chains`` says).  ``bases`` is ``ops.basis``, the
-    ambient basis per degree.  An operator that ``ops.local`` gives as a leg matrix L
-    read at source leg p is I_a ⊗ L ⊗ I_b (:func:`kron_local`); any other
-    is the method ``name`` of ``ops`` per basis tuple (:func:`op_matrix`).
+    ambient basis per degree.  An operator that ``ops.local`` gives as a leg
+    matrix L read at source leg p is I_a ⊗ L ⊗ I_b: the
+    :func:`~hopfcyc.linalg.signed_kron` of the three when L is monomial,
+    else their :func:`kron`; any other is the method ``name`` of ``ops``
+    per basis tuple (:func:`op_matrix`), kept as a signed map when it is
+    one.  So every entry is a :data:`~hopfcyc.linalg.Matrix`, to be read
+    through :func:`~hopfcyc.linalg.compose` or
+    :func:`~hopfcyc.linalg.columns`.
     """
 
     # (source, target) degree of each operator, relative to its n
@@ -391,17 +400,23 @@ class OperatorTable(Memo):
 
         # the fill holds ops and bases but not the table, so a table no
         # longer used is freed at once, not held in a cycle until a gc pass
-        def build(key) -> Columns:
+        def build(key) -> Matrix:
             s, t = OperatorTable.degrees(key)
             src, tgt = bases[s], bases[t]
             if not src.dim:
                 return []  # no column, and no leg dims to divide by
             local = ops.local(*key)
             if local is None:
-                return op_matrix(partial(getattr(ops, key[0]), key[1]), src, tgt)
+                m = op_matrix(partial(getattr(ops, key[0]), key[1]), src, tgt)
+                return int_signed(m) or m
             p, leg = local
             a = prod(src.dims[:p])
-            return kron_local(a, leg, src.dim // (a * len(leg)), tgt.keys)
+            b = src.dim // (a * len(leg))
+            dims = [a, tgt.dim // (a * b), b]
+            mono = int_signed(leg)
+            if mono is None:
+                return kron([identity_columns(a), leg, identity_columns(b)], dims)
+            return signed_kron([list(range(1, a + 1)), mono, list(range(1, b + 1))], dims)
 
         super().__init__(build)
         self.bases = bases

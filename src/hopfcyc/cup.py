@@ -49,7 +49,7 @@ from .instances import (
     build_group_algebra,
     cyclic_group,
 )
-from .linalg import F0, Columns, SparseRow, add_columns, identity_columns, mat_mul, mat_vec, nullspace, transpose
+from .linalg import F0, Columns, SparseRow, add_columns, columns, identity_columns, mat_mul, mat_vec, nullspace, transpose
 from .cocyclic import (
     AlgebraChainOps,
     CoalgebraOps,
@@ -278,7 +278,7 @@ class CupData:
         rows.extend(alternating_sum([inst.table["face", p + 1, i] for i in range(p + 2)]))
         if cyclic:
             sign = (-1) ** p
-            lam = [{r: sign * x for r, x in col.items()} for col in inst.table["t", p]]
+            lam = [{r: sign * x for r, x in col.items()} for col in columns(inst.table["t", p])]
             rows.extend(add_columns(lam, identity_columns(dim), -1))
         return nullspace(rows, dim)
 
@@ -306,10 +306,10 @@ class CupData:
         inst = self.a_inst
         row = phi_row
         for k in range(p + 1, n + 1):
-            row = mat_vec(transpose(inst.table["face", k, k], inst.bases[k - 1].dim), row)
+            row = mat_vec(transpose(columns(inst.table["face", k, k]), inst.bases[k - 1].dim), row)
         z = z_amb
         for k in range(q + 1, n + 1):
-            z = mat_vec(self.c_side.table["coface", k, 0], z)
+            z = mat_vec(columns(self.c_side.table["coface", k, 0]), z)
         d_a = self.ci.dims[1]
         blocks = [self.ci.ca[o : o + d_a] for o in range(0, len(self.ci.ca), d_a)]
         c_dims = self.c_side.bases[n].dims[::-1]

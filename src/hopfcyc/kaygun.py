@@ -24,14 +24,19 @@ from .core import EMPTY_WORD, Memo, word_str
 from .coefficients import HModuleCoalgebra, ModuleComodule
 from .errors import UnsolvableError
 from .linalg import (
+    Columns,
+    Matrix,
     Quotient,
     add_columns,
+    columns,
     compose,
     identity_columns,
+    is_signed,
     mat_mul,
     mat_vec,
     orbit_rref,
     rref,
+    signed_sum,
 )
 from .cocyclic import (
     CoalgebraOps,
@@ -48,99 +53,125 @@ from .cocyclic import (
 SATURATION_BOUND = 50
 
 
+def bracket(a: Matrix, b: Matrix) -> Columns:
+    """[a, b] = a∘b − b∘a as Columns: the :func:`~hopfcyc.linalg.signed_sum`
+    of the two products when both are signed maps, so that each column has
+    at most two entries, else their difference on Columns."""
+    ab, ba = compose(a, b), compose(b, a)
+    if is_signed(ab) and is_signed(ba):
+        return signed_sum([(1, ab), (-1, ba)], len(ab))
+    return add_columns(columns(ab), columns(ba), -1)
+
+
+def saturate(rows, tau: Columns, n: int) -> list:
+    """The reduced rows of the span of ``rows`` saturated under ``tau``:
+    τ-images are added until the rank stabilizes."""
+    span = (orbit_rref(rows) or rref(rows))[0]
+    for _ in range(SATURATION_BOUND):
+        grown = span + [mat_vec(tau, v) for v in span]
+        grown = (orbit_rref(grown) or rref(grown))[0]
+        if len(grown) == len(span):
+            return span
+        span = grown
+    raise UnsolvableError(f"W saturation did not stabilize at degree {n}")
+
+
 @dataclass
 class KaygunBridge:
     """Ambient matrices of the L-action and the cocyclic operators on a
-    finite instance, degree by degree, as sparse columns
-    (:data:`~hopfcyc.linalg.Columns`); the cocyclic operators come from one
-    :class:`~hopfcyc.cocyclic.OperatorTable`, τ's powers and L_g are built
-    once per degree (L_g by :func:`~hopfcyc.cocyclic.sweedler_sum`), and
-    commutators are composed on the columns.  One ``ops`` serves the table,
-    L_g and the relative quotients, and gives the ambient ``bases``.
-    Nothing is built before it is asked for."""
+    finite instance, degree by degree.  The cocyclic operators come from
+    one :class:`~hopfcyc.cocyclic.OperatorTable`; L_g is built once per
+    degree and g by :func:`~hopfcyc.cocyclic.sweedler_sum`, and τ's powers
+    once per degree and exponent, each τ times the one before.  On a group
+    algebra τ, L_g and so every power and product are
+    :data:`~hopfcyc.linalg.Signed` maps, composed one entry per column,
+    and a commutator is the signed sum of its two products
+    (:func:`bracket`); any other instance, such as H4, composes
+    :data:`~hopfcyc.linalg.Columns`.  One ``ops`` serves the table, L_g and
+    the relative quotients, and gives the ambient ``bases``.  Nothing is
+    built before it is asked for."""
 
     mc: ModuleComodule
     c_mod: HModuleCoalgebra
     top: int
 
     def __post_init__(self):
-        self.ops = CoalgebraOps(self.mc, self.c_mod)
-        self.bases = self.ops.basis
-        self.table = OperatorTable(self.ops)
-        self.group_words = list(self.mc.hopf.normal_words(1, 1))
-        self._tau_pow = Memo(lambda k: self._build_tau_power(*k))
-        self._l = Memo(lambda k: self._build_l(*k))
-        self._w = Memo(self._saturate)
-        self._cm = Memo(
-            lambda n: Quotient(self.w_rows(n) + self.l_coinvariance_rows(n), self.bases[n].dim)
+        # the fills close over what they read, not over self, so a dropped
+        # bridge is freed by reference counting, not by a gc pass
+        h = self.mc.hopf
+        ops = self.ops = CoalgebraOps(self.mc, self.c_mod)
+        bases = self.bases = ops.basis
+        table = self.table = OperatorTable(ops)
+        words = self.group_words = list(h.normal_words(1, 1))
+        # τ⁰, τ¹, … per degree, the identity first, as a signed map
+        powers = Memo(lambda n: [list(range(1, bases[n].dim + 1))])
+        lg = self._l = Memo(
+            lambda k: sweedler_sum(
+                h.sweedler(h.from_word(k[1]), k[0] + 2).leg_apply(1, h.antipode).terms,
+                ops.act_legs,
+                bases[k[0]],
+            )
         )
-        self._rel = Memo(lambda n: RelativeTensorSpace(self.ops, n))
+
+        def tau_power(n: int, i: int) -> Matrix:
+            ps = powers[n]
+            while len(ps) <= i:
+                ps.append(compose(table["tau", n], ps[-1]))
+            return ps[i]
+
+        def coinvariance_rows(n: int) -> list:
+            """Rows L_g(x) − ε(g)x over the ambient basis, for the scalar
+            tensor over H with its trivial action."""
+            ident = identity_columns(bases[n].dim)
+            rows = []
+            for gw in words:
+                if gw != EMPTY_WORD:
+                    eps = h.counit(h.from_word(gw))
+                    rows.extend(add_columns(columns(lg[n, gw]), ident, -eps))
+            return rows
+
+        w = self._w = Memo(
+            lambda n: saturate(
+                [
+                    row
+                    for gw in words
+                    if gw != EMPTY_WORD
+                    for i in range(1, n + 2)
+                    for row in bracket(lg[n, gw], tau_power(n, i))
+                ],
+                columns(table["tau", n]),
+                n,
+            )
+        )
+        self._cm = Memo(lambda n: Quotient(w[n] + coinvariance_rows(n), bases[n].dim))
+        self._rel = Memo(lambda n: RelativeTensorSpace(ops, n))
+        self._tau_power = tau_power
         self._cm_inst = None
 
-    def tau_power(self, n: int, i: int):
-        """τⁱ as an ambient matrix, built once per degree and exponent."""
-        return self._tau_pow[n, i]
+    def tau_power(self, n: int, i: int) -> Matrix:
+        """τⁱ as an ambient matrix, built once per degree and exponent: τ⁰
+        is the identity as a signed map and τⁱ = τ∘τⁱ⁻¹."""
+        return self._tau_power(n, i)
 
-    def _build_tau_power(self, n: int, i: int):
-        if i == 0:
-            return identity_columns(self.bases[n].dim)
-        return mat_mul(self.table["tau", n], self.tau_power(n, i - 1))
-
-    def l_matrix(self, n: int, gw):
+    def l_matrix(self, n: int, gw) -> Matrix:
         """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ as an ambient matrix,
         built once per degree and g."""
         return self._l[n, gw]
 
-    def _build_l(self, n: int, gw):
-        h = self.mc.hopf
-        d = h.sweedler(h.from_word(gw), n + 2).leg_apply(1, h.antipode)
-        return sweedler_sum(d.terms, self.ops.act_legs, self.bases[n])
-
-    def commutator_matrix(self, n: int, gw, i: int):
-        """[L_g, τⁱ] as an ambient matrix."""
-        taui = self.tau_power(n, i)
-        lg = self.l_matrix(n, gw)
-        return add_columns(mat_mul(lg, taui), mat_mul(taui, lg), -1)
+    def commutator_matrix(self, n: int, gw, i: int) -> Columns:
+        """[L_g, τⁱ] as an ambient matrix (:func:`bracket`)."""
+        return bracket(self._l[n, gw], self._tau_power(n, i))
 
     def w_rows(self, n: int):
-        """Spanning rows of Wⁿ, sparse and in reduced echelon form:
-        commutator images of the ambient basis, saturated under τ until the
-        rank stabilizes.  Computed once per degree.  L_g and τ have at most
-        one nonzero per column on every instance built here, so the commutator
-        rows and the τ-images of a reduced span have at most two entries
-        and each elimination takes :func:`~hopfcyc.linalg.orbit_rref`;
-        :func:`~hopfcyc.linalg.rref` is the fallback for other rows."""
+        """Spanning rows of Wⁿ, sparse and in reduced echelon form: the
+        columns of the commutators [L_g, τⁱ], saturated under τ until the
+        rank stabilizes (:func:`saturate`, τ read once per degree).
+        Computed once per degree.  On a group algebra each commutator
+        column has at most two entries, and so has each τ-image of a
+        reduced span, so each elimination takes
+        :func:`~hopfcyc.linalg.orbit_rref`; :func:`~hopfcyc.linalg.rref` is
+        the fallback for other rows."""
         return self._w[n]
-
-    def _saturate(self, n: int):
-        rows = []
-        for gw in self.group_words:
-            if gw == EMPTY_WORD:
-                continue
-            for i in range(1, n + 2):
-                rows.extend(self.commutator_matrix(n, gw, i))
-        tau = self.table["tau", n]
-        span = (orbit_rref(rows) or rref(rows))[0]
-        for _ in range(SATURATION_BOUND):
-            grown = span + [mat_vec(tau, v) for v in span]
-            grown = (orbit_rref(grown) or rref(grown))[0]
-            if len(grown) == len(span):
-                return span
-            span = grown
-        raise UnsolvableError(f"W saturation did not stabilize at degree {n}")
-
-    def l_coinvariance_rows(self, n: int):
-        """Rows L_g(x) − ε(g)x over the ambient basis, for the scalar
-        tensor over H with its trivial action."""
-        h = self.mc.hopf
-        ident = identity_columns(self.bases[n].dim)
-        rows = []
-        for gw in self.group_words:
-            if gw == EMPTY_WORD:
-                continue
-            eps = h.counit(h.from_word(gw))
-            rows.extend(add_columns(self.l_matrix(n, gw), ident, -eps))
-        return rows
 
     def cm_quotient(self, n: int) -> Quotient:
         """ℂ𝕄ⁿ = Cⁿ / (Wⁿ + span{L_g x − ε(g)x}), built once per degree."""
@@ -155,7 +186,8 @@ class KaygunBridge:
 def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
     """The stability identities of W as exact ambient matrix equations:
     the τ-commutator expansion, σ_j[L_g,τⁱ] = [L_g,τⁱ]σ_{j−1}, and
-    ∂_m L_g = L_g ∂_m.  A witness names the group element and the nonzero
+    ∂_m L_g = L_g ∂_m, composed by :func:`~hopfcyc.linalg.compose` on
+    either encoding.  A witness names the group element and the nonzero
     count of the residual."""
     table = bridge.table
     fails = []
@@ -166,27 +198,27 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
                 continue
             g = word_str(gw)
             lg = bridge.l_matrix(n, gw)
-            bracket = add_columns(mat_mul(tau, lg), mat_mul(lg, tau), -1)
+            tau_l = bracket(tau, lg)
             for i in range(1, n + 2):
                 comm_i = bridge.commutator_matrix(n, gw, i)
                 comm_i1 = bridge.commutator_matrix(n, gw, i + 1)
                 taui = bridge.tau_power(n, i)
-                lhs = mat_mul(tau, comm_i)
-                rhs = add_columns(mat_mul(bracket, taui), comm_i1)
+                lhs = compose(tau, comm_i)
+                rhs = add_columns(compose(tau_l, taui), comm_i1)
                 fails += mismatch(lhs, rhs, f"tau commutator expansion (n={n}, g={g}, i={i})")
             if n < bridge.top:
                 for m in range(n + 1):
                     coface = table["coface", n + 1, m]
                     lg_up = bridge.l_matrix(n + 1, gw)
                     label = f"coface commutes with L (n={n}, g={g}, m={m})"
-                    fails += mismatch(mat_mul(coface, lg), mat_mul(lg_up, coface), label)
+                    fails += mismatch(compose(coface, lg), compose(lg_up, coface), label)
             for j in range(1, n):
                 sig, sigp = table["codegeneracy", n - 1, j], table["codegeneracy", n - 1, j - 1]
                 for i in range(1, n + 1):
                     comm_hi = bridge.commutator_matrix(n, gw, i)
                     comm_lo = bridge.commutator_matrix(n - 1, gw, i)
                     label = f"codegeneracy commutator shift (n={n}, g={g}, i={i}, j={j})"
-                    fails += mismatch(mat_mul(sig, comm_hi), mat_mul(comm_lo, sigp), label)
+                    fails += mismatch(compose(sig, comm_hi), compose(comm_lo, sigp), label)
     return {"ok": not fails, "witnesses": fails[:5]}
 
 

@@ -40,9 +40,10 @@ default factor of :func:`add_columns` are the ``int`` 1, so τ powers,
 commutators and W rows of an integral instance stay in ``int``
 arithmetic; :func:`rref` still returns ``Fraction`` entries.
 
-Chain operators are built as :data:`Columns` by
-:class:`hopfcyc.cocyclic.OperatorTable`; relation rows are built as sparse
-rows and enter :class:`Quotient` as they are.  A :class:`Quotient` holds
+Chain operators are built by :class:`hopfcyc.cocyclic.OperatorTable`,
+as :data:`Signed` maps where they are monomial and as :data:`Columns`
+otherwise; relation rows are built as sparse rows and enter
+:class:`Quotient` as they are.  A :class:`Quotient` holds
 its projection as one matrix, ``proj``, so projecting a vector is
 :func:`mat_vec`, and inducing an operator is compose, check, select
 (:meth:`Quotient.induced`): Q = proj ∘ op of the target is one
@@ -54,19 +55,25 @@ space to the ranks.  The callers are the operator memos of
 descends before they keep it, and the Π/Π′ maps of
 :func:`hopfcyc.kaygun.check_iso`.
 
-A monomial matrix, each column empty or one ±1 entry, as every induced
-operator of a group-algebra instance is, is also held as a
-:data:`Signed` map: a list of one ``int`` per column, s·(r+1) for a
-column s·e_r and 0 for an empty one.  :func:`compose` of two is one list
-comprehension, equality is list equality, :func:`residual_nonzeros`
-counts a difference as the Columns residual would, and :func:`columns`
-converts back.  A :class:`Quotient` whose reduced rows are all e_a or
-e_a ∓ e_r has its projection as one too (``signed_proj``), and
-:meth:`Quotient.induced_signed` induces on such lists: Q = P ∘ op reads
-one entry of P per column of the ambient operator, and the descent check
-compares Q with M ∘ P of the source, an ``int`` comparison per column.
-Any other matrix, such as the operators of H4, stays :data:`Columns`, and
-:func:`compose` and :func:`residual_nonzeros` take either encoding.
+A monomial matrix, each column empty or one ±1 entry, as every leg
+matrix, ambient operator and induced operator of a group-algebra
+instance is, is also held as a :data:`Signed` map: a list of one ``int``
+per column, s·(r+1) for a column s·e_r and 0 for an empty one.
+:func:`compose` of two is one list comprehension, equality is list
+equality, :func:`residual_nonzeros` counts a difference as the Columns
+residual would, and :func:`columns` converts back.  :func:`signed_kron`
+builds the Kronecker product of signed legs by index arithmetic, and
+:func:`signed_sum` sums signed maps under signs ±1 into Columns, so a
+difference of two, such as a commutator, has at most two entries per
+column.  A :class:`Quotient` whose reduced rows are all e_a or e_a ∓ e_r
+has its projection as one too (``signed_proj``), and
+:meth:`Quotient.induced_signed` induces a signed ambient operator with
+no empty column on such lists: Q = P ∘ op reads one entry of P per
+column, and the descent check compares Q with M ∘ P of the source, an
+``int`` comparison per column.  Any other matrix, such as the operators
+of H4, stays :data:`Columns`, and :func:`compose`,
+:func:`residual_nonzeros` and :meth:`Quotient.induced` take either
+encoding.
 """
 
 from __future__ import annotations
@@ -172,6 +179,49 @@ def compose(a: Matrix, b: Matrix) -> Matrix:
     if is_signed(a) and is_signed(b):
         return [a[e - 1] if e > 0 else -a[-e - 1] if e else 0 for e in b]
     return mat_mul(columns(a), columns(b))
+
+
+def signed_kron(mats: List[Signed], dims: List[int]) -> Signed:
+    """A₀ ⊗ … ⊗ A_k of :data:`Signed` legs, leg i having ``dims[i]`` rows,
+    last leg fastest as in :func:`hopfcyc.cocyclic.kron`: column j·m + c of
+    A ⊗ B, for B of m columns and d rows, is s·t·(r·d + q + 1) when column j
+    of A is s·e_r and column c of B is t·e_q, and 0 when either is empty."""
+    out = [1]
+    for a, d in zip(mats, dims):
+        nxt = []
+        for x in out:
+            o = (abs(x) - 1) * d
+            if x > 0:
+                nxt += [y + o if y > 0 else y - o if y else 0 for y in a]
+            elif x:
+                nxt += [-y - o if y > 0 else o - y if y else 0 for y in a]
+            else:
+                nxt += [0] * len(a)
+        out = nxt
+    return out
+
+
+def signed_sum(terms, ncols: int) -> Columns:
+    """Σ c·S over the pairs (c, S) of ``terms``, each c = ±1 and each S a
+    :data:`Signed` map of ``ncols`` columns, as :data:`Columns`, dropping
+    every entry that cancels.  The first term gives each column its dict,
+    and each later one adds into it."""
+    if not terms:
+        return [{} for _ in range(ncols)]
+    (c, s), *rest = terms
+    out = [{e - 1: c} if e > 0 else {-e - 1: -c} if e else {} for e in s]
+    for c, s in rest:
+        for acc, e in zip(out, s):
+            if e > 0:
+                r, x = e - 1, c
+            elif e:
+                r, x = -e - 1, -c
+            else:
+                continue
+            v = acc.pop(r, 0) + x
+            if v:
+                acc[r] = v
+    return out
 
 
 def residual_nonzeros(a: Matrix, b: Matrix) -> int:
@@ -483,15 +533,16 @@ class Quotient:
         every reduced row is e_a or e_a − w·e_r with w = ±1."""
         return signed(self.proj)
 
-    def induced(self, ambient_op: Columns, target: "Quotient") -> tuple[Columns, int]:
-        """(M, k): M the map that ``ambient_op`` induces on the quotients,
-        k the nonzero count of the reduced relations' images projected to
-        the target, so that the operator descends exactly when k is 0.
-        Q = target.proj ∘ ambient_op is composed once; M is its columns at
-        the free coordinates, and the images are Q applied to each row.  A
-        row e_a − w·e_r is compared first, Q[a] against w·Q[r], and only a
-        row whose two sides differ is applied."""
-        q = mat_mul(target.proj, ambient_op)
+    def induced(self, ambient_op: Matrix, target: "Quotient") -> tuple[Columns, int]:
+        """(M, k): M the map that ``ambient_op``, in either encoding,
+        induces on the quotients, k the nonzero count of the reduced
+        relations' images projected to the target, so that the operator
+        descends exactly when k is 0.  Q = target.proj ∘ ambient_op is
+        composed once; M is its columns at the free coordinates, and the
+        images are Q applied to each row.  A row e_a − w·e_r is compared
+        first, Q[a] against w·Q[r], and only a row whose two sides differ is
+        applied."""
+        q = mat_mul(target.proj, columns(ambient_op))
         off = 0
         for a, row in zip(self.pivots, self.rows):
             if len(row) == 1:
@@ -505,34 +556,29 @@ class Quotient:
             off += len(mat_vec(q, row))
         return [q[c] for c in self.free], off
 
-    def induced_signed(self, ambient_op: Columns, target: "Quotient") -> Optional[tuple[Signed, int]]:
+    def induced_signed(self, ambient_op: Matrix, target: "Quotient") -> Optional[tuple[Signed, int]]:
         """:meth:`induced` on :data:`Signed` maps, or None when the source or
-        the target projection is not one or a column of ``ambient_op`` is
-        not one ±1 entry.  Q = target.signed_proj ∘ ambient_op and M is its
+        the target projection is not one or ``ambient_op`` (a Signed map, or
+        Columns read by :func:`signed`) has a column that is not one ±1
+        entry.  Q = compose(target.signed_proj, ambient_op) and M is its
         entries at the free coordinates, as there; the operator descends
         exactly when Q = M ∘ P, P the source's ``signed_proj`` (the row
         e_a − w·e_r asks Q[a] = w·Q[r], and e_a asks Q[a] = 0), and k is the
         nonzero count of Q − M ∘ P."""
         p, s = target.signed_proj, self.signed_proj
-        if p is None or s is None:
+        op = ambient_op if is_signed(ambient_op) else signed(ambient_op)
+        if p is None or s is None or op is None or 0 in op:
             return None
-        q = [
-            p[r] if col[r] == 1 else -p[r] if col[r] == -1 else None
-            for col in ambient_op
-            if len(col) == 1
-            for r in col
-        ]
-        if len(q) != len(ambient_op) or None in q:
-            return None
+        q = compose(p, op)
         m = [q[c] for c in self.free]
         back = compose(m, s)
         return m, (residual_nonzeros(q, back) if q != back else 0)
 
-    def induced_matrix(self, ambient_op: Columns, target: "Quotient") -> Columns:
+    def induced_matrix(self, ambient_op: Matrix, target: "Quotient") -> Columns:
         """The induced map on quotients, as :meth:`induced` gives it."""
         return self.induced(ambient_op, target)[0]
 
-    def preserves_relations(self, ambient_op: Columns, target: "Quotient") -> bool:
+    def preserves_relations(self, ambient_op: Matrix, target: "Quotient") -> bool:
         """Does the ambient operator descend to the quotients?"""
         return not self.induced(ambient_op, target)[1]
 

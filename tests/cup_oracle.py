@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hopfcyc.core import TensorElt, _merge_term, tensor
-from hopfcyc.linalg import mat_vec, nullspace, transpose
+from hopfcyc.linalg import columns, mat_vec, nullspace, transpose
 
 
 def permute(te, order) -> TensorElt:
@@ -139,10 +139,10 @@ def symbolic_cup(data, phi_row, p: int, z_amb, q: int) -> list:
     inst = data.a_inst
     row = phi_row
     for k in range(p + 1, n + 1):
-        row = mat_vec(transpose(inst.table["face", k, k], inst.bases[k - 1].dim), row)
+        row = mat_vec(transpose(columns(inst.table["face", k, k]), inst.bases[k - 1].dim), row)
     z = z_amb
     for k in range(q + 1, n + 1):
-        z = mat_vec(data.c_side.table["coface", k, 0], z)
+        z = mat_vec(columns(data.c_side.table["coface", k, 0]), z)
     basis = data.c_side.bases[n]
     chain = {basis.tuples[j]: x for j, x in z.items()}
     phi_basis = inst.bases[n]

@@ -4,6 +4,7 @@ import gc
 import io
 import itertools
 import re
+import tracemalloc
 import weakref
 from contextlib import redirect_stdout
 
@@ -121,6 +122,21 @@ def test_complexes_are_freed_without_gc(swap_cmod):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_graded_swap_instance_at_top_8_peaks_under_4_mib():
+    # the ambient operators of a group-algebra instance are signed maps, one
+    # int per column, so building and checking the graded swap instance
+    # at top 8 peaks near 1.9 MiB (6.7 MiB with one dict per column)
+    (_, _), (name, build) = cli._swap_instances(8)
+    assert name == "graded"
+    tracemalloc.start()
+    try:
+        assert check_cocyclic(build())["ok"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("command", ["cohomology", "check-cocyclic"])

@@ -1,8 +1,10 @@
 """The bridge between the relative cocyclic module and the quotient complex
 of the ambient one."""
 
+import gc
 import io
 import re
+import weakref
 from contextlib import redirect_stdout
 
 import pytest
@@ -25,7 +27,7 @@ from hopfcyc.kaygun import (
     kaygun_cocyclic_instance,
     kaygun_cohomology,
 )
-from hopfcyc.linalg import Quotient, identity_columns
+from hopfcyc.linalg import Quotient, columns, identity_columns
 
 from dense_oracle import as_dense, identity, mat_sub
 from dense_oracle import mat_mul as dense_mul
@@ -89,6 +91,25 @@ def test_quotients_built_once_per_degree(swap_cmod, monkeypatch):
     assert all(bridge.relative_space(n).basis is bridge.table.bases[n] for n in range(4))
 
 
+def test_bridge_is_freed_without_gc(swap_cmod):
+    """The bridge's memo fills close over its ops, bases, table and each
+    other, not over the bridge, so with gc off a bridge dropped after
+    w_rows and check_iso dies by reference counting."""
+    mc = mc_graded_group(swap_cmod.hopf, build_group_algebra(cyclic_group(2), name="kG_g"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        bridge = KaygunBridge(mc, swap_cmod, top=2)
+        bridge.w_rows(1)
+        assert check_iso(bridge)["ok"]
+        ref = weakref.ref(bridge)
+        del bridge
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_graded_coefficients(swap_cmod):
     mc = mc_graded_group(
         swap_cmod.hopf, build_group_algebra(cyclic_group(2), name="kG_g")
@@ -143,7 +164,7 @@ def test_s3_graded_bridge_entries_stay_int(s3):
     ]
     rows = bridge.w_rows(1)
     assert rows
-    entries = [x for m in mats + [rows] for col in m for x in col.values()]
+    entries = [x for m in mats + [rows] for col in columns(m) for x in col.values()]
     assert entries
     assert {type(x) for x in entries} == {int}
 
@@ -189,7 +210,7 @@ def test_commutator_witness_names_the_element_and_the_residual(monkeypatch, swap
 
     def doubled(self, n, gw):
         m = real(self, n, gw)
-        return [{r: 2 * x for r, x in col.items()} for col in m] if n == 1 else m
+        return [{r: 2 * x for r, x in col.items()} for col in columns(m)] if n == 1 else m
 
     monkeypatch.setattr(KaygunBridge, "l_matrix", doubled)
     bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=3)

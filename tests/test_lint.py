@@ -235,8 +235,6 @@ def test_memo_fills_naming_self_are_found():
 
 # Classes whose Memo fills still name self, each with the reason it stays.
 MEMO_FILLS_OVER_SELF = {
-    "KaygunBridge": "the τ-power, L_g, W, ℂ𝕄 and C_H memos call methods that read the"
-    " bridge's other memos, bases and table",
     "MatchedPairData": "the action and coaction on words recurse through methods that"
     " read the generator tables and each other's memo",
     "HopfPresentation": "S and S⁻¹ of a generator come from self._derive, which reads Δ,"

@@ -10,6 +10,7 @@ entry for entry.
 
 import copy
 import math
+from unittest import mock
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -26,7 +27,6 @@ from hopfcyc.cocyclic import (
     RelativeTensorSpace,
     TensorBasis,
     kron,
-    kron_local,
     sweedler_sum,
 )
 from hopfcyc.coefficients import (
@@ -50,7 +50,17 @@ from hopfcyc.instances import (
     swap_instance,
 )
 from hopfcyc.kaygun import KaygunBridge
-from hopfcyc.linalg import Quotient, add_multiple, identity_columns, orbit_rref
+from hopfcyc import cocyclic
+from hopfcyc.linalg import (
+    Quotient,
+    add_multiple,
+    columns,
+    identity_columns,
+    is_signed,
+    orbit_rref,
+    signed,
+    signed_kron,
+)
 from hopfcyc.rewrite import ConcreteRule, Presentation
 
 from dense_oracle import F0, as_dense, dense, identity, kronecker, mat_mul, mat_sub, sparse
@@ -296,7 +306,7 @@ def assert_table_matches(table, top, oracles):
     for key in operator_keys(table.chains, top):
         src, tgt = (table.bases[d] for d in OperatorTable.degrees(key))
         oracle = oracles[key[0]]
-        assert table[key] == symbolic_columns(lambda x: oracle(*key[1:], x), src, tgt), key
+        assert columns(table[key]) == symbolic_columns(lambda x: oracle(*key[1:], x), src, tgt), key
 
 
 # -- the oracle comparisons ----------------------------------------------------------
@@ -400,6 +410,7 @@ def test_kaygun_matrices_match_symbolic_route(coalgebra_instances, name, top):
             taui = identity(basis.dim)
             for i in range(1, n + 2):
                 taui = mat_mul(tau, taui)
+                assert as_dense(bridge.tau_power(n, i), basis.dim) == taui
                 comm = mat_sub(mat_mul(lg, taui), mat_mul(taui, lg))
                 assert as_dense(bridge.commutator_matrix(n, gw, i), basis.dim) == comm
 
@@ -574,32 +585,36 @@ def test_kron_of_unit_legs_indexes_like_tensor_basis(legs):
 
 
 @st.composite
-def local_factors(draw):
-    """(a, leg, d, b): a leg of d rows (one row, as a counit has) and 1 to
-    3 columns (one column, as a unit has) between identities of a and b
-    rows, each often 1.  A column is empty or holds one or more ``int`` or
-    ``Fraction`` entries."""
-    a, b, d, ncols = (draw(st.integers(1, 3)) for _ in range(4))
-    column = st.dictionaries(st.integers(0, d - 1), nonzero_entries, max_size=d)
-    return a, draw(st.lists(column, min_size=ncols, max_size=ncols)), d, b
+def signed_legs(draw):
+    """1 to 4 monomial legs as signed maps, of 1 to 3 rows (one row, as a
+    counit has) and 1 to 3 columns (one column, as a unit has), each column
+    empty or one ±1 entry."""
+    mats, dims = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        d, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        mats.append(draw(st.lists(st.integers(-d, d), min_size=ncols, max_size=ncols)))
+        dims.append(d)
+    return mats, dims
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(local_factors())
-def test_kron_local_matches_dense_kronecker_with_identities(data):
-    a, leg, d, b = data
-    out = kron_local(a, leg, b, range(a * d * b))
-    assert as_dense(out, a * d * b) == kronecker([identity(a), as_dense(leg, d), identity(b)])
-    assert all(x for col in out for x in col.values())
+@given(signed_legs())
+def test_signed_kron_matches_kron_and_dense_kronecker(data):
+    mats, dims = data
+    out = signed_kron(mats, dims)
+    assert is_signed(out) and len(out) == math.prod(map(len, mats))
+    assert columns(out) == kron([columns(m) for m in mats], dims)
+    assert as_dense(out, math.prod(dims)) == kronecker([as_dense(m, d) for m, d in zip(mats, dims)])
 
 
-def test_kron_local_takes_every_row_key_from_the_target():
-    # ints past 256 are not cached by the interpreter: each key must be the
-    # target's own object, not an equal int allocated per entry
-    keys = [int(str(i)) for i in range(2 * 3 * 150)]
-    out = kron_local(2, [{0: 1, 2: -1}, {}, {1: Fraction(1, 2)}], 150, keys)
+def test_signed_kron_with_identity_legs_is_the_local_operator():
+    # I_a ⊗ L ⊗ I_b as the operator table builds it, for a leg with a −1
+    # column, an empty one and a +1 one and a wide identity after it
+    leg = [{2: -1}, {}, {0: 1}]
+    ident = [list(range(1, k + 1)) for k in (2, 150)]
+    out = signed_kron([ident[0], signed(leg), ident[1]], [2, 3, 150])
     assert len(out) == 2 * 3 * 150
-    assert all(r is keys[r] for col in out for r in col)
+    assert columns(out) == kron([identity_columns(2), leg, identity_columns(150)], [2, 3, 150])
 
 
 def per_term_sweedler_sum(terms, legs, basis):
@@ -678,6 +693,86 @@ def test_sweedler_sum_matches_per_term_route_and_dense_kronecker(data):
         col.clear()
         col[0] = 7
     assert legs == before
+
+
+@st.composite
+def signed_sweedler_terms(draw):
+    """A tensor of zero to four words with ``int`` coefficients ±1, each
+    with its own monomial legs over 1 to 3 legs: ``int`` columns that are
+    empty, +1 or −1, one-row legs (as a counit has) and one-column legs.  A
+    word may copy the legs of an earlier one under the opposite sign, so
+    the two terms cancel.  ``basis`` carries only ``dims`` and ``dim``."""
+    k = draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 3)) for _ in range(k)]
+    ncols = [draw(st.integers(1, 3)) for _ in range(k)]
+    legs, terms = [], {}
+    for w in range(draw(st.integers(0, 4))):
+        if legs and draw(st.booleans()):
+            v = draw(st.integers(0, len(legs) - 1))
+            legs.append(legs[v])
+            terms[w] = -terms[v]
+            continue
+        legs.append(
+            [columns(draw(st.lists(st.integers(-d, d), min_size=m, max_size=m))) for d, m in zip(dims, ncols)]
+        )
+        terms[w] = draw(st.sampled_from([1, -1]))
+    return terms, legs, SimpleNamespace(dims=dims, dim=math.prod(ncols))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(signed_sweedler_terms())
+def test_sweedler_sum_signed_route_matches_per_term_route(data):
+    # every term is one signed Kronecker product; one +1 term comes back as
+    # a signed map, any other sum as Columns of at most one entry per term
+    terms, legs, basis = data
+    with mock.patch.object(cocyclic, "signed_kron", wraps=signed_kron) as spy:
+        out = sweedler_sum(terms, legs.__getitem__, basis)
+    assert spy.call_count == len(terms)
+    assert is_signed(out) == (list(terms.values()) == [1])
+    oracle = per_term_sweedler_sum(terms, legs.__getitem__, basis)
+    assert columns(out) == oracle
+    assert {type(x) for col in columns(out) for x in col.values()} <= {int}
+    assert all(len(col) <= len(terms) for col in columns(out))
+
+
+@pytest.mark.parametrize("case", ["coefficient 2", "two-entry leg", "Fraction leg"])
+def test_sweedler_sum_off_signed_legs_takes_the_columns_route(monkeypatch, case):
+    # L_x on H4 has a two-entry leg; a term of coefficient 2 or a leg entry
+    # Fraction(1) has no signed map that keeps it
+    legs = [[[{0: 1}, {1: -1}], [{1: 1}, {}]], [[{1: 1}, {0: 1}], [{0: -1}, {1: 1}]]]
+    terms = {0: 1, 1: -1}
+    if case == "coefficient 2":
+        terms[1] = 2
+    elif case == "two-entry leg":
+        legs[1][1][0] = {0: 1, 1: 1}
+    else:
+        legs[1][1][0] = {1: Fraction(1)}
+    basis = SimpleNamespace(dims=[2, 2], dim=4)
+    calls = []
+    monkeypatch.setattr(cocyclic, "signed_kron", lambda *args: calls.append(args))
+    out = sweedler_sum(terms, legs.__getitem__, basis)
+    assert calls == [] and not is_signed(out)
+    oracle = per_term_sweedler_sum(terms, legs.__getitem__, basis)
+    assert out == oracle
+    assert [list(map(type, col.values())) for col in out] == [list(map(type, col.values())) for col in oracle]
+
+
+def test_monomial_table_entries_are_signed(coalgebra_instances):
+    # every ambient operator of the swap and S3 instances is a signed map;
+    # on H4 the cofaces stay Columns, the local ones through the two-entry
+    # columns of Δ and the last through the coaction, and a matrix is kept
+    # signed exactly when it is monomial
+    expected = {
+        "swap_graded": (3, []),
+        "s3_graded": (1, []),
+        "h4_left": (2, [("coface", 1, 0), ("coface", 1, 1), ("coface", 2, 0), ("coface", 2, 1), ("coface", 2, 2)]),
+    }
+    for name, (top, kept_as_columns) in expected.items():
+        mc, c_mod, _ = coalgebra_instances[name]
+        table = OperatorTable(CoalgebraOps(mc, c_mod))
+        keys = operator_keys(False, top)
+        assert [k for k in keys if not is_signed(table[k])] == kept_as_columns, name
+        assert all(is_signed(table[k]) == (signed(columns(table[k])) is not None) for k in keys)
 
 
 def test_images_outside_the_finite_basis_are_refused():
