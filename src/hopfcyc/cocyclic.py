@@ -56,9 +56,10 @@ column; any other sum adds each term's last leg in place into the output
 columns, so no full product is built.  Every matrix from there on is
 sparse: :func:`check_cocyclic` composes with
 :func:`~hopfcyc.linalg.compose` and compares lists, which for two signed
-maps is one comprehension and one list equality; ``b``, ``lam``, ``norm``
-and route two of :func:`cyclic_cohomology` turn signed maps into Columns
-where they meet a sum, a Columns factor or a rank; ranks come
+maps is one comprehension and one list equality; every sum of matrices,
+such as ``b``, ``lam``, ``norm`` and the 1 − λ of
+:func:`cyclic_cohomology`, is one :func:`~hopfcyc.linalg.combine` into
+Columns, whatever the encoding of its terms; ranks come
 from the fraction-free :func:`~hopfcyc.linalg.rank`, and kernels and the
 reduced relations of a quotient from :func:`~hopfcyc.linalg.orbit_rref`
 when every row has at most two entries (as on every group-algebra
@@ -88,10 +89,9 @@ from .linalg import (
     Quotient,
     Signed,
     SparseRow,
-    add_columns,
-    add_multiple,
     cohomology_dims,
     columns,
+    combine,
     compose,
     identity_columns,
     mat_mul,
@@ -102,7 +102,6 @@ from .linalg import (
     residual_nonzeros,
     signed,
     signed_kron,
-    signed_sum,
     transpose,
 )
 
@@ -154,11 +153,7 @@ def op_matrix(op: Callable[[tuple], Mapping], src: TensorBasis, tgt: TensorBasis
 
 def alternating_sum(mats) -> Columns:
     """Σ (-1)^i mats[i], for matrices of one shape in either encoding."""
-    out = [{} for _ in mats[0]]
-    for i, m in enumerate(mats):
-        for acc, col in zip(out, columns(m)):
-            add_multiple(acc, (-1) ** i, col)
-    return out
+    return combine([((-1) ** i, m) for i, m in enumerate(mats)], len(mats[0]))
 
 
 def mismatch(a: Matrix, b: Matrix, label: str) -> list:
@@ -216,7 +211,7 @@ def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBas
     entries, as on a group algebra, each term is one :func:`signed_kron`: a
     single term with c = 1, such as L_g for a group-like g, is returned as
     that :data:`~hopfcyc.linalg.Signed` map, and several are summed by
-    :func:`~hopfcyc.linalg.signed_sum` into Columns, such as the ⊗_H
+    :func:`~hopfcyc.linalg.combine` into Columns, such as the ⊗_H
     relations, each column of at most two entries.  Any other sum is built
     in place: per term, :func:`kron` builds only the product of the leading
     legs, with c folded in as a 1×1 first leg, and the entries of the last
@@ -228,7 +223,7 @@ def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBas
         if not any(None in signs for _, signs in mono):
             if len(mono) == 1 and mono[0][0] == 1:
                 return signed_kron(mono[0][1], dims)
-            return signed_sum([(c, signed_kron(signs, dims)) for c, signs in mono], basis.dim)
+            return combine([(c, signed_kron(signs, dims)) for c, signs in mono], basis.dim)
     d = dims[-1]
     out = [{} for _ in range(basis.dim)]
     for w, c in terms.items():
@@ -507,17 +502,15 @@ class FiniteComplex:
 
     def lam(self, n: int) -> Columns:
         """The signed cyclic operator λ_n = (-1)^n τ_n, as Columns."""
-        s = (-1) ** n
-        return [{r: s * x for r, x in col.items()} for col in columns(self.tau[n])]
+        return combine([((-1) ** n, self.tau[n])], self.dims[n])
 
     def norm(self, n: int) -> Columns:
         """N = 1 + λ + … + λⁿ."""
         lam = self.lam(n)
-        acc = out = identity_columns(self.dims[n])
+        powers = [identity_columns(self.dims[n])]
         for _ in range(n):
-            acc = mat_mul(lam, acc)
-            out = add_columns(out, acc)
-        return out
+            powers.append(mat_mul(lam, powers[-1]))
+        return combine([(1, p) for p in powers], self.dims[n])
 
 
 def relative_complex(ops, top: int) -> FiniteComplex:
@@ -632,7 +625,7 @@ def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
         raise PreconditionError("instance too shallow for the requested degree")
     dims = inst.dims
     b = [inst.b(q) for q in range(upto + 1)]
-    fix = [add_columns(identity_columns(dims[q]), inst.lam(q), -1) for q in range(upto + 1)]  # 1 − λ
+    fix = [combine([(1, identity_columns(dims[q])), (-1, inst.lam(q))], dims[q]) for q in range(upto + 1)]  # 1 − λ
 
     # route one: the lambda-subcomplex
     kernels = [nullspace(transpose(fix[n], dims[n]), dims[n]) for n in range(upto + 1)]

@@ -49,7 +49,7 @@ from .instances import (
     build_group_algebra,
     cyclic_group,
 )
-from .linalg import F0, Columns, SparseRow, add_columns, columns, identity_columns, mat_mul, mat_vec, nullspace, transpose
+from .linalg import F0, Columns, SparseRow, columns, combine, identity_columns, mat_mul, mat_vec, nullspace, transpose
 from .cocyclic import (
     AlgebraChainOps,
     CoalgebraOps,
@@ -209,11 +209,8 @@ def convolution_basis(ci: CupInstance) -> List[Columns]:
     n = d_c * d_a
     rows = []
     for hc, ha in ci.actions:
-        cond = add_columns(
-            kron([transpose(hc, d_c), identity_columns(d_a)], [d_c, d_a]),
-            kron([identity_columns(d_c), ha], [d_c, d_a]),
-            -1,
-        )
+        acted = kron([transpose(hc, d_c), identity_columns(d_a)], [d_c, d_a])
+        cond = combine([(1, acted), (-1, kron([identity_columns(d_c), ha], [d_c, d_a]))], n)
         rows.extend(row for row in transpose(cond, n) if row)
     basis = []
     for v in nullspace(rows, n):
@@ -277,9 +274,7 @@ class CupData:
         rows = list(inst.quots[p].rows)
         rows.extend(alternating_sum([inst.table["face", p + 1, i] for i in range(p + 2)]))
         if cyclic:
-            sign = (-1) ** p
-            lam = [{r: sign * x for r, x in col.items()} for col in columns(inst.table["t", p])]
-            rows.extend(add_columns(lam, identity_columns(dim), -1))
+            rows.extend(combine([((-1) ** p, inst.table["t", p]), (-1, identity_columns(dim))], dim))
         return nullspace(rows, dim)
 
     # C-side cocycles in the relative quotient.
@@ -287,7 +282,8 @@ class CupData:
         inst, quot = self.c_side, self.c_side.quots[q]
         rows = transpose(inst.b(q), inst.dims[q + 1])
         if cyclic:
-            rows.extend(transpose(add_columns(inst.lam(q), identity_columns(quot.dim), -1), quot.dim))
+            lam_minus_1 = combine([((-1) ** q, inst.tau[q]), (-1, identity_columns(quot.dim))], quot.dim)
+            rows.extend(transpose(lam_minus_1, quot.dim))
         kers = nullspace(rows, quot.dim)
         return [quot.include(v) for v in kers]
 

@@ -27,16 +27,14 @@ from .linalg import (
     Columns,
     Matrix,
     Quotient,
-    add_columns,
     columns,
+    combine,
     compose,
     identity_columns,
-    is_signed,
     mat_mul,
     mat_vec,
     orbit_rref,
     rref,
-    signed_sum,
 )
 from .cocyclic import (
     CoalgebraOps,
@@ -54,13 +52,9 @@ SATURATION_BOUND = 50
 
 
 def bracket(a: Matrix, b: Matrix) -> Columns:
-    """[a, b] = a∘b − b∘a as Columns: the :func:`~hopfcyc.linalg.signed_sum`
-    of the two products when both are signed maps, so that each column has
-    at most two entries, else their difference on Columns."""
-    ab, ba = compose(a, b), compose(b, a)
-    if is_signed(ab) and is_signed(ba):
-        return signed_sum([(1, ab), (-1, ba)], len(ab))
-    return add_columns(columns(ab), columns(ba), -1)
+    """[a, b] = a∘b − b∘a as Columns, by :func:`~hopfcyc.linalg.combine`:
+    each column has at most two entries when a and b are signed maps."""
+    return combine([(1, compose(a, b)), (-1, compose(b, a))], len(a))
 
 
 def saturate(rows, tau: Columns, n: int) -> list:
@@ -114,6 +108,8 @@ class KaygunBridge:
         )
 
         def tau_power(n: int, i: int) -> Matrix:
+            """τⁱ as an ambient matrix, built once per degree and exponent:
+            τ⁰ is the identity as a signed map and τⁱ = τ∘τⁱ⁻¹."""
             ps = powers[n]
             while len(ps) <= i:
                 ps.append(compose(table["tau", n], ps[-1]))
@@ -127,7 +123,7 @@ class KaygunBridge:
             for gw in words:
                 if gw != EMPTY_WORD:
                     eps = h.counit(h.from_word(gw))
-                    rows.extend(add_columns(columns(lg[n, gw]), ident, -eps))
+                    rows.extend(combine([(1, lg[n, gw]), (-eps, ident)], bases[n].dim))
             return rows
 
         w = self._w = Memo(
@@ -145,13 +141,8 @@ class KaygunBridge:
         )
         self._cm = Memo(lambda n: Quotient(w[n] + coinvariance_rows(n), bases[n].dim))
         self._rel = Memo(lambda n: RelativeTensorSpace(ops, n))
-        self._tau_power = tau_power
+        self.tau_power = tau_power
         self._cm_inst = None
-
-    def tau_power(self, n: int, i: int) -> Matrix:
-        """τⁱ as an ambient matrix, built once per degree and exponent: τ⁰
-        is the identity as a signed map and τⁱ = τ∘τⁱ⁻¹."""
-        return self._tau_power(n, i)
 
     def l_matrix(self, n: int, gw) -> Matrix:
         """L_g(m ⊗ c̃) = m S(g⁽¹⁾) ⊗ g⁽²⁾c₀ ⊗ … ⊗ g⁽ⁿ⁺²⁾cₙ as an ambient matrix,
@@ -160,7 +151,7 @@ class KaygunBridge:
 
     def commutator_matrix(self, n: int, gw, i: int) -> Columns:
         """[L_g, τⁱ] as an ambient matrix (:func:`bracket`)."""
-        return bracket(self._l[n, gw], self._tau_power(n, i))
+        return bracket(self._l[n, gw], self.tau_power(n, i))
 
     def w_rows(self, n: int):
         """Spanning rows of Wⁿ, sparse and in reduced echelon form: the
@@ -185,27 +176,20 @@ class KaygunBridge:
 
 def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
     """The stability identities of W as exact ambient matrix equations:
-    the τ-commutator expansion, σ_j[L_g,τⁱ] = [L_g,τⁱ]σ_{j−1}, and
-    ∂_m L_g = L_g ∂_m, composed by :func:`~hopfcyc.linalg.compose` on
-    either encoding.  A witness names the group element and the nonzero
-    count of the residual."""
+    σ_j[L_g,τⁱ] = [L_g,τⁱ]σ_{j−1} and ∂_m L_g = L_g ∂_m, composed by
+    :func:`~hopfcyc.linalg.compose` on either encoding.  A witness names
+    the group element and the nonzero count of the residual.  The
+    τ-commutator expansion τ[L_g,τⁱ] = [τ,L_g]τⁱ + [L_g,τⁱ⁺¹] is not
+    checked: both sides are τL_gτⁱ − τⁱ⁺¹L_g for any two matrices, so it
+    cannot fail."""
     table = bridge.table
     fails = []
     for n in range(min(upto, bridge.top) + 1):
-        tau = table["tau", n]
         for gw in bridge.group_words:
             if gw == EMPTY_WORD:
                 continue
             g = word_str(gw)
             lg = bridge.l_matrix(n, gw)
-            tau_l = bracket(tau, lg)
-            for i in range(1, n + 2):
-                comm_i = bridge.commutator_matrix(n, gw, i)
-                comm_i1 = bridge.commutator_matrix(n, gw, i + 1)
-                taui = bridge.tau_power(n, i)
-                lhs = compose(tau, comm_i)
-                rhs = add_columns(compose(tau_l, taui), comm_i1)
-                fails += mismatch(lhs, rhs, f"tau commutator expansion (n={n}, g={g}, i={i})")
             if n < bridge.top:
                 for m in range(n + 1):
                     coface = table["coface", n + 1, m]
@@ -224,13 +208,16 @@ def commutator_identities(bridge: KaygunBridge, upto: int = 2) -> dict:
 
 def check_w_in_ker_pi(bridge: KaygunBridge, upto: int = 2) -> dict:
     """Every spanning vector of Wⁿ lies in the relation subspace of the
-    relative tensor quotient, so the canonical projection kills W."""
+    relative tensor quotient, so the canonical projection kills W.  A
+    witness names the generator and the nonzero count of its
+    projection."""
     fails = []
     for n in range(min(upto, bridge.top) + 1):
-        rel = bridge.relative_space(n)
+        quot = bridge.relative_space(n).quot
         for k, row in enumerate(bridge.w_rows(n)):
-            if not rel.quot.contains_in_relations(row):
-                fails.append(f"W generator {k} at degree {n}")
+            nonzero = len(quot.project(row))
+            if nonzero:
+                fails.append(f"W generator {k} at degree {n}: {nonzero} nonzero")
     return {"ok": not fails, "witnesses": fails[:5]}
 
 

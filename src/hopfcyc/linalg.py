@@ -35,10 +35,10 @@ back on :func:`rref`.  The reduced row echelon form of a matrix is unique
 shape), so results do not depend on the route or the row format and
 reports stay byte-identical.  :func:`rank` needs no reduced form: it
 counts pivots by fraction-free elimination in ``int`` (Bareiss 1968),
-shortest row first, with no back-substitution.  Identity columns and the
-default factor of :func:`add_columns` are the ``int`` 1, so τ powers,
-commutators and W rows of an integral instance stay in ``int``
-arithmetic; :func:`rref` still returns ``Fraction`` entries.
+shortest row first, with no back-substitution.  Identity columns are
+the ``int`` 1, and :func:`combine` multiplies each entry by its term's
+factor, so τ powers, commutators and W rows of an integral instance stay
+in ``int`` arithmetic; :func:`rref` still returns ``Fraction`` entries.
 
 Chain operators are built by :class:`hopfcyc.cocyclic.OperatorTable`,
 as :data:`Signed` maps where they are monomial and as :data:`Columns`
@@ -60,18 +60,20 @@ matrix, ambient operator and induced operator of a group-algebra
 instance is, is also held as a :data:`Signed` map: a list of one ``int``
 per column, s·(r+1) for a column s·e_r and 0 for an empty one.
 :func:`compose` of two is one list comprehension, equality is list
-equality, :func:`residual_nonzeros` counts a difference as the Columns
-residual would, and :func:`columns` converts back.  :func:`signed_kron`
-builds the Kronecker product of signed legs by index arithmetic, and
-:func:`signed_sum` sums signed maps under signs ±1 into Columns, so a
-difference of two, such as a commutator, has at most two entries per
-column.  A :class:`Quotient` whose reduced rows are all e_a or e_a ∓ e_r
-has its projection as one too (``signed_proj``), and
+equality, and :func:`columns` converts back.  :func:`signed_kron` builds
+the Kronecker product of signed legs by index arithmetic.
+:func:`combine` is the one sum of matrices: Σ c·M as Columns over terms
+in either encoding, a signed term adding one entry per column, so a
+difference of two signed maps, such as a commutator, has at most two
+entries per column; :func:`residual_nonzeros` counts the entries of
+a − b through it.  No module but this one reads the encoding
+(:func:`is_signed`).  A :class:`Quotient` whose reduced rows are all e_a
+or e_a ∓ e_r has its projection as one too (``signed_proj``), and
 :meth:`Quotient.induced_signed` induces a signed ambient operator with
 no empty column on such lists: Q = P ∘ op reads one entry of P per
 column, and the descent check compares Q with M ∘ P of the source, an
 ``int`` comparison per column.  Any other matrix, such as the operators
-of H4, stays :data:`Columns`, and :func:`compose`,
+of H4, stays :data:`Columns`, and :func:`compose`, :func:`combine`,
 :func:`residual_nonzeros` and :meth:`Quotient.induced` take either
 encoding.
 """
@@ -201,17 +203,28 @@ def signed_kron(mats: List[Signed], dims: List[int]) -> Signed:
     return out
 
 
-def signed_sum(terms, ncols: int) -> Columns:
-    """Σ c·S over the pairs (c, S) of ``terms``, each c = ±1 and each S a
-    :data:`Signed` map of ``ncols`` columns, as :data:`Columns`, dropping
-    every entry that cancels.  The first term gives each column its dict,
-    and each later one adds into it."""
+def combine(terms, ncols: int) -> Columns:
+    """Σ c·M over the pairs (c, M) of ``terms``, each M a matrix of
+    ``ncols`` columns in either encoding, as :data:`Columns`.  A term with
+    c = 0 is skipped and every entry that cancels is dropped.  The first
+    term kept gives each column its dict, each entry c times its own, so
+    ``int`` entries under ``int`` factors stay ``int``; a later Columns
+    term adds into it by :func:`add_multiple`, and a later signed term
+    with one pop and at most one store per column."""
+    terms = [(c, m) for c, m in terms if c]
     if not terms:
         return [{} for _ in range(ncols)]
-    (c, s), *rest = terms
-    out = [{e - 1: c} if e > 0 else {-e - 1: -c} if e else {} for e in s]
-    for c, s in rest:
-        for acc, e in zip(out, s):
+    (c, m), *rest = terms
+    if is_signed(m):
+        out = [{e - 1: c} if e > 0 else {-e - 1: -c} if e else {} for e in m]
+    else:
+        out = [{r: c * x for r, x in col.items()} for col in m]
+    for c, m in rest:
+        if not is_signed(m):
+            for acc, col in zip(out, m):
+                add_multiple(acc, c, col)
+            continue
+        for acc, e in zip(out, m):
             if e > 0:
                 r, x = e - 1, c
             elif e:
@@ -226,24 +239,8 @@ def signed_sum(terms, ncols: int) -> Columns:
 
 def residual_nonzeros(a: Matrix, b: Matrix) -> int:
     """The nonzero count of a − b, for matrices of one shape in either
-    encoding.  Between two :data:`Signed` maps a column where they differ
-    counts 1 when one side is empty or both hit one row with opposite
-    signs, and 2 when they hit different rows."""
-    if is_signed(a) and is_signed(b):
-        return sum(1 if not x or not y or x == -y else 2 for x, y in zip(a, b) if x != y)
-    return sum(map(len, add_columns(columns(a), columns(b), -1)))
-
-
-def add_columns(a: Columns, b: Columns, f: Fraction = 1) -> Columns:
-    """a + f·b."""
-    if not f:
-        return [dict(x) for x in a]
-    out = []
-    for x, y in zip(a, b):
-        s = dict(x)
-        add_multiple(s, f, y)
-        out.append(s)
-    return out
+    encoding."""
+    return sum(map(len, combine([(1, a), (-1, b)], len(a))))
 
 
 def transpose(a: Columns, nrows: int) -> Columns:

@@ -493,7 +493,8 @@ def connes_b(inst, q, i):
     """B = N σ_i τ (1 − λ) from C^(q+1) to C^q of a verified complex; Connes'
     B reads the extra codegeneracy σ₋₁ = σ_q τ_(q+1), so i = q."""
     mul = linalg.compose
-    fix = linalg.add_columns(linalg.identity_columns(inst.dims[q + 1]), inst.lam(q + 1), -1)
+    d = inst.dims[q + 1]
+    fix = linalg.combine([(1, linalg.identity_columns(d)), (-1, inst.lam(q + 1))], d)
     return mul(inst.norm(q), mul(inst.codeg[q, i], mul(inst.tau[q + 1], fix)))
 
 
@@ -503,10 +504,10 @@ def mixed_residues(inst, sigma=lambda q: q):
     top, mul = inst.top, linalg.compose
     b = [inst.b(q) for q in range(top)]
     big_b = [connes_b(inst, q, sigma(q)) for q in range(top)]
-    anti = [
-        linalg.add_columns(mul(b[n - 1], big_b[n - 1]) if n else [{}] * inst.dims[0], mul(big_b[n], b[n]))
-        for n in range(top)
-    ]
+    anti = []
+    for n in range(top):
+        b_big_b = mul(b[n - 1], big_b[n - 1]) if n else [{}] * inst.dims[0]
+        anti.append(linalg.combine([(1, b_big_b), (1, mul(big_b[n], b[n]))], inst.dims[n]))
     square = [mul(big_b[n], big_b[n + 1]) for n in range(top - 1)]
     return [sum(map(len, m)) for m in anti], [sum(map(len, m)) for m in square]
 

@@ -35,7 +35,7 @@ from hopfcyc.cup import (
 )
 from hopfcyc.errors import StructureError
 from hopfcyc.instances import cyclic_group
-from hopfcyc.linalg import F0, F1, add_columns, columns
+from hopfcyc.linalg import F0, F1, columns, combine
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +331,7 @@ def test_convolution_failure_names_basis_indices(monkeypatch):
     real = cup_module.convolve
 
     def skewed(ci, f, g):  # f∗g + f: neither unital nor associative
-        return add_columns(real(ci, f, g), f)
+        return combine([(1, real(ci, f, g)), (1, f)], len(f))
 
     monkeypatch.setattr(cup_module, "convolve", skewed)
     report = check_cup_suite(top=0)

@@ -5,9 +5,12 @@ import gc
 import io
 import re
 import weakref
+from fractions import Fraction
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcyc import cli
 from hopfcyc import kaygun as kaygun_module
@@ -19,15 +22,17 @@ from hopfcyc.coefficients import (
 )
 from hopfcyc.core import word_str
 from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
+from hopfcyc.cocyclic import mismatch
 from hopfcyc.kaygun import (
     KaygunBridge,
+    bracket,
     check_iso,
     check_w_in_ker_pi,
     commutator_identities,
     kaygun_cocyclic_instance,
     kaygun_cohomology,
 )
-from hopfcyc.linalg import Quotient, columns, identity_columns
+from hopfcyc.linalg import Quotient, columns, combine, compose, identity_columns, is_signed
 
 from dense_oracle import as_dense, identity, mat_sub
 from dense_oracle import mat_mul as dense_mul
@@ -40,6 +45,76 @@ def swap_bridge(swap_cmod):
 
 def test_commutator_identities(swap_bridge):
     assert commutator_identities(swap_bridge, upto=2)["ok"]
+
+
+def flip_one_entry(m):
+    """``m`` with the sign of its first nonzero entry flipped, in its own
+    encoding; ``m`` itself is not modified."""
+    if is_signed(m):
+        j = next(j for j, e in enumerate(m) if e)
+        return m[:j] + [-m[j]] + m[j + 1 :]
+    m = [dict(col) for col in m]
+    col = next(col for col in m if col)
+    r = next(iter(col))
+    col[r] = -col[r]
+    return m
+
+
+def test_codegeneracy_family_catches_a_flipped_tau_entry(swap_cmod, swap_bridge):
+    # one sign of τ in degree 2, set in a fresh bridge before any read:
+    # [L_g, τⁱ] in degree 2 changes, and σ_j no longer shifts it
+    assert commutator_identities(swap_bridge, upto=3)["ok"]
+    bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=4)
+    bridge.table["tau", 2] = flip_one_entry(swap_bridge.table["tau", 2])
+    report = commutator_identities(bridge, upto=3)
+    assert not report["ok"]
+    assert report["witnesses"][0].startswith("codegeneracy commutator shift (n=2, g=g, i=1, j=1): ")
+    assert all(w.startswith("codegeneracy commutator shift") for w in report["witnesses"])
+
+
+def test_coface_family_catches_a_flipped_l_entry(swap_cmod, swap_bridge):
+    # one sign of L_g in degree 2: the cofaces into and out of degree 2 no
+    # longer commute with L
+    (gw,) = [w for w in swap_bridge.group_words if w]
+    bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=4)
+    bridge._l[2, gw] = flip_one_entry(swap_bridge.l_matrix(2, gw))
+    report = commutator_identities(bridge, upto=3)
+    assert not report["ok"]
+    assert report["witnesses"][0].startswith("coface commutes with L (n=1, g=g, m=0): ")
+
+
+def square_matrices(n):
+    """An n×n matrix, as a signed map or as Columns of int and Fraction
+    entries."""
+    nonzero = st.integers(-3, 3).filter(bool)
+    entry = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(2, 4)))
+    column = st.dictionaries(st.integers(0, n - 1), entry, max_size=n)
+    return st.one_of(
+        st.lists(st.integers(-n, n), min_size=n, max_size=n),
+        st.lists(column, min_size=n, max_size=n),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), square_matrices(n), square_matrices(n), st.integers(0, 3))
+    )
+)
+def test_tau_commutator_expansion_holds_for_any_matrices(data):
+    # τ[L, τⁱ] = [τ, L]τⁱ + [L, τⁱ⁺¹] for any τ and L: both sides are
+    # τLτⁱ − τⁱ⁺¹L, so the expansion cannot fail and commutator_identities
+    # does not check it
+    n, tau, lg, i = data
+    powers = [list(range(1, n + 1))]
+    for _ in range(i + 1):
+        powers.append(compose(tau, powers[-1]))
+    taui, taui1 = powers[i], powers[i + 1]
+    lhs = compose(tau, bracket(lg, taui))
+    rhs = combine([(1, compose(bracket(tau, lg), taui)), (1, bracket(lg, taui1))], n)
+    assert mismatch(lhs, rhs, "tau commutator expansion") == []
+    t, l_dense, ti, ti1 = (as_dense(m, n) for m in (tau, lg, taui, taui1))
+    assert as_dense(lhs, n) == mat_sub(dense_mul(dense_mul(t, l_dense), ti), dense_mul(ti1, l_dense))
 
 
 def test_w_vanishes_on_sayd_instance(swap_bridge):
@@ -147,6 +222,30 @@ def test_s3_graded_negative(s3):
     assert bridge.w_rows(1)
     assert bridge.w_rows(1) is bridge.w_rows(1)  # built once per degree
     assert not check_w_in_ker_pi(bridge, upto=1)["ok"]
+
+
+def test_s3_graded_w_witnesses_count_the_projection(s3):
+    # each W generator outside ker Π is named with the nonzero count of its
+    # image in C¹_H, here reduced by the relation rows pivot by pivot
+    cmod = s3_regular_cmod(s3)
+    mc = mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kS3_g"))
+    bridge = KaygunBridge(mc, cmod, top=1)
+    report = check_w_in_ker_pi(bridge, upto=1)
+    expected = []
+    for n in (0, 1):
+        quot = bridge.relative_space(n).quot
+        for k, row in enumerate(bridge.w_rows(n)):
+            v = dict(row)
+            for pc, rel in zip(quot.pivots, quot.rows):
+                x = v.get(pc, 0)
+                for c, y in rel.items():
+                    v[c] = v.get(c, 0) - x * y
+            nonzero = sum(map(bool, v.values()))
+            if nonzero:
+                expected.append(f"W generator {k} at degree {n}: {nonzero} nonzero")
+    assert not report["ok"]
+    assert report["witnesses"] == expected[:5]
+    assert report["witnesses"][0] == "W generator 2 at degree 1: 2 nonzero"
 
 
 def test_s3_graded_bridge_entries_stay_int(s3):

@@ -621,7 +621,7 @@ def test_signed_kernel_matches_columns(data):
     assert compose(ca, b) == compose(a, cb) == mat_mul(ca, cb)
     # equality and the witness count
     assert (a == a2) == (ca == ca2)
-    count = sum(map(len, linalg.add_columns(ca, ca2, -1)))
+    count = sum(x != y for ra, rb in zip(as_dense(a, nrows), as_dense(a2, nrows)) for x, y in zip(ra, rb))
     assert residual_nonzeros(a, a2) == residual_nonzeros(ca, a2) == residual_nonzeros(ca, ca2) == count
     assert cocyclic.mismatch(a, a2, "id") == cocyclic.mismatch(ca, ca2, "id")
     assert cocyclic.mismatch(a, ca, "id") == []
@@ -640,7 +640,51 @@ def test_signed_kernel_matches_columns(data):
     ],
 )
 def test_signed_witness_counts(a, b, count):
-    assert residual_nonzeros(a, b) == count == sum(map(len, linalg.add_columns(columns(a), columns(b), -1)))
+    nrows = max(map(abs, a + b))
+    dense_count = sum(x != y for ra, rb in zip(as_dense(a, nrows), as_dense(b, nrows)) for x, y in zip(ra, rb))
+    assert residual_nonzeros(a, b) == count == dense_count
+    assert residual_nonzeros(columns(a), b) == residual_nonzeros(columns(a), columns(b)) == count
+
+
+@st.composite
+def combine_terms(draw):
+    """(nrows, ncols, terms): up to five pairs (c, M) of one shape, the
+    empty list among them, c one of 0, ±1, 2 and ½ and M a signed map or
+    Columns, now and then a copy of a term under the opposite factor, so
+    that whole terms cancel."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    int_column = st.dictionaries(st.integers(0, nrows - 1), st.integers(-3, 3).filter(bool), max_size=3)
+    mixed_column = st.dictionaries(st.integers(0, nrows - 1), mixed_entries, max_size=3)
+    matrix = st.one_of(
+        st.lists(signed_entries(nrows), min_size=ncols, max_size=ncols),
+        st.lists(int_column, min_size=ncols, max_size=ncols),
+        st.lists(mixed_column, min_size=ncols, max_size=ncols),
+    )
+    factor = st.sampled_from([0, 1, -1, 2, F(1, 2)])
+    terms = draw(st.lists(st.tuples(factor, matrix), max_size=5))
+    for _ in range(draw(st.integers(0, 2)) if terms else 0):
+        c, m = draw(st.sampled_from(terms))
+        terms.insert(draw(st.integers(0, len(terms))), (-c, m))
+    return nrows, ncols, terms
+
+
+@SETTINGS
+@given(combine_terms())
+@example((2, 3, []))
+@example((2, 2, [(1, [1, -2]), (-1, [{0: 1}, {1: -1}])]))
+def test_combine_matches_dense_sum(data):
+    nrows, ncols, terms = data
+    before = copy.deepcopy(terms)
+    out = linalg.combine(terms, ncols)
+    assert terms == before
+    expected = dense_oracle.zeros(nrows, ncols)
+    for c, m in terms:
+        for row, mrow in zip(expected, as_dense(m, nrows)):
+            row[:] = [x + c * y for x, y in zip(row, mrow)]
+    assert len(out) == ncols and as_dense(out, nrows) == expected
+    assert all(x for col in out for x in col.values())  # no zero stored
+    if all(type(x) is int for c, m in terms for x in [c] + [y for col in columns(m) for y in col.values()]):
+        assert all(type(x) is int for col in out for x in col.values())
 
 
 def test_only_monomial_columns_encode():

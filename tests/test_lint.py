@@ -305,3 +305,34 @@ def test_chain_basis_layout_is_written_once():
     # that tables, quotients and bridges over one ops share each basis
     src = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert repeated_tuple_bases(src) == [("cocyclic.py", "chain_bases")]
+
+
+def encoding_readers(sources: dict) -> list:
+    """(file, line) of each import of ``is_signed`` and each read of the
+    name, bare or as an attribute, in ``sources`` (file -> text)."""
+    found = set()
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                hit = any(alias.name.split(".")[-1] == "is_signed" for alias in node.names)
+            else:
+                hit = getattr(node, "id", getattr(node, "attr", None)) == "is_signed"
+            if hit:
+                found.add((fname, node.lineno))
+    return sorted(found)
+
+
+def test_encoding_readers_are_found():
+    sources = {
+        "a.py": "from .linalg import columns, is_signed\n\nif is_signed(m):\n    pass\n",
+        "b.py": "from hopfcyc import linalg\n\nok = linalg.is_signed(m)\ncols = linalg.columns(m)\n",
+        "c.py": "def f(a):\n    return columns(a)  # is_signed in a comment is no read\n",
+    }
+    assert encoding_readers(sources) == [("a.py", 1), ("a.py", 3), ("b.py", 3)]
+
+
+def test_only_linalg_reads_the_encoding():
+    # every sum, product and comparison of matrices takes either encoding,
+    # so no other module branches on Signed against Columns
+    src = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
+    assert encoding_readers(src) == []
