@@ -10,60 +10,52 @@ transposes of the induced chain matrices.
 
 Every finite instance is one :class:`FiniteComplex`: a quotient per
 degree over the bases of an :class:`OperatorTable`, whose operators are
-induced on first read by one pipeline that takes the ambient matrix from
-the table and composes it with the target's projection matrix, checks
-that it descends to the quotients and selects the induced matrix.  On a
-group-algebra instance every leg matrix, every ambient operator and every
+induced on first read by one pipeline,
+:meth:`~hopfcyc.linalg.Quotient.induced`: compose the ambient matrix with
+the target's projection, check that it descends to the quotients and
+select the induced matrix.  The pipeline takes either matrix encoding.
+On a group-algebra instance every leg matrix, ambient operator and
 projection is monomial (each column empty or one ±1 entry), so the table
 keeps its matrices as :data:`~hopfcyc.linalg.Signed` maps, one ``int``
-per column, the pipeline runs on them
-(:meth:`~hopfcyc.linalg.Quotient.induced_signed`) and the complex keeps
-its operators so; any other matrix, such as those of H4, is built,
-induced and kept as :data:`~hopfcyc.linalg.Columns`
-(:meth:`~hopfcyc.linalg.Quotient.induced`).  The table builds each
-ambient matrix once, on first use, and complexes over the same bases
-share it.  So a consumer checks for descent exactly what it reads: every
-operator through the top for :func:`check_cocyclic`; τ and the cofaces
-on ℂ𝕄 and C_H for :func:`~hopfcyc.kaygun.check_iso`; the cofaces through
-top + 1 and τ through top of both sides of :class:`~hopfcyc.cup.CupData`.
+per column, and the induced operators come out so; any other matrix, such
+as those of H4, is built, induced and kept as
+:data:`~hopfcyc.linalg.Columns`.  The table builds each ambient matrix
+once, on first use, and complexes over the same bases share it.  So a
+consumer checks for descent exactly what it reads: every operator through
+the top for :func:`check_cocyclic`; τ and the cofaces on ℂ𝕄 and C_H for
+:func:`~hopfcyc.kaygun.check_iso`; the cofaces through top + 1 and τ
+through top of both sides of :class:`~hopfcyc.cup.CupData`.
 
 A basis tuple holds one carrier word per leg, 0-based: the coefficient
 word at position 0 and cᵢ (or aᵢ) at position i+1, last leg fastest.
 Every coface and face but the last, every codegeneracy and every
 degeneracy acts on one leg or two adjacent ones (Loday, *Cyclic
 Homology*, §2.5), so it is I_a ⊗ L ⊗ I_b for a leg matrix L (Δ, ε, the
-product or the unit): for a monomial L the
-:func:`~hopfcyc.linalg.signed_kron` of the three, built by index
-arithmetic, else their :func:`kron`.  The twisted operators (the last
-coface, τ, the last face and T) take one basis tuple and return its
-image as a ``{word tuple: coeff}`` dict, read from leg maps (the
-coproduct, coaction and actions of the carriers, each evaluated once per
-word by a :class:`~hopfcyc.core.Memo` kept by the operator object), with
-no :class:`~hopfcyc.core.TensorElt` in between;
+product or the unit), built by :func:`leg_product`.  The twisted
+operators (the last coface, τ, the last face and T) take one basis tuple
+and return its image as a ``{word tuple: coeff}`` dict, read from leg
+maps (the coproduct, coaction and actions of the carriers, each
+evaluated once per word by a :class:`~hopfcyc.core.Memo` kept by the
+operator object), with no :class:`~hopfcyc.core.TensorElt` in between;
 :meth:`TensorBasis.coords` refuses any image outside the target basis.
 This is sound because presentations are immutable once built (their
 rules are fixed, which is also why ``Presentation.from_word`` is
 memoized) and the maps are linear.  :func:`op_matrix` returns such an
-operator as sparse columns (:data:`~hopfcyc.linalg.Columns`: column j is
-a ``dict[row] -> entry`` without zero entries), and the table keeps it as
-a signed map when it is monomial.  The diagonal actions of H, which give
-the relations of both quotients and L_g, are sums over Sweedler terms of
-Kronecker products (:func:`sweedler_sum`) of leg matrices on carrier
-basis positions (:func:`leg_columns`), with no word tuple built or
-hashed: on a group algebra each term is one signed Kronecker product, so
-L_g is a signed map and a ⊗_H relation has at most two entries per
-column; any other sum adds each term's last leg in place into the output
-columns, so no full product is built.  Every matrix from there on is
-sparse: :func:`check_cocyclic` composes with
-:func:`~hopfcyc.linalg.compose` and compares lists, which for two signed
-maps is one comprehension and one list equality; every sum of matrices,
-such as ``b``, ``lam``, ``norm`` and the 1 − λ of
-:func:`cyclic_cohomology`, is one :func:`~hopfcyc.linalg.combine` into
-Columns, whatever the encoding of its terms; ranks come
-from the fraction-free :func:`~hopfcyc.linalg.rank`, and kernels and the
-reduced relations of a quotient from :func:`~hopfcyc.linalg.orbit_rref`
-when every row has at most two entries (as on every group-algebra
-instance), else from :func:`~hopfcyc.linalg.rref`.
+operator as sparse columns, and the table keeps it as a signed map when
+it is monomial.  The diagonal actions of H, which give the relations of
+both quotients and L_g, are sums over Sweedler terms of Kronecker
+products of leg matrices on carrier basis positions
+(:func:`sweedler_sum`, :func:`leg_columns`), with no word tuple built or
+hashed.  :func:`leg_product` is the one Kronecker product of legs: the
+:func:`~hopfcyc.linalg.signed_kron` of their signed maps when every leg
+has one, else their :func:`kron`.  Every matrix from there on is sparse,
+and composed, summed and compared in either encoding by
+:func:`~hopfcyc.linalg.compose`, :func:`~hopfcyc.linalg.combine` and
+list equality; ranks come from the fraction-free
+:func:`~hopfcyc.linalg.rank`, and kernels and the reduced relations of a
+quotient from :func:`~hopfcyc.linalg.orbit_rref` when every row has at
+most two entries (as on every group-algebra instance), else from
+:func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through the total complex of Connes'
@@ -87,12 +79,12 @@ from .linalg import (
     Columns,
     Matrix,
     Quotient,
-    Signed,
     SparseRow,
     cohomology_dims,
     columns,
     combine,
     compose,
+    identity,
     identity_columns,
     mat_mul,
     mat_vec,
@@ -160,7 +152,7 @@ def mismatch(a: Matrix, b: Matrix, label: str) -> list:
     """``["<label>: <k> nonzero"]`` if a and b, of one shape and in either
     encoding, differ in k entries, else ``[]``: the witness of a failed
     matrix identity."""
-    k = a != b and residual_nonzeros(a, b)
+    k = residual_nonzeros(a, b)
     return [f"{label}: {k} nonzero"] if k else []
 
 
@@ -196,49 +188,26 @@ def kron(mats, dims) -> Columns:
     return out
 
 
-def int_signed(m: Columns) -> Optional[Signed]:
-    """``m`` as a :data:`~hopfcyc.linalg.Signed` map when each column is
-    empty or one ``int`` ±1, else None: the signed map then gives back
-    every entry with its type."""
-    return signed(m) if all(type(x) is int for col in m for x in col.values()) else None
+def leg_product(mats, dims) -> Matrix:
+    """:func:`kron` of leg matrices held as Columns, as the
+    :func:`~hopfcyc.linalg.signed_kron` of their signed maps when every
+    leg has one, else as Columns."""
+    signs = [signed(m) for m in mats]
+    return kron(mats, dims) if None in signs else signed_kron(signs, dims)
 
 
 def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBasis) -> Matrix:
     """Σ c · kron(legs(w)) over the terms {w: c} of a tensor of H words,
-    such as a Sweedler tensor, w holding one word per leg of ``basis``.
-
-    When every c is an ``int`` ±1 and every leg is monomial with ``int``
-    entries, as on a group algebra, each term is one :func:`signed_kron`: a
-    single term with c = 1, such as L_g for a group-like g, is returned as
-    that :data:`~hopfcyc.linalg.Signed` map, and several are summed by
-    :func:`~hopfcyc.linalg.combine` into Columns, such as the ⊗_H
-    relations, each column of at most two entries.  Any other sum is built
-    in place: per term, :func:`kron` builds only the product of the leading
-    legs, with c folded in as a 1×1 first leg, and the entries of the last
-    leg are added straight into the output columns, each entry that cancels
-    dropped, so no column of the full product is built."""
-    dims = basis.dims
-    if all(type(c) is int and (c == 1 or c == -1) for c in terms.values()):
-        mono = [(c, [int_signed(m) for m in legs(w)]) for w, c in terms.items()]
-        if not any(None in signs for _, signs in mono):
-            if len(mono) == 1 and mono[0][0] == 1:
-                return signed_kron(mono[0][1], dims)
-            return combine([(c, signed_kron(signs, dims)) for c, signs in mono], basis.dim)
-    d = dims[-1]
-    out = [{} for _ in range(basis.dim)]
-    for w, c in terms.items():
-        *lead, last = legs(w)
-        heads = kron([[{0: c}]] + lead, [1] + dims[:-1])
-        for acc, (col, leg) in zip(out, iproduct(heads, last)):
-            for r, x in col.items():
-                r *= d
-                for s, y in leg.items():
-                    v = acc.get(r + s, 0) + x * y
-                    if v:
-                        acc[r + s] = v
-                    else:
-                        del acc[r + s]
-    return out
+    such as a Sweedler tensor, w holding one word per leg of ``basis``:
+    one :func:`leg_product` per term, summed by
+    :func:`~hopfcyc.linalg.combine` into Columns.  A single term with
+    c = 1, such as L_g for a group-like g, is returned as its product, a
+    signed map on a group algebra; there a sum of several terms, such as a
+    ⊗_H relation, has at most one entry per term in each column."""
+    prods = [(c, leg_product(legs(w), basis.dims)) for w, c in terms.items()]
+    if len(prods) == 1 and prods[0][0] == 1:
+        return prods[0][1]
+    return combine(prods, basis.dim)
 
 
 def chain_bases(space, carrier) -> Memo:
@@ -375,11 +344,10 @@ class OperatorTable(Memo):
     :class:`AlgebraChainOps` (faces, degeneracies and T, which run the
     other way, as ``ops.chains`` says).  ``bases`` is ``ops.basis``, the
     ambient basis per degree.  An operator that ``ops.local`` gives as a leg
-    matrix L read at source leg p is I_a ⊗ L ⊗ I_b: the
-    :func:`~hopfcyc.linalg.signed_kron` of the three when L is monomial,
-    else their :func:`kron`; any other is the method ``name`` of ``ops``
-    per basis tuple (:func:`op_matrix`), kept as a signed map when it is
-    one.  So every entry is a :data:`~hopfcyc.linalg.Matrix`, to be read
+    matrix L read at source leg p is I_a ⊗ L ⊗ I_b, the
+    :func:`leg_product` of the three; any other is the method ``name`` of
+    ``ops`` per basis tuple (:func:`op_matrix`), kept as a signed map when
+    it is one.  So every entry is a :data:`~hopfcyc.linalg.Matrix`, to be read
     through :func:`~hopfcyc.linalg.compose` or
     :func:`~hopfcyc.linalg.columns`.
     """
@@ -403,15 +371,11 @@ class OperatorTable(Memo):
             local = ops.local(*key)
             if local is None:
                 m = op_matrix(partial(getattr(ops, key[0]), key[1]), src, tgt)
-                return int_signed(m) or m
+                return signed(m) or m
             p, leg = local
             a = prod(src.dims[:p])
             b = src.dim // (a * len(leg))
-            dims = [a, tgt.dim // (a * b), b]
-            mono = int_signed(leg)
-            if mono is None:
-                return kron([identity_columns(a), leg, identity_columns(b)], dims)
-            return signed_kron([list(range(1, a + 1)), mono, list(range(1, b + 1))], dims)
+            return leg_product([identity_columns(a), leg, identity_columns(b)], [a, tgt.dim // (a * b), b])
 
         super().__init__(build)
         self.bases = bases
@@ -429,14 +393,13 @@ class FiniteComplex:
     ``quots[n]``.
 
     ``coface[n, i]`` (∂_i: n-1 -> n), ``codeg[n, i]`` (σ_i: n+1 -> n) and
-    ``tau[n]`` induce ``table[key]`` on first read and keep the result, a
-    :data:`~hopfcyc.linalg.Signed` map when both quotients have signed
-    projections and every column of ``table[key]`` is one ±1 entry
-    (:meth:`~hopfcyc.linalg.Quotient.induced_signed`), else
-    :data:`~hopfcyc.linalg.Columns` (:meth:`~hopfcyc.linalg.Quotient.induced`);
-    over a table of chain operators they hold the transposes of the
-    induced faces, degeneracies and T (signed where no two columns share a
-    row), so cofaces raise the degree either way.
+    ``tau[n]`` induce ``table[key]`` on first read by
+    :meth:`~hopfcyc.linalg.Quotient.induced` and keep the result, a
+    :data:`~hopfcyc.linalg.Signed` map when ``table[key]`` and the target
+    projection are, else :data:`~hopfcyc.linalg.Columns`; over a table of
+    chain operators they hold the transposes of the induced faces,
+    degeneracies and T (signed where no two columns share a row), so
+    cofaces raise the degree either way.
     """
 
     NAMES = {False: ("coface", "codegeneracy", "tau"), True: ("face", "degeneracy", "t")}
@@ -455,13 +418,13 @@ class FiniteComplex:
         self._failures = failures = {}
         names = self.NAMES[chains]
 
-        def induce(*key) -> Columns:
+        def induce(*key) -> Matrix:
             """The matrix of ``table[key]`` induced on the quotients (its
             transpose over a chain table), recorded by its label, such as
             ``coface(n,i)`` or ``t(n)``, if it does not descend."""
             src, tgt = OperatorTable.degrees(key)
             op, source, target = slot[0][key], quots[src], quots[tgt]
-            m, off = source.induced_signed(op, target) or source.induced(op, target)
+            m, off = source.induced(op, target)
             if off:
                 label = f"{key[0]}({','.join(map(str, key[1:]))})"
                 failures[(names.index(key[0]),) + key[1:]] = label
@@ -561,7 +524,7 @@ def check_cocyclic(inst: FiniteComplex, upto: Optional[int] = None) -> dict:
                     f"codegeneracy identity ({n},{i},{j})",
                 )
     for n in range(1, upto):
-        ident = list(range(1, inst.dims[n] + 1))  # the identity as a Signed map
+        ident = identity(inst.dims[n])
         for j in range(n):
             for i in range(n + 2):
                 lhs = compose(inst.codeg[(n, j)], inst.coface[(n + 1, i)])
@@ -573,7 +536,7 @@ def check_cocyclic(inst: FiniteComplex, upto: Optional[int] = None) -> dict:
                     eq(lhs, compose(inst.coface[(n, i - 1)], inst.codeg[(n - 1, j)]), f"mixed ({n},{i},{j})")
 
     for n in range(upto + 1):
-        power = ident = list(range(1, inst.dims[n] + 1))
+        power = ident = identity(inst.dims[n])
         for _ in range(n + 1):
             power = compose(inst.tau[n], power)
         eq(power, ident, f"tau^(n+1) at n={n}")

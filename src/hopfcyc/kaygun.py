@@ -10,10 +10,12 @@ A bridge owns one :class:`~hopfcyc.cocyclic.OperatorTable` of ambient
 operator matrices; the commutator identities and the complexes on ℂ𝕄 and
 on the relative quotient Cⁿ_H all read it, and every operator on ℂ𝕄 or
 Cⁿ_H is induced by a :class:`~hopfcyc.cocyclic.FiniteComplex`, which
-checks descent.  Π and Π′ are the only maps induced outside it: they are
-induced by the ambient identity through the same
+checks descent.  Π and Π′ are induced by the ambient identity, a signed
+map (:func:`~hopfcyc.linalg.identity`), through the same
 :meth:`~hopfcyc.linalg.Quotient.induced`, which also counts how far they
-miss descending.
+miss descending.  Every matrix here, τ's powers, L_g, the commutators, Π
+and Π′, is composed, summed and compared in either encoding, as a signed
+map on a group algebra and as Columns on any other instance.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .linalg import (
     columns,
     combine,
     compose,
+    identity,
     identity_columns,
-    mat_mul,
     mat_vec,
     orbit_rref,
     rref,
@@ -98,7 +100,7 @@ class KaygunBridge:
         table = self.table = OperatorTable(ops)
         words = self.group_words = list(h.normal_words(1, 1))
         # τ⁰, τ¹, … per degree, the identity first, as a signed map
-        powers = Memo(lambda n: [list(range(1, bases[n].dim + 1))])
+        powers = Memo(lambda n: [identity(bases[n].dim)])
         lg = self._l = Memo(
             lambda k: sweedler_sum(
                 h.sweedler(h.from_word(k[1]), k[0] + 2).leg_apply(1, h.antipode).terms,
@@ -237,7 +239,7 @@ def check_iso(bridge: KaygunBridge) -> dict:
     fails = []
     pi = []
     for n in range(top + 1):
-        ident = identity_columns(bridge.bases[n].dim)
+        ident = identity(bridge.bases[n].dim)
         p, p_off = cms[n].induced(ident, rels[n])
         q, q_off = rels[n].induced(ident, cms[n])
         for name, nonzero in (("Pi", p_off), ("Pi'", q_off)):
@@ -245,9 +247,9 @@ def check_iso(bridge: KaygunBridge) -> dict:
                 fails.append(f"{name} not well-defined at degree {n}: {nonzero} nonzero")
         pi.append(p)
         # Π∘Π′ and Π′∘Π side by side, against the two identities
-        both = identity_columns(rels[n].dim) + identity_columns(cms[n].dim)
+        both = identity(rels[n].dim) + identity(cms[n].dim)
         label = f"Pi and Pi' not mutually inverse at degree {n}"
-        fails += mismatch(mat_mul(p, q) + mat_mul(q, p), both, label)
+        fails += mismatch(compose(p, q) + compose(q, p), both, label)
 
     crossed = []
     for n in range(top + 1):

@@ -1,25 +1,35 @@
 """Small exact linear algebra over the rationals, on sparse data only.
 
 A vector is a :data:`SparseRow`, ``dict[index] -> entry`` holding only the
-nonzero entries (``int`` or ``Fraction``).  A matrix is :data:`Columns`: a
-list whose entry j is column j as a sparse ``row -> entry`` dict.  A list
-of sparse rows is the same data read the other way, and :func:`transpose`
-turns one into the other.  No zero entry is ever stored, so two matrices of
-one shape are equal exactly when their lists are, and the nonzeros of a
-difference are the entries where two matrices differ.  The matrices of this
-tool are mostly zero: the ⊗_H relation matrix of the regular S3 instance in
-degree 1 is 1080×216 with under 1% nonzero entries.
+nonzero entries (``int`` or ``Fraction``).  A matrix comes in two
+encodings.  :data:`Columns` is a list whose entry j is column j as a
+sparse ``row -> entry`` dict; a list of sparse rows is the same data read
+the other way, and :func:`transpose` turns one into the other.  A
+monomial matrix, each column empty or one ``int`` ±1, as every leg
+matrix, ambient operator and induced operator of a group-algebra
+instance is, may also be a :data:`Signed` map: one ``int`` per column,
+s·(r+1) for a column s·e_r and 0 for an empty one.  :func:`signed`
+encodes, :func:`columns` decodes with every entry's type kept, and
+:func:`identity` is the signed identity.  No zero entry is ever stored,
+so two matrices of one shape and encoding are equal exactly when their
+lists are.  The matrices of this tool are mostly zero: the ⊗_H relation
+matrix of the regular S3 instance in degree 1 is 1080×216 with under 1%
+nonzero entries.
 
-:func:`mat_vec` and :func:`mat_mul` are the one product: :func:`mat_vec`
-sums in one loop over the entries of the columns it reads and deletes
-each entry that cancels, so its result stores no zero.  :func:`mat_mul`
-reads a one-entry column x·e_c of its right factor as a scaled copy of
-column c of the left one (the induced operators of the group-algebra
-instances are signed partial maps, one ±1 or nothing per column), and
-sends every other column through :func:`mat_vec`.  :func:`rref` is the
-general elimination, and :func:`solve` runs on it.  :func:`rref` sweeps
-the columns in order and takes as pivot the first remaining row with a
-nonzero entry in the column, as a dense Gauss–Jordan sweep does.
+Each job has one entry point that takes either encoding, and only this
+module reads the encoding (:func:`is_signed`).  :func:`compose` is the
+product: one list comprehension for two signed maps, else
+:func:`mat_mul`, which reads a one-entry column x·e_c of its right factor
+as a scaled copy of column c of the left one and sends every other
+column through :func:`mat_vec`.  :func:`combine` is the sum, Σ c·M into
+Columns, each entry c times its own so that ``int`` data stays ``int``;
+:func:`residual_nonzeros` counts the entries of a − b through it.
+:func:`signed_kron` is the Kronecker product of signed legs by index
+arithmetic.
+
+:func:`rref` is the general elimination, and :func:`solve` runs on it:
+it sweeps the columns in order and takes as pivot the first remaining row
+with a nonzero entry in the column, as a dense Gauss–Jordan sweep does.
 Relation rows of at most two entries, as every ⊗_H, coinvariant, W and
 1 − λ row of the finite instances is, say that one basis vector is a
 multiple of another; :func:`orbit_rref` reads their reduced form off a
@@ -28,54 +38,23 @@ where they are integral, and returns None on any other row set.  Its
 lookup answers a new column, a root or a child of a root with one or two
 dict reads and walks (and compresses) only longer paths, and a row with
 a ±1 entry first, as every row of a group-algebra instance has, gives
-its ratio without a division.
-:class:`Quotient` and :func:`nullspace` take that route first and fall
-back on :func:`rref`.  The reduced row echelon form of a matrix is unique
-(its nonzero rows are the one basis of the row space in reduced echelon
-shape), so results do not depend on the route or the row format and
-reports stay byte-identical.  :func:`rank` needs no reduced form: it
-counts pivots by fraction-free elimination in ``int`` (Bareiss 1968),
-shortest row first, with no back-substitution.  Identity columns are
-the ``int`` 1, and :func:`combine` multiplies each entry by its term's
-factor, so τ powers, commutators and W rows of an integral instance stay
-in ``int`` arithmetic; :func:`rref` still returns ``Fraction`` entries.
+its ratio without a division.  :class:`Quotient` and :func:`nullspace`
+take that route first and fall back on :func:`rref`.  The reduced row
+echelon form of a matrix is unique, so results do not depend on the
+route or the row format and reports stay byte-identical.  :func:`rank`
+needs no reduced form: it counts pivots by fraction-free elimination in
+``int`` (Bareiss 1968), shortest row first, with no back-substitution.
 
-Chain operators are built by :class:`hopfcyc.cocyclic.OperatorTable`,
-as :data:`Signed` maps where they are monomial and as :data:`Columns`
-otherwise; relation rows are built as sparse rows and enter
-:class:`Quotient` as they are.  A :class:`Quotient` holds
-its projection as one matrix, ``proj``, so projecting a vector is
-:func:`mat_vec`, and inducing an operator is compose, check, select
-(:meth:`Quotient.induced`): Q = proj ∘ op of the target is one
-:func:`mat_mul`, the operator descends exactly when Q sends every reduced
-relation row of the source to zero, and the induced matrix is the columns
-of Q at the free coordinates.  Operators stay sparse from the ambient
-space to the ranks.  The callers are the operator memos of
-:class:`hopfcyc.cocyclic.FiniteComplex`, which check that an operator
-descends before they keep it, and the Π/Π′ maps of
+A :class:`Quotient` holds its projection as one matrix, ``proj``, and as
+a signed map, ``signed_proj``, when every reduced row is e_a or e_a ∓ e_r.
+:meth:`Quotient.induced` is the one route from an ambient operator to the
+map it induces: Q = P′ ∘ op for the target projection P′, M = the columns
+of Q at the free coordinates, and the operator descends exactly when
+Q = M ∘ P for the source projection P.  Each projection is read in its
+signed form where it has one, so on a group-algebra instance every step
+is a signed map.  The callers are the operator memos of
+:class:`hopfcyc.cocyclic.FiniteComplex` and the Π/Π′ maps of
 :func:`hopfcyc.kaygun.check_iso`.
-
-A monomial matrix, each column empty or one ±1 entry, as every leg
-matrix, ambient operator and induced operator of a group-algebra
-instance is, is also held as a :data:`Signed` map: a list of one ``int``
-per column, s·(r+1) for a column s·e_r and 0 for an empty one.
-:func:`compose` of two is one list comprehension, equality is list
-equality, and :func:`columns` converts back.  :func:`signed_kron` builds
-the Kronecker product of signed legs by index arithmetic.
-:func:`combine` is the one sum of matrices: Σ c·M as Columns over terms
-in either encoding, a signed term adding one entry per column, so a
-difference of two signed maps, such as a commutator, has at most two
-entries per column; :func:`residual_nonzeros` counts the entries of
-a − b through it.  No module but this one reads the encoding
-(:func:`is_signed`).  A :class:`Quotient` whose reduced rows are all e_a
-or e_a ∓ e_r has its projection as one too (``signed_proj``), and
-:meth:`Quotient.induced_signed` induces a signed ambient operator with
-no empty column on such lists: Q = P ∘ op reads one entry of P per
-column, and the descent check compares Q with M ∘ P of the source, an
-``int`` comparison per column.  Any other matrix, such as the operators
-of H4, stays :data:`Columns`, and :func:`compose`, :func:`combine`,
-:func:`residual_nonzeros` and :meth:`Quotient.induced` take either
-encoding.
 """
 
 from __future__ import annotations
@@ -96,6 +75,11 @@ F1 = Fraction(1)
 
 def identity_columns(n: int) -> Columns:
     return [{j: 1} for j in range(n)]
+
+
+def identity(n: int) -> Signed:
+    """The n×n identity as a :data:`Signed` map."""
+    return list(range(1, n + 1))
 
 
 def add_multiple(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
@@ -148,7 +132,8 @@ def is_signed(a: Matrix) -> bool:
 
 def signed(a: Columns) -> Optional[Signed]:
     """``a`` as a :data:`Signed` map, or None if some column is neither
-    empty nor one ±1 entry."""
+    empty nor one ``int`` ±1, so that :func:`columns` gives every entry
+    back with its type."""
     out = []
     for col in a:
         if not col:
@@ -157,12 +142,9 @@ def signed(a: Columns) -> Optional[Signed]:
         if len(col) > 1:
             return None
         ((r, x),) = col.items()
-        if x == 1:
-            out.append(r + 1)
-        elif x == -1:
-            out.append(-r - 1)
-        else:
+        if type(x) is not int or (x != 1 and x != -1):
             return None
+        out.append(r + 1 if x == 1 else -r - 1)
     return out
 
 
@@ -239,8 +221,8 @@ def combine(terms, ncols: int) -> Columns:
 
 def residual_nonzeros(a: Matrix, b: Matrix) -> int:
     """The nonzero count of a − b, for matrices of one shape in either
-    encoding."""
-    return sum(map(len, combine([(1, a), (-1, b)], len(a))))
+    encoding; 0 at once when the two are equal lists."""
+    return 0 if a == b else sum(map(len, combine([(1, a), (-1, b)], len(a))))
 
 
 def transpose(a: Columns, nrows: int) -> Columns:
@@ -527,51 +509,25 @@ class Quotient:
     @cached_property
     def signed_proj(self) -> Optional[Signed]:
         """``proj`` as a :data:`Signed` map, or None: it is one exactly when
-        every reduced row is e_a or e_a − w·e_r with w = ±1."""
+        every reduced row is e_a or e_a − w·e_r with an ``int`` w = ±1, as
+        :func:`orbit_rref` gives them on a group-algebra instance."""
         return signed(self.proj)
 
-    def induced(self, ambient_op: Matrix, target: "Quotient") -> tuple[Columns, int]:
-        """(M, k): M the map that ``ambient_op``, in either encoding,
-        induces on the quotients, k the nonzero count of the reduced
-        relations' images projected to the target, so that the operator
-        descends exactly when k is 0.  Q = target.proj ∘ ambient_op is
-        composed once; M is its columns at the free coordinates, and the
-        images are Q applied to each row.  A row e_a − w·e_r is compared
-        first, Q[a] against w·Q[r], and only a row whose two sides differ is
-        applied."""
-        q = mat_mul(target.proj, columns(ambient_op))
-        off = 0
-        for a, row in zip(self.pivots, self.rows):
-            if len(row) == 1:
-                off += len(q[a])
-                continue
-            if len(row) == 2:
-                (c0, x0), (c1, x1) = row.items()
-                r, x = (c1, x1) if c0 == a else (c0, x0)
-                if q[a] == (q[r] if x == -1 else {k: -x * y for k, y in q[r].items()}):
-                    continue
-            off += len(mat_vec(q, row))
-        return [q[c] for c in self.free], off
-
-    def induced_signed(self, ambient_op: Matrix, target: "Quotient") -> Optional[tuple[Signed, int]]:
-        """:meth:`induced` on :data:`Signed` maps, or None when the source or
-        the target projection is not one or ``ambient_op`` (a Signed map, or
-        Columns read by :func:`signed`) has a column that is not one ±1
-        entry.  Q = compose(target.signed_proj, ambient_op) and M is its
-        entries at the free coordinates, as there; the operator descends
-        exactly when Q = M ∘ P, P the source's ``signed_proj`` (the row
-        e_a − w·e_r asks Q[a] = w·Q[r], and e_a asks Q[a] = 0), and k is the
-        nonzero count of Q − M ∘ P."""
-        p, s = target.signed_proj, self.signed_proj
-        op = ambient_op if is_signed(ambient_op) else signed(ambient_op)
-        if p is None or s is None or op is None or 0 in op:
-            return None
-        q = compose(p, op)
+    def induced(self, ambient_op: Matrix, target: "Quotient") -> tuple[Matrix, int]:
+        """(M, k): M the map that ``ambient_op`` induces on the quotients, k
+        the nonzero count of the reduced relations' images projected to the
+        target, so that the operator descends exactly when k is 0.  Q =
+        P′ ∘ ambient_op for P′ the target projection, M is the columns of Q
+        at the free coordinates, and k is the nonzero count of Q − M ∘ P for
+        P the source projection: column a of Q − M ∘ P is Q applied to the
+        reduced row of pivot a, and is zero at every free a.  Each
+        projection is read as a :data:`Signed` map where it is one, so M is
+        one when P′ and ``ambient_op`` are."""
+        q = compose(target.signed_proj or target.proj, ambient_op)
         m = [q[c] for c in self.free]
-        back = compose(m, s)
-        return m, (residual_nonzeros(q, back) if q != back else 0)
+        return m, residual_nonzeros(q, compose(m, self.signed_proj or self.proj))
 
-    def induced_matrix(self, ambient_op: Matrix, target: "Quotient") -> Columns:
+    def induced_matrix(self, ambient_op: Matrix, target: "Quotient") -> Matrix:
         """The induced map on quotients, as :meth:`induced` gives it."""
         return self.induced(ambient_op, target)[0]
 

@@ -11,6 +11,11 @@ Route two here is the cyclic bicomplex truncated two columns past the
 requested degree (columns b and b′, rows 1 − λ and N), not the (b, B)
 mixed complex of the package, so the dimensions it reports under the
 ``bicomplex`` key come from a second algorithm.
+
+:func:`eliminating_induced` is the elimination route that
+:meth:`hopfcyc.linalg.Quotient.induced` replaced, kept as its oracle: it
+clears each pivot of an image with that pivot's reduced row, column by
+column, and applies the operator to each reduced relation row.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from hopfcyc.errors import PreconditionError, StructureError
+from hopfcyc.linalg import add_multiple, columns, mat_vec as sparse_mat_vec
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -159,6 +165,36 @@ def cohomology_dims(diffs, dims, upto):
         im = rank(diffs[n - 1]) if n > 0 else 0
         out.append(ker - im)
     return out
+
+
+# -- the elimination route of quotients -----------------------------------------------
+
+
+def eliminating_reduce(q, v):
+    """v minus its part in the relation span of ``q``, by elimination, the
+    route :class:`Quotient` took before it held its projection as a
+    matrix: each entry at a pivot is cleared with that pivot's reduced row,
+    which is zero at every other pivot, so one pass leaves free entries
+    only."""
+    row_of = dict(zip(q.pivots, q.rows))
+    v = dict(v)
+    for pc in [pc for pc in v if pc in row_of]:
+        add_multiple(v, -v[pc], row_of[pc])
+    return v
+
+
+def eliminating_project(q, v):
+    pos = {c: k for k, c in enumerate(q.free)}
+    return {pos[c]: x for c, x in eliminating_reduce(q, v).items()}
+
+
+def eliminating_induced(src, op, tgt):
+    """(induced matrix, nonzero count of the reduced relations' images
+    projected to the target) by elimination, column by column and row by
+    row, for an op in either encoding; the matrix comes as Columns."""
+    op = columns(op)
+    induced = [eliminating_project(tgt, op[c]) for c in src.free]
+    return induced, sum(len(eliminating_project(tgt, sparse_mat_vec(op, row))) for row in src.rows)
 
 
 # -- dense cocyclic instances --------------------------------------------------------

@@ -352,11 +352,11 @@ def test_random_gsets_square_to_zero(s3, data):
 
 def assert_routes_agree(inst) -> list:
     """Reads every operator of a fresh ``inst`` through its top and checks
-    it against :meth:`~hopfcyc.linalg.Quotient.induced` on Columns, the
-    route the signed maps replaced, kept as their oracle: the same matrix
-    (transposed over a chain table) and the same operators that do not
-    descend, in the same order.  Returns the table keys of those that came
-    as signed maps."""
+    it against ``dense_oracle.eliminating_induced``, the elimination route
+    of :meth:`~hopfcyc.linalg.Quotient.induced`, on Columns: the same
+    matrix (transposed over a chain table) and the same operators that do
+    not descend, in the same order.  Returns the table keys of those that
+    came as signed maps."""
     table, quots, top = inst.table, inst.quots, inst.top
     up, down, cyclic = FiniteComplex.NAMES[inst.chains]
     reads = [(inst.coface, (n, i), (up, n, i)) for n in range(1, top + 1) for i in range(n + 1)]
@@ -365,7 +365,7 @@ def assert_routes_agree(inst) -> list:
     failures, signed = [], []
     for memo, k, key in reads:
         s, t = OperatorTable.degrees(key)
-        m, off = quots[s].induced(table[key], quots[t])
+        m, off = dense_oracle.eliminating_induced(quots[s], table[key], quots[t])
         if inst.chains:
             m = linalg.transpose(m, inst.dims[t])
         assert linalg.columns(memo[k]) == m, key
@@ -586,10 +586,35 @@ def test_h4_cohomology_through_both_routes(h4, h4_left, name, dims):
 def test_h4_operators_take_the_columns_route(h4, h4_left, name):
     # relation rows of three entries and more from degree 2 on, so those
     # quotients have no signed projection; below, Δx = x ⊗ 1 + g ⊗ x keeps
-    # every coface on Columns, and only τ₀ and τ₁ are signed maps
+    # every coface on Columns.  The signed maps are τ₀, τ₁ and the
+    # codegeneracies into degrees 0 and 1: ε is 0 on x and gx, so those
+    # have empty columns, and a signed target projection makes them signed
+    # whatever the source projection is
     inst = build_coalgebra_instance(h4_scalar_coefficients(h4, name), h4_left, 3)
     assert [q.signed_proj is not None for q in inst.quots] == [True, True, False, False]
-    assert assert_routes_agree(inst) == [("tau", 0), ("tau", 1)]
+    assert assert_routes_agree(inst) == [
+        ("codegeneracy", 0, 0),
+        ("codegeneracy", 1, 0),
+        ("codegeneracy", 1, 1),
+        ("tau", 0),
+        ("tau", 1),
+    ]
+
+
+@pytest.mark.parametrize("name", ["delta_1", "eps_g"])
+def test_h4_columns_operators_on_signed_projections(h4, h4_left, name):
+    # the cofaces into degree 1 are Columns between quotients whose
+    # projections are signed maps: Q = P′ ∘ op and M ∘ P mix the encodings
+    inst = build_coalgebra_instance(h4_scalar_coefficients(h4, name), h4_left, 1)
+    src, tgt = inst.quots
+    assert src.signed_proj is not None and tgt.signed_proj is not None
+    for i in range(2):
+        op = inst.table["coface", 1, i]
+        assert not linalg.is_signed(op)
+        m, off = src.induced(op, tgt)
+        assert not linalg.is_signed(m)
+        assert (m, off) == dense_oracle.eliminating_induced(src, op, tgt)
+        assert inst.coface[1, i] == m
 
 
 # -- witnesses ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
+import dense_oracle
 import hopfcyc.cup as cup_module
 from cup_oracle import (
     images,
@@ -18,7 +19,7 @@ from cup_oracle import (
     symbolic_psi,
     symbolic_unit,
 )
-from hopfcyc.cocyclic import AlgebraChainOps, CoalgebraOps, TensorBasis
+from hopfcyc.cocyclic import AlgebraChainOps, CoalgebraOps, FiniteComplex, OperatorTable, TensorBasis
 from hopfcyc.core import tensor
 from hopfcyc.cup import (
     CupData,
@@ -35,7 +36,7 @@ from hopfcyc.cup import (
 )
 from hopfcyc.errors import StructureError
 from hopfcyc.instances import cyclic_group
-from hopfcyc.linalg import F0, F1, columns, combine
+from hopfcyc.linalg import F0, F1, columns, combine, is_signed, transpose
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +291,29 @@ def test_cup_reads_only_tables(table_builds):
         for q in range(3 - p):
             data.cup(data.a_side_cocycles(p)[0], p, data.c_side_cocycles(q)[0], q)
     assert table_builds == []
+
+
+def test_cup_operators_are_signed_maps():
+    # on the default cup instance every operator CupData induces, 12 per
+    # side, is a signed map, the A-side faces that have empty columns too,
+    # and each agrees with the elimination route
+    data = CupData(build_group_cup_instance(graded=True), 2)
+    reads, with_empty = 0, []
+    for inst in (data.a_inst, data.c_side):
+        up, _, cyclic = FiniteComplex.NAMES[inst.chains]
+        keys = [(cyclic, n) for n in range(3)] + [(up, n, i) for n in range(1, 4) for i in range(n + 1)]
+        for key in keys:
+            op, (s, t) = inst.table[key], OperatorTable.degrees(key)
+            memo, k = (inst.tau, key[1]) if key[0] == cyclic else (inst.coface, key[1:])
+            m, off = dense_oracle.eliminating_induced(inst.quots[s], op, inst.quots[t])
+            if inst.chains:
+                m = transpose(m, inst.dims[t])
+            assert is_signed(op) and is_signed(memo[k]) and columns(memo[k]) == m and not off, key
+            if 0 in op:
+                with_empty.append(key)
+            reads += 1
+    assert reads == 24
+    assert [key[0] for key in with_empty] == ["face"] * 9
 
 
 def test_cup_builds_no_degeneracy(table_builds):

@@ -42,7 +42,7 @@ from hopfcyc.linalg import (
 )
 
 import dense_oracle
-from dense_oracle import as_dense, dense, dense_rref, sparse
+from dense_oracle import as_dense, dense, dense_rref, eliminating_induced, eliminating_project, eliminating_reduce, sparse
 
 F = Fraction
 # 2^521 − 1 is prime and larger than the Hadamard bound of every minor of
@@ -500,32 +500,9 @@ def test_nullspace_of_two_entry_rows_cases(rows):
     assert_nullspace_matches_oracle(6, rows)
 
 # -- the projection matrix against the elimination route it replaced -------------
-
-
-def eliminating_reduce(q, v):
-    """v minus its part in the relation span of ``q``, by elimination, the
-    route :class:`Quotient` took before it held its projection as a
-    matrix: each entry at a pivot is cleared with that pivot's reduced row,
-    which is zero at every other pivot, so one pass leaves free entries
-    only."""
-    row_of = dict(zip(q.pivots, q.rows))
-    v = dict(v)
-    for pc in [pc for pc in v if pc in row_of]:
-        linalg.add_multiple(v, -v[pc], row_of[pc])
-    return v
-
-
-def eliminating_project(q, v):
-    pos = {c: k for k, c in enumerate(q.free)}
-    return {pos[c]: x for c, x in eliminating_reduce(q, v).items()}
-
-
-def eliminating_induced(src, op, tgt):
-    """(induced matrix, nonzero count of the reduced relations' images
-    projected to the target) by elimination, column by column and row by
-    row."""
-    induced = [eliminating_project(tgt, op[c]) for c in src.free]
-    return induced, sum(len(eliminating_project(tgt, mat_vec(op, row))) for row in src.rows)
+#
+# eliminating_reduce, eliminating_project and eliminating_induced live in
+# dense_oracle, which the cocyclic tests share.
 
 
 @st.composite
@@ -688,8 +665,15 @@ def test_combine_matches_dense_sum(data):
 
 
 def test_only_monomial_columns_encode():
-    assert signed([{}, {3: 1}, {0: F(-1)}]) == [0, 4, -1]
+    # only int ±1 entries encode, so a signed map gives back every entry
+    # with its type
+    m = [{}, {3: 1}, {0: -1}]
+    assert signed(m) == [0, 4, -1]
+    assert columns(signed(m)) == m
+    assert [list(map(type, col.values())) for col in columns(signed(m))] == [[], [int], [int]]
+    assert signed([{}, {3: 1}, {0: F(-1)}]) is None and signed([{0: F(1)}]) is None
     assert signed([{0: 2}]) is None and signed([{0: 1, 1: 1}]) is None
+    assert linalg.identity(3) == [1, 2, 3] == signed(linalg.identity_columns(3))
     assert linalg.monomial_transpose([2, 0, -1], 2) == [-3, 1]
     assert linalg.monomial_transpose([1, 1], 1) == [{0: 1, 1: 1}]  # two columns on one row
 
@@ -697,15 +681,24 @@ def test_only_monomial_columns_encode():
 @st.composite
 def signed_quotient_pairs(draw):
     """(ncols, source rows, target rows, op): two ``orbit_rows`` sets on one
-    space, monomial when their entries are ±1, and an op of one ±1 entry
-    per column, a signed partial map, with now and then an empty column, a
-    column of two entries or an entry 2, each of which sends it back to
-    the Columns route."""
+    space, monomial when their entries are ±1, in about two thirds of the
+    examples with a row of three or more entries or a row e_a + 2·e_b added
+    to one of them, so that its projection is seldom a signed map; and an op of one ±1 entry per
+    column, a signed partial map, with now and then an empty column, a
+    column of two entries, an entry 2 or an entry ``Fraction(1)``, each
+    but the first of which makes it Columns."""
     ncols, rows = draw(orbit_rows())
     target = draw(orbit_rows(max_cols=ncols).filter(lambda d: d[0] == ncols))[1]
-    op = [{draw(st.integers(0, ncols - 1)): draw(units)} for _ in range(ncols)]
-    odd = draw(st.sampled_from([None, None, None, {}, {0: 1, ncols - 1: -1}, {0: 2}]))
-    if odd is not None:
+    wide = st.dictionaries(st.integers(0, ncols - 1), mixed_entries, min_size=min(3, ncols), max_size=ncols)
+    extra = st.one_of(wide, st.builds(lambda a: {a: 1, ncols - 1: 2}, st.integers(0, ncols - 2)))
+    side = draw(st.sampled_from([None, "source", "target"]))
+    if side == "source":
+        rows = rows + [draw(extra)]
+    elif side == "target":
+        target = target + [draw(extra)]
+    op = [{draw(st.integers(0, ncols - 1)): draw(st.sampled_from([1, -1]))} for _ in range(ncols)]
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.sampled_from([{}, {}, {0: 1, ncols - 1: -1}, {0: 2}, {0: F(1)}]))
         op[draw(st.integers(0, ncols - 1))] = odd
     return ncols, rows, target, op
 
@@ -716,16 +709,23 @@ def test_signed_induction_matches_columns_route(data):
     ncols, rows, target, op = data
     src, tgt = Quotient(rows, ncols), Quotient(target, ncols)
     for q in (src, tgt):
-        unit_rows = all(len(row) == 1 or all(x in (1, -1) for x in row.values()) for row in q.rows)
+        # each reduced row e_a, or e_a − w·e_r with an int w = ±1
+        unit_rows = all(
+            len(row) == 1 or len(row) == 2 and all(type(x) is int and x in (1, -1) for x in row.values())
+            for row in q.rows
+        )
         assert (q.signed_proj is not None) == unit_rows
         assert q.signed_proj is None or columns(q.signed_proj) == q.proj
-    monomial_op = all(len(col) == 1 and next(iter(col.values())) in (1, -1) for col in op)
+    # the op as a signed map where it is one (empty columns too), else as
+    # drawn; M is a signed map exactly when the op and the target
+    # projection are, whatever the source projection is
+    amb = signed(op) or op
     for a, b in ((src, tgt), (tgt, src)):
-        got = a.induced_signed(op, b)
-        assert (got is not None) == (monomial_op and a.signed_proj is not None and b.signed_proj is not None)
-        if got is not None:
-            m, off = got
-            assert (columns(m), off) == a.induced(op, b)
+        m, off = a.induced(amb, b)
+        if a.dim:
+            assert linalg.is_signed(m) == (linalg.is_signed(amb) and b.signed_proj is not None)
+        assert (columns(m), off) == eliminating_induced(a, op, b)
+        assert (a.induced_matrix(amb, b), a.preserves_relations(amb, b)) == (m, not off)
 
 
 def test_three_entry_row_falls_back_to_rref():

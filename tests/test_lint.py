@@ -307,16 +307,32 @@ def test_chain_basis_layout_is_written_once():
     assert repeated_tuple_bases(src) == [("cocyclic.py", "chain_bases")]
 
 
+def writes_signed_identity(node) -> bool:
+    """Is ``node`` the call ``list(range(1, …))``, the identity written out
+    as a signed map?"""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "list"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Call)
+        and getattr(node.args[0].func, "id", None) == "range"
+        and len(node.args[0].args) == 2
+        and isinstance(node.args[0].args[0], ast.Constant)
+        and node.args[0].args[0].value == 1
+    )
+
+
 def encoding_readers(sources: dict) -> list:
-    """(file, line) of each import of ``is_signed`` and each read of the
-    name, bare or as an attribute, in ``sources`` (file -> text)."""
+    """(file, line) of each import of ``is_signed``, each read of the name,
+    bare or as an attribute, and each ``list(range(1, …))``, a signed map
+    written by hand, in ``sources`` (file -> text)."""
     found = set()
     for fname, text in sources.items():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 hit = any(alias.name.split(".")[-1] == "is_signed" for alias in node.names)
             else:
-                hit = getattr(node, "id", getattr(node, "attr", None)) == "is_signed"
+                hit = getattr(node, "id", getattr(node, "attr", None)) == "is_signed" or writes_signed_identity(node)
             if hit:
                 found.add((fname, node.lineno))
     return sorted(found)
@@ -327,12 +343,14 @@ def test_encoding_readers_are_found():
         "a.py": "from .linalg import columns, is_signed\n\nif is_signed(m):\n    pass\n",
         "b.py": "from hopfcyc import linalg\n\nok = linalg.is_signed(m)\ncols = linalg.columns(m)\n",
         "c.py": "def f(a):\n    return columns(a)  # is_signed in a comment is no read\n",
+        "d.py": "ident = list(range(1, n + 1))\nrows = list(range(n))\nodd = list(range(1, n, 2))\n",
     }
-    assert encoding_readers(sources) == [("a.py", 1), ("a.py", 3), ("b.py", 3)]
+    assert encoding_readers(sources) == [("a.py", 1), ("a.py", 3), ("b.py", 3), ("d.py", 1)]
 
 
 def test_only_linalg_reads_the_encoding():
     # every sum, product and comparison of matrices takes either encoding,
-    # so no other module branches on Signed against Columns
+    # so no other module branches on Signed against Columns, and the signed
+    # identity comes from linalg.identity, not written out by hand
     src = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
     assert encoding_readers(src) == []

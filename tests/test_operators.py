@@ -27,6 +27,7 @@ from hopfcyc.cocyclic import (
     RelativeTensorSpace,
     TensorBasis,
     kron,
+    leg_product,
     sweedler_sum,
 )
 from hopfcyc.coefficients import (
@@ -50,7 +51,7 @@ from hopfcyc.instances import (
     swap_instance,
 )
 from hopfcyc.kaygun import KaygunBridge
-from hopfcyc import cocyclic
+from hopfcyc import cocyclic, linalg
 from hopfcyc.linalg import (
     Quotient,
     add_multiple,
@@ -611,10 +612,15 @@ def test_signed_kron_with_identity_legs_is_the_local_operator():
     # I_a ⊗ L ⊗ I_b as the operator table builds it, for a leg with a −1
     # column, an empty one and a +1 one and a wide identity after it
     leg = [{2: -1}, {}, {0: 1}]
-    ident = [list(range(1, k + 1)) for k in (2, 150)]
-    out = signed_kron([ident[0], signed(leg), ident[1]], [2, 3, 150])
+    out = signed_kron([linalg.identity(2), signed(leg), linalg.identity(150)], [2, 3, 150])
     assert len(out) == 2 * 3 * 150
-    assert columns(out) == kron([identity_columns(2), leg, identity_columns(150)], [2, 3, 150])
+    legs = [identity_columns(2), leg, identity_columns(150)]
+    assert columns(out) == kron(legs, [2, 3, 150])
+    assert leg_product(legs, [2, 3, 150]) == out
+    # a leg with no signed map, an entry 2 or Fraction(1), gives kron's Columns
+    for odd in ({0: 2}, {0: Fraction(1)}):
+        legs[1] = leg[:2] + [odd]
+        assert leg_product(legs, [2, 3, 150]) == kron(legs, [2, 3, 150])
 
 
 def per_term_sweedler_sum(terms, legs, basis):
@@ -736,7 +742,7 @@ def test_sweedler_sum_signed_route_matches_per_term_route(data):
 
 
 @pytest.mark.parametrize("case", ["coefficient 2", "two-entry leg", "Fraction leg"])
-def test_sweedler_sum_off_signed_legs_takes_the_columns_route(monkeypatch, case):
+def test_sweedler_sum_off_signed_legs_takes_the_columns_route(case):
     # L_x on H4 has a two-entry leg; a term of coefficient 2 or a leg entry
     # Fraction(1) has no signed map that keeps it
     legs = [[[{0: 1}, {1: -1}], [{1: 1}, {}]], [[{1: 1}, {0: 1}], [{0: -1}, {1: 1}]]]
@@ -748,10 +754,8 @@ def test_sweedler_sum_off_signed_legs_takes_the_columns_route(monkeypatch, case)
     else:
         legs[1][1][0] = {1: Fraction(1)}
     basis = SimpleNamespace(dims=[2, 2], dim=4)
-    calls = []
-    monkeypatch.setattr(cocyclic, "signed_kron", lambda *args: calls.append(args))
     out = sweedler_sum(terms, legs.__getitem__, basis)
-    assert calls == [] and not is_signed(out)
+    assert not is_signed(out)
     oracle = per_term_sweedler_sum(terms, legs.__getitem__, basis)
     assert out == oracle
     assert [list(map(type, col.values())) for col in out] == [list(map(type, col.values())) for col in oracle]

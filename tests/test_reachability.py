@@ -103,7 +103,6 @@ ALLOWLIST = {
     "linalg.Quotient.induced_matrix": TRACED,
     "linalg.Quotient.preserves_relations": TRACED,
     "linalg.Quotient.project": TRACED,
-    "linalg.residual_nonzeros": ERROR,
     "linalg.solve": TRACED,
     "rewrite.ConcreteRule.__str__": DUNDER,
     "rewrite.Diagnostics.ok": "the verdict of validate_ruleset",
