@@ -167,7 +167,7 @@ def cohomology_dims(diffs, dims, upto):
     return out
 
 
-# -- the elimination route of quotients -----------------------------------------------
+# -- the elimination route of quotients ---------------------------------------------
 
 
 def eliminating_reduce(q, v):
