@@ -8,54 +8,47 @@ Cⁿ_H(C, M) = M ⊗_H C^⊗(n+1), or the H-coinvariants of M ⊗ A^⊗(n+1), on
 which algebra-side cochains are dual vectors and cochain operators are
 transposes of the induced chain matrices.
 
-Every finite instance is one :class:`FiniteComplex`: a quotient per
-degree over the bases of an :class:`OperatorTable`, whose operators are
-induced on first read by one pipeline,
-:meth:`~hopfcyc.linalg.Quotient.induced`: compose the ambient matrix with
-the target's projection, check that it descends to the quotients and
-select the induced matrix.  The pipeline takes either matrix encoding.
-On a group-algebra instance every leg matrix, ambient operator and
-projection is monomial (each column empty or one ±1 entry), so the table
-keeps its matrices as :data:`~hopfcyc.linalg.Signed` maps, one ``int``
-per column, and the induced operators come out so; any other matrix, such
-as those of H4, is built, induced and kept as
-:data:`~hopfcyc.linalg.Columns`.  The table builds each ambient matrix
-once, on first use, and complexes over the same bases share it.  So a
-consumer checks for descent exactly what it reads: every operator through
-the top for :func:`check_cocyclic`; τ and the cofaces on ℂ𝕄 and C_H for
-:func:`~hopfcyc.kaygun.check_iso`; the cofaces through top + 1 and τ
-through top of both sides of :class:`~hopfcyc.cup.CupData`.
-
 A basis tuple holds one carrier word per leg, 0-based: the coefficient
 word at position 0 and cᵢ (or aᵢ) at position i+1, last leg fastest.
-Every coface and face but the last, every codegeneracy and every
-degeneracy acts on one leg or two adjacent ones (Loday, *Cyclic
-Homology*, §2.5), so it is I_a ⊗ L ⊗ I_b for a leg matrix L (Δ, ε, the
-product or the unit), built by :func:`leg_product`.  The twisted
-operators (the last coface, τ, the last face and T) take one basis tuple
-and return its image as a ``{word tuple: coeff}`` dict, read from leg
-maps (the coproduct, coaction and actions of the carriers, each
-evaluated once per word by a :class:`~hopfcyc.core.Memo` kept by the
-operator object), with no :class:`~hopfcyc.core.TensorElt` in between;
+Every chain operator is a leg matrix L between identities, up to a
+rotation of the legs (Loday, *Cyclic Homology*, §2.5), and the ops object
+gives it as one factorization (rotation, p, L), L read at source leg p:
+Δ, ε, the product or the unit for every (co)face but the last and every
+(co)degeneracy; τ₀ or ∂₁ on (m, c₀), then the new last leg moved to the
+end (:func:`move_leg`), for τ_n and the last coface; aₙ moved next to m,
+or after a₀, then T₀ or D₁, for T_n and the last face.  Only these four
+base legs are evaluated per basis tuple (:func:`op_matrix`, on at most
+three legs), each by its own formula read from the coproduct, coaction
+and actions, evaluated once per word by a :class:`~hopfcyc.core.Memo`;
 :meth:`TensorBasis.coords` refuses any image outside the target basis.
-This is sound because presentations are immutable once built (their
-rules are fixed, which is also why ``Presentation.from_word`` is
-memoized) and the maps are linear.  :func:`op_matrix` returns such an
-operator as sparse columns, and the table keeps it as a signed map when
-it is monomial.  The diagonal actions of H, which give the relations of
-both quotients and L_g, are sums over Sweedler terms of Kronecker
-products of leg matrices on carrier basis positions
-(:func:`sweedler_sum`, :func:`leg_columns`), with no word tuple built or
-hashed.  :func:`leg_product` is the one Kronecker product of legs: the
-:func:`~hopfcyc.linalg.signed_kron` of their signed maps when every leg
-has one, else their :func:`kron`.  Every matrix from there on is sparse,
-and composed, summed and compared in either encoding by
-:func:`~hopfcyc.linalg.compose`, :func:`~hopfcyc.linalg.combine` and
-list equality; ranks come from the fraction-free
-:func:`~hopfcyc.linalg.rank`, and kernels and the reduced relations of a
-quotient from :func:`~hopfcyc.linalg.orbit_rref` when every row has at
-most two entries (as on every group-algebra instance), else from
-:func:`~hopfcyc.linalg.rref`.
+This is sound because presentations are immutable once built.
+
+Every finite instance is one :class:`FiniteComplex`: a quotient per
+degree over the bases of an :class:`OperatorTable`, whose operators are
+induced on first read by :meth:`~hopfcyc.linalg.Quotient.induced`: Q =
+P′ ∘ op for the target projection P′, the descent check, and the induced
+matrix.  Q is :func:`~hopfcyc.linalg.compose_local` of P′ with its
+columns permuted by the rotation (or followed by the source rotation), so
+no ambient operator is built to induce it; the table builds one, rotation
+∘ :func:`leg_product` of the same factors, only for a caller that reads
+it (the Kaygun commutator identities, the cup product's lifts).  On a
+group-algebra instance every leg matrix and projection is monomial, so
+every operator is a :data:`~hopfcyc.linalg.Signed` map, one ``int`` per
+column; any other, such as those of H4, is
+:data:`~hopfcyc.linalg.Columns`.  A consumer checks for descent exactly
+what it reads: every operator through the top for :func:`check_cocyclic`;
+τ and the cofaces on ℂ𝕄 and C_H for :func:`~hopfcyc.kaygun.check_iso`;
+the cofaces through top + 1 and τ through top of both sides of
+:class:`~hopfcyc.cup.CupData`.
+
+The diagonal actions of H, which give the relations of both quotients and
+L_g, are sums over Sweedler terms of Kronecker products of leg matrices
+(:func:`sweedler_sum`, :func:`leg_columns`, :func:`leg_product`).  Every
+matrix is sparse, and composed, summed and compared in either encoding by
+:func:`~hopfcyc.linalg.compose`, :func:`~hopfcyc.linalg.combine` and list
+equality; ranks come from :func:`~hopfcyc.linalg.rank`, and kernels and
+reduced relations from :func:`~hopfcyc.linalg.orbit_rref` when every row
+has at most two entries, else from :func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through the total complex of Connes'
@@ -67,7 +60,7 @@ test surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 from typing import Callable, Mapping, Optional
@@ -79,11 +72,13 @@ from .linalg import (
     Columns,
     Matrix,
     Quotient,
+    Signed,
     SparseRow,
     cohomology_dims,
     columns,
     combine,
     compose,
+    compose_local,
     identity,
     identity_columns,
     mat_mul,
@@ -196,6 +191,20 @@ def leg_product(mats, dims) -> Matrix:
     return kron(mats, dims) if None in signs else signed_kron(signs, dims)
 
 
+def move_leg(dims, q: int, r: int) -> Signed:
+    """The permutation of a tensor basis with leg dimensions ``dims``, last
+    leg fastest, that moves leg q to position r, as a
+    :data:`~hopfcyc.linalg.Signed` map: column j holds the index, plus 1,
+    of basis tuple j with its leg q moved to r."""
+    order = list(range(len(dims)))
+    order.insert(r, order.pop(q))
+    stride = {leg: prod(dims[k] for k in order[i + 1 :]) for i, leg in enumerate(order)}
+    out = [1]
+    for leg, d in enumerate(dims):
+        out = [o + x * stride[leg] for o in out for x in range(d)]
+    return out
+
+
 def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBasis) -> Matrix:
     """Σ c · kron(legs(w)) over the terms {w: c} of a tensor of H words,
     such as a Sweedler tensor, w holding one word per leg of ``basis``:
@@ -239,11 +248,11 @@ def coefficient_legs(mc: ModuleComodule):
 class CoalgebraOps:
     """The (para)cocyclic operators on chains m ⊗ c₀ ⊗ … ⊗ cₙ.
 
-    The local ones are leg matrices (:meth:`local`).  The last coface and
-    τ take one basis tuple (m, c₀, …, cₙ) of ``basis[n]``, with M at 0
-    and cᵢ at position i+1, and return its image as a ``{word tuple:
-    coeff}`` dict read from the leg maps below, so the coproduct, coaction
-    and actions are evaluated once per basis word, for every degree.
+    Each is a factorization (:meth:`factor`) into leg matrices.  The base
+    legs ∂₁ and τ₀ take one basis tuple (m, c₀) of ``basis[0]`` and return
+    its image as a ``{word tuple: coeff}`` dict read from the leg maps
+    below, so the coproduct, coaction and actions are evaluated once per
+    basis word, for every degree.
     """
 
     mc: ModuleComodule
@@ -272,16 +281,28 @@ class CoalgebraOps:
         c = self.c_mod.coalg
         return [{0: e} if e else {} for e in (c.counit(c.from_word(w)) for w in c.basis_words())]
 
-    def local(self, name: str, n: int, i: Optional[int] = None):
-        """(p, L) when operator ``name`` of degree n is I ⊗ L ⊗ I, the leg
-        matrix L read at source leg p: ∂_i for i < n is Δ on cᵢ, and σ_i
-        is ε on cᵢ₊₁, matching the coface insertion index; None for the
-        last coface and τ."""
+    @cached_property
+    def tau_leg(self) -> Columns:
+        """τ₀ on M ⊗ C, by :meth:`tau`."""
+        return op_matrix(self.tau, self.basis[0], self.basis[0])
+
+    @cached_property
+    def coface_leg(self) -> Columns:
+        """∂₁: M ⊗ C → M ⊗ C ⊗ C, by :meth:`coface`."""
+        return op_matrix(self.coface, self.basis[0], self.basis[1])
+
+    def factor(self, name: str, n: int, i: Optional[int] = None) -> tuple:
+        """(rotation, p, L): operator ``name`` of degree n is rotation ∘
+        (I ⊗ L ⊗ I), L read at source leg p, the rotation a
+        :func:`move_leg` of the target or None.  ∂_i for i < n is Δ on cᵢ
+        and σ_i is ε on cᵢ₊₁; τ_n and ∂_n are τ₀ and ∂₁ on (m, c₀), their
+        last leg then moved to the end."""
         if name == "codegeneracy":
-            return i + 2, self.eps_leg
+            return None, i + 2, self.eps_leg
         if name == "coface" and i < n:
-            return i + 1, self.cop_leg
-        return None
+            return None, i + 1, self.cop_leg
+        leg, q = (self.tau_leg, 1) if name == "tau" else (self.coface_leg, 2)
+        return (move_leg(self.basis[n].dims, q, n + 1) if q <= n else None), 0, leg
 
     def act_legs(self, w: tuple) -> list:
         """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ c̃: m·h₀, hᵢ₊₁▹cᵢ."""
@@ -293,25 +314,22 @@ class CoalgebraOps:
         h, one = self.mc.hopf, self.mc.hopf.unit()
         return tensor([a] + [one] * (n + 1)) - tensor([one]).outer(h.sweedler(a, n + 1))
 
-    def coface(self, n: int, wt: tuple) -> dict:
-        """∂_n, the last coface from degree n-1 to degree n: m ⊗ c̃ to
-        m⟨0⟩ ⊗ c₀⁽²⁾ ⊗ c₁ ⊗ … ⊗ m⟨-1⟩ c₀⁽¹⁾."""
+    def coface(self, wt: tuple) -> dict:
+        """∂₁, the last coface from degree 0: m ⊗ c to m⟨0⟩ ⊗ c⁽²⁾ ⊗ m⟨-1⟩ c⁽¹⁾."""
         out = {}
-        mids = wt[2:]
         for (w, m0), cc in self.coact[wt[0]].items():
             for (c1, c2), cd in self.c_cop[wt[1]].items():
                 k = cc * cd
                 for a, ca in self.c_act[w, c1].items():
-                    _merge_term(out, (m0, c2) + mids + (a,), k * ca)
+                    _merge_term(out, (m0, c2, a), k * ca)
         return out
 
-    def tau(self, n: int, wt: tuple) -> dict:
-        """τ_n: m ⊗ c̃ to m⟨0⟩ ⊗ c₁ ⊗ … ⊗ cₙ ⊗ m⟨-1⟩ c₀."""
+    def tau(self, wt: tuple) -> dict:
+        """τ₀: m ⊗ c to m⟨0⟩ ⊗ m⟨-1⟩ c."""
         out = {}
-        mids = wt[2:]
         for (w, m0), cc in self.coact[wt[0]].items():
             for a, ca in self.c_act[w, wt[1]].items():
-                _merge_term(out, (m0,) + mids + (a,), cc * ca)
+                _merge_term(out, (m0, a), cc * ca)
         return out
 
 
@@ -335,21 +353,18 @@ class RelativeTensorSpace:
 
 
 class OperatorTable(Memo):
-    """The ambient matrices of the operators of one (co)simplicial object,
-    built on first use and kept.
+    """The operators of one (co)simplicial object, by key, as factors and,
+    on first read, as ambient matrices, built once and kept.
 
     ``table[name, n, i]`` is the i-th (co)face or (co)degeneracy of degree
     n and ``table[name, n]`` the cyclic operator of ``ops``: a
     :class:`CoalgebraOps` (cofaces, codegeneracies and τ) or an
     :class:`AlgebraChainOps` (faces, degeneracies and T, which run the
     other way, as ``ops.chains`` says).  ``bases`` is ``ops.basis``, the
-    ambient basis per degree.  An operator that ``ops.local`` gives as a leg
-    matrix L read at source leg p is I_a ⊗ L ⊗ I_b, the
-    :func:`leg_product` of the three; any other is the method ``name`` of
-    ``ops`` per basis tuple (:func:`op_matrix`), kept as a signed map when
-    it is one.  So every entry is a :data:`~hopfcyc.linalg.Matrix`, to be read
-    through :func:`~hopfcyc.linalg.compose` or
-    :func:`~hopfcyc.linalg.columns`.
+    ambient basis per degree.  ``ops.factor`` gives every operator as a
+    rotation and I_a ⊗ L ⊗ I_b (:meth:`after` composes through them); the
+    ambient matrix is the rotation composed with the :func:`leg_product`
+    of the three, a :data:`~hopfcyc.linalg.Matrix` in either encoding.
     """
 
     # (source, target) degree of each operator, relative to its n
@@ -359,27 +374,43 @@ class OperatorTable(Memo):
     }
 
     def __init__(self, ops):
-        bases = ops.basis
+        bases, chains = ops.basis, ops.chains
 
-        # the fill holds ops and bases but not the table, so a table no
+        # the closures hold ops and bases but not the table, so a table no
         # longer used is freed at once, not held in a cycle until a gc pass
-        def build(key) -> Matrix:
-            s, t = OperatorTable.degrees(key)
-            src, tgt = bases[s], bases[t]
+        def factor(key) -> Optional[tuple]:
+            """(rotation, a, L, b): ``ops.factor`` with the dimensions of the
+            identities around L, or None for an empty source basis."""
+            src = bases[OperatorTable.degrees(key)[0]]
             if not src.dim:
-                return []  # no column, and no leg dims to divide by
-            local = ops.local(*key)
-            if local is None:
-                m = op_matrix(partial(getattr(ops, key[0]), key[1]), src, tgt)
-                return signed(m) or m
-            p, leg = local
+                return None  # no column, and no leg dims to divide by
+            rot, p, leg = ops.factor(*key)
             a = prod(src.dims[:p])
-            b = src.dim // (a * len(leg))
-            return leg_product([identity_columns(a), leg, identity_columns(b)], [a, tgt.dim // (a * b), b])
+            return rot, a, leg, src.dim // (a * len(leg))
+
+        def build(key) -> Matrix:
+            f = factor(key)
+            if f is None:
+                return []
+            rot, a, leg, b = f
+            rows = bases[OperatorTable.degrees(key)[1]].dim // (a * b)
+            op = leg_product([identity_columns(a), leg, identity_columns(b)], [a, rows, b])
+            return op if rot is None else compose(op, rot) if chains else compose(rot, op)
 
         super().__init__(build)
-        self.bases = bases
-        self.chains = ops.chains
+        self.bases, self.chains, self.factor = bases, chains, factor
+
+    def after(self, p: Matrix, key) -> Matrix:
+        """p ∘ ``self[key]`` from the factors, with no ambient matrix built:
+        :func:`~hopfcyc.linalg.compose_local`, and a column permutation."""
+        f = self.factor(key)
+        if f is None:
+            return []
+        rot, a, leg, b = f
+        if rot is not None and not self.chains:
+            p = compose(p, rot)
+        q = compose_local(p, a, leg, b)
+        return compose(q, rot) if rot is not None and self.chains else q
 
     @staticmethod
     def degrees(key) -> tuple:
@@ -393,9 +424,10 @@ class FiniteComplex:
     ``quots[n]``.
 
     ``coface[n, i]`` (∂_i: n-1 -> n), ``codeg[n, i]`` (σ_i: n+1 -> n) and
-    ``tau[n]`` induce ``table[key]`` on first read by
-    :meth:`~hopfcyc.linalg.Quotient.induced` and keep the result, a
-    :data:`~hopfcyc.linalg.Signed` map when ``table[key]`` and the target
+    ``tau[n]`` induce their operator on first read by
+    :meth:`~hopfcyc.linalg.Quotient.induced` through
+    :meth:`OperatorTable.after` and keep the result, a
+    :data:`~hopfcyc.linalg.Signed` map when the operator and the target
     projection are, else :data:`~hopfcyc.linalg.Columns`; over a table of
     chain operators they hold the transposes of the induced faces,
     degeneracies and T (signed where no two columns share a row), so
@@ -419,12 +451,11 @@ class FiniteComplex:
         names = self.NAMES[chains]
 
         def induce(*key) -> Matrix:
-            """The matrix of ``table[key]`` induced on the quotients (its
+            """The matrix of operator ``key`` induced on the quotients (its
             transpose over a chain table), recorded by its label, such as
             ``coface(n,i)`` or ``t(n)``, if it does not descend."""
             src, tgt = OperatorTable.degrees(key)
-            op, source, target = slot[0][key], quots[src], quots[tgt]
-            m, off = source.induced(op, target)
+            m, off = quots[src].induced(key, quots[tgt], slot[0].after)
             if off:
                 label = f"{key[0]}({','.join(map(str, key[1:]))})"
                 failures[(names.index(key[0]),) + key[1:]] = label
@@ -635,10 +666,9 @@ def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
 class AlgebraChainOps:
     """Chain-level operators on M ⊗ A^⊗(n+1); cochain operators arise as
     transposes of the induced quotient matrices.  As in
-    :class:`CoalgebraOps`, the local ones are leg matrices (:meth:`local`),
-    and the last face and T take one basis tuple (m, a₀, …, aₙ) of
-    ``basis[n]``, with M at position 0 and aᵢ at position i+1, and return
-    its image read from leg maps evaluated once per basis word."""
+    :class:`CoalgebraOps`, each is a factorization (:meth:`factor`), and
+    the base legs D₁ and T₀ take one basis tuple (m, a₀, a₁) or (m, a₀) and
+    return its image read from leg maps evaluated once per basis word."""
 
     mc: ModuleComodule
     a_mod: HModuleAlgebra
@@ -674,36 +704,46 @@ class AlgebraChainOps:
         alg = self.a_mod.alg
         return [TensorBasis((alg,)).coords({(u,): x for u, x in alg.unit().terms.items()})]
 
-    def local(self, name: str, n: int, i: Optional[int] = None):
-        """(p, L) when operator ``name`` of degree n is I ⊗ L ⊗ I, the leg
-        matrix L read at source leg p: D_i for i < n multiplies aᵢ and
-        aᵢ₊₁, and S_i inserts the unit after aᵢ; None for the last face
-        and T."""
-        if name == "degeneracy":
-            return i + 2, self.unit_leg
-        if name == "face" and i < n:
-            return i + 1, self.mul_leg
-        return None
+    @cached_property
+    def t_leg(self) -> Columns:
+        """T₀ on M ⊗ A, by :meth:`t`."""
+        return op_matrix(self.t, self.basis[0], self.basis[0])
 
-    def face(self, n: int, wt: tuple) -> dict:
-        """D_n, the last face from degree n to degree n-1: m ⊗ ã to
-        m⟨0⟩ ⊗ (S⁻¹(m⟨-1⟩)aₙ)a₀ ⊗ a₁ ⊗ … ⊗ a_{n-1}."""
+    @cached_property
+    def face_leg(self) -> Columns:
+        """D₁: M ⊗ A ⊗ A → M ⊗ A, by :meth:`face`."""
+        return op_matrix(self.face, self.basis[1], self.basis[0])
+
+    def factor(self, name: str, n: int, i: Optional[int] = None) -> tuple:
+        """(rotation, p, L): operator ``name`` of degree n is (I ⊗ L ⊗ I) ∘
+        rotation, L read at source leg p, the rotation a :func:`move_leg` of
+        the source or None.  D_i for i < n multiplies aᵢ and aᵢ₊₁ and S_i
+        inserts the unit after aᵢ; T_n and D_n move aₙ next to m, or after
+        a₀, then apply T₀ or D₁."""
+        if name == "degeneracy":
+            return None, i + 2, self.unit_leg
+        if name == "face" and i < n:
+            return None, i + 1, self.mul_leg
+        leg, r = (self.t_leg, 1) if name == "t" else (self.face_leg, 2)
+        return (move_leg(self.basis[n].dims, n + 1, r) if r <= n else None), 0, leg
+
+    def face(self, wt: tuple) -> dict:
+        """D₁, the last face from degree 1: m ⊗ a₀ ⊗ a₁ to
+        m⟨0⟩ ⊗ (S⁻¹(m⟨-1⟩)a₁)a₀."""
         out = {}
-        mids = wt[2:-1]
         for (w, m0), cc in self.coact[wt[0]].items():
-            for t, tc in self.inv_act[w, wt[-1]].items():
+            for t, tc in self.inv_act[w, wt[2]].items():
                 k = cc * tc
                 for p, pc in self.mul[t, wt[1]].items():
-                    _merge_term(out, (m0, p) + mids, k * pc)
+                    _merge_term(out, (m0, p), k * pc)
         return out
 
-    def t(self, n: int, wt: tuple) -> dict:
-        """T_n: m ⊗ ã to m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩)aₙ ⊗ a₀ ⊗ … ⊗ a_{n-1}."""
+    def t(self, wt: tuple) -> dict:
+        """T₀: m ⊗ a to m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩)a."""
         out = {}
-        rest = wt[1:-1]
         for (w, m0), cc in self.coact[wt[0]].items():
-            for t, tc in self.inv_act[w, wt[-1]].items():
-                _merge_term(out, (m0, t) + rest, cc * tc)
+            for t, tc in self.inv_act[w, wt[1]].items():
+                _merge_term(out, (m0, t), cc * tc)
         return out
 
     def act_legs(self, w: tuple) -> list:

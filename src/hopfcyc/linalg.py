@@ -18,14 +18,16 @@ nonzero entries.
 
 Each job has one entry point that takes either encoding, and only this
 module reads the encoding (:func:`is_signed`).  :func:`compose` is the
-product: one list comprehension for two signed maps, else
-:func:`mat_mul`, which reads a one-entry column x·e_c of its right factor
-as a scaled copy of column c of the left one and sends every other
-column through :func:`mat_vec`.  :func:`combine` is the sum, Σ c·M into
-Columns, each entry c times its own so that ``int`` data stays ``int``;
+product: one list comprehension for two signed maps, a signed factor read
+in place against Columns, else :func:`mat_mul`, which reads a one-entry
+column x·e_c of its right factor as a scaled copy of column c of the
+left one and sends every other column through :func:`mat_vec`.
+:func:`combine` is the sum, Σ c·M into Columns, each entry c times its
+own so that ``int`` data stays ``int``;
 :func:`residual_nonzeros` counts the entries of a − b through it.
 :func:`signed_kron` is the Kronecker product of signed legs by index
-arithmetic.
+arithmetic, and :func:`compose_local` is P ∘ (I ⊗ L ⊗ I) from slices of
+P, with no Kronecker product built.
 
 :func:`rref` is the general elimination, and :func:`solve` runs on it:
 it sweeps the columns in order and takes as pivot the first remaining row
@@ -113,13 +115,13 @@ def mat_vec(a: Columns, v: SparseRow) -> SparseRow:
 
 def mat_mul(a: Columns, b: Columns) -> Columns:
     """a∘b: column j is a applied to column j of b.  A column of b with one
-    entry x at c is x·a[c], built as a new dict, so no column of the result
-    is a column of a."""
+    entry x at c is x·a[c], built as a new dict (a copy for an ``int`` 1),
+    so no column of the result is a column of a."""
     out = []
     for col in b:
         if len(col) == 1:
             ((c, x),) = col.items()
-            out.append(dict(a[c]) if x == 1 else {r: x * y for r, y in a[c].items()})
+            out.append(dict(a[c]) if x == 1 and type(x) is int else {r: x * y for r, y in a[c].items()})
         else:
             out.append(mat_vec(a, col))
     return out
@@ -157,12 +159,45 @@ def columns(a: Matrix) -> Columns:
 
 
 def compose(a: Matrix, b: Matrix) -> Matrix:
-    """a∘b, each factor in either encoding: a :data:`Signed` map when both
-    are, one entry of ``a`` per entry of ``b``, else :func:`mat_mul` of
-    their :func:`columns`."""
-    if is_signed(a) and is_signed(b):
-        return [a[e - 1] if e > 0 else -a[-e - 1] if e else 0 for e in b]
-    return mat_mul(columns(a), columns(b))
+    """a∘b in either encoding, as :func:`mat_mul` of their :func:`columns`
+    gives it, entry types too, with no factor decoded: a :data:`Signed`
+    map when both are; a signed ``b`` copies or negates columns of ``a``,
+    and a signed ``a`` relabels the rows of each column of ``b``."""
+    if is_signed(b):
+        if is_signed(a):
+            return [a[e - 1] if e > 0 else -a[-e - 1] if e else 0 for e in b]
+        return [dict(a[e - 1]) if e > 0 else {r: -x for r, x in a[-e - 1].items()} if e else {} for e in b]
+    if not is_signed(a):
+        return mat_mul(a, b)
+    out = []
+    for col in b:
+        acc = {}
+        for c, x in col.items():
+            if a[c]:
+                add_multiple(acc, x if a[c] > 0 else -x, {abs(a[c]) - 1: 1})
+        out.append(acc)
+    return out
+
+
+def compose_local(p: Matrix, a: int, leg: Matrix, b: int) -> Matrix:
+    """p ∘ (I_a ⊗ leg ⊗ I_b) in either encoding: for a leg of ℓ rows, the
+    b columns (i, j, ·) of the product are Σ_r leg[r, j] · the b columns
+    of ``p`` from (i·ℓ + r)·b on.  When ``p`` and ``leg`` are
+    :data:`Signed` maps that is one slice of ``p``, negated for a −1
+    entry, or b zeros for an empty leg column; else the :func:`combine` of
+    the slices."""
+    step, leg_sign = len(p) // a, signed(columns(leg))
+    blocks, out = [i * step for i in range(a)], []
+    if is_signed(p) and leg_sign is not None:
+        for o in blocks:
+            for e in leg_sign:
+                cut = p[o + (abs(e) - 1) * b : o + abs(e) * b] if e else [0] * b
+                out += cut if e >= 0 else [-x for x in cut]
+        return out
+    for o in blocks:
+        for col in columns(leg):
+            out += combine([(x, p[o + r * b : o + (r + 1) * b]) for r, x in col.items()], b)
+    return out
 
 
 def signed_kron(mats: List[Signed], dims: List[int]) -> Signed:
@@ -189,16 +224,18 @@ def combine(terms, ncols: int) -> Columns:
     """Σ c·M over the pairs (c, M) of ``terms``, each M a matrix of
     ``ncols`` columns in either encoding, as :data:`Columns`.  A term with
     c = 0 is skipped and every entry that cancels is dropped.  The first
-    term kept gives each column its dict, each entry c times its own, so
-    ``int`` entries under ``int`` factors stay ``int``; a later Columns
-    term adds into it by :func:`add_multiple`, and a later signed term
-    with one pop and at most one store per column."""
+    term kept gives each column its dict, each entry c times its own (a
+    copy for an ``int`` 1), so ``int`` entries under ``int`` factors stay
+    ``int``; a later Columns term adds into it by :func:`add_multiple`, and
+    a later signed term with one pop and at most one store per column."""
     terms = [(c, m) for c, m in terms if c]
     if not terms:
         return [{} for _ in range(ncols)]
     (c, m), *rest = terms
     if is_signed(m):
         out = [{e - 1: c} if e > 0 else {-e - 1: -c} if e else {} for e in m]
+    elif c == 1 and type(c) is int:
+        out = [dict(col) for col in m]
     else:
         out = [{r: c * x for r, x in col.items()} for col in m]
     for c, m in rest:
@@ -513,17 +550,18 @@ class Quotient:
         :func:`orbit_rref` gives them on a group-algebra instance."""
         return signed(self.proj)
 
-    def induced(self, ambient_op: Matrix, target: "Quotient") -> tuple[Matrix, int]:
+    def induced(self, ambient_op, target: "Quotient", apply=compose) -> tuple[Matrix, int]:
         """(M, k): M the map that ``ambient_op`` induces on the quotients, k
         the nonzero count of the reduced relations' images projected to the
         target, so that the operator descends exactly when k is 0.  Q =
-        P′ ∘ ambient_op for P′ the target projection, M is the columns of Q
-        at the free coordinates, and k is the nonzero count of Q − M ∘ P for
-        P the source projection: column a of Q − M ∘ P is Q applied to the
-        reduced row of pivot a, and is zero at every free a.  Each
-        projection is read as a :data:`Signed` map where it is one, so M is
-        one when P′ and ``ambient_op`` are."""
-        q = compose(target.signed_proj or target.proj, ambient_op)
+        ``apply(P′, ambient_op)``, P′ ∘ ambient_op for P′ the target
+        projection (an operator held factored comes with its own ``apply``),
+        M is the columns of Q at the free coordinates, and k is the nonzero
+        count of Q − M ∘ P for P the source projection: column a of Q − M ∘ P
+        is Q applied to the reduced row of pivot a.  Each projection is
+        read as a :data:`Signed` map where it is one, so M is one when P′
+        and the operator are."""
+        q = apply(target.signed_proj or target.proj, ambient_op)
         m = [q[c] for c in self.free]
         return m, residual_nonzeros(q, compose(m, self.signed_proj or self.proj))
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcyc import cli, linalg
+from hopfcyc import cocyclic as cocyclic_module, cup as cup_module
 from hopfcyc.cocyclic import (
     AlgebraChainOps,
     AlgebraCochainInstance,
@@ -23,6 +24,7 @@ from hopfcyc.cocyclic import (
     build_coalgebra_instance,
     check_cocyclic,
     cyclic_cohomology,
+    relative_complex,
 )
 from hopfcyc.coefficients import (
     ModuleComodule,
@@ -93,7 +95,7 @@ def test_operator_legs_are_freed_without_gc(swap_cmod):
         ci = build_group_cup_instance(graded=True)
         chain_ops = AlgebraChainOps(ci.mc, ci.a_mod)
         basis = RelativeTensorSpace(chain_ops, 1).basis
-        chain_ops.face(1, basis.tuples[0])
+        chain_ops.face(basis.tuples[0])
         assert chain_ops.s_cols and chain_ops.inv_act and chain_ops.mul
         ref = weakref.ref(chain_ops)
         del chain_ops
@@ -351,21 +353,27 @@ def test_random_gsets_square_to_zero(s3, data):
 
 
 def assert_routes_agree(inst) -> list:
-    """Reads every operator of a fresh ``inst`` through its top and checks
+    """Reads every operator of a fresh ``inst`` through its top, induced
+    from the table's factorization with no ambient matrix built, and checks
     it against ``dense_oracle.eliminating_induced``, the elimination route
-    of :meth:`~hopfcyc.linalg.Quotient.induced`, on Columns: the same
-    matrix (transposed over a chain table) and the same operators that do
-    not descend, in the same order.  Returns the table keys of those that
-    came as signed maps."""
+    of :meth:`~hopfcyc.linalg.Quotient.induced`, on Columns, applied to the
+    ambient matrix ``table[key]``: the same matrix (transposed over a chain
+    table), the same descent count, and the same operators that do not
+    descend, in the same order.  Returns the table keys of those that came
+    as signed maps."""
     table, quots, top = inst.table, inst.quots, inst.top
     up, down, cyclic = FiniteComplex.NAMES[inst.chains]
     reads = [(inst.coface, (n, i), (up, n, i)) for n in range(1, top + 1) for i in range(n + 1)]
     reads += [(inst.codeg, (n, i), (down, n, i)) for n in range(top) for i in range(n + 1)]
     reads += [(inst.tau, n, (cyclic, n)) for n in range(top + 1)]
+    for memo, k, _ in reads:
+        memo[k]
+    assert len(table) == 0  # every read so far went through table.after
     failures, signed = [], []
     for memo, k, key in reads:
         s, t = OperatorTable.degrees(key)
         m, off = dense_oracle.eliminating_induced(quots[s], table[key], quots[t])
+        assert quots[s].induced(key, quots[t], table.after)[1] == off, key
         if inst.chains:
             m = linalg.transpose(m, inst.dims[t])
         assert linalg.columns(memo[k]) == m, key
@@ -476,14 +484,57 @@ def test_failure_order_does_not_depend_on_read_order(s3_graded_coset):
 def test_operators_are_built_on_first_read(table_builds, swap_cmod):
     built = table_builds
     inst = build_coalgebra_instance(mc_trivial(swap_cmod.hopf), swap_cmod, 3)
-    assert built == []
+    table = inst.table
     tau = inst.tau[2]
-    assert built == [("tau", 2)] and inst.tau[2] is tau
-    # check_cocyclic reads all 9 cofaces, 6 codegeneracies and 4 τ once,
-    # then the complex lets go of its table
+    assert inst.tau[2] is tau
+    # check_cocyclic induces all 9 cofaces, 6 codegeneracies and 4 τ from
+    # the table's factorization, builds no ambient matrix, then lets go of
+    # the table
     assert check_cocyclic(inst)["ok"]
-    assert len(built) == 19 and len(set(built)) == 19
-    assert inst.table is None
+    assert built == [] and inst.table is None
+    # a caller that reads the table gets each ambient matrix built once
+    op = table["tau", 2]
+    assert table["tau", 2] is op and built == [("tau", 2)]
+
+
+def flip_leg_entry(leg, j):
+    """A copy of the leg matrix ``leg`` with the sign of column j flipped."""
+    return [{r: -x for r, x in col.items()} if c == j else col for c, col in enumerate(leg)]
+
+
+def test_flipped_base_legs_fail_their_identities(swap_cmod):
+    # τ_n and the last coface ∂_n are the base legs τ₀ and ∂₁, each
+    # evaluated per basis tuple, placed by a rotation of legs: a flipped
+    # entry of τ₀ breaks τ's order or a τ–coface identity, and one of ∂₁
+    # the factorization ∂_n = τ_n ∘ ∂₀, at every degree the leg reaches
+    mc = mc_trivial(swap_cmod.hopf)
+    witnesses = {}
+    for leg in ("tau_leg", "coface_leg"):
+        ops = CoalgebraOps(mc, swap_cmod)
+        setattr(ops, leg, flip_leg_entry(getattr(ops, leg), 1))
+        report = check_cocyclic(relative_complex(ops, 3))
+        assert not report["ok"]
+        witnesses[leg] = report["witnesses"]
+    assert any(re.match(r"tau\^\(n\+1\)|tau-coface", w) for w in witnesses["tau_leg"])
+    assert any(w.startswith("last coface = tau.coface0") for w in witnesses["coface_leg"])
+
+
+def test_op_matrix_reads_only_leg_sized_bases(monkeypatch):
+    # the base legs are the only operators evaluated per basis tuple, so no
+    # command hands op_matrix a basis of more than three legs
+    seen = []
+    real = cocyclic_module.op_matrix
+
+    def spy(op, src, tgt):
+        seen.append((len(src.prs), len(tgt.prs)))
+        return real(op, src, tgt)
+
+    monkeypatch.setattr(cocyclic_module, "op_matrix", spy)
+    monkeypatch.setattr(cup_module, "op_matrix", spy)
+    for args in (["cohomology", "--upto", "4"], ["kaygun"], ["cup"]):
+        with redirect_stdout(io.StringIO()):
+            assert cli.run(args) == 0
+    assert seen and max(map(max, seen)) == 3
 
 
 # -- Connes' B and the (b, B) mixed complex ------------------------------------------
@@ -599,6 +650,16 @@ def test_h4_operators_take_the_columns_route(h4, h4_left, name):
         ("tau", 0),
         ("tau", 1),
     ]
+
+
+def test_h4_adjoint_chains_through_both_routes(h4, h4_adjoint):
+    # the A side of H4: the last faces and T induced from Columns legs
+    # through a rotation of the source legs, none of them a signed map; the
+    # regular coefficients under the adjoint action are not cocyclic, so
+    # both routes must also count the same nonzero descent residuals
+    inst = relative_complex(AlgebraChainOps(mc_regular(h4), h4_adjoint), 3)
+    assert assert_routes_agree(inst) == []
+    assert inst.welldef_failures == ["face(2,2)", "face(3,3)", "t(1)", "t(2)", "t(3)"]
 
 
 @pytest.mark.parametrize("name", ["delta_1", "eps_g"])

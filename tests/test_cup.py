@@ -197,17 +197,19 @@ def test_psi_degree_zero(trivial_ci):
 ])
 def test_psi_commutes_with_cyclic_operators(trivial_ci, n, perm, rot):
     # Ψ(φ, τx, f₀…f_n) = Ψ(φ∘leg-rotation, x, f_n f₀…f_{n-1}), exhaustively
+    # τ read off the columns of the operator table, rotation and all
     ci = trivial_ci
     ops = CoalgebraOps(ci.mc, ci.c_mod)
+    cbasis, tau = ops.basis[n], columns(OperatorTable(ops)["tau", n])
     convs = [images(ci, f) for f in convolution_basis(ci)]
-    cbasis = TensorBasis((ci.mc.space,) + (ci.c_mod.coalg,) * (n + 1))
     abasis = TensorBasis((ci.mc.space,) + (ci.a_mod.alg,) * (n + 1))
     for j in range(abasis.dim):
         phi = lambda te, j=j: abasis.coords(te.terms).get(j, 0)
         phi_rot = lambda te, j=j: abasis.coords(permute(te, perm).terms).get(j, 0)
-        for x in cbasis.tuples:
+        for x, col in zip(cbasis.tuples, tau):
+            image = {cbasis.tuples[r]: v for r, v in col.items()}
             for fs in iproduct(convs, repeat=n + 1):
-                assert symbolic_psi(ci, phi, ops.tau(n, x), list(fs)) == symbolic_psi(
+                assert symbolic_psi(ci, phi, image, list(fs)) == symbolic_psi(
                     ci, phi_rot, {x: 1}, rot(list(fs))
                 )
 
@@ -281,16 +283,20 @@ def test_ordinary_t_rotates_forward(ordinary, n):
 
 
 def test_cup_reads_only_tables(table_builds):
-    # once CupData is built, the cocycles and the cup take every matrix
-    # from its tables; no codegeneracy is built at all
+    # building CupData induces its operators from the tables' factorizations
+    # and builds no ambient matrix; the cocycles and the cup then build the
+    # ambient faces and T they read and the two zeroth cofaces that lift z,
+    # each once, and no (co)degeneracy
     data = CupData(build_group_cup_instance(graded=True), 2)
-    names = {key[0] for key in table_builds}
-    assert "coface" in names and "codegeneracy" not in names
-    table_builds.clear()
+    assert table_builds == []
     for p in range(3):
         for q in range(3 - p):
             data.cup(data.a_side_cocycles(p)[0], p, data.c_side_cocycles(q)[0], q)
-    assert table_builds == []
+    assert sorted(table_builds) == sorted(
+        [("face", n, i) for n in range(1, 4) for i in range(n + 1)]
+        + [("t", n) for n in range(3)]
+        + [("coface", 1, 0), ("coface", 2, 0)]
+    )
 
 
 def test_cup_operators_are_signed_maps():
@@ -317,11 +323,14 @@ def test_cup_operators_are_signed_maps():
 
 
 def test_cup_builds_no_degeneracy(table_builds):
-    # neither side's (co)degeneracies are read by the cup, so none is built
+    # neither side's (co)degeneracies are read by the cup, so none is
+    # induced, and inducing the rest builds no ambient matrix
     for top in (1, 3):
         data = CupData(build_group_cup_instance(graded=True), top)
         assert data.a_inst.welldef_failures == data.c_side.welldef_failures == []
-    assert {key[0] for key in table_builds} == {"coface", "tau", "face", "t"}
+        for inst in (data.a_inst, data.c_side):
+            assert inst.coface and inst.tau and not inst.codeg
+    assert table_builds == []
 
 
 def test_s3_graded_cup_names_non_descending_operators(monkeypatch, s3):

@@ -606,6 +606,70 @@ def test_signed_kernel_matches_columns(data):
     assert linalg.monomial_transpose(a, nrows) in (t, signed(t))
 
 
+def typed(m):
+    """The columns of ``m`` as lists of (row, entry, entry type), in key
+    order."""
+    return [[(r, x, type(x)) for r, x in col.items()] for col in columns(m)]
+
+
+@st.composite
+def either_encoding(draw, nrows, ncols):
+    """A matrix of ``nrows`` rows and ``ncols`` columns: a signed map, or
+    Columns of up to three entries each, among them int ±1 and 2, and
+    ``Fraction(±1)`` and non-integral Fractions."""
+    if draw(st.booleans()):
+        return draw(st.lists(signed_entries(nrows), min_size=ncols, max_size=ncols))
+    entry = st.one_of(st.sampled_from([1, -1, 2, F(1), F(-1)]), mixed_entries)
+    column = st.dictionaries(st.integers(0, nrows - 1), entry, max_size=3)
+    return draw(st.lists(column, min_size=ncols, max_size=ncols))
+
+
+@SETTINGS
+@given(st.data())
+def test_compose_matches_mat_mul_of_decoded_factors(data):
+    # a signed factor is read in place, and the product has the entries,
+    # the entry types and the key order of mat_mul on the decoded factors
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = data.draw(either_encoding(n, k), label="a"), data.draw(either_encoding(k, m), label="b")
+    before = copy.deepcopy((a, b))
+    out = compose(a, b)
+    assert typed(out) == typed(mat_mul(columns(a), columns(b)))
+    assert linalg.is_signed(out) == (linalg.is_signed(a) and linalg.is_signed(b))
+    assert as_dense(out, n) == dense_oracle.mat_mul(as_dense(a, n), as_dense(b, k))
+    assert (a, b) == before
+    assert not any(col is x for col in out for x in a if isinstance(col, dict))
+
+
+def test_signed_left_factor_adds_what_it_sends_to_one_row():
+    # columns 0 and 1 of a both go to row 0, with opposite signs
+    a = [1, -1, 2]
+    assert compose(a, [{0: 1, 1: 1}, {0: 2, 1: F(1, 2), 2: 1}, {2: F(1)}]) == [{}, {0: F(3, 2), 1: 1}, {1: 1}]
+    assert typed(compose(a, [{2: F(1)}])) == typed(mat_mul(columns(a), [{2: F(1)}])) == [[(1, 1, F)]]
+
+
+@SETTINGS
+@given(st.data())
+def test_compose_local_matches_the_kronecker_product(data):
+    # p ∘ (I_a ⊗ L ⊗ I_b) from slices of p, against p composed with the
+    # built Kronecker product (entry types included) and the dense route
+    a, b, rows = (data.draw(st.integers(1, 3)) for _ in range(3))
+    leg = data.draw(either_encoding(rows, data.draw(st.integers(0, 3))), label="leg")
+    nrows = data.draw(st.integers(1, 4))
+    p = data.draw(either_encoding(nrows, a * rows * b), label="p")
+    before = copy.deepcopy((p, leg))
+    out = linalg.compose_local(p, a, leg, b)
+    op = cocyclic.leg_product([linalg.identity_columns(a), columns(leg), linalg.identity_columns(b)], [a, rows, b])
+    expected = compose(p, op)
+    assert linalg.is_signed(out) == linalg.is_signed(expected)
+    assert [{r: (x, t) for r, x, t in col} for col in typed(out)] == [
+        {r: (x, t) for r, x, t in col} for col in typed(expected)
+    ]
+    kron = dense_oracle.kronecker([dense_oracle.identity(a), as_dense(leg, rows), dense_oracle.identity(b)])
+    assert as_dense(out, nrows) == dense_oracle.mat_mul(as_dense(p, nrows), kron)
+    assert all(x for col in columns(out) for x in col.values())
+    assert (p, leg) == before
+
+
 @pytest.mark.parametrize(
     "a,b,count",
     [

@@ -9,6 +9,7 @@ entry for entry.
 """
 
 import copy
+import itertools
 import math
 from unittest import mock
 from fractions import Fraction
@@ -351,6 +352,44 @@ def test_algebra_side_operators_match_symbolic_route():
 def test_h4_adjoint_operators_match_symbolic_route(h4, h4_adjoint):
     # the product of H4 has empty and −1 leg columns: x·x = 0, x·g = −gx
     assert_algebra_side_matches(mc_regular(h4), h4_adjoint, 3)
+
+
+def assert_after_matches_table(ops, top):
+    """``table.after(p, key)``, composed from the factorization with no
+    ambient matrix built, against p ∘ ``table[key]`` on the built matrix,
+    for every key through ``top`` and p the identity or the projection of
+    the target's relative quotient: the same encoding and entries."""
+    table = OperatorTable(ops)
+    quots = [RelativeTensorSpace(ops, n).quot for n in range(top + 1)]
+    for key in operator_keys(table.chains, top):
+        t = OperatorTable.degrees(key)[1]
+        for p in (linalg.identity(table.bases[t].dim), quots[t].signed_proj or quots[t].proj):
+            assert table.after(p, key) == linalg.compose(p, table[key]), key
+
+
+@pytest.mark.parametrize("name", ["swap_graded", "s3_graded", "h4_left"])
+def test_factored_composition_matches_the_built_matrix(coalgebra_instances, name):
+    mc, c_mod, top = coalgebra_instances[name]
+    assert_after_matches_table(CoalgebraOps(mc, c_mod), min(top, 2))
+
+
+def test_factored_composition_matches_the_built_matrix_on_chains(h4, h4_adjoint):
+    ci = build_group_cup_instance(graded=True)
+    assert_after_matches_table(AlgebraChainOps(ci.mc, ci.a_mod), 3)
+    assert_after_matches_table(AlgebraChainOps(mc_regular(h4), h4_adjoint), 2)
+
+
+@pytest.mark.parametrize(
+    "dims,q,r", [([2, 3, 3, 3], 1, 3), ([2, 3, 3, 3], 3, 1), ([1, 2, 2], 2, 1), ([3, 2], 0, 1), ([2, 2, 2], 1, 1)]
+)
+def test_move_leg_permutes_basis_tuples(dims, q, r):
+    def moved(t):
+        t = list(t)
+        t.insert(r, t.pop(q))
+        return tuple(t)
+
+    index = {t: i for i, t in enumerate(itertools.product(*map(range, moved(dims))))}
+    assert cocyclic.move_leg(dims, q, r) == [index[moved(t)] + 1 for t in itertools.product(*map(range, dims))]
 
 
 def operator_keys(chains, top):
