@@ -29,9 +29,9 @@ induced on first read by :meth:`~hopfcyc.linalg.Quotient.induced`: Q =
 P′ ∘ op for the target projection P′, the descent check, and the induced
 matrix.  Q is :func:`~hopfcyc.linalg.compose_local` of P′ with its
 columns permuted by the rotation (or followed by the source rotation), so
-no ambient operator is built to induce it; the table builds one, rotation
-∘ :func:`leg_product` of the same factors, only for a caller that reads
-it (the Kaygun commutator identities, the cup product's lifts).  On a
+no ambient operator is built to induce it; the table builds one, the
+same route read after the identity, only for a caller that reads it (the
+Kaygun commutator identities, the cup product's lifts).  On a
 group-algebra instance every leg matrix and projection is monomial, so
 every operator is a :data:`~hopfcyc.linalg.Signed` map, one ``int`` per
 column; any other, such as those of H4, is
@@ -43,12 +43,13 @@ the cofaces through top + 1 and τ through top of both sides of
 
 The diagonal actions of H, which give the relations of both quotients and
 L_g, are sums over Sweedler terms of Kronecker products of leg matrices
-(:func:`sweedler_sum`, :func:`leg_columns`, :func:`leg_product`).  Every
-matrix is sparse, and composed, summed and compared in either encoding by
-:func:`~hopfcyc.linalg.compose`, :func:`~hopfcyc.linalg.combine` and list
-equality; ranks come from :func:`~hopfcyc.linalg.rank`, and kernels and
-reduced relations from :func:`~hopfcyc.linalg.orbit_rref` when every row
-has at most two entries, else from :func:`~hopfcyc.linalg.rref`.
+(:func:`sweedler_sum`, :func:`leg_columns`, :func:`~hopfcyc.linalg.kron`).
+Every matrix is sparse, and composed, summed and compared in either
+encoding by :func:`~hopfcyc.linalg.compose`,
+:func:`~hopfcyc.linalg.combine` and list equality; ranks come from
+:func:`~hopfcyc.linalg.rank`, and kernels and reduced relations from
+:func:`~hopfcyc.linalg.orbit_rref` when every row has at most two
+entries, else from :func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
 signed τ-invariant cochains, and through the total complex of Connes'
@@ -80,15 +81,12 @@ from .linalg import (
     compose,
     compose_local,
     identity,
-    identity_columns,
+    kron,
     mat_mul,
     mat_vec,
-    monomial_transpose,
     nullspace,
     rank,
     residual_nonzeros,
-    signed,
-    signed_kron,
     transpose,
 )
 
@@ -169,28 +167,6 @@ def leg_columns(f: Callable[[tuple], Mapping], carrier) -> Columns:
     return [basis.coords({(v,): c for v, c in f(w).items()}) for (w,) in basis.tuples]
 
 
-def kron(mats, dims) -> Columns:
-    """A₀ ⊗ … ⊗ A_k as sparse columns, leg i having ``dims[i]`` rows, last
-    leg fastest as in :class:`TensorBasis`: row r·d + s pairs row r of the
-    legs before with row s of a leg of d rows.  Stores no zero entry."""
-    out = [{0: 1}]
-    for a, d in zip(mats, dims):
-        out = [
-            {r * d + s: x * y for r, x in col.items() for s, y in leg.items()}
-            for col in out
-            for leg in a
-        ]
-    return out
-
-
-def leg_product(mats, dims) -> Matrix:
-    """:func:`kron` of leg matrices held as Columns, as the
-    :func:`~hopfcyc.linalg.signed_kron` of their signed maps when every
-    leg has one, else as Columns."""
-    signs = [signed(m) for m in mats]
-    return kron(mats, dims) if None in signs else signed_kron(signs, dims)
-
-
 def move_leg(dims, q: int, r: int) -> Signed:
     """The permutation of a tensor basis with leg dimensions ``dims``, last
     leg fastest, that moves leg q to position r, as a
@@ -208,12 +184,12 @@ def move_leg(dims, q: int, r: int) -> Signed:
 def sweedler_sum(terms: Mapping, legs: Callable[[tuple], list], basis: TensorBasis) -> Matrix:
     """Σ c · kron(legs(w)) over the terms {w: c} of a tensor of H words,
     such as a Sweedler tensor, w holding one word per leg of ``basis``:
-    one :func:`leg_product` per term, summed by
+    one :func:`~hopfcyc.linalg.kron` per term, summed by
     :func:`~hopfcyc.linalg.combine` into Columns.  A single term with
     c = 1, such as L_g for a group-like g, is returned as its product, a
     signed map on a group algebra; there a sum of several terms, such as a
     ⊗_H relation, has at most one entry per term in each column."""
-    prods = [(c, leg_product(legs(w), basis.dims)) for w, c in terms.items()]
+    prods = [(c, kron(legs(w), basis.dims)) for w, c in terms.items()]
     if len(prods) == 1 and prods[0][0] == 1:
         return prods[0][1]
     return combine(prods, basis.dim)
@@ -353,8 +329,8 @@ class RelativeTensorSpace:
 
 
 class OperatorTable(Memo):
-    """The operators of one (co)simplicial object, by key, as factors and,
-    on first read, as ambient matrices, built once and kept.
+    """The operators of one (co)simplicial object, by key, each read
+    through its factors and, on first read, kept as an ambient matrix.
 
     ``table[name, n, i]`` is the i-th (co)face or (co)degeneracy of degree
     n and ``table[name, n]`` the cyclic operator of ``ops``: a
@@ -362,9 +338,10 @@ class OperatorTable(Memo):
     :class:`AlgebraChainOps` (faces, degeneracies and T, which run the
     other way, as ``ops.chains`` says).  ``bases`` is ``ops.basis``, the
     ambient basis per degree.  ``ops.factor`` gives every operator as a
-    rotation and I_a ⊗ L ⊗ I_b (:meth:`after` composes through them); the
-    ambient matrix is the rotation composed with the :func:`leg_product`
-    of the three, a :data:`~hopfcyc.linalg.Matrix` in either encoding.
+    rotation and I_a ⊗ L ⊗ I_b, and ``after(p, key)`` composes p through
+    them, p ∘ ``table[key]`` with no ambient matrix built.  The ambient
+    matrix is the same route read after the identity of the target, a
+    :data:`~hopfcyc.linalg.Matrix` in either encoding.
     """
 
     # (source, target) degree of each operator, relative to its n
@@ -376,41 +353,24 @@ class OperatorTable(Memo):
     def __init__(self, ops):
         bases, chains = ops.basis, ops.chains
 
-        # the closures hold ops and bases but not the table, so a table no
+        # the closure holds ops and bases but not the table, so a table no
         # longer used is freed at once, not held in a cycle until a gc pass
-        def factor(key) -> Optional[tuple]:
-            """(rotation, a, L, b): ``ops.factor`` with the dimensions of the
-            identities around L, or None for an empty source basis."""
+        def after(p: Matrix, key) -> Matrix:
+            """p ∘ ``table[key]`` from the factors of ``ops.factor``, by
+            :func:`~hopfcyc.linalg.compose_local` and a column permutation;
+            [] for an empty source basis, with no leg dims to divide by."""
             src = bases[OperatorTable.degrees(key)[0]]
             if not src.dim:
-                return None  # no column, and no leg dims to divide by
-            rot, p, leg = ops.factor(*key)
-            a = prod(src.dims[:p])
-            return rot, a, leg, src.dim // (a * len(leg))
-
-        def build(key) -> Matrix:
-            f = factor(key)
-            if f is None:
                 return []
-            rot, a, leg, b = f
-            rows = bases[OperatorTable.degrees(key)[1]].dim // (a * b)
-            op = leg_product([identity_columns(a), leg, identity_columns(b)], [a, rows, b])
-            return op if rot is None else compose(op, rot) if chains else compose(rot, op)
+            rot, pos, leg = ops.factor(*key)
+            a = prod(src.dims[:pos])
+            if rot is not None and not chains:
+                p = compose(p, rot)
+            q = compose_local(p, a, leg, src.dim // (a * len(leg)))
+            return compose(q, rot) if rot is not None and chains else q
 
-        super().__init__(build)
-        self.bases, self.chains, self.factor = bases, chains, factor
-
-    def after(self, p: Matrix, key) -> Matrix:
-        """p ∘ ``self[key]`` from the factors, with no ambient matrix built:
-        :func:`~hopfcyc.linalg.compose_local`, and a column permutation."""
-        f = self.factor(key)
-        if f is None:
-            return []
-        rot, a, leg, b = f
-        if rot is not None and not self.chains:
-            p = compose(p, rot)
-        q = compose_local(p, a, leg, b)
-        return compose(q, rot) if rot is not None and self.chains else q
+        super().__init__(lambda key: after(identity(bases[OperatorTable.degrees(key)[1]].dim), key))
+        self.bases, self.chains, self.after = bases, chains, after
 
     @staticmethod
     def degrees(key) -> tuple:
@@ -459,7 +419,7 @@ class FiniteComplex:
             if off:
                 label = f"{key[0]}({','.join(map(str, key[1:]))})"
                 failures[(names.index(key[0]),) + key[1:]] = label
-            return monomial_transpose(m, dims[tgt]) if chains else m
+            return transpose(m, dims[tgt]) if chains else m
 
         fc, fd, ft = names
         self.coface = Memo(lambda k: induce(fc, *k))
@@ -501,9 +461,9 @@ class FiniteComplex:
     def norm(self, n: int) -> Columns:
         """N = 1 + λ + … + λⁿ."""
         lam = self.lam(n)
-        powers = [identity_columns(self.dims[n])]
+        powers = [identity(self.dims[n])]
         for _ in range(n):
-            powers.append(mat_mul(lam, powers[-1]))
+            powers.append(compose(lam, powers[-1]))
         return combine([(1, p) for p in powers], self.dims[n])
 
 
@@ -619,7 +579,7 @@ def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
         raise PreconditionError("instance too shallow for the requested degree")
     dims = inst.dims
     b = [inst.b(q) for q in range(upto + 1)]
-    fix = [combine([(1, identity_columns(dims[q])), (-1, inst.lam(q))], dims[q]) for q in range(upto + 1)]  # 1 − λ
+    fix = [combine([(1, identity(dims[q])), (-1, inst.lam(q))], dims[q]) for q in range(upto + 1)]  # 1 − λ
 
     # route one: the lambda-subcomplex
     kernels = [nullspace(transpose(fix[n], dims[n]), dims[n]) for n in range(upto + 1)]

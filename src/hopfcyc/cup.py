@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from .core import AlgElt
+from .core import AlgElt, Memo
 from .coefficients import (
     HModuleAlgebra,
     HModuleCoalgebra,
@@ -49,7 +49,7 @@ from .instances import (
     build_group_algebra,
     cyclic_group,
 )
-from .linalg import F0, Columns, SparseRow, columns, combine, identity_columns, mat_mul, mat_vec, nullspace, transpose
+from .linalg import F0, Columns, SparseRow, columns, combine, compose, identity, kron, mat_mul, mat_vec, nullspace, transpose
 from .cocyclic import (
     AlgebraChainOps,
     CoalgebraOps,
@@ -57,7 +57,6 @@ from .cocyclic import (
     TensorBasis,
     alternating_sum,
     descent_witness,
-    kron,
     leg_columns,
     op_matrix,
     relative_complex,
@@ -190,14 +189,14 @@ def unit_convolution(ci: CupInstance) -> Columns:
 def convolve(ci: CupInstance, f: Columns, g: Columns) -> Columns:
     """f∗g = μ∘(f⊗g)∘Δ, that is (f∗g)(c) = f(c⁽¹⁾) g(c⁽²⁾)."""
     d_a = ci.dims[1]
-    return mat_mul(ci.mul, mat_mul(kron([f, g], [d_a, d_a]), ci.cop))
+    return compose(ci.mul, compose(kron([f, g], [d_a, d_a]), ci.cop))
 
 
 def chi(ci: CupInstance, a: SparseRow) -> Columns:
     """χ(a)(c) = c·a for ``a`` in A coordinates; a unital algebra map
     A → Hom_H(C, A)."""
     d_c, d_a = ci.dims
-    return h_linear(ci, mat_mul(ci.ca, kron([identity_columns(d_c), [a]], [d_c, d_a])))
+    return h_linear(ci, compose(ci.ca, kron([identity(d_c), [a]], [d_c, d_a])))
 
 
 def convolution_basis(ci: CupInstance) -> List[Columns]:
@@ -209,8 +208,8 @@ def convolution_basis(ci: CupInstance) -> List[Columns]:
     n = d_c * d_a
     rows = []
     for hc, ha in ci.actions:
-        acted = kron([transpose(hc, d_c), identity_columns(d_a)], [d_c, d_a])
-        cond = combine([(1, acted), (-1, kron([identity_columns(d_c), ha], [d_c, d_a]))], n)
+        acted = kron([transpose(hc, d_c), identity(d_a)], [d_c, d_a])
+        cond = combine([(1, acted), (-1, kron([identity(d_c), ha], [d_c, d_a]))], n)
         rows.extend(row for row in transpose(cond, n) if row)
     basis = []
     for v in nullspace(rows, n):
@@ -233,10 +232,15 @@ def ordinary_chains(ci: CupInstance) -> OperatorTable:
     return OperatorTable(AlgebraChainOps(mc_trivial(ci.mc.hopf), ci.a_mod))
 
 
-def ordinary_coboundary(chains: OperatorTable, n: int, f) -> list:
-    """f∘b for a cochain ``f`` of degree n on ``chains`` (one value per
-    basis tensor), b the alternating sum of the faces out of degree n + 1."""
-    b = alternating_sum([chains["face", n + 1, i] for i in range(n + 2)])
+def chain_boundary(chains: OperatorTable, n: int) -> Columns:
+    """b out of degree n + 1 of a table of chain operators: the
+    alternating sum of its faces."""
+    return alternating_sum([chains["face", n + 1, i] for i in range(n + 2)])
+
+
+def ordinary_coboundary(b: Columns, f) -> list:
+    """f∘b for a cochain ``f`` of degree n (one value per basis tensor) and
+    b the boundary out of degree n + 1 (:func:`chain_boundary`)."""
     return [sum(f[r] * x for r, x in col.items()) for col in b]
 
 
@@ -247,8 +251,9 @@ class CupData:
     relative complex C_H, whose cofaces and τ cut out the C-side cocycles
     and whose ambient zeroth cofaces lift them, both through top + 1, where
     the coboundary out of the top degree lands; and the ordinary chains on
-    A.  Construction checks the descent of what
-    the cup reads on each side, the cofaces (faces) through top + 1 and τ
+    A, with ``ordinary_b[n]`` their boundary out of degree n + 1, built on
+    first read and kept.  Construction checks the descent of what the cup
+    reads on each side, the cofaces (faces) through top + 1 and τ
     (T) through top; no (co)degeneracy is built."""
 
     ci: CupInstance
@@ -263,7 +268,8 @@ class CupData:
                 side.tau[n]
                 for i in range(n + 2):
                     side.coface[n + 1, i]
-        self.ordinary = ordinary_chains(ci)
+        ordinary = self.ordinary = ordinary_chains(ci)
+        self.ordinary_b = Memo(lambda n: chain_boundary(ordinary, n))
 
     # A-side equivariant cocycles, as sparse functionals on the ambient
     # chain basis that vanish on the H-relations; cyclic adds the
@@ -272,9 +278,9 @@ class CupData:
     def a_side_cocycles(self, p: int, cyclic: bool = True):
         inst, dim = self.a_inst, self.a_inst.bases[p].dim
         rows = list(inst.quots[p].rows)
-        rows.extend(alternating_sum([inst.table["face", p + 1, i] for i in range(p + 2)]))
+        rows.extend(chain_boundary(inst.table, p))
         if cyclic:
-            rows.extend(combine([((-1) ** p, inst.table["t", p]), (-1, identity_columns(dim))], dim))
+            rows.extend(combine([((-1) ** p, inst.table["t", p]), (-1, identity(dim))], dim))
         return nullspace(rows, dim)
 
     # C-side cocycles in the relative quotient.
@@ -282,7 +288,7 @@ class CupData:
         inst, quot = self.c_side, self.c_side.quots[q]
         rows = transpose(inst.b(q), inst.dims[q + 1])
         if cyclic:
-            lam_minus_1 = combine([((-1) ** q, inst.tau[q]), (-1, identity_columns(quot.dim))], quot.dim)
+            lam_minus_1 = combine([((-1) ** q, inst.tau[q]), (-1, identity(quot.dim))], quot.dim)
             rows.extend(transpose(lam_minus_1, quot.dim))
         kers = nullspace(rows, quot.dim)
         return [quot.include(v) for v in kers]
@@ -316,7 +322,7 @@ class CupData:
                 j, r = divmod(j, d)
                 legs.append(r)
             m, *cs = legs[::-1]
-            paired = kron([[{m: 1}]] + [blocks[c] for c in cs], inst.bases[n].dims)
+            paired = columns(kron([[{m: 1}]] + [blocks[c] for c in cs], inst.bases[n].dims))
             for t, col in enumerate(paired):
                 out[t] += x * sum(row[r] * y for r, y in col.items() if r in row)
         return out
@@ -384,7 +390,7 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
                 continue
             for i, phi in enumerate(phis):
                 for j, z in enumerate(zs):
-                    residual = ordinary_coboundary(data.ordinary, p + q, data.cup(phi, p, z, q))
+                    residual = ordinary_coboundary(data.ordinary_b[p + q], data.cup(phi, p, z, q))
                     nonzero = sum(1 for x in residual if x)
                     if nonzero:
                         fails.append(f"cup not closed at ({p},{q}): phi {i}, z {j}: {nonzero} nonzero")

@@ -33,7 +33,6 @@ from .linalg import (
     combine,
     compose,
     identity,
-    identity_columns,
     mat_vec,
     orbit_rref,
     rref,
@@ -120,7 +119,7 @@ class KaygunBridge:
         def coinvariance_rows(n: int) -> list:
             """Rows L_g(x) − ε(g)x over the ambient basis, for the scalar
             tensor over H with its trivial action."""
-            ident = identity_columns(bases[n].dim)
+            ident = identity(bases[n].dim)
             rows = []
             for gw in words:
                 if gw != EMPTY_WORD:

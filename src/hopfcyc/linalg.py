@@ -4,17 +4,16 @@ A vector is a :data:`SparseRow`, ``dict[index] -> entry`` holding only the
 nonzero entries (``int`` or ``Fraction``).  A matrix comes in two
 encodings.  :data:`Columns` is a list whose entry j is column j as a
 sparse ``row -> entry`` dict; a list of sparse rows is the same data read
-the other way, and :func:`transpose` turns one into the other.  A
-monomial matrix, each column empty or one ``int`` ±1, as every leg
-matrix, ambient operator and induced operator of a group-algebra
-instance is, may also be a :data:`Signed` map: one ``int`` per column,
-s·(r+1) for a column s·e_r and 0 for an empty one.  :func:`signed`
-encodes, :func:`columns` decodes with every entry's type kept, and
-:func:`identity` is the signed identity.  No zero entry is ever stored,
-so two matrices of one shape and encoding are equal exactly when their
-lists are.  The matrices of this tool are mostly zero: the ⊗_H relation
-matrix of the regular S3 instance in degree 1 is 1080×216 with under 1%
-nonzero entries.
+the other way.  A monomial matrix, each column empty or one ``int`` ±1,
+as every leg matrix, ambient operator and induced operator of a
+group-algebra instance is, may also be a :data:`Signed` map: one ``int``
+per column, s·(r+1) for a column s·e_r and 0 for an empty one.
+:func:`signed` encodes, :func:`columns` decodes with every entry's type
+kept, and :func:`identity` is the identity, a signed map that every entry
+point reads.  No zero entry is ever stored, so two matrices of one shape
+and encoding are equal exactly when their lists are.  The matrices of
+this tool are mostly zero: the ⊗_H relation matrix of the regular S3
+instance in degree 1 is 1080×216 with under 1% nonzero entries.
 
 Each job has one entry point that takes either encoding, and only this
 module reads the encoding (:func:`is_signed`).  :func:`compose` is the
@@ -25,9 +24,11 @@ left one and sends every other column through :func:`mat_vec`.
 :func:`combine` is the sum, Σ c·M into Columns, each entry c times its
 own so that ``int`` data stays ``int``;
 :func:`residual_nonzeros` counts the entries of a − b through it.
-:func:`signed_kron` is the Kronecker product of signed legs by index
-arithmetic, and :func:`compose_local` is P ∘ (I ⊗ L ⊗ I) from slices of
-P, with no Kronecker product built.
+:func:`kron` is the Kronecker product, by index arithmetic on signed
+legs when every leg is monomial and entry by entry otherwise;
+:func:`compose_local` is P ∘ (I ⊗ L ⊗ I) from slices of P, with no
+Kronecker product built; :func:`transpose` reads the columns of a matrix
+as rows, and keeps a signed map signed where no two columns share a row.
 
 :func:`rref` is the general elimination, and :func:`solve` runs on it:
 it sweeps the columns in order and takes as pivot the first remaining row
@@ -73,10 +74,6 @@ Matrix = Union[Columns, Signed]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def identity_columns(n: int) -> Columns:
-    return [{j: 1} for j in range(n)]
 
 
 def identity(n: int) -> Signed:
@@ -200,13 +197,23 @@ def compose_local(p: Matrix, a: int, leg: Matrix, b: int) -> Matrix:
     return out
 
 
-def signed_kron(mats: List[Signed], dims: List[int]) -> Signed:
-    """A₀ ⊗ … ⊗ A_k of :data:`Signed` legs, leg i having ``dims[i]`` rows,
-    last leg fastest as in :func:`hopfcyc.cocyclic.kron`: column j·m + c of
-    A ⊗ B, for B of m columns and d rows, is s·t·(r·d + q + 1) when column j
-    of A is s·e_r and column c of B is t·e_q, and 0 when either is empty."""
+def kron(mats, dims) -> Matrix:
+    """A₀ ⊗ … ⊗ A_k of legs in either encoding, leg i having ``dims[i]``
+    rows, last leg fastest: row r·d + s pairs row r of the legs before
+    with row s of a leg of d rows.  A :data:`Signed` map when every leg is
+    monomial, column j·m + c of A ⊗ B, for B of m columns and d rows, being
+    s·t·(r·d + q + 1) when column j of A is s·e_r and column c of B is
+    t·e_q, and 0 when either is empty; else :data:`Columns`, each entry the
+    product of one entry per leg, with no zero entry stored."""
+    signs = [a if is_signed(a) else signed(a) for a in mats]
+    if None in signs:
+        out = [{0: 1}]
+        for a, d in zip(mats, dims):
+            a = columns(a)
+            out = [{r * d + s: x * y for r, x in col.items() for s, y in leg.items()} for col in out for leg in a]
+        return out
     out = [1]
-    for a, d in zip(mats, dims):
+    for a, d in zip(signs, dims):
         nxt = []
         for x in out:
             o = (abs(x) - 1) * d
@@ -262,22 +269,13 @@ def residual_nonzeros(a: Matrix, b: Matrix) -> int:
     return 0 if a == b else sum(map(len, combine([(1, a), (-1, b)], len(a))))
 
 
-def transpose(a: Columns, nrows: int) -> Columns:
-    """The transpose of a matrix with ``nrows`` rows: entry r of the result
-    is row r of ``a`` as a sparse dict (equally, the columns of ``a`` read
-    as rows)."""
-    out: Columns = [{} for _ in range(nrows)]
-    for j, col in enumerate(a):
-        for r, x in col.items():
-            out[r][j] = x
-    return out
-
-
-def monomial_transpose(a: Matrix, nrows: int) -> Matrix:
-    """:func:`transpose` of a matrix in either encoding: a :data:`Signed`
-    map when ``a`` is one whose nonzero columns hit distinct rows, else
-    :data:`Columns`."""
-    if is_signed(a):
+def transpose(a: Matrix, nrows: int) -> Matrix:
+    """The transpose of a matrix with ``nrows`` rows, in either encoding:
+    entry r of the result is row r of ``a``, the columns of ``a`` read as
+    rows.  A :data:`Signed` map when ``a`` is one whose nonzero columns
+    hit distinct rows, else :data:`Columns`, row r as a sparse dict, as
+    also for a matrix of no columns, which reads as either encoding."""
+    if a and is_signed(a):
         out = [0] * nrows
         for j, e in enumerate(a, 1):
             if e:
@@ -286,7 +284,11 @@ def monomial_transpose(a: Matrix, nrows: int) -> Matrix:
                     return transpose(columns(a), nrows)
                 out[r] = j if e > 0 else -j
         return out
-    return transpose(a, nrows)
+    out: Columns = [{} for _ in range(nrows)]
+    for j, col in enumerate(a):
+        for r, x in col.items():
+            out[r][j] = x
+    return out
 
 
 def rref(rows: List[SparseRow]) -> tuple[List[SparseRow], List[int]]:

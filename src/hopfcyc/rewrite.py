@@ -44,7 +44,7 @@ from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import AlgElt, EMPTY_WORD, Generator, Memo, ONE, Word, _merge_term, _scaled, exact
-from .errors import RewriteLimitError, StructureError, TerminationOrderError
+from .errors import PreconditionError, RewriteLimitError, StructureError, TerminationOrderError
 
 DEFAULT_STEP_LIMIT = 10**6
 
@@ -57,9 +57,18 @@ MAX_NAMES = 0x10000  # in the precedence, and again outside it
 
 
 def step_limit() -> int:
-    """Rewrite guard; overridable via HOPFCYC_STEP_LIMIT."""
+    """Rewrite guard; overridable via HOPFCYC_STEP_LIMIT, which must then
+    be a positive integer."""
     raw = os.environ.get("HOPFCYC_STEP_LIMIT")
-    return int(raw) if raw else DEFAULT_STEP_LIMIT
+    if not raw:
+        return DEFAULT_STEP_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise PreconditionError(f"HOPFCYC_STEP_LIMIT must be a positive integer, not {raw!r}")
+    return limit
 
 
 # -- rule patterns ------------------------------------------------------------

@@ -246,6 +246,18 @@ def test_step_limit_exit_code():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_malformed_step_limit_is_a_precondition_error(value):
+    # neither a value int() refuses nor a non-positive one reaches the
+    # rewrite engine: both end in one line naming the variable and value
+    from hopfcyc.errors import PreconditionError
+
+    proc = run_main(["check-matched-pair"], env={"HOPFCYC_STEP_LIMIT": value})
+    assert proc.returncode == PreconditionError.exit_code == 8
+    assert proc.stderr == f"error: HOPFCYC_STEP_LIMIT must be a positive integer, not {value!r}\n"
+    assert proc.stdout == ""
+
+
 def test_jsonable_renders_generators():
     # Generator is a tuple underneath; reports still show the letter
     assert cli.jsonable(Generator("d", 2)) == "d[2]"

@@ -545,7 +545,7 @@ def connes_b(inst, q, i):
     B reads the extra codegeneracy σ₋₁ = σ_q τ_(q+1), so i = q."""
     mul = linalg.compose
     d = inst.dims[q + 1]
-    fix = linalg.combine([(1, linalg.identity_columns(d)), (-1, inst.lam(q + 1))], d)
+    fix = linalg.combine([(1, linalg.identity(d)), (-1, inst.lam(q + 1))], d)
     return mul(inst.norm(q), mul(inst.codeg[q, i], mul(inst.tau[q + 1], fix)))
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcyc import cli
+from hopfcyc import cli, linalg
 from hopfcyc import kaygun as kaygun_module
 from hopfcyc.coefficients import (
     group_set_module_coalgebra,
@@ -32,7 +32,7 @@ from hopfcyc.kaygun import (
     kaygun_cocyclic_instance,
     kaygun_cohomology,
 )
-from hopfcyc.linalg import Quotient, columns, combine, compose, identity_columns, is_signed
+from hopfcyc.linalg import Quotient, columns, combine, compose, is_signed
 
 from dense_oracle import as_dense, identity, mat_sub
 from dense_oracle import mat_mul as dense_mul
@@ -345,7 +345,7 @@ def test_iso_witnesses_count_the_residual(monkeypatch, swap_cmod):
     bridge = KaygunBridge(mc_trivial(swap_cmod.hopf), swap_cmod, top=2)
     report = check_iso(bridge)
     cm, rel = kaygun_cocyclic_instance(bridge).quots[1], bridge.relative_space(1).quot
-    p, q = cm.induced_matrix(identity_columns(4), rel), rel.induced_matrix(identity_columns(4), cm)
+    p, q = cm.induced_matrix(linalg.identity(4), rel), rel.induced_matrix(linalg.identity(4), cm)
     p, q = as_dense(p, rel.dim), as_dense(q, cm.dim)
     assert dense_mul(q, p) == identity(cm.dim)
     nonzero = sum(1 for row in mat_sub(dense_mul(p, q), identity(rel.dim)) for x in row if x)

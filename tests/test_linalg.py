@@ -538,7 +538,7 @@ def test_projection_matrix_matches_elimination_route(data):
         for w in [v] + rows + target:
             assert q.project(w) == eliminating_project(q, w)
             assert q.contains_in_relations(w) == (not eliminating_reduce(q, w))
-    ident = linalg.identity_columns(ncols)
+    ident = columns(linalg.identity(ncols))
     for amb in (ident, op):
         for a, b in ((src, tgt), (tgt, src)):
             induced, nonzero = a.induced(amb, b)
@@ -603,7 +603,7 @@ def test_signed_kernel_matches_columns(data):
     assert cocyclic.mismatch(a, a2, "id") == cocyclic.mismatch(ca, ca2, "id")
     assert cocyclic.mismatch(a, ca, "id") == []
     t = linalg.transpose(ca, nrows)
-    assert linalg.monomial_transpose(a, nrows) in (t, signed(t))
+    assert linalg.transpose(a, nrows) in (t, signed(t))
 
 
 def typed(m):
@@ -640,6 +640,26 @@ def test_compose_matches_mat_mul_of_decoded_factors(data):
     assert not any(col is x for col in out for x in a if isinstance(col, dict))
 
 
+@SETTINGS
+@given(st.data())
+def test_transpose_matches_dense_transpose(data):
+    # either encoding in; a signed map stays signed exactly when no two of
+    # its nonzero columns hit one row, and every entry keeps its type
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 5))
+    a = data.draw(either_encoding(n, m), label="a")
+    before = copy.deepcopy(a)
+    out = linalg.transpose(a, n)
+    assert len(out) == n
+    assert as_dense(out, m) == [list(row) for row in zip(*as_dense(a, n))]
+    hits = [abs(e) for e in a if e] if a and linalg.is_signed(a) else None
+    assert linalg.is_signed(out) == (hits is not None and len(set(hits)) == len(hits))
+    entries = {(r, j): (x, type(x)) for j, col in enumerate(columns(a)) for r, x in col.items()}
+    assert {(r, j): (x, type(x)) for j, row in enumerate(columns(out)) for r, x in row.items()} == {
+        (j, r): e for (r, j), e in entries.items()
+    }
+    assert a == before
+
+
 def test_signed_left_factor_adds_what_it_sends_to_one_row():
     # columns 0 and 1 of a both go to row 0, with opposite signs
     a = [1, -1, 2]
@@ -658,8 +678,7 @@ def test_compose_local_matches_the_kronecker_product(data):
     p = data.draw(either_encoding(nrows, a * rows * b), label="p")
     before = copy.deepcopy((p, leg))
     out = linalg.compose_local(p, a, leg, b)
-    op = cocyclic.leg_product([linalg.identity_columns(a), columns(leg), linalg.identity_columns(b)], [a, rows, b])
-    expected = compose(p, op)
+    expected = compose(p, linalg.kron([linalg.identity(a), leg, linalg.identity(b)], [a, rows, b]))
     assert linalg.is_signed(out) == linalg.is_signed(expected)
     assert [{r: (x, t) for r, x, t in col} for col in typed(out)] == [
         {r: (x, t) for r, x, t in col} for col in typed(expected)
@@ -737,9 +756,9 @@ def test_only_monomial_columns_encode():
     assert [list(map(type, col.values())) for col in columns(signed(m))] == [[], [int], [int]]
     assert signed([{}, {3: 1}, {0: F(-1)}]) is None and signed([{0: F(1)}]) is None
     assert signed([{0: 2}]) is None and signed([{0: 1, 1: 1}]) is None
-    assert linalg.identity(3) == [1, 2, 3] == signed(linalg.identity_columns(3))
-    assert linalg.monomial_transpose([2, 0, -1], 2) == [-3, 1]
-    assert linalg.monomial_transpose([1, 1], 1) == [{0: 1, 1: 1}]  # two columns on one row
+    assert linalg.identity(3) == [1, 2, 3] and columns(linalg.identity(3)) == [{0: 1}, {1: 1}, {2: 1}]
+    assert linalg.transpose([2, 0, -1], 2) == [-3, 1]
+    assert linalg.transpose([1, 1], 1) == [{0: 1, 1: 1}]  # two columns on one row
 
 
 @st.composite

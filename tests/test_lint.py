@@ -322,17 +322,21 @@ def writes_signed_identity(node) -> bool:
     )
 
 
+ENCODING_NAMES = {"is_signed", "signed"}
+
+
 def encoding_readers(sources: dict) -> list:
-    """(file, line) of each import of ``is_signed``, each read of the name,
-    bare or as an attribute, and each ``list(range(1, …))``, a signed map
-    written by hand, in ``sources`` (file -> text)."""
+    """(file, line) of each import of ``is_signed`` or of the encoder
+    ``signed``, each read of either name, bare or as an attribute, and each
+    ``list(range(1, …))``, a signed map written by hand, in ``sources``
+    (file -> text)."""
     found = set()
     for fname, text in sources.items():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                hit = any(alias.name.split(".")[-1] == "is_signed" for alias in node.names)
+                hit = any(alias.name.split(".")[-1] in ENCODING_NAMES for alias in node.names)
             else:
-                hit = getattr(node, "id", getattr(node, "attr", None)) == "is_signed" or writes_signed_identity(node)
+                hit = getattr(node, "id", getattr(node, "attr", None)) in ENCODING_NAMES or writes_signed_identity(node)
             if hit:
                 found.add((fname, node.lineno))
     return sorted(found)
@@ -344,8 +348,11 @@ def test_encoding_readers_are_found():
         "b.py": "from hopfcyc import linalg\n\nok = linalg.is_signed(m)\ncols = linalg.columns(m)\n",
         "c.py": "def f(a):\n    return columns(a)  # is_signed in a comment is no read\n",
         "d.py": "ident = list(range(1, n + 1))\nrows = list(range(n))\nodd = list(range(1, n, 2))\n",
+        "e.py": "from .linalg import signed\n\nm = signed(cols)\nok = linalg.signed(cols) is None\nsigned_proj = 1\n",
     }
-    assert encoding_readers(sources) == [("a.py", 1), ("a.py", 3), ("b.py", 3), ("d.py", 1)]
+    assert encoding_readers(sources) == [
+        ("a.py", 1), ("a.py", 3), ("b.py", 3), ("d.py", 1), ("e.py", 1), ("e.py", 3), ("e.py", 4)
+    ]
 
 
 def test_only_linalg_reads_the_encoding():

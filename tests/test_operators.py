@@ -27,8 +27,6 @@ from hopfcyc.cocyclic import (
     OperatorTable,
     RelativeTensorSpace,
     TensorBasis,
-    kron,
-    leg_product,
     sweedler_sum,
 )
 from hopfcyc.coefficients import (
@@ -57,11 +55,9 @@ from hopfcyc.linalg import (
     Quotient,
     add_multiple,
     columns,
-    identity_columns,
     is_signed,
     orbit_rref,
     signed,
-    signed_kron,
 )
 from hopfcyc.rewrite import ConcreteRule, Presentation
 
@@ -583,25 +579,47 @@ nonzero_entries = st.one_of(
 
 
 @st.composite
-def leg_matrices(draw):
-    """1 to 4 sparse legs of 1 to 3 rows (one row, as a counit has) and 1 to
-    3 columns, each column empty or holding one or more entries."""
+def kron_legs(draw):
+    """1 to 4 legs of 0 to 3 rows (one row, as a counit has) and 0 to 3
+    columns (one column, as a unit has), each a signed map or Columns whose
+    columns are empty or hold entries among ``int`` ±1 and 2,
+    ``Fraction(1)`` and non-integral Fractions."""
     mats, dims = [], []
     for _ in range(draw(st.integers(1, 4))):
-        d, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        column = st.dictionaries(st.integers(0, d - 1), nonzero_entries, max_size=d)
-        mats.append(draw(st.lists(column, min_size=ncols, max_size=ncols)))
+        d, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            mats.append(draw(st.lists(st.integers(-d, d), min_size=ncols, max_size=ncols)))
+        else:
+            entry = st.one_of(st.sampled_from([1, -1, 2, Fraction(1)]), nonzero_entries)
+            column = st.dictionaries(st.integers(0, d - 1), entry, max_size=d) if d else st.just({})
+            mats.append(draw(st.lists(column, min_size=ncols, max_size=ncols)))
         dims.append(d)
     return mats, dims
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(leg_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kron_legs())
 def test_kron_matches_dense_kronecker_product(data):
+    # a signed map exactly when every leg is monomial, whatever its
+    # encoding; each entry the product of one entry per leg, type included
     mats, dims = data
-    out = kron(mats, dims)
+    before = copy.deepcopy(mats)
+    out = linalg.kron(mats, dims)
+    legs = [columns(m) for m in mats]
+    assert len(out) == math.prod(map(len, legs))
     assert as_dense(out, math.prod(dims)) == kronecker([as_dense(m, d) for m, d in zip(mats, dims)])
-    assert all(x for col in out for x in col.values())
+    if out:
+        assert is_signed(out) == all(signed(leg) is not None for leg in legs)
+    expected = {}
+    for js in itertools.product(*(range(len(leg)) for leg in legs)):
+        for entries in itertools.product(*(leg[j].items() for leg, j in zip(legs, js))):
+            row = col = 0
+            for (r, _), d, j, leg in zip(entries, dims, js, legs):
+                row, col = row * d + r, col * len(leg) + j
+            x = math.prod(y for _, y in entries)
+            expected[row, col] = (x, type(x))
+    assert {(r, j): (x, type(x)) for j, c in enumerate(columns(out)) for r, x in c.items()} == expected
+    assert mats == before
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -619,47 +637,9 @@ def test_kron_of_unit_legs_indexes_like_tensor_basis(legs):
     positions = [{w: i for i, w in enumerate(p.basis_words())} for p in basis.prs]
     for wt, j in basis.index.items():
         units = [[{pos[w]: 1}] for pos, w in zip(positions, wt)]
-        assert kron(units, basis.dims) == [{j: 1}]
-    ids = [identity_columns(d) for d in basis.dims]
-    assert kron(ids, basis.dims) == identity_columns(basis.dim)
-
-
-@st.composite
-def signed_legs(draw):
-    """1 to 4 monomial legs as signed maps, of 1 to 3 rows (one row, as a
-    counit has) and 1 to 3 columns (one column, as a unit has), each column
-    empty or one ±1 entry."""
-    mats, dims = [], []
-    for _ in range(draw(st.integers(1, 4))):
-        d, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        mats.append(draw(st.lists(st.integers(-d, d), min_size=ncols, max_size=ncols)))
-        dims.append(d)
-    return mats, dims
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(signed_legs())
-def test_signed_kron_matches_kron_and_dense_kronecker(data):
-    mats, dims = data
-    out = signed_kron(mats, dims)
-    assert is_signed(out) and len(out) == math.prod(map(len, mats))
-    assert columns(out) == kron([columns(m) for m in mats], dims)
-    assert as_dense(out, math.prod(dims)) == kronecker([as_dense(m, d) for m, d in zip(mats, dims)])
-
-
-def test_signed_kron_with_identity_legs_is_the_local_operator():
-    # I_a ⊗ L ⊗ I_b as the operator table builds it, for a leg with a −1
-    # column, an empty one and a +1 one and a wide identity after it
-    leg = [{2: -1}, {}, {0: 1}]
-    out = signed_kron([linalg.identity(2), signed(leg), linalg.identity(150)], [2, 3, 150])
-    assert len(out) == 2 * 3 * 150
-    legs = [identity_columns(2), leg, identity_columns(150)]
-    assert columns(out) == kron(legs, [2, 3, 150])
-    assert leg_product(legs, [2, 3, 150]) == out
-    # a leg with no signed map, an entry 2 or Fraction(1), gives kron's Columns
-    for odd in ({0: 2}, {0: Fraction(1)}):
-        legs[1] = leg[:2] + [odd]
-        assert leg_product(legs, [2, 3, 150]) == kron(legs, [2, 3, 150])
+        assert linalg.kron(units, basis.dims) == [j + 1]
+    ids = [linalg.identity(d) for d in basis.dims]
+    assert linalg.kron(ids, basis.dims) == linalg.identity(basis.dim)
 
 
 def per_term_sweedler_sum(terms, legs, basis):
@@ -668,7 +648,7 @@ def per_term_sweedler_sum(terms, legs, basis):
     ``add_multiple``."""
     out = [{} for _ in range(basis.dim)]
     for w, c in terms.items():
-        for acc, col in zip(out, kron(legs(w), basis.dims)):
+        for acc, col in zip(out, columns(linalg.kron(legs(w), basis.dims))):
             add_multiple(acc, c, col)
     return out
 
@@ -770,9 +750,16 @@ def test_sweedler_sum_signed_route_matches_per_term_route(data):
     # every term is one signed Kronecker product; one +1 term comes back as
     # a signed map, any other sum as Columns of at most one entry per term
     terms, legs, basis = data
-    with mock.patch.object(cocyclic, "signed_kron", wraps=signed_kron) as spy:
+    routes = []
+
+    def spy(mats, dims):
+        out = linalg.kron(mats, dims)
+        routes.append(is_signed(out))
+        return out
+
+    with mock.patch.object(cocyclic, "kron", spy):
         out = sweedler_sum(terms, legs.__getitem__, basis)
-    assert spy.call_count == len(terms)
+    assert routes == [True] * len(terms)
     assert is_signed(out) == (list(terms.values()) == [1])
     oracle = per_term_sweedler_sum(terms, legs.__getitem__, basis)
     assert columns(out) == oracle
