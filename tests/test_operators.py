@@ -642,6 +642,56 @@ def test_kron_of_unit_legs_indexes_like_tensor_basis(legs):
     assert linalg.kron(ids, basis.dims) == linalg.identity(basis.dim)
 
 
+
+@st.composite
+def signed_legs(draw):
+    """1 to 4 monomial legs as signed maps, of 1 to 3 rows (one row, as a
+    counit has) and 1 to 3 columns (one column, as a unit has), each column
+    empty or one ±1 entry."""
+    mats, dims = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        d, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        mats.append(draw(st.lists(st.integers(-d, d), min_size=ncols, max_size=ncols)))
+        dims.append(d)
+    return mats, dims
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(signed_legs())
+def test_signed_kron_matches_kron_and_dense_kronecker(data):
+    # signed legs give a signed map, the same whether the legs come signed
+    # or as Columns, with int ±1 entries only
+    mats, dims = data
+    out = linalg.kron(mats, dims)
+    assert is_signed(out) and len(out) == math.prod(map(len, mats))
+    assert linalg.kron([columns(m) for m in mats], dims) == out
+    assert all(type(x) is int and x in (1, -1) for col in columns(out) for x in col.values())
+    assert as_dense(out, math.prod(dims)) == kronecker([as_dense(m, d) for m, d in zip(mats, dims)])
+
+
+def test_signed_kron_with_identity_legs_is_the_local_operator():
+    # I_a ⊗ L ⊗ I_b by kron is the local operator compose_local reads, for
+    # a leg with a −1 column, an empty one and a +1 one and a wide identity
+    # after it
+    leg = [{2: -1}, {}, {0: 1}]
+    ident = linalg.identity(2 * 3 * 150)
+    out = linalg.kron([linalg.identity(2), signed(leg), linalg.identity(150)], [2, 3, 150])
+    assert is_signed(out) and len(out) == 2 * 3 * 150
+    assert linalg.kron([linalg.identity(2), leg, linalg.identity(150)], [2, 3, 150]) == out
+    assert linalg.compose_local(ident, 2, signed(leg), 150) == out
+    dense_leg = kronecker([identity(2), as_dense(leg, 3), identity(150)])
+    assert as_dense(out, 2 * 3 * 150) == dense_leg
+    # a leg with no signed map, an entry 2 or Fraction(1), gives Columns,
+    # entry types included
+    for odd in ({0: 2}, {0: Fraction(1)}):
+        legs = [linalg.identity(2), leg[:2] + [odd], linalg.identity(150)]
+        got = linalg.kron(legs, [2, 3, 150])
+        assert not is_signed(got)
+        local = linalg.compose_local(ident, 2, legs[1], 150)
+        typed = lambda m: [{r: (x, type(x)) for r, x in col.items()} for col in columns(m)]
+        assert typed(got) == typed(local)
+
+
 def per_term_sweedler_sum(terms, legs, basis):
     """:func:`sweedler_sum` by the per-term route, its oracle: the full
     Kronecker product of each term, every column built, then added with
