@@ -52,10 +52,10 @@ encoding by :func:`~hopfcyc.linalg.compose`,
 entries, else from :func:`~hopfcyc.linalg.rref`.
 
 Cyclic cohomology is computed two independent ways: on the subcomplex of
-signed τ-invariant cochains, and through the total complex of Connes'
-(b, B) mixed complex, whose B reads the codegeneracies (Connes 1985;
-Loday, *Cyclic Homology*, §2.1); agreement of the two is part of the
-test surface.
+signed τ-invariant cochains, the kernels of 1 − λ, and by
+:func:`tot_cohomology` of Connes' (b, B) mixed complex, whose B reads the
+codegeneracies (Connes 1985; Loday, *Cyclic Homology*, §2.1); agreement
+of the two is part of the test surface.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    rank,
     residual_nonzeros,
     transpose,
 )
@@ -325,7 +324,7 @@ class RelativeTensorSpace:
         self.quot = Quotient([col for cols in zip(*mats) for col in cols], basis.dim)
 
     def contains(self, te: TensorElt) -> bool:
-        return self.quot.contains_in_relations(self.basis.coords(te.terms))
+        return not self.quot.project(self.basis.coords(te.terms))
 
 
 class OperatorTable(Memo):
@@ -392,6 +391,10 @@ class FiniteComplex:
     chain operators they hold the transposes of the induced faces,
     degeneracies and T (signed where no two columns share a row), so
     cofaces raise the degree either way.
+
+    The mixed complex is read off these: :meth:`b`, ``fix[n]`` = 1 − λ_n
+    for λ_n = (−1)^n τ_n (Columns, built once per degree and kept), and
+    Connes' B (:meth:`connes_b`).
     """
 
     NAMES = {False: ("coface", "codegeneracy", "tau"), True: ("face", "degeneracy", "t")}
@@ -424,7 +427,8 @@ class FiniteComplex:
         fc, fd, ft = names
         self.coface = Memo(lambda k: induce(fc, *k))
         self.codeg = Memo(lambda k: induce(fd, *k))
-        self.tau = Memo(lambda n: induce(ft, n))
+        tau = self.tau = Memo(lambda n: induce(ft, n))
+        self.fix = Memo(lambda n: combine([(1, identity(dims[n])), ((-1) ** (n + 1), tau[n])], dims[n]))
 
     @property
     def table(self) -> Optional[OperatorTable]:
@@ -454,17 +458,15 @@ class FiniteComplex:
         """Hochschild coboundary C^n -> C^(n+1) (alternating coface sum)."""
         return alternating_sum([self.coface[n + 1, i] for i in range(n + 2)])
 
-    def lam(self, n: int) -> Columns:
-        """The signed cyclic operator λ_n = (-1)^n τ_n, as Columns."""
-        return combine([((-1) ** n, self.tau[n])], self.dims[n])
-
-    def norm(self, n: int) -> Columns:
-        """N = 1 + λ + … + λⁿ."""
-        lam = self.lam(n)
-        powers = [identity(self.dims[n])]
-        for _ in range(n):
-            powers.append(compose(lam, powers[-1]))
-        return combine([(1, p) for p in powers], self.dims[n])
+    def connes_b(self, q: int) -> Columns:
+        """Connes' B = N σ₋₁ (1 − λ): C^(q+1) -> C^q, σ₋₁ = σ_q τ_(q+1) the
+        extra codegeneracy and N = Σₖ λᵏ over k ≤ q, each λᵏ = (−1)^(qk) τᵏ
+        a signed power of τ_q."""
+        tau, powers = self.tau[q], [identity(self.dims[q])]
+        for _ in range(q):
+            powers.append(compose(tau, powers[-1]))
+        norm = combine([((-1) ** (q * k), p) for k, p in enumerate(powers)], self.dims[q])
+        return mat_mul(norm, compose(compose(self.codeg[q, q], self.tau[q + 1]), self.fix[q + 1]))
 
 
 def relative_complex(ops, top: int) -> FiniteComplex:
@@ -561,37 +563,13 @@ def check_cocyclic(inst: FiniteComplex, upto: Optional[int] = None) -> dict:
     return {"ok": ok, "witnesses": fails[:5]}
 
 
-def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
-    """Cyclic cohomology dimensions by two independent routes.
-
-    Route one restricts the coboundary b to the signed τ-invariant
-    subcomplex.  Route two is the total complex of Connes' (b, B) mixed
-    complex (Connes, *Non-commutative differential geometry*, IHÉS 1985;
-    Loday, *Cyclic Homology*, §2.1, Thm 2.1.8): Totⁿ = Cⁿ ⊕ Cⁿ⁻² ⊕ …
-    with differential b + B, where B = N σ₋₁ (1 − λ) : C^(q+1) -> C^q
-    and σ₋₁ = σ_q τ_(q+1) is the extra codegeneracy.  Its d∘d = 0, that
-    is b∘b = 0, bB + Bb = 0 and B∘B = 0, is checked.  Refuses unverified
-    instances.
-    """
-    if not inst.verified:
-        raise PreconditionError("cyclic cohomology requires a verified cocyclic instance")
-    if inst.top < upto + 1:
-        raise PreconditionError("instance too shallow for the requested degree")
-    dims = inst.dims
-    b = [inst.b(q) for q in range(upto + 1)]
-    fix = [combine([(1, identity(dims[q])), (-1, inst.lam(q))], dims[q]) for q in range(upto + 1)]  # 1 − λ
-
-    # route one: the lambda-subcomplex
-    kernels = [nullspace(transpose(fix[n], dims[n]), dims[n]) for n in range(upto + 1)]
-    # b on each kernel vector
-    ranks = [rank([mat_vec(b[n], v) for v in kernels[n]]) for n in range(upto + 1)]
-    lam_dims = [len(kernels[n]) - ranks[n] - (ranks[n - 1] if n > 0 else 0) for n in range(upto + 1)]
-
-    # route two: the (b, B) total complex
-    big_b = [
-        mat_mul(inst.norm(q), compose(compose(inst.codeg[q, q], inst.tau[q + 1]), fix[q + 1]))
-        for q in range(upto)
-    ]
+def tot_cohomology(dims: list, b: list, big_b: list, upto: int) -> list:
+    """Cohomology dimensions through degree ``upto`` of the total complex
+    of a mixed complex (b, B) (Loday, *Cyclic Homology*, §2.1, Thm 2.1.8):
+    Totⁿ = Cⁿ ⊕ Cⁿ⁻² ⊕ … with differential b + B, for ``b[q]``: C^q ->
+    C^(q+1) through q = upto and ``big_b[q]``: C^(q+1) -> C^q below it, as
+    Columns, ``dims[q]`` = dim C^q through upto + 1.  Its d∘d = 0, that is
+    b∘b = 0, bB + Bb = 0 and B∘B = 0, is checked."""
 
     def tot_diff(n):
         # C^q of Totⁿ goes by b to C^(q+1) at row r and by B to C^(q-1) at
@@ -610,7 +588,32 @@ def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
     for n in range(upto):
         if any(mat_mul(diffs[n + 1], diffs[n])):
             raise StructureError(f"bicomplex total differential fails d*d = 0 at degree {n}")
-    bic_dims = cohomology_dims(diffs, [sum(dims[n::-2]) for n in range(upto + 1)], upto)
+    return cohomology_dims(diffs, [sum(dims[n::-2]) for n in range(upto + 1)], upto)
+
+
+def cyclic_cohomology(inst: FiniteComplex, upto: int) -> dict:
+    """Cyclic cohomology dimensions by two independent routes.
+
+    Route one restricts the coboundary b to the signed τ-invariant
+    subcomplex, the kernels of 1 − λ.  Route two is
+    :func:`tot_cohomology` of Connes' (b, B) mixed complex (Connes,
+    *Non-commutative differential geometry*, IHÉS 1985), with B
+    :meth:`FiniteComplex.connes_b`.  Refuses unverified instances.
+    """
+    if not inst.verified:
+        raise PreconditionError("cyclic cohomology requires a verified cocyclic instance")
+    if inst.top < upto + 1:
+        raise PreconditionError("instance too shallow for the requested degree")
+    dims = inst.dims
+    b = [inst.b(q) for q in range(upto + 1)]
+
+    # route one: b on each kernel vector of 1 − λ
+    kernels = [nullspace(transpose(inst.fix[n], dims[n]), dims[n]) for n in range(upto + 1)]
+    restricted = [[mat_vec(b[n], v) for v in kernels[n]] for n in range(upto + 1)]
+    lam_dims = cohomology_dims(restricted, list(map(len, kernels)), upto)
+
+    # route two: the (b, B) total complex
+    bic_dims = tot_cohomology(dims, b, [inst.connes_b(q) for q in range(upto)], upto)
 
     return {
         "lambda_complex": lam_dims,

@@ -288,8 +288,7 @@ class CupData:
         inst, quot = self.c_side, self.c_side.quots[q]
         rows = transpose(inst.b(q), inst.dims[q + 1])
         if cyclic:
-            lam_minus_1 = combine([((-1) ** q, inst.tau[q]), (-1, identity(quot.dim))], quot.dim)
-            rows.extend(transpose(lam_minus_1, quot.dim))
+            rows.extend(transpose(inst.fix[q], quot.dim))
         kers = nullspace(rows, quot.dim)
         return [quot.include(v) for v in kers]
 
@@ -369,21 +368,19 @@ def check_cup_suite(group: Optional[GroupData] = None, top: int = 2, graded: boo
 
     data = CupData(ci, top)
     fails = descent_witness(data.a_inst.welldef_failures + data.c_side.welldef_failures)
+
+    # each degree's cocycles once: cyclic where the λ-constraint leaves
+    # some, else Hochschild cocycles, which still must cup to closed cochains
+    def cocycles(solve, n):
+        found = solve(n)
+        return (found, "cyclic") if found else (solve(n, cyclic=False), "hochschild")
+
+    a_side = [cocycles(data.a_side_cocycles, p) for p in range(top + 1)]
+    c_side = [cocycles(data.c_side_cocycles, q) for q in range(top + 1)]
     used = {}
     for p in range(top + 1):
         for q in range(top + 1 - p):
-            # prefer cyclic cocycles; when the λ-constraint empties the
-            # space, Hochschild cocycles still must cup to closed cochains
-            phis = data.a_side_cocycles(p)
-            phi_kind = "cyclic"
-            if not phis:
-                phis = data.a_side_cocycles(p, cyclic=False)
-                phi_kind = "hochschild"
-            zs = data.c_side_cocycles(q)
-            z_kind = "cyclic"
-            if not zs:
-                zs = data.c_side_cocycles(q, cyclic=False)
-                z_kind = "hochschild"
+            (phis, phi_kind), (zs, z_kind) = a_side[p], c_side[q]
             used[f"{p},{q}"] = f"{phi_kind}/{z_kind}"
             if not phis or not zs:
                 fails.append(f"no cocycles at bidegree ({p},{q})")

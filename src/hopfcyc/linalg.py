@@ -542,9 +542,6 @@ class Quotient:
         """Ambient representative of a quotient vector (section of project)."""
         return {self.free[k]: x for k, x in q.items()}
 
-    def contains_in_relations(self, v: SparseRow) -> bool:
-        return not self.project(v)
-
     @cached_property
     def signed_proj(self) -> Optional[Signed]:
         """``proj`` as a :data:`Signed` map, or None: it is one exactly when

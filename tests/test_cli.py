@@ -135,7 +135,7 @@ def run_main(argv, *patch, env=None):
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
-@pytest.mark.parametrize("command", ["verify-hopf", "reproduce-paper", "cohomology", "cup"])
+@pytest.mark.parametrize("command", ["verify-hopf", "reproduce-paper", "cohomology", "kaygun", "cup"])
 def test_reports_do_not_depend_on_hash_order(command, seed):
     # letters hash by identity and strings by the seed, so neither the
     # seed nor memory layout may reach the order of a report; rank picks

@@ -25,6 +25,7 @@ from hopfcyc.cocyclic import (
     check_cocyclic,
     cyclic_cohomology,
     relative_complex,
+    tot_cohomology,
 )
 from hopfcyc.coefficients import (
     ModuleComodule,
@@ -540,21 +541,12 @@ def test_op_matrix_reads_only_leg_sized_bases(monkeypatch):
 # -- Connes' B and the (b, B) mixed complex ------------------------------------------
 
 
-def connes_b(inst, q, i):
-    """B = N σ_i τ (1 − λ) from C^(q+1) to C^q of a verified complex; Connes'
-    B reads the extra codegeneracy σ₋₁ = σ_q τ_(q+1), so i = q."""
-    mul = linalg.compose
-    d = inst.dims[q + 1]
-    fix = linalg.combine([(1, linalg.identity(d)), (-1, inst.lam(q + 1))], d)
-    return mul(inst.norm(q), mul(inst.codeg[q, i], mul(inst.tau[q + 1], fix)))
-
-
-def mixed_residues(inst, sigma=lambda q: q):
+def mixed_residues(inst):
     """The nonzero entries of bB + Bb on Cⁿ for n < top, and of B∘B from
-    Cⁿ⁺² for n < top − 1, with B from C^(q+1) read through σ_sigma(q)."""
+    Cⁿ⁺² for n < top − 1, with B from C^(q+1) by ``inst.connes_b(q)``."""
     top, mul = inst.top, linalg.compose
     b = [inst.b(q) for q in range(top)]
-    big_b = [connes_b(inst, q, sigma(q)) for q in range(top)]
+    big_b = [inst.connes_b(q) for q in range(top)]
     anti = []
     for n in range(top):
         b_big_b = mul(b[n - 1], big_b[n - 1]) if n else [{}] * inst.dims[0]
@@ -590,10 +582,13 @@ def test_connes_b_gives_a_mixed_complex_on_s3_mod_a3(s3_mod_a3):
 
 
 @pytest.mark.parametrize("name", ["swap_trivial", "swap_graded"])
-def test_wrong_extra_codegeneracy_breaks_the_mixed_identity(deep_instances, name):
+def test_wrong_extra_codegeneracy_breaks_the_mixed_identity(monkeypatch, deep_instances, name):
     # σ₀ τ in place of σ_q τ: B∘B stays zero, since (1 − λ) N = 0 whatever
     # sits between, but bB + Bb fails from C² on
-    anti, square = mixed_residues(deep_instances[name], sigma=lambda q: 0)
+    inst = deep_instances[name]
+    codeg = inst.codeg
+    monkeypatch.setattr(inst, "codeg", Memo(lambda k: codeg[k[0], 0]))
+    anti, square = mixed_residues(inst)
     assert [n for n, k in enumerate(anti) if k] == [2, 3, 4, 5, 6]
     assert square == [0] * 6
 
@@ -605,6 +600,44 @@ def test_route_two_refuses_a_total_complex_with_d_squared_nonzero(swap_cmod):
     inst.codeg = Memo(lambda k: codeg[k[0], 0])
     with pytest.raises(StructureError, match=r"fails d\*d = 0 at degree 2$"):
         cyclic_cohomology(inst, 3)
+
+
+def test_tot_cohomology_of_zero_maps_counts_tot():
+    # b = B = 0: every cochain of Totⁿ = Cⁿ ⊕ Cⁿ⁻² ⊕ … is a cocycle and
+    # none is a coboundary
+    dims = [1, 2, 3, 4, 5]
+    b = [[{}] * d for d in dims[:4]]
+    big_b = [[{}] * d for d in dims[1:4]]
+    assert tot_cohomology(dims, b, big_b, 3) == [1, 2, 3 + 1, 4 + 2]
+
+
+def test_tot_cohomology_of_the_ground_field(point_cmod):
+    # the mixed complex of k, one basis vector per degree: b_q sums q + 2
+    # identities with alternating signs, so b_q = 1 for odd q and 0 for
+    # even q; λ_q = (−1)^q, so 1 − λ_(q+1) is 2 for even q and 0 for odd
+    # q, N_q is q + 1 for even q, and B_q = 2(q + 1) for even q, else 0.
+    # Tot⁰ = C⁰, Tot¹ = C¹, Tot² = C² ⊕ C⁰, Tot³ = C³ ⊕ C¹; d⁰ = 0,
+    # d¹ = (b₁, B₀) = (1, 2) has rank 1, d² = 0, and d³ has rows C⁴, C², C⁰
+    # and columns C³, C¹: [[1, 0], [6, 1], [0, 2]], of rank 2.  So HCⁿ is
+    # 1 − 0, 1 − 1 − 0, 2 − 0 − 1, 2 − 2 − 0: k in even degrees.
+    dims = [1] * 5
+    b = [[{}], [{0: 1}], [{}], [{0: 1}]]
+    big_b = [[{0: 2}], [{}], [{0: 6}]]
+    assert tot_cohomology(dims, b, big_b, 3) == [1, 0, 1, 0]
+    # and it is the mixed complex of the one-point instance
+    inst = build_coalgebra_instance(mc_trivial(point_cmod.hopf), point_cmod, 4)
+    assert check_cocyclic(inst)["ok"] and inst.dims == dims
+    assert [inst.b(q) for q in range(4)] == b and [inst.connes_b(q) for q in range(3)] == big_b
+
+
+def test_tot_cohomology_refuses_b_squared_nonzero():
+    # B = 1 from every C^(q+1) to C^q: bB + Bb = 0 with b = 0, but B∘B
+    # sends C² through C¹ to C⁰, so d³ ∘ d² ≠ 0 on the C² block of Tot²
+    dims = [1] * 5
+    b = [[{}]] * 4
+    big_b = [[{0: 1}]] * 3
+    with pytest.raises(StructureError, match=r"^bicomplex total differential fails d\*d = 0 at degree 2$"):
+        tot_cohomology(dims, b, big_b, 3)
 
 
 def h4_scalar_coefficients(h4, name):

@@ -412,6 +412,26 @@ def test_cup_suite_builds_one_ops_object_per_carrier_pair(monkeypatch):
     assert sorted(built) == ["AlgebraChainOps", "AlgebraChainOps", "CoalgebraOps"]
 
 
+def test_cup_suite_solves_each_degree_once(monkeypatch):
+    # each side's cocycles of each degree are solved once, with one more
+    # solve for the Hochschild fallback, not once per bidegree that reads them
+    seen = []
+    for side in ("a_side_cocycles", "c_side_cocycles"):
+
+        def recording(self, n, cyclic=True, real=getattr(CupData, side), side=side):
+            seen.append((side, n, cyclic))
+            return real(self, n, cyclic)
+
+        monkeypatch.setattr(CupData, side, recording)
+    report = check_cup_suite(top=4)
+    assert len(seen) == len(set(seen))
+    assert {(side, n) for side, n, _ in seen} == set(iproduct(("a_side_cocycles", "c_side_cocycles"), range(5)))
+    for pq, kinds in report["checks"][-1]["inputs"].items():
+        p, q = map(int, pq.split(","))
+        for side, n, kind in zip(("a_side_cocycles", "c_side_cocycles"), (p, q), kinds.split("/")):
+            assert ((side, n, False) in seen) == (kind == "hochschild")
+
+
 def test_unclosed_cup_names_the_cocycle_pair(monkeypatch):
     def spike(self, phi_row, p, z_amb, q):  # the indicator of basis tensor 0
         return [F1] + [F0] * (self.ordinary.bases[p + q].dim - 1)

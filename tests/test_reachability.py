@@ -99,7 +99,6 @@ ALLOWLIST = {
     "core.TensorElt.__repr__": DUNDER,
     "dsl.Parser.fail": ERROR,
     "errors.ParseError.__init__": ERROR,
-    "linalg.Quotient.contains_in_relations": "test-only API: test_quotient_maps_match_dense_routes",
     "linalg.Quotient.induced_matrix": TRACED,
     "linalg.Quotient.preserves_relations": TRACED,
     "linalg.Quotient.project": TRACED,
