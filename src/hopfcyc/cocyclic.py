@@ -317,14 +317,10 @@ class RelativeTensorSpace:
 
     def __init__(self, ops, n: int):
         h = ops.mc.hopf
-        self.n = n
         self.basis = basis = ops.basis[n]
         words = [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]
         mats = [columns(sweedler_sum(ops.relation(h.from_word(w), n).terms, ops.act_legs, basis)) for w in words]
         self.quot = Quotient([col for cols in zip(*mats) for col in cols], basis.dim)
-
-    def contains(self, te: TensorElt) -> bool:
-        return not self.quot.project(self.basis.coords(te.terms))
 
 
 class OperatorTable(Memo):

@@ -7,12 +7,12 @@ algebra A, modular-pair-in-involution identities, the coideal quotient of
 the bicrossed product, and the tensor product of an anti-Yetter-Drinfeld
 with a Yetter-Drinfeld module.
 
-The two sides of the anti-Yetter-Drinfeld condition are written once, in
-:func:`ayd_sides`.  A relative condition is the plain one with its H leg
-pushed into the carrier by the carrier's ``push``: x ↦ x ▹ c for a module
-coalgebra, x ↦ S⁻¹(x) ▹ a for a module algebra.  So SAYD coefficients
-satisfy every relative condition, not conversely.  Stability relative to a
-finite C or A is decided in the quotients built by :mod:`hopfcyc.cocyclic`.
+The anti-Yetter-Drinfeld sides are written once, in :func:`ayd_sides`, and
+the stability difference once, in :func:`stability_difference`.  One
+checker pushes the H legs of both halves into a module coalgebra C or a
+module algebra A by the carrier's ``push``, x ↦ x ▹ c or x ↦ S⁻¹(x) ▹ a,
+so SAYD coefficients satisfy every relative condition, not conversely; on
+a finite C or A it decides stability in the quotients of :mod:`hopfcyc.cocyclic`.
 
 Every failing check reports the exact (normalized) difference tensor, so
 results can be compared term-by-term against expected values.
@@ -144,6 +144,20 @@ def mc_graded_group(hopf: HopfPresentation, space: Presentation) -> ModuleComodu
 # -- module coalgebras and module algebras ------------------------------------
 
 
+def _module_axioms(act, hopf: HopfPresentation, hs: list, xs: list, key: str) -> dict:
+    """The unit and associativity check of a left H-action ``act`` on the
+    samples xs, h and g running over hs; a witness names x under ``key``."""
+    fails = []
+    for x in xs:
+        if act(hopf.unit(), x) != x:
+            fails.append(f"{key}={x}")
+        for a in hs:
+            for b in hs:
+                if act(a, act(b, x)) != act(a * b, x):
+                    fails.append(f"h={a}, g={b}, {key}={x}")
+    return {"name": "module axioms", "ok": not fails, "witnesses": fails[:3]}
+
+
 @dataclass
 class HModuleCoalgebra:
     """A coalgebra C with a left H-action under which Δ_C and ε_C are
@@ -163,17 +177,7 @@ class HModuleCoalgebra:
         h, c = self.hopf, self.coalg
         hs = [h.from_word(w) for w in h.normal_words(2, 2)]
         cs = [c.from_word(w) for w in c.normal_words(2, 2)]
-        checks = []
-
-        fails = []
-        for cc in cs:
-            if self.act(h.unit(), cc) != cc:
-                fails.append(f"c={cc}")
-            for a in hs:
-                for b in hs:
-                    if self.act(a, self.act(b, cc)) != self.act(a * b, cc):
-                        fails.append(f"h={a}, g={b}, c={cc}")
-        checks.append({"name": "module axioms", "ok": not fails, "witnesses": fails[:3]})
+        checks = [_module_axioms(self.act, h, hs, cs, "c")]
 
         fails = []
         for a in hs:
@@ -217,17 +221,7 @@ class HModuleAlgebra:
         h, alg = self.hopf, self.alg
         hs = [h.from_word(w) for w in h.normal_words(2, 2)]
         xs = [alg.from_word(w) for w in alg.normal_words(2, 2)]
-        checks = []
-
-        fails = []
-        for x in xs:
-            if self.act(h.unit(), x) != x:
-                fails.append(f"a={x}")
-            for a in hs:
-                for b in hs:
-                    if self.act(a, self.act(b, x)) != self.act(a * b, x):
-                        fails.append(f"h={a}, g={b}, a={x}")
-        checks.append({"name": "module axioms", "ok": not fails, "witnesses": fails[:3]})
+        checks = [_module_axioms(self.act, h, hs, xs, "a")]
 
         fails = []
         for a in hs:
@@ -342,34 +336,6 @@ def _sayd_report(ayd_fails: list, st_fails: list) -> dict:
     }
 
 
-def _relative_ayd_failures(mc: ModuleComodule, carrier, key: str, xs: list, hs: list) -> list:
-    """The anti-Yetter-Drinfeld condition pushed into a carrier: for each
-    (m, h) the difference of :func:`ayd_sides` is carried by
-    ``carrier.push(x)`` at every sample x and must vanish.  A witness names
-    the sample under ``key`` and shows the pushed coaction side."""
-    fails = []
-    for m in mc.basis():
-        for a in hs:
-            lhs, rhs = ayd_sides(mc, m, a)
-            diff = lhs - rhs
-            if diff.is_zero:
-                continue
-            for x in xs:
-                push = carrier.push(x)
-                pushed = diff.leg_apply(1, push)
-                if not pushed.is_zero:
-                    fails.append(
-                        {
-                            "m": str(m),
-                            "h": str(a),
-                            key: str(x),
-                            "lhs": str(lhs.leg_apply(1, push)),
-                            "difference": str(pushed),
-                        }
-                    )
-    return fails
-
-
 def check_sayd(mc: ModuleComodule, degree: int = 2, index_bound: int = 2) -> dict:
     """Plain stable anti-Yetter-Drinfeld check: the two sides of
     :func:`ayd_sides` agree, and stability m⟨0⟩ m⟨-1⟩ = m."""
@@ -390,8 +356,88 @@ def check_sayd(mc: ModuleComodule, degree: int = 2, index_bound: int = 2) -> dic
     return _sayd_report(ayd_fails, st_fails)
 
 
-# chains per n that check_ch_sayd tests for stability
+def stability_difference(mc: ModuleComodule, carrier, m: AlgElt, chain: tuple) -> TensorElt:
+    """m⟨0⟩ ⊗ push(x₀)(m⟨-1⟩⁽¹⁾) ⊗ … ⊗ push(xₙ)(m⟨-1⟩⁽ⁿ⁺¹⁾) − m ⊗ x̃ for a
+    chain x̃ = (x₀, …, xₙ) of carrier samples, push = ``carrier.push``."""
+    h = mc.hopf
+    pushes = [carrier.push(x) for x in chain]
+    plain = tensor([m]).outer(tensor(chain))
+    left = plain.scale(0)
+    for (w, m0), cm in mc.coact(m).terms.items():
+        # m⟨-1⟩ acts diagonally on the whole chain
+        for legs, ch in h.sweedler(h.from_word(w), len(chain)).terms.items():
+            fs = [mc.space.from_word(m0)] + [p(h.from_word(g)) for p, g in zip(pushes, legs)]
+            left = left + tensor(fs).scale(cm * ch)
+    return left - plain
+
+
+# chains per n that a relative SAYD check tests for stability
 MAX_STABILITY_CHAINS = 64
+
+
+def _relative_sayd(
+    ops, carrier, space, key: str, degree: int, index_bound: int, max_chain: int
+) -> dict:
+    """SAYD relative to ``carrier``, a module coalgebra or algebra over
+    ``space``, whose chains ``ops`` builds; both halves push their H legs
+    into the carrier by ``carrier.push``.
+
+    Compatibility: the difference of :func:`ayd_sides` at each (m, h),
+    pushed at each sample x, vanishes; a witness names x under ``key`` and
+    shows the pushed coaction side.  Stability: the
+    :func:`stability_difference` of each chain of n + 1 samples, n =
+    0..``max_chain``, vanishes, or on finite carriers lies in the relations
+    of the degree-n :class:`~hopfcyc.cocyclic.RelativeTensorSpace`, which
+    the cohomology divides by (h up to degree and index 2); a witness names
+    n, m and the chain.  ``degree`` and ``index_bound`` select the samples
+    only.  Over ``MAX_STABILITY_CHAINS`` chains of one degree raise
+    :class:`PreconditionError`.
+    """
+    from .cocyclic import RelativeTensorSpace
+
+    mc, h = ops.mc, ops.mc.hopf
+    ms = mc.basis()
+    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
+    xs = [space.from_word(w) for w in space.normal_words(degree, index_bound)]
+
+    ayd_fails = []
+    for m in ms:
+        for a in hs:
+            lhs, rhs = ayd_sides(mc, m, a)
+            diff = lhs - rhs
+            if diff.is_zero:
+                continue
+            for x in xs:
+                push = carrier.push(x)
+                pushed = diff.leg_apply(1, push)
+                if not pushed.is_zero:
+                    ayd_fails.append(
+                        {
+                            "m": str(m),
+                            "h": str(a),
+                            key: str(x),
+                            "lhs": str(lhs.leg_apply(1, push)),
+                            "difference": str(pushed),
+                        }
+                    )
+
+    st_fails = []
+    finite = mc.space.finite_basis is not None and space.finite_basis is not None
+    rels = Memo(lambda n: RelativeTensorSpace(ops, n))
+    for n in range(max_chain + 1):
+        if len(xs) ** (n + 1) > MAX_STABILITY_CHAINS:
+            raise PreconditionError(
+                f"{key}h-SAYD stability at n={n} needs {len(xs) ** (n + 1)} chains,"
+                f" over the bound of {MAX_STABILITY_CHAINS}; sample fewer chains"
+            )
+        for chain in iproduct(xs, repeat=n + 1):
+            for m in ms:
+                diff = stability_difference(mc, carrier, m, chain)
+                if diff.is_zero or (finite and not rels[n].quot.project(rels[n].basis.coords(diff.terms))):
+                    continue
+                chain_str = " ⊗ ".join(map(str, chain))
+                st_fails.append({"n": n, "m": str(m), key: chain_str, "difference": str(diff)})
+    return _sayd_report(ayd_fails, st_fails)
 
 
 def check_ch_sayd(
@@ -401,109 +447,29 @@ def check_ch_sayd(
     index_bound: int = 2,
     max_chain: int = 2,
 ) -> dict:
-    """SAYD relative to a module coalgebra C.
+    """SAYD relative to a module coalgebra C, by :func:`_relative_sayd`
+    with x ↦ x ▹ c: (mh)⟨-1⟩ c ⊗ (mh)⟨0⟩ = S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾ c ⊗ m⟨0⟩ h⁽²⁾
+    on samples, and m⟨0⟩ ⊗ m⟨-1⟩ c̃ − m ⊗ c̃ in the ⊗_H relations on the
+    chains of n + 1 sampled c's, n = 0..``max_chain``."""
+    from .cocyclic import CoalgebraOps
 
-    The compatibility half is the plain anti-Yetter-Drinfeld condition
-    with its H leg pushed into C by x ↦ x ▹ c: (mh)⟨-1⟩ c ⊗ (mh)⟨0⟩ =
-    S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾ c ⊗ m⟨0⟩ h⁽²⁾ on samples.  Stability tests
-    m⟨0⟩ ⊗ m⟨-1⟩ c̃ − m ⊗ c̃; a zero difference passes outright, and
-    otherwise membership in the ⊗_H relation subspace of
-    :class:`~hopfcyc.cocyclic.RelativeTensorSpace` is decided exactly
-    (finite carriers only).  That subspace is the one the cohomology
-    divides by (h up to degree and index 2); ``degree`` and
-    ``index_bound`` select the samples only.  Stability is checked on every
-    chain of sampled c's of length n + 1 for n = 0..``max_chain``, at most
-    ``MAX_STABILITY_CHAINS`` chains per n; more raises
-    :class:`PreconditionError`.
-    """
-    from .cocyclic import CoalgebraOps, RelativeTensorSpace
-
-    h, c = mc.hopf, c_mod.coalg
-    ms = mc.basis()
-    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
-    cs = [c.from_word(w) for w in c.normal_words(degree, index_bound)]
-    ayd_fails = _relative_ayd_failures(mc, c_mod, "c", cs, hs)
-
-    st_fails = []
-    finite = mc.space.finite_basis is not None and c.finite_basis is not None
     ops = CoalgebraOps(mc, c_mod)
-    rels = Memo(lambda n: RelativeTensorSpace(ops, n))
-    for n in range(max_chain + 1):
-        if len(cs) ** (n + 1) > MAX_STABILITY_CHAINS:
-            raise PreconditionError(
-                f"ch-SAYD stability at n={n} needs {len(cs) ** (n + 1)} chains,"
-                f" over the bound of {MAX_STABILITY_CHAINS}; lower max_chain"
-            )
-        for chain in iproduct(cs, repeat=n + 1):
-            for m in ms:
-                cm = mc.coact(m)
-                left = tensor([m]).outer(tensor(chain)).scale(0)
-                for (w, m0), cc in cm.terms.items():
-                    # m⟨-1⟩ acts diagonally on the whole chain
-                    dn = h.sweedler(h.from_word(w), n + 1)
-                    for legs, ch in dn.terms.items():
-                        fs = [mc.space.from_word(m0)] + [
-                            c_mod.act(h.from_word(legs[i]), chain[i]) for i in range(n + 1)
-                        ]
-                        left = left + tensor(fs).scale(cc * ch)
-                diff = left - tensor([m]).outer(tensor(chain))
-                if diff.is_zero:
-                    continue
-                if not finite:
-                    st_fails.append({"n": n, "m": str(m), "difference": str(diff)})
-                    continue
-                if not rels[n].contains(diff):
-                    st_fails.append({"n": n, "m": str(m), "difference": str(diff)})
-
-    return _sayd_report(ayd_fails, st_fails)
+    return _relative_sayd(ops, c_mod, c_mod.coalg, "c", degree, index_bound, max_chain)
 
 
 def check_ah_sayd(
     mc: ModuleComodule, a_mod: HModuleAlgebra, degree: int = 2, index_bound: int = 2
 ) -> dict:
-    """SAYD relative to a module algebra A.
-
-    Condition i) is the plain anti-Yetter-Drinfeld condition with its H leg
-    pushed into A by x ↦ S⁻¹(x) ▹ a: S⁻¹((mh)⟨-1⟩) a ⊗ (mh)⟨0⟩ =
+    """SAYD relative to a module algebra A, by :func:`_relative_sayd` with
+    x ↦ S⁻¹(x) ▹ a.  Condition i): S⁻¹((mh)⟨-1⟩) a ⊗ (mh)⟨0⟩ =
     S⁻¹(m⟨-1⟩ h⁽¹⁾) h⁽³⁾ a ⊗ m⟨0⟩ h⁽²⁾, since S⁻¹(S(h⁽³⁾) m⟨-1⟩ h⁽¹⁾) =
     S⁻¹(m⟨-1⟩ h⁽¹⁾) h⁽³⁾.  Condition ii) (stability against H-linear
-    functionals): m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩) ã − m ⊗ ã must lie in
-    span{vh − ε(h)v}, the relations of the degree-0
-    :class:`~hopfcyc.cocyclic.RelativeTensorSpace` of the algebra side; a
-    zero difference passes outright.  That quotient uses h up to degree and
-    index 2; ``degree`` and ``index_bound`` select the samples only.
-    """
-    from .cocyclic import AlgebraChainOps, RelativeTensorSpace
+    functionals): m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩) a − m ⊗ a lies in span{vh − ε(h)v},
+    for single samples a (n = 0)."""
+    from .cocyclic import AlgebraChainOps
 
-    h, alg = mc.hopf, a_mod.alg
-    ms = mc.basis()
-    hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
-    xs = [alg.from_word(w) for w in alg.normal_words(degree, index_bound)]
-    ayd_fails = _relative_ayd_failures(mc, a_mod, "a", xs, hs)
-
-    st_fails = []
-    finite = mc.space.finite_basis is not None and alg.finite_basis is not None
-    rel = None
-    for m in ms:
-        cm = mc.coact(m)
-        for x in xs:
-            left = tensor([m, x]).scale(0)
-            for (w, m0), c in cm.terms.items():
-                left = left + tensor(
-                    [mc.space.from_word(m0), a_mod.act(h.inv_antipode(h.from_word(w)), x)]
-                ).scale(c)
-            diff = left - tensor([m, x])
-            if diff.is_zero:
-                continue
-            if not finite:
-                st_fails.append({"m": str(m), "a": str(x), "difference": str(diff)})
-                continue
-            if rel is None:
-                rel = RelativeTensorSpace(AlgebraChainOps(mc, a_mod), 0)
-            if not rel.contains(diff):
-                st_fails.append({"m": str(m), "a": str(x), "difference": str(diff)})
-
-    return _sayd_report(ayd_fails, st_fails)
+    ops = AlgebraChainOps(mc, a_mod)
+    return _relative_sayd(ops, a_mod, a_mod.alg, "a", degree, index_bound, 0)
 
 
 # -- coideal quotients ---------------------------------------------------------

@@ -544,7 +544,6 @@ class Presentation:
         rules: Sequence[Rule] = (),
         finite_basis: Optional[Sequence[Word]] = None,
         unit_terms: Optional[dict] = None,
-        check_rules: bool = True,
     ):
         self.name = name
         self.generators = dict(generators)
@@ -552,8 +551,7 @@ class Presentation:
             if nm not in self.generators:
                 raise StructureError(f"precedence mentions unknown generator {nm!r}")
         self.ruleset = RuleSet(rules, precedence)
-        if check_rules:
-            self.ruleset.check_all()
+        self.ruleset.check_all()
         self.finite_basis = list(finite_basis) if finite_basis is not None else None
         self.unit_terms = unit_terms
         self._elts = Memo(lambda w: AlgElt(self, {w: ONE}))

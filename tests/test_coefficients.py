@@ -1,11 +1,14 @@
 """Coefficient carriers: SAYD checks, modular pairs, the coideal quotient,
 and the two compatibility counterexamples."""
 
+from itertools import product as iproduct
+
 from hopfcyc import cocyclic
 import pytest
 
 from hopfcyc.coefficients import (
     MAX_STABILITY_CHAINS,
+    ModuleComodule,
     ayd_sides,
     build_coideal_quotient_bicrossed,
     check_ah_sayd,
@@ -21,13 +24,14 @@ from hopfcyc.coefficients import (
     mc_graded_group,
     mc_regular,
     mc_trivial,
+    stability_difference,
     tensor_ayd_yd,
 )
 from hopfcyc.core import tensor
 from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.errors import PreconditionError
 from hopfcyc.hopf import Character, GroupLike
-from hopfcyc.instances import build_group_algebra, cyclic_group, modular_character
+from hopfcyc.instances import build_group_algebra, cyclic_group, modular_character, retag
 
 
 def test_trivial_carrier_is_sayd(swap_cmod):
@@ -147,16 +151,17 @@ def test_algebra_stability_in_cochain_quotient(s3):
 
 
 def test_coalgebra_stability_finite_branch(swap_cmod, monkeypatch):
-    # nonzero stability differences on the swap instance are decided by
-    # membership in the relative tensor quotient, at every chain length
+    # nonzero stability differences on the swap instance are decided in the
+    # relative tensor quotient, built once per chain length; the A side
+    # tests chains of one sample, so it builds degree 0 only
     seen = []
-    contains = cocyclic.RelativeTensorSpace.contains
+    init = cocyclic.RelativeTensorSpace.__init__
 
-    def spy(self, te):
-        seen.append(self.n)
-        return contains(self, te)
+    def spy(self, ops, n):
+        seen.append(n)
+        init(self, ops, n)
 
-    monkeypatch.setattr(cocyclic.RelativeTensorSpace, "contains", spy)
+    monkeypatch.setattr(cocyclic.RelativeTensorSpace, "__init__", spy)
     g = cyclic_group(2)
     h = swap_cmod.hopf
     for mc in (
@@ -166,7 +171,50 @@ def test_coalgebra_stability_finite_branch(swap_cmod, monkeypatch):
         seen.clear()
         report = check_ch_sayd(mc, swap_cmod)
         assert report["ok"], report
-        assert sorted(set(seen)) == [0, 1, 2]
+        assert seen == [0, 1, 2]
+    ci = build_group_cup_instance(g, graded=True)
+    seen.clear()
+    report = check_ah_sayd(ci.mc, ci.a_mod)
+    assert report["ok"], report
+    assert seen == [0]
+
+
+def translation_coefficients(h):
+    """kZ2 over the group algebra h of Z2, by right translation m·x = mx
+    with the grading coaction: not stable, since m⟨0⟩ m⟨-1⟩ = g g = 1 at
+    m = g."""
+    space = build_group_algebra(cyclic_group(2), name="kG_t")
+    return ModuleComodule(
+        "translation", h, space, lambda m, x: m * retag(x, space), mc_graded_group(h, space).coact
+    )
+
+
+def test_unstable_coefficients_name_their_chains(swap_cmod):
+    # g ⊗ g▹x − g ⊗ x is not a relation on either side; failing chains of
+    # one degree tell apart only by the chain they name
+    ci = build_group_cup_instance(cyclic_group(2))
+    for check, carrier, expected in (
+        (
+            check_ch_sayd,
+            swap_cmod,
+            [
+                {"n": 0, "m": "g", "c": "a", "difference": "-g⊗a + g⊗b"},
+                {"n": 0, "m": "g", "c": "b", "difference": "g⊗a - g⊗b"},
+                {"n": 1, "m": "g", "c": "a ⊗ a", "difference": "-g⊗a⊗a + g⊗b⊗b"},
+            ],
+        ),
+        (
+            check_ah_sayd,
+            ci.a_mod,
+            [
+                {"n": 0, "m": "g", "a": "e_1", "difference": "-g⊗e_1 + g⊗e_g"},
+                {"n": 0, "m": "g", "a": "e_g", "difference": "g⊗e_1 - g⊗e_g"},
+            ],
+        ),
+    ):
+        mc = translation_coefficients(carrier.hopf)
+        assert not check_sayd(mc)["stability"]["ok"]
+        assert check(mc, carrier)["stability"]["witnesses"] == expected
 
 
 def test_module_carriers_validate(swap_cmod, bicrossed):
@@ -256,6 +304,32 @@ def a_side_oracle(mc, a_mod, m, h, a):
     )
 
 
+def c_side_stability_oracle(mc, c_mod, m, chain):
+    """m⟨0⟩ ⊗ m⟨-1⟩⁽¹⁾ ▹ c₀ ⊗ … ⊗ m⟨-1⟩⁽ⁿ⁺¹⁾ ▹ cₙ − m ⊗ c̃, written out."""
+    h, n = mc.hopf, len(chain) - 1
+    left = tensor([m]).outer(tensor(chain)).scale(0)
+    for (w, m0), cc in mc.coact(m).terms.items():
+        # m⟨-1⟩ acts diagonally on the whole chain
+        dn = h.sweedler(h.from_word(w), n + 1)
+        for legs, ch in dn.terms.items():
+            fs = [mc.space.from_word(m0)] + [
+                c_mod.act(h.from_word(legs[i]), chain[i]) for i in range(n + 1)
+            ]
+            left = left + tensor(fs).scale(cc * ch)
+    return left - tensor([m]).outer(tensor(chain))
+
+
+def a_side_stability_oracle(mc, a_mod, m, a):
+    """m⟨0⟩ ⊗ S⁻¹(m⟨-1⟩) ▹ a − m ⊗ a, written out."""
+    h = mc.hopf
+    left = tensor([m, a]).scale(0)
+    for (w, m0), c in mc.coact(m).terms.items():
+        left = left + tensor(
+            [mc.space.from_word(m0), a_mod.act(h.inv_antipode(h.from_word(w)), a)]
+        ).scale(c)
+    return left - tensor([m, a])
+
+
 def relative_cases(bicrossed, swap_cmod, s3):
     """(coefficients, carrier, oracle, sample space, degree, index bound):
     the ch-sayd and ah-sayd inputs, the trivial pair over F ▷◁ U, and the
@@ -295,6 +369,26 @@ def test_pushed_ayd_difference_matches_written_out_sides(bicrossed, swap_cmod, s
                 for x in xs:
                     pushed = (lhs - rhs).leg_apply(1, carrier.push(x))
                     assert pushed.terms == oracle(mc, carrier, m, h, x).terms, (mc.name, m, h, x)
+
+
+def test_pushed_stability_difference_matches_written_out_sides(bicrossed, swap_cmod, s3):
+    # stability pushes m⟨-1⟩ into the chain as the compatibility half pushes
+    # its H leg; the differences the checkers once wrote out per carrier must
+    # agree on every chain the checks test: up to n = 2 within the chain
+    # bound on C, one sample on A
+    for mc, carrier, oracle, space, degree, bound in relative_cases(bicrossed, swap_cmod, s3):
+        xs = [space.from_word(w) for w in space.normal_words(degree, bound)]
+        if oracle is c_side_oracle:
+            fits = max(n for n in range(3) if len(xs) ** (n + 1) <= MAX_STABILITY_CHAINS)
+            chains = [ch for n in range(fits + 1) for ch in iproduct(xs, repeat=n + 1)]
+            written = c_side_stability_oracle
+        else:
+            chains = [(x,) for x in xs]
+            written = lambda mc, a_mod, m, chain: a_side_stability_oracle(mc, a_mod, m, chain[0])
+        for chain in chains:
+            for m in mc.basis():
+                got = stability_difference(mc, carrier, m, chain)
+                assert got.terms == written(mc, carrier, m, chain).terms, (mc.name, m, chain)
 
 
 def test_sayd_implies_relative_ayd(bicrossed, swap_cmod, s3):

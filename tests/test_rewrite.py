@@ -186,14 +186,13 @@ def test_worklist_matches_oracle_without_confluence():
         FunctionRule(2, c_any),
         ConcreteRule((c, b), {(b, a): 1}),
     ]
-    pres = Presentation("nc", {"a": False, "b": False, "c": False}, ("a", "b", "c"),
-                        rules, check_rules=False)
-    assert not validate_ruleset(pres.ruleset).ok
+    rs = RuleSet(rules, ("a", "b", "c"))
+    assert not validate_ruleset(rs).ok
     rng = random.Random(77)
     oracle_cache: dict = {}
     for _ in range(200):
         w = tuple(rng.choice((a, b, c)) for _ in range(rng.randint(0, 9)))
-        assert pres.normalize_terms({w: 1}) == recursive_nf(pres.ruleset, w, oracle_cache), w
+        assert rs.normalize_terms({w: 1}) == recursive_nf(rs, w, oracle_cache), w
 
 
 # -- random rule sets that are not confluent ------------------------------------
@@ -364,15 +363,9 @@ def test_long_word_needs_no_recursion():
 
 def test_cyclic_rules_hit_the_step_guard(monkeypatch):
     monkeypatch.setenv("HOPFCYC_STEP_LIMIT", "1000")
-    pres = Presentation(
-        "cyc",
-        {"a": False, "b": False},
-        ("a", "b"),
-        [ConcreteRule((B, A), {(A, B): 1}), ConcreteRule((A, B), {(B, A): 1})],
-        check_rules=False,
-    )
+    rs = RuleSet([ConcreteRule((B, A), {(A, B): 1}), ConcreteRule((A, B), {(B, A): 1})], ("a", "b"))
     with pytest.raises(RewriteLimitError):
-        pres.normalize_terms({(B, A): 1})
+        rs.normalize_terms({(B, A): 1})
 
 
 def test_step_count_spans_the_whole_call(monkeypatch):
