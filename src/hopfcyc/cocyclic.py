@@ -2,8 +2,9 @@
 
 The coalgebra side works on chains m ⊗ c₀ ⊗ … ⊗ cₙ, the algebra side on
 m ⊗ a₀ ⊗ … ⊗ aₙ, the coefficient leg first.  Each side's ops object owns
-its ambient basis per degree and its H-relation, and
-:class:`RelativeTensorSpace` divides one by the other on either side:
+its ambient basis per degree and its H-relation, taken at a generating set
+of H (:func:`generating_words`), and :class:`RelativeTensorSpace` divides
+one by the other on either side:
 Cⁿ_H(C, M) = M ⊗_H C^⊗(n+1), or the H-coinvariants of M ⊗ A^⊗(n+1), on
 which algebra-side cochains are dual vectors and cochain operators are
 transposes of the induced chain matrices.
@@ -216,6 +217,31 @@ def coefficient_legs(mc: ModuleComodule):
     return coact, act
 
 
+def generating_words(h) -> list:
+    """The nonempty normal words of H of degree and index at most 2 (the
+    basis of a finite H), in order, minus each that is a nonzero multiple
+    of a product of words kept before it; products grow one kept factor at
+    a time while they stay a multiple of one word.  The relations of the
+    kept words span those of every word: x·(hk) − ε(hk)x =
+    ((x·h)·k − ε(k)(x·h)) + ε(k)(x·h − ε(h)x), and likewise for the ⊗_H
+    relation and L_g − ε(g)."""
+    words = [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]
+    kept, reached = [], set()
+    for w in words:
+        if w in reached:
+            continue
+        kept.append(w)
+        reached, todo = set(kept), list(kept)
+        while todo:
+            r = h.from_word(todo.pop())
+            for k in kept:
+                terms = (r * h.from_word(k)).terms
+                if len(terms) == 1 and (p := next(iter(terms))) in words and p not in reached:
+                    reached.add(p)
+                    todo.append(p)
+    return kept
+
+
 # -- coalgebra-side operators -----------------------------------------------------
 
 
@@ -283,6 +309,11 @@ class CoalgebraOps:
         """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ c̃: m·h₀, hᵢ₊₁▹cᵢ."""
         return [self.m_cols[w[0]]] + [self.c_cols[g] for g in w[1:]]
 
+    @cached_property
+    def relation_words(self) -> list:
+        """:func:`generating_words` of H, for the relations of every degree."""
+        return generating_words(self.mc.hopf)
+
     def relation(self, a, n: int) -> TensorElt:
         """a ⊗ 1 ⊗ … ⊗ 1 − 1 ⊗ Δ⁽ⁿ⁺¹⁾a, by :meth:`act_legs` the ⊗_H relation
         ma ⊗ c̃ − m ⊗ a⁽¹⁾c₀ ⊗ … ⊗ a⁽ⁿ⁺¹⁾cₙ of degree n."""
@@ -312,13 +343,14 @@ class RelativeTensorSpace:
     """``ops.basis[n]`` modulo the columns of ``ops.relation(a, n)`` on the
     legs ``ops.act_legs``: M ⊗_H C^⊗(n+1) over a :class:`CoalgebraOps`, the
     H-coinvariants of M ⊗ A^⊗(n+1) over an :class:`AlgebraChainOps`.  a
-    runs over the nonempty normal words of H of degree and index at most 2;
-    rows go tuple-major: every a for basis tuple 0, then for tuple 1, …"""
+    runs over ``ops.relation_words`` (:func:`generating_words`), whose
+    relations span those of every word of H; rows go tuple-major: every a
+    for basis tuple 0, then for tuple 1, …"""
 
     def __init__(self, ops, n: int):
         h = ops.mc.hopf
         self.basis = basis = ops.basis[n]
-        words = [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]
+        words = ops.relation_words
         mats = [columns(sweedler_sum(ops.relation(h.from_word(w), n).terms, ops.act_legs, basis)) for w in words]
         self.quot = Quotient([col for cols in zip(*mats) for col in cols], basis.dim)
 
@@ -708,6 +740,11 @@ class AlgebraChainOps:
     def act_legs(self, w: tuple) -> list:
         """Leg matrices of H words h₀ ⊗ … ⊗ hₙ₊₁ acting on m ⊗ ã: m·h₀, S(hₙ₊₁₋ᵢ)aᵢ."""
         return [self.m_cols[w[0]]] + [self.s_cols[g] for g in reversed(w[1:])]
+
+    @cached_property
+    def relation_words(self) -> list:
+        """:func:`generating_words` of H, for the relations of every degree."""
+        return generating_words(self.mc.hopf)
 
     def relation(self, a, n: int) -> TensorElt:
         """Δ⁽ⁿ⁺²⁾a − ε(a) 1 ⊗ … ⊗ 1, by :meth:`act_legs` the relation

@@ -167,9 +167,18 @@ class HModuleCoalgebra:
     coalg: HopfPresentation
     act: Callable[[AlgElt, AlgElt], AlgElt]  # (h, c) -> h ▹ c
 
+    @property
+    def space(self) -> HopfPresentation:
+        """C, whose normal words sample the relative checks."""
+        return self.coalg
+
     def push(self, c: AlgElt) -> Callable[[AlgElt], AlgElt]:
         """x ↦ x ▹ c: the leg map that carries an H leg into C."""
         return lambda x: self.act(x, c)
+
+    def mpi_sides(self, delta: Character, sigma: GroupLike, h: AlgElt) -> tuple:
+        """S_δ²(h) and σhσ⁻¹, which act alike on C for a modular pair in involution."""
+        return s_delta(self.hopf, delta, s_delta(self.hopf, delta, h)), sigma.conjugate(h)
 
     def validate(self) -> dict:
         """Module and module-coalgebra axioms on normal words of degree and
@@ -211,9 +220,18 @@ class HModuleAlgebra:
     alg: Presentation
     act: Callable[[AlgElt, AlgElt], AlgElt]  # (h, a) -> h ▹ a
 
+    @property
+    def space(self) -> Presentation:
+        """A, whose normal words sample the relative checks."""
+        return self.alg
+
     def push(self, a: AlgElt) -> Callable[[AlgElt], AlgElt]:
         """x ↦ S⁻¹(x) ▹ a: the leg map that carries an H leg into A."""
         return lambda x: self.act(self.hopf.inv_antipode(x), a)
+
+    def mpi_sides(self, delta: Character, sigma: GroupLike, h: AlgElt) -> tuple:
+        """S_δ⁻²(h) and σ⁻¹hσ, which act alike on A for a modular pair in involution."""
+        return s_delta_inv(self.hopf, delta, s_delta_inv(self.hopf, delta, h)), sigma.conjugate_inv(h)
 
     def validate(self) -> dict:
         """Module and module-algebra axioms on normal words of degree and
@@ -276,30 +294,23 @@ def inv_antipode_via_twist(hopf: HopfPresentation, delta: Character, h: AlgElt) 
 
 
 def check_mpi(hopf: HopfPresentation, delta: Character, sigma: GroupLike, carrier) -> dict:
-    """Modular pair in involution relative to a carrier, whose type picks
-    the condition:
+    """Modular pair in involution relative to a carrier, which gives the
+    two sides of its condition (``carrier.mpi_sides``):
 
     module coalgebra C (:class:`HModuleCoalgebra`): S_δ²(h) ▹ c = (σ h σ⁻¹) ▹ c;
     module algebra A (:class:`HModuleAlgebra`): S_δ⁻²(h) ▹ a = (σ⁻¹ h σ) ▹ a.
 
-    Both h and c (or a) run over the normal words of degree and index up
-    to 2.
+    Both h and c (or a, from ``carrier.space``) run over the normal words
+    of degree and index up to 2.
     """
     if delta(sigma.elt) != 1:
         return {"ok": False, "witnesses": ["character is not 1 on the group-like"]}
-    h = hopf
+    h, space = hopf, carrier.space
     hs = [h.from_word(w) for w in h.normal_words(2, 2)]
-    coalgebra = isinstance(carrier, HModuleCoalgebra)
-    space = carrier.coalg if coalgebra else carrier.alg
     cs = [space.from_word(w) for w in space.normal_words(2, 2)]
     fails = []
     for a in hs:
-        if coalgebra:
-            twisted = s_delta(h, delta, s_delta(h, delta, a))
-            conj = sigma.conjugate(a)
-        else:
-            twisted = s_delta_inv(h, delta, s_delta_inv(h, delta, a))
-            conj = sigma.conjugate_inv(a)
+        twisted, conj = carrier.mpi_sides(delta, sigma, a)
         for c in cs:
             lhs = carrier.act(twisted, c)
             rhs = carrier.act(conj, c)
@@ -375,12 +386,10 @@ def stability_difference(mc: ModuleComodule, carrier, m: AlgElt, chain: tuple) -
 MAX_STABILITY_CHAINS = 64
 
 
-def _relative_sayd(
-    ops, carrier, space, key: str, degree: int, index_bound: int, max_chain: int
-) -> dict:
+def _relative_sayd(ops, carrier, key: str, degree: int, index_bound: int, max_chain: int) -> dict:
     """SAYD relative to ``carrier``, a module coalgebra or algebra over
-    ``space``, whose chains ``ops`` builds; both halves push their H legs
-    into the carrier by ``carrier.push``.
+    ``carrier.space``, whose chains ``ops`` builds; both halves push their
+    H legs into the carrier by ``carrier.push``.
 
     Compatibility: the difference of :func:`ayd_sides` at each (m, h),
     pushed at each sample x, vanishes; a witness names x under ``key`` and
@@ -395,7 +404,7 @@ def _relative_sayd(
     """
     from .cocyclic import RelativeTensorSpace
 
-    mc, h = ops.mc, ops.mc.hopf
+    mc, h, space = ops.mc, ops.mc.hopf, carrier.space
     ms = mc.basis()
     hs = [h.from_word(w) for w in h.normal_words(degree, index_bound)]
     xs = [space.from_word(w) for w in space.normal_words(degree, index_bound)]
@@ -454,7 +463,7 @@ def check_ch_sayd(
     from .cocyclic import CoalgebraOps
 
     ops = CoalgebraOps(mc, c_mod)
-    return _relative_sayd(ops, c_mod, c_mod.coalg, "c", degree, index_bound, max_chain)
+    return _relative_sayd(ops, c_mod, "c", degree, index_bound, max_chain)
 
 
 def check_ah_sayd(
@@ -469,7 +478,7 @@ def check_ah_sayd(
     from .cocyclic import AlgebraChainOps
 
     ops = AlgebraChainOps(mc, a_mod)
-    return _relative_sayd(ops, a_mod, a_mod.alg, "a", degree, index_bound, 0)
+    return _relative_sayd(ops, a_mod, "a", degree, index_bound, 0)
 
 
 # -- coideal quotients ---------------------------------------------------------

@@ -2,9 +2,13 @@
 
 H acts on ambient chains by L_g; the subspace Wⁿ spanned by commutators
 [L_g, τⁱ] is divided out, and the scalars are tensored over H against the
-result.  On finite instances the quotient ℂ𝕄ⁿ is built explicitly, shown
-to embed in the relative chain space through mutually inverse maps Π and
-Π', and its cyclic cohomology is compared against the direct computation.
+result.  Wⁿ is built from the columns of [L_g, τ] alone, saturated under
+τ, and the coinvariance rows from a generating set of H
+(:func:`~hopfcyc.cocyclic.generating_words`): both give the same span
+from fewer rows.  On finite instances the quotient ℂ𝕄ⁿ is built
+explicitly, shown to embed in the relative chain space through mutually
+inverse maps Π and Π', and its cyclic cohomology is compared against the
+direct computation.
 
 A bridge owns one :class:`~hopfcyc.cocyclic.OperatorTable` of ambient
 operator matrices; the commutator identities and the complexes on ℂ𝕄 and
@@ -60,9 +64,10 @@ def bracket(a: Matrix, b: Matrix) -> Columns:
 
 def saturate(rows, tau: Columns, n: int) -> list:
     """The reduced rows of the span of ``rows`` saturated under ``tau``:
-    τ-images are added until the rank stabilizes."""
+    τ-images are added until the rank stabilizes, within
+    ``SATURATION_BOUND`` + n rounds at degree n."""
     span = (orbit_rref(rows) or rref(rows))[0]
-    for _ in range(SATURATION_BOUND):
+    for _ in range(SATURATION_BOUND + n):
         grown = span + [mat_vec(tau, v) for v in span]
         grown = (orbit_rref(grown) or rref(grown))[0]
         if len(grown) == len(span):
@@ -118,24 +123,18 @@ class KaygunBridge:
 
         def coinvariance_rows(n: int) -> list:
             """Rows L_g(x) − ε(g)x over the ambient basis, for the scalar
-            tensor over H with its trivial action."""
+            tensor over H with its trivial action, g over the generating
+            words of H (``ops.relation_words``)."""
             ident = identity(bases[n].dim)
             rows = []
-            for gw in words:
-                if gw != EMPTY_WORD:
-                    eps = h.counit(h.from_word(gw))
-                    rows.extend(combine([(1, lg[n, gw]), (-eps, ident)], bases[n].dim))
+            for gw in ops.relation_words:
+                eps = h.counit(h.from_word(gw))
+                rows.extend(combine([(1, lg[n, gw]), (-eps, ident)], bases[n].dim))
             return rows
 
         w = self._w = Memo(
             lambda n: saturate(
-                [
-                    row
-                    for gw in words
-                    if gw != EMPTY_WORD
-                    for i in range(1, n + 2)
-                    for row in bracket(lg[n, gw], tau_power(n, i))
-                ],
+                [row for gw in words if gw != EMPTY_WORD for row in bracket(lg[n, gw], table["tau", n])],
                 columns(table["tau", n]),
                 n,
             )
@@ -156,8 +155,10 @@ class KaygunBridge:
 
     def w_rows(self, n: int):
         """Spanning rows of Wⁿ, sparse and in reduced echelon form: the
-        columns of the commutators [L_g, τⁱ], saturated under τ until the
-        rank stabilizes (:func:`saturate`, τ read once per degree).
+        columns of the commutators [L_g, τ], saturated under τ until the
+        rank stabilizes (:func:`saturate`, τ read once per degree).  W is
+        spanned by the commutators [L_g, τⁱ], i = 1…n+1, but [L, τⁱ] =
+        Σⱼ τʲ[L, τ]τ^(i−1−j), so [L_g, τ] has the same τ-saturation.
         Computed once per degree.  On a group algebra each commutator
         column has at most two entries, and so has each τ-image of a
         reduced span, so each elimination takes

@@ -13,7 +13,7 @@ kept, and :func:`identity` is the identity, a signed map that every entry
 point reads.  No zero entry is ever stored, so two matrices of one shape
 and encoding are equal exactly when their lists are.  The matrices of
 this tool are mostly zero: the ⊗_H relation matrix of the regular S3
-instance in degree 1 is 1080×216 with under 1% nonzero entries.
+instance in degree 1 is 432×216 with under 1% nonzero entries.
 
 Each job has one entry point that takes either encoding, and only this
 module reads the encoding (:func:`is_signed`).  :func:`compose` is the

@@ -18,8 +18,10 @@ from hopfcyc.coefficients import (
     group_set_module_coalgebra,
     mc_conjugation_group,
     mc_graded_group,
+    mc_regular,
     mc_trivial,
 )
+from hopfcyc.errors import UnsolvableError
 from hopfcyc.core import word_str
 from hopfcyc.instances import GroupSetData, build_group_algebra, cyclic_group
 from hopfcyc.cocyclic import mismatch
@@ -83,16 +85,23 @@ def test_coface_family_catches_a_flipped_l_entry(swap_cmod, swap_bridge):
     assert report["witnesses"][0].startswith("coface commutes with L (n=1, g=g, m=0): ")
 
 
-def square_matrices(n):
-    """An n×n matrix, as a signed map or as Columns of int and Fraction
-    entries."""
+def signed_matrices(n):
+    """An n×n signed map."""
+    return st.lists(st.integers(-n, n), min_size=n, max_size=n)
+
+
+def column_matrices(n):
+    """An n×n matrix as Columns of int and Fraction entries."""
     nonzero = st.integers(-3, 3).filter(bool)
     entry = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(2, 4)))
     column = st.dictionaries(st.integers(0, n - 1), entry, max_size=n)
-    return st.one_of(
-        st.lists(st.integers(-n, n), min_size=n, max_size=n),
-        st.lists(column, min_size=n, max_size=n),
-    )
+    return st.lists(column, min_size=n, max_size=n)
+
+
+def square_matrices(n):
+    """An n×n matrix, as a signed map or as Columns of int and Fraction
+    entries."""
+    return st.one_of(signed_matrices(n), column_matrices(n))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -115,6 +124,85 @@ def test_tau_commutator_expansion_holds_for_any_matrices(data):
     assert mismatch(lhs, rhs, "tau commutator expansion") == []
     t, l_dense, ti, ti1 = (as_dense(m, n) for m in (tau, lg, taui, taui1))
     assert as_dense(lhs, n) == mat_sub(dense_mul(dense_mul(t, l_dense), ti), dense_mul(ti1, l_dense))
+
+
+@pytest.mark.parametrize("matrices", [signed_matrices, column_matrices])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tau_power_commutator_telescopes(matrices, data):
+    # [L, τⁱ] = Σⱼ τʲ[L, τ]τ^(i−1−j), j = 0…i−1, for any τ and L: so the
+    # columns of [L_g, τ] and those of every [L_g, τⁱ] have one τ-saturation
+    n = data.draw(st.integers(1, 4))
+    tau, lg = data.draw(matrices(n)), data.draw(matrices(n))
+    i = data.draw(st.integers(1, 4))
+    powers = [list(range(1, n + 1))]
+    for _ in range(i):
+        powers.append(compose(tau, powers[-1]))
+    one = bracket(lg, tau)
+    terms = [(1, compose(compose(powers[j], one), powers[i - 1 - j])) for j in range(i)]
+    lhs = bracket(lg, powers[i])
+    assert mismatch(lhs, combine(terms, n), "telescoping") == []
+    l_dense, ti = as_dense(lg, n), as_dense(powers[i], n)
+    assert as_dense(lhs, n) == mat_sub(dense_mul(l_dense, ti), dense_mul(ti, l_dense))
+
+
+def all_powers_w(bridge, n):
+    """Wⁿ by its first route: the columns of [L_g, τⁱ] for every
+    nonempty group word g and every i = 1…n+1, saturated under τ."""
+    rows = [
+        row
+        for gw in bridge.group_words
+        if gw
+        for i in range(1, n + 2)
+        for row in bridge.commutator_matrix(n, gw, i)
+    ]
+    return kaygun_module.saturate(rows, columns(bridge.table["tau", n]), n)
+
+
+def regular_s3_mc(s3, cmod, coefficients):
+    if coefficients == "graded":
+        return mc_graded_group(cmod.hopf, build_group_algebra(s3, name="kS3_g"))
+    return mc_conjugation_group(cmod.hopf, build_group_algebra(s3, name="kS3_c"), s3)
+
+
+@pytest.mark.parametrize("name", ["swap_trivial", "swap_graded", "s3_graded", "s3_conjugation", "h4_left"])
+def test_w_from_one_tau_matches_all_powers(name, swap_cmod, s3, h4, h4_left):
+    if name.startswith("swap"):
+        graded = build_group_algebra(cyclic_group(2), name="kG_g")
+        mc = mc_trivial(swap_cmod.hopf) if name == "swap_trivial" else mc_graded_group(swap_cmod.hopf, graded)
+        bridge = KaygunBridge(mc, swap_cmod, top=2)
+    elif name.startswith("s3"):
+        cmod = s3_regular_cmod(s3)
+        bridge = KaygunBridge(regular_s3_mc(s3, cmod, name[3:]), cmod, top=2)
+    else:
+        bridge = KaygunBridge(mc_regular(h4), h4_left, top=2)
+    for n in range(3):
+        assert bridge.w_rows(n) == all_powers_w(bridge, n)
+    if name in ("s3_graded", "h4_left"):
+        assert bridge.w_rows(2)
+
+
+def test_w_needs_its_tau_saturation(s3):
+    # the columns of [L_g, τ] alone span less than W¹ on regular S3
+    cmod = s3_regular_cmod(s3)
+    bridge = KaygunBridge(regular_s3_mc(s3, cmod, "graded"), cmod, top=1)
+    rows = [row for gw in bridge.group_words if gw for row in bridge.commutator_matrix(1, gw, 1)]
+    unsaturated = (linalg.orbit_rref(rows) or linalg.rref(rows))[0]
+    assert len(unsaturated) < len(bridge.w_rows(1))
+
+
+def test_w_saturation_guard_names_the_degree(monkeypatch, s3):
+    # W from [L_g, τ] takes n + 1 τ-rounds at degree n on regular S3 with
+    # graded coefficients, so the guard allows SATURATION_BOUND + n
+    cmod = s3_regular_cmod(s3)
+    mc = regular_s3_mc(s3, cmod, "graded")
+    monkeypatch.setattr(kaygun_module, "SATURATION_BOUND", 0)
+    for n in (0, 1):
+        with pytest.raises(UnsolvableError, match=f"^W saturation did not stabilize at degree {n}$"):
+            KaygunBridge(mc, cmod, top=1).w_rows(n)
+    monkeypatch.setattr(kaygun_module, "SATURATION_BOUND", 1)
+    bridge = KaygunBridge(mc, cmod, top=1)
+    assert bridge.w_rows(1) == all_powers_w(bridge, 1)
 
 
 def test_w_vanishes_on_sayd_instance(swap_bridge):

@@ -27,6 +27,7 @@ from hopfcyc.cocyclic import (
     OperatorTable,
     RelativeTensorSpace,
     TensorBasis,
+    generating_words,
     sweedler_sum,
 )
 from hopfcyc.coefficients import (
@@ -38,7 +39,7 @@ from hopfcyc.coefficients import (
     mc_trivial,
     scalar_space,
 )
-from hopfcyc.core import EMPTY_WORD, AlgElt, Generator, TensorElt, tensor
+from hopfcyc.core import EMPTY_WORD, AlgElt, Generator, TensorElt, tensor, word_str
 from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.errors import StructureError
 from hopfcyc.instances import (
@@ -196,15 +197,23 @@ def symbolic_l_action(mc, c_mod, g, n, x):
     return _sum(terms, x.prs)
 
 
-def symbolic_relative_rows(mc, c_mod, n):
-    """mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ per basis tensor and h, dense."""
+def all_words(h):
+    """Every nonempty normal word of H of degree and index at most 2: the
+    words whose relations the quotients were once built from, kept as the
+    oracle of :func:`~hopfcyc.cocyclic.generating_words`."""
+    return [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]
+
+
+def symbolic_relative_rows(mc, c_mod, n, words):
+    """mh ⊗ c̃ − m ⊗ h⁽¹⁾c₀ ⊗ … ⊗ h⁽ⁿ⁺¹⁾cₙ per basis tensor and h in
+    ``words``, dense."""
     h = mc.hopf
     c = c_mod.coalg
     basis = TensorBasis((mc.space,) + (c,) * (n + 1))
     rows = []
     for j in range(basis.dim):
         x = symbolic_elt(basis, j)
-        for hw in [w for w in h.normal_words(2, 2) if w != EMPTY_WORD]:
+        for hw in words:
             a = h.from_word(hw)
             left = x.leg_apply(1, lambda m: mc.act(m, a))
             dn = h.sweedler(a, n + 1)
@@ -221,15 +230,15 @@ def symbolic_relative_rows(mc, c_mod, n):
     return rows
 
 
-def symbolic_diagonal_rows(mc, a_mod, n):
-    """(m ⊗ ã)h − ε(h)(m ⊗ ã) per basis tensor and h, dense."""
+def symbolic_diagonal_rows(mc, a_mod, n, words):
+    """(m ⊗ ã)h − ε(h)(m ⊗ ã) per basis tensor and h in ``words``, dense."""
     h = mc.hopf
     alg = a_mod.alg
     basis = TensorBasis((mc.space,) + (alg,) * (n + 1))
     rows = []
     for j in range(basis.dim):
         x = symbolic_elt(basis, j)
-        for a in [h.from_word(w) for w in h.normal_words(2, 2) if w != EMPTY_WORD]:
+        for a in [h.from_word(w) for w in words]:
             d = h.sweedler(a, n + 2)
             terms = []
             for wt, cf in x.terms.items():
@@ -248,7 +257,8 @@ def symbolic_diagonal_rows(mc, a_mod, n):
 
 
 def recorded_relations(monkeypatch, build):
-    """The sparse relation rows ``build`` hands to :class:`Quotient`."""
+    """The sparse relation rows ``build`` hands to :class:`Quotient`, and
+    what ``build`` returns."""
     seen = []
     real = Quotient.__init__
 
@@ -257,9 +267,25 @@ def recorded_relations(monkeypatch, build):
         real(self, relations, ambient_dim)
 
     monkeypatch.setattr(Quotient, "__init__", recording)
-    build()
+    built = build()
     monkeypatch.undo()
     (rows,) = seen
+    return rows, built
+
+
+def quotient_parts(q):
+    return q.rows, q.pivots, q.free, q.proj
+
+
+def assert_generating_relations(monkeypatch, ops, n, symbolic_rows):
+    """The relation rows of ``RelativeTensorSpace(ops, n)`` are
+    ``symbolic_rows(words)`` on the generating words of H, and reduce to
+    the quotient of the rows of every word; returns the rows."""
+    h = ops.mc.hopf
+    rows, space = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(ops, n))
+    assert rows == [sparse(row) for row in symbolic_rows(ops.relation_words)]
+    every = Quotient([sparse(row) for row in symbolic_rows(all_words(h))], space.basis.dim)
+    assert quotient_parts(space.quot) == quotient_parts(every)
     return rows
 
 
@@ -522,8 +548,38 @@ def test_coproduct_word_memo_matches_letter_fold(which, bicrossed, s3):
 def test_relative_relations_match_symbolic_route(monkeypatch, coalgebra_instances, name, top):
     mc, c_mod, _ = coalgebra_instances[name]
     for n in range(top + 1):
-        rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(CoalgebraOps(mc, c_mod), n))
-        assert rows == [sparse(row) for row in symbolic_relative_rows(mc, c_mod, n)]
+        rows_of = partial(symbolic_relative_rows, mc, c_mod, n)
+        assert_generating_relations(monkeypatch, CoalgebraOps(mc, c_mod), n, rows_of)
+
+
+def test_generating_words_of_s3_and_h4(s3, h4):
+    # S3 from the two transpositions first in basis order, H4 from g and x;
+    # every other word is a multiple of a product of those, found here by
+    # brute force over products of up to four of them
+    ks3 = build_group_algebra(s3, name="kS3")
+    assert [word_str(w) for w in generating_words(ks3)] == ["p021", "p102"]
+    assert [word_str(w) for w in generating_words(h4)] == ["g", "x"]
+    for h in (ks3, h4):
+        kept = generating_words(h)
+        products = set()
+        for k in range(2, 5):
+            for ws in itertools.product(kept, repeat=k):
+                terms = math.prod((h.from_word(w) for w in ws[1:]), start=h.from_word(ws[0])).terms
+                if len(terms) == 1:
+                    products |= set(terms)
+        assert set(all_words(h)) - set(kept) <= products
+
+
+def test_one_transposition_does_not_give_the_s3_relations(s3):
+    # the relations of one transposition span only those of a Z2 in S3: a
+    # generating set that misses a generator gives a larger quotient
+    mc, cmod = regular_s3(s3, "graded")
+    for n in (0, 1):
+        ops = CoalgebraOps(mc, cmod)
+        full = RelativeTensorSpace(ops, n).quot
+        ops.relation_words = ops.relation_words[:1]
+        assert [word_str(w) for w in ops.relation_words] == ["p021"]
+        assert RelativeTensorSpace(ops, n).quot.dim > full.dim
 
 
 @pytest.mark.parametrize("graded", [False, True])
@@ -531,8 +587,7 @@ def test_diagonal_relations_match_symbolic_route(monkeypatch, graded):
     ci = build_group_cup_instance(graded=graded)
     ops = AlgebraChainOps(ci.mc, ci.a_mod)
     for n in range(3):
-        rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(ops, n))
-        assert rows == [sparse(row) for row in symbolic_diagonal_rows(ci.mc, ci.a_mod, n)]
+        assert_generating_relations(monkeypatch, ops, n, partial(symbolic_diagonal_rows, ci.mc, ci.a_mod, n))
 
 
 # -- the diagonal actions on H4 ------------------------------------------------------
@@ -544,8 +599,8 @@ def test_diagonal_relations_match_symbolic_route(monkeypatch, graded):
 @pytest.mark.parametrize("n", [0, 1])
 def test_h4_relative_relations_match_symbolic_route(monkeypatch, h4, h4_left, n):
     mc = mc_regular(h4)
-    rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(CoalgebraOps(mc, h4_left), n))
-    assert rows == [sparse(row) for row in symbolic_relative_rows(mc, h4_left, n)]
+    rows_of = partial(symbolic_relative_rows, mc, h4_left, n)
+    rows = assert_generating_relations(monkeypatch, CoalgebraOps(mc, h4_left), n, rows_of)
     assert (orbit_rref(rows) is None) == (n == 1)  # rref fallback from n = 1
 
 
@@ -565,8 +620,7 @@ def test_h4_l_action_matches_symbolic_route(h4, h4_left):
 def test_h4_adjoint_diagonal_relations_match_symbolic_route(monkeypatch, h4, h4_adjoint, n):
     mc = mc_regular(h4)
     ops = AlgebraChainOps(mc, h4_adjoint)
-    rows = recorded_relations(monkeypatch, lambda: RelativeTensorSpace(ops, n))
-    assert rows == [sparse(row) for row in symbolic_diagonal_rows(mc, h4_adjoint, n)]
+    rows = assert_generating_relations(monkeypatch, ops, n, partial(symbolic_diagonal_rows, mc, h4_adjoint, n))
     assert (orbit_rref(rows) is None) == (n == 1)  # rref fallback from n = 1
 
 
