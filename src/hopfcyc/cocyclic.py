@@ -67,7 +67,7 @@ from itertools import product as iproduct
 from math import prod
 from typing import Callable, Mapping, Optional
 
-from .core import EMPTY_WORD, ONE, Memo, TensorElt, _merge_term, tensor, word_str
+from .core import EMPTY_WORD, Memo, TensorElt, _merge_term, tensor, word_str
 from .coefficients import HModuleAlgebra, HModuleCoalgebra, ModuleComodule
 from .errors import PreconditionError, StructureError
 from .linalg import (
@@ -95,18 +95,13 @@ class TensorBasis:
     """Deterministic basis of a tensor product of finite carriers.
 
     Basis tensors are the tuples of carrier basis words, last leg fastest;
-    every such word must be its own normal form (checked once, here), so
-    the tuple is the basis tensor itself.  ``dims`` are the leg dimensions.
+    every such word is its own normal form (checked once, by the
+    :class:`~hopfcyc.rewrite.Presentation` that owns the basis), so the
+    tuple is the basis tensor itself.  ``dims`` are the leg dimensions.
     """
 
     def __init__(self, prs):
         self.prs = tuple(prs)
-        for p in {id(p): p for p in self.prs}.values():
-            for w in p.basis_words():
-                if p.normalize_terms({w: ONE}) != {w: ONE}:
-                    raise StructureError(
-                        f"basis word {word_str(w)} of {p.name!r} is not in normal form"
-                    )
         bases = [p.basis_words() for p in self.prs]
         self.dims = [len(b) for b in bases]
         self.tuples = list(iproduct(*bases))

@@ -3,9 +3,8 @@
 A :class:`ModuleComodule` is a right module, left comodule over a Hopf
 presentation.  The checkers verify the stable anti-Yetter-Drinfeld
 condition and its relaxations relative to a module coalgebra C or a module
-algebra A, modular-pair-in-involution identities, the coideal quotient of
-the bicrossed product, and the tensor product of an anti-Yetter-Drinfeld
-with a Yetter-Drinfeld module.
+algebra A, modular-pair-in-involution identities, and the coideal quotient
+of the bicrossed product.
 
 The anti-Yetter-Drinfeld sides are written once, in :func:`ayd_sides`, and
 the stability difference once, in :func:`stability_difference`.  One
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable
 
-from .core import AlgElt, EMPTY_WORD, Generator, Memo, TensorElt, tensor
-from .errors import PreconditionError, StructureError
+from .core import AlgElt, EMPTY_WORD, Memo, TensorElt, tensor
+from .errors import PreconditionError
 from .hopf import Character, GroupLike, HopfPresentation
 from .rewrite import Presentation
 
@@ -603,64 +602,3 @@ def counterexample_algebra(bc) -> dict:
     to A = F: at h = d[1] X, m = 1, a = d[1] the left side of condition i),
     S⁻¹(h⁽¹⁾) h⁽³⁾ ▹ a ⊗ h⁽²⁾, picks up an extra −d[1] ⊗ d[1]² term."""
     return _counterexample(bc, bicrossed_module_algebra_f(bc), "a", bc.mp.f.gen("d", 1))
-
-
-# -- tensor of anti-Yetter-Drinfeld and Yetter-Drinfeld carriers ---------------
-
-
-def tensor_ayd_yd(m: ModuleComodule, n: ModuleComodule) -> ModuleComodule:
-    """M ⊗ N with (m⊗n)h = mh⁽²⁾ ⊗ nh⁽¹⁾ and coaction
-    m⊗n ↦ m⟨-1⟩ n⟨-1⟩ ⊗ m⟨0⟩ ⊗ n⟨0⟩; finite carriers only."""
-    if m.hopf.name != n.hopf.name:
-        raise StructureError("carriers over different Hopf presentations")
-    if m.space.finite_basis is None or n.space.finite_basis is None:
-        raise PreconditionError("tensor product carrier requires finite factors")
-    h = m.hopf
-    pairs = list(iproduct(m.space.basis_words(), n.space.basis_words()))
-    gens = {f"p{i}": False for i in range(len(pairs))}
-    space = Presentation(
-        "m_tensor_n",
-        gens,
-        tuple(gens),
-        [],
-        finite_basis=[(Generator(f"p{i}"),) for i in range(len(pairs))],
-    )
-    pos = {pair: i for i, pair in enumerate(pairs)}
-
-    def pack(em: AlgElt, en: AlgElt) -> AlgElt:
-        terms = {}
-        for wm, cm in em.terms.items():
-            for wn, cn in en.terms.items():
-                w = (Generator(f"p{pos[(wm, wn)]}"),)
-                terms[w] = terms.get(w, 0) + cm * cn
-        return space.elt(terms)
-
-    def act(e: AlgElt, a: AlgElt) -> AlgElt:
-        d = h.coproduct(a)
-        out = space.zero()
-        for w, c in e.terms.items():
-            wm, wn = pairs[int(w[0].name[1:])]
-            em, en = m.space.from_word(wm), n.space.from_word(wn)
-            for (h1, h2), ch in d.terms.items():
-                out = out + pack(
-                    m.act(em, h.from_word(h2)), n.act(en, h.from_word(h1))
-                ).scale(c * ch)
-        return out
-
-    def coact(e: AlgElt) -> TensorElt:
-        out = tensor([h.zero()]).outer(tensor([space.zero()]))
-        for w, c in e.terms.items():
-            wm, wn = pairs[int(w[0].name[1:])]
-            cm = m.coact(m.space.from_word(wm))
-            cn = n.coact(n.space.from_word(wn))
-            for (hm, m0), ccm in cm.terms.items():
-                for (hn, n0), ccn in cn.terms.items():
-                    out = out + tensor(
-                        [
-                            h.from_word(hm) * h.from_word(hn),
-                            pack(m.space.from_word(m0), n.space.from_word(n0)),
-                        ]
-                    ).scale(c * ccm * ccn)
-        return out
-
-    return ModuleComodule("m_tensor_n", h, space, act, coact)

@@ -27,7 +27,6 @@ from .errors import StructureError
 
 Coeff = int | Fraction
 
-ZERO = 0
 ONE = 1
 
 
@@ -258,9 +257,6 @@ class AlgElt:
         return hash((self.pres.name, frozenset(self.terms.items())))
 
     # -- inspection -----------------------------------------------------------
-
-    def coeff(self, w: Word) -> Coeff:
-        return self.terms.get(w, ZERO)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))

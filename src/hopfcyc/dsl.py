@@ -229,17 +229,19 @@ class Parser:
 
     def parse_generators(self) -> List[tuple]:
         self.expect("ident", "generators")
-        families = [self.parse_family()]
+        families = [self.parse_family(())]
         while self.at_symbol("<"):
             self.next()
-            families.append(self.parse_family())
+            families.append(self.parse_family([nm for nm, _ in families]))
         self.expect("symbol", ";")
         return families
 
-    def parse_family(self) -> tuple:
-        name = self.expect("ident").text
-        if name in KEYWORDS:
-            self.fail(f"{name!r} is a keyword")
+    def parse_family(self, seen) -> tuple:
+        t = self.expect("ident")
+        name = t.text
+        if name in KEYWORDS or name in seen:
+            why = "is a keyword" if name in KEYWORDS else "is named twice in generators"
+            raise ParseError(f"{name!r} {why}", line=t.line, column=t.col)
         indexed = False
         if self.at_symbol("["):
             self.next()
@@ -286,14 +288,7 @@ class Parser:
                 # bare 1 is the empty word
                 self.next()
                 return (Fraction(1), ())
-            self.next()
-            num = int(t.text)
-            if self.at_symbol("/"):
-                self.next()
-                den = int(self.expect("int").text)
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
+            coeff = self.parse_rational()
             consumed = True
         elif t.kind == "ident" and t.text not in family_names and t.text not in KEYWORDS:
             # an index variable used as coefficient (schema rules)
@@ -306,6 +301,17 @@ class Parser:
         if not pats and not consumed:
             self.fail("expected a term")
         return (coeff, tuple(pats))
+
+    def parse_rational(self) -> Fraction:
+        """``int ('/' int)?``; a zero denominator fails at its own token."""
+        num = int(self.expect("int").text)
+        if not self.at_symbol("/"):
+            return Fraction(num)
+        self.next()
+        den = self.expect("int")
+        if int(den.text) == 0:
+            raise ParseError(f"zero denominator in {num}/{den.text}", line=den.line, column=den.col)
+        return Fraction(num, int(den.text))
 
     def _starts_letter(self, family_names, ahead: int = 0) -> bool:
         t = self.toks[self.pos + ahead]
@@ -396,13 +402,8 @@ class Parser:
         if self.at_symbol("-"):
             self.next()
             neg = True
-        num = int(self.expect("int").text)
-        den = 1
-        if self.at_symbol("/"):
-            self.next()
-            den = int(self.expect("int").text)
+        val = self.parse_rational()
         self.expect("symbol", ";")
-        val = Fraction(num, den)
         return (g, -val if neg else val)
 
     def parse_antipode(self, family_names) -> tuple:

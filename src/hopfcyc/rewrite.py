@@ -38,12 +38,12 @@ does), so each rule is asked about a segment once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .core import AlgElt, EMPTY_WORD, Generator, Memo, ONE, Word, _merge_term, _scaled, exact
+from .core import AlgElt, EMPTY_WORD, Generator, Memo, ONE, Word, _merge_term, _scaled, exact, word_str
 from .errors import PreconditionError, RewriteLimitError, StructureError, TerminationOrderError
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -113,20 +113,15 @@ class LetterPat:
 
 
 class Rule:
-    """Interface: ``lhs_len`` and ``match(segment) -> replacement or None``.
+    """Interface: ``lhs_len``, ``match(segment) -> replacement or None`` and
+    ``sample_instances(index_bound)``, the (lhs word, rhs terms) pairs that
+    :meth:`RuleSet.check_rule` reads.
 
     ``match`` must be a pure function of its segment: a rule set keeps the
     answer in its redex table, and callers share the replacement dict and
     only read it."""
 
     lhs_len: int
-
-    def match(self, segment: Word) -> Optional[dict]:
-        raise NotImplementedError
-
-    def sample_instances(self, index_bound: int) -> Iterable[tuple[Word, dict]]:
-        """(lhs word, rhs terms) pairs for order/overlap diagnostics."""
-        raise NotImplementedError
 
 
 class ConcreteRule(Rule):
@@ -144,7 +139,7 @@ class ConcreteRule(Rule):
         yield self.lhs, self.rhs
 
     def __str__(self):
-        from .core import word_str, _signed_terms, word_key
+        from .core import _signed_terms, word_key
 
         rhs = _signed_terms(
             sorted(self.rhs.items(), key=lambda kv: word_key(kv[0])), word_str
@@ -349,17 +344,13 @@ class RuleSet:
     def order_key(self, w: Word):
         return (len(w), tuple((self._rank.get(g.name, len(self._rank)), g.index or 0) for g in w))
 
-    def rule_respects_order(self, lhs: Word, rhs: dict) -> bool:
-        lk = self.order_key(lhs)
-        return all(self.order_key(w) < lk for w in rhs)
-
     def check_rule(self, rule: Rule, index_bound: int = 4):
-        """Raise TerminationOrderError on the first violating instance."""
+        """Raise TerminationOrderError on the first instance whose right side
+        holds a word not smaller than its left side."""
         for lhs, rhs in rule.sample_instances(index_bound):
-            if not self.rule_respects_order(lhs, rhs):
-                bad = next(w for w in rhs if self.order_key(w) >= self.order_key(lhs))
-                from .core import word_str
-
+            lk = self.order_key(lhs)
+            bad = next((w for w in rhs if self.order_key(w) >= lk), None)
+            if bad is not None:
                 raise TerminationOrderError(
                     f"rule {word_str(lhs)} -> ... produces {word_str(bad)},"
                     " not smaller in the termination order"
@@ -371,12 +362,12 @@ class RuleSet:
 
     # -- normalization --------------------------------------------------------
 
-    def _find(self, word: Word, start: int = 0):
-        """The leftmost redex at or after ``start``, as ``(pos, lhs_len,
-        terms)`` with the first matching rule in list order, or None;
-        ``terms`` lists the replacement as ``(word, key, coeff)``."""
+    def _find(self, word: Word):
+        """The leftmost redex, as ``(pos, lhs_len, terms)`` with the first
+        matching rule in list order, or None; ``terms`` lists the
+        replacement as ``(word, key, coeff)``."""
         redex, span = self._redex, self._span
-        for pos in range(start, len(word)):
+        for pos in range(len(word)):
             hit = redex[word[pos : pos + span]]
             if hit is not None:
                 return pos, hit[0], hit[1]
@@ -476,52 +467,6 @@ class RuleSet:
             self._depth -= 1
 
 
-@dataclass
-class Diagnostics:
-    order_violations: list = field(default_factory=list)
-    nonconfluent_overlaps: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.order_violations and not self.nonconfluent_overlaps
-
-
-def validate_ruleset(rs: RuleSet, index_bound: int = 3, max_degree: int = 4) -> Diagnostics:
-    """Diagnostics only: termination-order violations and non-confluent
-    overlaps among rule instances (critical pairs), up to the given degree."""
-    diag = Diagnostics()
-    instances = []
-    for rule in rs.rules:
-        for lhs, rhs in rule.sample_instances(index_bound):
-            if not rs.rule_respects_order(lhs, rhs):
-                diag.order_violations.append((lhs, rhs))
-            instances.append((lhs, rhs))
-    seen = set()
-    for lhs1, rhs1 in instances:
-        for lhs2, rhs2 in instances:
-            # proper overlap: a suffix of lhs1 equals a prefix of lhs2
-            for k in range(1, min(len(lhs1), len(lhs2))):
-                if lhs1[-k:] != lhs2[:k]:
-                    continue
-                word = lhs1 + lhs2[k:]
-                if len(word) > max_degree or word in seen:
-                    continue
-                seen.add(word)
-                # resolve via rule 1 at position 0 vs rule 2 at len(lhs1)-k
-                a: dict = {}
-                for w, c in rhs1.items():
-                    _merge_term(a, w + lhs2[k:], c)
-                b: dict = {}
-                p = len(lhs1) - k
-                for w, c in rhs2.items():
-                    _merge_term(b, word[:p] + w, c)
-                na = rs.normalize_terms(a)
-                nb = rs.normalize_terms(b)
-                if na != nb:
-                    diag.nonconfluent_overlaps.append((word, na, nb))
-    return diag
-
-
 # -- presentations ------------------------------------------------------------
 
 
@@ -531,7 +476,8 @@ class Presentation:
     ``generators`` maps a name to True if it is an indexed family (``d[k]``)
     and False for a plain letter.  ``finite_basis``, when given, lists the
     words spanning the space (used by finite instances; it may exclude the
-    empty word for non-unital carriers such as set coalgebras).
+    empty word for non-unital carriers such as set coalgebras); each must be
+    its own normal form, checked here once.
     ``unit_terms`` overrides the algebra unit when it is not the empty word
     (e.g. the function algebra on a finite set).
     """
@@ -553,6 +499,9 @@ class Presentation:
         self.ruleset = RuleSet(rules, precedence)
         self.ruleset.check_all()
         self.finite_basis = list(finite_basis) if finite_basis is not None else None
+        for w in self.finite_basis or ():
+            if self.ruleset._find(w) is not None:
+                raise StructureError(f"basis word {word_str(w)} of {name!r} is not in normal form")
         self.unit_terms = unit_terms
         self._elts = Memo(lambda w: AlgElt(self, {w: ONE}))
         self._normal = Memo(self._normal_words)

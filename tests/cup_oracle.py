@@ -100,13 +100,14 @@ def symbolic_basis(ci) -> list:
                 # f(h c_j) - h . f(c_j) = 0, coefficient of a-basis k
                 row = {}
                 for jj, cw2 in enumerate(cb):
-                    mcoef = moved.coeff(cw2)
+                    mcoef = moved.terms.get(cw2, 0)
                     if mcoef:
                         _merge_term(row, jj * len(ab) + k, mcoef)
                 for kk, aw2 in enumerate(ab):
                     img = ci.a_mod.act(hh, alg.from_word(aw2))
-                    if img.coeff(aw):
-                        _merge_term(row, j * len(ab) + kk, -img.coeff(aw))
+                    icoef = img.terms.get(aw, 0)
+                    if icoef:
+                        _merge_term(row, j * len(ab) + kk, -icoef)
                 if row:
                     rows.append(row)
     return [

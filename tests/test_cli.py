@@ -219,6 +219,28 @@ def test_input_hash_names_every_argument(capsys, tmp_path):
     )
 
 
+MALFORMED = {
+    # name -> (generators, last statement, stderr)
+    "zero_denominator": ("Y < X", "counit X -> 1/0;", "zero denominator in 1/0 at line 4, column 17"),
+    "family_named_twice": ("X < Y < X", "rule X Y -> Y X;", "'X' is named twice in generators at line 2, column 22"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_exits_3_on_one_line(tmp_path, name):
+    generators, statement, message = MALFORMED[name]
+    path = tmp_path / f"{name}.hopf"
+    path.write_text(
+        f"hopf t {{\n  generators {generators};\n  coproduct X -> X(x)1 + 1(x)X;\n"
+        f"  {statement}\n}}\n",
+        encoding="utf-8",
+    )
+    proc = run_main(["verify-hopf", "--file", str(path)])
+    assert proc.returncode == ParseError.exit_code == 3
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+
+
 def test_letter_past_the_code_range_exits_5(tmp_path):
     import importlib.resources
 

@@ -25,13 +25,13 @@ from hopfcyc.coefficients import (
     mc_regular,
     mc_trivial,
     stability_difference,
-    tensor_ayd_yd,
 )
-from hopfcyc.core import tensor
+from hopfcyc.core import AlgElt, Generator, TensorElt, tensor
 from hopfcyc.cup import build_group_cup_instance
-from hopfcyc.errors import PreconditionError
+from hopfcyc.errors import PreconditionError, StructureError
 from hopfcyc.hopf import Character, GroupLike
 from hopfcyc.instances import build_group_algebra, cyclic_group, modular_character, retag
+from hopfcyc.rewrite import Presentation
 
 
 def test_trivial_carrier_is_sayd(swap_cmod):
@@ -63,6 +63,66 @@ def test_s3_conjugation_sayd_s3_graded_not(s3):
     report = check_sayd(graded)
     assert not report["ok"]
     assert report["ayd"]["witnesses"]
+
+
+def tensor_ayd_yd(m: ModuleComodule, n: ModuleComodule) -> ModuleComodule:
+    """M ⊗ N with (m⊗n)h = mh⁽²⁾ ⊗ nh⁽¹⁾ and coaction
+    m⊗n ↦ m⟨-1⟩ n⟨-1⟩ ⊗ m⟨0⟩ ⊗ n⟨0⟩, for an anti-Yetter-Drinfeld M and a
+    Yetter-Drinfeld N, which makes it anti-Yetter-Drinfeld (Hajac,
+    Khalkhali, Rangipour and Sommerhäuser, 2004); finite carriers only."""
+    if m.hopf.name != n.hopf.name:
+        raise StructureError("carriers over different Hopf presentations")
+    if m.space.finite_basis is None or n.space.finite_basis is None:
+        raise PreconditionError("tensor product carrier requires finite factors")
+    h = m.hopf
+    pairs = list(iproduct(m.space.basis_words(), n.space.basis_words()))
+    gens = {f"p{i}": False for i in range(len(pairs))}
+    space = Presentation(
+        "m_tensor_n",
+        gens,
+        tuple(gens),
+        [],
+        finite_basis=[(Generator(f"p{i}"),) for i in range(len(pairs))],
+    )
+    pos = {pair: i for i, pair in enumerate(pairs)}
+
+    def pack(em: AlgElt, en: AlgElt) -> AlgElt:
+        terms = {}
+        for wm, cm in em.terms.items():
+            for wn, cn in en.terms.items():
+                w = (Generator(f"p{pos[(wm, wn)]}"),)
+                terms[w] = terms.get(w, 0) + cm * cn
+        return space.elt(terms)
+
+    def act(e: AlgElt, a: AlgElt) -> AlgElt:
+        d = h.coproduct(a)
+        out = space.zero()
+        for w, c in e.terms.items():
+            wm, wn = pairs[int(w[0].name[1:])]
+            em, en = m.space.from_word(wm), n.space.from_word(wn)
+            for (h1, h2), ch in d.terms.items():
+                out = out + pack(
+                    m.act(em, h.from_word(h2)), n.act(en, h.from_word(h1))
+                ).scale(c * ch)
+        return out
+
+    def coact(e: AlgElt) -> TensorElt:
+        out = tensor([h.zero()]).outer(tensor([space.zero()]))
+        for w, c in e.terms.items():
+            wm, wn = pairs[int(w[0].name[1:])]
+            cm = m.coact(m.space.from_word(wm))
+            cn = n.coact(n.space.from_word(wn))
+            for (hm, m0), ccm in cm.terms.items():
+                for (hn, n0), ccn in cn.terms.items():
+                    out = out + tensor(
+                        [
+                            h.from_word(hm) * h.from_word(hn),
+                            pack(m.space.from_word(m0), n.space.from_word(n0)),
+                        ]
+                    ).scale(c * ccm * ccn)
+        return out
+
+    return ModuleComodule("m_tensor_n", h, space, act, coact)
 
 
 def test_tensor_of_stable_ayd_and_yd(swap_cmod):

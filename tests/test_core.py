@@ -42,8 +42,8 @@ def test_scalar_multiplication(h1cop):
     x = h1cop.gen("X")
     assert Fraction(3, 2) * x == x.scale(Fraction(3, 2))
     assert (x.scale(0)).is_zero
-    assert x.coeff((Generator("X"),)) == 1
-    assert x.coeff(()) == 0
+    assert x.terms.get((Generator("X"),), 0) == 1
+    assert x.terms.get((), 0) == 0
 
 
 def test_str_rendering(h1cop):

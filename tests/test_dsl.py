@@ -182,6 +182,30 @@ def test_fractional_coefficients():
     assert ast.hopfs[0].counits[0][1] == Fraction(1, 2)
 
 
+ZERO_DENOMINATORS = {
+    # statement -> (line, column) of the zero denominator, in a file whose
+    # statement sits on line 3
+    "rule": ("rule X Y -> Y X - 1/0 X;", 3, 23),
+    "coproduct": ("coproduct X -> 1/0 X(x)1 + 1(x)X;", 3, 20),
+    "counit": ("counit X -> 1/0;", 3, 17),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ZERO_DENOMINATORS))
+def test_zero_denominator_is_a_parse_error(site):
+    statement, line, column = ZERO_DENOMINATORS[site]
+    with pytest.raises(ParseError, match="zero denominator in 1/0") as exc:
+        dsl.parse(f"hopf t {{\n  generators Y < X;\n  {statement}\n}}")
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_family_named_twice_is_a_parse_error():
+    # X ranked by its last position would make the rule decreasing
+    with pytest.raises(ParseError, match="'X' is named twice in generators") as exc:
+        dsl.parse("hopf t {\n  generators X < Y < X;\n  rule X Y -> Y X;\n}")
+    assert (exc.value.line, exc.value.column) == (2, 22)
+
+
 def test_tokenizer_rejects_garbage():
     with pytest.raises(ParseError):
         dsl.parse("hopf t { generators X; @ }")

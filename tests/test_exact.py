@@ -38,7 +38,6 @@ def all_fraction(monkeypatch):
         "exact": Fraction,
         "_merge_term": fraction_merge_term,
         "ONE": Fraction(1),
-        "ZERO": Fraction(0),
     }
     for mod in MODULES:
         for name, value in forced.items():

@@ -42,6 +42,7 @@ from hopfcyc.coefficients import (
 from hopfcyc.core import EMPTY_WORD, AlgElt, Generator, TensorElt, tensor, word_str
 from hopfcyc.cup import build_group_cup_instance
 from hopfcyc.errors import StructureError
+from hopfcyc.hopf import HopfPresentation
 from hopfcyc.instances import (
     GroupSetData,
     build_bicrossed,
@@ -490,13 +491,14 @@ def test_basis_elements_are_the_symbolic_tensors(coalgebra_instances):
 
 
 def test_basis_word_outside_normal_form_is_refused():
+    # checked once, when the presentation that owns the basis is built
     a, b = Generator("a"), Generator("b")
-    pres = Presentation(
-        "ab", {"a": False, "b": False}, ("a", "b"), [ConcreteRule((b, a), {(a, b): 1})],
-        finite_basis=[(a, b), (b, a)],
-    )
-    with pytest.raises(StructureError, match="not in normal form"):
-        TensorBasis((pres, pres))
+    args = ("ab", {"a": False, "b": False}, ("a", "b"), [ConcreteRule((b, a), {(a, b): 1})])
+    basis = [(a, b), (b, a)]
+    with pytest.raises(StructureError, match="basis word b a of 'ab' is not in normal form"):
+        Presentation(*args, finite_basis=basis)
+    with pytest.raises(StructureError, match="basis word b a of 'ab' is not in normal form"):
+        HopfPresentation(*args, counits={a: 1, b: 1}, finite_basis=basis)
 
 
 # -- the from_word memo ------------------------------------------------------------
