@@ -321,6 +321,8 @@ class TensorElt:
         return not self.terms
 
     def _check_same(self, other: "TensorElt"):
+        if self.prs == other.prs:  # presentations compare by identity
+            return
         if self.legs != other.legs or tuple(p.name for p in self.prs) != tuple(
             p.name for p in other.prs
         ):
@@ -370,21 +372,26 @@ class TensorElt:
     # -- structural operations ------------------------------------------------
 
     def leg_mul(self, other: "TensorElt") -> "TensorElt":
-        """Leg-wise product: (a_1⊗…⊗a_n)·(b_1⊗…⊗b_n) = a_1b_1⊗…⊗a_nb_n."""
+        """The product of H ⊗ H: (a⊗b)·(a′⊗b′) = aa′⊗bb′.
+
+        Two legs only, the one product the structure maps need (Δ of a
+        word is a product of letter coproducts); a tensor of any other leg
+        count raises :class:`StructureError`.  Each pair of terms reads
+        the normal forms of aa′ and bb′ once and merges their products
+        straight into the output."""
+        if self.legs != 2:
+            raise StructureError(f"leg_mul multiplies in H ⊗ H: needs 2 legs, not {self.legs}")
         self._check_same(other)
-        out = {}
-        for wt1, c1 in self.terms.items():
-            for wt2, c2 in other.terms.items():
-                partial = {(): c1 * c2}
-                for leg in range(self.legs):
-                    nf = self.prs[leg].ruleset.nf(wt1[leg] + wt2[leg])
-                    nxt = {}
-                    for pref, pc in partial.items():
-                        for nw, nc in nf.items():
-                            _merge_term(nxt, pref + (nw,), pc * nc)
-                    partial = nxt
-                for full, fc in partial.items():
-                    _merge_term(out, full, fc)
+        nf0, nf1 = self.prs[0].ruleset.nf, self.prs[1].ruleset.nf
+        out: dict = {}
+        for (a, b), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                left, right = nf0(a + a2), nf1(b + b2)
+                c = c1 * c2
+                for u, x in left.items():
+                    cx = c * x
+                    for v, y in right.items():
+                        _merge_term(out, (u, v), cx * y)
         return TensorElt(self.prs, out, _normalized=True)
 
     def leg_apply(self, leg: int, f: Callable[[AlgElt], LegValue]) -> "TensorElt":
@@ -392,32 +399,46 @@ class TensorElt:
 
         ``f`` may return an :class:`AlgElt` (leg count preserved) or a
         :class:`TensorElt` (the leg is replaced by the returned legs, e.g. a
-        coproduct grows the tensor by one leg).
+        coproduct grows the tensor by one leg).  It is called once per
+        distinct word on the leg.
         """
         if not 1 <= leg <= self.legs:
             raise StructureError(f"leg {leg} out of range 1..{self.legs}")
         i = leg - 1
+        pr = self.prs[i]
+        values: dict = {}  # word on the leg -> (legs, terms) of f on it
         out_terms: dict = {}
         mid_prs = None
         for wt, c in self.terms.items():
-            mid_prs, mid_terms = _as_legs(f(AlgElt(self.prs[i], {wt[i]: ONE}, _normalized=True)))
+            w = wt[i]
+            val = values.get(w)
+            if val is None:
+                val = values[w] = _as_legs(f(AlgElt(pr, {w: ONE}, _normalized=True)))
+            mid_prs, mid_terms = val
+            pre, post = wt[:i], wt[i + 1 :]
             for mw, mc in mid_terms.items():
-                _merge_term(out_terms, wt[:i] + mw + wt[i + 1 :], c * mc)
+                _merge_term(out_terms, pre + mw + post, c * mc)
         if mid_prs is None:
             # zero tensor: f on the zero of the leg names the output legs
-            mid_prs = _as_legs(f(AlgElt(self.prs[i], {}, _normalized=True)))[0]
+            mid_prs = _as_legs(f(AlgElt(pr, {}, _normalized=True)))[0]
         return TensorElt(self.prs[:i] + mid_prs + self.prs[i + 1 :], out_terms, _normalized=True)
 
     def leg_scalar(self, leg: int, f: Callable[[AlgElt], Coeff]) -> "TensorElt":
-        """Apply a scalar-valued linear map to one leg (1-based) and drop it."""
+        """Apply a scalar-valued linear map to one leg (1-based) and drop it;
+        ``f`` is called once per distinct word on the leg."""
         if not 1 <= leg <= self.legs:
             raise StructureError(f"leg {leg} out of range 1..{self.legs}")
         if self.legs == 1:
             raise StructureError("cannot drop the only leg of a tensor")
         i = leg - 1
+        pr = self.prs[i]
+        values: dict = {}  # word on the leg -> f on it
         out = {}
         for wt, c in self.terms.items():
-            s = f(AlgElt(self.prs[i], {wt[i]: ONE}, _normalized=True))
+            w = wt[i]
+            s = values.get(w)
+            if s is None:
+                s = values[w] = f(AlgElt(pr, {w: ONE}, _normalized=True))
             if s:
                 _merge_term(out, wt[:i] + wt[i + 1 :], c * s)
         return TensorElt(self.prs[:i] + self.prs[i + 1 :], out, _normalized=True)

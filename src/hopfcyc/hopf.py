@@ -195,17 +195,24 @@ class HopfPresentation(Presentation):
         )
 
     @staticmethod
-    def _linear(on_word: Callable, e: AlgElt) -> dict:
-        """Terms of Σ c·on_word(w) over the terms c·w of e, summed into one
-        dict: the linear extension of a word map."""
+    def _linear(on_word: Callable, e: AlgElt, wrap: Callable):
+        """Σ c·on_word(w) over the terms c·w of e: the linear extension of a
+        word map.  A one-term e = c·w gets the memoized value on_word(w)
+        itself when c = 1, shared as the memo's values are, and its
+        ``scale(c)`` otherwise; only a longer e is summed, into one dict
+        that ``wrap`` makes the value."""
+        if len(e.terms) == 1:
+            ((w, c),) = e.terms.items()
+            val = on_word(w)
+            return val if c == 1 else val.scale(c)
         out: dict = {}
         for w, c in e.terms.items():
             for v, x in on_word(w).terms.items():
                 _merge_term(out, v, c * x)
-        return out
+        return wrap(out)
 
     def coproduct(self, e: AlgElt) -> TensorElt:
-        return TensorElt((self, self), self._linear(self.coproduct_word, e), _normalized=True)
+        return self._linear(self.coproduct_word, e, partial(TensorElt, (self, self), _normalized=True))
 
     def counit_word(self, word: Word) -> Coeff:
         out = ONE
@@ -241,10 +248,10 @@ class HopfPresentation(Presentation):
         )
 
     def antipode(self, e: AlgElt) -> AlgElt:
-        return AlgElt(self, self._linear(self.antipode_word, e), _normalized=True)
+        return self._linear(self.antipode_word, e, partial(AlgElt, self, _normalized=True))
 
     def inv_antipode(self, e: AlgElt) -> AlgElt:
-        return AlgElt(self, self._linear(self.inv_antipode_word, e), _normalized=True)
+        return self._linear(self.inv_antipode_word, e, partial(AlgElt, self, _normalized=True))
 
     def sweedler(self, e: AlgElt, legs: int) -> TensorElt:
         """Iterated coproduct with the given number of legs (legs >= 1)."""

@@ -296,6 +296,9 @@ class RuleSet:
         self.rules = list(rules)
         self.precedence = tuple(precedence)
         self._rank = {name: i for i, name in enumerate(self.precedence)}
+        if len(self._rank) < len(self.precedence):
+            twice = next(nm for i, nm in enumerate(self.precedence) if nm in self.precedence[:i])
+            raise StructureError(f"precedence names generator {twice!r} twice")
         # both fills close over locals, not self, so no reference cycle
         rules = tuple(self.rules)
         self._span = max((r.lhs_len for r in rules), default=1)

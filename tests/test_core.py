@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 from cup_oracle import permute
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcyc import cli, dsl
-from hopfcyc.core import Generator, Memo, tensor, word_str
+from hopfcyc.core import ONE, AlgElt, Generator, Memo, TensorElt, _as_legs, _merge_term, tensor, word_str
 from hopfcyc.errors import StructureError
 from hopfcyc.rewrite import IndexExpr, LetterPat, RuleSet, SchemaRule
 
@@ -104,6 +106,116 @@ def test_tensor_bilinearity_random(h1cop):
         assert tensor([a + b, c]) == tensor([a, c]) + tensor([b, c])
         assert tensor([a, b + c]) == tensor([a, b]) + tensor([a, c])
         assert tensor([a.scale(5), c]) == tensor([a, c]).scale(5)
+
+
+# -- leg maps against their per-term oracles ----------------------------------
+#
+# The oracles are the earlier routes: a leg-wise product over any number of
+# legs that builds each pair's output through a dict per leg, and leg maps
+# that call f once per term.
+
+
+def oracle_leg_mul(s: TensorElt, t: TensorElt) -> TensorElt:
+    out = {}
+    for wt1, c1 in s.terms.items():
+        for wt2, c2 in t.terms.items():
+            partial = {(): c1 * c2}
+            for leg in range(s.legs):
+                nf = s.prs[leg].ruleset.nf(wt1[leg] + wt2[leg])
+                nxt = {}
+                for pref, pc in partial.items():
+                    for nw, nc in nf.items():
+                        _merge_term(nxt, pref + (nw,), pc * nc)
+                partial = nxt
+            for full, fc in partial.items():
+                _merge_term(out, full, fc)
+    return TensorElt(s.prs, out, _normalized=True)
+
+
+def oracle_leg_apply(t: TensorElt, leg: int, f) -> TensorElt:
+    i = leg - 1
+    out = {}
+    mid_prs = _as_legs(f(AlgElt(t.prs[i], {}, _normalized=True)))[0] if t.is_zero else None
+    for wt, c in t.terms.items():
+        mid_prs, mid = _as_legs(f(AlgElt(t.prs[i], {wt[i]: ONE}, _normalized=True)))
+        for mw, mc in mid.items():
+            _merge_term(out, wt[:i] + mw + wt[i + 1 :], c * mc)
+    return TensorElt(t.prs[:i] + mid_prs + t.prs[i + 1 :], out, _normalized=True)
+
+
+def oracle_leg_scalar(t: TensorElt, leg: int, f) -> TensorElt:
+    i = leg - 1
+    out = {}
+    for wt, c in t.terms.items():
+        s = f(AlgElt(t.prs[i], {wt[i]: ONE}, _normalized=True))
+        _merge_term(out, wt[:i] + wt[i + 1 :], c * s)
+    return TensorElt(t.prs[:i] + t.prs[i + 1 :], out, _normalized=True)
+
+
+def counting(f):
+    """f, and the list of the words it was called on."""
+    seen = []
+
+    def wrapped(e):
+        seen.append(tuple(e.terms))
+        return f(e)
+
+    return wrapped, seen
+
+
+@st.composite
+def two_leg_tensors(draw, h):
+    """A tensor in H ⊗ H of up to four terms: words of up to two letters of
+    index at most 2, Fraction coefficients, repeated leg words likely."""
+    words = st.lists(st.sampled_from(h.letters(2)), max_size=2).map(tuple)
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    terms = draw(st.dictionaries(st.tuples(words, words), coeffs, max_size=4))
+    return TensorElt((h, h), terms)
+
+
+@pytest.fixture(scope="module")
+def hopf_pair(h1cop, bicrossed):
+    return {"h1cop": h1cop, "bicrossed": bicrossed.hopf}
+
+
+@pytest.mark.parametrize("name", ["h1cop", "bicrossed"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_leg_maps_match_their_oracles(hopf_pair, name, data):
+    h = hopf_pair[name]
+    s, t = data.draw(two_leg_tensors(h)), data.draw(two_leg_tensors(h))
+    assert s.leg_mul(t) == oracle_leg_mul(s, t)
+    for leg in (1, 2):
+        for f in (h.coproduct, h.antipode, lambda e: e * e):
+            counted, seen = counting(f)
+            assert t.leg_apply(leg, counted) == oracle_leg_apply(t, leg, f)
+            # once per distinct word on the leg; the zero tensor calls f on 0
+            distinct = {(wt[leg - 1],) for wt in t.terms} or {()}
+            assert len(seen) == len(distinct) and set(seen) == distinct
+        counted, seen = counting(h.counit)
+        assert t.leg_scalar(leg, counted) == oracle_leg_scalar(t, leg, h.counit)
+        assert len(seen) == len({wt[leg - 1] for wt in t.terms})
+
+
+@pytest.mark.parametrize("name", ["h1cop", "bicrossed"])
+def test_structure_maps_of_one_term_share_the_word_value(hopf_pair, name):
+    h = hopf_pair[name]
+    for w in h.normal_words(2, 2):
+        assert h.coproduct(h.from_word(w)) is h.coproduct_word(w)
+        assert h.antipode(h.from_word(w)) is h.antipode_word(w)
+        for c in (2, Fraction(-1, 3)):
+            e = h.from_word(w).scale(c)
+            assert h.antipode(e) == h.antipode_word(w).scale(c)
+            assert h.coproduct(e) == h.coproduct_word(w).scale(c)
+            assert h.inv_antipode(e) == h.inv_antipode_word(w).scale(c)
+
+
+def test_leg_mul_needs_two_legs(h1cop):
+    x, y = h1cop.gen("X"), h1cop.gen("Y")
+    for factors in ([x], [x, y, x]):
+        t = tensor(factors)
+        with pytest.raises(StructureError, match=f"needs 2 legs, not {len(factors)}"):
+            t.leg_mul(t)
 
 
 # -- interned letters ----------------------------------------------------------

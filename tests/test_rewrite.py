@@ -76,6 +76,16 @@ def test_termination_order_violation_rejected():
         rs.check_all(index_bound=2)
 
 
+def test_precedence_naming_a_generator_twice_is_refused():
+    # ranked by its last position, X would sit above Y and the rule would
+    # pass, although the declared X < Y makes it increasing
+    rule = ConcreteRule((X, Y), {(Y, X): 1})
+    with pytest.raises(StructureError, match="precedence names generator 'X' twice"):
+        Presentation("t", {"X": False, "Y": False}, ("X", "Y", "X"), [rule])
+    with pytest.raises(StructureError, match="'X' twice"):
+        RuleSet([rule], ("X", "Y", "X"))
+
+
 def test_schema_rule_str_round():
     rule = SchemaRule(
         [LetterPat("X"), LetterPat("d", IndexExpr.parse("k"))],
